@@ -48,7 +48,6 @@ from .trajectories import (
     compare_with_bound,
     run_ensemble,
     run_linear_ensemble,
-    simulate_linear_path,
     simulate_path,
 )
 from .inequalities import (

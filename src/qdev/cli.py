@@ -290,20 +290,11 @@ def _cmd_simulate(args, argv) -> int:
                        {"r": r.tolist(), "n_paths": config.n_paths, "dt": config.dt,
                         "t_max": config.t_max}, base_seed=config.base_seed)
     if args.paths_dump:
-        _dump_paths(args, setup, rho, config)
+        header = ["path", "t"] + [f"estimator{i}" for i in range(setup.ell)]
+        rows = [[p, t, *est[i].tolist()] for p, est in enumerate(result.path_estimators)
+                for i, t in enumerate(result.checkpoint_times)]
+        fileio.write_csv(args.paths_dump, header, rows)
     return 0
-
-
-def _dump_paths(args, setup, rho, config):
-    from .trajectories import simulate_path
-
-    header = ["path", "t"] + [f"estimator{i}" for i in range(setup.ell)]
-    rows = []
-    for p in range(config.n_paths):
-        record = simulate_path(setup, rho, config, p)
-        for i, t in enumerate(record.checkpoint_times):
-            rows.append([p, t, *record.estimators[i].tolist()])
-    fileio.write_csv(args.paths_dump, header, rows)
 
 
 def _cmd_compare(args, argv) -> int:

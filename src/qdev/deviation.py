@@ -28,7 +28,9 @@ from .linalg import (
     SuperOperator,
     ValidationError,
     as_complex_matrix,
+    hermitian_from_params,
     hermitian_part,
+    hermitian_to_params,
     inner_product,
     left_right_matrix,
     unvec,
@@ -460,21 +462,9 @@ def direct_variational_crosscheck(setup: MeasurementSetup, r, n_starts: int = 10
     r = np.atleast_1d(np.asarray(r, dtype=float))
     target = mean_vector(setup) + r
 
-    tri = np.triu_indices(d, k=1)
-    n_params = d + 2 * tri[0].size
-
-    def to_hermitian(params: np.ndarray) -> np.ndarray:
-        y = np.zeros((d, d), dtype=complex)
-        y[np.diag_indices(d)] = params[:d]
-        re = params[d:d + tri[0].size]
-        im = params[d + tri[0].size:]
-        y[tri] = re + 1j * im
-        y[(tri[1], tri[0])] = re - 1j * im
-        return y
-
     def objective(params: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
-            y = to_hermitian(params)
+            y = hermitian_from_params(params, d)
             x = y @ y
             norm = np.sqrt(max(inner_product("KMS", st, x, x).real, 0.0))
         if not np.isfinite(norm) or norm < 1e-12:
@@ -493,7 +483,7 @@ def direct_variational_crosscheck(setup: MeasurementSetup, r, n_starts: int = 10
         return total
 
     rng = np.random.default_rng(seed)
-    polish_starts = [np.concatenate([np.ones(d), np.zeros(n_params - d)])]
+    polish_starts = [hermitian_to_params(np.eye(d))]
     # Warm start from the lam-domain optimizer's top eigenvector.
     family = TiltedFamily(setup)
     lam, _, _, bounded = _maximize_tilt(family, target, allow_negative=False)
@@ -501,8 +491,8 @@ def direct_variational_crosscheck(setup: MeasurementSetup, r, n_starts: int = 10
         x_opt = family.optimal_observable(lam)
         w, v = np.linalg.eigh(x_opt)
         y = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        polish_starts.append(np.concatenate([np.diag(y).real, y[tri].real, y[tri].imag]))
-    scout_starts = [rng.normal(size=n_params) for _ in range(n_starts)]
+        polish_starts.append(hermitian_to_params(y))
+    scout_starts = [rng.normal(size=d * d) for _ in range(n_starts)]
 
     def run(p0, xtol, maxiter):
         res = scipy.optimize.minimize(objective, p0, method="Powell",

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import SuperOperator, ValidationError
-from .lindblad import GeneratorContext, Lindbladian, context_from_generator, stationary_state
+from .lindblad import GeneratorContext, Lindbladian, context_from_channel, stationary_state
 
 
 def encode_complex_matrix(m) -> list:
@@ -104,8 +104,7 @@ def load_model(path) -> LoadedModel:
         ch = decode_complex_matrix(_require(doc, "channel", str(path)), f"{path}:channel")
         if ch.shape[0] != dim * dim:
             raise ValidationError(f"{path}: channel matrix must be dim^2 x dim^2")
-        eye = np.eye(dim * dim, dtype=complex)
-        ctx = context_from_generator(SuperOperator(ch - eye))
+        ctx = context_from_channel(SuperOperator(ch))
     else:
         raise ValidationError(f"{path}: unknown model kind {kind!r}")
     return LoadedModel(ctx, doc.get("template"), str(path))
@@ -140,13 +139,16 @@ def load_config(path, seed_override: int | None = None):
     base_seed = seed_override if seed_override is not None else doc.get("base_seed")
     if base_seed is None:
         raise ValidationError(f"{path}: base_seed is mandatory (or pass --seed / QDEV_SEED)")
+    # Euler-Maruyama is the only scheme; older files may still name it.
+    scheme = doc.get("scheme", "euler_maruyama")
+    if scheme != "euler_maruyama":
+        raise ValidationError(f"{path}: unknown scheme {scheme!r} (only 'euler_maruyama')")
     checkpoints = doc.get("checkpoints")
     return TrajectoryConfig(
         dt=float(_require(doc, "dt", str(path))),
         t_max=float(_require(doc, "t_max", str(path))),
         n_paths=int(_require(doc, "n_paths", str(path))),
         base_seed=int(base_seed),
-        scheme=doc.get("scheme", "euler_maruyama"),
         positivity_clip=float(doc.get("positivity_clip", 1e-10)),
         checkpoints=tuple(float(t) for t in checkpoints) if checkpoints else None,
     )
@@ -189,19 +191,10 @@ def emit_report(path, header: list[str], rows: list[list], fmt: str,
         write_csv(path, header, rows)
         write_manifest(path, command, input_paths, parameters, base_seed=base_seed)
     elif fmt == "json":
-        manifest = {
-            "tool": "qdev",
-            "version": __version__,
-            "command": list(command),
-            "inputs": {str(p): _digest(p) for p in input_paths},
-            "base_seed": base_seed,
-            "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
-            "parameters": parameters,
-        }
         doc = {
             "columns": list(header),
             "rows": [[_json_cell(cell) for cell in row] for row in rows],
-            "manifest": manifest,
+            "manifest": _manifest(command, input_paths, parameters, base_seed),
         }
         Path(path).write_text(json.dumps(doc, indent=1))
     else:
@@ -227,10 +220,9 @@ def _digest(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_manifest(output_path, command: list[str], input_paths: list, parameters: dict,
-                   base_seed: int | None = None) -> str:
-    """Write <output>.manifest.json next to an output file."""
-    manifest = {
+def _manifest(command: list[str], input_paths: list, parameters: dict,
+              base_seed: int | None) -> dict:
+    return {
         "tool": "qdev",
         "version": __version__,
         "command": list(command),
@@ -239,8 +231,14 @@ def write_manifest(output_path, command: list[str], input_paths: list, parameter
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
         "parameters": parameters,
     }
+
+
+def write_manifest(output_path, command: list[str], input_paths: list, parameters: dict,
+                   base_seed: int | None = None) -> str:
+    """Write <output>.manifest.json next to an output file."""
     mpath = str(output_path) + ".manifest.json"
-    Path(mpath).write_text(json.dumps(manifest, indent=1))
+    Path(mpath).write_text(json.dumps(_manifest(command, input_paths, parameters, base_seed),
+                                      indent=1))
     return mpath
 
 

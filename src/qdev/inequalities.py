@@ -24,7 +24,9 @@ from .linalg import (
     NumericalError,
     ValidationError,
     as_complex_matrix,
+    hermitian_from_params,
     hermitian_part,
+    hermitian_to_params,
     inner_product,
     require_hermitian,
     spectral_transform,
@@ -251,24 +253,12 @@ def w1_lower_bound(lip: LipschitzContext, rho1, rho2, n_starts: int = 10, seed: 
     if np.max(np.abs(delta)) < 1e-14:
         return 0.0
 
-    tri = np.triu_indices(d, k=1)
-    n_params = d + 2 * tri[0].size
-
-    def to_hermitian(params):
-        x = np.zeros((d, d), dtype=complex)
-        x[np.diag_indices(d)] = params[:d]
-        re = params[d:d + tri[0].size]
-        im = params[d + tri[0].size:]
-        x[tri] = re + 1j * im
-        x[(tri[1], tri[0])] = re - 1j * im
-        return x
-
     best = 0.0
     degenerate_witness = False
 
     def ratio(params):
         nonlocal best, degenerate_witness
-        x = to_hermitian(params)
+        x = hermitian_from_params(params, d)
         pairing = float(np.trace(delta @ x).real)
         norm = lipschitz_norm(lip, x)
         if norm < 1e-12:
@@ -280,9 +270,9 @@ def w1_lower_bound(lip: LipschitzContext, rho1, rho2, n_starts: int = 10, seed: 
         return value
 
     rng = np.random.default_rng(seed)
-    starts = [np.concatenate([np.diag(delta).real, delta[tri].real, delta[tri].imag])]
+    starts = [hermitian_to_params(delta)]
     for _ in range(n_starts):
-        starts.append(rng.normal(size=n_params))
+        starts.append(rng.normal(size=d * d))
     for p0 in starts:
         scipy.optimize.minimize(lambda p: -ratio(p), p0, method="Powell",
                                 options={"xtol": 1e-8, "maxiter": 2000})

@@ -269,8 +269,24 @@ def to_superoperator(mapping, dim: int) -> SuperOperator:
     return SuperOperator(m)
 
 
-def apply(superop: SuperOperator, x) -> np.ndarray:
-    return superop.apply(x)
+def hermitian_from_params(params: np.ndarray, dim: int) -> np.ndarray:
+    """Hermitian matrix from dim**2 real parameters: the diagonal, then the
+    real parts, then the imaginary parts of the strict upper triangle in
+    row-major order."""
+    tri = np.triu_indices(dim, k=1)
+    x = np.zeros((dim, dim), dtype=complex)
+    x[np.diag_indices(dim)] = params[:dim]
+    re = params[dim:dim + tri[0].size]
+    im = params[dim + tri[0].size:]
+    x[tri] = re + 1j * im
+    x[(tri[1], tri[0])] = re - 1j * im
+    return x
+
+
+def hermitian_to_params(x: np.ndarray) -> np.ndarray:
+    """Inverse of hermitian_from_params on Hermitian matrices."""
+    tri = np.triu_indices(x.shape[0], k=1)
+    return np.concatenate([np.diag(x).real, x[tri].real, x[tri].imag])
 
 
 # ---------------------------------------------------------------------------

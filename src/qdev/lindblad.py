@@ -161,47 +161,58 @@ class GeneratorContext:
         return hermitian_part(self.kms_conjugated(matrix))
 
 
-def _kernel_projector(m: np.ndarray, tol: float) -> tuple[int, np.ndarray]:
-    """Multiplicity of the (near-)zero eigenvalue and the spectral projector."""
-    w, v = np.linalg.eig(m)
-    near = np.abs(w) <= tol
-    mult = int(np.count_nonzero(near))
-    if mult == 0:
-        return 0, np.zeros_like(m)
-    vinv = np.linalg.inv(v)
-    proj = v[:, near] @ vinv[near, :]
-    return mult, proj
-
-
 def stationary_state(lind: Lindbladian, faithfulness_threshold: float = 1e-12) -> GeneratorContext:
-    """Solve L*(sigma) = 0 and assemble the generator context.
+    """Solve L*(sigma) = 0 for a jump-form generator and assemble its context."""
+    return context_from_generator(lind.heisenberg_superoperator(), faithfulness_threshold,
+                                  lindbladian=lind)
 
-    The kernel of the Schrodinger superoperator is computed densely (SVD for
-    the kernel vector, eigenvalue count for the multiplicity). Primitive
-    means the zero eigenvalue is simple and sigma has full rank.
+
+def context_from_channel(channel: SuperOperator, faithfulness_threshold: float = 1e-12) -> GeneratorContext:
+    """Context for the channel-difference generator L = Psi - id.
+
+    ``channel`` is the Heisenberg (unital) superoperator Psi.
     """
-    heis = lind.heisenberg_superoperator()
+    eye = np.eye(channel.dim ** 2, dtype=complex)
+    return context_from_generator(SuperOperator(channel.matrix - eye), faithfulness_threshold)
+
+
+def context_from_generator(heis: SuperOperator, faithfulness_threshold: float = 1e-12,
+                           lindbladian: Lindbladian | None = None) -> GeneratorContext:
+    """Context for a generator given as a Heisenberg superoperator.
+
+    One SVD of the Schrodinger matrix M gives the kernel: its multiplicity
+    is the number of singular values at or below KERNEL_REL_TOL * scale.
+    A simple kernel is spanned by the last right singular vector. A larger
+    one is handled through the ergodic projector R (L^H R)^(-1) L^H built
+    from the right (R) and left (L) null vectors; it maps the maximally
+    mixed state to the stationary state of maximal support, so faithfulness
+    fails only if no faithful stationary state exists. Primitive means the
+    kernel is simple and sigma has full rank.
+    """
+    d = heis.dim
+    unitality = np.max(np.abs(heis.apply(np.eye(d))))
+    if unitality > UNITALITY_TOL:
+        raise ValidationError(f"generator is not unital: |L(id)| = {unitality:.3e}")
     schro = heis.adjoint()
     m = schro.matrix
     scale = max(1.0, float(np.max(np.abs(m))))
-    tol = KERNEL_REL_TOL * scale
-    mult, proj = _kernel_projector(m, tol)
+    u, s, vh = np.linalg.svd(m)
+    mult = int(np.count_nonzero(s <= KERNEL_REL_TOL * scale))
     if mult == 0:
         raise NumericalError("Schrodinger superoperator has no numerical kernel")
-    d = lind.dim
     if mult == 1:
-        _, _, vh = np.linalg.svd(m)
         cand = unvec(vh[-1].conj(), d)
     else:
-        # Ergodic projection of the maximally mixed state: maximal-support
-        # stationary state, so faithfulness fails only if no faithful one exists.
+        right = vh[-mult:].conj().T
+        left_h = u[:, -mult:].conj().T
+        proj = right @ np.linalg.solve(left_h @ right, left_h)
         cand = unvec(proj @ vec(np.eye(d) / d), d)
     cand = hermitian_part(cand)
     tr = np.trace(cand).real
     if abs(tr) < 1e-14:
         raise NumericalError("stationary candidate has vanishing trace")
     cand = cand / tr
-    residual = np.max(np.abs(lind.schrodinger_action(cand)))
+    residual = np.max(np.abs(schro.apply(cand)))
     if residual > STATIONARY_TOL:
         raise NumericalError(f"stationary residual {residual:.3e} exceeds {STATIONARY_TOL:.1e}")
     w, v = np.linalg.eigh(cand)
@@ -214,52 +225,11 @@ def stationary_state(lind: Lindbladian, faithfulness_threshold: float = 1e-12) -
     try:
         faithful = FaithfulState(sigma, threshold=faithfulness_threshold)
     except NotFaithfulError:
-        faithful = None
         if mult > 1:
             raise NotFaithfulError("no faithful stationary state")
-    primitive = (mult == 1) and faithful is not None
-    return GeneratorContext(heis, schro, sigma, faithful, primitive, mult, lindbladian=lind)
-
-
-def context_from_channel(channel: SuperOperator, faithfulness_threshold: float = 1e-12) -> GeneratorContext:
-    """Context for the channel-difference generator L = Psi - id.
-
-    ``channel`` is the Heisenberg (unital) superoperator Psi.
-    """
-    eye = np.eye(channel.dim ** 2, dtype=complex)
-    return context_from_generator(SuperOperator(channel.matrix - eye), faithfulness_threshold)
-
-
-def context_from_generator(heis: SuperOperator, faithfulness_threshold: float = 1e-12) -> GeneratorContext:
-    """Context for a generator given directly as a Heisenberg superoperator."""
-    d = heis.dim
-    unitality = np.max(np.abs(heis.apply(np.eye(d))))
-    if unitality > UNITALITY_TOL:
-        raise ValidationError(f"generator is not unital: |L(id)| = {unitality:.3e}")
-    schro = heis.adjoint()
-    scale = max(1.0, float(np.max(np.abs(schro.matrix))))
-    mult, proj = _kernel_projector(schro.matrix, KERNEL_REL_TOL * scale)
-    if mult == 0:
-        raise NumericalError("channel-difference generator has no stationary state")
-    if mult == 1:
-        _, _, vh = np.linalg.svd(schro.matrix)
-        cand = unvec(vh[-1].conj(), d)
-    else:
-        cand = unvec(proj @ vec(np.eye(d) / d), d)
-    cand = hermitian_part(cand)
-    cand = cand / np.trace(cand).real
-    w, v = np.linalg.eigh(cand)
-    if w[0] < -1e-8:
-        raise NumericalError(f"stationary candidate not positive (min eigenvalue {w[0]:.3e})")
-    if w[0] < 0.0:
-        cand = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        cand = hermitian_part(cand / np.trace(cand).real)
-    sigma = DensityOperator(cand)
-    try:
-        faithful = FaithfulState(sigma, threshold=faithfulness_threshold)
-    except NotFaithfulError:
         faithful = None
-    return GeneratorContext(heis, schro, sigma, faithful, (mult == 1) and faithful is not None, mult)
+    primitive = (mult == 1) and faithful is not None
+    return GeneratorContext(heis, schro, sigma, faithful, primitive, mult, lindbladian=lindbladian)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,23 @@ Reproducibility: every path owns counter-based Philox streams keyed by
 for a given seed regardless of how paths are scheduled across threads.
 Blocks of paths are stepped together as stacked arrays; per-path results
 never depend on the block partition.
+
+One resampler, ``_Engine.run_paths``, steps a block of paths and reruns
+each path the block left invalid (a degenerate jump normalization or a
+collapsed state) alone with the next attempt's streams; ``simulate_path``
+and ``run_ensemble`` both go through it. One scheduler, ``_run_blocks``,
+splits an ensemble into fixed BLOCK_PATHS blocks, runs them on a thread
+pool and returns their partial results in index order, for the nonlinear
+and the linear ensemble alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.stats
@@ -47,7 +56,6 @@ class TrajectoryConfig:
     t_max: float
     n_paths: int
     base_seed: int
-    scheme: str = "euler_maruyama"
     positivity_clip: float = 1e-10
     checkpoints: tuple[float, ...] | None = None
 
@@ -56,8 +64,6 @@ class TrajectoryConfig:
             raise ValidationError("need 0 < dt <= t_max")
         if self.n_paths < 1:
             raise ValidationError("n_paths must be positive")
-        if self.scheme != "euler_maruyama":
-            raise ValidationError(f"unknown scheme {self.scheme!r}")
         if self.positivity_clip < 0:
             raise ValidationError("positivity_clip must be nonnegative")
 
@@ -78,6 +84,9 @@ class TrajectoryConfig:
             raise ValidationError("checkpoints collide on the step grid")
         return steps
 
+    def checkpoint_times(self) -> np.ndarray:
+        return np.array(self.checkpoint_steps()) * self.dt
+
 
 @dataclass(frozen=True, eq=False)
 class PathRecord:
@@ -89,13 +98,6 @@ class PathRecord:
     clip_violations: int
     steps: int
     attempt: int
-
-
-@dataclass(frozen=True, eq=False)
-class LinearPathRecord:
-    checkpoint_times: np.ndarray
-    z_values: np.ndarray
-    failed: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,17 +145,11 @@ class _Engine:
         def tensorize(m):
             return m.reshape(d, d, d, d).transpose(1, 0, 3, 2).copy()
 
-        schro = setup.ctx.schrodinger.matrix
-        drift = schro.copy()
+        drift = setup.ctx.schrodinger.matrix.copy()
         for l in self.poisson_ops:
             drift -= np.kron(l.conj(), l)     # rho -> L rho L^dagger
         self.drift_tensor = tensorize(drift)
-
-        lin = schro.copy()
-        for l in self.poisson_ops:
-            lin -= np.kron(l.conj(), l)
-        lin += self.n_poisson * np.eye(d * d)
-        self.linear_drift_tensor = tensorize(lin)
+        self.linear_drift_tensor = tensorize(drift + self.n_poisson * np.eye(d * d))
 
         max_rate = max((np.linalg.norm(m, 2) for m in self.poisson_intensity), default=0.0)
         if max_rate * config.dt >= 0.1:
@@ -246,6 +242,30 @@ class _Engine:
                     if record_states:
                         states[cp] = rho
         return estimators, states, invalid, clip_violations
+
+    def run_paths(self, rho0: np.ndarray, idx: list[int], record_states: bool):
+        """Step paths ``idx`` as one block, then rerun each invalid path alone
+        with fresh streams, up to MAX_RESAMPLE_ATTEMPTS attempts in all.
+
+        Returns per-path estimators, states (or None), clip counts and the
+        attempt that produced each path.
+        """
+        est, states, invalid, clips = self.run_block(rho0, idx, [0] * len(idx), record_states)
+        attempts = np.zeros(len(idx), dtype=np.int64)
+        for pos in np.nonzero(invalid)[0]:
+            for attempt in range(1, MAX_RESAMPLE_ATTEMPTS):
+                e2, s2, inv2, c2 = self.run_block(rho0, [idx[pos]], [attempt], record_states)
+                if not inv2[0]:
+                    est[pos] = e2[0]
+                    if record_states:
+                        states[:, pos] = s2[:, 0]
+                    clips[pos] = c2[0]
+                    attempts[pos] = attempt
+                    break
+            else:
+                raise NumericalError(f"path {idx[pos]} kept hitting degenerate jumps or "
+                                     f"collapsing after {MAX_RESAMPLE_ATTEMPTS} attempts")
+        return est, states, clips, attempts
 
     def run_linear_block(self, rho0: np.ndarray, path_indices, attempts):
         """Linear (unnormalized) stepping under the reference noise law."""
@@ -343,6 +363,31 @@ def _as_initial_state(rho0, dim: int) -> np.ndarray:
     return m
 
 
+def _run_blocks(setup: MeasurementSetup, rho0, config: TrajectoryConfig, checkpoints,
+                n_threads: int, run_block):
+    """The one ensemble scheduler: ``run_block(engine, rho0, idx)`` over fixed
+    BLOCK_PATHS blocks of path indices, on up to ``n_threads`` threads.
+
+    Returns the config (with ``checkpoints`` applied) and the partial
+    results in block order, so that combining them in order does not
+    depend on the thread count.
+    """
+    if checkpoints is not None:
+        config = dataclasses.replace(config, checkpoints=tuple(checkpoints))
+    engine = _Engine(setup, config)
+    rho0m = _as_initial_state(rho0, engine.d)
+    n = config.n_paths
+    blocks = [list(range(start, min(start + BLOCK_PATHS, n))) for start in range(0, n, BLOCK_PATHS)]
+
+    def run_one(idx):
+        return run_block(engine, rho0m, idx)
+
+    if n_threads > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            return config, list(pool.map(run_one, blocks))
+    return config, [run_one(idx) for idx in blocks]
+
+
 def simulate_path(setup: MeasurementSetup, rho0, config: TrajectoryConfig,
                   path_index: int, record_states: bool = False) -> PathRecord:
     """Integrate one trajectory and report the estimators at the checkpoints.
@@ -353,24 +398,9 @@ def simulate_path(setup: MeasurementSetup, rho0, config: TrajectoryConfig,
     """
     engine = _Engine(setup, config)
     rho0 = _as_initial_state(rho0, engine.d)
-    times = np.array(config.checkpoint_steps()) * config.dt
-    for attempt in range(MAX_RESAMPLE_ATTEMPTS):
-        est, states, invalid, clips = engine.run_block(rho0, [path_index], [attempt], record_states)
-        if not invalid[0]:
-            return PathRecord(times, est[0], states[:, 0] if record_states else None,
-                              int(clips[0]), config.n_steps(), attempt)
-    raise NumericalError(f"path {path_index} kept hitting degenerate jumps after "
-                         f"{MAX_RESAMPLE_ATTEMPTS} attempts")
-
-
-def simulate_linear_path(setup: MeasurementSetup, rho0, config: TrajectoryConfig,
-                         path_index: int) -> LinearPathRecord:
-    """Integrate the linear equation; Z(t) = Tr[sigma_t] at the checkpoints."""
-    engine = _Engine(setup, config)
-    rho0 = _as_initial_state(rho0, engine.d)
-    times = np.array(config.checkpoint_steps()) * config.dt
-    z, failed = engine.run_linear_block(rho0, [path_index], [0])
-    return LinearPathRecord(times, z[0], bool(failed[0]))
+    est, states, clips, attempts = engine.run_paths(rho0, [path_index], record_states)
+    return PathRecord(config.checkpoint_times(), est[0], states[:, 0] if record_states else None,
+                      int(clips[0]), config.n_steps(), int(attempts[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -378,7 +408,8 @@ class EnsembleResult:
     """Ensemble aggregates per checkpoint.
 
     ``state_stderr`` is the Frobenius-aggregated Monte Carlo standard error
-    sqrt(sum_ij Var(rho_ij) / n) of the mean state.
+    sqrt(sum_ij Var(rho_ij) / n) of the mean state. ``path_estimators``
+    holds every path's estimators, in path order.
     """
 
     checkpoint_times: np.ndarray
@@ -389,6 +420,7 @@ class EnsembleResult:
     estimator_stderr: np.ndarray
     mean_states: np.ndarray            # (n_cp, d, d)
     state_stderr: np.ndarray           # (n_cp,)
+    path_estimators: np.ndarray        # (n_paths, n_cp, ell)
     n_paths: int
     n_resampled: int
     clip_violation_fraction: float
@@ -404,120 +436,59 @@ def run_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig, thresh
     Aggregation is associative over fixed-size path blocks combined in
     index order, so results do not depend on the thread count.
     """
-    if checkpoints is not None:
-        config = TrajectoryConfig(config.dt, config.t_max, config.n_paths, config.base_seed,
-                                  config.scheme, config.positivity_clip, tuple(checkpoints))
-    engine = _Engine(setup, config)
-    rho0m = _as_initial_state(rho0, engine.d)
     r = np.atleast_1d(np.asarray(thresholds, dtype=float))
     if r.shape != (setup.ell,):
         raise ValidationError(f"thresholds must have shape ({setup.ell},)")
     m_u = mean_vector(setup)
-    cp_steps = config.checkpoint_steps()
-    times = np.array(cp_steps) * config.dt
-    n_cp = len(cp_steps)
+
+    def run_block(engine, rho0m, idx):
+        est, states, clips, attempts = engine.run_paths(rho0m, idx, True)
+        return est, states.sum(axis=1), (np.abs(states) ** 2).sum(axis=1), clips, attempts
+
+    config, partials = _run_blocks(setup, rho0, config, checkpoints, n_threads, run_block)
+    blocks, state_sums, state_sqs, clips, attempts = zip(*partials)
+    # Per-block sums combined in block order keep the bytes independent of n_threads.
     n = config.n_paths
-    d = engine.d
-
-    blocks = [(start, min(start + BLOCK_PATHS, n)) for start in range(0, n, BLOCK_PATHS)]
-
-    def run_one(block):
-        start, stop = block
-        idx = list(range(start, stop))
-        est, states, invalid, clips = engine.run_block(rho0m, idx, [0] * len(idx), True)
-        resampled = 0
-        for pos in np.nonzero(invalid)[0]:
-            for attempt in range(1, MAX_RESAMPLE_ATTEMPTS):
-                e2, s2, inv2, c2 = engine.run_block(rho0m, [idx[pos]], [attempt], True)
-                if not inv2[0]:
-                    est[pos] = e2[0]
-                    states[:, pos] = s2[:, 0]
-                    clips[pos] = c2[0]
-                    resampled += 1
-                    break
-            else:
-                raise NumericalError(f"path {idx[pos]} invalid after {MAX_RESAMPLE_ATTEMPTS} attempts")
-        exceed = np.ones((len(idx), n_cp), dtype=bool)
-        for j in range(setup.ell):
-            if math.isinf(r[j]) and r[j] < 0:
-                continue
-            exceed &= est[:, :, j] - m_u[j] >= r[j]
-        return {
-            "count": exceed.sum(axis=0),
-            "est_sum": est.sum(axis=0),
-            "est_sq": (est ** 2).sum(axis=0),
-            "state_sum": states.sum(axis=1),
-            "state_sq": (np.abs(states) ** 2).sum(axis=1),
-            "clips": int(clips.sum()),
-            "resampled": resampled,
-        }
-
-    if n_threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            partials = list(pool.map(run_one, blocks))
-    else:
-        partials = [run_one(b) for b in blocks]
-
-    counts = np.zeros(n_cp, dtype=np.int64)
-    est_sum = np.zeros((n_cp, setup.ell))
-    est_sq = np.zeros((n_cp, setup.ell))
-    state_sum = np.zeros((n_cp, d, d), dtype=complex)
-    state_sq = np.zeros((n_cp, d, d))
-    clips = 0
-    resampled = 0
-    for part in partials:
-        counts += part["count"]
-        est_sum += part["est_sum"]
-        est_sq += part["est_sq"]
-        state_sum += part["state_sum"]
-        state_sq += part["state_sq"]
-        clips += part["clips"]
-        resampled += part["resampled"]
-
-    est_mean = est_sum / n
-    est_var = np.clip(est_sq / n - est_mean ** 2, 0.0, None)
+    est_mean = sum(b.sum(axis=0) for b in blocks) / n
+    est_var = np.clip(sum((b ** 2).sum(axis=0) for b in blocks) / n - est_mean ** 2, 0.0, None)
     est_stderr = np.sqrt(est_var / n)
-    mean_states = state_sum / n
-    state_var = np.clip(state_sq / n - np.abs(mean_states) ** 2, 0.0, None)
+    mean_states = sum(state_sums) / n
+    state_var = np.clip(sum(state_sqs) / n - np.abs(mean_states) ** 2, 0.0, None)
     state_stderr = np.sqrt(state_var.sum(axis=(1, 2)) / n)
+
+    est = np.concatenate(blocks)
+    exceed = np.ones(est.shape[:2], dtype=bool)
+    for j in range(setup.ell):
+        if math.isinf(r[j]) and r[j] < 0:
+            continue
+        exceed &= est[:, :, j] - m_u[j] >= r[j]
     tails = []
-    for i in range(n_cp):
-        low, high = clopper_pearson(int(counts[i]), n)
-        tails.append(EmpiricalTail(r.copy(), int(counts[i]), n, counts[i] / n, low, high))
+    for count in exceed.sum(axis=0):
+        low, high = clopper_pearson(int(count), n)
+        tails.append(EmpiricalTail(r.copy(), int(count), n, count / n, low, high))
     total_steps = n * config.n_steps()
-    return EnsembleResult(times, r, m_u, tails, est_mean, est_stderr, mean_states,
-                          state_stderr, n, resampled, clips / total_steps, total_steps)
+    clip_fraction = int(np.concatenate(clips).sum()) / total_steps
+    resampled = int(np.count_nonzero(np.concatenate(attempts)))
+    return EnsembleResult(config.checkpoint_times(), r, m_u, tails, est_mean, est_stderr,
+                          mean_states, state_stderr, est, n, resampled, clip_fraction, total_steps)
 
 
 def run_linear_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig,
                         checkpoints=None, n_threads: int = 1):
     """Ensemble of linear paths: per checkpoint mean of Z and its stderr."""
-    if checkpoints is not None:
-        config = TrajectoryConfig(config.dt, config.t_max, config.n_paths, config.base_seed,
-                                  config.scheme, config.positivity_clip, tuple(checkpoints))
-    engine = _Engine(setup, config)
-    rho0m = _as_initial_state(rho0, engine.d)
-    times = np.array(config.checkpoint_steps()) * config.dt
-    n = config.n_paths
-    blocks = [(start, min(start + BLOCK_PATHS, n)) for start in range(0, n, BLOCK_PATHS)]
 
-    def run_one(block):
-        start, stop = block
-        idx = list(range(start, stop))
+    def run_block(engine, rho0m, idx):
         z, failed = engine.run_linear_block(rho0m, idx, [0] * len(idx))
         return z.sum(axis=0), (z ** 2).sum(axis=0), int(failed.sum())
 
-    if n_threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            partials = list(pool.map(run_one, blocks))
-    else:
-        partials = [run_one(b) for b in blocks]
+    config, partials = _run_blocks(setup, rho0, config, checkpoints, n_threads, run_block)
     z_sum = sum(p[0] for p in partials)
     z_sq = sum(p[1] for p in partials)
     failures = sum(p[2] for p in partials)
+    n = config.n_paths
     mean = z_sum / n
     var = np.clip(z_sq / n - mean ** 2, 0.0, None)
-    return times, mean, np.sqrt(var / n), failures
+    return config.checkpoint_times(), mean, np.sqrt(var / n), failures
 
 
 @dataclass(frozen=True, eq=False)

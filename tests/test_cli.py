@@ -161,14 +161,38 @@ class TestSimulateVerb:
         a = Path("a.csv").read_bytes()
         assert a == Path("b.csv").read_bytes() == Path("c.csv").read_bytes()
 
-    def test_paths_dump(self, scalar_model):
-        write_config("config.json", dt=1e-2, t_max=1.0, n_paths=3, base_seed=1)
-        assert main(["simulate", "--model", "scalar.json", "--setup", "setup.json",
-                     "--config", "config.json", "--r", "0.5", "-o", "sim.csv",
-                     "--paths-dump", "paths.csv"]) == 0
+    def test_paths_dump(self, scalar_model, monkeypatch):
+        # two-path blocks, so that --threads 4 really splits the ensemble
+        monkeypatch.setattr("qdev.trajectories.BLOCK_PATHS", 2)
+        write_config("config.json", dt=1e-2, t_max=1.0, n_paths=3, base_seed=1,
+                     checkpoints=[0.5, 1.0])
+        args = ["simulate", "--model", "scalar.json", "--setup", "setup.json",
+                "--config", "config.json", "--r", "0.5", "-o", "sim.csv"]
+        assert main(args + ["--paths-dump", "paths.csv"]) == 0
+        assert main(["--threads", "4"] + args + ["--paths-dump", "paths4.csv"]) == 0
+        assert Path("paths.csv").read_bytes() == Path("paths4.csv").read_bytes()
         header, rows = fileio.read_csv("paths.csv")
         assert header == ["path", "t", "estimator0"]
-        assert len(rows) == 3
+        assert len(rows) == 6
+        _, sim_rows = fileio.read_csv("sim.csv")
+        for sim_row in sim_rows:
+            dumped = [float(row["estimator0"]) for row in rows if row["t"] == sim_row["t"]]
+            assert len(dumped) == 3
+            assert np.mean(dumped) == pytest.approx(float(sim_row["estimator_mean0"]), abs=1e-12)
+
+    def test_config_scheme_checked_at_load(self, scalar_model, capsys):
+        args = ["simulate", "--model", "scalar.json", "--setup", "setup.json",
+                "--config", "config.json", "--r", "0.5", "-o", "sim.csv"]
+        write_config("config.json", dt=1e-2, t_max=1.0, n_paths=3, base_seed=1,
+                     scheme="euler_maruyama")
+        assert main(args) == 0
+        write_config("config.json", dt=1e-2, t_max=1.0, n_paths=3, base_seed=1,
+                     scheme="milstein")
+        capsys.readouterr()
+        assert main(args) == 1
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["code"] == "validation"
+        assert "milstein" in error["message"]
 
 
 class TestCompareVerb:

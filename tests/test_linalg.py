@@ -14,6 +14,8 @@ from qdev.linalg import (
     ValidationError,
     gamma_map,
     gram_superoperator,
+    hermitian_from_params,
+    hermitian_to_params,
     inner_product,
     left_right_matrix,
     spectral_transform,
@@ -207,3 +209,19 @@ class TestSuperOperators:
         s = SuperOperator(np.eye(4, dtype=complex))
         with pytest.raises(DimensionMismatchError):
             s.apply(np.eye(3))
+
+
+class TestHermitianCodec:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_roundtrip(self, d, rng):
+        x = random_hermitian(rng, d)
+        params = hermitian_to_params(x)
+        assert params.shape == (d * d,) and params.dtype == float
+        assert np.array_equal(hermitian_from_params(params, d), x)
+        p = rng.normal(size=d * d)
+        assert np.array_equal(hermitian_to_params(hermitian_from_params(p, d)), p)
+
+    def test_layout(self):
+        # diagonal, then real parts, then imaginary parts of the upper triangle
+        x = hermitian_from_params(np.array([1.0, 2.0, 3.0, 4.0]), 2)
+        assert np.array_equal(x, np.array([[1.0, 3.0 + 4.0j], [3.0 - 4.0j, 2.0]]))

@@ -99,6 +99,15 @@ class TestStationaryState:
         ctx = stationary_state(classical_embedding(chain))
         assert np.max(np.abs(ctx.sigma.matrix - np.diag(chain.stationary))) < 1e-9
 
+    def test_dephasing_degenerate_kernel(self):
+        # every diagonal state is stationary: the ergodic projection of the
+        # maximally mixed state is itself, and the kernel is not simple
+        ctx = stationary_state(Lindbladian(np.zeros((3, 3)), [np.diag([0.0, 1.0, 3.0])]))
+        assert ctx.kernel_dim == 3
+        assert np.max(np.abs(ctx.sigma.matrix - np.eye(3) / 3)) < 1e-12
+        assert ctx.faithful is not None
+        assert not ctx.primitive
+
 
 class TestDuals:
     def test_dual_of_identity(self, qubit_depolarizing):

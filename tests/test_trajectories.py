@@ -17,7 +17,6 @@ from qdev.trajectories import (
     compare_with_bound,
     run_ensemble,
     run_linear_ensemble,
-    simulate_linear_path,
     simulate_path,
 )
 
@@ -42,8 +41,6 @@ class TestConfig:
             TrajectoryConfig(dt=0.0, t_max=1.0, n_paths=1, base_seed=0)
         with pytest.raises(ValidationError):
             TrajectoryConfig(dt=2.0, t_max=1.0, n_paths=1, base_seed=0)
-        with pytest.raises(ValidationError):
-            TrajectoryConfig(dt=0.1, t_max=1.0, n_paths=1, base_seed=0, scheme="milstein")
 
     def test_checkpoints_snap_to_grid(self):
         cfg = TrajectoryConfig(dt=0.1, t_max=1.0, n_paths=1, base_seed=0,
@@ -142,9 +139,9 @@ class TestDeterminism:
 class TestLinearPaths:
     def test_trivial_generator_keeps_z_one(self, gaussian_setup):
         cfg = TrajectoryConfig(dt=1e-2, t_max=1.0, n_paths=1, base_seed=1)
-        record = simulate_linear_path(gaussian_setup, gaussian_setup.ctx.sigma, cfg, 0)
-        assert record.z_values[0] == pytest.approx(1.0, abs=1e-12)
-        assert not record.failed
+        _, mean, _, failures = run_linear_ensemble(gaussian_setup, gaussian_setup.ctx.sigma, cfg)
+        assert mean[0] == pytest.approx(1.0, abs=1e-12)
+        assert failures == 0
 
     def test_scalar_geometric_brownian_mean(self):
         c = 0.4
@@ -264,3 +261,5 @@ class TestDiagnostics:
         from qdev.linalg import NumericalError
         with pytest.raises(NumericalError, match="degenerate"):
             simulate_path(setup, ctx.sigma, cfg, 0)
+        with pytest.raises(NumericalError, match="degenerate"):
+            run_ensemble(setup, ctx.sigma, cfg, [-math.inf])
