@@ -25,6 +25,7 @@ import scipy.optimize
 from .linalg import (
     DensityOperator,
     DimensionMismatchError,
+    NumericalError,
     SuperOperator,
     ValidationError,
     as_complex_matrix,
@@ -33,6 +34,7 @@ from .linalg import (
     hermitian_to_params,
     inner_product,
     left_right_matrix,
+    top_eigenpair,
     unvec,
 )
 from .lindblad import (
@@ -48,6 +50,20 @@ BROWNIAN_LAMBDA_CAP = 1e6
 OBJECTIVE_TOL = 1e-9
 MAX_SWEEPS = 10_000
 EIG_GAP_DEGENERATE = 1e-8
+
+# Size d^2 of the tilted matrix from which TiltedFamily.value finds the top
+# eigenvalue by warm-started Lanczos instead of a full eigvalsh. Measured
+# per solve (bench/eig_crossover.py, BENCH_3.json): Lanczos wins from
+# n = 64 on depolarizing models (about 5 matvecs a solve) but only from
+# n = 144 on generic ones (about 25), so the cut-over is d = 12.
+LANCZOS_MIN_SIZE = 144
+# The warm start is the last top vector plus this weight of a fixed-seed
+# vector, so that it is never orthogonal to the new top eigenvector.
+WARM_START_MIX = 1e-8
+WARM_START_SEED = 0x5EED
+# Largest admitted |iterative - dense| top eigenvalue at lam*, relative to
+# max(1, |e|).
+TOP_EIG_CHECK_RTOL = 1e-10
 
 
 class MeasurementSetup:
@@ -169,6 +185,9 @@ class TiltedFamily:
             self.pieces.append(hermitian_part(ctx.kms_conjugated(m)))
             self.zero_channel.append(bool(np.max(np.abs(l)) < 1e-15))
         self.dim2 = d * d
+        g = np.random.default_rng(WARM_START_SEED).normal(size=(2, self.dim2))
+        self._mix = WARM_START_MIX * (g[0] + 1j * g[1]) / np.linalg.norm(g)
+        self._warm = np.zeros(self.dim2, dtype=complex)
 
     def matrix(self, lam: np.ndarray) -> np.ndarray:
         setup = self.setup
@@ -185,19 +204,27 @@ class TiltedFamily:
         return b
 
     def value(self, lam: np.ndarray) -> float:
-        w = np.linalg.eigvalsh(self.matrix(lam))
-        return float(w[-1])
+        """Top eigenvalue: eigvalsh below LANCZOS_MIN_SIZE, else Lanczos
+        warm-started from the previous top vector, or eigvalsh again when
+        Lanczos does not converge."""
+        b = self.matrix(lam)
+        if self.dim2 >= LANCZOS_MIN_SIZE:
+            value, self._warm, converged = top_eigenpair(b, self._warm + self._mix)
+            if converged:
+                return value
+        return float(np.linalg.eigvalsh(b)[-1])
 
     def value_gap_vector(self, lam: np.ndarray) -> tuple[float, float, np.ndarray]:
         w, v = np.linalg.eigh(self.matrix(lam))
         gap = float(w[-1] - w[-2]) if len(w) > 1 else np.inf
         return float(w[-1]), gap, v[:, -1]
 
-    def gradient(self, lam: np.ndarray) -> np.ndarray | None:
-        """Hellmann-Feynman gradient; None when the top eigenvalue is degenerate."""
-        _, gap, vtop = self.value_gap_vector(lam)
+    def value_and_gradient(self, lam: np.ndarray) -> tuple[float, np.ndarray | None]:
+        """Top eigenvalue from one dense eigh, and its Hellmann-Feynman
+        gradient; the gradient is None when the top eigenvalue is degenerate."""
+        value, gap, vtop = self.value_gap_vector(lam)
         if gap < EIG_GAP_DEGENERATE:
-            return None
+            return value, None
         g = np.empty(self.setup.ell)
         for j in range(self.setup.ell):
             expect = float(np.vdot(vtop, self.pieces[j] @ vtop).real)
@@ -205,7 +232,11 @@ class TiltedFamily:
                 g[j] = expect + lam[j]
             else:
                 g[j] = math.exp(lam[j]) * expect
-        return g
+        return value, g
+
+    def gradient(self, lam: np.ndarray) -> np.ndarray | None:
+        """Hellmann-Feynman gradient; None when the top eigenvalue is degenerate."""
+        return self.value_and_gradient(lam)[1]
 
     def optimal_observable(self, lam: np.ndarray) -> np.ndarray:
         """Top eigenvector mapped back to a unit-KMS-norm PSD observable."""
@@ -245,6 +276,10 @@ def _maximize_tilt(family: TiltedFamily, target: np.ndarray, allow_negative: boo
     or the overflow guard is reached. Returns (lam*, value, residual,
     bounded) where ``bounded`` is False when a coordinate escapes past its
     cap with the objective still increasing.
+
+    The returned value uses the dense top eigenvalue at lam*; it must agree
+    with TiltedFamily.value there to TOP_EIG_CHECK_RTOL, or NumericalError
+    is raised.
     """
     setup = family.setup
     ell = setup.ell
@@ -253,10 +288,8 @@ def _maximize_tilt(family: TiltedFamily, target: np.ndarray, allow_negative: boo
     lo = -hi.copy() if allow_negative else np.zeros(ell)
     lam = np.zeros(ell) if seed_point is None else seed_point.copy()
 
-    def h(l):
-        return float(np.dot(l, target)) - family.value(l)
-
-    current = h(lam)
+    e_lam = family.value(lam)
+    current = float(np.dot(lam, target)) - e_lam
     for _ in range(MAX_SWEEPS):
         previous = current
         for j in range(ell):
@@ -278,13 +311,18 @@ def _maximize_tilt(family: TiltedFamily, target: np.ndarray, allow_negative: boo
                     continue
                 break
             lam[j] = x_star
-        current = h(lam)
+        e_lam = family.value(lam)
+        current = float(np.dot(lam, target)) - e_lam
         if abs(current - previous) < OBJECTIVE_TOL:
             break
 
+    e_star, grad = family.value_and_gradient(lam)
+    if abs(e_lam - e_star) > TOP_EIG_CHECK_RTOL * max(1.0, abs(e_star)):
+        raise NumericalError(f"top eigenvalue at lam* is {e_lam!r} by TiltedFamily.value "
+                             f"but {e_star!r} by a dense eigh")
+    current = float(np.dot(lam, target)) - e_star
     # Stationarity residual: projected gradient at lam*, flagging genuine
     # escape past the overflow guards.
-    grad = family.gradient(lam)
     if grad is None:
         grad = _finite_difference_gradient(family, lam)
     g = target - grad

@@ -15,10 +15,25 @@ is built on three ingredients collected here:
 Superoperators are stored as dim^2 x dim^2 matrices in the column-stacking
 convention: vec(X)[j*dim + i] = X[i, j], so the matrix unit |i><j| maps to
 basis index j*dim + i and the map X -> A X B has matrix kron(B.T, A).
+
+A sum of such maps over k pairs (the jump part sum_j L_j* X L_j of a
+generator) is one matrix product, not k Kronecker products:
+
+    sum_j kron(B_j.T, A_j)[(a,b),(c,e)] = sum_j B_j[c,a] A_j[b,e],
+
+the (d^2 x k) stack of the B_j times the (k x d^2) stack of the A_j,
+reshaped and transposed to (a,b,c,e) (left_right_sum_matrix).
+
+Top eigenvalues of tilted generators come from top_eigenpair, a Lanczos
+iteration with full reorthogonalisation, once the matrix size reaches
+deviation.LANCZOS_MIN_SIZE; below it, and when Lanczos does not converge,
+from a full eigvalsh. The value reported at the optimal tilt lam* is that
+of one dense eigh, which the iterative value must match there.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,6 +47,11 @@ ROUNDTRIP_TOL = 1e-12
 # Relative eigenvalue spacing below which the BKM divided difference
 # (s_i - s_j)/(ln s_i - ln s_j) switches to its diagonal limit s_i.
 BKM_DIAG_REL = 1e-12
+
+# Lanczos stopping rule for top_eigenpair: residual relative to the
+# spectral scale, and the step budget before the caller solves densely.
+LANCZOS_RTOL = 1e-12
+LANCZOS_MAX_STEPS = 60
 
 
 class QdevError(Exception):
@@ -214,6 +234,22 @@ def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
 def left_right_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix of X -> A X B in the column-stacking convention."""
     return np.kron(np.asarray(b, dtype=complex).T, np.asarray(a, dtype=complex))
+
+
+def left_right_sum_matrix(lefts, rights) -> np.ndarray:
+    """Matrix of X -> sum_j A_j X B_j, that is sum_j kron(B_j.T, A_j).
+
+    Entry ((a,b),(c,e)) of the sum is sum_j B_j[c,a] A_j[b,e]: one product
+    of the (d^2 x k) stack of the B_j with the (k x d^2) stack of the A_j,
+    reshaped and transposed to (a,b,c,e).
+    """
+    a = np.asarray(lefts, dtype=complex)
+    b = np.asarray(rights, dtype=complex)
+    if a.ndim != 3 or a.shape != b.shape or a.shape[1] != a.shape[2]:
+        raise DimensionMismatchError(f"need two equal stacks of square matrices, got {a.shape}, {b.shape}")
+    k, d = a.shape[:2]
+    prod = b.reshape(k, d * d).T @ a.reshape(k, d * d)
+    return prod.reshape(d, d, d, d).transpose(1, 2, 0, 3).reshape(d * d, d * d)
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,3 +445,45 @@ def gamma_matrix(power: float, sigma) -> np.ndarray:
     st = _as_state(sigma)
     half = st.power(power / 2.0)
     return left_right_matrix(half, half)
+
+
+# ---------------------------------------------------------------------------
+# Top eigenpair of a Hermitian matrix
+# ---------------------------------------------------------------------------
+
+def top_eigenpair(a: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray, bool]:
+    """Largest eigenvalue of the Hermitian matrix ``a`` and a unit vector for
+    it, by Lanczos with full reorthogonalisation started from ``start``.
+
+    Returns (theta, y, converged). Converged means the Ritz residual
+    |a y - theta y| = beta_j |s_j| fell to LANCZOS_RTOL * max(1, largest
+    |Ritz value|) within LANCZOS_MAX_STEPS steps; theta is then within
+    that residual of an eigenvalue of ``a``, and it is the top one unless
+    ``start`` is orthogonal to the top eigenvector (Parlett 1998, ch. 13).
+    When not converged, (theta, y) is the last Ritz pair, still a good
+    warm start.
+    """
+    n = a.shape[0]
+    steps = min(LANCZOS_MAX_STEPS, n)
+    basis = np.empty((steps, n), dtype=complex)
+    basis_h = np.empty((steps, n), dtype=complex)
+    t = np.zeros((steps, steps))
+    v = start / np.linalg.norm(start)
+    for j in range(steps):
+        basis[j] = v
+        np.conjugate(v, out=basis_h[j])
+        q, q_h = basis[:j + 1], basis_h[:j + 1]
+        w = a @ v
+        t[j, j] = np.vdot(v, w).real
+        w -= (q_h @ w) @ q
+        w -= (q_h @ w) @ q
+        beta = np.linalg.norm(w)
+        theta, s = np.linalg.eigh(t[:j + 1, :j + 1])
+        if not (math.isfinite(theta[0]) and math.isfinite(theta[-1])):
+            return math.nan, start, False
+        converged = beta * abs(s[-1, -1]) <= LANCZOS_RTOL * max(1.0, -theta[0], theta[-1])
+        if converged or j == steps - 1:
+            y = s[:, -1] @ q
+            return float(theta[-1]), y / np.linalg.norm(y), bool(converged)
+        t[j, j + 1] = t[j + 1, j] = beta
+        v = w / beta

@@ -29,6 +29,7 @@ from .linalg import (
     hermitian_part,
     inner_product,
     left_right_matrix,
+    left_right_sum_matrix,
     require_hermitian,
     require_same_dim,
     spectral_transform,
@@ -92,8 +93,8 @@ class Lindbladian:
         h = self.hamiltonian
         m = 1j * (left_right_matrix(h, eye) - left_right_matrix(eye, h))
         m -= 0.5 * (left_right_matrix(self._kappa, eye) + left_right_matrix(eye, self._kappa))
-        for l in self.jumps:
-            m += left_right_matrix(l.conj().T, l)
+        if self.jumps:
+            m += left_right_sum_matrix([l.conj().T for l in self.jumps], self.jumps)
         return SuperOperator(m)
 
 

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -276,6 +278,34 @@ class TestComplexMatrixFormat:
     def test_shape_rejected(self):
         with pytest.raises(ValidationError):
             fileio.decode_complex_matrix([[1.0, 2.0]])
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_model_file_compact_and_bit_exact(self, d, rng, workdir):
+        h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        h = h + h.conj().T
+        jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
+        fileio.save_model("m.json", hamiltonian=h, jumps=jumps, template="depolarizing")
+
+        def pairs(m):  # the former per-entry encoder
+            return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+        indented = json.dumps({"kind": "lindblad", "dim": d, "hamiltonian": pairs(h),
+                               "jumps": [pairs(l) for l in jumps], "template": "depolarizing"},
+                              indent=1)
+        text = Path("m.json").read_text()
+        assert "\n" not in text
+        assert json.loads(text) == json.loads(indented)
+        doc = fileio.load_json("m.json")
+        assert np.array_equal(fileio.decode_complex_matrix(doc["hamiltonian"]), h)
+        for stored, l in zip(doc["jumps"], jumps):
+            assert np.array_equal(fileio.decode_complex_matrix(stored), l)
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    code = "import sys, qdev.cli; sys.exit('scipy.stats' in sys.modules)"
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 class TestJsonReportFormat:

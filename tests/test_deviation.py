@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_hermitian, scalar_lindblad
-from qdev.linalg import ValidationError, left_right_matrix, vec
-from qdev.lindblad import NotKmsSymmetricError, stationary_state
+from qdev import deviation
+from qdev.linalg import NumericalError, ValidationError, left_right_matrix, top_eigenpair, vec
+from qdev.lindblad import Lindbladian, NotKmsSymmetricError, stationary_state
 from qdev.deviation import (
     MeasurementSetup,
     TiltedFamily,
@@ -27,6 +28,16 @@ def qubit_setup():
     u = np.zeros(4)
     u[1] = u[2] = 1 / math.sqrt(2)
     return MeasurementSetup(ctx, [u], q=1)
+
+
+@pytest.fixture(scope="module")
+def generic_setup():
+    """d = 4, random Hamiltonian and three random jumps; one Brownian and
+    one Poisson channel."""
+    rng = np.random.default_rng(5)
+    jumps = [(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))) / 4 for _ in range(3)]
+    ctx = stationary_state(Lindbladian(random_hermitian(rng, 4), jumps))
+    return MeasurementSetup(ctx, np.eye(3)[:2], q=1)
 
 
 @pytest.fixture(scope="module")
@@ -336,3 +347,64 @@ class TestTiltedFamilyInternals:
             dn[j] -= eps
             fd = (family.value(up) - family.value(dn)) / (2 * eps)
             assert grad[j] == pytest.approx(fd, abs=1e-6)
+
+
+TILTS = [np.array(lam) for lam in ([0.0, 0.0], [0.4, 0.3], [-0.5, 1.2], [2.0, -1.0])]
+
+
+def record_convergence(monkeypatch) -> list:
+    """Make TiltedFamily log whether each Lanczos solve converged."""
+    flags = []
+
+    def logged(a, start):
+        theta, y, converged = top_eigenpair(a, start)
+        flags.append(converged)
+        return theta, y, converged
+
+    monkeypatch.setattr(deviation, "top_eigenpair", logged)
+    return flags
+
+
+def assert_top(value, b):
+    top = np.linalg.eigvalsh(b)[-1]
+    assert abs(value - top) <= 1e-12 * max(1.0, abs(top))
+
+
+class TestTopEigenvalue:
+    @pytest.mark.parametrize("iterative", [True, False])
+    def test_value_matches_eigvalsh(self, generic_setup, iterative, monkeypatch):
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0 if iterative else 10**9)
+        flags = record_convergence(monkeypatch)
+        family = TiltedFamily(generic_setup)
+        for lam in TILTS:
+            assert_top(family.value(lam), family.matrix(lam))
+        assert flags == ([True] * len(TILTS) if iterative else [])
+
+    def test_warm_start_orthogonal_to_top(self, generic_setup, monkeypatch):
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0)
+        flags = record_convergence(monkeypatch)
+        family = TiltedFamily(generic_setup)
+        b = family.matrix(TILTS[1])
+        w, v = np.linalg.eigh(b)
+        # Started exactly on the second eigenvector, Lanczos stays there.
+        assert abs(top_eigenpair(b, v[:, -2])[0] - w[-2]) <= 1e-10
+        family._warm = v[:, -2].copy()
+        assert_top(family.value(TILTS[1]), b)
+        assert flags == [True]
+
+    @pytest.mark.parametrize("split", [1e-9, 1e-6])
+    def test_nearly_degenerate_top_pair(self, generic_setup, split, monkeypatch):
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0)
+        family = TiltedFamily(generic_setup)
+        b = family.matrix(TILTS[1])
+        w, v = np.linalg.eigh(b)
+        b = b + (w[-1] - w[-2] - split) * np.outer(v[:, -2], v[:, -2].conj())
+        monkeypatch.setattr(family, "matrix", lambda lam: b)
+        for _ in range(2):  # a cold start, then warm from the first top vector
+            assert_top(family.value(TILTS[1]), b)
+
+    def test_wrong_iterative_value_fails_the_bound(self, mixed_setup, monkeypatch):
+        exact = TiltedFamily.value
+        monkeypatch.setattr(TiltedFamily, "value", lambda self, lam: exact(self, lam) + 1e-6)
+        with pytest.raises(NumericalError, match="dense eigh"):
+            main_bound(mixed_setup, mixed_setup.ctx.sigma, [0.2, 0.1])

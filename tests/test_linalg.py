@@ -3,6 +3,7 @@ import pytest
 import scipy.integrate
 
 from conftest import SX, SZ, random_faithful, random_hermitian
+from qdev import linalg
 from qdev.linalg import (
     DensityOperator,
     DimensionMismatchError,
@@ -18,9 +19,11 @@ from qdev.linalg import (
     hermitian_to_params,
     inner_product,
     left_right_matrix,
+    left_right_sum_matrix,
     spectral_transform,
     spectral_transform_matrix,
     to_superoperator,
+    top_eigenpair,
     unvec,
     vec,
 )
@@ -209,6 +212,35 @@ class TestSuperOperators:
         s = SuperOperator(np.eye(4, dtype=complex))
         with pytest.raises(DimensionMismatchError):
             s.apply(np.eye(3))
+
+    @pytest.mark.parametrize("d,k", [(1, 1), (1, 3), (3, 1), (3, 5), (4, 16)])
+    def test_left_right_sum_matches_kron_loop(self, d, k, rng):
+        lefts = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        rights = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+        loop = sum(left_right_matrix(a, b) for a, b in zip(lefts, rights))
+        assert np.max(np.abs(left_right_sum_matrix(lefts, rights) - loop)) <= 1e-13 * max(1, k)
+
+    def test_left_right_sum_shape_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            left_right_sum_matrix(np.zeros((2, 3, 3)), np.zeros((1, 3, 3)))
+
+
+class TestTopEigenpair:
+    def test_converges_to_top(self, rng):
+        a = random_hermitian(rng, 30)
+        w = np.linalg.eigvalsh(a)
+        theta, y, converged = top_eigenpair(a, rng.normal(size=30) + 0j)
+        assert converged
+        assert abs(theta - w[-1]) <= 1e-12 * max(1.0, abs(w[-1]))
+        assert np.linalg.norm(a @ y - theta * y) <= 1e-10
+
+    def test_step_budget_reports_not_converged(self, rng, monkeypatch):
+        monkeypatch.setattr(linalg, "LANCZOS_MAX_STEPS", 2)
+        a = random_hermitian(rng, 30)
+        theta, y, converged = top_eigenpair(a, rng.normal(size=30) + 0j)
+        assert not converged
+        assert abs(np.linalg.norm(y) - 1.0) <= 1e-12
+        assert theta <= np.linalg.eigvalsh(a)[-1] + 1e-12
 
 
 class TestHermitianCodec:

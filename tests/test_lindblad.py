@@ -8,7 +8,14 @@ from conftest import (
     random_hermitian,
     random_state,
 )
-from qdev.linalg import FaithfulState, NotFaithfulError, SuperOperator, inner_product, left_right_matrix
+from qdev.linalg import (
+    FaithfulState,
+    NotFaithfulError,
+    SuperOperator,
+    inner_product,
+    left_right_matrix,
+    to_superoperator,
+)
 from qdev.lindblad import (
     Lindbladian,
     apply_adjoint_generator,
@@ -71,6 +78,17 @@ class TestGeneratorAction:
         s = lind.heisenberg_superoperator()
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         assert np.allclose(s.apply(x), apply_generator(lind, x), atol=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k", ["none", "one", "d^2"])
+    def test_assembly_matches_matrix_units(self, d, k, rng):
+        n_jumps = {"none": 0, "one": 1, "d^2": d * d}[k]
+        h = random_hermitian(rng, d)
+        jumps = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
+                 for _ in range(n_jumps)]
+        lind = Lindbladian(h, jumps)
+        reference = to_superoperator(lind.heisenberg_action, d).matrix
+        assert np.max(np.abs(lind.heisenberg_superoperator().matrix - reference)) <= 1e-13
 
 
 class TestStationaryState:

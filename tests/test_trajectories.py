@@ -208,6 +208,15 @@ class TestClopperPearson:
             low, high = clopper_pearson(k, n)
             assert low <= k / n <= high
 
+    @pytest.mark.parametrize("confidence", [0.99, 0.95])
+    def test_equals_beta_quantiles(self, confidence):
+        alpha = 1.0 - confidence
+        for n in (1, 2, 7, 50, 333, 1000, 4000):
+            for k in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+                low = scipy.stats.beta.ppf(alpha / 2, k, n - k + 1) if k > 0 else 0.0
+                high = scipy.stats.beta.ppf(1 - alpha / 2, k + 1, n - k) if k < n else 1.0
+                assert clopper_pearson(k, n, confidence) == (float(low), float(high))
+
 
 class TestCompareWithBound:
     def test_zero_estimate_consistent(self, gaussian_setup):
