@@ -2,12 +2,15 @@
 
     PYTHONPATH=src python3 bench/eig_crossover.py [--dims 3,6,8,10,16,24] [--repeats 3]
 
-For each dimension d and two model families, runs `main_bound` with every
-TiltedFamily.value solved densely, and again with every one solved by
-Lanczos (LANCZOS_MIN_SIZE forced past d^2, or to 0). Prints one JSON line
-per (family, d): the median `main_bound` wall time and the median time
-per TiltedFamily.value call of each, and for Lanczos the matrix-vector
-products per solve and the share of solves that fell back to eigvalsh.
+For each dimension d and two model families, runs `main_bound` in the
+dense regime (LANCZOS_MIN_SIZE forced past d^2: a dense eigh per tilt
+iterate, with the analytic Hessian), and again in the Lanczos regime
+(LANCZOS_MIN_SIZE 0: TiltedFamily.value per iterate, BFGS curvature).
+Prints one JSON line per (family, d): the median `main_bound` wall time
+and the median time per TiltedFamily.value call of each (in the dense
+regime only the check at lam* calls it), and for Lanczos the
+matrix-vector products per solve and the share of solves that fell back
+to a dense solve.
 The families:
 
 - depolarizing: the depolarizing model toward a random faithful state, one

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.special
 
 from .deviation import MeasurementSetup, main_bound, rate_function
 from .inequalities import lsi_depolarizing, spectral_gap, tensorization_lsi_bounds, ti_from_lsi
@@ -124,6 +123,8 @@ def run_paper_fixtures() -> list[Result]:
     cfg = TrajectoryConfig(dt=1e-3, t_max=4.0, n_paths=2000, base_seed=20240817)
     res = run_ensemble(setup, ctx.sigma, cfg, [1.0])
     tail = res.tails[0]
+    import scipy.special  # here, so that importing qdev loads no scipy
+
     exact = scipy.special.ndtr(-2.0)
     cmp = compare_with_bound(tail, rep, 4.0)
     ok = (tail.ci_low <= exact <= tail.ci_high) and cmp.consistent

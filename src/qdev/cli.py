@@ -52,9 +52,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(x) for x in text.split(",") if x.strip() != ""]
+        values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise ValidationError(f"cannot parse float list {text!r}")
+    if not all(math.isfinite(x) for x in values):
+        raise ValidationError(f"float list {text!r} has a value that is not finite")
+    return values
 
 
 def _resolve_seed(args) -> int | None:
@@ -230,11 +233,11 @@ def _cmd_bound(args, argv) -> int:
            else model.context.sigma.matrix)
     report = main_bound(setup, rho, r)
     header = (["t"] + [f"r{i}" for i in range(setup.ell)]
-              + ["exponent", "prefactor", "bound", "status"])
+              + ["exponent", "prefactor", "bound", "residual", "status"])
     rows = []
     for t in ts:
         rows.append([t, *r.tolist(), report.exponent, report.prefactor, report.bound(t),
-                     report.status])
+                     report.stationarity_residual, report.status])
     fileio.emit_report(args.output, header, rows, args.format, argv,
                        _existing_inputs(args), {"r": r.tolist(), "t": ts})
     return 0
@@ -248,16 +251,20 @@ def _cmd_rate(args, argv) -> int:
     elif args.grid:
         try:
             lo, hi, count = args.grid.split(":")
-            grid = np.linspace(float(lo), float(hi), int(count))[:, None]
+            ends = [float(lo), float(hi)]
+            if not all(math.isfinite(x) for x in ends):
+                raise ValueError
+            grid = np.linspace(*ends, int(count))[:, None]
         except ValueError:
-            raise ValidationError(f"cannot parse grid spec {args.grid!r} (expected lo:hi:n)")
+            raise ValidationError(f"cannot parse grid spec {args.grid!r} "
+                                  "(expected lo:hi:n with finite lo and hi)")
         if setup.ell != 1:
             raise ValidationError("--grid is for single-channel setups; use --grid-file")
     else:
         raise ValidationError("rate needs --grid or --grid-file")
     points = rate_function(setup, grid)
-    header = [f"s{i}" for i in range(setup.ell)] + ["rate", "status"]
-    rows = [[*p.s.tolist(), p.value if math.isfinite(p.value) else math.inf, p.status]
+    header = [f"s{i}" for i in range(setup.ell)] + ["rate", "residual", "status"]
+    rows = [[*p.s.tolist(), p.value if math.isfinite(p.value) else math.inf, p.residual, p.status]
             for p in points]
     fileio.emit_report(args.output, header, rows, args.format, argv,
                        _existing_inputs(args), {"n_points": len(points)})

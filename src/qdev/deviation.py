@@ -12,6 +12,9 @@ and, per Poisson channel, (exp(lam_j) - 1) L_u* X L_u. Everything here is
 evaluated spectrally: conjugating by the square root of the KMS Gram turns
 the symmetrized tilted generator into an ordinary Hermitian matrix whose
 top eigenvalue is e(lam), a concave maximization away from the bound.
+That maximization is a projected Newton ascent whose gradient
+(Hellmann-Feynman) and curvature come from the eigensolve each evaluation
+of e already makes.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .linalg import (
     DensityOperator,
@@ -44,18 +46,35 @@ from .lindblad import (
     dirichlet_form,
 )
 
-LAMBDA_BOX = 50.0            # initial search box per tilt coordinate
 POISSON_LAMBDA_CAP = 700.0   # exp overflow guard
 BROWNIAN_LAMBDA_CAP = 1e6
-OBJECTIVE_TOL = 1e-9
-MAX_SWEEPS = 10_000
 EIG_GAP_DEGENERATE = 1e-8
 
+# Projected Newton ascent of the tilt (_maximize_tilt).
+NEWTON_MAX_STEPS = 100
+MAX_HALVINGS = 40
+ARMIJO = 1e-4
+# Stop once the projected gradient is at most this times max(1, |target|).
+NEWTON_RTOL = 1e-12
+# A result whose final projected gradient exceeds this times
+# max(1, |target|) is reported "unconverged", not "ok".
+RESIDUAL_RTOL = 1e-8
+# Rounding of the objective, relative to max(1, |e|, |objective|): a step
+# may lose this much and still be taken.
+OBJECTIVE_NOISE_RTOL = 1e-13
+# Bertsekas' eps: largest distance to a bound at which a coordinate whose
+# gradient points past the bound is held there.
+ACTIVE_EPS = 1e-6
+# BFGS skips updates whose curvature s.y is below this times |s| |y|.
+CURVATURE_EPS = 1e-12
+
 # Size d^2 of the tilted matrix from which TiltedFamily.value finds the top
-# eigenvalue by warm-started Lanczos instead of a full eigvalsh. Measured
-# per solve (bench/eig_crossover.py, BENCH_3.json): Lanczos wins from
-# n = 64 on depolarizing models (about 5 matvecs a solve) but only from
-# n = 144 on generic ones (about 25), so the cut-over is d = 12.
+# eigenvalue by warm-started Lanczos instead of a full eigvalsh, and the
+# tilt optimizer iterates on it instead of on a dense eigh. Measured
+# (bench/eig_crossover.py, BENCH_3.json and BENCH_4.json): Lanczos wins
+# from n = 64 on depolarizing models (about 5 matvecs a solve); on generic
+# ones (about 25) it ties with the dense Newton ascent at n = 144 and wins
+# from n = 256, so the cut-over is d = 12.
 LANCZOS_MIN_SIZE = 144
 # The warm start is the last top vector plus this weight of a fixed-seed
 # vector, so that it is never orthogonal to the new top eigenvector.
@@ -184,6 +203,8 @@ class TiltedFamily:
                 m = left_right_matrix(l.conj().T, l)
             self.pieces.append(hermitian_part(ctx.kms_conjugated(m)))
             self.zero_channel.append(bool(np.max(np.abs(l)) < 1e-15))
+        self._stacked = np.stack(self.pieces)
+        self._brownian = np.arange(setup.ell) < setup.q
         self.dim2 = d * d
         g = np.random.default_rng(WARM_START_SEED).normal(size=(2, self.dim2))
         self._mix = WARM_START_MIX * (g[0] + 1j * g[1]) / np.linalg.norm(g)
@@ -205,43 +226,71 @@ class TiltedFamily:
 
     def value(self, lam: np.ndarray) -> float:
         """Top eigenvalue: eigvalsh below LANCZOS_MIN_SIZE, else Lanczos
-        warm-started from the previous top vector, or eigvalsh again when
-        Lanczos does not converge."""
+        warm-started from the previous top vector, or a dense eigh when
+        Lanczos does not converge. From LANCZOS_MIN_SIZE on, the top vector
+        is left in ``_warm``, where the tilt optimizer reads its gradient."""
         b = self.matrix(lam)
         if self.dim2 >= LANCZOS_MIN_SIZE:
             value, self._warm, converged = top_eigenpair(b, self._warm + self._mix)
             if converged:
                 return value
+            w, v = np.linalg.eigh(b)
+            self._warm = v[:, -1]
+            return float(w[-1])
         return float(np.linalg.eigvalsh(b)[-1])
 
-    def value_gap_vector(self, lam: np.ndarray) -> tuple[float, float, np.ndarray]:
-        w, v = np.linalg.eigh(self.matrix(lam))
-        gap = float(w[-1] - w[-2]) if len(w) > 1 else np.inf
-        return float(w[-1]), gap, v[:, -1]
+    def value_gap_vector(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Dense eigendecomposition (w ascending, eigenvector columns v) of
+        B(lam): the value is w[-1], the gap w[-1] - w[-2], the top vector
+        v[:, -1]."""
+        return np.linalg.eigh(self.matrix(lam))
 
-    def value_and_gradient(self, lam: np.ndarray) -> tuple[float, np.ndarray | None]:
-        """Top eigenvalue from one dense eigh, and its Hellmann-Feynman
-        gradient; the gradient is None when the top eigenvalue is degenerate."""
-        value, gap, vtop = self.value_gap_vector(lam)
-        if gap < EIG_GAP_DEGENERATE:
-            return value, None
-        g = np.empty(self.setup.ell)
-        for j in range(self.setup.ell):
-            expect = float(np.vdot(vtop, self.pieces[j] @ vtop).real)
-            if self.setup.is_brownian(j):
-                g[j] = expect + lam[j]
-            else:
-                g[j] = math.exp(lam[j]) * expect
-        return value, g
+    def gradient_at(self, lam: np.ndarray, vtop: np.ndarray) -> np.ndarray:
+        """Hellmann-Feynman gradient of the top eigenvalue, <v|dB/dlam_j|v>
+        for its unit eigenvector v."""
+        return self._gradient(lam, ((self._stacked @ vtop) @ vtop.conj()).real)
+
+    def derivatives_at(self, lam: np.ndarray, w: np.ndarray,
+                       v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Gradient and Hessian of the top eigenvalue from the dense
+        eigendecomposition (w ascending, v columns) at lam.
+
+        The Hessian is second-order perturbation theory: <v|d2B/dlam_j^2|v>
+        on the diagonal (1 per Brownian channel, the gradient entry per
+        Poisson channel) plus 2 Re sum_{n != top} <v|D_j|v_n><v_n|D_k|v> /
+        (w_top - w_n) with D_j = dB/dlam_j, leaving out levels within
+        EIG_GAP_DEGENERATE of the top."""
+        # <v_n|B_j|v_top> for every level n and piece j; the last row gives the gradient.
+        a = v.conj().T @ (self._stacked @ v[:, -1]).T
+        grad = self._gradient(lam, a[-1].real)
+        gaps = w[-1] - w[:-1]
+        far = gaps >= EIG_GAP_DEGENERATE
+        c = a[:-1][far] * self._slopes(lam)
+        h = 2.0 * (c.conj().T @ (c / gaps[far, None])).real
+        return grad, h + np.diag(np.where(self._brownian, 1.0, grad))
+
+    def _slopes(self, lam: np.ndarray) -> np.ndarray:
+        """Weight of each piece in dB/dlam_j: 1 (Brownian), exp(lam_j) (Poisson)."""
+        out = np.ones_like(lam)
+        out[~self._brownian] = np.exp(lam[~self._brownian])
+        return out
+
+    def _gradient(self, lam: np.ndarray, expect: np.ndarray) -> np.ndarray:
+        """Gradient from the expectations <v|B_j|v> of the pieces: the
+        Brownian shift |lam^B|^2/2 adds lam_j."""
+        return expect * self._slopes(lam) + np.where(self._brownian, lam, 0.0)
 
     def gradient(self, lam: np.ndarray) -> np.ndarray | None:
         """Hellmann-Feynman gradient; None when the top eigenvalue is degenerate."""
-        return self.value_and_gradient(lam)[1]
+        w, v = self.value_gap_vector(lam)
+        if _degenerate(w):
+            return None
+        return self.gradient_at(lam, v[:, -1])
 
     def optimal_observable(self, lam: np.ndarray) -> np.ndarray:
         """Top eigenvector mapped back to a unit-KMS-norm PSD observable."""
         st = self.setup.ctx.require_faithful()
-        _, _, vtop = self.value_gap_vector(lam)
+        vtop = self.value_gap_vector(lam)[1][:, -1]
         inv_quarter = st.power(-0.25)
         x = inv_quarter @ unvec(vtop, self.setup.ctx.dim) @ inv_quarter
         x = hermitian_part(x)
@@ -267,81 +316,150 @@ def _coordinate_cap(setup: MeasurementSetup, j: int) -> float:
     return BROWNIAN_LAMBDA_CAP if setup.is_brownian(j) else POISSON_LAMBDA_CAP
 
 
-def _maximize_tilt(family: TiltedFamily, target: np.ndarray, allow_negative: bool,
-                   seed_point: np.ndarray | None = None):
-    """Cyclic coordinate ascent for the concave map lam -> lam.target - e(lam).
+def _degenerate(w: np.ndarray) -> bool:
+    return len(w) > 1 and w[-1] - w[-2] < EIG_GAP_DEGENERATE
 
-    Each coordinate is solved by a bounded scalar minimizer; boxes extend
-    automatically (doubling from LAMBDA_BOX) until the optimum is interior
-    or the overflow guard is reached. Returns (lam*, value, residual,
-    bounded) where ``bounded`` is False when a coordinate escapes past its
-    cap with the objective still increasing.
+
+def _solve(family: TiltedFamily, lam: np.ndarray, dense: bool):
+    """One eigensolve at lam: the top eigenvalue, and what its derivatives
+    are read from (the dense eigendecomposition, or the Ritz vector)."""
+    if dense:
+        w, v = family.value_gap_vector(lam)
+        return float(w[-1]), (w, v)
+    return family.value(lam), family._warm
+
+
+def _derivatives(family: TiltedFamily, lam: np.ndarray, solution, dense: bool,
+                 secant=None) -> tuple[np.ndarray, np.ndarray]:
+    """Gradient and Hessian (or its BFGS estimate) of e at lam.
+
+    ``secant`` is (step, previous gradient, previous Hessian estimate) for
+    the BFGS update of the Lanczos regime, None at the first iterate."""
+    if dense:
+        w, v = solution
+        grad, hess = family.derivatives_at(lam, w, v)
+        if _degenerate(w):
+            grad = _finite_difference_gradient(family, lam)
+        return grad, hess
+    grad = family.gradient_at(lam, solution)
+    if secant is None:
+        return grad, np.diag(np.where(family._brownian, 1.0, grad))
+    s, grad_prev, h = secant
+    y = grad - grad_prev
+    hs = h @ s
+    if s @ y > CURVATURE_EPS * np.linalg.norm(s) * np.linalg.norm(y) and s @ hs > 0:
+        h = h + np.outer(y, y) / (s @ y) - np.outer(hs, hs) / (s @ hs)
+    return grad, h
+
+
+def _stationarity(lam: np.ndarray, g: np.ndarray, lo: np.ndarray,
+                  caps: np.ndarray) -> tuple[float, bool]:
+    """Projected-gradient residual of the ascent direction g at lam, and
+    whether lam is bounded: False when a coordinate sits at its cap with g
+    still pointing past it."""
+    at_hi = caps - lam < 1e-6 * caps
+    at_lo = lam + caps < 1e-6 * caps
+    bounded = not np.any((at_hi & (g > 1e-9)) | (at_lo & (g < -1e-9)))
+    held = at_hi | at_lo | ((lam - lo < 1e-8) & (g < 0))
+    return float(np.max(np.abs(np.where(held, 0.0, g)), initial=0.0)), bounded
+
+
+def _newton_step(lam: np.ndarray, g: np.ndarray, hess: np.ndarray, lo: np.ndarray,
+                 hi: np.ndarray) -> np.ndarray:
+    """Projected Newton step (Bertsekas 1982), clipped to the box.
+
+    Coordinates within eps of a bound, with g pointing past it, move onto
+    the bound; eps is the distance to the projected gradient point, at most
+    ACTIVE_EPS. The rest take the Newton step of their block of the Hessian,
+    whose eigenvalues are floored at rounding level. When that is not an
+    ascent direction, the projected gradient step is taken instead."""
+    eps = min(ACTIVE_EPS, float(np.max(np.abs(np.clip(lam + g, lo, hi) - lam))))
+    active = ((lam - lo <= eps) & (g < 0)) | ((hi - lam <= eps) & (g > 0))
+    step = np.where(g < 0, lo, hi) - lam
+    free = ~active
+    if free.any():
+        hw, hv = np.linalg.eigh(hess[np.ix_(free, free)])
+        hw = np.maximum(hw, np.finfo(float).eps * max(1.0, hw[-1]))
+        step[free] = hv @ ((hv.T @ g[free]) / hw)
+    step = np.clip(lam + step, lo, hi) - lam
+    if g @ step <= 0:
+        step = np.clip(lam + g, lo, hi) - lam
+    return step
+
+
+def _maximize_tilt(family: TiltedFamily, target: np.ndarray, allow_negative: bool):
+    """Projected Newton ascent for the concave map lam -> lam.target - e(lam).
+
+    The box is |lam_j| <= the overflow guard of its channel, and lam >= 0
+    unless ``allow_negative``. Each iterate costs one eigensolve. Below
+    LANCZOS_MIN_SIZE it is a dense eigh, which gives the Hellmann-Feynman
+    gradient and the perturbation-theory Hessian; from there it is the
+    warm-started Lanczos of TiltedFamily.value, whose Ritz vector gives the
+    gradient, with a BFGS curvature from successive gradients (a dense eigh
+    per iterate costs more than the iterates it saves). A step is halved
+    until the objective rises by ARMIJO of the predicted rise, less the
+    rounding of the eigenvalue. The ascent stops once the projected
+    gradient is at most NEWTON_RTOL * max(1, |target|), or when a step
+    gains neither objective nor stationarity.
+
+    Returns (lam*, value, residual, bounded): ``residual`` is the projected
+    gradient at lam* and ``bounded`` is False when a coordinate sits at its
+    cap with the objective still increasing. A degenerate top eigenvalue
+    takes its gradient from central differences of TiltedFamily.value.
 
     The returned value uses the dense top eigenvalue at lam*; it must agree
     with TiltedFamily.value there to TOP_EIG_CHECK_RTOL, or NumericalError
     is raised.
     """
     setup = family.setup
-    ell = setup.ell
-    caps = np.array([_coordinate_cap(setup, j) for j in range(ell)])
-    hi = np.minimum(np.full(ell, LAMBDA_BOX), caps)
-    lo = -hi.copy() if allow_negative else np.zeros(ell)
-    lam = np.zeros(ell) if seed_point is None else seed_point.copy()
+    caps = np.array([_coordinate_cap(setup, j) for j in range(setup.ell)])
+    lo = -caps if allow_negative else np.zeros(setup.ell)
+    dense = family.dim2 < LANCZOS_MIN_SIZE
+    tol = NEWTON_RTOL * max(1.0, float(np.max(np.abs(target))))
 
-    e_lam = family.value(lam)
-    current = float(np.dot(lam, target)) - e_lam
-    for _ in range(MAX_SWEEPS):
-        previous = current
-        for j in range(ell):
-            def h_j(x, j=j):
-                trial = lam.copy()
-                trial[j] = x
-                return -(np.dot(trial, target) - family.value(trial))
-
-            while True:
-                res = scipy.optimize.minimize_scalar(
-                    h_j, bounds=(lo[j], hi[j]), method="bounded",
-                    options={"xatol": 1e-11, "maxiter": 500})
-                x_star = float(res.x)
-                if hi[j] - x_star < 1e-6 * max(1.0, hi[j]) and hi[j] < caps[j]:
-                    hi[j] = min(2.0 * hi[j], caps[j])
-                    continue
-                if allow_negative and x_star - lo[j] < 1e-6 * max(1.0, -lo[j]) and lo[j] > -caps[j]:
-                    lo[j] = max(2.0 * lo[j], -caps[j])
-                    continue
-                break
-            lam[j] = x_star
-        e_lam = family.value(lam)
-        current = float(np.dot(lam, target)) - e_lam
-        if abs(current - previous) < OBJECTIVE_TOL:
+    lam = np.zeros(setup.ell)
+    e, solution = _solve(family, lam, dense)
+    grad, hess = _derivatives(family, lam, solution, dense)
+    residual, _ = _stationarity(lam, target - grad, lo, caps)
+    for _ in range(NEWTON_MAX_STEPS):
+        if residual <= tol:
             break
+        g = target - grad
+        step = _newton_step(lam, g, hess, lo, caps)
+        f = float(lam @ target) - e
+        noise = OBJECTIVE_NOISE_RTOL * max(1.0, abs(e), abs(f))
+        t = 1.0
+        for _ in range(MAX_HALVINGS):
+            trial = lam + t * step
+            e_trial, solution_trial = _solve(family, trial, dense)
+            f_trial = float(trial @ target) - e_trial
+            if f_trial >= f + ARMIJO * t * float(g @ step) - noise:
+                break
+            t *= 0.5
+        else:
+            break
+        grad_trial, hess_trial = _derivatives(family, trial, solution_trial, dense,
+                                              (trial - lam, grad, hess))
+        residual_trial, _ = _stationarity(trial, target - grad_trial, lo, caps)
+        if f_trial <= f and residual_trial >= residual:
+            break
+        lam, e, solution, grad, hess, residual = (trial, e_trial, solution_trial, grad_trial,
+                                                  hess_trial, residual_trial)
 
-    e_star, grad = family.value_and_gradient(lam)
-    if abs(e_lam - e_star) > TOP_EIG_CHECK_RTOL * max(1.0, abs(e_star)):
-        raise NumericalError(f"top eigenvalue at lam* is {e_lam!r} by TiltedFamily.value "
+    if dense:
+        w, v = solution
+        e_iterative = family.value(lam)
+    else:
+        e_iterative = e
+        w, v = family.value_gap_vector(lam)
+        grad = (_finite_difference_gradient(family, lam) if _degenerate(w)
+                else family.gradient_at(lam, v[:, -1]))
+    e_star = float(w[-1])
+    if abs(e_iterative - e_star) > TOP_EIG_CHECK_RTOL * max(1.0, abs(e_star)):
+        raise NumericalError(f"top eigenvalue at lam* is {e_iterative!r} by TiltedFamily.value "
                              f"but {e_star!r} by a dense eigh")
-    current = float(np.dot(lam, target)) - e_star
-    # Stationarity residual: projected gradient at lam*, flagging genuine
-    # escape past the overflow guards.
-    if grad is None:
-        grad = _finite_difference_gradient(family, lam)
-    g = target - grad
-    residual = 0.0
-    bounded = True
-    for j in range(ell):
-        gj = g[j]
-        if caps[j] - lam[j] < 1e-6 * caps[j]:
-            if gj > 1e-9:
-                bounded = False
-            gj = 0.0
-        elif lam[j] + caps[j] < 1e-6 * caps[j]:
-            if gj < -1e-9:
-                bounded = False
-            gj = 0.0
-        elif not allow_negative and lam[j] < 1e-8 and gj < 0:
-            gj = 0.0
-        residual = max(residual, abs(gj))
-    return lam, max(current, 0.0), residual, bounded
+    residual, bounded = _stationarity(lam, target - grad, lo, caps)
+    return lam, max(float(lam @ target) - e_star, 0.0), residual, bounded
 
 
 def _finite_difference_gradient(family: TiltedFamily, lam: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -368,6 +486,8 @@ class BoundReport:
     status: str = "ok"
 
     def bound(self, t: float) -> float:
+        if not math.isfinite(t):
+            raise ValidationError(f"time must be finite, got {t!r}")
         if math.isinf(self.exponent):
             return 0.0
         return self.prefactor * math.exp(-t * self.exponent)
@@ -385,7 +505,10 @@ def main_bound(setup: MeasurementSetup, rho, r) -> BoundReport:
     """Optimal Chernoff-type bound on the joint upward deviation event.
 
     exponent = sup_{lam >= 0} [lam.(m + r) - e(lam)], a concave maximization
-    solved per coordinate; prefactor = ||Gamma^{-1}(rho)||_{L2(sigma)}.
+    solved by projected Newton ascent (see _maximize_tilt); prefactor =
+    ||Gamma^{-1}(rho)||_{L2(sigma)}. The status is "unbounded" when the
+    supremum escapes the overflow guard, and "unconverged" when the
+    stationarity residual exceeds RESIDUAL_RTOL * max(1, |m + r|).
     """
     st = setup.ctx.require_faithful()
     if not setup.ctx.primitive:
@@ -393,9 +516,10 @@ def main_bound(setup: MeasurementSetup, rho, r) -> BoundReport:
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if r.shape != (setup.ell,):
         raise DimensionMismatchError(f"r must have shape ({setup.ell},), got {r.shape}")
-    bad = np.nonzero(r < 0)[0]
+    bad = np.nonzero(~(r >= 0) | ~np.isfinite(r))[0]
     if bad.size:
-        raise ValidationError(f"r must be entrywise nonnegative; entry {bad[0]} is {r[bad[0]]!r}")
+        raise ValidationError(f"r must be finite and entrywise nonnegative; "
+                              f"entry {bad[0]} is {r[bad[0]]!r}")
     mean = mean_vector(setup)
     prefactor = l2_sigma_prefactor(st, rho)
     family = TiltedFamily(setup)
@@ -408,9 +532,16 @@ def main_bound(setup: MeasurementSetup, rho, r) -> BoundReport:
             lam[j] = np.inf
             return BoundReport(r, mean, lam, np.inf, prefactor, 0.0, status="unbounded")
     lam, value, residual, bounded = _maximize_tilt(family, target, allow_negative=False)
+    status = _status(bounded, residual, target)
+    return BoundReport(r, mean, lam, value if bounded else np.inf, prefactor, residual, status)
+
+
+def _status(bounded: bool, residual: float, target: np.ndarray) -> str:
     if not bounded:
-        return BoundReport(r, mean, lam, np.inf, prefactor, residual, status="unbounded")
-    return BoundReport(r, mean, lam, max(value, 0.0), prefactor, residual)
+        return "unbounded"
+    if residual > RESIDUAL_RTOL * max(1.0, float(np.max(np.abs(target)))):
+        return "unconverged"
+    return "ok"
 
 
 def mass_relative_entropy(p, q) -> float:
@@ -438,7 +569,8 @@ def mass_relative_entropy(p, q) -> float:
 class RatePoint:
     s: np.ndarray
     value: float
-    status: str  # "ok" or "unbounded"
+    residual: float  # projected gradient of the Legendre supremum at lam*
+    status: str  # "ok", "unbounded" or "unconverged"
 
 
 def rate_function(setup: MeasurementSetup, s_grid) -> list[RatePoint]:
@@ -447,7 +579,8 @@ def rate_function(setup: MeasurementSetup, s_grid) -> list[RatePoint]:
     Only valid for KMS-symmetric generators, where the transform is the
     large-deviation rate function of the estimator; refused otherwise.
     Points whose supremum escapes the overflow guard are flagged unbounded
-    and reported as +inf.
+    and reported as +inf; points whose residual exceeds RESIDUAL_RTOL *
+    max(1, |s|) are flagged unconverged.
     """
     if not check_detailed_balance("KMS", setup.ctx).symmetric:
         raise NotKmsSymmetricError("rate_function requires a KMS-symmetric generator")
@@ -455,13 +588,13 @@ def rate_function(setup: MeasurementSetup, s_grid) -> list[RatePoint]:
     grid = np.atleast_2d(np.asarray(s_grid, dtype=float))
     if grid.shape[1] != setup.ell:
         raise DimensionMismatchError(f"grid points must have {setup.ell} components")
+    if not np.all(np.isfinite(grid)):
+        raise ValidationError("grid points must be finite")
     out = []
     for s in grid:
-        lam, value, residual, bounded = _maximize_tilt(family, s, allow_negative=True)
-        if not bounded:
-            out.append(RatePoint(s.copy(), math.inf, "unbounded"))
-        else:
-            out.append(RatePoint(s.copy(), value, "ok"))
+        _, value, residual, bounded = _maximize_tilt(family, s, allow_negative=True)
+        out.append(RatePoint(s.copy(), value if bounded else math.inf, residual,
+                             _status(bounded, residual, s)))
     return out
 
 
@@ -519,6 +652,8 @@ def direct_variational_crosscheck(setup: MeasurementSetup, r, n_starts: int = 10
                     return 1e6
                 total += contrib
         return total
+
+    import scipy.optimize  # here, so that importing qdev loads no scipy
 
     rng = np.random.default_rng(seed)
     polish_starts = [hermitian_to_params(np.eye(d))]

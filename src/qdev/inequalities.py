@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from .linalg import (
     FaithfulState,
@@ -268,6 +267,8 @@ def w1_lower_bound(lip: LipschitzContext, rho1, rho2, n_starts: int = 10, seed: 
         value = abs(pairing) / norm
         best = max(best, value)
         return value
+
+    import scipy.optimize  # here, so that importing qdev loads no scipy
 
     rng = np.random.default_rng(seed)
     starts = [hermitian_to_params(delta)]

@@ -32,7 +32,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .deviation import MeasurementSetup, mean_vector
 from .linalg import DensityOperator, NumericalError, ValidationError, as_complex_matrix, hermitian_part
@@ -114,6 +113,8 @@ class EmpiricalTail:
 
 
 def clopper_pearson(count: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
+    import scipy.special  # here, so that importing qdev loads no scipy
+
     alpha = 1.0 - confidence
     low = scipy.special.betaincinv(count, n - count + 1, alpha / 2.0) if count > 0 else 0.0
     high = scipy.special.betaincinv(count + 1, n - count, 1.0 - alpha / 2.0) if count < n else 1.0

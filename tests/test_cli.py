@@ -84,8 +84,9 @@ class TestBoundVerb:
                      "--r", "1.0", "--t", "1,2,4", "-o", "bound.csv"])
         assert code == 0
         header, rows = fileio.read_csv("bound.csv")
-        assert header[:2] == ["t", "r0"]
+        assert header == ["t", "r0", "exponent", "prefactor", "bound", "residual", "status"]
         assert len(rows) == 3
+        assert float(rows[0]["residual"]) <= 1e-12 and rows[0]["status"] == "ok"
         assert float(rows[0]["exponent"]) == pytest.approx(0.5, abs=1e-10)
         assert float(rows[2]["bound"]) == pytest.approx(math.exp(-2.0), rel=1e-9)
 
@@ -96,6 +97,17 @@ class TestBoundVerb:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "validation"
         assert "r[0]" in err["message"]
+
+    @pytest.mark.parametrize("flag, value", [("--r", "nan"), ("--r", "inf"), ("--t", "1,nan"),
+                                             ("--t", "-inf")])
+    def test_non_finite_input_rejected(self, scalar_model, capsys, flag, value):
+        args = {"--r": "1.0", "--t": "1"}
+        args[flag] = value
+        code = main(["bound", "--model", "scalar.json", "--setup", "setup.json",
+                     "--r", args["--r"], "--t", args["--t"], "-o", "bound.csv"])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["code"] == "validation"
+        assert not Path("bound.csv").exists()
 
     def test_missing_model_file(self, workdir, capsys):
         code = main(["bound", "--model", "nope.json", "--setup", "nope.json",
@@ -117,18 +129,27 @@ class TestRateVerb:
                      "--grid=-1:1:5", "-o", "rate.csv"])
         assert code == 0
         header, rows = fileio.read_csv("rate.csv")
-        assert header == ["s0", "rate", "status"]
+        assert header == ["s0", "rate", "residual", "status"]
         assert len(rows) == 5
         values = [float(r["rate"]) for r in rows]
         grid = np.linspace(-1, 1, 5)
         assert np.allclose(values, grid**2 / 2, atol=1e-8)
+
+    def test_non_finite_grid_rejected(self, scalar_model, capsys):
+        Path("grid.json").write_text("[[0.5], [NaN]]")
+        for grid in (["--grid-file", "grid.json"], ["--grid=nan:1:5"], ["--grid=0:inf:5"]):
+            code = main(["rate", "--model", "scalar.json", "--setup", "setup.json", *grid,
+                         "-o", "rate.csv"])
+            assert code == 1
+            assert json.loads(capsys.readouterr().err.strip())["code"] == "validation"
+        assert not Path("rate.csv").exists()
 
     def test_header_only_for_empty_grid(self, scalar_model):
         code = main(["rate", "--model", "scalar.json", "--setup", "setup.json",
                      "--grid", "0:1:0", "-o", "rate.csv"])
         assert code == 0
         header, rows = fileio.read_csv("rate.csv")
-        assert header == ["s0", "rate", "status"] and rows == []
+        assert header == ["s0", "rate", "residual", "status"] and rows == []
 
 
 class TestSimulateVerb:
@@ -301,11 +322,34 @@ class TestComplexMatrixFormat:
             assert np.array_equal(fileio.decode_complex_matrix(stored), l)
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    code = "import sys, qdev.cli; sys.exit('scipy.stats' in sys.modules)"
+def scipy_modules_after(code: str, cwd=None) -> list[str]:
+    """Run ``code`` in a fresh interpreter; the scipy modules it loaded."""
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     src = str(Path(fileio.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1].replace("'", '"'))
+
+
+def test_cli_import_loads_no_scipy():
+    assert scipy_modules_after("import qdev.cli") == []
+
+
+def test_bound_rate_compare_load_no_scipy(scalar_model):
+    write_config("config.json", dt=1e-2, t_max=1.0, n_paths=50, base_seed=3)
+    assert main(["simulate", "--model", "scalar.json", "--setup", "setup.json",
+                 "--config", "config.json", "--r", "0.5", "-o", "sim.csv"]) == 0
+    verbs = [["bound", "--model", "scalar.json", "--setup", "setup.json", "--r", "0.5",
+              "--t", "1", "-o", "bound.csv"],
+             ["rate", "--model", "scalar.json", "--setup", "setup.json", "--grid=-1:1:5",
+              "-o", "rate.csv"],
+             ["compare", "--simulate-csv", "sim.csv", "--bound-csv", "bound.csv",
+              "-o", "verdict.csv"]]
+    code = "from qdev.cli import main\n" + "".join(f"assert main({v!r}) == 0\n" for v in verbs)
+    assert scipy_modules_after(code, cwd=scalar_model) == []
+    assert Path("verdict.csv").exists()
 
 
 class TestJsonReportFormat:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, scalar_lindblad
+from conftest import random_faithful, random_hermitian, scalar_lindblad
 from qdev import deviation
 from qdev.linalg import NumericalError, ValidationError, left_right_matrix, top_eigenpair, vec
 from qdev.lindblad import Lindbladian, NotKmsSymmetricError, stationary_state
@@ -50,6 +50,17 @@ def mixed_setup():
     u2[1] = 1 / math.sqrt(2)
     u2[2] = -1 / math.sqrt(2)
     return MeasurementSetup(ctx, [u1, u2], q=1)
+
+
+@pytest.fixture(scope="module")
+def qutrit_setup():
+    """Qutrit depolarizing toward a random faithful state, one Brownian and
+    two Poisson channels."""
+    ctx = stationary_state(depolarizing(random_faithful(np.random.default_rng(11), 3)))
+    rows = np.zeros((3, 9))
+    rows[0, [1, 3]] = 1 / math.sqrt(2)
+    rows[1, 2] = rows[2, 5] = 1.0
+    return MeasurementSetup(ctx, rows, q=1)
 
 
 class TestSetupValidation:
@@ -216,6 +227,17 @@ class TestMainBound:
         with pytest.raises(ValidationError):
             main_bound(qubit_setup, qubit_setup.ctx.sigma, [-0.1])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_threshold_rejected(self, mixed_setup, bad):
+        with pytest.raises(ValidationError, match="entry 1"):
+            main_bound(mixed_setup, mixed_setup.ctx.sigma, [0.1, bad])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected(self, qubit_setup, bad):
+        rep = main_bound(qubit_setup, qubit_setup.ctx.sigma, [0.1])
+        with pytest.raises(ValidationError):
+            rep.bound(bad)
+
     def test_dead_poisson_channel_unbounded(self):
         ctx = stationary_state(scalar_lindblad(0.0))
         setup = MeasurementSetup(ctx, [[1.0]], q=0)
@@ -286,6 +308,11 @@ class TestRateFunction:
         assert np.all(values >= 0.0)
         mids = values[1:-1]
         assert np.all(mids <= (values[:-2] + values[2:]) / 2 + 1e-9)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_point_rejected(self, mixed_setup, bad):
+        with pytest.raises(ValidationError):
+            rate_function(mixed_setup, [[0.1, 0.2], [bad, 0.2]])
 
     def test_refuses_non_kms_generator(self):
         q = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [1.0, 0.0, -1.0]])
@@ -408,3 +435,75 @@ class TestTopEigenvalue:
         monkeypatch.setattr(TiltedFamily, "value", lambda self, lam: exact(self, lam) + 1e-6)
         with pytest.raises(NumericalError, match="dense eigh"):
             main_bound(mixed_setup, mixed_setup.ctx.sigma, [0.2, 0.1])
+
+
+def count_eigensolves(monkeypatch) -> dict:
+    """Count calls of the two TiltedFamily methods that solve an eigenproblem."""
+    calls = {"n": 0}
+    for name in ("value", "value_gap_vector"):
+        solve = getattr(TiltedFamily, name)
+
+        def counted(self, lam, solve=solve):
+            calls["n"] += 1
+            return solve(self, lam)
+
+        monkeypatch.setattr(TiltedFamily, name, counted)
+    return calls
+
+
+class TestTiltOptimizer:
+    @pytest.mark.parametrize("name", ["mixed_setup", "qutrit_setup"])
+    def test_hessian_matches_central_differences(self, name, request, rng):
+        family = TiltedFamily(request.getfixturevalue(name))
+        eps = 1e-5
+        for _ in range(5):
+            lam = np.concatenate([rng.uniform(-1.0, 1.0, size=1),
+                                  rng.uniform(-2.0, 1.0, size=family.setup.ell - 1)])
+            w, v = family.value_gap_vector(lam)
+            grad, hess = family.derivatives_at(lam, w, v)
+            assert np.allclose(grad, family.gradient(lam), atol=1e-13)
+            fd = np.empty_like(hess)
+            for j in range(lam.size):
+                step = np.zeros_like(lam)
+                step[j] = eps
+                fd[:, j] = (family.gradient(lam + step) - family.gradient(lam - step)) / (2 * eps)
+            assert np.allclose(hess, hess.T, atol=1e-12)
+            assert np.max(np.abs(hess - fd)) <= 1e-7 * max(1.0, np.max(np.abs(hess)))
+
+    def test_bound_eigensolves(self, qutrit_setup, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        rep = main_bound(qutrit_setup, qutrit_setup.ctx.sigma, [0.3, 0.05, 0.02])
+        assert rep.status == "ok" and rep.stationarity_residual <= 1e-10
+        assert calls["n"] <= 30
+
+    def test_rate_grid_eigensolves(self, qubit_setup, monkeypatch):
+        calls = count_eigensolves(monkeypatch)
+        points = rate_function(qubit_setup, np.linspace(-1.0, 1.0, 41)[:, None])
+        assert all(p.status == "ok" and p.residual <= 1e-10 for p in points)
+        assert calls["n"] <= 400
+
+    def test_negative_count_coordinate_unbounded(self, qutrit_setup):
+        m = mean_vector(qutrit_setup)
+        points = rate_function(qutrit_setup, [m, [m[0], -0.01, m[2]], [0.2, m[1], -0.3],
+                                              [m[0], 0.0, m[2]]])
+        assert [p.status for p in points] == ["ok", "unbounded", "unbounded", "ok"]
+        assert points[0].value <= 1e-12
+        assert math.isinf(points[1].value) and math.isinf(points[2].value)
+        assert points[3].residual <= 1e-10
+
+    def test_lanczos_regime_agrees_with_dense(self, generic_setup, monkeypatch):
+        r = [0.3, 0.05]
+        dense = main_bound(generic_setup, generic_setup.ctx.sigma, r)
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0)
+        iterative = main_bound(generic_setup, generic_setup.ctx.sigma, r)
+        assert iterative.status == "ok" and iterative.stationarity_residual <= 1e-10
+        assert iterative.exponent == pytest.approx(dense.exponent, abs=1e-12)
+        assert np.allclose(iterative.lam_star, dense.lam_star, atol=1e-8)
+
+    def test_unfinished_ascent_reported_unconverged(self, qutrit_setup, monkeypatch):
+        monkeypatch.setattr(deviation, "NEWTON_MAX_STEPS", 1)
+        rep = main_bound(qutrit_setup, qutrit_setup.ctx.sigma, [0.3, 0.05, 0.02])
+        assert rep.status == "unconverged"
+        assert rep.stationarity_residual > deviation.RESIDUAL_RTOL
+        point = rate_function(qutrit_setup, [mean_vector(qutrit_setup) + [0.3, 0.05, 0.02]])[0]
+        assert point.status == "unconverged" and point.residual > deviation.RESIDUAL_RTOL
