@@ -141,7 +141,8 @@ def load_config(path, seed_override: int | None = None):
     base_seed = seed_override if seed_override is not None else doc.get("base_seed")
     if base_seed is None:
         raise ValidationError(f"{path}: base_seed is mandatory (or pass --seed / QDEV_SEED)")
-    # Euler-Maruyama is the only scheme; older files may still name it.
+    # "scheme": "euler_maruyama" is a legacy key from before the Kraus-form
+    # stepper; files that carry it still load, any other value is an error.
     scheme = doc.get("scheme", "euler_maruyama")
     if scheme != "euler_maruyama":
         raise ValidationError(f"{path}: unknown scheme {scheme!r} (only 'euler_maruyama')")

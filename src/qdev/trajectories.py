@@ -1,26 +1,31 @@
 """Monte Carlo simulation of diffusive/counting quantum trajectories.
 
-Simulates the nonlinear filtering equation for the conditioned state: drift
-by the full master equation, innovation terms for the monitored channels
-(Brownian for homodyne directions, thinned state-dependent jumps for
-counting directions), Euler-Maruyama stepping with left-endpoint
-evaluation, and clip-and-renormalize positivity maintenance. The linear
-(unnormalized) equation under the reference noise law is also provided; its
-trace is the change-of-measure martingale and averages to one.
+One stepper, ``_Engine.step_block``, advances a block of paths by the
+Kraus-form update of Rouchon & Ralph, "Efficient quantum filtering for
+quantum feedback control", PRA 91, 012118 (2015). In a step of length dt:
 
-Reproducibility: every path owns counter-based Philox streams keyed by
-(base_seed, path_index, attempt, channel), so ensembles are bit-identical
-for a given seed regardless of how paths are scheduled across threads.
-Blocks of paths are stepped together as stacked arrays; per-path results
-never depend on the block partition.
+- no count: rho <- M rho M^dagger + dt Phi_u(rho), where
+  M = I - (iH + K/2) dt + sum_B L_B dy_B, K = sum_k L_k^dagger L_k, and
+  Phi_u(rho) = sum_v L_v rho L_v^dagger over an orthonormal complement v
+  of the monitored directions; the whole update is one GEMM on the
+  stacked vec rho;
+- a count on channel P: rho <- L_P rho L_P^dagger.
 
-One resampler, ``_Engine.run_paths``, steps a block of paths and reruns
-each path the block left invalid (a degenerate jump normalization or a
-collapsed state) alone with the next attempt's streams; ``simulate_path``
-and ``run_ensemble`` both go through it. One scheduler, ``_run_blocks``,
-splits an ensemble into fixed BLOCK_PATHS blocks, runs them on a thread
-pool and returns their partial results in index order, for the nonlinear
-and the linear ensemble alike.
+Both maps are completely positive, so states stay positive semidefinite
+by construction; nothing is clipped. The filter (nonlinear equation)
+records dy_B = Tr[(L_B + L_B^dagger) rho] dt + dW_B, counts at intensity
+Tr[L_P^dagger L_P rho] and divides by the trace; ``_Engine.run_paths``
+reruns a path whose trace falls to COLLAPSED_TRACE with fresh streams.
+The linear equation under the reference law records dy_B = dW_B, counts
+at intensity 1, adds n_P dt / 2 to M and keeps the trace Z, the
+change-of-measure martingale (mean one). ``clip_violation_fraction`` is
+the share of path-checkpoints where rho + positivity_clip * I fails a
+Cholesky factorization.
+
+Every path owns Philox streams keyed by (base_seed, path_index, attempt,
+channel), and ``_run_blocks`` runs fixed BLOCK_PATHS blocks on a thread
+pool and combines them in index order, so ensembles are bit-identical for
+a given seed whatever the thread count.
 """
 
 from __future__ import annotations
@@ -34,13 +39,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deviation import MeasurementSetup, mean_vector
-from .linalg import DensityOperator, NumericalError, ValidationError, as_complex_matrix, hermitian_part
-from .lindblad import Lindbladian
+from .linalg import DensityOperator, NumericalError, ValidationError, as_complex_matrix, left_right_sum_matrix
 
-NOISE_CHUNK_STEPS = 512
-BLOCK_PATHS = 256
+BLOCK_PATHS = 1024
+# Noise is drawn NOISE_CHUNK_STEPS steps at a time: 2**17 draws per channel
+# for a full block.
+NOISE_CHUNK_STEPS = 128
 MAX_RESAMPLE_ATTEMPTS = 8
-DEGENERATE_INTENSITY = 1e-14
+COLLAPSED_TRACE = 1e-14
 
 
 @dataclass(frozen=True)
@@ -59,6 +65,9 @@ class TrajectoryConfig:
     checkpoints: tuple[float, ...] | None = None
 
     def __post_init__(self):
+        times = self.checkpoints if self.checkpoints is not None else ()
+        if not all(math.isfinite(x) for x in (self.dt, self.t_max, self.positivity_clip, *times)):
+            raise ValidationError("dt, t_max, positivity_clip and checkpoints must be finite")
         if self.dt <= 0 or self.t_max <= 0 or self.dt > self.t_max:
             raise ValidationError("need 0 < dt <= t_max")
         if self.n_paths < 1:
@@ -94,7 +103,7 @@ class PathRecord:
     checkpoint_times: np.ndarray
     estimators: np.ndarray            # (n_checkpoints, ell)
     states: np.ndarray | None
-    clip_violations: int
+    clip_violations: int              # checkpoints whose state failed the positivity check
     steps: int
     attempt: int
 
@@ -126,232 +135,216 @@ def _stream(base_seed: int, path_index: int, attempt: int, channel: int) -> np.r
     return np.random.Generator(np.random.Philox(seq))
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    return m.conj().swapaxes(-1, -2)
+
+
+def _vec_map(lefts, rights) -> np.ndarray:
+    """G with vec(sum_j A_j rho B_j) = vec(rho) @ G, vec row-major, as
+    stacks of paths store it."""
+    return left_right_sum_matrix(np.swapaxes(rights, -1, -2), np.swapaxes(lefts, -1, -2)).T
+
+
+def positivity_failures(rho: np.ndarray, clip: float) -> np.ndarray:
+    """Per state of the stack ``rho``: whether rho + clip * I fails a
+    Cholesky factorization (one batched call when all pass)."""
+    shifted = rho + clip * np.eye(rho.shape[-1])
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        if len(rho) == 1:
+            return np.ones(1, dtype=bool)
+        return np.concatenate([positivity_failures(m[None], 0.0) for m in shifted])
+    return np.zeros(len(rho), dtype=bool)
+
+
 class _Engine:
     """Precomputed operators for stepping a block of paths together."""
 
     def __init__(self, setup: MeasurementSetup, config: TrajectoryConfig):
-        lind: Lindbladian = setup.ctx.require_jumps()
-        self.setup = setup
+        lind = setup.ctx.require_jumps()
         self.config = config
-        self.d = lind.dim
-        self.q = setup.q
+        d = self.d = lind.dim
+        q = self.q = setup.q
         self.ell = setup.ell
-        self.n_poisson = setup.ell - setup.q
-        d = self.d
-        self.brownian_ops = [np.ascontiguousarray(l) for l in setup.monitored[:setup.q]]
-        self.brownian_obs = [l + l.conj().T for l in self.brownian_ops]
-        self.poisson_ops = [np.ascontiguousarray(l) for l in setup.monitored[setup.q:]]
-        self.poisson_intensity = [l.conj().T @ l for l in self.poisson_ops]
+        self.n_poisson = setup.ell - q
+        dt = config.dt
+        monitored = np.array(setup.monitored, dtype=complex).reshape(self.ell, d, d)
+        jumps = np.array(lind.jumps, dtype=complex).reshape(lind.k, d, d)
+        intensities = _dagger(monitored[q:]) @ monitored[q:]
+        # Tr[O rho] is vec(rho) . vec(O^T): the Brownian means Tr[(L + L^dagger) rho]
+        # and the counting intensities Tr[L^dagger L rho] as one (d^2, ell) product.
+        observables = np.concatenate([monitored[:q] + _dagger(monitored[:q]), intensities])
+        self.expectations = np.ascontiguousarray(observables.swapaxes(1, 2).reshape(self.ell, d * d).T)
+        # M0 = I - G dt with G = iH + K/2
+        self._g = 1j * lind.hamiltonian + 0.5 * np.sum(_dagger(jumps) @ jumps, axis=0)
+        self._monitored = monitored
+        self._kraus: dict[bool, np.ndarray] = {}
+        self.pairs = [(i, j) for i in range(q) for j in range(i, q)]
+        # Jumps along an orthonormal complement of the monitored directions.
+        complement = np.linalg.svd(setup.directions)[2][self.ell:]
+        unmonitored = np.tensordot(complement, jumps, axes=1)
+        self._unmonitored = dt * _vec_map(unmonitored, _dagger(unmonitored))
+        self.count = [np.ascontiguousarray(_vec_map([l], [_dagger(l)])) for l in monitored[q:]]
 
-        def tensorize(m):
-            return m.reshape(d, d, d, d).transpose(1, 0, 3, 2).copy()
-
-        drift = setup.ctx.schrodinger.matrix.copy()
-        for l in self.poisson_ops:
-            drift -= np.kron(l.conj(), l)     # rho -> L rho L^dagger
-        self.drift_tensor = tensorize(drift)
-        self.linear_drift_tensor = tensorize(drift + self.n_poisson * np.eye(d * d))
-
-        max_rate = max((np.linalg.norm(m, 2) for m in self.poisson_intensity), default=0.0)
-        if max_rate * config.dt >= 0.1:
-            warnings.warn(f"dt * max jump intensity = {max_rate * config.dt:.3f} >= 0.1; "
+        max_rate = max((np.linalg.norm(m, 2) for m in intensities), default=0.0)
+        if max_rate * dt >= 0.1:
+            warnings.warn(f"dt * max jump intensity = {max_rate * dt:.3f} >= 0.1; "
                           "thinning bias may be visible", RuntimeWarning)
 
-    # -- noise ------------------------------------------------------------
-
-    def _generators(self, path_indices, attempts):
-        return [[_stream(self.config.base_seed, int(p), int(a), c) for c in range(self.ell)]
-                for p, a in zip(path_indices, attempts)]
-
     def _draw_chunk(self, gens, n_steps):
-        b = len(gens)
-        sqrt_dt = math.sqrt(self.config.dt)
-        dws = np.empty((self.q, b, n_steps)) if self.q else None
-        us = np.empty((self.n_poisson, b, n_steps)) if self.n_poisson else None
-        for i, row in enumerate(gens):
-            for c in range(self.q):
-                dws[c, i, :] = row[c].standard_normal(n_steps) * sqrt_dt
-            for c in range(self.n_poisson):
-                us[c, i, :] = row[self.q + c].random(n_steps)
-        return dws, us
+        """Draws (b, ell, n_steps): Wiener increments for the Brownian
+        channels, then uniforms for the counting channels."""
+        draws = np.empty((len(gens), self.ell, n_steps))
+        for row, out in zip(gens, draws):
+            for c, gen in enumerate(row):
+                if c < self.q:
+                    gen.standard_normal(out=out[c])
+                else:
+                    gen.random(out=out[c])
+        draws[:, :self.q] *= math.sqrt(self.config.dt)
+        return draws
 
-    # -- stepping ---------------------------------------------------------
+    def innovation(self, rho, dw, linear):
+        """Record increments dy_B of one step: dW_B under the reference law,
+        plus Tr[(L_B + L_B^dagger) rho] dt for the filter; and, for the
+        filter, the counting intensities."""
+        if linear:
+            return (dw if self.q else None), None
+        ev = (rho.reshape(len(rho), -1) @ self.expectations).real
+        return (dw + self.config.dt * ev[:, :self.q] if self.q else None), ev[:, self.q:]
 
-    def run_block(self, rho0: np.ndarray, path_indices, attempts, record_states: bool):
-        """Step a block of paths; returns per-path estimators and flags."""
+    def kraus(self, linear: bool) -> np.ndarray:
+        """The no-count update as one (d^2, T d^2) matrix on vec rho.
+
+        M rho M^dagger + dt Phi_u(rho) with M = M0 + sum_B dy_B L_B expands
+        exactly into blocks weighted 1, dy_B and dy_B dy_B' (B <= B'):
+        M0 rho M0^dagger + dt Phi_u(rho), L_B rho M0^dagger + M0 rho L_B^dagger
+        and L_B rho L_B'^dagger + L_B' rho L_B^dagger (once if B = B').
+        M0 = I - (iH + K/2) dt; the linear equation's M0 adds the compensator
+        n_P dt / 2."""
+        if linear not in self._kraus:
+            eye = np.eye(self.d)
+            m0 = eye - (self._g - (0.5 * self.n_poisson * eye if linear else 0.0)) * self.config.dt
+            lb = self._monitored[:self.q]
+            blocks = [_vec_map([m0], [_dagger(m0)]) + self._unmonitored]
+            blocks += [_vec_map([l, m0], [_dagger(m0), _dagger(l)]) for l in lb]
+            for i, j in self.pairs:
+                ls = lb[[i]] if i == j else lb[[i, j]]
+                blocks.append(_vec_map(ls, _dagger(ls[::-1])))
+            self._kraus[linear] = np.ascontiguousarray(np.concatenate(blocks, axis=1))
+        return self._kraus[linear]
+
+    def drift(self, rho, dy, linear):
+        """No-count update M rho M^dagger + dt Phi_u(rho): one GEMM on the
+        stacked vec rho, then the blocks summed with their weights."""
+        b, n = len(rho), self.d ** 2
+        p = rho.reshape(b, n) @ self.kraus(linear)
+        out = p[:, :n]
+        if dy is not None:
+            weights = [dy[:, i] for i in range(self.q)] + [dy[:, i] * dy[:, j] for i, j in self.pairs]
+            for t, w in enumerate(weights, 1):
+                out = out + w[:, None] * p[:, t * n:(t + 1) * n]
+        return out.reshape(rho.shape)
+
+    def jumps(self, rho, out, u, intensity):
+        """Thinned counts: channel P fires where u < min(intensity * dt, 1)
+        (intensity 1 under the reference law). Where it fires, ``out`` becomes
+        L_P rho L_P^dagger (applied in channel order if several fire)."""
+        dt = self.config.dt
+        fired = u < (min(dt, 1.0) if intensity is None else np.minimum(intensity * dt, 1.0))
+        if fired.any():
+            n = self.d ** 2
+            done = np.zeros(len(rho), dtype=bool)
+            for j in np.flatnonzero(fired.any(axis=0)):
+                rows = np.flatnonzero(fired[:, j])
+                src = np.where(done[rows, None, None], out[rows], rho[rows])
+                out[rows] = (src.reshape(len(rows), n) @ self.count[j]).reshape(src.shape)
+                done[rows] = True
+        return fired
+
+    def normalize(self, out, invalid):
+        """Filter states divided by their trace, in place; a trace at or
+        below COLLAPSED_TRACE (or not finite) marks the path invalid."""
+        tr = np.einsum("nii->n", out).real
+        invalid |= ~(tr > COLLAPSED_TRACE)
+        out *= (1.0 / np.where(invalid, 1.0, tr))[:, None, None]
+        return out
+
+    def step_block(self, rho0: np.ndarray, idx, attempts, linear: bool, record_states: bool = False):
+        """Step paths ``idx`` (with the streams of ``attempts``) together,
+        by the filter or, if ``linear``, the linear equation.
+
+        Returns, per path and checkpoint, the estimators (time-averaged
+        records), the Hermitian part of the state (or None) and its trace;
+        per path, the invalid flag (a collapsed filter trace, or a linear
+        trace Z <= 0 at a checkpoint) and the number of checkpoints whose
+        filter state failed the positivity check."""
         cfg = self.config
-        d, q, npo = self.d, self.q, self.n_poisson
-        b = len(path_indices)
-        steps = cfg.n_steps()
+        d, q = self.d, self.q
+        b = len(idx)
         cp_steps = cfg.checkpoint_steps()
         cp_lookup = {s: i for i, s in enumerate(cp_steps)}
         n_cp = len(cp_steps)
 
-        rho = np.broadcast_to(rho0, (b, d, d)).astype(complex).copy()
-        integ = np.zeros((b, q))
-        wiener = np.zeros((b, q))
-        counts = np.zeros((b, npo))
+        rho = np.broadcast_to(rho0, (b, d, d)).astype(complex)
+        record = np.zeros((b, self.ell))
         invalid = np.zeros(b, dtype=bool)
-        clip_violations = np.zeros(b, dtype=np.int64)
+        violations = np.zeros(b, dtype=np.int64)
         estimators = np.zeros((b, n_cp, self.ell))
+        traces = np.zeros((b, n_cp))
         states = np.zeros((n_cp, b, d, d), dtype=complex) if record_states else None
 
-        gens = self._generators(path_indices, attempts)
-        dt = cfg.dt
+        gens = [[_stream(cfg.base_seed, int(p), int(a), c) for c in range(self.ell)]
+                for p, a in zip(idx, attempts)]
+        steps = cfg.n_steps()
         step = 0
         while step < steps:
             n_chunk = min(NOISE_CHUNK_STEPS, steps - step)
-            dws, us = self._draw_chunk(gens, n_chunk)
+            draws = self._draw_chunk(gens, n_chunk)
             for s in range(n_chunk):
-                delta = np.einsum("ijkl,nkl->nij", self.drift_tensor, rho) * dt
-                for i, (l, obs) in enumerate(zip(self.brownian_ops, self.brownian_obs)):
-                    c = np.einsum("ab,nba->n", obs, rho).real
-                    integ[:, i] += c * dt
-                    dw = dws[i, :, s]
-                    wiener[:, i] += dw
-                    h = np.matmul(l, rho) + np.matmul(rho, l.conj().T) - c[:, None, None] * rho
-                    delta += dw[:, None, None] * h
-                nu_total = np.zeros(b)
-                for j, (l, m) in enumerate(zip(self.poisson_ops, self.poisson_intensity)):
-                    nu = np.einsum("ab,nba->n", m, rho).real
-                    nu = np.clip(nu, 0.0, None)
-                    nu_total += nu
-                    fired = us[j, :, s] < np.minimum(nu * dt, 1.0)
-                    if np.any(fired):
-                        degenerate = fired & (nu < DEGENERATE_INTENSITY)
-                        invalid |= degenerate
-                        ok = fired & ~degenerate
-                        if np.any(ok):
-                            jumped = np.matmul(np.matmul(l, rho[ok]), l.conj().T)
-                            jumped /= nu[ok, None, None]
-                            delta[ok] += jumped - rho[ok]
-                        counts[:, j] += fired
-                delta += (nu_total * dt)[:, None, None] * rho
-                rho = rho + delta
-                rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-                rho, newly_invalid, violated = _clip_and_renormalize(rho, cfg.positivity_clip)
-                invalid |= newly_invalid
-                clip_violations += violated
+                dy, intensity = self.innovation(rho, draws[:, :q, s], linear)
+                if dy is not None:
+                    record[:, :q] += dy
+                out = self.drift(rho, dy, linear)
+                if self.n_poisson:
+                    record[:, q:] += self.jumps(rho, out, draws[:, q:, s], intensity)
+                rho = out if linear else self.normalize(out, invalid)
                 step += 1
                 cp = cp_lookup.get(step)
                 if cp is not None:
-                    t = step * dt
-                    for i in range(q):
-                        estimators[:, cp, i] = (integ[:, i] + wiener[:, i]) / t
-                    for j in range(npo):
-                        estimators[:, cp, q + j] = counts[:, j] / t
+                    estimators[:, cp] = record / (step * cfg.dt)
+                    traces[:, cp] = np.einsum("nii->n", rho).real
+                    herm = 0.5 * (rho + _dagger(rho))
+                    if not linear:
+                        violations += positivity_failures(herm, cfg.positivity_clip)
                     if record_states:
-                        states[cp] = rho
-        return estimators, states, invalid, clip_violations
+                        states[cp] = herm
+        if linear:
+            invalid = ~np.all(traces > 0.0, axis=1)
+        return estimators, states, traces, invalid, violations
 
     def run_paths(self, rho0: np.ndarray, idx: list[int], record_states: bool):
-        """Step paths ``idx`` as one block, then rerun each invalid path alone
-        with fresh streams, up to MAX_RESAMPLE_ATTEMPTS attempts in all.
-
-        Returns per-path estimators, states (or None), clip counts and the
-        attempt that produced each path.
-        """
-        est, states, invalid, clips = self.run_block(rho0, idx, [0] * len(idx), record_states)
+        """Step filter paths ``idx`` as one block, then rerun each invalid
+        path alone with fresh streams, up to MAX_RESAMPLE_ATTEMPTS attempts in
+        all. Returns per-path estimators, states (or None), positivity-check
+        failures and the attempt that produced each path."""
+        est, states, _, invalid, fails = self.step_block(rho0, idx, [0] * len(idx), False, record_states)
         attempts = np.zeros(len(idx), dtype=np.int64)
         for pos in np.nonzero(invalid)[0]:
             for attempt in range(1, MAX_RESAMPLE_ATTEMPTS):
-                e2, s2, inv2, c2 = self.run_block(rho0, [idx[pos]], [attempt], record_states)
+                e2, s2, _, inv2, f2 = self.step_block(rho0, [idx[pos]], [attempt], False, record_states)
                 if not inv2[0]:
                     est[pos] = e2[0]
                     if record_states:
                         states[:, pos] = s2[:, 0]
-                    clips[pos] = c2[0]
+                    fails[pos] = f2[0]
                     attempts[pos] = attempt
                     break
             else:
                 raise NumericalError(f"path {idx[pos]} kept hitting degenerate jumps or "
                                      f"collapsing after {MAX_RESAMPLE_ATTEMPTS} attempts")
-        return est, states, clips, attempts
-
-    def run_linear_block(self, rho0: np.ndarray, path_indices, attempts):
-        """Linear (unnormalized) stepping under the reference noise law."""
-        cfg = self.config
-        d, q, npo = self.d, self.q, self.n_poisson
-        b = len(path_indices)
-        steps = cfg.n_steps()
-        cp_steps = cfg.checkpoint_steps()
-        cp_lookup = {s: i for i, s in enumerate(cp_steps)}
-        z_values = np.zeros((b, len(cp_steps)))
-        failed = np.zeros(b, dtype=bool)
-
-        sigma = np.broadcast_to(rho0, (b, d, d)).astype(complex).copy()
-        gens = self._generators(path_indices, attempts)
-        dt = cfg.dt
-        fire_prob = min(dt, 1.0)
-        step = 0
-        while step < steps:
-            n_chunk = min(NOISE_CHUNK_STEPS, steps - step)
-            dws, us = self._draw_chunk(gens, n_chunk)
-            for s in range(n_chunk):
-                delta = np.einsum("ijkl,nkl->nij", self.linear_drift_tensor, sigma) * dt
-                for i, l in enumerate(self.brownian_ops):
-                    dw = dws[i, :, s]
-                    delta += dw[:, None, None] * (np.matmul(l, sigma) + np.matmul(sigma, l.conj().T))
-                for j, l in enumerate(self.poisson_ops):
-                    fired = us[j, :, s] < fire_prob
-                    if np.any(fired):
-                        delta[fired] += np.matmul(np.matmul(l, sigma[fired]), l.conj().T) - sigma[fired]
-                sigma = sigma + delta
-                sigma = 0.5 * (sigma + sigma.conj().transpose(0, 2, 1))
-                step += 1
-                cp = cp_lookup.get(step)
-                if cp is not None:
-                    z = np.einsum("nii->n", sigma).real
-                    failed |= z <= 0.0
-                    z_values[:, cp] = z
-        return z_values, failed
-
-
-def _clip_and_renormalize(rho: np.ndarray, clip_tol: float):
-    """Project a block of Hermitian matrices onto unit-trace PSD matrices.
-
-    Returns (rho, invalid, violated) where ``violated`` counts eigenvalues
-    below -clip_tol (the validity diagnostic) and ``invalid`` flags paths
-    whose state collapsed (nonpositive trace after clipping).
-    """
-    b, d, _ = rho.shape
-    violated = np.zeros(b, dtype=np.int64)
-    if d == 1:
-        x = rho[:, 0, 0].real
-        violated += x < -clip_tol
-        x = np.clip(x, 0.0, None)
-        invalid = x <= 0.0
-        rho = np.where(invalid, 1.0, x)[:, None, None].astype(complex)
-        return rho, invalid, violated
-    if d == 2:
-        a = rho[:, 0, 0].real
-        dd = rho[:, 1, 1].real
-        off = rho[:, 0, 1]
-        mean = 0.5 * (a + dd)
-        disc = np.sqrt(np.maximum(0.25 * (a - dd) ** 2 + np.abs(off) ** 2, 0.0))
-        lo = mean - disc
-        hi = mean + disc
-        violated += lo < -clip_tol
-        invalid = hi <= 0.0
-        needs = (lo < 0.0) & ~invalid
-        if np.any(needs):
-            denom = np.where(2.0 * disc > 0, 2.0 * disc, 1.0)
-            proj = (rho - lo[:, None, None] * np.eye(2)) / denom[:, None, None]
-            clipped = hi[:, None, None] * proj
-            rho = np.where(needs[:, None, None], clipped, rho)
-    else:
-        w, v = np.linalg.eigh(rho)
-        violated += w[:, 0] < -clip_tol
-        needs = w[:, 0] < 0.0
-        if np.any(needs):
-            wc = np.clip(w, 0.0, None)
-            rebuilt = np.einsum("nik,nk,njk->nij", v, wc, v.conj())
-            rho = np.where(needs[:, None, None], rebuilt, rho)
-        invalid = np.max(np.clip(w, 0.0, None), axis=1) <= 0.0
-    tr = np.einsum("nii->n", rho).real
-    invalid = invalid | (tr <= 1e-14)
-    rho = rho / np.where(invalid, 1.0, tr)[:, None, None]
-    return rho, invalid, violated
+        return est, states, fails, attempts
 
 
 def _as_initial_state(rho0, dim: int) -> np.ndarray:
@@ -393,15 +386,16 @@ def simulate_path(setup: MeasurementSetup, rho0, config: TrajectoryConfig,
                   path_index: int, record_states: bool = False) -> PathRecord:
     """Integrate one trajectory and report the estimators at the checkpoints.
 
-    Paths invalidated by a degenerate jump normalization are resampled with
-    a fresh noise stream (deterministically derived from the attempt
-    number), up to MAX_RESAMPLE_ATTEMPTS.
+    A path whose state collapses (a count of near-zero intensity, a
+    vanishing trace) is resampled with a fresh noise stream
+    (deterministically derived from the attempt number), up to
+    MAX_RESAMPLE_ATTEMPTS.
     """
     engine = _Engine(setup, config)
     rho0 = _as_initial_state(rho0, engine.d)
-    est, states, clips, attempts = engine.run_paths(rho0, [path_index], record_states)
+    est, states, fails, attempts = engine.run_paths(rho0, [path_index], record_states)
     return PathRecord(config.checkpoint_times(), est[0], states[:, 0] if record_states else None,
-                      int(clips[0]), config.n_steps(), int(attempts[0]))
+                      int(fails[0]), config.n_steps(), int(attempts[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,6 +405,9 @@ class EnsembleResult:
     ``state_stderr`` is the Frobenius-aggregated Monte Carlo standard error
     sqrt(sum_ij Var(rho_ij) / n) of the mean state. ``path_estimators``
     holds every path's estimators, in path order.
+    ``clip_violation_fraction`` is the share of path-checkpoints whose
+    state failed the positivity check (a Cholesky factorization of
+    rho + positivity_clip * I).
     """
 
     checkpoint_times: np.ndarray
@@ -443,11 +440,11 @@ def run_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig, thresh
     m_u = mean_vector(setup)
 
     def run_block(engine, rho0m, idx):
-        est, states, clips, attempts = engine.run_paths(rho0m, idx, True)
-        return est, states.sum(axis=1), (np.abs(states) ** 2).sum(axis=1), clips, attempts
+        est, states, fails, attempts = engine.run_paths(rho0m, idx, True)
+        return est, states.sum(axis=1), (np.abs(states) ** 2).sum(axis=1), fails, attempts
 
     config, partials = _run_blocks(setup, rho0, config, checkpoints, n_threads, run_block)
-    blocks, state_sums, state_sqs, clips, attempts = zip(*partials)
+    blocks, state_sums, state_sqs, fails, attempts = zip(*partials)
     # Per-block sums combined in block order keep the bytes independent of n_threads.
     n = config.n_paths
     est_mean = sum(b.sum(axis=0) for b in blocks) / n
@@ -467,11 +464,11 @@ def run_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig, thresh
     for count in exceed.sum(axis=0):
         low, high = clopper_pearson(int(count), n)
         tails.append(EmpiricalTail(r.copy(), int(count), n, count / n, low, high))
-    total_steps = n * config.n_steps()
-    clip_fraction = int(np.concatenate(clips).sum()) / total_steps
+    clip_fraction = int(np.concatenate(fails).sum()) / exceed.size
     resampled = int(np.count_nonzero(np.concatenate(attempts)))
     return EnsembleResult(config.checkpoint_times(), r, m_u, tails, est_mean, est_stderr,
-                          mean_states, state_stderr, est, n, resampled, clip_fraction, total_steps)
+                          mean_states, state_stderr, est, n, resampled, clip_fraction,
+                          n * config.n_steps())
 
 
 def run_linear_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig,
@@ -479,7 +476,7 @@ def run_linear_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig,
     """Ensemble of linear paths: per checkpoint mean of Z and its stderr."""
 
     def run_block(engine, rho0m, idx):
-        z, failed = engine.run_linear_block(rho0m, idx, [0] * len(idx))
+        _, _, z, failed, _ = engine.step_block(rho0m, idx, [0] * len(idx), True)
         return z.sum(axis=0), (z ** 2).sum(axis=0), int(failed.sum())
 
     config, partials = _run_blocks(setup, rho0, config, checkpoints, n_threads, run_block)

@@ -203,6 +203,20 @@ class TestSimulateVerb:
             assert len(dumped) == 3
             assert np.mean(dumped) == pytest.approx(float(sim_row["estimator_mean0"]), abs=1e-12)
 
+    @pytest.mark.parametrize("field, value", [
+        ("dt", math.nan), ("t_max", math.inf), ("positivity_clip", math.nan),
+        ("checkpoints", [math.nan]), ("checkpoints", [1.0, math.inf])])
+    def test_non_finite_config_rejected(self, scalar_model, capsys, field, value):
+        config = {"dt": 1e-2, "t_max": 1.0, "n_paths": 3, "base_seed": 1, field: value}
+        write_config("config.json", **config)
+        code = main(["simulate", "--model", "scalar.json", "--setup", "setup.json",
+                     "--config", "config.json", "--r", "0.5", "-o", "sim.csv"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["code"] == "validation"
+        assert "finite" in error["message"]
+        assert not Path("sim.csv").exists()
+
     def test_config_scheme_checked_at_load(self, scalar_model, capsys):
         args = ["simulate", "--model", "scalar.json", "--setup", "setup.json",
                 "--config", "config.json", "--r", "0.5", "-o", "sim.csv"]

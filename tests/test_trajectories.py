@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,16 +6,17 @@ import pytest
 import scipy.linalg
 import scipy.stats
 
-from conftest import scalar_lindblad
+from conftest import random_faithful, scalar_lindblad
 from qdev.linalg import ValidationError, vec
 from qdev.lindblad import stationary_state
 from qdev.deviation import MeasurementSetup, main_bound
 from qdev.models import depolarizing, maximally_mixed
 from qdev.trajectories import (
     TrajectoryConfig,
-    _clip_and_renormalize,
+    _Engine,
     clopper_pearson,
     compare_with_bound,
+    positivity_failures,
     run_ensemble,
     run_linear_ensemble,
     simulate_path,
@@ -51,26 +53,75 @@ class TestConfig:
                              checkpoints=(0.0,)).checkpoint_steps()
 
 
-class TestClipAndRenormalize:
-    def test_negative_eigenvalue_clipped_and_counted(self):
-        rho = np.array([[[1.05, 0.0], [0.0, -0.05]]], dtype=complex)
-        out, invalid, violated = _clip_and_renormalize(rho, 1e-10)
-        assert violated[0] == 1 and not invalid[0]
-        w = np.linalg.eigvalsh(out[0])
-        assert w[0] >= 0.0
-        assert np.trace(out[0]).real == pytest.approx(1.0, abs=1e-12)
+class TestPositivityByConstruction:
+    @pytest.fixture(scope="class")
+    def qutrit_setup(self):
+        # depolarizing toward a generic faithful qutrit state; one Brownian
+        # channel on the |0><1|, |1><0| pair and two counting channels
+        ctx = stationary_state(depolarizing(random_faithful(np.random.default_rng(3), 3)))
+        u = np.zeros((3, 9))
+        u[0, 1] = u[0, 3] = 1 / math.sqrt(2)
+        u[1, 2] = 1.0
+        u[2, 5] = 1.0
+        return MeasurementSetup(ctx, u, q=1)
 
-    def test_small_negative_within_tolerance_not_counted(self):
-        rho = np.array([[[1.0, 0.0], [0.0, -1e-12]]], dtype=complex)
-        _, invalid, violated = _clip_and_renormalize(rho, 1e-10)
-        assert violated[0] == 0 and not invalid[0]
+    def test_qutrit_states_stay_unit_trace_psd(self, qutrit_setup):
+        cfg = TrajectoryConfig(dt=1e-3, t_max=2.0, n_paths=64, base_seed=4,
+                               checkpoints=tuple(np.arange(1, 11) * 0.2))
+        engine = _Engine(qutrit_setup, cfg)
+        rho0 = qutrit_setup.ctx.sigma.matrix
+        est, states, _, invalid, fails = engine.step_block(rho0, list(range(64)), [0] * 64,
+                                                           False, record_states=True)
+        assert not invalid.any() and not fails.any()
+        assert est[:, -1, 1:].sum() > 0      # counts fired, so jumps were applied
+        traces = np.einsum("cnii->cn", states).real
+        assert np.max(np.abs(traces - 1.0)) <= 1e-12
+        assert np.linalg.eigvalsh(states).min() >= -1e-12
+        res = run_ensemble(qutrit_setup, rho0, cfg, [-math.inf] * 3)
+        assert res.clip_violation_fraction == 0.0
 
-    def test_qutrit_path_uses_eigh(self):
-        rho = np.array([np.diag([0.9, 0.2, -0.1])], dtype=complex)
-        out, invalid, violated = _clip_and_renormalize(rho, 1e-10)
-        assert violated[0] == 1 and not invalid[0]
-        assert np.linalg.eigvalsh(out[0])[0] >= 0.0
-        assert np.trace(out[0]).real == pytest.approx(1.0, abs=1e-12)
+    def test_forced_non_psd_state_counted(self, qubit_setup):
+        shifted = np.array([np.diag([1.05, -0.05]), np.diag([0.5, 0.5]), np.diag([1.0, -1e-12])])
+        assert positivity_failures(shifted.astype(complex), 1e-10).tolist() == [True, False, False]
+        assert positivity_failures(np.array([np.diag([0.9, 0.2, -0.1])], dtype=complex), 1e-10)[0]
+        # a non-PSD initial state stays non-PSD over one short step of the
+        # stepper, and each path's one checkpoint is counted
+        cfg = TrajectoryConfig(dt=1e-3, t_max=1e-3, n_paths=3, base_seed=0)
+        bad = np.diag([1.2, -0.2]).astype(complex)
+        _, _, _, invalid, fails = _Engine(qubit_setup, cfg).step_block(bad, [0, 1, 2], [0] * 3, False)
+        assert not invalid.any() and fails.tolist() == [1, 1, 1]
+
+    @pytest.mark.parametrize("c, q", [(0.0, 1), (1.0, 0)])
+    def test_linear_and_filter_agree_when_laws_coincide(self, c, q):
+        # L = 0 (Brownian) and L = 1 (counting at unit rate): the physical
+        # law is the reference law, so both modes see the same records and
+        # the change-of-measure martingale Z stays exactly 1
+        ctx = stationary_state(scalar_lindblad(c))
+        setup = MeasurementSetup(ctx, [[1.0]], q=q)
+        cfg = TrajectoryConfig(dt=1e-2, t_max=2.0, n_paths=50, base_seed=6, checkpoints=(1.0, 2.0))
+        engine = _Engine(setup, cfg)
+        idx = list(range(50))
+        filt = engine.step_block(ctx.sigma.matrix, idx, [0] * 50, False)
+        lin = engine.step_block(ctx.sigma.matrix, idx, [0] * 50, True)
+        assert np.array_equal(filt[0], lin[0])
+        assert np.all(lin[2] == 1.0) and not lin[3].any()
+
+    @pytest.mark.parametrize("c, q", [(0.4, 1), (1.2, 0)])
+    def test_linear_reweights_to_filter(self, c, q):
+        # E_Q[Z_t E_t] = E_P[E_t]: the reference-law records weighted by Z
+        # reproduce the filter's mean estimator (2c Brownian, c^2 counting)
+        ctx = stationary_state(scalar_lindblad(c))
+        setup = MeasurementSetup(ctx, [[1.0]], q=q)
+        n = 4000
+        cfg = TrajectoryConfig(dt=1e-3, t_max=1.0, n_paths=n, base_seed=12)
+        engine = _Engine(setup, cfg)
+        est, _, z, _, _ = engine.step_block(ctx.sigma.matrix, list(range(n)), [0] * n, True)
+        weighted = z[:, 0] * est[:, 0, 0]
+        exact = 2 * c if q else c * c
+        filt = engine.step_block(ctx.sigma.matrix, list(range(n, 2 * n)), [0] * n, False)[0][:, 0, 0]
+        se = math.hypot(weighted.std() / math.sqrt(n), filt.std() / math.sqrt(n))
+        assert abs(weighted.mean() - filt.mean()) <= 4 * se
+        assert abs(filt.mean() - exact) <= 4 * filt.std() / math.sqrt(n) + exact * cfg.dt
 
 
 class TestScalarFixtures:
@@ -123,6 +174,33 @@ class TestDeterminism:
         assert a.tails[0].count == b.tails[0].count
         assert np.array_equal(a.estimator_mean, b.estimator_mean)
         assert np.array_equal(a.mean_states, b.mean_states)
+
+    def test_multi_block_thread_invariance(self, qubit_setup, tmp_path, monkeypatch):
+        # 64-path blocks, so that 600 paths span ten blocks and 4 threads split them
+        import qdev.trajectories as traj
+        from qdev.cli import main as cli_main
+        monkeypatch.setattr(traj, "BLOCK_PATHS", 64)
+        cfg = TrajectoryConfig(dt=1e-2, t_max=0.5, n_paths=600, base_seed=42, checkpoints=(0.25, 0.5))
+        rho0 = np.diag([0.8, 0.2]).astype(complex)
+        one = run_ensemble(qubit_setup, rho0, cfg, [0.2], n_threads=1)
+        four = run_ensemble(qubit_setup, rho0, cfg, [0.2], n_threads=4)
+        assert np.array_equal(one.path_estimators, four.path_estimators)
+        assert np.array_equal(one.mean_states, four.mean_states)
+        _, z_one, se_one, _ = run_linear_ensemble(qubit_setup, rho0, cfg, n_threads=1)
+        _, z_four, se_four, _ = run_linear_ensemble(qubit_setup, rho0, cfg, n_threads=4)
+        assert np.array_equal(z_one, z_four) and np.array_equal(se_one, se_four)
+
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "model.json").write_text(json.dumps({
+            "kind": "lindblad", "dim": 1, "hamiltonian": [[[0.0, 0.0]]], "jumps": [[[[1.0, 0.0]]]]}))
+        (tmp_path / "setup.json").write_text(json.dumps({"directions": [[1.0]], "q": 0}))
+        (tmp_path / "config.json").write_text(json.dumps(
+            {"dt": 1e-2, "t_max": 2.0, "n_paths": 600, "base_seed": 33, "checkpoints": [1.0, 2.0]}))
+        args = ["simulate", "--model", "model.json", "--setup", "setup.json",
+                "--config", "config.json", "--r", "0.5"]
+        assert cli_main(args + ["-o", "run1.csv"]) == 0
+        assert cli_main(["--threads", "4"] + args + ["-o", "run4.csv"]) == 0
+        assert (tmp_path / "run1.csv").read_bytes() == (tmp_path / "run4.csv").read_bytes()
 
     def test_path_results_independent_of_block(self, qubit_setup):
         cfg = TrajectoryConfig(dt=1e-2, t_max=0.3, n_paths=1, base_seed=9)
@@ -259,14 +337,14 @@ class TestDiagnostics:
             simulate_path(setup, ctx.sigma, cfg, 0)
 
     def test_degenerate_jump_flags_and_resamples(self, monkeypatch):
-        # force every fired jump to count as degenerate: each attempt is
-        # flagged invalid and the path is eventually given up on
+        # force every state to count as collapsed: each attempt is flagged
+        # invalid and the path is eventually given up on
         import qdev.trajectories as traj
         mu = 4.0
         ctx = stationary_state(scalar_lindblad(math.sqrt(mu)))
         setup = MeasurementSetup(ctx, [[1.0]], q=0)
         cfg = TrajectoryConfig(dt=1e-2, t_max=1.0, n_paths=1, base_seed=3)
-        monkeypatch.setattr(traj, "DEGENERATE_INTENSITY", 1e9)
+        monkeypatch.setattr(traj, "COLLAPSED_TRACE", 1e9)
         from qdev.linalg import NumericalError
         with pytest.raises(NumericalError, match="degenerate"):
             simulate_path(setup, ctx.sigma, cfg, 0)
