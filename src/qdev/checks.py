@@ -14,7 +14,6 @@ import numpy as np
 
 from .deviation import MeasurementSetup, main_bound, rate_function
 from .inequalities import lsi_depolarizing, spectral_gap, tensorization_lsi_bounds, ti_from_lsi
-from .linalg import FaithfulState
 from .lindblad import Lindbladian, check_detailed_balance, context_from_channel, dirichlet_form, stationary_state
 from .models import (
     ClassicalChain,

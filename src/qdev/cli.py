@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import fileio
-from .deviation import MeasurementSetup, direct_variational_crosscheck, main_bound, rate_function
+from .deviation import main_bound, rate_function
 from .inequalities import (
     LipschitzContext,
     concentration_bound,
@@ -42,7 +42,7 @@ from .models import (
     maximally_mixed,
     tensor_product,
 )
-from .trajectories import compare_with_bound, run_ensemble
+from .trajectories import run_ensemble
 
 
 class _Parser(argparse.ArgumentParser):

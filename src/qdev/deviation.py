@@ -83,6 +83,8 @@ WARM_START_SEED = 0x5EED
 # Largest admitted |iterative - dense| top eigenvalue at lam*, relative to
 # max(1, |e|).
 TOP_EIG_CHECK_RTOL = 1e-10
+# Largest dimension direct_variational_crosscheck accepts.
+CROSSCHECK_MAX_DIM = 3
 
 
 class MeasurementSetup:
@@ -279,13 +281,6 @@ class TiltedFamily:
         """Gradient from the expectations <v|B_j|v> of the pieces: the
         Brownian shift |lam^B|^2/2 adds lam_j."""
         return expect * self._slopes(lam) + np.where(self._brownian, lam, 0.0)
-
-    def gradient(self, lam: np.ndarray) -> np.ndarray | None:
-        """Hellmann-Feynman gradient; None when the top eigenvalue is degenerate."""
-        w, v = self.value_gap_vector(lam)
-        if _degenerate(w):
-            return None
-        return self.gradient_at(lam, v[:, -1])
 
     def optimal_observable(self, lam: np.ndarray) -> np.ndarray:
         """Top eigenvector mapped back to a unit-KMS-norm PSD observable."""
@@ -618,20 +613,22 @@ def _one_sided_poisson(p: float, f: float) -> float:
     return p * math.log(p / f) - p + f
 
 
-def direct_variational_crosscheck(setup: MeasurementSetup, r, n_starts: int = 10,
-                                  seed: int = 7, dim_guard: int = 3) -> float:
+def direct_variational_crosscheck(setup: MeasurementSetup, r) -> float:
     """Evaluate the bound exponent by direct minimization over observables.
 
     Minimizes, over positive semidefinite X with unit KMS norm, the closed
     form E(X) + sum_B [(m+r-f^B(X))_+]^2/2 + sum_P Dplus(m+r || f^P(X)),
     where the per-channel terms are the exact lam >= 0 suprema for fixed X.
-    Small dimensions only; serves as an independent oracle for main_bound.
+    One L-BFGS-B run (finite-difference gradient) from the identity and one
+    from the lam-domain optimizer's observable; the smaller value is kept.
+    Dimensions up to CROSSCHECK_MAX_DIM only; serves as an independent
+    oracle for main_bound.
     """
     ctx = setup.ctx
     st = ctx.require_faithful()
     d = ctx.dim
-    if d > dim_guard:
-        raise ValidationError(f"dimension {d} exceeds the cross-check guard {dim_guard}")
+    if d > CROSSCHECK_MAX_DIM:
+        raise ValidationError(f"dimension {d} exceeds the cross-check guard {CROSSCHECK_MAX_DIM}")
     r = np.atleast_1d(np.asarray(r, dtype=float))
     target = mean_vector(setup) + r
 
@@ -657,31 +654,13 @@ def direct_variational_crosscheck(setup: MeasurementSetup, r, n_starts: int = 10
 
     import scipy.optimize  # here, so that importing qdev loads no scipy
 
-    rng = np.random.default_rng(seed)
-    polish_starts = [hermitian_to_params(np.eye(d))]
-    # Warm start from the lam-domain optimizer's top eigenvector.
+    # X = Y^2, so the starts are square roots.
+    starts = [hermitian_to_params(np.eye(d))]
     family = TiltedFamily(setup)
     lam, _, _, bounded = _maximize_tilt(family, target, allow_negative=False)
     if bounded:
-        x_opt = family.optimal_observable(lam)
-        w, v = np.linalg.eigh(x_opt)
-        y = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-        polish_starts.append(hermitian_to_params(y))
-    scout_starts = [rng.normal(size=d * d) for _ in range(n_starts)]
-
-    def run(p0, xtol, maxiter):
-        res = scipy.optimize.minimize(objective, p0, method="Powell",
-                                      options={"xtol": xtol, "ftol": 1e-14, "maxiter": maxiter})
-        return float(res.fun), np.asarray(res.x)
-
-    best = math.inf
-    for p0 in polish_starts:
-        val, _ = run(p0, 1e-8, 5000)
-        best = min(best, val)
-    # Coarse multistart scouting; re-polish any basin that undercuts the best.
-    for p0 in scout_starts:
-        val, x = run(p0, 1e-4, 400)
-        if val < best - 1e-7:
-            val, _ = run(x, 1e-8, 5000)
-        best = min(best, val)
-    return best
+        w, v = np.linalg.eigh(family.optimal_observable(lam))
+        starts.append(hermitian_to_params((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T))
+    return min(float(scipy.optimize.minimize(objective, p0, method="L-BFGS-B",
+                                             options={"ftol": 1e-15, "gtol": 1e-10}).fun)
+               for p0 in starts)

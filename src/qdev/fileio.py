@@ -129,11 +129,6 @@ def load_state(path, dim: int) -> np.ndarray:
     return rho
 
 
-def save_state(path, rho):
-    Path(path).write_text(json.dumps({"dim": int(np.asarray(rho).shape[0]),
-                                      "rho": encode_complex_matrix(rho)}, indent=1))
-
-
 def load_config(path, seed_override: int | None = None):
     from .trajectories import TrajectoryConfig
 
@@ -147,14 +142,18 @@ def load_config(path, seed_override: int | None = None):
     if scheme != "euler_maruyama":
         raise ValidationError(f"{path}: unknown scheme {scheme!r} (only 'euler_maruyama')")
     checkpoints = doc.get("checkpoints")
-    return TrajectoryConfig(
-        dt=float(_require(doc, "dt", str(path))),
-        t_max=float(_require(doc, "t_max", str(path))),
-        n_paths=int(_require(doc, "n_paths", str(path))),
-        base_seed=int(base_seed),
-        positivity_clip=float(doc.get("positivity_clip", 1e-10)),
-        checkpoints=tuple(float(t) for t in checkpoints) if checkpoints else None,
-    )
+    try:
+        dt = float(_require(doc, "dt", str(path)))
+        t_max = float(_require(doc, "t_max", str(path)))
+        n_paths = int(_require(doc, "n_paths", str(path)))
+        base_seed = int(base_seed)
+        positivity_clip = float(doc.get("positivity_clip", 1e-10))
+        checkpoints = tuple(float(t) for t in checkpoints) if checkpoints else None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: dt, t_max, positivity_clip and checkpoints must be numbers, "
+                              f"n_paths and base_seed integers ({exc})") from None
+    return TrajectoryConfig(dt=dt, t_max=t_max, n_paths=n_paths, base_seed=base_seed,
+                            positivity_clip=positivity_clip, checkpoints=checkpoints)
 
 
 # ---------------------------------------------------------------------------

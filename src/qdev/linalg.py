@@ -42,7 +42,6 @@ HERM_TOL = 1e-10
 TRACE_TOL = 1e-10
 PSD_TOL = 1e-10
 FAITHFUL_EPS = 1e-12
-ROUNDTRIP_TOL = 1e-12
 
 # Relative eigenvalue spacing below which the BKM divided difference
 # (s_i - s_j)/(ln s_i - ln s_j) switches to its diagonal limit s_i.
@@ -366,10 +365,6 @@ def inner_product(kind: str, sigma, x, y) -> complex:
     return complex(np.sum(coeff * xe.conj() * ye))
 
 
-def kms_norm(sigma, x) -> float:
-    return float(np.sqrt(max(inner_product("KMS", sigma, x, x).real, 0.0)))
-
-
 def gram_superoperator(kind: str, sigma) -> SuperOperator:
     """Gram map G of the inner product: <X, Y>_kind = vec(X)^dagger G vec(Y)."""
     st = _as_state(sigma)
@@ -386,9 +381,6 @@ def gram_superoperator(kind: str, sigma) -> SuperOperator:
 # ---------------------------------------------------------------------------
 # Modular spectral calculus
 # ---------------------------------------------------------------------------
-
-SPECTRAL_KINDS = ("delta_power", "tanh_log_quarter", "bkm_M", "bkm_M_inverse")
-
 
 def _spectral_coefficients(kind: str, st: FaithfulState, power: float | None) -> np.ndarray:
     s = st.eigenvalues

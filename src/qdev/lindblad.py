@@ -268,10 +268,6 @@ def check_detailed_balance(kind: str, ctx: GeneratorContext) -> SymmetryReport:
     return SymmetryReport(deviation <= SYMMETRY_REL_TOL * max(scale, 1.0), deviation)
 
 
-def is_kms_symmetric(ctx: GeneratorContext) -> bool:
-    return check_detailed_balance("KMS", ctx).symmetric
-
-
 def bohr_frequencies(ctx: GeneratorContext) -> list[float] | None:
     """Frequencies omega_j with Delta_sigma(L_j) = exp(-omega_j) L_j, if they exist.
 

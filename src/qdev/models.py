@@ -11,11 +11,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import (
-    DimensionMismatchError,
     FaithfulState,
     SuperOperator,
     ValidationError,
-    as_complex_matrix,
     gamma_matrix,
     hermitian_part,
     left_right_matrix,

@@ -186,7 +186,7 @@ def test_criterion_6_inequality_chain():
         for _ in range(100):
             rho = random_state(rng, d)
             info = fisher_information(ctx, rho)
-            w1 = w1_lower_bound(lip, rho, ctx.sigma.matrix, n_starts=2)
+            w1 = w1_lower_bound(lip, rho, ctx.sigma.matrix)
             if w1 > math.sqrt(2 * c * info) + 1e-8:
                 violations += 1
             lhs, rhs, holds = verify_poincare_ti(ctx, rho)

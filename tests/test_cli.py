@@ -217,6 +217,18 @@ class TestSimulateVerb:
         assert "finite" in error["message"]
         assert not Path("sim.csv").exists()
 
+    @pytest.mark.parametrize("field, value", [
+        ("n_paths", math.nan), ("dt", "abc"), ("t_max", None), ("base_seed", "x")])
+    def test_unconvertible_config_rejected(self, scalar_model, capsys, field, value):
+        config = {"dt": 1e-2, "t_max": 1.0, "n_paths": 3, "base_seed": 1, field: value}
+        write_config("config.json", **config)
+        code = main(["simulate", "--model", "scalar.json", "--setup", "setup.json",
+                     "--config", "config.json", "--r", "0.5", "-o", "sim.csv"])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err.strip())
+        assert error["code"] == "validation"
+        assert not Path("sim.csv").exists()
+
     def test_config_scheme_checked_at_load(self, scalar_model, capsys):
         args = ["simulate", "--model", "scalar.json", "--setup", "setup.json",
                 "--config", "config.json", "--r", "0.5", "-o", "sim.csv"]

@@ -229,13 +229,13 @@ class TestW1LowerBound:
     def test_equal_states_give_zero(self, qubit_depolarizing):
         lip = LipschitzContext.from_context(qubit_depolarizing)
         rho = np.diag([0.6, 0.4]).astype(complex)
-        assert w1_lower_bound(lip, rho, rho, n_starts=2) == 0.0
+        assert w1_lower_bound(lip, rho, rho) == 0.0
 
     def test_dominates_explicit_feasible_point(self, qubit_depolarizing):
         lip = LipschitzContext.from_context(qubit_depolarizing, normalize=True)
         rho1 = np.diag([1.0, 0.0]).astype(complex)
         rho2 = np.eye(2) / 2
-        value = w1_lower_bound(lip, rho1, rho2, n_starts=4)
+        value = w1_lower_bound(lip, rho1, rho2)
         # X = sigma_z / ||sigma_z||_Lip = sigma_z / 4 pairs to 0.25
         assert value >= 0.25 - 1e-9
 
@@ -243,19 +243,29 @@ class TestW1LowerBound:
         lip = LipschitzContext.from_context(qubit_depolarizing)
         rho1 = random_state(rng, 2)
         rho2 = random_state(rng, 2)
-        value = w1_lower_bound(lip, rho1, rho2, n_starts=4)
+        value = w1_lower_bound(lip, rho1, rho2)
         for _ in range(20):
             x = random_hermitian(rng, 2)
             norm = lipschitz_norm(lip, x)
             if norm > 1e-10:
                 assert value >= abs(np.trace((rho1 - rho2) @ x).real) / norm - 1e-7
 
+    def test_optimum_on_a_kink(self, qubit_depolarizing):
+        # X = [[0, z], [z*, 0]] pairs to 2|rho_01| |z| and makes the top
+        # singular value of every [L_j, X] double, a kink of ||X||_Lip at
+        # which a strong Wolfe line search (L-BFGS-B) stops 6e-7 short of
+        # the optimum |rho_01|.
+        lip = LipschitzContext.from_context(qubit_depolarizing)
+        rho = np.array([[0.315, -0.377 - 0.069j], [-0.377 + 0.069j, 0.685]])
+        value = w1_lower_bound(lip, rho, np.eye(2) / 2)
+        assert value == pytest.approx(abs(rho[0, 1]), rel=1e-10)
+
     def test_degenerate_direction_reported(self, qubit_depolarizing):
         st = qubit_depolarizing.faithful
         lip = LipschitzContext(st, [np.zeros((2, 2), dtype=complex)], [0.0])
         rho1 = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(NumericalError):
-            w1_lower_bound(lip, rho1, np.eye(2) / 2, n_starts=2)
+            w1_lower_bound(lip, rho1, np.eye(2) / 2)
 
     def test_ti_chain_on_depolarizing(self, rng):
         # w1 lower bound never exceeds sqrt(2 C I) with C from the LSI constant
@@ -265,7 +275,7 @@ class TestW1LowerBound:
             c = ti_from_lsi(lsi_depolarizing(maximally_mixed(d)))
             for _ in range(20):
                 rho = random_state(rng, d)
-                w1 = w1_lower_bound(lip, rho, ctx.sigma.matrix, n_starts=2)
+                w1 = w1_lower_bound(lip, rho, ctx.sigma.matrix)
                 assert w1 <= math.sqrt(2 * c * fisher_information(ctx, rho)) + 1e-8
 
 
