@@ -37,7 +37,6 @@ from .linalg import (
     inner_product,
     left_right_matrix,
     top_eigenpair,
-    unvec,
 )
 from .lindblad import (
     GeneratorContext,
@@ -281,19 +280,6 @@ class TiltedFamily:
         """Gradient from the expectations <v|B_j|v> of the pieces: the
         Brownian shift |lam^B|^2/2 adds lam_j."""
         return expect * self._slopes(lam) + np.where(self._brownian, lam, 0.0)
-
-    def optimal_observable(self, lam: np.ndarray) -> np.ndarray:
-        """Top eigenvector mapped back to a unit-KMS-norm PSD observable."""
-        st = self.setup.ctx.require_faithful()
-        vtop = self.value_gap_vector(lam)[1][:, -1]
-        inv_quarter = st.power(-0.25)
-        x = inv_quarter @ unvec(vtop, self.setup.ctx.dim) @ inv_quarter
-        x = hermitian_part(x)
-        if np.trace(st.matrix @ x).real < 0:
-            x = -x
-        w, v = np.linalg.eigh(x)
-        x = (v * np.clip(w, 0.0, None)) @ v.conj().T
-        return x
 
 
 def scgf(setup: MeasurementSetup, lam) -> float:
@@ -619,10 +605,9 @@ def direct_variational_crosscheck(setup: MeasurementSetup, r) -> float:
     Minimizes, over positive semidefinite X with unit KMS norm, the closed
     form E(X) + sum_B [(m+r-f^B(X))_+]^2/2 + sum_P Dplus(m+r || f^P(X)),
     where the per-channel terms are the exact lam >= 0 suprema for fixed X.
-    One L-BFGS-B run (finite-difference gradient) from the identity and one
-    from the lam-domain optimizer's observable; the smaller value is kept.
-    Dimensions up to CROSSCHECK_MAX_DIM only; serves as an independent
-    oracle for main_bound.
+    One L-BFGS-B run (finite-difference gradient) from the identity; the
+    lam-domain optimizer never runs here, so this is an independent oracle
+    for main_bound. Dimensions up to CROSSCHECK_MAX_DIM only.
     """
     ctx = setup.ctx
     st = ctx.require_faithful()
@@ -654,13 +639,7 @@ def direct_variational_crosscheck(setup: MeasurementSetup, r) -> float:
 
     import scipy.optimize  # here, so that importing qdev loads no scipy
 
-    # X = Y^2, so the starts are square roots.
-    starts = [hermitian_to_params(np.eye(d))]
-    family = TiltedFamily(setup)
-    lam, _, _, bounded = _maximize_tilt(family, target, allow_negative=False)
-    if bounded:
-        w, v = np.linalg.eigh(family.optimal_observable(lam))
-        starts.append(hermitian_to_params((v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T))
-    return min(float(scipy.optimize.minimize(objective, p0, method="L-BFGS-B",
-                                             options={"ftol": 1e-15, "gtol": 1e-10}).fun)
-               for p0 in starts)
+    # X = Y^2, and Y = I is the square root of the start X = I.
+    res = scipy.optimize.minimize(objective, hermitian_to_params(np.eye(d)), method="L-BFGS-B",
+                                  options={"ftol": 1e-15, "gtol": 1e-10})
+    return float(res.fun)

@@ -274,11 +274,6 @@ class SuperOperator:
             raise DimensionMismatchError(f"operand dim {x.shape[0]} != superoperator dim {self.dim}")
         return unvec(self.matrix @ vec(x), self.dim)
 
-    def compose(self, other: "SuperOperator") -> "SuperOperator":
-        if other.dim != self.dim:
-            raise DimensionMismatchError("composing superoperators of different dimension")
-        return SuperOperator(self.matrix @ other.matrix)
-
     def adjoint(self) -> "SuperOperator":
         """Hilbert-Schmidt adjoint."""
         return SuperOperator(self.matrix.conj().T)

@@ -10,7 +10,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import pytest
 import scipy.linalg
 import scipy.stats
 

@@ -1,3 +1,4 @@
+import base64
 import json
 import math
 import os
@@ -70,6 +71,15 @@ class TestModelNew:
         residual = np.max(np.abs(model.context.schrodinger.apply(model.context.sigma.matrix)))
         assert residual < 1e-9
 
+    def test_non_finite_sigma_rejected(self, workdir, capsys):
+        rho = np.diag([0.5, math.inf]).astype(complex)
+        Path("sigma.json").write_text(json.dumps({"dim": 2, "rho": fileio.encode_complex_matrix(rho)}))
+        assert main(["model", "new", "--template", "depolarizing", "--sigma", "sigma.json",
+                     "-o", "depol.json"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "rho" in err["message"]
+        assert not Path("depol.json").exists()
+
     def test_tensor_template(self, workdir):
         main(["model", "new", "--template", "depolarizing", "--dim", "2", "-o", "one.json"])
         assert main(["model", "new", "--template", "tensor", "--factors", "one.json",
@@ -107,6 +117,20 @@ class TestBoundVerb:
                      "--r", args["--r"], "--t", args["--t"], "-o", "bound.csv"])
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip())["code"] == "validation"
+        assert not Path("bound.csv").exists()
+
+    @pytest.mark.parametrize("spelling", ["nested", "packed"])
+    def test_non_finite_model_rejected(self, scalar_model, capsys, spelling):
+        doc = fileio.load_json("scalar.json")
+        jump = np.array([[complex(math.nan, 0.0)]])
+        doc["jumps"] = [fileio.encode_complex_matrix(jump) if spelling == "nested"
+                        else base64.b64encode(jump.tobytes()).decode()]
+        Path("scalar.json").write_text(json.dumps(doc))
+        code = main(["bound", "--model", "scalar.json", "--setup", "setup.json",
+                     "--r", "1.0", "--t", "1", "-o", "bound.csv"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "jumps[0]" in err["message"]
         assert not Path("bound.csv").exists()
 
     def test_missing_model_file(self, workdir, capsys):
@@ -332,20 +356,44 @@ class TestComplexMatrixFormat:
         h = h + h.conj().T
         jumps = [rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)) for _ in range(2)]
         fileio.save_model("m.json", hamiltonian=h, jumps=jumps, template="depolarizing")
-
-        def pairs(m):  # the former per-entry encoder
-            return [[[float(x.real), float(x.imag)] for x in row] for row in m]
-
-        indented = json.dumps({"kind": "lindblad", "dim": d, "hamiltonian": pairs(h),
-                               "jumps": [pairs(l) for l in jumps], "template": "depolarizing"},
-                              indent=1)
         text = Path("m.json").read_text()
         assert "\n" not in text
-        assert json.loads(text) == json.loads(indented)
-        doc = fileio.load_json("m.json")
-        assert np.array_equal(fileio.decode_complex_matrix(doc["hamiltonian"]), h)
-        for stored, l in zip(doc["jumps"], jumps):
-            assert np.array_equal(fileio.decode_complex_matrix(stored), l)
+        doc = json.loads(text)
+        # Packed: base64 of the row-major little-endian complex128 entries.
+        for stored, m in zip([doc["hamiltonian"], *doc["jumps"]], [h, *jumps]):
+            assert stored == base64.b64encode(m.astype("<c16").tobytes()).decode("ascii")
+            decoded = fileio.decode_complex_matrix(stored)
+            assert decoded.tobytes() == m.tobytes()
+            assert decoded.dtype == np.complex128 and decoded.flags.writeable
+
+        def pairs(m):  # the nested spelling of earlier versions, indented
+            return [[[float(x.real), float(x.imag)] for x in row] for row in m]
+
+        Path("old.json").write_text(json.dumps(
+            {"kind": "lindblad", "dim": d, "hamiltonian": pairs(h),
+             "jumps": [pairs(l) for l in jumps], "template": "depolarizing"}, indent=1))
+        for path in ("old.json", "m.json"):
+            lind = fileio.load_model(path).context.require_jumps()
+            assert [l.tobytes() for l in lind.jumps] == [l.tobytes() for l in jumps]
+
+    @pytest.mark.parametrize("text", ["not base64!", "AAAA=AAA", "", "AAAA",
+                                      base64.b64encode(bytes(24)).decode(),
+                                      base64.b64encode(bytes(32)).decode()],
+                             ids=["alphabet", "padding", "empty", "3-bytes", "24-bytes",
+                                  "32-bytes"])
+    def test_packed_rejected(self, text):
+        with pytest.raises(ValidationError, match="packed matrix"):
+            fileio.decode_complex_matrix(text)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("spelling", ["nested", "packed"])
+    def test_non_finite_rejected(self, spelling, value):
+        m = np.eye(2, dtype=complex)
+        m[1, 0] = complex(0.0, value)
+        data = (fileio.encode_complex_matrix(m) if spelling == "nested"
+                else base64.b64encode(m.astype("<c16").tobytes()).decode())
+        with pytest.raises(ValidationError, match="finite"):
+            fileio.decode_complex_matrix(data)
 
 
 def scipy_modules_after(code: str, cwd=None) -> list[str]:

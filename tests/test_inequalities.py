@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import SZ, aligned_thermal_qubit, random_hermitian, random_state
-from qdev.linalg import FaithfulState, NumericalError, ValidationError, inner_product
+from qdev.linalg import FaithfulState, NumericalError, ValidationError
 from qdev.lindblad import Lindbladian, dirichlet_form, fisher_information, stationary_state
 from qdev.inequalities import (
     FunctionalConstants,

@@ -190,14 +190,6 @@ class TestSuperOperators:
         out = s.apply(np.diag([1.0, 0.0]).astype(complex))
         assert np.allclose(out, np.diag([0.0, 1.0]))
 
-    def test_composition_is_matrix_product(self, rng):
-        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        b = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        sa = SuperOperator(left_right_matrix(a, a.conj().T))
-        sb = SuperOperator(left_right_matrix(b, b.conj().T))
-        x = random_hermitian(rng, 2)
-        assert np.allclose(sa.compose(sb).apply(x), sa.apply(sb.apply(x)), atol=1e-12)
-
     def test_roundtrip_on_matrix_units(self, rng):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         b = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))

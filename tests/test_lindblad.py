@@ -29,7 +29,7 @@ from qdev.lindblad import (
     kms_canonical_hamiltonian,
     stationary_state,
 )
-from qdev.models import ClassicalChain, classical_embedding, depolarizing, maximally_mixed
+from qdev.models import ClassicalChain, classical_embedding, depolarizing
 
 
 def random_lindblad(rng, d, k):

@@ -202,7 +202,6 @@ class TestAppendixB:
         assert check_detailed_balance("BKM", ctx).symmetric
         # GNS dual applied to the all-ones matrix fails positivity
         from qdev.lindblad import dual_superoperator
-        from qdev.linalg import SuperOperator
         gns_dual = dual_superoperator("GNS", ctx, fx.p_channel)
         ones = np.ones((2, 2), dtype=complex)
         x = np.array([1.0, -1.0])
