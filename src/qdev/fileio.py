@@ -46,10 +46,15 @@ def _pack_complex_matrix(m) -> str:
 
 
 def _unpack_complex_matrix(text: str, where: str) -> np.ndarray:
+    # Strict without a2b_base64's strict_mode (Python >= 3.11 only): the text
+    # must be exactly what _pack_complex_matrix writes for the decoded bytes.
     try:
-        raw = binascii.a2b_base64(text, strict_mode=True)
+        raw = binascii.a2b_base64(text)
+        canonical = binascii.b2a_base64(raw, newline=False) == text.encode("ascii")
     except (binascii.Error, ValueError) as exc:
         raise ValidationError(f"{where}: not a base64 packed matrix ({exc})") from None
+    if not canonical:
+        raise ValidationError(f"{where}: not a canonical base64 packed matrix")
     n = math.isqrt(len(raw) // PACKED_DTYPE.itemsize)
     if n < 1 or len(raw) != PACKED_DTYPE.itemsize * n * n:
         raise ValidationError(f"{where}: packed matrix of {len(raw)} bytes is not "

@@ -1,4 +1,5 @@
 import base64
+import binascii
 import json
 import math
 import os
@@ -378,12 +379,23 @@ class TestComplexMatrixFormat:
 
     @pytest.mark.parametrize("text", ["not base64!", "AAAA=AAA", "", "AAAA",
                                       base64.b64encode(bytes(24)).decode(),
-                                      base64.b64encode(bytes(32)).decode()],
+                                      base64.b64encode(bytes(32)).decode(),
+                                      "AAAAAAAAAAAA\nAAAAAAAAAA==",
+                                      "AAAAAAAAAAAAAAAAAAAAAA==é"],
                              ids=["alphabet", "padding", "empty", "3-bytes", "24-bytes",
-                                  "32-bytes"])
+                                  "32-bytes", "newline", "non-ascii"])
     def test_packed_rejected(self, text):
         with pytest.raises(ValidationError, match="packed matrix"):
             fileio.decode_complex_matrix(text)
+
+    def test_packed_decodes_without_strict_mode(self, monkeypatch):
+        # a2b_base64 takes no strict_mode before Python 3.11; pin that signature.
+        plain = binascii.a2b_base64
+        monkeypatch.setattr(binascii, "a2b_base64", lambda data: plain(data))
+        m = np.array([[1 + 2j]])
+        assert fileio.decode_complex_matrix(fileio._pack_complex_matrix(m)).tobytes() == m.tobytes()
+        with pytest.raises(ValidationError, match="packed matrix"):
+            fileio.decode_complex_matrix("AAAA=AAA")
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("spelling", ["nested", "packed"])
