@@ -31,7 +31,7 @@ from .inequalities import (
     tilde_observable,
 )
 from .linalg import NumericalError, QdevError, ValidationError
-from .lindblad import bohr_frequencies, check_detailed_balance
+from .lindblad import check_detailed_balance
 from .models import (
     ClassicalChain,
     CommutingHamiltonian,
@@ -156,7 +156,7 @@ def _cmd_model_new(args, argv) -> int:
     template = args.template
     if template == "depolarizing":
         if args.sigma:
-            doc = fileio.load_json(args.sigma)
+            doc = fileio.load_object(args.sigma)
             if "dim" not in doc:
                 raise ValidationError(f"{args.sigma}: missing field 'dim'")
             rho = fileio.load_state(args.sigma, int(doc["dim"]))
@@ -188,7 +188,7 @@ def _cmd_model_new(args, argv) -> int:
     elif template == "heat-bath":
         if not args.lattice_file:
             raise ValidationError("heat-bath template needs --lattice-file")
-        doc = fileio.load_json(args.lattice_file)
+        doc = fileio.load_object(args.lattice_file)
         terms = [(tuple(t["support"]), fileio.decode_complex_matrix(t["matrix"], "term"))
                  for t in doc["terms"]]
         ham = CommutingHamiltonian(int(doc["n_sites"]), int(doc["local_dim"]), terms,
@@ -356,7 +356,7 @@ def _cmd_inequalities(args, argv) -> int:
         report["ti_constant"] = ti_from_lsi(alpha2)
         report["ti_provenance"] = "computed"
     if ctx.lindbladian is not None:
-        report["bohr_frequencies"] = bohr_frequencies(ctx)
+        report["bohr_frequencies"] = ctx.bohr
     lipschitz_rows = []
     if args.setup and ctx.lindbladian is not None:
         setup = fileio.load_setup(args.setup, ctx)

@@ -9,9 +9,10 @@ with probability controlled by
 where e(lam) is the top eigenvalue of the KMS-symmetrized tilted generator.
 The tilt adds, per Brownian channel, lam_j (L_u* X + X L_u + lam_j X / 2)
 and, per Poisson channel, (exp(lam_j) - 1) L_u* X L_u. Everything here is
-evaluated spectrally: conjugating by the square root of the KMS Gram turns
-the symmetrized tilted generator into an ordinary Hermitian matrix whose
-top eigenvalue is e(lam), a concave maximization away from the bound.
+evaluated spectrally: in sigma's eigenbasis the square root of the KMS Gram
+is diagonal, and conjugating by it turns the symmetrized tilted generator
+into an ordinary Hermitian matrix whose top eigenvalue is e(lam), a concave
+maximization away from the bound.
 That maximization is a projected Newton ascent whose gradient
 (Hellmann-Feynman) and curvature come from the eigensolve each evaluation
 of e already makes.
@@ -32,7 +33,6 @@ from .linalg import (
     ValidationError,
     as_complex_matrix,
     hermitian_from_params,
-    hermitian_part,
     hermitian_to_params,
     inner_product,
     left_right_matrix,
@@ -186,23 +186,27 @@ class TiltedFamily:
     B(lam) = B0 + sum_{j<=q} lam_j B_phi_j + |lam^B|^2/2 * I
                 + sum_{j>q} (exp(lam_j)-1) B_psi_j,
     and the scaled cumulant generating function is its top eigenvalue.
+    Every piece is written in sigma's eigenbasis (GeneratorContext), which
+    leaves the spectrum of B(lam) unchanged; the channel pieces are built
+    there directly from the rotated jumps U^dagger L_u U.
     """
 
     def __init__(self, setup: MeasurementSetup):
         ctx = setup.ctx
-        ctx.require_faithful()
+        st = ctx.require_faithful()
         self.setup = setup
         d = ctx.dim
         eye = np.eye(d)
-        self.b0 = hermitian_part(ctx.kms_conjugated())
+        self.b0 = ctx.kms_hermitian_part()
         self.pieces: list[np.ndarray] = []
         self.zero_channel = []
         for j, l in enumerate(setup.monitored):
+            le = st.to_eigenbasis(l)
             if setup.is_brownian(j):
-                m = left_right_matrix(l.conj().T, eye) + left_right_matrix(eye, l)
+                m = left_right_matrix(le.conj().T, eye) + left_right_matrix(eye, le)
             else:
-                m = left_right_matrix(l.conj().T, l)
-            self.pieces.append(hermitian_part(ctx.kms_conjugated(m)))
+                m = left_right_matrix(le.conj().T, le)
+            self.pieces.append(ctx.kms_hermitian_part(m))
             self.zero_channel.append(bool(np.max(np.abs(l)) < 1e-15))
         self._stacked = np.stack(self.pieces)
         self._brownian = np.arange(setup.ell) < setup.q

@@ -76,7 +76,13 @@ def decode_complex_matrix(data, where: str = "matrix") -> np.ndarray:
             raise ValidationError(f"{where}: expected shape (n, n, 2), got {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValidationError(f"{where}: matrix entries must be finite")
-    return arr if arr.ndim == 2 else arr[..., 0] + 1j * arr[..., 1]
+    if arr.ndim == 2:
+        return arr
+    # Assigned, not summed: re + 1j * im would turn a real part of -0.0 into +0.0.
+    out = np.empty(arr.shape[:2], dtype=complex)
+    out.real = arr[..., 0]
+    out.imag = arr[..., 1]
+    return out
 
 
 def _require(data: dict, field: str, where: str):
@@ -85,7 +91,7 @@ def _require(data: dict, field: str, where: str):
     return data[field]
 
 
-def load_json(path) -> dict:
+def load_json(path):
     p = Path(path)
     if not p.exists():
         raise ValidationError(f"input file not found: {p}")
@@ -93,6 +99,16 @@ def load_json(path) -> dict:
         return json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{p}: malformed JSON ({exc})")
+
+
+def load_object(path) -> dict:
+    """load_json for the files whose top level must be a JSON object: models,
+    setups, states, configs, manifests and lattices."""
+    doc = load_json(path)
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: top level must be a JSON object, "
+                              f"not {type(doc).__name__}")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -130,7 +146,7 @@ class LoadedModel:
 
 def load_model(path) -> LoadedModel:
     """Load and validate a model file, solving for its stationary context."""
-    doc = load_json(path)
+    doc = load_object(path)
     kind = doc.get("kind", "lindblad")
     dim = int(_require(doc, "dim", str(path)))
     if kind == "lindblad":
@@ -153,14 +169,14 @@ def load_model(path) -> LoadedModel:
 def load_setup(path, ctx: GeneratorContext):
     from .deviation import MeasurementSetup
 
-    doc = load_json(path)
+    doc = load_object(path)
     directions = np.asarray(_require(doc, "directions", str(path)), dtype=float)
     q = int(_require(doc, "q", str(path)))
     return MeasurementSetup(ctx, directions, q)
 
 
 def load_state(path, dim: int) -> np.ndarray:
-    doc = load_json(path)
+    doc = load_object(path)
     rho = decode_complex_matrix(_require(doc, "rho", str(path)), f"{path}:rho")
     if rho.shape[0] != dim:
         raise ValidationError(f"{path}: state dim {rho.shape[0]} != model dim {dim}")
@@ -170,7 +186,7 @@ def load_state(path, dim: int) -> np.ndarray:
 def load_config(path, seed_override: int | None = None):
     from .trajectories import TrajectoryConfig
 
-    doc = load_json(path)
+    doc = load_object(path)
     base_seed = seed_override if seed_override is not None else doc.get("base_seed")
     if base_seed is None:
         raise ValidationError(f"{path}: base_seed is mandatory (or pass --seed / QDEV_SEED)")
@@ -284,7 +300,7 @@ def write_manifest(output_path, command: list[str], input_paths: list, parameter
 
 def verify_manifest(path) -> bool:
     """Recompute input digests recorded in a manifest; True when all match."""
-    doc = load_json(path)
+    doc = load_object(path)
     for input_path, recorded in _require(doc, "inputs", str(path)).items():
         if not Path(input_path).exists():
             raise ValidationError(f"manifest input missing: {input_path}")

@@ -30,7 +30,7 @@ from .linalg import (
     require_hermitian,
     spectral_transform,
 )
-from .lindblad import GeneratorContext, bohr_frequencies, fisher_information
+from .lindblad import GeneratorContext, fisher_information
 
 GAP_ZERO_TOL = 1e-10
 
@@ -208,7 +208,7 @@ class LipschitzContext:
         """
         st = ctx.require_faithful()
         lind = ctx.require_jumps()
-        omegas = bohr_frequencies(ctx)
+        omegas = ctx.bohr
         if omegas is None:
             raise ValidationError("jumps are not modular eigenvectors; no Lipschitz calculus")
         derivs = []
@@ -429,7 +429,7 @@ def tensor_alpha_u(contexts: list[GeneratorContext], u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float).reshape(n, j_count)
     worst = 0.0
     for k, ctx in enumerate(contexts):
-        omegas = bohr_frequencies(ctx)
+        omegas = ctx.bohr
         if omegas is None:
             raise ValidationError("tensor factors need Bohr frequencies")
         smoothed = tilde_observable(ctx, u[k])

@@ -7,8 +7,8 @@ is built on three ingredients collected here:
   * validated wrappers for Hermitian operators, density operators and
     faithful (full-rank) states, the latter carrying a cached
     eigendecomposition so that arbitrary fractional powers are cheap;
-  * the GNS / KMS / BKM inner products and the corresponding Gram
-    superoperators;
+  * the GNS / KMS / BKM inner products and their Gram maps, which are
+    diagonal in sigma's eigenbasis (gram_weights);
   * spectral transforms f(Delta) of the modular operator
     Delta: X -> sigma X sigma^{-1}, applied entrywise in the eigenbasis.
 
@@ -283,6 +283,24 @@ class SuperOperator:
         return SuperOperator(np.eye(dim * dim, dtype=complex))
 
 
+def superoperator_in_basis(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """K^dagger M K for K = kron(conj(U), U) and a unitary U: the matrix of
+    the superoperator M acting on matrices written in the basis of U's
+    columns (X = U X_u U^dagger). superoperator_in_basis(., U^dagger) undoes it.
+
+    Entry ((r,s),(t,v)) is sum U[p,r] conj(U[q,s]) M[(p,q),(m,n)]
+    conj(U[m,t]) U[n,v]. Each of the four contractions is one product of the
+    (d, d^3) leading-index view, transposed, with a d x d factor, and moves
+    the new index to the back: d^5 in all, against d^6 for the two dense
+    products with K.
+    """
+    d = u.shape[0]
+    x = np.asarray(m, dtype=complex)
+    for factor in (u, u.conj(), u.conj(), u):
+        x = x.reshape(d, -1).T @ factor
+    return x.reshape(d * d, d * d)
+
+
 def to_superoperator(mapping, dim: int) -> SuperOperator:
     """Build the matrix of a map given as a callable on dim x dim matrices.
 
@@ -320,7 +338,7 @@ def hermitian_to_params(x: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Inner products and Gram superoperators
+# Inner products and Gram weights
 # ---------------------------------------------------------------------------
 
 INNER_PRODUCT_KINDS = ("GNS", "KMS", "BKM")
@@ -360,17 +378,25 @@ def inner_product(kind: str, sigma, x, y) -> complex:
     return complex(np.sum(coeff * xe.conj() * ye))
 
 
-def gram_superoperator(kind: str, sigma) -> SuperOperator:
-    """Gram map G of the inner product: <X, Y>_kind = vec(X)^dagger G vec(Y)."""
+def gram_weights(kind: str, sigma) -> np.ndarray:
+    """Diagonal of the Gram map of the inner product in sigma's eigenbasis.
+
+    With X_e = U^dagger X U for sigma = U diag(s) U^dagger, <X, Y>_kind is
+    sum_ij g[i, j] conj(X_e[i, j]) Y_e[i, j], where g[i, j] is s_j (GNS),
+    sqrt(s_i s_j) (KMS) or the BKM divided difference of s_i and s_j.
+    Returned in vec order, entry j*dim + i holding g[i, j].
+    """
     st = _as_state(sigma)
+    s = st.eigenvalues
     if kind == "GNS":
-        return SuperOperator(left_right_matrix(np.eye(st.dim), st.matrix))
-    if kind == "KMS":
-        r = st.power(0.5)
-        return SuperOperator(left_right_matrix(r, r))
-    if kind == "BKM":
-        return SuperOperator(spectral_transform_matrix("bkm_M", st))
-    raise ValidationError(f"unknown inner product kind {kind!r}")
+        g = np.broadcast_to(s[None, :], (st.dim, st.dim))
+    elif kind == "KMS":
+        g = np.sqrt(np.outer(s, s))
+    elif kind == "BKM":
+        g = _bkm_coefficients(s)
+    else:
+        raise ValidationError(f"unknown inner product kind {kind!r}")
+    return g.ravel(order="F")
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,14 @@ as a raw superoperator pair for channel-difference generators Psi - id. The
 GeneratorContext bundles the generator with its stationary state and the
 sigma-weighted calculus needed everywhere else: KMS symmetrization, duals
 with respect to the GNS/KMS/BKM inner products, Bohr frequencies, and the
-Dirichlet form / Fisher information.
+Dirichlet form / Fisher information. That calculus runs in sigma's
+eigenbasis, where every sigma-weighted Gram map is diagonal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,7 +27,7 @@ from .linalg import (
     SuperOperator,
     ValidationError,
     as_complex_matrix,
-    gram_superoperator,
+    gram_weights,
     hermitian_part,
     inner_product,
     left_right_matrix,
@@ -33,6 +35,7 @@ from .linalg import (
     require_hermitian,
     require_same_dim,
     spectral_transform,
+    superoperator_in_basis,
     unvec,
     vec,
 )
@@ -113,6 +116,17 @@ class GeneratorContext:
 
     ``faithful`` is None when the stationary state is rank deficient; every
     sigma-weighted operation then refuses with NotFaithfulError.
+
+    The sigma-weighted calculus works in sigma's eigenbasis,
+    sigma = U diag(s) U^dagger. A superoperator matrix M is rotated there as
+    M_e = K^dagger M K with the unitary K = kron(conj(U), U), at d^5
+    (to_eigenbasis; the generator's own M_e is computed once and kept).
+    There the Gram map of each inner product is diagonal (gram_weights:
+    s_j for GNS, sqrt(s_i s_j) for KMS, the divided differences for BKM),
+    so KMS conjugation, duals and the detailed-balance check are entrywise
+    scalings. The matrices kms_conjugated and kms_hermitian_part return
+    stay in the eigenbasis: they are unitarily similar to G^(1/2) M G^(-1/2)
+    in the original basis and have its spectrum.
     """
 
     def __init__(self, heisenberg: SuperOperator, schrodinger: SuperOperator,
@@ -126,8 +140,6 @@ class GeneratorContext:
         self.kernel_dim = kernel_dim
         self.lindbladian = lindbladian
         self.dim = heisenberg.dim
-        self._cache: dict[str, np.ndarray] = {}
-        self.bohr = bohr_frequencies(self) if (faithful is not None and lindbladian is not None) else None
 
     def require_faithful(self) -> FaithfulState:
         if self.faithful is None:
@@ -139,27 +151,40 @@ class GeneratorContext:
             raise ValidationError("operation requires jump-operator form, context holds a raw superoperator")
         return self.lindbladian
 
-    def _half_grams(self) -> tuple[np.ndarray, np.ndarray]:
-        st = self.require_faithful()
-        ghalf = self._cache.get("ghalf")
-        if ghalf is None:
-            quarter = st.power(0.25)
-            inv_quarter = st.power(-0.25)
-            ghalf = left_right_matrix(quarter, quarter)
-            ginvhalf = left_right_matrix(inv_quarter, inv_quarter)
-            self._cache["ghalf"] = ghalf
-            self._cache["ginvhalf"] = ginvhalf
-        return self._cache["ghalf"], self._cache["ginvhalf"]
+    @cached_property
+    def bohr(self) -> list[float] | None:
+        """The jumps' Bohr frequencies (see bohr_frequencies), computed on
+        first use; None without a faithful state or jump form."""
+        if self.faithful is None or self.lindbladian is None:
+            return None
+        return _modular_frequencies(self.faithful, self.lindbladian.jumps)
 
-    def kms_conjugated(self, matrix: np.ndarray | None = None) -> np.ndarray:
-        """G^(1/2) M G^(-1/2) for the KMS Gram G; Hermitian iff M is KMS-self-adjoint."""
-        ghalf, ginvhalf = self._half_grams()
-        m = self.heisenberg.matrix if matrix is None else matrix
-        return ghalf @ m @ ginvhalf
+    def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
+        """K^dagger M K: the superoperator matrix M in sigma's eigenbasis."""
+        return superoperator_in_basis(matrix, self.require_faithful().eigenvectors)
 
-    def kms_hermitian_part(self, matrix: np.ndarray | None = None) -> np.ndarray:
+    def from_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
+        """K M K^dagger, the inverse of to_eigenbasis."""
+        return superoperator_in_basis(matrix, self.require_faithful().eigenvectors.conj().T)
+
+    @cached_property
+    def eigenbasis_generator(self) -> np.ndarray:
+        """The Heisenberg matrix of the generator in sigma's eigenbasis."""
+        return self.to_eigenbasis(self.heisenberg.matrix)
+
+    def kms_conjugated(self, eigenbasis_matrix: np.ndarray | None = None) -> np.ndarray:
+        """D M D^(-1) with D the diagonal KMS half-Gram (s_i s_j)^(1/4), for a
+        superoperator M given in sigma's eigenbasis (default: the generator).
+        Hermitian iff M is KMS-self-adjoint."""
+        m = self.eigenbasis_generator if eigenbasis_matrix is None else eigenbasis_matrix
+        half = np.sqrt(gram_weights("KMS", self.require_faithful()))
+        out = m * half[:, None]
+        out /= half[None, :]
+        return out
+
+    def kms_hermitian_part(self, eigenbasis_matrix: np.ndarray | None = None) -> np.ndarray:
         """Hermitian matrix of the KMS symmetrization (M + M^KMS)/2, conjugated."""
-        return hermitian_part(self.kms_conjugated(matrix))
+        return hermitian_part(self.kms_conjugated(eigenbasis_matrix))
 
 
 def stationary_state(lind: Lindbladian, faithfulness_threshold: float = 1e-12) -> GeneratorContext:
@@ -177,18 +202,69 @@ def context_from_channel(channel: SuperOperator, faithfulness_threshold: float =
     return context_from_generator(SuperOperator(channel.matrix - eye), faithfulness_threshold)
 
 
+def _bordered_kernel(m: np.ndarray, d: int, scale: float) -> np.ndarray | None:
+    """Stationary candidate of the Schrodinger matrix M when its kernel is
+    certified simple, else None.
+
+    Unitality makes t = vec(id) a left null vector of M, so the trace-bordered
+    A = M + c t t^dagger (c = scale/d, so the border has norm scale) is
+    invertible exactly when the kernel is simple, and then A^(-1) c t is the
+    kernel vector of trace one. By rank-one interlacing sigma_(n-1)(M) >=
+    sigma_n(A) >= 1/|A^(-1)|_F, so the kernel is simple once that bound
+    clears KERNEL_REL_TOL * scale; |M v| / |v| <= KERNEL_REL_TOL * scale
+    then says that the last singular value is below it, as the SVD
+    classification requires.
+    """
+    t = vec(np.eye(d))
+    c = scale / d
+    diagonal = np.flatnonzero(t)
+    a = m.copy()
+    a[np.ix_(diagonal, diagonal)] += c
+    try:
+        a_inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None
+    if not 1.0 / np.linalg.norm(a_inv) > KERNEL_REL_TOL * scale:
+        return None
+    v = c * (a_inv @ t)
+    if not np.linalg.norm(m @ v) <= KERNEL_REL_TOL * scale * np.linalg.norm(v):
+        return None
+    return unvec(v, d)
+
+
+def _svd_kernel(m: np.ndarray, d: int, scale: float) -> tuple[np.ndarray, int]:
+    """Stationary candidate and kernel multiplicity from one SVD of M.
+
+    The multiplicity is the number of singular values at or below
+    KERNEL_REL_TOL * scale. A simple kernel is spanned by the last right
+    singular vector. A larger one is handled through the ergodic projector
+    R (L^H R)^(-1) L^H built from the right (R) and left (L) null vectors;
+    it maps the maximally mixed state to the stationary state of maximal
+    support.
+    """
+    u, s, vh = np.linalg.svd(m)
+    mult = int(np.count_nonzero(s <= KERNEL_REL_TOL * scale))
+    if mult == 0:
+        raise NumericalError("Schrodinger superoperator has no numerical kernel")
+    if mult == 1:
+        return unvec(vh[-1].conj(), d), 1
+    right = vh[-mult:].conj().T
+    left_h = u[:, -mult:].conj().T
+    proj = right @ np.linalg.solve(left_h @ right, left_h)
+    return unvec(proj @ vec(np.eye(d) / d), d), mult
+
+
 def context_from_generator(heis: SuperOperator, faithfulness_threshold: float = 1e-12,
                            lindbladian: Lindbladian | None = None) -> GeneratorContext:
     """Context for a generator given as a Heisenberg superoperator.
 
-    One SVD of the Schrodinger matrix M gives the kernel: its multiplicity
-    is the number of singular values at or below KERNEL_REL_TOL * scale.
-    A simple kernel is spanned by the last right singular vector. A larger
-    one is handled through the ergodic projector R (L^H R)^(-1) L^H built
-    from the right (R) and left (L) null vectors; it maps the maximally
-    mixed state to the stationary state of maximal support, so faithfulness
-    fails only if no faithful stationary state exists. Primitive means the
-    kernel is simple and sigma has full rank.
+    The kernel of the Schrodinger matrix M comes from one LU inversion of
+    the trace-bordered M + c t t^dagger, which also certifies that the
+    kernel is simple (_bordered_kernel). Only when that certificate fails
+    does one SVD of M classify the kernel (_svd_kernel): a multiplicity
+    above one is resolved by the ergodic projector, and faithfulness then
+    fails only if no faithful stationary state exists (NotFaithfulError).
+    Primitive means the kernel is simple and sigma has full rank.
     """
     d = heis.dim
     unitality = np.max(np.abs(heis.apply(np.eye(d))))
@@ -197,17 +273,9 @@ def context_from_generator(heis: SuperOperator, faithfulness_threshold: float = 
     schro = heis.adjoint()
     m = schro.matrix
     scale = max(1.0, float(np.max(np.abs(m))))
-    u, s, vh = np.linalg.svd(m)
-    mult = int(np.count_nonzero(s <= KERNEL_REL_TOL * scale))
-    if mult == 0:
-        raise NumericalError("Schrodinger superoperator has no numerical kernel")
-    if mult == 1:
-        cand = unvec(vh[-1].conj(), d)
-    else:
-        right = vh[-mult:].conj().T
-        left_h = u[:, -mult:].conj().T
-        proj = right @ np.linalg.solve(left_h @ right, left_h)
-        cand = unvec(proj @ vec(np.eye(d) / d), d)
+    cand, mult = _bordered_kernel(m, d, scale), 1
+    if cand is None:
+        cand, mult = _svd_kernel(m, d, scale)
     cand = hermitian_part(cand)
     tr = np.trace(cand).real
     if abs(tr) < 1e-14:
@@ -237,16 +305,22 @@ def context_from_generator(heis: SuperOperator, faithfulness_threshold: float = 
 # Duals and detailed balance
 # ---------------------------------------------------------------------------
 
+def _dual_in_eigenbasis(kind: str, ctx: GeneratorContext, eigenbasis_matrix: np.ndarray) -> np.ndarray:
+    """G^(-1) S^dagger G in sigma's eigenbasis, where the Gram G is the
+    diagonal gram_weights: entry (a, b) is conj(S[b, a]) g[b] / g[a]."""
+    g = gram_weights(kind, ctx.require_faithful())
+    return eigenbasis_matrix.conj().T * np.outer(1.0 / g, g)
+
+
 def dual_superoperator(kind: str, ctx: GeneratorContext, superop: SuperOperator) -> SuperOperator:
     """Adjoint of a superoperator with respect to the chosen inner product.
 
-    Computed as G^(-1) S^dagger G with G the Gram superoperator of the inner
-    product and S^dagger the Hilbert-Schmidt adjoint.
+    G^(-1) S^dagger G for the Gram map G of the inner product and the
+    Hilbert-Schmidt adjoint S^dagger, formed in sigma's eigenbasis, where G
+    is diagonal, and rotated back.
     """
-    st = ctx.require_faithful()
-    g = gram_superoperator(kind, st).matrix
-    s_dag = superop.matrix.conj().T
-    return SuperOperator(np.linalg.solve(g, s_dag @ g))
+    dual = _dual_in_eigenbasis(kind, ctx, ctx.to_eigenbasis(superop.matrix))
+    return SuperOperator(ctx.from_eigenbasis(dual))
 
 
 @dataclass(frozen=True)
@@ -258,12 +332,15 @@ class SymmetryReport:
 def check_detailed_balance(kind: str, ctx: GeneratorContext) -> SymmetryReport:
     """Deviation of the generator from self-adjointness in the given inner product.
 
-    ``symmetric`` compares the max-norm deviation against the generator
-    scale, floored at one so that numerically-zero generators classify as
-    symmetric rather than amplifying rounding dust.
+    The difference of the generator and its dual is formed in sigma's
+    eigenbasis and rotated back, so ``deviation`` is its max-norm in the
+    original basis. ``symmetric`` compares that deviation against the
+    generator scale, floored at one so that numerically-zero generators
+    classify as symmetric rather than amplifying rounding dust.
     """
-    dual = dual_superoperator(kind, ctx, ctx.heisenberg)
-    deviation = float(np.max(np.abs(ctx.heisenberg.matrix - dual.matrix)))
+    m_e = ctx.eigenbasis_generator
+    difference = ctx.from_eigenbasis(m_e - _dual_in_eigenbasis(kind, ctx, m_e))
+    deviation = float(np.max(np.abs(difference)))
     scale = float(np.max(np.abs(ctx.heisenberg.matrix)))
     return SymmetryReport(deviation <= SYMMETRY_REL_TOL * max(scale, 1.0), deviation)
 
@@ -271,24 +348,36 @@ def check_detailed_balance(kind: str, ctx: GeneratorContext) -> SymmetryReport:
 def bohr_frequencies(ctx: GeneratorContext) -> list[float] | None:
     """Frequencies omega_j with Delta_sigma(L_j) = exp(-omega_j) L_j, if they exist.
 
-    Returns None as soon as one jump fails to be an eigenvector of the
-    modular operator (relative residual above BOHR_REL_TOL).
+    Returns None when some jump fails to be an eigenvector of the modular
+    operator (relative residual above BOHR_REL_TOL). The value is cached on
+    the context as ``ctx.bohr``.
     """
-    st = ctx.require_faithful()
-    lind = ctx.require_jumps()
-    omegas: list[float] = []
-    for l in lind.jumps:
-        norm2 = np.vdot(l, l).real
-        if norm2 < 1e-28:
-            omegas.append(0.0)
-            continue
-        image = spectral_transform("delta_power", st, l, power=1.0)
-        c = np.vdot(l, image) / norm2
-        residual = np.linalg.norm(image - c * l) / np.linalg.norm(image)
-        if residual > BOHR_REL_TOL or c.real <= 0 or abs(c.imag) > BOHR_REL_TOL * abs(c):
-            return None
-        omegas.append(float(-np.log(c.real)))
-    return omegas
+    ctx.require_faithful()
+    ctx.require_jumps()
+    return ctx.bohr
+
+
+def _modular_frequencies(st: FaithfulState, jumps: list[np.ndarray]) -> list[float] | None:
+    """bohr_frequencies for all jumps at once in sigma's eigenbasis, where
+    Delta_sigma scales entry (i, j) by s_i / s_j. Jumps of squared norm
+    below 1e-28 get frequency 0."""
+    if not jumps:
+        return []
+    u = st.eigenvectors
+    s = st.eigenvalues
+    le = u.conj().T @ np.asarray(jumps) @ u
+    image = le * (s[:, None] / s[None, :])
+    norm2 = np.sum(np.abs(le) ** 2, axis=(1, 2))
+    live = norm2 >= 1e-28
+    le, image = le[live], image[live]
+    c = np.einsum("kij,kij->k", le.conj(), image) / norm2[live]
+    residual = (np.linalg.norm(image - c[:, None, None] * le, axis=(1, 2))
+                / np.linalg.norm(image, axis=(1, 2)))
+    if np.any((residual > BOHR_REL_TOL) | (c.real <= 0) | (np.abs(c.imag) > BOHR_REL_TOL * np.abs(c))):
+        return None
+    omegas = np.zeros(len(jumps))
+    omegas[live] = -np.log(c.real)
+    return [float(w) for w in omegas]
 
 
 def kms_canonical_hamiltonian(ctx: GeneratorContext) -> np.ndarray:

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from qdev.linalg import FaithfulState, hermitian_part
+from qdev.linalg import (
+    FaithfulState,
+    SuperOperator,
+    hermitian_part,
+    left_right_matrix,
+    spectral_transform_matrix,
+)
 from qdev.lindblad import Lindbladian, stationary_state
 from qdev.models import depolarizing, maximally_mixed
 
@@ -23,6 +29,24 @@ def random_state(rng, d):
 
 def random_faithful(rng, d):
     return FaithfulState(random_state(rng, d))
+
+
+def gram_superoperator(kind, st):
+    """Dense Gram map of an inner product, <X, Y> = vec(X)^dagger G vec(Y):
+    the reference against which the eigenbasis calculus is tested."""
+    if kind == "GNS":
+        return SuperOperator(left_right_matrix(np.eye(st.dim), st.matrix))
+    if kind == "KMS":
+        r = st.power(0.5)
+        return SuperOperator(left_right_matrix(r, r))
+    return SuperOperator(spectral_transform_matrix("bkm_M", st))
+
+
+def dense_kms_conjugated(st, m):
+    """G^(1/2) M G^(-1/2) with the dense KMS half-Grams, in the original
+    basis: the reference for GeneratorContext.kms_conjugated."""
+    return left_right_matrix(st.power(0.25), st.power(0.25)) @ m @ left_right_matrix(
+        st.power(-0.25), st.power(-0.25))
 
 
 def scalar_lindblad(c):

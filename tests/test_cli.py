@@ -177,6 +177,27 @@ class TestRateVerb:
         assert header == ["s0", "rate", "residual", "status"] and rows == []
 
 
+class TestNonObjectJson:
+    @pytest.mark.parametrize("verb,name,doc", [
+        ("bound", "model", "x"),
+        ("bound", "setup", [1, 2]),
+        ("simulate", "config", [1, 2]),
+        ("simulate", "model", 3),
+    ])
+    def test_top_level_must_be_object(self, scalar_model, capsys, verb, name, doc):
+        write_config("config.json", dt=1e-2, t_max=1.0, n_paths=5, base_seed=1)
+        Path(f"bad-{name}.json").write_text(json.dumps(doc))
+        files = {"model": "scalar.json", "setup": "setup.json", "config": "config.json"}
+        files[name] = f"bad-{name}.json"
+        args = [verb, "--model", files["model"], "--setup", files["setup"], "--r", "0.5"]
+        args += ["--t", "1"] if verb == "bound" else ["--config", files["config"]]
+        code = main(args + ["-o", "out.csv"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation"
+        assert f"bad-{name}.json" in err["message"] and "JSON object" in err["message"]
+
+
 class TestSimulateVerb:
     def test_seed_is_mandatory(self, scalar_model, capsys, monkeypatch):
         monkeypatch.delenv("QDEV_SEED", raising=False)
@@ -346,6 +367,14 @@ class TestComplexMatrixFormat:
         m = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         decoded = fileio.decode_complex_matrix(fileio.encode_complex_matrix(m))
         assert np.array_equal(decoded, m)
+
+    def test_nested_keeps_negative_zero(self):
+        decoded = fileio.decode_complex_matrix([[[-0.0, 1.0], [2.0, -0.0]]])
+        assert np.signbit(decoded.real).tolist() == [[True, False]]
+        assert np.signbit(decoded.imag).tolist() == [[False, True]]
+        m = np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)]] * 2)
+        again = fileio.decode_complex_matrix(fileio.encode_complex_matrix(m))
+        assert again.tobytes() == m.tobytes()
 
     def test_shape_rejected(self):
         with pytest.raises(ValidationError):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_faithful, random_hermitian, scalar_lindblad
+from conftest import dense_kms_conjugated, random_faithful, random_hermitian, scalar_lindblad
 from qdev import deviation
 from qdev.linalg import NumericalError, ValidationError, left_right_matrix, top_eigenpair, vec
 from qdev.lindblad import Lindbladian, NotKmsSymmetricError, stationary_state
@@ -389,6 +389,22 @@ class TestTiltedFamilyInternals:
 
 
 TILTS = [np.array(lam) for lam in ([0.0, 0.0], [0.4, 0.3], [-0.5, 1.2], [2.0, -1.0])]
+
+
+class TestTiltedFamilySpectrum:
+    @pytest.mark.parametrize("name", ["mixed_setup", "generic_setup", "qutrit_setup"])
+    def test_matches_dense_kms_conjugation(self, name, request):
+        """B(lam) in sigma's eigenbasis has the spectrum of the dense
+        G^(1/2) L_lam G^(-1/2) of the tilted generator in the original basis."""
+        setup = request.getfixturevalue(name)
+        family = TiltedFamily(setup)
+        st = setup.ctx.faithful
+        for lam in ([0.0] * setup.ell, [0.4, -0.3, 0.2][:setup.ell], [-1.1, 0.8, -2.0][:setup.ell]):
+            lam = np.array(lam)
+            dense = dense_kms_conjugated(st, perturbed_generator(setup, lam).matrix)
+            reference = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
+            ours = np.linalg.eigvalsh(family.matrix(lam))
+            assert np.max(np.abs(ours - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
 
 
 def record_convergence(monkeypatch) -> list:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import SX, SZ, random_faithful, random_hermitian
+from conftest import SX, SZ, gram_superoperator, random_faithful, random_hermitian
 from qdev import linalg
 from qdev.linalg import (
     DensityOperator,
@@ -14,7 +14,7 @@ from qdev.linalg import (
     SuperOperator,
     ValidationError,
     gamma_map,
-    gram_superoperator,
+    gram_weights,
     hermitian_from_params,
     hermitian_to_params,
     inner_product,
@@ -22,6 +22,7 @@ from qdev.linalg import (
     left_right_sum_matrix,
     spectral_transform,
     spectral_transform_matrix,
+    superoperator_in_basis,
     to_superoperator,
     top_eigenpair,
     unvec,
@@ -112,6 +113,38 @@ class TestInnerProducts:
         st = random_faithful(rng, 2)
         with pytest.raises(DimensionMismatchError):
             inner_product("KMS", st, np.eye(3), np.eye(3))
+
+    @pytest.mark.parametrize("kind", ["GNS", "KMS", "BKM"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_gram_weights_diagonalize_dense_gram(self, kind, d):
+        st = random_faithful(np.random.default_rng(d), d)
+        u = st.eigenvectors
+        k = np.kron(u.conj(), u)
+        rotated = k.conj().T @ gram_superoperator(kind, st).matrix @ k
+        assert np.max(np.abs(rotated - np.diag(gram_weights(kind, st)))) < 1e-13
+
+
+class TestSuperoperatorInBasis:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_matches_dense_conjugation_and_inverts(self, d):
+        rng = np.random.default_rng(d)
+        m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        u = random_faithful(rng, d).eigenvectors
+        k = np.kron(u.conj(), u)
+        rotated = superoperator_in_basis(m, u)
+        assert np.max(np.abs(rotated - k.conj().T @ m @ k)) < 1e-13 * d * d
+        assert np.max(np.abs(superoperator_in_basis(rotated, u.conj().T) - m)) < 1e-13 * d * d
+
+    def test_acts_on_rotated_matrices(self):
+        rng = np.random.default_rng(3)
+        d = 3
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        u = random_faithful(rng, d).eigenvectors
+        x_u = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rotated = superoperator_in_basis(left_right_matrix(a, b), u)
+        image = u.conj().T @ (a @ (u @ x_u @ u.conj().T) @ b) @ u
+        assert np.max(np.abs(unvec(rotated @ vec(x_u)) - image)) < 1e-12
 
 
 class TestSpectralTransforms:

@@ -4,17 +4,22 @@ import pytest
 from conftest import (
     SZ,
     aligned_thermal_qubit,
+    dense_kms_conjugated,
+    gram_superoperator,
     random_faithful,
     random_hermitian,
     random_state,
 )
+from qdev import lindblad
 from qdev.linalg import (
     FaithfulState,
     NotFaithfulError,
     SuperOperator,
+    hermitian_part,
     inner_product,
     left_right_matrix,
     to_superoperator,
+    unvec,
 )
 from qdev.lindblad import (
     Lindbladian,
@@ -125,6 +130,112 @@ class TestStationaryState:
         assert np.max(np.abs(ctx.sigma.matrix - np.eye(3) / 3)) < 1e-12
         assert ctx.faithful is not None
         assert not ctx.primitive
+
+
+def svd_stationary(lind):
+    """Kernel of the Schrodinger matrix by a full SVD: the last right
+    singular vector normalized to trace one, and the number of singular
+    values at or below KERNEL_REL_TOL * scale."""
+    m = lind.heisenberg_superoperator().matrix.conj().T
+    scale = max(1.0, float(np.max(np.abs(m))))
+    _, s, vh = np.linalg.svd(m)
+    sigma = hermitian_part(unvec(vh[-1].conj(), lind.dim))
+    return sigma / np.trace(sigma).real, int(np.count_nonzero(s <= lindblad.KERNEL_REL_TOL * scale))
+
+
+def weakly_coupled_blocks(eps):
+    """Two depolarizing qubit blocks on {0, 1} and {2, 3} of a ququart,
+    joined by jumps of rate eps between states 1 and 2."""
+    jumps = []
+    for block in ((0, 1), (2, 3)):
+        for x in block:
+            for y in block:
+                l = np.zeros((4, 4), dtype=complex)
+                l[x, y] = 1.0 / (1 + x + y)
+                jumps.append(l)
+    for x, y in ((1, 2), (2, 1)):
+        l = np.zeros((4, 4), dtype=complex)
+        l[x, y] = np.sqrt(eps)
+        jumps.append(l)
+    return Lindbladian(np.diag([0.0, 0.3, -0.2, 0.5]), jumps)
+
+
+class TestStationarySolve:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_bordered_lu_matches_svd(self, d):
+        rng = np.random.default_rng(100 + d)
+        lind = random_lindblad(rng, d, 2)
+        reference, mult = svd_stationary(lind)
+        ctx = stationary_state(lind)
+        assert mult == 1 and ctx.kernel_dim == 1
+        assert np.max(np.abs(ctx.sigma.matrix - reference)) < 1e-12
+
+    @pytest.fixture()
+    def svd_calls(self, monkeypatch):
+        calls = []
+        plain = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or plain(*a, **k))
+        return calls
+
+    def test_primitive_model_needs_no_svd(self, svd_calls):
+        st = random_faithful(np.random.default_rng(7), 4)
+        ctx = stationary_state(depolarizing(st))
+        assert ctx.primitive and svd_calls == []
+
+    def test_degenerate_kernel_falls_back_to_svd(self, svd_calls):
+        ctx = stationary_state(Lindbladian(np.zeros((3, 3)), [np.diag([0.0, 1.0, 3.0])]))
+        assert ctx.kernel_dim == 3 and len(svd_calls) == 1
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-12])
+    def test_weak_coupling_matches_svd_classification(self, eps, svd_calls):
+        lind = weakly_coupled_blocks(eps)
+        _, mult = svd_stationary(lind)
+        svd_calls.clear()
+        ctx = stationary_state(lind)
+        assert ctx.kernel_dim == mult
+        assert ctx.primitive == (mult == 1)
+        # The bordered LU certifies the rate-1e-6 coupling; at 1e-12 the
+        # SVD classifies the kernel as two-dimensional.
+        assert (mult, len(svd_calls)) == ((1, 0) if eps == 1e-6 else (2, 1))
+
+
+class TestEigenbasisCalculus:
+    @pytest.fixture(params=[2, 3, 5])
+    def ctx(self, request):
+        d = request.param
+        rng = np.random.default_rng(200 + d)
+        return stationary_state(depolarizing(random_faithful(rng, d)))
+
+    @pytest.mark.parametrize("kind", ["GNS", "KMS", "BKM"])
+    def test_dual_matches_dense_solve(self, ctx, kind):
+        rng = np.random.default_rng(300 + ctx.dim)
+        n = ctx.dim ** 2
+        s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        g = gram_superoperator(kind, ctx.faithful).matrix
+        reference = np.linalg.solve(g, s.conj().T @ g)
+        dual = dual_superoperator(kind, ctx, SuperOperator(s)).matrix
+        assert np.max(np.abs(dual - reference)) < 1e-10 * max(1.0, np.max(np.abs(reference)))
+
+    def test_kms_hermitian_part_spectrum_matches_dense(self, ctx):
+        rng = np.random.default_rng(400 + ctx.dim)
+        lind = random_lindblad(rng, ctx.dim, 2)
+        m = lind.heisenberg_superoperator().matrix
+        reference = np.linalg.eigvalsh(hermitian_part(dense_kms_conjugated(ctx.faithful, m)))
+        ours = np.linalg.eigvalsh(ctx.kms_hermitian_part(ctx.to_eigenbasis(m)))
+        assert np.max(np.abs(ours - reference)) < 1e-12 * max(1.0, np.max(np.abs(reference)))
+        generator = np.linalg.eigvalsh(
+            hermitian_part(dense_kms_conjugated(ctx.faithful, ctx.heisenberg.matrix)))
+        assert np.max(np.abs(np.linalg.eigvalsh(ctx.kms_hermitian_part()) - generator)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["GNS", "KMS", "BKM"])
+    def test_deviation_is_original_basis_max_norm(self, kind):
+        rng = np.random.default_rng(500)
+        lind = random_lindblad(rng, 3, 2)
+        ctx = stationary_state(lind)
+        g = gram_superoperator(kind, ctx.faithful).matrix
+        m = ctx.heisenberg.matrix
+        reference = np.max(np.abs(m - np.linalg.solve(g, m.conj().T @ g)))
+        assert check_detailed_balance(kind, ctx).deviation == pytest.approx(reference, rel=1e-10)
 
 
 class TestDuals:
