@@ -11,6 +11,7 @@ and the parameters, so reruns are byte-identical.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -24,17 +25,15 @@ from .deviation import main_bound, rate_function
 from .inequalities import (
     LipschitzContext,
     concentration_bound,
+    functional_constants,
     lipschitz_norm,
     lsi_depolarizing,
-    spectral_gap,
-    ti_from_lsi,
     tilde_observable,
 )
 from .linalg import NumericalError, QdevError, ValidationError
 from .lindblad import check_detailed_balance
 from .models import (
     ClassicalChain,
-    CommutingHamiltonian,
     appendix_b_fixtures,
     classical_embedding,
     depolarizing,
@@ -64,7 +63,12 @@ def _resolve_seed(args) -> int | None:
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("QDEV_SEED")
-    return int(env) if env else None
+    if not env:
+        return None
+    try:
+        return int(env)
+    except ValueError:
+        raise ValidationError(f"QDEV_SEED={env!r} is not an integer") from None
 
 
 def build_parser() -> _Parser:
@@ -156,10 +160,8 @@ def _cmd_model_new(args, argv) -> int:
     template = args.template
     if template == "depolarizing":
         if args.sigma:
-            doc = fileio.load_object(args.sigma)
-            if "dim" not in doc:
-                raise ValidationError(f"{args.sigma}: missing field 'dim'")
-            rho = fileio.load_state(args.sigma, int(doc["dim"]))
+            dim = fileio.require_int(fileio.load_object(args.sigma), "dim", args.sigma)
+            rho = fileio.load_state(args.sigma, dim)
             from .linalg import FaithfulState
             lind = depolarizing(FaithfulState(rho))
         else:
@@ -171,8 +173,7 @@ def _cmd_model_new(args, argv) -> int:
     elif template == "classical":
         if not args.rates_file:
             raise ValidationError("classical template needs --rates-file")
-        rates = np.asarray(fileio.load_json(args.rates_file), dtype=float)
-        lind = classical_embedding(ClassicalChain(rates))
+        lind = classical_embedding(ClassicalChain(fileio.load_real_array(args.rates_file)))
         fileio.save_model(args.output, hamiltonian=lind.hamiltonian, jumps=lind.jumps,
                           template="classical")
     elif template == "tensor":
@@ -188,11 +189,7 @@ def _cmd_model_new(args, argv) -> int:
     elif template == "heat-bath":
         if not args.lattice_file:
             raise ValidationError("heat-bath template needs --lattice-file")
-        doc = fileio.load_object(args.lattice_file)
-        terms = [(tuple(t["support"]), fileio.decode_complex_matrix(t["matrix"], "term"))
-                 for t in doc["terms"]]
-        ham = CommutingHamiltonian(int(doc["n_sites"]), int(doc["local_dim"]), terms,
-                                   float(doc["beta"]))
+        ham = fileio.load_lattice(args.lattice_file)
         model = heat_bath(ham)
         channel = sum(psi.matrix for psi in model.site_channels)
         # sum_v Psi_v - (n-1) id is unital; store the channel whose difference
@@ -247,7 +244,7 @@ def _cmd_rate(args, argv) -> int:
     model = fileio.load_model(args.model)
     setup = fileio.load_setup(args.setup, model.context)
     if args.grid_file:
-        grid = np.asarray(fileio.load_json(args.grid_file), dtype=float)
+        grid = fileio.load_real_array(args.grid_file)
     elif args.grid:
         try:
             lo, hi, count = args.grid.split(":")
@@ -346,15 +343,9 @@ def _cmd_inequalities(args, argv) -> int:
         sym = check_detailed_balance(kind, ctx)
         symmetry[kind] = {"symmetric": sym.symmetric, "deviation": sym.deviation}
     report["symmetry"] = symmetry
-    gap = spectral_gap(ctx)
-    report["spectral_gap"] = gap
-    alpha2 = None
-    if model.template == "depolarizing":
-        alpha2 = lsi_depolarizing(ctx.require_faithful())
-        report["lsi_alpha2"] = alpha2
-        report["lsi_provenance"] = "closed_form"
-        report["ti_constant"] = ti_from_lsi(alpha2)
-        report["ti_provenance"] = "computed"
+    consts = (functional_constants(ctx, lsi_depolarizing(ctx.require_faithful()), "closed_form")
+              if model.template == "depolarizing" else functional_constants(ctx))
+    report.update((k, v) for k, v in dataclasses.asdict(consts).items() if v is not None)
     if ctx.lindbladian is not None:
         report["bohr_frequencies"] = ctx.bohr
     lipschitz_rows = []
@@ -367,13 +358,13 @@ def _cmd_inequalities(args, argv) -> int:
         report["tilde_lipschitz"] = [row[1] for row in lipschitz_rows]
     Path(args.output + ".json").write_text(json.dumps(report, indent=1))
     header = ["quantity", "value"]
-    rows = [["spectral_gap", gap], ["primitive", ctx.primitive]]
+    rows = [["spectral_gap", consts.spectral_gap], ["primitive", ctx.primitive]]
     for kind in ("GNS", "KMS", "BKM"):
         rows.append([f"{kind.lower()}_deviation", symmetry[kind]["deviation"]])
         rows.append([f"{kind.lower()}_symmetric", symmetry[kind]["symmetric"]])
-    if alpha2 is not None:
-        rows.append(["lsi_alpha2", alpha2])
-        rows.append(["ti_constant", ti_from_lsi(alpha2)])
+    if consts.lsi_alpha2 is not None:
+        rows.append(["lsi_alpha2", consts.lsi_alpha2])
+        rows.append(["ti_constant", consts.ti_constant])
     for j, lip_norm, sup in lipschitz_rows:
         rows.append([f"tilde_lipschitz{j}", lip_norm])
         rows.append([f"tilde_sup{j}", sup])

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -91,6 +91,14 @@ def _require(data: dict, field: str, where: str):
     return data[field]
 
 
+def require_int(data: dict, field: str, where: str) -> int:
+    """A mandatory field converted to int; exit-1 validation error if it is not one."""
+    try:
+        return int(_require(data, field, where))
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"{where}: field '{field}' must be an integer") from None
+
+
 def load_json(path):
     p = Path(path)
     if not p.exists():
@@ -109,6 +117,21 @@ def load_object(path) -> dict:
         raise ValidationError(f"{path}: top level must be a JSON object, "
                               f"not {type(doc).__name__}")
     return doc
+
+
+def load_real_array(path) -> np.ndarray:
+    """load_json for the files whose top level is a rectangular array of
+    finite numbers: rate matrices and rate grids."""
+    doc = load_json(path)
+    if not isinstance(doc, list):
+        raise ValidationError(f"{path}: top level must be a JSON array, not {type(doc).__name__}")
+    try:
+        arr = np.asarray(doc, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: expected a rectangular array of numbers ({exc})") from None
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{path}: array entries must be finite")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -148,14 +171,16 @@ def load_model(path) -> LoadedModel:
     """Load and validate a model file, solving for its stationary context."""
     doc = load_object(path)
     kind = doc.get("kind", "lindblad")
-    dim = int(_require(doc, "dim", str(path)))
+    dim = require_int(doc, "dim", str(path))
     if kind == "lindblad":
         h = decode_complex_matrix(_require(doc, "hamiltonian", str(path)), f"{path}:hamiltonian")
         if h.shape[0] != dim:
             raise ValidationError(f"{path}: hamiltonian dim {h.shape[0]} != declared dim {dim}")
-        jumps = [decode_complex_matrix(j, f"{path}:jumps[{i}]")
-                 for i, j in enumerate(_require(doc, "jumps", str(path)))]
-        ctx = stationary_state(Lindbladian(h, jumps))
+        jumps = _require(doc, "jumps", str(path))
+        if not isinstance(jumps, list):
+            raise ValidationError(f"{path}: jumps must be a list of matrices")
+        ctx = stationary_state(Lindbladian(h, [decode_complex_matrix(j, f"{path}:jumps[{i}]")
+                                               for i, j in enumerate(jumps)]))
     elif kind == "channel_difference":
         ch = decode_complex_matrix(_require(doc, "channel", str(path)), f"{path}:channel")
         if ch.shape[0] != dim * dim:
@@ -166,13 +191,40 @@ def load_model(path) -> LoadedModel:
     return LoadedModel(ctx, doc.get("template"), str(path))
 
 
+def load_lattice(path):
+    """A commuting Hamiltonian from a lattice file: {"n_sites", "local_dim",
+    "beta", "terms": [{"support": [site, ...], "matrix"}, ...]}."""
+    from .models import CommutingHamiltonian
+
+    doc = load_object(path)
+    terms = _require(doc, "terms", str(path))
+    if not isinstance(terms, list) or not all(isinstance(t, dict) for t in terms):
+        raise ValidationError(f"{path}: terms must be a list of objects")
+    decoded = []
+    for i, term in enumerate(terms):
+        where = f"{path}:terms[{i}]"
+        support = _require(term, "support", where)
+        if not isinstance(support, list) or not all(type(s) is int for s in support):
+            raise ValidationError(f"{where}: support must be a list of site indices")
+        decoded.append((tuple(support), decode_complex_matrix(_require(term, "matrix", where),
+                                                              f"{where}:matrix")))
+    try:
+        beta = float(_require(doc, "beta", str(path)))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: beta must be a number ({exc})") from None
+    return CommutingHamiltonian(require_int(doc, "n_sites", str(path)),
+                                require_int(doc, "local_dim", str(path)), decoded, beta)
+
+
 def load_setup(path, ctx: GeneratorContext):
     from .deviation import MeasurementSetup
 
     doc = load_object(path)
-    directions = np.asarray(_require(doc, "directions", str(path)), dtype=float)
-    q = int(_require(doc, "q", str(path)))
-    return MeasurementSetup(ctx, directions, q)
+    try:
+        directions = np.asarray(_require(doc, "directions", str(path)), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: directions must be an array of numbers ({exc})") from None
+    return MeasurementSetup(ctx, directions, require_int(doc, "q", str(path)))
 
 
 def load_state(path, dim: int) -> np.ndarray:
@@ -184,30 +236,29 @@ def load_state(path, dim: int) -> np.ndarray:
 
 
 def load_config(path, seed_override: int | None = None):
+    """A trajectory config: an object whose keys are TrajectoryConfig's
+    fields; any other key is an error."""
     from .trajectories import TrajectoryConfig
 
     doc = load_object(path)
+    unknown = sorted(set(doc) - {f.name for f in fields(TrajectoryConfig)})
+    if unknown:
+        raise ValidationError(f"{path}: unknown config key {unknown[0]!r}")
     base_seed = seed_override if seed_override is not None else doc.get("base_seed")
     if base_seed is None:
         raise ValidationError(f"{path}: base_seed is mandatory (or pass --seed / QDEV_SEED)")
-    # "scheme": "euler_maruyama" is a legacy key from before the Kraus-form
-    # stepper; files that carry it still load, any other value is an error.
-    scheme = doc.get("scheme", "euler_maruyama")
-    if scheme != "euler_maruyama":
-        raise ValidationError(f"{path}: unknown scheme {scheme!r} (only 'euler_maruyama')")
     checkpoints = doc.get("checkpoints")
     try:
         dt = float(_require(doc, "dt", str(path)))
         t_max = float(_require(doc, "t_max", str(path)))
         n_paths = int(_require(doc, "n_paths", str(path)))
         base_seed = int(base_seed)
-        positivity_clip = float(doc.get("positivity_clip", 1e-10))
         checkpoints = tuple(float(t) for t in checkpoints) if checkpoints else None
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: dt, t_max, positivity_clip and checkpoints must be numbers, "
+        raise ValidationError(f"{path}: dt, t_max and checkpoints must be numbers, "
                               f"n_paths and base_seed integers ({exc})") from None
     return TrajectoryConfig(dt=dt, t_max=t_max, n_paths=n_paths, base_seed=base_seed,
-                            positivity_clip=positivity_clip, checkpoints=checkpoints)
+                            checkpoints=checkpoints)
 
 
 # ---------------------------------------------------------------------------

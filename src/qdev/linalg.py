@@ -165,12 +165,14 @@ class DensityOperator:
 class FaithfulState:
     """A full-rank state with its spectral decomposition cached.
 
-    Eigenvalues are stored in descending order together with the unitary of
-    eigenvectors, so fractional powers sigma^p and modular spectral
-    transforms are a diagonal rescaling away.
+    Faithful means the smallest eigenvalue exceeds FAITHFUL_EPS (1e-12);
+    a state at or below it raises NotFaithfulError. Eigenvalues are stored
+    in descending order together with the unitary of eigenvectors, so
+    fractional powers sigma^p and modular spectral transforms are a
+    diagonal rescaling away.
     """
 
-    def __init__(self, rho, threshold: float = FAITHFUL_EPS):
+    def __init__(self, rho):
         if isinstance(rho, DensityOperator):
             m = rho.matrix
         else:
@@ -178,8 +180,9 @@ class FaithfulState:
         w, v = np.linalg.eigh(m)
         order = np.argsort(w)[::-1]
         w, v = w[order], v[:, order]
-        if w[-1] <= threshold:
-            raise NotFaithfulError(f"smallest eigenvalue {w[-1]:.3e} <= faithfulness threshold {threshold:.1e}")
+        if w[-1] <= FAITHFUL_EPS:
+            raise NotFaithfulError(f"smallest eigenvalue {w[-1]:.3e} <= faithfulness threshold "
+                                   f"{FAITHFUL_EPS:.1e}")
         unit_defect = np.max(np.abs(v.conj().T @ v - np.eye(len(w))))
         recon_defect = np.max(np.abs((v * w) @ v.conj().T - m))
         if unit_defect > 1e-10 or recon_defect > 1e-10:

@@ -187,19 +187,18 @@ class GeneratorContext:
         return hermitian_part(self.kms_conjugated(eigenbasis_matrix))
 
 
-def stationary_state(lind: Lindbladian, faithfulness_threshold: float = 1e-12) -> GeneratorContext:
+def stationary_state(lind: Lindbladian) -> GeneratorContext:
     """Solve L*(sigma) = 0 for a jump-form generator and assemble its context."""
-    return context_from_generator(lind.heisenberg_superoperator(), faithfulness_threshold,
-                                  lindbladian=lind)
+    return context_from_generator(lind.heisenberg_superoperator(), lindbladian=lind)
 
 
-def context_from_channel(channel: SuperOperator, faithfulness_threshold: float = 1e-12) -> GeneratorContext:
+def context_from_channel(channel: SuperOperator) -> GeneratorContext:
     """Context for the channel-difference generator L = Psi - id.
 
     ``channel`` is the Heisenberg (unital) superoperator Psi.
     """
     eye = np.eye(channel.dim ** 2, dtype=complex)
-    return context_from_generator(SuperOperator(channel.matrix - eye), faithfulness_threshold)
+    return context_from_generator(SuperOperator(channel.matrix - eye))
 
 
 def _bordered_kernel(m: np.ndarray, d: int, scale: float) -> np.ndarray | None:
@@ -254,8 +253,7 @@ def _svd_kernel(m: np.ndarray, d: int, scale: float) -> tuple[np.ndarray, int]:
     return unvec(proj @ vec(np.eye(d) / d), d), mult
 
 
-def context_from_generator(heis: SuperOperator, faithfulness_threshold: float = 1e-12,
-                           lindbladian: Lindbladian | None = None) -> GeneratorContext:
+def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None = None) -> GeneratorContext:
     """Context for a generator given as a Heisenberg superoperator.
 
     The kernel of the Schrodinger matrix M comes from one LU inversion of
@@ -292,7 +290,7 @@ def context_from_generator(heis: SuperOperator, faithfulness_threshold: float = 
         cand = hermitian_part(cand / np.trace(cand).real)
     sigma = DensityOperator(cand)
     try:
-        faithful = FaithfulState(sigma, threshold=faithfulness_threshold)
+        faithful = FaithfulState(sigma)
     except NotFaithfulError:
         if mult > 1:
             raise NotFaithfulError("no faithful stationary state")

@@ -17,12 +17,16 @@ from .linalg import (
     gamma_matrix,
     hermitian_part,
     left_right_matrix,
+    left_right_sum_matrix,
     require_hermitian,
     spectral_transform_matrix,
 )
 from .lindblad import GeneratorContext, Lindbladian, context_from_generator
 
-DEFAULT_DIMENSION_GUARD = 64
+# Largest Hilbert-space dimension of a tensor product or heat-bath lattice.
+DIMENSION_GUARD = 64
+# Most sites a local term of a commuting Hamiltonian may act on.
+MAX_SUPPORT = 2
 
 
 # ---------------------------------------------------------------------------
@@ -101,15 +105,15 @@ class ClassicalChain:
         return float(min(nonzero))
 
 
-def classical_embedding(chain: ClassicalChain, coherence_damping: float | None = None) -> Lindbladian:
+def classical_embedding(chain: ClassicalChain) -> Lindbladian:
     """Embed a classical chain as a diagonal-sector Lindbladian.
 
     One jump sqrt(Q_ij) |j><i| per directed edge reproduces the chain on
     diagonal observables: L(diag g) = diag(Q g). The edge jumps alone leave
     coherences decaying at (kappa_i + kappa_j)/2, which can undercut the
-    chain's gap, so per-state dephasing at rate ``coherence_damping``
-    (default: the chain's gap) is added; it acts as zero on the diagonal
-    sector and on diagonal-observable Dirichlet forms.
+    chain's gap, so per-state dephasing at the rate of the chain's gap is
+    added; it acts as zero on the diagonal sector and on diagonal-observable
+    Dirichlet forms.
     """
     q = chain.rates
     n = chain.n
@@ -120,7 +124,7 @@ def classical_embedding(chain: ClassicalChain, coherence_damping: float | None =
                 e = np.zeros((n, n), dtype=complex)
                 e[j, i] = np.sqrt(q[i, j])
                 jumps.append(e)
-    gamma = chain.gap() if coherence_damping is None else float(coherence_damping)
+    gamma = chain.gap()
     if gamma > 0:
         for i in range(n):
             e = np.zeros((n, n), dtype=complex)
@@ -141,12 +145,12 @@ def _embed(op: np.ndarray, site: int, dims: list[int]) -> np.ndarray:
     return out
 
 
-def tensor_product(lindbladians: list[Lindbladian], dimension_guard: int = DEFAULT_DIMENSION_GUARD) -> Lindbladian:
+def tensor_product(lindbladians: list[Lindbladian]) -> Lindbladian:
     """Sum of factor generators acting on the tensor-product space."""
     dims = [l.dim for l in lindbladians]
     total = int(np.prod(dims))
-    if total > dimension_guard:
-        raise ValidationError(f"product dimension {total} exceeds guard {dimension_guard}")
+    if total > DIMENSION_GUARD:
+        raise ValidationError(f"product dimension {total} exceeds guard {DIMENSION_GUARD}")
     h = np.zeros((total, total), dtype=complex)
     jumps = []
     for site, lind in enumerate(lindbladians):
@@ -162,26 +166,37 @@ def tensor_product(lindbladians: list[Lindbladian], dimension_guard: int = DEFAU
 
 @dataclass(frozen=True, eq=False)
 class CommutingHamiltonian:
-    """H = sum of commuting local terms on n sites of local dimension d."""
+    """H = sum of commuting local terms on n sites of local dimension d,
+    each acting on at most MAX_SUPPORT distinct sites; d^n is at most
+    DIMENSION_GUARD."""
 
     n_sites: int
     local_dim: int
     terms: list[tuple[tuple[int, ...], np.ndarray]]
     beta: float
-    max_support: int = 2
 
     def __post_init__(self):
-        dims = [self.local_dim] * self.n_sites
+        n, d = self.n_sites, self.local_dim
+        if n < 1 or d < 2:
+            raise ValidationError(f"need n_sites >= 1 and local_dim >= 2, got {n} and {d}")
+        # With d >= 2, d^n exceeds the guard exactly when d^min(n, guard) does.
+        if d ** min(n, DIMENSION_GUARD) > DIMENSION_GUARD:
+            raise ValidationError(f"lattice dimension {d}^{n} exceeds guard {DIMENSION_GUARD}")
+        if not np.isfinite(self.beta):
+            raise ValidationError("beta must be finite")
         embedded = []
         for support, h in self.terms:
-            if len(support) > self.max_support:
-                raise ValidationError(f"support {support} exceeds max size {self.max_support}")
-            if any(s < 0 or s >= self.n_sites for s in support):
-                raise ValidationError(f"support {support} out of range")
+            if len(support) > MAX_SUPPORT:
+                raise ValidationError(f"support {support} exceeds max size {MAX_SUPPORT}")
+            if any(s < 0 or s >= n for s in support) or len(set(support)) != len(support):
+                raise ValidationError(f"support {support} out of range or repeated")
             h = require_hermitian(h, name="local term")
+            if h.shape[0] != d ** len(support):
+                raise ValidationError(f"local term on {support} must be {d ** len(support)} x "
+                                      f"{d ** len(support)}, got {h.shape}")
             if np.linalg.norm(h, 2) > 1.0 + 1e-12:
                 raise ValidationError("local terms must have operator norm at most 1")
-            embedded.append(self._embed_term(support, h, dims))
+            embedded.append(self._embed_term(support, h))
         for i in range(len(embedded)):
             for j in range(i + 1, len(embedded)):
                 comm = embedded[i] @ embedded[j] - embedded[j] @ embedded[i]
@@ -189,7 +204,7 @@ class CommutingHamiltonian:
                     raise ValidationError(f"terms {i} and {j} do not commute")
         object.__setattr__(self, "_embedded", embedded)
 
-    def _embed_term(self, support: tuple[int, ...], h: np.ndarray, dims: list[int]) -> np.ndarray:
+    def _embed_term(self, support: tuple[int, ...], h: np.ndarray) -> np.ndarray:
         # Permute the term's legs onto its support sites.
         n = self.n_sites
         d = self.local_dim
@@ -241,7 +256,7 @@ def _lift_complement(op: np.ndarray, site: int, n: int, d: int) -> np.ndarray:
     return t.reshape(d ** n, d ** n)
 
 
-def heat_bath(h: CommutingHamiltonian, dimension_guard: int = DEFAULT_DIMENSION_GUARD) -> HeatBathModel:
+def heat_bath(h: CommutingHamiltonian) -> HeatBathModel:
     """Heat-bath generator: per site, partial trace followed by the recovery map.
 
     Schrodinger action of each channel:
@@ -250,55 +265,27 @@ def heat_bath(h: CommutingHamiltonian, dimension_guard: int = DEFAULT_DIMENSION_
     """
     n, d = h.n_sites, h.local_dim
     total = d ** n
-    if total > dimension_guard:
-        raise ValidationError(f"lattice dimension {total} exceeds guard {dimension_guard}")
     omega = h.gibbs_state()
     w, v = np.linalg.eigh(omega)
     sqrt_omega = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
+    units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
     channels = []
     gen = np.zeros((total * total, total * total), dtype=complex)
     for site in range(n):
         omega_vc = _partial_trace(omega, site, n, d)
         wc, vc = np.linalg.eigh(omega_vc)
         inv_sqrt_vc = (vc * (1.0 / np.sqrt(wc))) @ vc.conj().T
-        lifted = _lift_complement(inv_sqrt_vc, site, n, d)
-        left = sqrt_omega @ lifted
-        # Psi_v*(rho) = left (Tr_v rho (x) I) left^dagger; assemble its matrix
-        # from the partial-trace superoperator and the lift.
-        ptrace = _partial_trace_superop(site, n, d)
-        lift = _lift_superop(site, n, d)
-        schro = left_right_matrix(left, left.conj().T) @ lift @ ptrace
+        left = sqrt_omega @ _lift_complement(inv_sqrt_vc, site, n, d)
+        # Tr_v[rho] (x) I_v = sum_ab E_ab rho E_ba over the matrix units E_ab
+        # at site v, so Psi_v* is the sum of X -> (left E_ab) X (E_ba left^dagger).
+        e = [_embed(u, site, [d] * n) for u in units]
+        schro = left_right_sum_matrix([left @ e_ab for e_ab in e],
+                                      [e_ab.T @ left.conj().T for e_ab in e])
         heis = schro.conj().T
         channels.append(SuperOperator(heis))
         gen += heis - np.eye(total * total)
     ctx = context_from_generator(SuperOperator(gen))
     return HeatBathModel(h, omega, channels, ctx)
-
-
-def _partial_trace_superop(site: int, n: int, d: int) -> np.ndarray:
-    """Matrix of rho -> Tr_site[rho] (maps d^n systems to d^(n-1))."""
-    dim_in, dim_out = d ** n, d ** (n - 1)
-    m = np.zeros((dim_out * dim_out, dim_in * dim_in), dtype=complex)
-    unit = np.zeros((dim_in, dim_in), dtype=complex)
-    for j in range(dim_in):
-        for i in range(dim_in):
-            unit[i, j] = 1.0
-            m[:, j * dim_in + i] = _partial_trace(unit, site, n, d).reshape(-1, order="F")
-            unit[i, j] = 0.0
-    return m
-
-
-def _lift_superop(site: int, n: int, d: int) -> np.ndarray:
-    """Matrix of A -> A (x) I_site placed at position ``site``."""
-    dim_in, dim_out = d ** (n - 1), d ** n
-    m = np.zeros((dim_out * dim_out, dim_in * dim_in), dtype=complex)
-    unit = np.zeros((dim_in, dim_in), dtype=complex)
-    for j in range(dim_in):
-        for i in range(dim_in):
-            unit[i, j] = 1.0
-            m[:, j * dim_in + i] = _lift_complement(unit, site, n, d).reshape(-1, order="F")
-            unit[i, j] = 0.0
-    return m
 
 
 # ---------------------------------------------------------------------------

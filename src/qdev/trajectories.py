@@ -19,7 +19,7 @@ reruns a path whose trace falls to COLLAPSED_TRACE with fresh streams.
 The linear equation under the reference law records dy_B = dW_B, counts
 at intensity 1, adds n_P dt / 2 to M and keeps the trace Z, the
 change-of-measure martingale (mean one). ``clip_violation_fraction`` is
-the share of path-checkpoints where rho + positivity_clip * I fails a
+the share of path-checkpoints where rho + POSITIVITY_CLIP * I fails a
 Cholesky factorization.
 
 Every path owns Philox streams keyed by (base_seed, path_index, attempt,
@@ -30,7 +30,6 @@ a given seed whatever the thread count.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -47,6 +46,9 @@ BLOCK_PATHS = 1024
 NOISE_CHUNK_STEPS = 128
 MAX_RESAMPLE_ATTEMPTS = 8
 COLLAPSED_TRACE = 1e-14
+# A checkpoint state counts as a positivity violation when rho + POSITIVITY_CLIP * I
+# fails a Cholesky factorization.
+POSITIVITY_CLIP = 1e-10
 
 
 @dataclass(frozen=True)
@@ -61,19 +63,16 @@ class TrajectoryConfig:
     t_max: float
     n_paths: int
     base_seed: int
-    positivity_clip: float = 1e-10
     checkpoints: tuple[float, ...] | None = None
 
     def __post_init__(self):
         times = self.checkpoints if self.checkpoints is not None else ()
-        if not all(math.isfinite(x) for x in (self.dt, self.t_max, self.positivity_clip, *times)):
-            raise ValidationError("dt, t_max, positivity_clip and checkpoints must be finite")
+        if not all(math.isfinite(x) for x in (self.dt, self.t_max, *times)):
+            raise ValidationError("dt, t_max and checkpoints must be finite")
         if self.dt <= 0 or self.t_max <= 0 or self.dt > self.t_max:
             raise ValidationError("need 0 < dt <= t_max")
         if self.n_paths < 1:
             raise ValidationError("n_paths must be positive")
-        if self.positivity_clip < 0:
-            raise ValidationError("positivity_clip must be nonnegative")
 
     def n_steps(self) -> int:
         return max(1, int(round(self.t_max / self.dt)))
@@ -102,7 +101,6 @@ class PathRecord:
 
     checkpoint_times: np.ndarray
     estimators: np.ndarray            # (n_checkpoints, ell)
-    states: np.ndarray | None
     clip_violations: int              # checkpoints whose state failed the positivity check
     steps: int
     attempt: int
@@ -317,27 +315,26 @@ class _Engine:
                     traces[:, cp] = np.einsum("nii->n", rho).real
                     herm = 0.5 * (rho + _dagger(rho))
                     if not linear:
-                        violations += positivity_failures(herm, cfg.positivity_clip)
+                        violations += positivity_failures(herm, POSITIVITY_CLIP)
                     if record_states:
                         states[cp] = herm
         if linear:
             invalid = ~np.all(traces > 0.0, axis=1)
         return estimators, states, traces, invalid, violations
 
-    def run_paths(self, rho0: np.ndarray, idx: list[int], record_states: bool):
+    def run_paths(self, rho0: np.ndarray, idx: list[int]):
         """Step filter paths ``idx`` as one block, then rerun each invalid
         path alone with fresh streams, up to MAX_RESAMPLE_ATTEMPTS attempts in
-        all. Returns per-path estimators, states (or None), positivity-check
-        failures and the attempt that produced each path."""
-        est, states, _, invalid, fails = self.step_block(rho0, idx, [0] * len(idx), False, record_states)
+        all. Returns per-path estimators, states, positivity-check failures
+        and the attempt that produced each path."""
+        est, states, _, invalid, fails = self.step_block(rho0, idx, [0] * len(idx), False, True)
         attempts = np.zeros(len(idx), dtype=np.int64)
         for pos in np.nonzero(invalid)[0]:
             for attempt in range(1, MAX_RESAMPLE_ATTEMPTS):
-                e2, s2, _, inv2, f2 = self.step_block(rho0, [idx[pos]], [attempt], False, record_states)
+                e2, s2, _, inv2, f2 = self.step_block(rho0, [idx[pos]], [attempt], False, True)
                 if not inv2[0]:
                     est[pos] = e2[0]
-                    if record_states:
-                        states[:, pos] = s2[:, 0]
+                    states[:, pos] = s2[:, 0]
                     fails[pos] = f2[0]
                     attempts[pos] = attempt
                     break
@@ -357,17 +354,13 @@ def _as_initial_state(rho0, dim: int) -> np.ndarray:
     return m
 
 
-def _run_blocks(setup: MeasurementSetup, rho0, config: TrajectoryConfig, checkpoints,
-                n_threads: int, run_block):
+def _run_blocks(setup: MeasurementSetup, rho0, config: TrajectoryConfig, n_threads: int, run_block):
     """The one ensemble scheduler: ``run_block(engine, rho0, idx)`` over fixed
     BLOCK_PATHS blocks of path indices, on up to ``n_threads`` threads.
 
-    Returns the config (with ``checkpoints`` applied) and the partial
-    results in block order, so that combining them in order does not
-    depend on the thread count.
+    Returns the partial results in block order, so that combining them in
+    order does not depend on the thread count.
     """
-    if checkpoints is not None:
-        config = dataclasses.replace(config, checkpoints=tuple(checkpoints))
     engine = _Engine(setup, config)
     rho0m = _as_initial_state(rho0, engine.d)
     n = config.n_paths
@@ -378,12 +371,11 @@ def _run_blocks(setup: MeasurementSetup, rho0, config: TrajectoryConfig, checkpo
 
     if n_threads > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return config, list(pool.map(run_one, blocks))
-    return config, [run_one(idx) for idx in blocks]
+            return list(pool.map(run_one, blocks))
+    return [run_one(idx) for idx in blocks]
 
 
-def simulate_path(setup: MeasurementSetup, rho0, config: TrajectoryConfig,
-                  path_index: int, record_states: bool = False) -> PathRecord:
+def simulate_path(setup: MeasurementSetup, rho0, config: TrajectoryConfig, path_index: int) -> PathRecord:
     """Integrate one trajectory and report the estimators at the checkpoints.
 
     A path whose state collapses (a count of near-zero intensity, a
@@ -393,9 +385,8 @@ def simulate_path(setup: MeasurementSetup, rho0, config: TrajectoryConfig,
     """
     engine = _Engine(setup, config)
     rho0 = _as_initial_state(rho0, engine.d)
-    est, states, fails, attempts = engine.run_paths(rho0, [path_index], record_states)
-    return PathRecord(config.checkpoint_times(), est[0], states[:, 0] if record_states else None,
-                      int(fails[0]), config.n_steps(), int(attempts[0]))
+    est, _, fails, attempts = engine.run_paths(rho0, [path_index])
+    return PathRecord(config.checkpoint_times(), est[0], int(fails[0]), config.n_steps(), int(attempts[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,7 +398,7 @@ class EnsembleResult:
     holds every path's estimators, in path order.
     ``clip_violation_fraction`` is the share of path-checkpoints whose
     state failed the positivity check (a Cholesky factorization of
-    rho + positivity_clip * I).
+    rho + POSITIVITY_CLIP * I).
     """
 
     checkpoint_times: np.ndarray
@@ -426,7 +417,7 @@ class EnsembleResult:
 
 
 def run_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig, thresholds,
-                 checkpoints=None, n_threads: int = 1) -> EnsembleResult:
+                 n_threads: int = 1) -> EnsembleResult:
     """Simulate an ensemble and estimate the joint exceedance probability.
 
     The exceedance event at each checkpoint is the intersection over
@@ -440,10 +431,10 @@ def run_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig, thresh
     m_u = mean_vector(setup)
 
     def run_block(engine, rho0m, idx):
-        est, states, fails, attempts = engine.run_paths(rho0m, idx, True)
+        est, states, fails, attempts = engine.run_paths(rho0m, idx)
         return est, states.sum(axis=1), (np.abs(states) ** 2).sum(axis=1), fails, attempts
 
-    config, partials = _run_blocks(setup, rho0, config, checkpoints, n_threads, run_block)
+    partials = _run_blocks(setup, rho0, config, n_threads, run_block)
     blocks, state_sums, state_sqs, fails, attempts = zip(*partials)
     # Per-block sums combined in block order keep the bytes independent of n_threads.
     n = config.n_paths
@@ -471,15 +462,14 @@ def run_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig, thresh
                           n * config.n_steps())
 
 
-def run_linear_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig,
-                        checkpoints=None, n_threads: int = 1):
+def run_linear_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig, n_threads: int = 1):
     """Ensemble of linear paths: per checkpoint mean of Z and its stderr."""
 
     def run_block(engine, rho0m, idx):
         _, _, z, failed, _ = engine.step_block(rho0m, idx, [0] * len(idx), True)
         return z.sum(axis=0), (z ** 2).sum(axis=0), int(failed.sum())
 
-    config, partials = _run_blocks(setup, rho0, config, checkpoints, n_threads, run_block)
+    partials = _run_blocks(setup, rho0, config, n_threads, run_block)
     z_sum = sum(p[0] for p in partials)
     z_sq = sum(p[1] for p in partials)
     failures = sum(p[2] for p in partials)

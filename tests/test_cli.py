@@ -23,6 +23,10 @@ def write_config(path, **kwargs):
     Path(path).write_text(json.dumps(kwargs))
 
 
+ZZ = fileio.encode_complex_matrix(np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])))
+LATTICE = {"n_sites": 2, "local_dim": 2, "beta": 0.5, "terms": [{"support": [0, 1], "matrix": ZZ}]}
+
+
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -62,15 +66,45 @@ class TestModelNew:
         assert np.allclose(model.context.sigma.matrix, np.diag([0.3, 0.7]), atol=1e-9)
 
     def test_heat_bath_template(self, workdir):
-        zz = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
-        lattice = {"n_sites": 2, "local_dim": 2, "beta": 0.5,
-                   "terms": [{"support": [0, 1], "matrix": fileio.encode_complex_matrix(zz)}]}
-        Path("lattice.json").write_text(json.dumps(lattice))
+        Path("lattice.json").write_text(json.dumps(LATTICE))
         assert main(["model", "new", "--template", "heat-bath",
                      "--lattice-file", "lattice.json", "-o", "hb.json"]) == 0
         model = fileio.load_model("hb.json")
         residual = np.max(np.abs(model.context.schrodinger.apply(model.context.sigma.matrix)))
         assert residual < 1e-9
+
+    @pytest.mark.parametrize("lattice", [
+        {k: v for k, v in LATTICE.items() if k != "terms"},
+        {k: v for k, v in LATTICE.items() if k != "n_sites"},
+        {**LATTICE, "terms": {"support": [0, 1], "matrix": ZZ}},
+        {**LATTICE, "terms": [{"matrix": ZZ}]},
+        {**LATTICE, "terms": [{"support": [0, 1]}]},
+        {**LATTICE, "terms": [{"support": "01", "matrix": ZZ}]},
+        {**LATTICE, "terms": [{"support": [0, 0], "matrix": ZZ}]},
+        {**LATTICE, "terms": [{"support": [0], "matrix": ZZ}]},
+        {**LATTICE, "local_dim": "two"},
+        {**LATTICE, "beta": math.nan},
+        {**LATTICE, "n_sites": 40},
+    ], ids=["no-terms", "no-n_sites", "terms-object", "no-support", "no-matrix",
+            "support-string", "support-repeated", "matrix-size", "local_dim-string",
+            "beta-nan", "beyond-guard"])
+    def test_malformed_lattice_rejected(self, workdir, capsys, lattice):
+        Path("lattice.json").write_text(json.dumps(lattice))
+        assert main(["model", "new", "--template", "heat-bath",
+                     "--lattice-file", "lattice.json", "-o", "hb.json"]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["code"] == "validation"
+        assert not Path("hb.json").exists()
+
+    @pytest.mark.parametrize("rates", [{"rates": [[-1.0, 1.0], [0.5, -0.5]]}, [[-1.0, 1.0], [0.5]],
+                                       [[-1.0, "x"], [0.5, -0.5]], [[-1.0, 1.0], [math.inf, -0.5]]],
+                             ids=["object", "ragged", "string", "inf"])
+    def test_malformed_rates_rejected(self, workdir, capsys, rates):
+        Path("rates.json").write_text(json.dumps(rates))
+        assert main(["model", "new", "--template", "classical",
+                     "--rates-file", "rates.json", "-o", "chain.json"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "rates.json" in err["message"]
+        assert not Path("chain.json").exists()
 
     def test_non_finite_sigma_rejected(self, workdir, capsys):
         rho = np.diag([0.5, math.inf]).astype(complex)
@@ -169,6 +203,17 @@ class TestRateVerb:
             assert json.loads(capsys.readouterr().err.strip())["code"] == "validation"
         assert not Path("rate.csv").exists()
 
+    @pytest.mark.parametrize("grid", [{"points": [[0.5]]}, [[0.5], [1.0, 2.0]], "0.5"],
+                             ids=["object", "ragged", "string"])
+    def test_malformed_grid_file_rejected(self, scalar_model, capsys, grid):
+        Path("grid.json").write_text(json.dumps(grid))
+        code = main(["rate", "--model", "scalar.json", "--setup", "setup.json",
+                     "--grid-file", "grid.json", "-o", "rate.csv"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "grid.json" in err["message"]
+        assert not Path("rate.csv").exists()
+
     def test_header_only_for_empty_grid(self, scalar_model):
         code = main(["rate", "--model", "scalar.json", "--setup", "setup.json",
                      "--grid", "0:1:0", "-o", "rate.csv"])
@@ -196,6 +241,38 @@ class TestNonObjectJson:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "validation"
         assert f"bad-{name}.json" in err["message"] and "JSON object" in err["message"]
+
+
+class TestMalformedFields:
+    @pytest.mark.parametrize("name, field, value", [
+        ("scalar.json", "dim", "x"), ("scalar.json", "jumps", 3), ("setup.json", "q", "one"),
+        ("setup.json", "directions", {"a": 1})])
+    def test_model_and_setup_fields_rejected(self, scalar_model, capsys, name, field, value):
+        doc = fileio.load_json(name)
+        doc[field] = value
+        Path(name).write_text(json.dumps(doc))
+        code = main(["bound", "--model", "scalar.json", "--setup", "setup.json",
+                     "--r", "1", "--t", "1", "-o", "bound.csv"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and name in err["message"] and field in err["message"]
+
+    def test_sigma_dim_rejected(self, workdir, capsys):
+        rho = fileio.encode_complex_matrix(np.eye(2) / 2)
+        Path("sigma.json").write_text(json.dumps({"dim": "two", "rho": rho}))
+        assert main(["model", "new", "--template", "depolarizing", "--sigma", "sigma.json",
+                     "-o", "depol.json"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "dim" in err["message"]
+
+    def test_env_seed_rejected(self, scalar_model, capsys, monkeypatch):
+        monkeypatch.setenv("QDEV_SEED", "abc")
+        write_config("config.json", dt=1e-2, t_max=1.0, n_paths=5)
+        code = main(["simulate", "--model", "scalar.json", "--setup", "setup.json",
+                     "--config", "config.json", "--r", "1.0", "-o", "sim.csv"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "QDEV_SEED" in err["message"]
 
 
 class TestSimulateVerb:
@@ -250,7 +327,7 @@ class TestSimulateVerb:
             assert np.mean(dumped) == pytest.approx(float(sim_row["estimator_mean0"]), abs=1e-12)
 
     @pytest.mark.parametrize("field, value", [
-        ("dt", math.nan), ("t_max", math.inf), ("positivity_clip", math.nan),
+        ("dt", math.nan), ("t_max", math.inf), ("dt", math.inf),
         ("checkpoints", [math.nan]), ("checkpoints", [1.0, math.inf])])
     def test_non_finite_config_rejected(self, scalar_model, capsys, field, value):
         config = {"dt": 1e-2, "t_max": 1.0, "n_paths": 3, "base_seed": 1, field: value}
@@ -275,19 +352,30 @@ class TestSimulateVerb:
         assert error["code"] == "validation"
         assert not Path("sim.csv").exists()
 
-    def test_config_scheme_checked_at_load(self, scalar_model, capsys):
-        args = ["simulate", "--model", "scalar.json", "--setup", "setup.json",
-                "--config", "config.json", "--r", "0.5", "-o", "sim.csv"]
-        write_config("config.json", dt=1e-2, t_max=1.0, n_paths=3, base_seed=1,
-                     scheme="euler_maruyama")
-        assert main(args) == 0
-        write_config("config.json", dt=1e-2, t_max=1.0, n_paths=3, base_seed=1,
-                     scheme="milstein")
-        capsys.readouterr()
-        assert main(args) == 1
+    @pytest.mark.parametrize("key, value", [
+        ("scheme", "euler_maruyama"), ("positivity_clip", 1e-10), ("n_path", 3)],
+        ids=["scheme", "positivity_clip", "n_path"])
+    def test_unknown_config_key_rejected(self, scalar_model, capsys, key, value):
+        # The config schema is TrajectoryConfig's fields: retired keys and
+        # typos fail loudly instead of being ignored.
+        write_config("config.json", dt=1e-2, t_max=1.0, n_paths=3, base_seed=1, **{key: value})
+        code = main(["simulate", "--model", "scalar.json", "--setup", "setup.json",
+                     "--config", "config.json", "--r", "0.5", "-o", "sim.csv"])
+        assert code == 1
         error = json.loads(capsys.readouterr().err.strip())
         assert error["code"] == "validation"
-        assert "milstein" in error["message"]
+        assert repr(key) in error["message"]
+        assert not Path("sim.csv").exists()
+
+    def test_readme_config_loads(self, workdir):
+        # The config of the README's command-line tour follows the schema.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        opener = "cat > config.json <<'JSON'\n"
+        start = readme.index(opener) + len(opener)
+        Path("config.json").write_text(readme[start:readme.index("\nJSON\n", start)])
+        config = fileio.load_config("config.json")
+        assert (config.dt, config.t_max, config.n_paths, config.base_seed) == (1e-3, 5.0, 2000, 7)
+        assert config.checkpoints == (1.0, 5.0)
 
 
 class TestCompareVerb:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import random_faithful, random_hermitian, random_state
-from qdev.linalg import FaithfulState, ValidationError, inner_product, vec
+from qdev.linalg import FaithfulState, ValidationError, inner_product, left_right_matrix, vec
 from qdev.lindblad import (
     bohr_frequencies,
     check_detailed_balance,
@@ -18,6 +18,8 @@ from qdev.models import (
     counterexample_channels,
     depolarizing,
     heat_bath,
+    _lift_complement,
+    _partial_trace,
     maximally_mixed,
     tensor_product,
 )
@@ -112,7 +114,7 @@ class TestTensorProduct:
 
     def test_dimension_guard(self):
         with pytest.raises(ValidationError):
-            tensor_product([depolarizing(maximally_mixed(4))] * 4, dimension_guard=64)
+            tensor_product([depolarizing(maximally_mixed(4))] * 4)
 
 
 class TestHeatBath:
@@ -157,10 +159,57 @@ class TestHeatBath:
         with pytest.raises(ValidationError):
             CommutingHamiltonian(2, 2, [((0,), sx), ((0,), sz)], beta=0.5)
 
+    @pytest.mark.parametrize("n_sites", [2, 3])
+    def test_generator_matches_unit_by_unit_assembly(self, n_sites):
+        # A ZZ chain with a field on site 0, rotated by one random local
+        # unitary on every site: the terms still commute, and the Gibbs
+        # state is not diagonal.
+        u = np.linalg.qr(random_hermitian(np.random.default_rng(5), 2) + 1j * np.eye(2))[0]
+        zz = np.kron(u, u) @ np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])) @ np.kron(u, u).conj().T
+        terms = [((i, i + 1), zz) for i in range(n_sites - 1)]
+        terms.append(((0,), 0.5 * u @ np.diag([1.0, -1.0]) @ u.conj().T))
+        h = CommutingHamiltonian(n_sites, 2, terms, beta=0.5)
+        model = heat_bath(h)
+        reference = _unit_by_unit_heat_bath(h)
+        for psi, ref in zip(model.site_channels, reference):
+            assert np.max(np.abs(psi.matrix - ref)) <= 1e-12
+        eye = np.eye(4 ** n_sites)
+        assert np.max(np.abs(model.context.heisenberg.matrix - sum(ref - eye for ref in reference))) <= 1e-12
+
 
 def _ptrace_site0(rho):
     t = rho.reshape(2, 2, 2, 2)
     return np.trace(t, axis1=0, axis2=2)
+
+
+def _unit_by_unit(mapping, dim):
+    """Matrix of a map on dim x dim matrices, one matrix unit per column."""
+    columns = []
+    for j in range(dim):
+        for i in range(dim):
+            unit = np.zeros((dim, dim), dtype=complex)
+            unit[i, j] = 1.0
+            columns.append(vec(mapping(unit)))
+    return np.stack(columns, axis=1)
+
+
+def _unit_by_unit_heat_bath(h):
+    """Heisenberg matrices of the heat-bath site channels, assembled as the
+    product of the matrices of X -> left X left^dagger, of the lift
+    A -> A (x) I_v and of the partial trace Tr_v, the last two built one
+    matrix unit at a time."""
+    n, d = h.n_sites, h.local_dim
+    omega = h.gibbs_state()
+    w, v = np.linalg.eigh(omega)
+    sqrt_omega = (v * np.sqrt(w)) @ v.conj().T
+    channels = []
+    for site in range(n):
+        wc, vc = np.linalg.eigh(_partial_trace(omega, site, n, d))
+        left = sqrt_omega @ _lift_complement((vc / np.sqrt(wc)) @ vc.conj().T, site, n, d)
+        ptrace = _unit_by_unit(lambda x: _partial_trace(x, site, n, d), d ** n)
+        lift = _unit_by_unit(lambda x: _lift_complement(x, site, n, d), d ** (n - 1))
+        channels.append((left_right_matrix(left, left.conj().T) @ lift @ ptrace).conj().T)
+    return channels
 
 
 class TestAppendixB:
