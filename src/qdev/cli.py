@@ -189,13 +189,9 @@ def _cmd_model_new(args, argv) -> int:
     elif template == "heat-bath":
         if not args.lattice_file:
             raise ValidationError("heat-bath template needs --lattice-file")
-        ham = fileio.load_lattice(args.lattice_file)
-        model = heat_bath(ham)
-        channel = sum(psi.matrix for psi in model.site_channels)
-        # sum_v Psi_v - (n-1) id is unital; store the channel whose difference
-        # with the identity is the generator.
-        n = ham.n_sites
-        channel = channel - (n - 1) * np.eye(channel.shape[0])
+        model = heat_bath(fileio.load_lattice(args.lattice_file))
+        # The unital channel whose difference with the identity is the generator.
+        channel = model.context.heisenberg.matrix + np.eye(model.context.dim ** 2)
         fileio.save_model(args.output, channel=channel, template="heat-bath")
     elif template == "appendix-b":
         fx = appendix_b_fixtures(p=args.p)
@@ -301,28 +297,34 @@ def _cmd_simulate(args, argv) -> int:
     return 0
 
 
+def _numeric_columns(path, columns: tuple[str, ...]) -> list[dict[str, float]]:
+    """The named columns of every row of a CSV, as floats."""
+    header, rows = fileio.read_csv(path)
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise ValidationError(f"{path} has no {missing[0]!r} column")
+    try:
+        return [{c: float(row[c]) for c in columns} for row in rows]
+    except (TypeError, ValueError):
+        raise ValidationError(f"{path} has an empty or non-numeric cell in {columns}") from None
+
+
 def _cmd_compare(args, argv) -> int:
-    _, sim_rows = fileio.read_csv(args.simulate_csv)
-    _, bound_rows = fileio.read_csv(args.bound_csv)
+    sim_rows = _numeric_columns(args.simulate_csv, ("t", "estimate", "ci_low", "ci_high"))
+    bound_rows = _numeric_columns(args.bound_csv, ("t", "bound"))
     if not sim_rows or not bound_rows:
         raise ValidationError("compare needs nonempty simulate and bound CSVs")
-    bounds_by_t = {float(row["t"]): row for row in bound_rows}
+    bounds_by_t = {row["t"]: row for row in bound_rows}
     header = ["t", "bound", "estimate", "ci_low", "ci_high", "consistent", "margin"]
     rows = []
     for row in sim_rows:
-        t = float(row["t"])
-        match = None
-        for tb, brow in bounds_by_t.items():
+        t = row["t"]
+        for tb, match in bounds_by_t.items():
             if abs(tb - t) <= 1e-12 * max(1.0, abs(t)):
-                match = brow
+                b = match["bound"]
+                rows.append([t, b, row["estimate"], row["ci_low"], row["ci_high"],
+                             row["ci_low"] <= b, b - row["estimate"]])
                 break
-        if match is None:
-            continue
-        bound_value = float(match["bound"])
-        estimate = float(row["estimate"])
-        ci_low = float(row["ci_low"])
-        rows.append([t, bound_value, estimate, ci_low, float(row["ci_high"]),
-                     ci_low <= bound_value, bound_value - estimate])
     if not rows:
         raise ValidationError("no matching times between the two CSVs")
     fileio.emit_report(args.output, header, rows, args.format, argv,
@@ -343,7 +345,7 @@ def _cmd_inequalities(args, argv) -> int:
         sym = check_detailed_balance(kind, ctx)
         symmetry[kind] = {"symmetric": sym.symmetric, "deviation": sym.deviation}
     report["symmetry"] = symmetry
-    consts = (functional_constants(ctx, lsi_depolarizing(ctx.require_faithful()), "closed_form")
+    consts = (functional_constants(ctx, lsi_depolarizing(ctx.require_faithful()))
               if model.template == "depolarizing" else functional_constants(ctx))
     report.update((k, v) for k, v in dataclasses.asdict(consts).items() if v is not None)
     if ctx.lindbladian is not None:

@@ -284,9 +284,12 @@ def write_csv(path, header: list[str], rows: list[list]):
 
 
 def read_csv(path) -> tuple[list[str], list[dict]]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return list(reader.fieldnames or []), list(reader)
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.DictReader(fh)
+            return list(reader.fieldnames or []), list(reader)
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"cannot read CSV {path}: {exc}") from None
 
 
 def emit_report(path, header: list[str], rows: list[list], fmt: str,

@@ -14,7 +14,7 @@ needs just Lipschitz norms of explicit observables.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -46,17 +46,18 @@ BFGS_MAX_ITER = 1000
 
 @dataclass(frozen=True)
 class FunctionalConstants:
-    """Spectral gap plus optional LSI / transportation-information constants.
+    """Spectral gap plus an optional log-Sobolev constant alpha_2 and the
+    transportation-information constant ti_from_lsi(alpha_2).
 
-    Provenance per optional field is one of "computed", "closed_form",
-    "user_supplied"; the gap is always computed.
+    The gap is always computed; alpha_2 comes from a closed form
+    (lsi_depolarizing), as lsi_provenance and ti_provenance record.
     """
 
     spectral_gap: float
     lsi_alpha2: float | None = None
-    lsi_provenance: str | None = None
-    ti_constant: float | None = None
-    ti_provenance: str | None = None
+    lsi_provenance: str | None = field(init=False, default=None)
+    ti_constant: float | None = field(init=False, default=None)
+    ti_provenance: str | None = field(init=False, default=None)
 
     def __post_init__(self):
         if self.spectral_gap < 0:
@@ -67,6 +68,9 @@ class FunctionalConstants:
             if self.lsi_alpha2 > self.spectral_gap + 1e-9:
                 raise ValidationError(
                     f"alpha_2 = {self.lsi_alpha2!r} exceeds the spectral gap {self.spectral_gap!r}")
+            object.__setattr__(self, "lsi_provenance", "closed_form")
+            object.__setattr__(self, "ti_constant", ti_from_lsi(self.lsi_alpha2))
+            object.__setattr__(self, "ti_provenance", "computed")
 
 
 def spectral_gap(ctx: GeneratorContext) -> float:
@@ -84,16 +88,9 @@ def spectral_gap(ctx: GeneratorContext) -> float:
     return max(gap, 0.0)
 
 
-def functional_constants(ctx: GeneratorContext, lsi_alpha2: float | None = None,
-                         lsi_provenance: str | None = None,
-                         ti_constant: float | None = None,
-                         ti_provenance: str | None = None) -> FunctionalConstants:
-    """Assemble constants for a context; derives TI from LSI when absent."""
-    gap = spectral_gap(ctx)
-    if lsi_alpha2 is not None and ti_constant is None:
-        ti_constant = ti_from_lsi(lsi_alpha2)
-        ti_provenance = "computed"
-    return FunctionalConstants(gap, lsi_alpha2, lsi_provenance, ti_constant, ti_provenance)
+def functional_constants(ctx: GeneratorContext, lsi_alpha2: float | None = None) -> FunctionalConstants:
+    """Assemble constants for a context; the TI constant follows from alpha_2."""
+    return FunctionalConstants(spectral_gap(ctx), lsi_alpha2)
 
 
 # ---------------------------------------------------------------------------

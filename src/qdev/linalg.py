@@ -281,10 +281,6 @@ class SuperOperator:
         """Hilbert-Schmidt adjoint."""
         return SuperOperator(self.matrix.conj().T)
 
-    @staticmethod
-    def identity(dim: int) -> "SuperOperator":
-        return SuperOperator(np.eye(dim * dim, dtype=complex))
-
 
 def superoperator_in_basis(m: np.ndarray, u: np.ndarray) -> np.ndarray:
     """K^dagger M K for K = kron(conj(U), U) and a unitary U: the matrix of

@@ -3,8 +3,8 @@ forms.
 
 A generator is held either in jump-operator form (Hamiltonian H plus jumps
 L_1..L_k, Heisenberg action i[H,X] + sum_j L_j* X L_j - {L_j* L_j, X}/2) or
-as a raw superoperator pair for channel-difference generators Psi - id. The
-GeneratorContext bundles the generator with its stationary state and the
+as a raw Heisenberg superoperator for channel-difference generators Psi - id.
+The GeneratorContext bundles the generator with its stationary state and the
 sigma-weighted calculus needed everywhere else: KMS symmetrization, duals
 with respect to the GNS/KMS/BKM inner products, Bohr frequencies, and the
 Dirichlet form / Fisher information. That calculus runs in sigma's
@@ -46,6 +46,7 @@ KERNEL_REL_TOL = 1e-9
 SYMMETRY_REL_TOL = 1e-8
 BOHR_REL_TOL = 1e-8
 ALIGNMENT_TOL = 1e-8
+GAUGE_TOL = 1e-9   # max-norm of the Heisenberg-matrix difference of equivalent pairs
 
 
 class NotKmsSymmetricError(ValidationError):
@@ -114,6 +115,9 @@ def apply_adjoint_generator(lind: Lindbladian, rho) -> np.ndarray:
 class GeneratorContext:
     """A generator together with its stationary state and weighted calculus.
 
+    The generator is held once, as the Heisenberg matrix ``heisenberg``
+    (``schrodinger`` is its adjoint, formed on access); the only other
+    d^2 x d^2 matrix kept is ``eigenbasis_generator``, once computed.
     ``faithful`` is None when the stationary state is rank deficient; every
     sigma-weighted operation then refuses with NotFaithfulError.
 
@@ -129,17 +133,21 @@ class GeneratorContext:
     in the original basis and have its spectrum.
     """
 
-    def __init__(self, heisenberg: SuperOperator, schrodinger: SuperOperator,
-                 sigma: DensityOperator, faithful: FaithfulState | None,
-                 primitive: bool, kernel_dim: int, lindbladian: Lindbladian | None = None):
+    def __init__(self, heisenberg: SuperOperator, sigma: DensityOperator,
+                 faithful: FaithfulState | None, primitive: bool, kernel_dim: int,
+                 lindbladian: Lindbladian | None = None):
         self.heisenberg = heisenberg
-        self.schrodinger = schrodinger
         self.sigma = sigma
         self.faithful = faithful
         self.primitive = primitive
         self.kernel_dim = kernel_dim
         self.lindbladian = lindbladian
         self.dim = heisenberg.dim
+
+    @property
+    def schrodinger(self) -> SuperOperator:
+        """The Hilbert-Schmidt adjoint L*, formed anew on each access."""
+        return self.heisenberg.adjoint()
 
     def require_faithful(self) -> FaithfulState:
         if self.faithful is None:
@@ -256,20 +264,20 @@ def _svd_kernel(m: np.ndarray, d: int, scale: float) -> tuple[np.ndarray, int]:
 def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None = None) -> GeneratorContext:
     """Context for a generator given as a Heisenberg superoperator.
 
-    The kernel of the Schrodinger matrix M comes from one LU inversion of
-    the trace-bordered M + c t t^dagger, which also certifies that the
-    kernel is simple (_bordered_kernel). Only when that certificate fails
-    does one SVD of M classify the kernel (_svd_kernel): a multiplicity
-    above one is resolved by the ergodic projector, and faithfulness then
-    fails only if no faithful stationary state exists (NotFaithfulError).
+    The kernel of the Schrodinger matrix M = H^dagger (a local) comes from
+    one LU inversion of the trace-bordered M + c t t^dagger, which also
+    certifies that the kernel is simple (_bordered_kernel). Only when that
+    certificate fails does one SVD of M classify the kernel (_svd_kernel):
+    a multiplicity above one is resolved by the ergodic projector, and
+    faithfulness then fails only if no faithful stationary state exists
+    (NotFaithfulError).
     Primitive means the kernel is simple and sigma has full rank.
     """
     d = heis.dim
     unitality = np.max(np.abs(heis.apply(np.eye(d))))
     if unitality > UNITALITY_TOL:
         raise ValidationError(f"generator is not unital: |L(id)| = {unitality:.3e}")
-    schro = heis.adjoint()
-    m = schro.matrix
+    m = heis.matrix.conj().T
     scale = max(1.0, float(np.max(np.abs(m))))
     cand, mult = _bordered_kernel(m, d, scale), 1
     if cand is None:
@@ -279,7 +287,7 @@ def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None 
     if abs(tr) < 1e-14:
         raise NumericalError("stationary candidate has vanishing trace")
     cand = cand / tr
-    residual = np.max(np.abs(schro.apply(cand)))
+    residual = np.max(np.abs(m @ vec(cand)))
     if residual > STATIONARY_TOL:
         raise NumericalError(f"stationary residual {residual:.3e} exceeds {STATIONARY_TOL:.1e}")
     w, v = np.linalg.eigh(cand)
@@ -296,7 +304,7 @@ def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None 
             raise NotFaithfulError("no faithful stationary state")
         faithful = None
     primitive = (mult == 1) and faithful is not None
-    return GeneratorContext(heis, schro, sigma, faithful, primitive, mult, lindbladian=lindbladian)
+    return GeneratorContext(heis, sigma, faithful, primitive, mult, lindbladian=lindbladian)
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +434,7 @@ def fisher_information(ctx: GeneratorContext, rho) -> float:
     return dirichlet_form(ctx, x)
 
 
-def gauge_equivalence_check(l1: Lindbladian, l2: Lindbladian, tol: float = 1e-9) -> bool:
+def gauge_equivalence_check(l1: Lindbladian, l2: Lindbladian) -> bool:
     """Whether two parametrizations define the same generator.
 
     Decided at the superoperator level; the unitary/shift parametrization of
@@ -436,4 +444,4 @@ def gauge_equivalence_check(l1: Lindbladian, l2: Lindbladian, tol: float = 1e-9)
         raise DimensionMismatchError("gauge comparison requires equal dimension and jump count")
     m1 = l1.heisenberg_superoperator().matrix
     m2 = l2.heisenberg_superoperator().matrix
-    return bool(np.max(np.abs(m1 - m2)) <= tol)
+    return bool(np.max(np.abs(m1 - m2)) <= GAUGE_TOL)

@@ -2,6 +2,9 @@
 semigroups, classical-chain embeddings, tensor products, heat-bath Gibbs
 samplers for commuting Hamiltonians, and the two-channel counterexample
 family distinguishing the detailed-balance notions.
+
+_on_sites places every operator on sites of a tensor product. A heat-bath
+sampler holds its Kraus operators and one d^2 x d^2 matrix, its generator.
 """
 
 from __future__ import annotations
@@ -137,12 +140,15 @@ def classical_embedding(chain: ClassicalChain) -> Lindbladian:
 # Tensor products
 # ---------------------------------------------------------------------------
 
-def _embed(op: np.ndarray, site: int, dims: list[int]) -> np.ndarray:
-    """op acting on factor ``site`` of a tensor product, identity elsewhere."""
-    out = np.eye(1, dtype=complex)
-    for k, d in enumerate(dims):
-        out = np.kron(out, op if k == site else np.eye(d))
-    return out
+def _on_sites(op: np.ndarray, sites, dims: list[int]) -> np.ndarray:
+    """op acting on the factors ``sites`` (in the order of op's legs) of a
+    tensor product with factor dimensions ``dims``, identity elsewhere."""
+    n = len(dims)
+    order = list(sites) + [k for k in range(n) if k not in sites]
+    perm = list(np.argsort(order))
+    full = np.kron(op, np.eye(int(np.prod(dims)) // len(op)))
+    t = full.reshape([dims[k] for k in order] * 2).transpose(perm + [n + p for p in perm])
+    return t.reshape(full.shape)
 
 
 def tensor_product(lindbladians: list[Lindbladian]) -> Lindbladian:
@@ -151,12 +157,9 @@ def tensor_product(lindbladians: list[Lindbladian]) -> Lindbladian:
     total = int(np.prod(dims))
     if total > DIMENSION_GUARD:
         raise ValidationError(f"product dimension {total} exceeds guard {DIMENSION_GUARD}")
-    h = np.zeros((total, total), dtype=complex)
-    jumps = []
-    for site, lind in enumerate(lindbladians):
-        h += _embed(lind.hamiltonian, site, dims)
-        for l in lind.jumps:
-            jumps.append(_embed(l, site, dims))
+    h = sum((_on_sites(l.hamiltonian, (k,), dims) for k, l in enumerate(lindbladians)),
+            np.zeros((total, total), dtype=complex))
+    jumps = [_on_sites(j, (k,), dims) for k, l in enumerate(lindbladians) for j in l.jumps]
     return Lindbladian(h, jumps)
 
 
@@ -196,7 +199,7 @@ class CommutingHamiltonian:
                                       f"{d ** len(support)}, got {h.shape}")
             if np.linalg.norm(h, 2) > 1.0 + 1e-12:
                 raise ValidationError("local terms must have operator norm at most 1")
-            embedded.append(self._embed_term(support, h))
+            embedded.append(_on_sites(h, support, [d] * n))
         for i in range(len(embedded)):
             for j in range(i + 1, len(embedded)):
                 comm = embedded[i] @ embedded[j] - embedded[j] @ embedded[i]
@@ -204,23 +207,9 @@ class CommutingHamiltonian:
                     raise ValidationError(f"terms {i} and {j} do not commute")
         object.__setattr__(self, "_embedded", embedded)
 
-    def _embed_term(self, support: tuple[int, ...], h: np.ndarray) -> np.ndarray:
-        # Permute the term's legs onto its support sites.
-        n = self.n_sites
-        d = self.local_dim
-        full = np.kron(h, np.eye(d ** (n - len(support))))
-        order = list(support) + [s for s in range(n) if s not in support]
-        perm = np.argsort(order)
-        t = full.reshape([d] * (2 * n))
-        t = t.transpose(list(perm) + [n + p for p in perm])
-        return t.reshape(d ** n, d ** n)
-
     def total(self) -> np.ndarray:
-        dims = self.local_dim ** self.n_sites
-        out = np.zeros((dims, dims), dtype=complex)
-        for term in self._embedded:
-            out += term
-        return out
+        dim = self.local_dim ** self.n_sites
+        return sum(self._embedded, np.zeros((dim, dim), dtype=complex))
 
     def gibbs_state(self) -> np.ndarray:
         h = self.total()
@@ -232,12 +221,22 @@ class CommutingHamiltonian:
 
 @dataclass(frozen=True, eq=False)
 class HeatBathModel:
-    """Channel-difference Gibbs sampler sum_v (Psi_v - id)."""
+    """Channel-difference Gibbs sampler sum_v (Psi_v - id).
+
+    ``kraus[v]`` stacks site v's d^2 Kraus operators K, Psi_v*(rho) =
+    sum_K K rho K^dagger. The generator is held once, in ``context``.
+    """
 
     hamiltonian: CommutingHamiltonian
     gibbs: np.ndarray
-    site_channels: list[SuperOperator]      # Heisenberg-picture Psi_v
+    kraus: np.ndarray
     context: GeneratorContext
+
+    @property
+    def site_channels(self) -> list[SuperOperator]:
+        """Heisenberg-picture Psi_v(X) = sum_K K^dagger X K per site, built on access."""
+        return [SuperOperator(left_right_sum_matrix(k.conj().transpose(0, 2, 1), k))
+                for k in self.kraus]
 
 
 def _partial_trace(rho: np.ndarray, site: int, n: int, d: int) -> np.ndarray:
@@ -246,46 +245,36 @@ def _partial_trace(rho: np.ndarray, site: int, n: int, d: int) -> np.ndarray:
     return t.reshape(d ** (n - 1), d ** (n - 1))
 
 
-def _lift_complement(op: np.ndarray, site: int, n: int, d: int) -> np.ndarray:
-    """Operator on the complement of ``site`` tensored with identity at site."""
-    full = np.kron(op, np.eye(d))
-    order = [s for s in range(n) if s != site] + [site]
-    perm = np.argsort(order)
-    t = full.reshape([d] * (2 * n))
-    t = t.transpose(list(perm) + [n + p for p in perm])
-    return t.reshape(d ** n, d ** n)
-
-
 def heat_bath(h: CommutingHamiltonian) -> HeatBathModel:
     """Heat-bath generator: per site, partial trace followed by the recovery map.
 
     Schrodinger action of each channel:
     Psi_v*(rho) = omega^(1/2) omega_vc^(-1/2) (Tr_v[rho] (x) I_v) omega_vc^(-1/2) omega^(1/2),
     with omega the Gibbs state; the generator is sum_v (Psi_v - id).
+    Tr_v[rho] (x) I_v = sum_ab E_ab rho E_ba over the matrix units E_ab at
+    site v, so the Kraus operators of Psi_v* are left_v E_ab with
+    left_v = omega^(1/2) (omega_vc^(-1/2) (x) I_v). The Heisenberg matrix of
+    sum_v Psi_v comes from one left_right_sum_matrix over all n d^2 of them.
     """
     n, d = h.n_sites, h.local_dim
-    total = d ** n
+    dims = [d] * n
     omega = h.gibbs_state()
     w, v = np.linalg.eigh(omega)
     sqrt_omega = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    channels = []
-    gen = np.zeros((total * total, total * total), dtype=complex)
+    kraus = []
     for site in range(n):
         omega_vc = _partial_trace(omega, site, n, d)
         wc, vc = np.linalg.eigh(omega_vc)
         inv_sqrt_vc = (vc * (1.0 / np.sqrt(wc))) @ vc.conj().T
-        left = sqrt_omega @ _lift_complement(inv_sqrt_vc, site, n, d)
-        # Tr_v[rho] (x) I_v = sum_ab E_ab rho E_ba over the matrix units E_ab
-        # at site v, so Psi_v* is the sum of X -> (left E_ab) X (E_ba left^dagger).
-        e = [_embed(u, site, [d] * n) for u in units]
-        schro = left_right_sum_matrix([left @ e_ab for e_ab in e],
-                                      [e_ab.T @ left.conj().T for e_ab in e])
-        heis = schro.conj().T
-        channels.append(SuperOperator(heis))
-        gen += heis - np.eye(total * total)
+        left = sqrt_omega @ _on_sites(inv_sqrt_vc, [s for s in range(n) if s != site], dims)
+        kraus.append([left @ _on_sites(u, (site,), dims) for u in units])
+    kraus = np.asarray(kraus)
+    stack = kraus.reshape(-1, *kraus.shape[2:])
+    gen = left_right_sum_matrix(stack.conj().transpose(0, 2, 1), stack)
+    gen[np.diag_indices_from(gen)] -= n
     ctx = context_from_generator(SuperOperator(gen))
-    return HeatBathModel(h, omega, channels, ctx)
+    return HeatBathModel(h, omega, kraus, ctx)
 
 
 # ---------------------------------------------------------------------------

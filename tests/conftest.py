@@ -66,7 +66,7 @@ def aligned_thermal_qubit(s0=0.7, gamma=0.6 + 0.3j, d0=0.4, d1=-0.2):
     return sigma, l
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
 

@@ -13,6 +13,7 @@ import pytest
 from qdev import fileio
 from qdev.cli import main
 from qdev.linalg import ValidationError
+from qdev.models import heat_bath
 
 
 def write_setup(path, directions, q):
@@ -72,6 +73,8 @@ class TestModelNew:
         model = fileio.load_model("hb.json")
         residual = np.max(np.abs(model.context.schrodinger.apply(model.context.sigma.matrix)))
         assert residual < 1e-9
+        direct = heat_bath(fileio.load_lattice("lattice.json")).context.heisenberg.matrix
+        assert np.max(np.abs(model.context.heisenberg.matrix - direct)) <= 1e-12
 
     @pytest.mark.parametrize("lattice", [
         {k: v for k, v in LATTICE.items() if k != "terms"},
@@ -391,6 +394,32 @@ class TestCompareVerb:
         assert len(rows) == 1
         assert rows[0]["consistent"] == "true"
         assert float(rows[0]["margin"]) > 0
+
+    SIM = "t,estimate,ci_low,ci_high\n4.0,0.02,0.01,0.03\n"
+    BOUND = "t,bound\n4.0,0.1\n"
+
+    @pytest.mark.parametrize("sim, bound", [
+        (None, BOUND),
+        (SIM, None),
+        (SIM.replace("estimate", "est"), BOUND),
+        (SIM.replace("ci_low", "low"), BOUND),
+        (SIM.replace("ci_high", "high"), BOUND),
+        (SIM.replace("t,", "time,"), BOUND),
+        (SIM, BOUND.replace("bound", "b")),
+        (SIM, BOUND.replace("t,", "time,")),
+        (SIM.replace("0.02", "x"), BOUND),
+        (SIM.replace(",0.03", ""), BOUND),
+        (SIM, BOUND.replace("0.1", "")),
+    ], ids=["no-simulate", "no-bound", "no-estimate", "no-ci_low", "no-ci_high", "no-sim-t",
+            "no-bound-column", "no-bound-t", "text-cell", "short-row", "empty-cell"])
+    def test_malformed_csv_rejected(self, workdir, capsys, sim, bound):
+        for name, text in (("sim.csv", sim), ("bound.csv", bound)):
+            if text is not None:
+                Path(name).write_text(text)
+        assert main(["compare", "--simulate-csv", "sim.csv", "--bound-csv", "bound.csv",
+                     "-o", "verdict.csv"]) == 1
+        assert json.loads(capsys.readouterr().err.strip())["code"] == "validation"
+        assert not Path("verdict.csv").exists()
 
 
 class TestInequalitiesVerb:

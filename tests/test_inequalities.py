@@ -104,8 +104,8 @@ class TestClosedFormConstants:
     def test_constants_container_checks_alpha_vs_gap(self, qubit_depolarizing):
         with pytest.raises(ValidationError):
             FunctionalConstants(spectral_gap=0.3, lsi_alpha2=0.5)
-        constants = functional_constants(qubit_depolarizing, lsi_alpha2=0.5,
-                                         lsi_provenance="closed_form")
+        constants = functional_constants(qubit_depolarizing, lsi_alpha2=0.5)
+        assert constants.lsi_provenance == "closed_form"
         assert constants.ti_constant == pytest.approx(0.5, abs=1e-12)
         assert constants.ti_provenance == "computed"
 
@@ -163,7 +163,6 @@ class TestTildeObservable:
         lind = Lindbladian(np.zeros((2, 2)), [jump])
         probe_src = stationary_state(depolarizing(st))
         probe = type(probe_src)(lind.heisenberg_superoperator(),
-                                lind.heisenberg_superoperator().adjoint(),
                                 probe_src.sigma, st, True, 1, lindbladian=lind)
         tilde = tilde_observable(probe, [1.0])
         assert np.max(np.abs(tilde - tilde.conj().T)) < 1e-12

@@ -122,6 +122,10 @@ class TestStationaryState:
         ctx = stationary_state(classical_embedding(chain))
         assert np.max(np.abs(ctx.sigma.matrix - np.diag(chain.stationary))) < 1e-9
 
+    def test_schrodinger_is_heisenberg_adjoint(self, rng):
+        ctx = stationary_state(random_lindblad(rng, 3, 2))
+        assert np.array_equal(ctx.schrodinger.matrix, ctx.heisenberg.matrix.conj().T)
+
     def test_dephasing_degenerate_kernel(self):
         # every diagonal state is stationary: the ergodic projection of the
         # maximally mixed state is itself, and the kernel is not simple
@@ -305,7 +309,7 @@ class TestBohrFrequencies:
         lind = Lindbladian(np.zeros((2, 2)), [aligned])
         heis = lind.heisenberg_superoperator()
         ctx = stationary_state(depolarizing(FaithfulState(sigma)))
-        ctx2 = type(ctx)(heis, heis.adjoint(), ctx.sigma, ctx.faithful, True, 1, lindbladian=lind)
+        ctx2 = type(ctx)(heis, ctx.sigma, ctx.faithful, True, 1, lindbladian=lind)
         assert ctx2.bohr is None
 
 
@@ -314,7 +318,7 @@ class TestCanonicalHamiltonian:
         st = FaithfulState(np.diag([0.7, 0.3]).astype(complex))
         lind = Lindbladian(np.zeros((2, 2)), [np.diag([0.5, -0.2]).astype(complex)])
         ctx = stationary_state(depolarizing(st))
-        ctx2 = type(ctx)(lind.heisenberg_superoperator(), lind.heisenberg_superoperator().adjoint(),
+        ctx2 = type(ctx)(lind.heisenberg_superoperator(),
                          ctx.sigma, ctx.faithful, True, 1, lindbladian=lind)
         assert np.max(np.abs(kms_canonical_hamiltonian(ctx2))) < 1e-12
 
@@ -335,7 +339,6 @@ class TestCanonicalHamiltonian:
         bare = Lindbladian(np.zeros((2, 2)), [jump])
         ctx_probe = stationary_state(depolarizing(st))
         probe = type(ctx_probe)(bare.heisenberg_superoperator(),
-                                bare.heisenberg_superoperator().adjoint(),
                                 ctx_probe.sigma, st, True, 1, lindbladian=bare)
         h = kms_canonical_hamiltonian(probe)
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
@@ -352,7 +355,6 @@ class TestCanonicalHamiltonian:
         bad = Lindbladian(np.zeros((2, 2)), [np.array([[0, 1], [0, 0]], dtype=complex)])
         ctx_probe = stationary_state(depolarizing(st))
         probe = type(ctx_probe)(bad.heisenberg_superoperator(),
-                                bad.heisenberg_superoperator().adjoint(),
                                 ctx_probe.sigma, st, True, 1, lindbladian=bad)
         with pytest.raises(Exception):
             kms_canonical_hamiltonian(probe)

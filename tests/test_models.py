@@ -18,7 +18,7 @@ from qdev.models import (
     counterexample_channels,
     depolarizing,
     heat_bath,
-    _lift_complement,
+    _on_sites,
     _partial_trace,
     maximally_mixed,
     tensor_product,
@@ -204,10 +204,11 @@ def _unit_by_unit_heat_bath(h):
     sqrt_omega = (v * np.sqrt(w)) @ v.conj().T
     channels = []
     for site in range(n):
+        complement = [s for s in range(n) if s != site]
         wc, vc = np.linalg.eigh(_partial_trace(omega, site, n, d))
-        left = sqrt_omega @ _lift_complement((vc / np.sqrt(wc)) @ vc.conj().T, site, n, d)
+        left = sqrt_omega @ _on_sites((vc / np.sqrt(wc)) @ vc.conj().T, complement, [d] * n)
         ptrace = _unit_by_unit(lambda x: _partial_trace(x, site, n, d), d ** n)
-        lift = _unit_by_unit(lambda x: _lift_complement(x, site, n, d), d ** (n - 1))
+        lift = _unit_by_unit(lambda x: _on_sites(x, complement, [d] * n), d ** (n - 1))
         channels.append((left_right_matrix(left, left.conj().T) @ lift @ ptrace).conj().T)
     return channels
 
