@@ -7,18 +7,23 @@ The model at each d is the one perfbench's analytics-d24 workload builds at
 d = 24: the depolarizing semigroup toward a seeded random faithful state
 (d^2 dense jumps), one Brownian channel on a random pair of eigenvectors,
 and r = 0.3. Each d runs in its own child process, so that its peak RSS is
-its own; a d is skipped when its estimated footprint (SIZE_FACTOR copies of
-a d^2 x d^2 complex matrix) exceeds the memory the system reports free.
+its own; a d is skipped when its estimated footprint (SIZE_FACTOR
+generator-sized arrays, 16 d^4 bytes each) exceeds the memory the system
+reports available.
 
 Printed, one JSON line per d, with times as medians over --repeats, taken
 in the order a session runs them (later stages reuse what earlier ones
 cached on the context, as in `inequalities`):
 
+- "assembly_s": `Lindbladian.heisenberg_superoperator`;
 - "stationary_s": `context_from_generator` on the assembled generator;
 - "detailed_balance_s": the GNS, KMS and BKM `check_detailed_balance`;
 - "spectral_gap_s": `spectral_gap`;
 - "tilted_family_s": building `TiltedFamily`;
 - "main_bound_s": `main_bound` (which builds its own family);
+- "<stage>_peak": the tracemalloc peak of the stage's first call, above
+  what was allocated before it, in generator-sized units (16 d^4 bytes);
+  memory LAPACK allocates for itself is not traced;
 - "peak_rss_mb": peak RSS of the child process;
 - "sigma_err", "gap_err", "symmetric": the outputs the perfbench checks
   read (stationary state against the target, gap against 1, and the three
@@ -34,6 +39,7 @@ import statistics
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -41,7 +47,9 @@ from qdev import deviation, inequalities, lindblad, models
 
 MIX = 0.2
 R = 0.3
-SIZE_FACTOR = 12
+# Generator-sized arrays (16 d^4 bytes) a d needs: peak RSS was 6.6 of
+# them at d = 48 (560 MB), rounded up for the interpreter and BLAS buffers.
+SIZE_FACTOR = 8
 
 
 def model(d: int):
@@ -56,28 +64,40 @@ def model(d: int):
     return sigma, models.depolarizing(sigma), direction
 
 
-def median_time(fn, repeats: int):
-    times, result = [], None
-    for _ in range(repeats):
+def stage(out: dict, name: str, fn, repeats: int, unit: int):
+    """Time ``fn`` --repeats times into out[name + "_s"] (median) and put
+    the tracemalloc peak of its first call, in units of ``unit`` bytes,
+    into out[name + "_peak"]; return the last result."""
+    times = []
+    for i in range(repeats):
+        result = None
+        tracemalloc.start()
+        base = tracemalloc.get_traced_memory()[0]
         t0 = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times), result
+        if i == 0:
+            out[name + "_peak"] = round((tracemalloc.get_traced_memory()[1] - base) / unit, 3)
+        tracemalloc.stop()
+    out[name + "_s"] = statistics.median(times)
+    return result
 
 
 def one(d: int, repeats: int) -> dict:
     sigma, lind, direction = model(d)
-    heis = lind.heisenberg_superoperator()
+    unit = 16 * d ** 4
     out = {"d": d}
-    out["stationary_s"], ctx = median_time(
-        lambda: lindblad.context_from_generator(heis, lindbladian=lind), repeats)
-    out["detailed_balance_s"], reports = median_time(
-        lambda: [lindblad.check_detailed_balance(k, ctx) for k in ("GNS", "KMS", "BKM")], repeats)
-    out["spectral_gap_s"], gap = median_time(lambda: inequalities.spectral_gap(ctx), repeats)
+    heis = stage(out, "assembly", lind.heisenberg_superoperator, repeats, unit)
+    ctx = stage(out, "stationary", lambda: lindblad.context_from_generator(heis, lindbladian=lind),
+                repeats, unit)
+    reports = stage(out, "detailed_balance",
+                    lambda: [lindblad.check_detailed_balance(k, ctx) for k in ("GNS", "KMS", "BKM")],
+                    repeats, unit)
+    gap = stage(out, "spectral_gap", lambda: inequalities.spectral_gap(ctx), repeats, unit)
     setup = deviation.MeasurementSetup(ctx, direction[None, :], 1)
-    out["tilted_family_s"], _ = median_time(lambda: deviation.TiltedFamily(setup), repeats)
-    out["main_bound_s"], report = median_time(
-        lambda: deviation.main_bound(setup, sigma, [R]), repeats)
+    # The family is released at once, so that main_bound's own is the only one alive.
+    stage(out, "tilted_family", lambda: deviation.TiltedFamily(setup) and None, repeats, unit)
+    report = stage(out, "main_bound", lambda: deviation.main_bound(setup, sigma, [R]), repeats, unit)
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     out["sigma_err"] = float(np.max(np.abs(ctx.sigma.matrix - sigma)))
     out["gap_err"] = abs(gap - 1.0)

@@ -31,6 +31,7 @@ from .linalg import (
     NumericalError,
     SuperOperator,
     ValidationError,
+    add_left_right_pair,
     as_complex_matrix,
     hermitian_from_params,
     hermitian_to_params,
@@ -168,13 +169,11 @@ def f_statistics(setup: MeasurementSetup, x) -> np.ndarray:
 def perturbed_generator(setup: MeasurementSetup, lam) -> SuperOperator:
     """Superoperator of the tilted generator L_lam."""
     lam = _as_tilt(lam, setup.ell, nonneg=False)
-    d = setup.ctx.dim
-    eye = np.eye(d)
     m = setup.ctx.heisenberg.matrix.copy()
     for j, l in enumerate(setup.monitored):
         if setup.is_brownian(j):
-            m += lam[j] * (left_right_matrix(l.conj().T, eye) + left_right_matrix(eye, l))
-            m += 0.5 * lam[j] ** 2 * np.eye(d * d)
+            add_left_right_pair(m, lam[j] * l.conj().T, lam[j] * l)
+            m.reshape(-1)[::m.shape[0] + 1] += 0.5 * lam[j] ** 2
         else:
             m += np.expm1(lam[j]) * left_right_matrix(l.conj().T, l)
     return SuperOperator(m)
@@ -189,6 +188,12 @@ class TiltedFamily:
     Every piece is written in sigma's eigenbasis (GeneratorContext), which
     leaves the spectrum of B(lam) unchanged; the channel pieces are built
     there directly from the rotated jumps U^dagger L_u U.
+
+    The family holds 1 + ell d^2 x d^2 arrays: B0, made in place from the
+    generator in sigma's eigenbasis that it takes from the context (which
+    then keeps no copy of it), and the (ell, d^2, d^2) stack of the channel
+    pieces, each built and symmetrized in its own slice. matrix(lam) makes
+    one new d^2 x d^2 array, and one temporary per channel while it sums.
     """
 
     def __init__(self, setup: MeasurementSetup):
@@ -196,19 +201,20 @@ class TiltedFamily:
         st = ctx.require_faithful()
         self.setup = setup
         d = ctx.dim
-        eye = np.eye(d)
-        self.b0 = ctx.kms_hermitian_part()
-        self.pieces: list[np.ndarray] = []
+        self.b0 = ctx.kms_hermitian_part(ctx.take_eigenbasis_generator())
+        self._stacked = np.zeros((setup.ell, d * d, d * d), dtype=complex)
         self.zero_channel = []
         for j, l in enumerate(setup.monitored):
             le = st.to_eigenbasis(l)
+            piece = self._stacked[j]
             if setup.is_brownian(j):
-                m = left_right_matrix(le.conj().T, eye) + left_right_matrix(eye, le)
+                add_left_right_pair(piece, le.conj().T, le)
             else:
-                m = left_right_matrix(le.conj().T, le)
-            self.pieces.append(ctx.kms_hermitian_part(m))
+                # kron(le.T, le^dagger), written into the piece.
+                np.multiply(le.T[:, None, :, None], le.conj().T[None, :, None, :],
+                            out=piece.reshape(d, d, d, d))
+            ctx.kms_hermitian_part(piece)
             self.zero_channel.append(bool(np.max(np.abs(l)) < 1e-15))
-        self._stacked = np.stack(self.pieces)
         self._brownian = np.arange(setup.ell) < setup.q
         self.dim2 = d * d
         g = np.random.default_rng(WARM_START_SEED).normal(size=(2, self.dim2))
@@ -221,12 +227,12 @@ class TiltedFamily:
         shift = 0.0
         for j in range(setup.ell):
             if setup.is_brownian(j):
-                b += lam[j] * self.pieces[j]
+                b += lam[j] * self._stacked[j]
                 shift += 0.5 * lam[j] ** 2
             else:
-                b += np.expm1(lam[j]) * self.pieces[j]
+                b += np.expm1(lam[j]) * self._stacked[j]
         if shift:
-            b = b + shift * np.eye(self.dim2)
+            b.reshape(-1)[::self.dim2 + 1] += shift
         return b
 
     def value(self, lam: np.ndarray) -> float:

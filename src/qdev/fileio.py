@@ -31,6 +31,8 @@ from .lindblad import GeneratorContext, Lindbladian, context_from_channel, stati
 
 
 PACKED_DTYPE = np.dtype("<c16")
+# Bytes _digest reads at a time: a d = 64 model file is about 360 MB.
+DIGEST_CHUNK = 1 << 20
 
 
 def encode_complex_matrix(m) -> list:
@@ -168,7 +170,21 @@ class LoadedModel:
 
 
 def load_model(path) -> LoadedModel:
-    """Load and validate a model file, solving for its stationary context."""
+    """Load and validate a model file, solving for its stationary context.
+
+    The parsed document is gone before the solve starts, so its text never
+    sits in memory beside the generator."""
+    generator, template = _read_model(path)
+    if isinstance(generator, Lindbladian):
+        ctx = stationary_state(generator)
+    else:
+        ctx = context_from_channel(generator)
+    return LoadedModel(ctx, template, str(path))
+
+
+def _read_model(path) -> tuple[Lindbladian | SuperOperator, str | None]:
+    """The generator data of a model file (a Lindbladian, or the channel of
+    a channel-difference model) and its template."""
     doc = load_object(path)
     kind = doc.get("kind", "lindblad")
     dim = require_int(doc, "dim", str(path))
@@ -179,16 +195,16 @@ def load_model(path) -> LoadedModel:
         jumps = _require(doc, "jumps", str(path))
         if not isinstance(jumps, list):
             raise ValidationError(f"{path}: jumps must be a list of matrices")
-        ctx = stationary_state(Lindbladian(h, [decode_complex_matrix(j, f"{path}:jumps[{i}]")
-                                               for i, j in enumerate(jumps)]))
+        generator = Lindbladian(h, [decode_complex_matrix(j, f"{path}:jumps[{i}]")
+                                    for i, j in enumerate(jumps)])
     elif kind == "channel_difference":
         ch = decode_complex_matrix(_require(doc, "channel", str(path)), f"{path}:channel")
         if ch.shape[0] != dim * dim:
             raise ValidationError(f"{path}: channel matrix must be dim^2 x dim^2")
-        ctx = context_from_channel(SuperOperator(ch))
+        generator = SuperOperator(ch)
     else:
         raise ValidationError(f"{path}: unknown model kind {kind!r}")
-    return LoadedModel(ctx, doc.get("template"), str(path))
+    return generator, doc.get("template")
 
 
 def load_lattice(path):
@@ -327,7 +343,12 @@ def _json_cell(value):
 # ---------------------------------------------------------------------------
 
 def _digest(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of a file, read DIGEST_CHUNK bytes at a time."""
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(DIGEST_CHUNK):
+            sha.update(chunk)
+    return sha.hexdigest()
 
 
 def _manifest(command: list[str], input_paths: list, parameters: dict,

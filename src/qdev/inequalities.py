@@ -42,6 +42,8 @@ WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 WOLFE_MAX_TRIALS = 30
 BFGS_MAX_ITER = 1000
+# The BFGS stops once a step or bracket moves f by less than this times |f|.
+ROUNDING_RTOL = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -78,10 +80,12 @@ def spectral_gap(ctx: GeneratorContext) -> float:
 
     Computed as the second-smallest eigenvalue of -sym(L) after conjugating
     to an ordinary Hermitian problem; the bottom eigenvalue is zero with
-    eigenvector the identity.
+    eigenvector the identity. That matrix is made in place from the
+    context's eigenbasis generator, which the context then no longer keeps.
     """
     ctx.require_faithful()
-    w = np.linalg.eigvalsh(-ctx.kms_hermitian_part())
+    b = ctx.kms_hermitian_part(ctx.take_eigenbasis_generator())
+    w = np.linalg.eigvalsh(np.negative(b, out=b))
     if abs(w[0]) > 1e-8:
         raise NumericalError(f"generator has no zero mode (found {w[0]:.3e})")
     gap = float(w[1]) if len(w) > 1 else 0.0
@@ -289,7 +293,10 @@ def _bfgs_weak_wolfe(f, x: np.ndarray) -> float:
     them by doubling and bisection, so it steps across the kinks of the
     spectral norm where a strong Wolfe search, such as L-BFGS-B's, stalls
     (Lewis & Overton, Math. Program. 141, 2013). Stops when no trial step
-    meets them.
+    meets them, and, as Lewis and Overton's bracket test, as soon as the
+    step taken or the bracket still searched changes f by a predicted
+    |slope| * width of at most ROUNDING_RTOL * |f|: below the rounding of f,
+    a trial step only samples noise.
     """
     fx, g = f(x)
     h = np.eye(x.size)
@@ -298,6 +305,7 @@ def _bfgs_weak_wolfe(f, x: np.ndarray) -> float:
         slope = g @ p
         if slope >= 0:
             break
+        resolvable = ROUNDING_RTOL * abs(fx) / -slope
         lo, hi, t = 0.0, math.inf, 1.0
         for _ in range(WOLFE_MAX_TRIALS):
             fn, gn = f(x + t * p)
@@ -307,11 +315,15 @@ def _bfgs_weak_wolfe(f, x: np.ndarray) -> float:
                 lo = t
             else:
                 break
+            if hi - lo <= resolvable:
+                return fx
             t = 2.0 * lo if math.isinf(hi) else 0.5 * (lo + hi)
         else:
             break
         s, y = t * p, gn - g
         x, fx, g = x + s, fn, gn
+        if t <= resolvable:
+            break
         # The curvature condition makes s.y > 0 in exact arithmetic; the
         # test keeps rounding from breaking the positive definiteness of h.
         if s @ y > 0:

@@ -89,6 +89,29 @@ def hermitian_part(a) -> np.ndarray:
     return 0.5 * (a + a.conj().T)
 
 
+# Side of the square blocks hermitianize works through.
+HERMITIANIZE_BLOCK = 128
+
+
+def hermitianize(a: np.ndarray) -> np.ndarray:
+    """Overwrite the square matrix ``a`` with its Hermitian part and return it.
+
+    Entry for entry the same numbers as hermitian_part(a), but made one
+    pair of mirrored HERMITIANIZE_BLOCK-sized blocks at a time, so no second
+    copy of ``a`` is ever made.
+    """
+    n = a.shape[0]
+    for i in range(0, n, HERMITIANIZE_BLOCK):
+        for j in range(i, n, HERMITIANIZE_BLOCK):
+            upper = a[i:i + HERMITIANIZE_BLOCK, j:j + HERMITIANIZE_BLOCK]
+            lower = a[j:j + HERMITIANIZE_BLOCK, i:i + HERMITIANIZE_BLOCK]
+            part = 0.5 * (upper + lower.conj().T)
+            upper[...] = part
+            if j != i:
+                lower[...] = part.conj().T
+    return a
+
+
 def hermiticity_defect(a) -> float:
     a = np.asarray(a, dtype=complex)
     return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
@@ -252,6 +275,30 @@ def left_right_sum_matrix(lefts, rights) -> np.ndarray:
     k, d = a.shape[:2]
     prod = b.reshape(k, d * d).T @ a.reshape(k, d * d)
     return prod.reshape(d, d, d, d).transpose(1, 2, 0, 3).reshape(d * d, d * d)
+
+
+def add_left_right_pair(m: np.ndarray, left: np.ndarray, right: np.ndarray,
+                        diagonal: np.ndarray | None = None) -> np.ndarray:
+    """Add to the C-contiguous d^2 x d^2 matrix ``m``, in place, the matrix
+    of X -> A X + X B, that is kron(I, A) + kron(B.T, I), and return ``m``.
+
+    In the (a, b, c, e) view of m, kron(I, A) is A on the d blocks
+    (i, ., i, .) and kron(B.T, I) is B.T on the d blocks (., i, ., i). The
+    two meet only on the diagonal of m, whose entry (a, b), (a, b) gets
+    diagonal[a, b] (default B[a, a] + A[b, b]); off it each entry gets a
+    single term. No d^4 temporary is made.
+    """
+    d = left.shape[0]
+    m4 = m.reshape(d, d, d, d)
+    if diagonal is None:
+        diagonal = np.add.outer(right.diagonal(), left.diagonal())
+    for blocks, term in ((np.einsum("ibic->ibc", m4), left), (np.einsum("aici->iac", m4), right.T)):
+        off = term.copy()
+        np.fill_diagonal(off, 0.0)
+        blocks += off
+    on_diagonal = np.einsum("abab->ab", m4)
+    on_diagonal += diagonal
+    return m
 
 
 @dataclass(frozen=True, eq=False)

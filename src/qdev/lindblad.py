@@ -26,11 +26,12 @@ from .linalg import (
     NumericalError,
     SuperOperator,
     ValidationError,
+    add_left_right_pair,
     as_complex_matrix,
     gram_weights,
     hermitian_part,
+    hermitianize,
     inner_product,
-    left_right_matrix,
     left_right_sum_matrix,
     require_hermitian,
     require_same_dim,
@@ -92,13 +93,29 @@ class Lindbladian:
         return out
 
     def heisenberg_superoperator(self) -> SuperOperator:
+        """The d^2 x d^2 Heisenberg matrix of the generator, the one
+        generator-sized array this returns.
+
+        It starts as the jump sum, one left_right_sum_matrix GEMM, which
+        holds the stack of the jumps, its conjugate transpose, the product
+        and its reordering at once (four generator-sized arrays when there
+        are d^2 jumps). The Hamiltonian and K terms, X -> (iH - K/2) X +
+        X (-iH - K/2), are then added in place (add_left_right_pair). Each
+        entry is the same sum of the same terms as in the Kronecker form
+        i (kron(I, H) - kron(H.T, I)) - (kron(I, K) + kron(K.T, I))/2 + S:
+        entry (a, b), (a, b) of the diagonal gets
+        i (H[b, b] - H[a, a]) - (K[b, b] + K[a, a])/2.
+        """
         d = self.dim
-        eye = np.eye(d)
-        h = self.hamiltonian
-        m = 1j * (left_right_matrix(h, eye) - left_right_matrix(eye, h))
-        m -= 0.5 * (left_right_matrix(self._kappa, eye) + left_right_matrix(eye, self._kappa))
+        h, kappa = self.hamiltonian, self._kappa
         if self.jumps:
-            m += left_right_sum_matrix([l.conj().T for l in self.jumps], self.jumps)
+            js = np.asarray(self.jumps)
+            m = left_right_sum_matrix(np.conjugate(js.swapaxes(1, 2), order="C"), js)
+        else:
+            m = np.zeros((d * d, d * d), dtype=complex)
+        hd, kd = h.diagonal(), kappa.diagonal()
+        diagonal = 1j * (hd[None, :] - hd[:, None]) - 0.5 * (kd[None, :] + kd[:, None])
+        add_left_right_pair(m, 1j * h - 0.5 * kappa, 1j * (-h) - 0.5 * kappa, diagonal)
         return SuperOperator(m)
 
 
@@ -116,8 +133,12 @@ class GeneratorContext:
     """A generator together with its stationary state and weighted calculus.
 
     The generator is held once, as the Heisenberg matrix ``heisenberg``
-    (``schrodinger`` is its adjoint, formed on access); the only other
-    d^2 x d^2 matrix kept is ``eigenbasis_generator``, once computed.
+    (``schrodinger`` is its adjoint, formed on access). The only other
+    d^2 x d^2 matrix it may hold is ``eigenbasis_generator``: computed on
+    first use and kept until take_eigenbasis_generator hands it to a caller
+    that overwrites it (TiltedFamily, spectral_gap). kms_conjugated and
+    kms_hermitian_part make at most one new d^2 x d^2 matrix, none when
+    given one to overwrite.
     ``faithful`` is None when the stationary state is rank deficient; every
     sigma-weighted operation then refuses with NotFaithfulError.
 
@@ -180,19 +201,31 @@ class GeneratorContext:
         """The Heisenberg matrix of the generator in sigma's eigenbasis."""
         return self.to_eigenbasis(self.heisenberg.matrix)
 
+    def take_eigenbasis_generator(self) -> np.ndarray:
+        """The generator in sigma's eigenbasis, for the caller to overwrite:
+        the cached eigenbasis_generator, which the context then drops (it is
+        recomputed on next use), or a fresh rotation."""
+        cached = self.__dict__.pop("eigenbasis_generator", None)
+        return self.to_eigenbasis(self.heisenberg.matrix) if cached is None else cached
+
     def kms_conjugated(self, eigenbasis_matrix: np.ndarray | None = None) -> np.ndarray:
         """D M D^(-1) with D the diagonal KMS half-Gram (s_i s_j)^(1/4), for a
         superoperator M given in sigma's eigenbasis (default: the generator).
-        Hermitian iff M is KMS-self-adjoint."""
-        m = self.eigenbasis_generator if eigenbasis_matrix is None else eigenbasis_matrix
+        Hermitian iff M is KMS-self-adjoint. A given M is overwritten with
+        the result; the default leaves the cached generator alone."""
         half = np.sqrt(gram_weights("KMS", self.require_faithful()))
-        out = m * half[:, None]
+        if eigenbasis_matrix is None:
+            out = self.eigenbasis_generator * half[:, None]
+        else:
+            out = eigenbasis_matrix
+            out *= half[:, None]
         out /= half[None, :]
         return out
 
     def kms_hermitian_part(self, eigenbasis_matrix: np.ndarray | None = None) -> np.ndarray:
-        """Hermitian matrix of the KMS symmetrization (M + M^KMS)/2, conjugated."""
-        return hermitian_part(self.kms_conjugated(eigenbasis_matrix))
+        """Hermitian matrix of the KMS symmetrization (M + M^KMS)/2,
+        conjugated; a given M is overwritten with it, as in kms_conjugated."""
+        return hermitianize(self.kms_conjugated(eigenbasis_matrix))
 
 
 def stationary_state(lind: Lindbladian) -> GeneratorContext:
@@ -205,13 +238,14 @@ def context_from_channel(channel: SuperOperator) -> GeneratorContext:
 
     ``channel`` is the Heisenberg (unital) superoperator Psi.
     """
-    eye = np.eye(channel.dim ** 2, dtype=complex)
-    return context_from_generator(SuperOperator(channel.matrix - eye))
+    generator = channel.matrix.copy()
+    generator.reshape(-1)[::generator.shape[0] + 1] -= 1.0
+    return context_from_generator(SuperOperator(generator))
 
 
-def _bordered_kernel(m: np.ndarray, d: int, scale: float) -> np.ndarray | None:
-    """Stationary candidate of the Schrodinger matrix M when its kernel is
-    certified simple, else None.
+def _bordered_kernel(heis: np.ndarray, d: int, scale: float) -> np.ndarray | None:
+    """Stationary candidate of the Schrodinger matrix M = H^dagger of the
+    Heisenberg matrix H when its kernel is certified simple, else None.
 
     Unitality makes t = vec(id) a left null vector of M, so the trace-bordered
     A = M + c t t^dagger (c = scale/d, so the border has norm scale) is
@@ -220,12 +254,13 @@ def _bordered_kernel(m: np.ndarray, d: int, scale: float) -> np.ndarray | None:
     sigma_n(A) >= 1/|A^(-1)|_F, so the kernel is simple once that bound
     clears KERNEL_REL_TOL * scale; |M v| / |v| <= KERNEL_REL_TOL * scale
     then says that the last singular value is below it, as the SVD
-    classification requires.
+    classification requires. A and its inverse are the only d^2 x d^2
+    arrays made; |M v| is computed as |v^dagger H|.
     """
     t = vec(np.eye(d))
     c = scale / d
     diagonal = np.flatnonzero(t)
-    a = m.copy()
+    a = heis.conj().T
     a[np.ix_(diagonal, diagonal)] += c
     try:
         a_inv = np.linalg.inv(a)
@@ -234,7 +269,7 @@ def _bordered_kernel(m: np.ndarray, d: int, scale: float) -> np.ndarray | None:
     if not 1.0 / np.linalg.norm(a_inv) > KERNEL_REL_TOL * scale:
         return None
     v = c * (a_inv @ t)
-    if not np.linalg.norm(m @ v) <= KERNEL_REL_TOL * scale * np.linalg.norm(v):
+    if not np.linalg.norm(v.conj() @ heis) <= KERNEL_REL_TOL * scale * np.linalg.norm(v):
         return None
     return unvec(v, d)
 
@@ -264,10 +299,11 @@ def _svd_kernel(m: np.ndarray, d: int, scale: float) -> tuple[np.ndarray, int]:
 def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None = None) -> GeneratorContext:
     """Context for a generator given as a Heisenberg superoperator.
 
-    The kernel of the Schrodinger matrix M = H^dagger (a local) comes from
-    one LU inversion of the trace-bordered M + c t t^dagger, which also
-    certifies that the kernel is simple (_bordered_kernel). Only when that
-    certificate fails does one SVD of M classify the kernel (_svd_kernel):
+    The kernel of the Schrodinger matrix M = H^dagger comes from one LU
+    inversion of the trace-bordered M + c t t^dagger, which also certifies
+    that the kernel is simple (_bordered_kernel); M itself is formed only
+    when that certificate fails, and then one SVD of it classifies the
+    kernel (_svd_kernel):
     a multiplicity above one is resolved by the ergodic projector, and
     faithfulness then fails only if no faithful stationary state exists
     (NotFaithfulError).
@@ -277,17 +313,18 @@ def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None 
     unitality = np.max(np.abs(heis.apply(np.eye(d))))
     if unitality > UNITALITY_TOL:
         raise ValidationError(f"generator is not unital: |L(id)| = {unitality:.3e}")
-    m = heis.matrix.conj().T
-    scale = max(1.0, float(np.max(np.abs(m))))
-    cand, mult = _bordered_kernel(m, d, scale), 1
+    h = heis.matrix
+    scale = max(1.0, float(np.max(np.abs(h))))
+    cand, mult = _bordered_kernel(h, d, scale), 1
     if cand is None:
-        cand, mult = _svd_kernel(m, d, scale)
+        cand, mult = _svd_kernel(h.conj().T, d, scale)
     cand = hermitian_part(cand)
     tr = np.trace(cand).real
     if abs(tr) < 1e-14:
         raise NumericalError("stationary candidate has vanishing trace")
     cand = cand / tr
-    residual = np.max(np.abs(m @ vec(cand)))
+    # |M vec(sigma)| entrywise, as |vec(sigma)^dagger H|.
+    residual = np.max(np.abs(vec(cand).conj() @ h))
     if residual > STATIONARY_TOL:
         raise NumericalError(f"stationary residual {residual:.3e} exceeds {STATIONARY_TOL:.1e}")
     w, v = np.linalg.eigh(cand)
@@ -315,7 +352,8 @@ def _dual_in_eigenbasis(kind: str, ctx: GeneratorContext, eigenbasis_matrix: np.
     """G^(-1) S^dagger G in sigma's eigenbasis, where the Gram G is the
     diagonal gram_weights: entry (a, b) is conj(S[b, a]) g[b] / g[a]."""
     g = gram_weights(kind, ctx.require_faithful())
-    return eigenbasis_matrix.conj().T * np.outer(1.0 / g, g)
+    dual = np.multiply(eigenbasis_matrix.T, np.outer(1.0 / g, g), order="C")
+    return np.conjugate(dual, out=dual)
 
 
 def dual_superoperator(kind: str, ctx: GeneratorContext, superop: SuperOperator) -> SuperOperator:
@@ -345,7 +383,9 @@ def check_detailed_balance(kind: str, ctx: GeneratorContext) -> SymmetryReport:
     classify as symmetric rather than amplifying rounding dust.
     """
     m_e = ctx.eigenbasis_generator
-    difference = ctx.from_eigenbasis(m_e - _dual_in_eigenbasis(kind, ctx, m_e))
+    difference = _dual_in_eigenbasis(kind, ctx, m_e)
+    np.subtract(m_e, difference, out=difference)
+    difference = ctx.from_eigenbasis(difference)
     deviation = float(np.max(np.abs(difference)))
     scale = float(np.max(np.abs(ctx.heisenberg.matrix)))
     return SymmetryReport(deviation <= SYMMETRY_REL_TOL * max(scale, 1.0), deviation)

@@ -1,5 +1,6 @@
 import base64
 import binascii
+import hashlib
 import json
 import math
 import os
@@ -471,6 +472,11 @@ class TestDispatch:
         assert fileio.verify_manifest("bound.csv.manifest.json")
         Path("scalar.json").write_text(Path("scalar.json").read_text() + " ")
         assert not fileio.verify_manifest("bound.csv.manifest.json")
+
+    def test_digest_of_file_larger_than_a_chunk(self, workdir):
+        data = np.random.default_rng(3).bytes(2 * fileio.DIGEST_CHUNK + 12345)
+        Path("big.bin").write_bytes(data)
+        assert fileio._digest("big.bin") == hashlib.sha256(data).hexdigest()
 
     def test_inputs_never_mutated(self, scalar_model):
         before = Path("scalar.json").read_bytes()

@@ -8,6 +8,7 @@ from qdev.linalg import FaithfulState, NumericalError, ValidationError
 from qdev.lindblad import Lindbladian, dirichlet_form, fisher_information, stationary_state
 from qdev.inequalities import (
     FunctionalConstants,
+    _bfgs_weak_wolfe,
     LipschitzContext,
     concentration_bound,
     entropy_functional,
@@ -276,6 +277,26 @@ class TestW1LowerBound:
                 rho = random_state(rng, d)
                 w1 = w1_lower_bound(lip, rho, ctx.sigma.matrix)
                 assert w1 <= math.sqrt(2 * c * fisher_information(ctx, rho)) + 1e-8
+
+
+class TestBfgsStop:
+    @pytest.mark.parametrize("name", ["weighted_l1", "elliptic_norm"])
+    def test_stops_once_steps_fall_below_rounding(self, name):
+        # 1 + a kink at 0: BFGS reaches the kink to rounding, and from there
+        # every step or bracket moves f by less than an ulp of 1. Without
+        # the rounding test both runs take over 1200 evaluations.
+        a = np.array([1.0, 4.0])
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            if name == "weighted_l1":
+                return 1.0 + a @ np.abs(x), a * np.sign(x)
+            r = math.sqrt(x @ (a * x))
+            return 1.0 + r, (a * x) / r if r > 0 else np.zeros_like(x)
+
+        assert _bfgs_weak_wolfe(f, np.array([1.0, -0.7])) == pytest.approx(1.0, abs=1e-15)
+        assert len(calls) <= 200
 
 
 class TestTensorization:

@@ -13,10 +13,13 @@ from qdev.linalg import (
     NotHermitianError,
     SuperOperator,
     ValidationError,
+    add_left_right_pair,
     gamma_map,
     gram_weights,
     hermitian_from_params,
+    hermitian_part,
     hermitian_to_params,
+    hermitianize,
     inner_product,
     left_right_matrix,
     left_right_sum_matrix,
@@ -248,6 +251,34 @@ class TestSuperOperators:
     def test_left_right_sum_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             left_right_sum_matrix(np.zeros((2, 3, 3)), np.zeros((1, 3, 3)))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_left_right_pair_equals_kron_sum(self, d, rng):
+        a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        eye = np.eye(d)
+        m = np.zeros((d * d, d * d), dtype=complex)
+        assert add_left_right_pair(m, a, b) is m
+        assert np.array_equal(m, left_right_matrix(a, eye) + left_right_matrix(eye, b))
+
+    def test_left_right_pair_adds_in_place_with_given_diagonal(self, rng):
+        d = 3
+        a, b, base = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for n in (d, d, d * d))
+        diagonal = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        m = add_left_right_pair(base.copy(), a, b, diagonal)
+        expected = base + left_right_matrix(a, np.eye(d)) + left_right_matrix(np.eye(d), b)
+        np.fill_diagonal(expected, base.diagonal() + diagonal.ravel())
+        assert np.max(np.abs(m - expected)) <= 1e-14
+
+
+class TestHermitianize:
+    @pytest.mark.parametrize("n", [1, 5, linalg.HERMITIANIZE_BLOCK, 2 * linalg.HERMITIANIZE_BLOCK + 3])
+    def test_equals_hermitian_part_in_place(self, n, rng):
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        expected = hermitian_part(a)
+        out = hermitianize(a)
+        assert out is a
+        assert np.array_equal(a, expected)
 
 
 class TestTopEigenpair:

@@ -18,6 +18,7 @@ from qdev.linalg import (
     hermitian_part,
     inner_product,
     left_right_matrix,
+    left_right_sum_matrix,
     to_superoperator,
     unvec,
 )
@@ -94,6 +95,41 @@ class TestGeneratorAction:
         lind = Lindbladian(h, jumps)
         reference = to_superoperator(lind.heisenberg_action, d).matrix
         assert np.max(np.abs(lind.heisenberg_superoperator().matrix - reference)) <= 1e-13
+
+
+def kron_heisenberg_matrix(lind):
+    """The generator's Heisenberg matrix as four Kronecker products plus the
+    jump sum: the in-place assembly must reproduce it bit for bit."""
+    d = lind.dim
+    eye = np.eye(d)
+    h, kappa = lind.hamiltonian, sum((l.conj().T @ l for l in lind.jumps), np.zeros((d, d), complex))
+    m = 1j * (left_right_matrix(h, eye) - left_right_matrix(eye, h))
+    m -= 0.5 * (left_right_matrix(kappa, eye) + left_right_matrix(eye, kappa))
+    if lind.jumps:
+        m += left_right_sum_matrix([l.conj().T for l in lind.jumps], lind.jumps)
+    return m
+
+
+class TestInPlaceAssembly:
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_equals_kron_formula(self, d, k, rng):
+        lind = random_lindblad(rng, d, k)
+        assert np.array_equal(lind.heisenberg_superoperator().matrix, kron_heisenberg_matrix(lind))
+
+    def test_equals_kron_formula_for_noncommuting_jumps(self):
+        jumps = [lower_jump(3), lower_jump(3).T, np.diag([1.0, -1.0, 0.5]).astype(complex)]
+        assert np.linalg.norm(jumps[0] @ jumps[1] - jumps[1] @ jumps[0]) > 0.5
+        h = np.array([[0.3, 0.5 - 0.2j, 0.0], [0.5 + 0.2j, -1.2, 0.1j], [0.0, -0.1j, 2.0]])
+        lind = Lindbladian(h, jumps)
+        assert np.array_equal(lind.heisenberg_superoperator().matrix, kron_heisenberg_matrix(lind))
+
+    def test_no_jumps_is_the_commutator(self, rng):
+        h = random_hermitian(rng, 4)
+        lind = Lindbladian(h, [])
+        m = lind.heisenberg_superoperator().matrix
+        assert np.array_equal(m, kron_heisenberg_matrix(lind))
+        assert np.array_equal(m.diagonal(), (1j * (np.diag(h)[None, :] - np.diag(h)[:, None])).ravel())
 
 
 class TestStationaryState:

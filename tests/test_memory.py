@@ -1,0 +1,80 @@
+"""Memory budgets of the analytics path, in generator-sized units.
+
+A unit is one d^2 x d^2 complex matrix, 16 d^4 bytes. Each budget is the
+tracemalloc peak of one call above what was allocated before it, on a
+seeded d = 16 depolarizing model with one Brownian channel (the model of
+bench/analytics_scale.py). Memory LAPACK allocates for itself is not
+traced, so these count the arrays qdev makes.
+"""
+
+import gc
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qdev import deviation, inequalities, lindblad, models
+
+D = 16
+UNIT = 16 * D ** 4
+
+
+def traced(fn):
+    """(result, peak, retained): fn's tracemalloc peak and what it left
+    allocated, both in units and above what was allocated before."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        gc.collect()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, (peak - base) / UNIT, (current - base) / UNIT
+
+
+@pytest.fixture(scope="module")
+def model():
+    rng = np.random.default_rng(16)
+    g = rng.normal(size=(D, D)) + 1j * rng.normal(size=(D, D))
+    sigma = g @ g.conj().T
+    sigma = 0.8 * sigma / np.trace(sigma).real + 0.2 * np.eye(D) / D
+    sigma = 0.5 * (sigma + sigma.conj().T)
+    direction = np.zeros(D * D)
+    direction[1 * D + 5] = direction[5 * D + 1] = 1.0 / np.sqrt(2.0)
+    lind = models.depolarizing(sigma)
+    return sigma, lind, lind.heisenberg_superoperator(), direction
+
+
+def fresh_context(model):
+    _, lind, heis, _ = model
+    return lindblad.context_from_generator(heis, lindbladian=lind)
+
+
+def test_assembly_budget(model):
+    _, lind, _, _ = model
+    _, peak, _ = traced(lind.heisenberg_superoperator)
+    assert peak <= 4.1
+
+
+def test_stationary_solve_budget(model):
+    _, peak, _ = traced(lambda: fresh_context(model))
+    assert peak <= 2.1
+
+
+def test_main_bound_budget_and_nothing_kept(model):
+    sigma, _, _, direction = model
+    ctx = fresh_context(model)
+    setup = deviation.MeasurementSetup(ctx, direction[None, :], 1)
+    report, peak, retained = traced(lambda: deviation.main_bound(setup, sigma, [0.3]))
+    assert report.status == "ok"
+    assert peak <= 4.1
+    assert retained < 0.5
+
+
+def test_spectral_gap_budget(model):
+    ctx = fresh_context(model)
+    gap, peak, _ = traced(lambda: inequalities.spectral_gap(ctx))
+    assert gap == pytest.approx(1.0, abs=1e-8)
+    assert peak <= 2.2
