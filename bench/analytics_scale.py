@@ -11,9 +11,10 @@ its own; a d is skipped when its estimated footprint (SIZE_FACTOR
 generator-sized arrays, 16 d^4 bytes each) exceeds the memory the system
 reports available.
 
-Printed, one JSON line per d, with times as medians over --repeats, taken
-in the order a session runs them (later stages reuse what earlier ones
-cached on the context, as in `inequalities`):
+Printed, one JSON line per d, with times as medians over --repeats calls
+that follow one traced call, taken in the order a session runs them (later
+stages reuse what earlier ones cached on the context, as in
+`inequalities`):
 
 - "assembly_s": `Lindbladian.heisenberg_superoperator`;
 - "stationary_s": `context_from_generator` on the assembled generator;
@@ -21,9 +22,10 @@ cached on the context, as in `inequalities`):
 - "spectral_gap_s": `spectral_gap`;
 - "tilted_family_s": building `TiltedFamily`;
 - "main_bound_s": `main_bound` (which builds its own family);
-- "<stage>_peak": the tracemalloc peak of the stage's first call, above
-  what was allocated before it, in generator-sized units (16 d^4 bytes);
-  memory LAPACK allocates for itself is not traced;
+- "<stage>_peak": the tracemalloc peak of what the stage's first call
+  allocates, in generator-sized units (16 d^4 bytes); memory LAPACK
+  allocates for itself is not traced. That call is traced only and not
+  timed, so the times above are of untraced calls;
 - "peak_rss_mb": peak RSS of the child process;
 - "sigma_err", "gap_err", "symmetric": the outputs the perfbench checks
   read (stationary state against the target, gap against 1, and the three
@@ -65,20 +67,19 @@ def model(d: int):
 
 
 def stage(out: dict, name: str, fn, repeats: int, unit: int):
-    """Time ``fn`` --repeats times into out[name + "_s"] (median) and put
-    the tracemalloc peak of its first call, in units of ``unit`` bytes,
-    into out[name + "_peak"]; return the last result."""
+    """Put the tracemalloc peak of a first, untimed call of ``fn``, in units
+    of ``unit`` bytes, into out[name + "_peak"], then time --repeats
+    untraced calls into out[name + "_s"] (median); return the last result."""
+    tracemalloc.start()
+    result = fn()
+    out[name + "_peak"] = round(tracemalloc.get_traced_memory()[1] / unit, 3)
+    tracemalloc.stop()
     times = []
-    for i in range(repeats):
+    for _ in range(repeats):
         result = None
-        tracemalloc.start()
-        base = tracemalloc.get_traced_memory()[0]
         t0 = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - t0)
-        if i == 0:
-            out[name + "_peak"] = round((tracemalloc.get_traced_memory()[1] - base) / unit, 3)
-        tracemalloc.stop()
     out[name + "_s"] = statistics.median(times)
     return result
 

@@ -296,7 +296,8 @@ def _bfgs_weak_wolfe(f, x: np.ndarray) -> float:
     meets them, and, as Lewis and Overton's bracket test, as soon as the
     step taken or the bracket still searched changes f by a predicted
     |slope| * width of at most ROUNDING_RTOL * |f|: below the rounding of f,
-    a trial step only samples noise.
+    a trial step only samples noise. A collapsed bracket returns the value
+    at its lower end, the last step with sufficient decrease.
     """
     fx, g = f(x)
     h = np.eye(x.size)
@@ -306,17 +307,17 @@ def _bfgs_weak_wolfe(f, x: np.ndarray) -> float:
         if slope >= 0:
             break
         resolvable = ROUNDING_RTOL * abs(fx) / -slope
-        lo, hi, t = 0.0, math.inf, 1.0
+        lo, hi, t, flo = 0.0, math.inf, 1.0, fx
         for _ in range(WOLFE_MAX_TRIALS):
             fn, gn = f(x + t * p)
             if fn > fx + WOLFE_C1 * t * slope:
                 hi = t
             elif gn @ p < WOLFE_C2 * slope:
-                lo = t
+                lo, flo = t, fn
             else:
                 break
             if hi - lo <= resolvable:
-                return fx
+                return flo
             t = 2.0 * lo if math.isinf(hi) else 0.5 * (lo + hi)
         else:
             break

@@ -135,8 +135,10 @@ class GeneratorContext:
     The generator is held once, as the Heisenberg matrix ``heisenberg``
     (``schrodinger`` is its adjoint, formed on access). The only other
     d^2 x d^2 matrix it may hold is ``eigenbasis_generator``: computed on
-    first use and kept until take_eigenbasis_generator hands it to a caller
-    that overwrites it (TiltedFamily, spectral_gap). kms_conjugated and
+    first use, read-only while cached, and kept until
+    take_eigenbasis_generator hands it, writeable, to a caller that
+    overwrites it (TiltedFamily, spectral_gap). Each further take on the
+    same context rotates the generator again, at d^5. kms_conjugated and
     kms_hermitian_part make at most one new d^2 x d^2 matrix, none when
     given one to overwrite.
     ``faithful`` is None when the stationary state is rank deficient; every
@@ -198,15 +200,22 @@ class GeneratorContext:
 
     @cached_property
     def eigenbasis_generator(self) -> np.ndarray:
-        """The Heisenberg matrix of the generator in sigma's eigenbasis."""
-        return self.to_eigenbasis(self.heisenberg.matrix)
+        """The Heisenberg matrix of the generator in sigma's eigenbasis.
+        Read-only, so that no caller writes into the cache. A reference kept
+        across take_eigenbasis_generator sees the taker overwrite it."""
+        m_e = self.to_eigenbasis(self.heisenberg.matrix)
+        m_e.flags.writeable = False
+        return m_e
 
     def take_eigenbasis_generator(self) -> np.ndarray:
         """The generator in sigma's eigenbasis, for the caller to overwrite:
-        the cached eigenbasis_generator, which the context then drops (it is
-        recomputed on next use), or a fresh rotation."""
+        the cached eigenbasis_generator, made writeable and dropped by the
+        context (it is recomputed on next use), or a fresh rotation."""
         cached = self.__dict__.pop("eigenbasis_generator", None)
-        return self.to_eigenbasis(self.heisenberg.matrix) if cached is None else cached
+        if cached is None:
+            return self.to_eigenbasis(self.heisenberg.matrix)
+        cached.flags.writeable = True
+        return cached
 
     def kms_conjugated(self, eigenbasis_matrix: np.ndarray | None = None) -> np.ndarray:
         """D M D^(-1) with D the diagonal KMS half-Gram (s_i s_j)^(1/4), for a
@@ -214,11 +223,8 @@ class GeneratorContext:
         Hermitian iff M is KMS-self-adjoint. A given M is overwritten with
         the result; the default leaves the cached generator alone."""
         half = np.sqrt(gram_weights("KMS", self.require_faithful()))
-        if eigenbasis_matrix is None:
-            out = self.eigenbasis_generator * half[:, None]
-        else:
-            out = eigenbasis_matrix
-            out *= half[:, None]
+        out = self.eigenbasis_generator.copy() if eigenbasis_matrix is None else eigenbasis_matrix
+        out *= half[:, None]
         out /= half[None, :]
         return out
 

@@ -267,6 +267,19 @@ class TestEigenbasisCalculus:
             hermitian_part(dense_kms_conjugated(ctx.faithful, ctx.heisenberg.matrix)))
         assert np.max(np.abs(np.linalg.eigvalsh(ctx.kms_hermitian_part()) - generator)) < 1e-12
 
+    def test_cached_generator_is_read_only_until_taken(self, ctx):
+        cached = ctx.eigenbasis_generator
+        reference = ctx.to_eigenbasis(ctx.heisenberg.matrix)
+        with pytest.raises(ValueError):
+            cached *= 2.0
+        ctx.kms_hermitian_part()
+        assert np.array_equal(ctx.eigenbasis_generator, reference)
+        taken = ctx.take_eigenbasis_generator()
+        assert taken is cached and taken.flags.writeable
+        # The context no longer holds it: a second take rotates anew.
+        again = ctx.take_eigenbasis_generator()
+        assert again is not taken and np.array_equal(again, reference)
+
     @pytest.mark.parametrize("kind", ["GNS", "KMS", "BKM"])
     def test_deviation_is_original_basis_max_norm(self, kind):
         rng = np.random.default_rng(500)
