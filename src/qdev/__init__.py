@@ -17,8 +17,6 @@ from .linalg import (
 from .lindblad import (
     GeneratorContext,
     Lindbladian,
-    apply_adjoint_generator,
-    apply_generator,
     bohr_frequencies,
     check_detailed_balance,
     context_from_channel,

@@ -103,8 +103,7 @@ def run_paper_fixtures() -> list[Result]:
                     f"psi: kms {kms.deviation:.1e} bkm {bkm.deviation:.1e}"))
 
     # Heat-bath stationarity at beta = 0.5 for the two-qubit Ising chain.
-    ham = CommutingHamiltonian(2, 2, [((0, 1), np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0])))],
-                               beta=0.5)
+    ham = CommutingHamiltonian(2, 2, [((0, 1), np.diag([1.0, -1.0, -1.0, 1.0]))], beta=0.5)
     model = heat_bath(ham)
     residual = float(np.max(np.abs(model.context.schrodinger.apply(model.gibbs))))
     results.append(("heat-bath stationarity", residual <= 1e-9, f"residual {residual:.2e}"))

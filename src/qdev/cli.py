@@ -165,8 +165,10 @@ def _cmd_model_new(args, argv) -> int:
             from .linalg import FaithfulState
             lind = depolarizing(FaithfulState(rho))
         else:
-            if not args.dim:
+            if args.dim is None:
                 raise ValidationError("depolarizing template needs --dim or --sigma")
+            if args.dim < 1:
+                raise ValidationError(f"--dim must be at least 1, got {args.dim}")
             lind = depolarizing(maximally_mixed(args.dim))
         fileio.save_model(args.output, hamiltonian=lind.hamiltonian, jumps=lind.jumps,
                           template="depolarizing")

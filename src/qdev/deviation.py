@@ -36,7 +36,7 @@ from .linalg import (
     hermitian_from_params,
     hermitian_to_params,
     inner_product,
-    left_right_matrix,
+    left_right_sum_matrix,
     top_eigenpair,
 )
 from .lindblad import (
@@ -175,7 +175,7 @@ def perturbed_generator(setup: MeasurementSetup, lam) -> SuperOperator:
             add_left_right_pair(m, lam[j] * l.conj().T, lam[j] * l)
             m.reshape(-1)[::m.shape[0] + 1] += 0.5 * lam[j] ** 2
         else:
-            m += np.expm1(lam[j]) * left_right_matrix(l.conj().T, l)
+            m += left_right_sum_matrix([np.expm1(lam[j]) * l.conj().T], [l])
     return SuperOperator(m)
 
 

@@ -14,6 +14,7 @@ needs just Lipschitz norms of explicit observables.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,7 +31,7 @@ from .linalg import (
     require_hermitian,
     spectral_transform,
 )
-from .lindblad import GeneratorContext, fisher_information
+from .lindblad import GeneratorContext, check_detailed_balance, fisher_information
 
 GAP_ZERO_TOL = 1e-10
 
@@ -362,6 +363,8 @@ class ConcentrationBound:
         return self.coefficient * t * r * r
 
     def bound(self, t: float, r: float) -> float:
+        if not t >= 0.0:
+            raise ValidationError(f"time must be nonnegative, got {t!r}")
         return self.prefactor * math.exp(-self.exponent(t, r))
 
 
@@ -388,7 +391,12 @@ def concentration_bound(variant: str, *, prefactor: float = 1.0,
     tensor           exp(-4 a2^2 t r^2 / (8 a2^2 + n alpha(u))).
     gibbs            exp(beta ||H|| / 2 - t r^2 / (2 (1 + C L_orn^2))) with
                      user-supplied C and Ornstein-Lipschitz value.
+
+    Every constant a display uses must be finite; the gap, the LSI
+    constant and the prefactor positive, the others nonnegative;
+    dim >= 3 and n_factors >= 1. Anything else raises ValidationError.
     """
+    _need(prefactor, "prefactor", positive=True)
     if variant == "ti_gaussian":
         if not hypothesis_attested:
             raise ValidationError("ti_gaussian requires hypothesis_attested=True (test-set membership)")
@@ -398,18 +406,18 @@ def concentration_bound(variant: str, *, prefactor: float = 1.0,
         _need(lipschitz_value, "lipschitz_value")
         return ConcentrationBound(variant, 1.0 / (2.0 * (1.0 + ti_constant * lipschitz_value**2)), prefactor)
     if variant == "poincare":
-        _need(gap, "gap")
+        _need(gap, "gap", positive=True)
         _need(sup_norm, "sup_norm")
         return ConcentrationBound(variant, gap / (2.0 * (gap + 2.0 * sup_norm**2)), prefactor)
     if variant == "depolarizing":
-        _need(dim, "dim")
+        _need(dim, "dim", minimum=3)
         _need(eigenvalue_spread, "eigenvalue_spread")
         num = 2.0 * (dim - 2) ** 2
         den = 4.0 * (dim - 2) ** 2 + eigenvalue_spread * dim**2 * math.log(dim - 1) ** 2
         return ConcentrationBound(variant, num / den, float(dim))
     if variant == "tensor":
-        _need(lsi_alpha2, "lsi_alpha2")
-        _need(n_factors, "n_factors")
+        _need(lsi_alpha2, "lsi_alpha2", positive=True)
+        _need(n_factors, "n_factors", minimum=1)
         _need(alpha_u, "alpha_u")
         a2sq = lsi_alpha2**2
         return ConcentrationBound(variant, 4.0 * a2sq / (8.0 * a2sq + n_factors * alpha_u), prefactor)
@@ -417,14 +425,21 @@ def concentration_bound(variant: str, *, prefactor: float = 1.0,
         _need(ti_constant, "ti_constant")
         _need(lipschitz_value, "lipschitz_value")
         _need(beta_h_norm, "beta_h_norm")
+        if beta_h_norm / 2.0 > math.log(sys.float_info.max):
+            raise ValidationError(f"beta_h_norm {beta_h_norm!r} overflows the prefactor exp(beta_h_norm / 2)")
         coeff = 1.0 / (2.0 * (1.0 + ti_constant * lipschitz_value**2))
         return ConcentrationBound(variant, coeff, math.exp(beta_h_norm / 2.0))
     raise ValidationError(f"unknown concentration variant {variant!r}")
 
 
-def _need(value, name: str):
+def _need(value, name: str, minimum: float = 0.0, positive: bool = False):
+    """Require the constant ``name``: given, finite, at least ``minimum``,
+    and above zero when ``positive``."""
     if value is None:
         raise ValidationError(f"variant requires {name}")
+    if not math.isfinite(value) or value < minimum or (positive and value <= 0):
+        bound = "positive" if positive else f"at least {minimum:g}"
+        raise ValidationError(f"{name} must be finite and {bound}, got {value!r}")
 
 
 def tensor_alpha_u(contexts: list[GeneratorContext], u: np.ndarray) -> float:
@@ -466,7 +481,6 @@ def tensorization_lsi_bounds(contexts: list[GeneratorContext]) -> tuple[float, f
     for ctx in contexts:
         if not ctx.primitive:
             raise ValidationError("every factor must be primitive")
-        from .lindblad import check_detailed_balance
         if not check_detailed_balance("KMS", ctx).symmetric:
             raise ValidationError("every factor must be KMS-symmetric")
         gaps.append(spectral_gap(ctx))

@@ -7,8 +7,9 @@ is built on three ingredients collected here:
   * validated wrappers for Hermitian operators, density operators and
     faithful (full-rank) states, the latter carrying a cached
     eigendecomposition so that arbitrary fractional powers are cheap;
-  * the GNS / KMS / BKM inner products and their Gram maps, which are
-    diagonal in sigma's eigenbasis (gram_weights);
+  * the GNS / KMS / BKM inner products, defined once by their Gram maps,
+    which are diagonal in sigma's eigenbasis (gram_weights); inner
+    products and weighted duals are entrywise scalings there;
   * spectral transforms f(Delta) of the modular operator
     Delta: X -> sigma X sigma^{-1}, applied entrywise in the eigenbasis.
 
@@ -22,13 +23,16 @@ generator) is one matrix product, not k Kronecker products:
     sum_j kron(B_j.T, A_j)[(a,b),(c,e)] = sum_j B_j[c,a] A_j[b,e],
 
 the (d^2 x k) stack of the B_j times the (k x d^2) stack of the A_j,
-reshaped and transposed to (a,b,c,e) (left_right_sum_matrix).
+reshaped and transposed to (a,b,c,e) (left_right_sum_matrix, the one
+builder; a single map X -> A X B is the case k = 1).
 
 Top eigenvalues of tilted generators come from top_eigenpair, a Lanczos
 iteration with full reorthogonalisation, once the matrix size reaches
-deviation.LANCZOS_MIN_SIZE; below it, and when Lanczos does not converge,
-from a full eigvalsh. The value reported at the optimal tilt lam* is that
-of one dense eigh, which the iterative value must match there.
+deviation.LANCZOS_MIN_SIZE, and from a dense eigh when Lanczos does not
+converge; below that size, from a dense eigh or eigvalsh. The value
+reported at the optimal tilt lam* is checked against a dense solve there:
+one eigvalsh in the Lanczos regime, the iterate's own eigh in the dense
+regime.
 """
 
 from __future__ import annotations
@@ -256,11 +260,6 @@ def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
     return v.reshape((dim, dim), order="F")
 
 
-def left_right_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix of X -> A X B in the column-stacking convention."""
-    return np.kron(np.asarray(b, dtype=complex).T, np.asarray(a, dtype=complex))
-
-
 def left_right_sum_matrix(lefts, rights) -> np.ndarray:
     """Matrix of X -> sum_j A_j X B_j, that is sum_j kron(B_j.T, A_j).
 
@@ -387,9 +386,6 @@ def hermitian_to_params(x: np.ndarray) -> np.ndarray:
 # Inner products and Gram weights
 # ---------------------------------------------------------------------------
 
-INNER_PRODUCT_KINDS = ("GNS", "KMS", "BKM")
-
-
 def _bkm_coefficients(s: np.ndarray) -> np.ndarray:
     """Divided differences (s_i - s_j)/(ln s_i - ln s_j) with diagonal limit s_i."""
     si = s[:, None]
@@ -398,30 +394,6 @@ def _bkm_coefficients(s: np.ndarray) -> np.ndarray:
     denom = np.where(near, 1.0, np.log(si) - np.log(sj))
     coeff = np.where(near, si, (si - sj) / denom)
     return coeff
-
-
-def inner_product(kind: str, sigma, x, y) -> complex:
-    """Sesquilinear sigma-weighted inner product <X, Y> of the given kind.
-
-    GNS: Tr[sigma X* Y];  KMS: Tr[sigma^(1/2) X* sigma^(1/2) Y];
-    BKM: integral over t in [0,1] of Tr[sigma^(1-t) X* sigma^t Y], evaluated
-    in sigma's eigenbasis with the divided-difference coefficients.
-    """
-    if kind not in INNER_PRODUCT_KINDS:
-        raise ValidationError(f"unknown inner product kind {kind!r}")
-    st = _as_state(sigma)
-    x = as_complex_matrix(x, "X")
-    y = as_complex_matrix(y, "Y")
-    require_same_dim(st.matrix, x, y)
-    if kind == "GNS":
-        return complex(np.trace(st.matrix @ x.conj().T @ y))
-    if kind == "KMS":
-        r = st.power(0.5)
-        return complex(np.trace(r @ x.conj().T @ r @ y))
-    xe = st.to_eigenbasis(x)
-    ye = st.to_eigenbasis(y)
-    coeff = _bkm_coefficients(st.eigenvalues)
-    return complex(np.sum(coeff * xe.conj() * ye))
 
 
 def gram_weights(kind: str, sigma) -> np.ndarray:
@@ -445,6 +417,33 @@ def gram_weights(kind: str, sigma) -> np.ndarray:
     return g.ravel(order="F")
 
 
+def inner_product(kind: str, sigma, x, y) -> complex:
+    """Sesquilinear sigma-weighted inner product <X, Y> of the given kind.
+
+    GNS: Tr[sigma X* Y];  KMS: Tr[sigma^(1/2) X* sigma^(1/2) Y];
+    BKM: integral over t in [0,1] of Tr[sigma^(1-t) X* sigma^t Y]. Each is
+    sum_ij g[i, j] conj(X_e[i, j]) Y_e[i, j] in sigma's eigenbasis, with
+    the weights g of gram_weights.
+    """
+    st = _as_state(sigma)
+    x = as_complex_matrix(x, "X")
+    y = as_complex_matrix(y, "Y")
+    require_same_dim(st.matrix, x, y)
+    g = gram_weights(kind, st).reshape(st.dim, st.dim, order="F")
+    return complex(np.sum(g * st.to_eigenbasis(x).conj() * st.to_eigenbasis(y)))
+
+
+def dual_in_eigenbasis(left: str, right: str, st: FaithfulState, eigenbasis_matrix: np.ndarray) -> np.ndarray:
+    """G_left^(-1) S^dagger G_right for a superoperator S given in sigma's
+    eigenbasis, where the Gram maps G are the diagonal gram_weights: entry
+    (a, b) is conj(S[b, a]) g_right[b] / g_left[a]. With left == right it
+    is the dual of S for that inner product, <X, S Y> = <S' X, Y>.
+    """
+    weights = np.outer(1.0 / gram_weights(left, st), gram_weights(right, st))
+    dual = np.multiply(eigenbasis_matrix.T, weights, order="C")
+    return np.conjugate(dual, out=dual)
+
+
 # ---------------------------------------------------------------------------
 # Modular spectral calculus
 # ---------------------------------------------------------------------------
@@ -458,37 +457,20 @@ def _spectral_coefficients(kind: str, st: FaithfulState, power: float | None) ->
     if kind == "tanh_log_quarter":
         # Diagonal entries (s_i == s_j) map to tanh(0) = 0 by construction.
         return np.tanh(0.25 * (np.log(s)[:, None] - np.log(s)[None, :]))
-    if kind == "bkm_M":
-        return _bkm_coefficients(s)
-    if kind == "bkm_M_inverse":
-        return 1.0 / _bkm_coefficients(s)
     raise ValidationError(f"unknown spectral transform kind {kind!r}")
 
 
 def spectral_transform(kind: str, sigma, x, power: float | None = None) -> np.ndarray:
     """Apply f(Delta_sigma) to X entrywise in sigma's eigenbasis.
 
-    Element (i, j) is scaled by f(s_i/s_j), with f = x**p for delta_power,
-    tanh(ln(x)/4) for tanh_log_quarter, and the BKM divided difference (or
-    its reciprocal) for bkm_M / bkm_M_inverse.
+    Element (i, j) is scaled by f(s_i/s_j), with f = x**p for delta_power
+    and tanh(ln(x)/4) for tanh_log_quarter.
     """
     st = _as_state(sigma)
     x = as_complex_matrix(x, "X")
     require_same_dim(st.matrix, x)
     coeff = _spectral_coefficients(kind, st, power)
     return st.from_eigenbasis(coeff * st.to_eigenbasis(x))
-
-
-def spectral_transform_matrix(kind: str, sigma, power: float | None = None) -> np.ndarray:
-    """Superoperator matrix of spectral_transform(kind, sigma, .)."""
-    st = _as_state(sigma)
-    coeff = _spectral_coefficients(kind, st, power)
-    u = st.eigenvectors
-    # In the eigenbasis the map is diagonal with entries coeff[i, j] on the
-    # matrix unit |i><j|, whose vec index is j*d + i, i.e. diag = vec(coeff).
-    diag = vec(coeff)
-    basis_change = left_right_matrix(u, u.conj().T)
-    return basis_change @ (diag[:, None] * left_right_matrix(u.conj().T, u))
 
 
 def gamma_map(power: float, sigma, x) -> np.ndarray:
@@ -498,12 +480,6 @@ def gamma_map(power: float, sigma, x) -> np.ndarray:
     require_same_dim(st.matrix, x)
     half = st.power(power / 2.0)
     return half @ x @ half
-
-
-def gamma_matrix(power: float, sigma) -> np.ndarray:
-    st = _as_state(sigma)
-    half = st.power(power / 2.0)
-    return left_right_matrix(half, half)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .linalg import (
     ValidationError,
     add_left_right_pair,
     as_complex_matrix,
+    dual_in_eigenbasis,
     gram_weights,
     hermitian_part,
     hermitianize,
@@ -117,16 +118,6 @@ class Lindbladian:
         diagonal = 1j * (hd[None, :] - hd[:, None]) - 0.5 * (kd[None, :] + kd[:, None])
         add_left_right_pair(m, 1j * h - 0.5 * kappa, 1j * (-h) - 0.5 * kappa, diagonal)
         return SuperOperator(m)
-
-
-def apply_generator(lind: Lindbladian, x) -> np.ndarray:
-    """Heisenberg-picture action L(X)."""
-    return lind.heisenberg_action(np.asarray(x, dtype=complex))
-
-
-def apply_adjoint_generator(lind: Lindbladian, rho) -> np.ndarray:
-    """Schrodinger-picture action L*(rho), the Hilbert-Schmidt adjoint."""
-    return lind.schrodinger_action(np.asarray(rho, dtype=complex))
 
 
 class GeneratorContext:
@@ -354,14 +345,6 @@ def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None 
 # Duals and detailed balance
 # ---------------------------------------------------------------------------
 
-def _dual_in_eigenbasis(kind: str, ctx: GeneratorContext, eigenbasis_matrix: np.ndarray) -> np.ndarray:
-    """G^(-1) S^dagger G in sigma's eigenbasis, where the Gram G is the
-    diagonal gram_weights: entry (a, b) is conj(S[b, a]) g[b] / g[a]."""
-    g = gram_weights(kind, ctx.require_faithful())
-    dual = np.multiply(eigenbasis_matrix.T, np.outer(1.0 / g, g), order="C")
-    return np.conjugate(dual, out=dual)
-
-
 def dual_superoperator(kind: str, ctx: GeneratorContext, superop: SuperOperator) -> SuperOperator:
     """Adjoint of a superoperator with respect to the chosen inner product.
 
@@ -369,7 +352,7 @@ def dual_superoperator(kind: str, ctx: GeneratorContext, superop: SuperOperator)
     Hilbert-Schmidt adjoint S^dagger, formed in sigma's eigenbasis, where G
     is diagonal, and rotated back.
     """
-    dual = _dual_in_eigenbasis(kind, ctx, ctx.to_eigenbasis(superop.matrix))
+    dual = dual_in_eigenbasis(kind, kind, ctx.require_faithful(), ctx.to_eigenbasis(superop.matrix))
     return SuperOperator(ctx.from_eigenbasis(dual))
 
 
@@ -389,7 +372,7 @@ def check_detailed_balance(kind: str, ctx: GeneratorContext) -> SymmetryReport:
     classify as symmetric rather than amplifying rounding dust.
     """
     m_e = ctx.eigenbasis_generator
-    difference = _dual_in_eigenbasis(kind, ctx, m_e)
+    difference = dual_in_eigenbasis(kind, kind, ctx.require_faithful(), m_e)
     np.subtract(m_e, difference, out=difference)
     difference = ctx.from_eigenbasis(difference)
     deviation = float(np.max(np.abs(difference)))

@@ -17,12 +17,11 @@ from .linalg import (
     FaithfulState,
     SuperOperator,
     ValidationError,
-    gamma_matrix,
+    dual_in_eigenbasis,
     hermitian_part,
-    left_right_matrix,
     left_right_sum_matrix,
     require_hermitian,
-    spectral_transform_matrix,
+    superoperator_in_basis,
 )
 from .lindblad import GeneratorContext, Lindbladian, context_from_generator
 
@@ -319,25 +318,26 @@ def counterexample_channels(v1, v2, p: float) -> CounterexampleChannels:
     b = float(v1 @ u2) ** 2
     if a * b < 1e-14 or abs(a + b - 1.0) < 1e-9 or abs(a - b) < 1e-9:
         raise ValidationError("vectors violate the constraints a+b != 1, ab != 0, a != b")
-    k1 = np.outer(v1, u1).astype(complex)
-    k2 = np.outer(v2, u2).astype(complex)
-    phi = SuperOperator(left_right_matrix(k1.conj().T, k1) + left_right_matrix(k2.conj().T, k2))
+    kraus = np.array([np.outer(v1, u1), np.outer(v2, u2)], dtype=complex)
+    phi = SuperOperator(left_right_sum_matrix(kraus.conj().transpose(0, 2, 1), kraus))
     sigma_mat = (a * np.outer(v1, v1) + b * np.outer(v2, v2)) / (a + b)
     sigma = FaithfulState(sigma_mat.astype(complex))
     if abs(sigma.eigenvalues[0] - 0.5) < 1e-9:
         raise ValidationError("fixed state coincides with id/2; pick different vectors")
-    gamma = gamma_matrix(1.0, sigma)
-    gamma_inv = gamma_matrix(-1.0, sigma)
-    phi_kms = gamma_inv @ phi.matrix.conj().T @ gamma
-    psi = SuperOperator(phi_kms @ phi.matrix)
-    m_inv = spectral_transform_matrix("bkm_M_inverse", sigma)
-    psi_tilde = SuperOperator(m_inv @ psi.matrix.conj().T @ gamma)
+    # psi = phi^KMS phi and psi_tilde = G_BKM^(-1) psi^dagger G_KMS, formed
+    # in sigma's eigenbasis, where both Gram maps are diagonal.
+    u = sigma.eigenvectors
+    phi_e = superoperator_in_basis(phi.matrix, u)
+    psi_e = dual_in_eigenbasis("KMS", "KMS", sigma, phi_e) @ phi_e
+    psi = SuperOperator(superoperator_in_basis(psi_e, u.conj().T))
+    psi_tilde = SuperOperator(superoperator_in_basis(dual_in_eigenbasis("BKM", "KMS", sigma, psi_e),
+                                                     u.conj().T))
 
     if not 0.0 < p < 0.5:
         raise ValidationError("p must lie in (0, 1/2)")
-    pk1 = np.diag([np.sqrt(p), np.sqrt(1 - p)]).astype(complex)
-    pk2 = np.array([[0.0, np.sqrt(p)], [np.sqrt(1 - p), 0.0]], dtype=complex)
-    p_channel = SuperOperator(left_right_matrix(pk1.conj().T, pk1) + left_right_matrix(pk2.conj().T, pk2))
+    p_kraus = np.array([[[np.sqrt(p), 0.0], [0.0, np.sqrt(1 - p)]],
+                        [[0.0, np.sqrt(p)], [np.sqrt(1 - p), 0.0]]], dtype=complex)
+    p_channel = SuperOperator(left_right_sum_matrix(p_kraus.conj().transpose(0, 2, 1), p_kraus))
     p_sigma = FaithfulState(np.diag([p, 1 - p]).astype(complex))
     return CounterexampleChannels(phi, psi, psi_tilde, sigma, p_channel, p_sigma)
 

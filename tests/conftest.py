@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from qdev.linalg import (
-    FaithfulState,
-    SuperOperator,
-    hermitian_part,
-    left_right_matrix,
-    spectral_transform_matrix,
-)
+from qdev.linalg import FaithfulState, SuperOperator, hermitian_part
 from qdev.lindblad import Lindbladian, stationary_state
 from qdev.models import depolarizing, maximally_mixed
 
@@ -31,15 +25,55 @@ def random_faithful(rng, d):
     return FaithfulState(random_state(rng, d))
 
 
+def left_right_matrix(a, b):
+    """Matrix of X -> A X B in the column-stacking convention, kron(B.T, A):
+    the Kronecker-product reference for the library's superoperator builders."""
+    return np.kron(np.asarray(b, dtype=complex).T, np.asarray(a, dtype=complex))
+
+
+# Gauss-Legendre nodes for the BKM integral over [0, 1]. In sigma's
+# eigenbasis the integrand is s_j exp(t ln(s_i/s_j)); 30 nodes integrate it
+# to its rounding floor (about |ln(s_i/s_j)| eps) for |ln(s_i/s_j)| up to
+# 80, beyond the 28 that faithful states (s > 1e-12) can reach.
+BKM_QUADRATURE_NODES = 30
+
+
 def gram_superoperator(kind, st):
-    """Dense Gram map of an inner product, <X, Y> = vec(X)^dagger G vec(Y):
-    the reference against which the eigenbasis calculus is tested."""
+    """Dense Gram map of an inner product, <X, Y> = vec(X)^dagger G vec(Y),
+    from the defining formula with Kronecker products: the reference
+    against which the eigenbasis calculus is tested. BKM is the integral
+    over t in [0, 1] of X -> sigma^t X sigma^(1-t), by Gauss-Legendre
+    quadrature, so it does not read the divided differences it checks."""
     if kind == "GNS":
         return SuperOperator(left_right_matrix(np.eye(st.dim), st.matrix))
     if kind == "KMS":
         r = st.power(0.5)
         return SuperOperator(left_right_matrix(r, r))
-    return SuperOperator(spectral_transform_matrix("bkm_M", st))
+    nodes, weights = np.polynomial.legendre.leggauss(BKM_QUADRATURE_NODES)
+    g = sum(0.5 * w * left_right_matrix(st.power(t), st.power(1.0 - t))
+            for t, w in zip(0.5 * (nodes + 1.0), weights))
+    return SuperOperator(g)
+
+
+def kron_counterexample_channels(v1, v2, p):
+    """Heisenberg matrices (phi, psi, psi_tilde, p_channel) of the
+    counterexample family, built with Kronecker products and dense Gram
+    maps: phi = sum_k K_k* . K_k, psi = G_KMS^(-1) phi^dagger G_KMS phi and
+    psi_tilde = G_BKM^(-1) psi^dagger G_KMS. The reference for
+    models.counterexample_channels."""
+    v1, v2 = np.asarray(v1, dtype=float), np.asarray(v2, dtype=float)
+    a, b = v2[0] ** 2, v1[1] ** 2
+    k1 = np.outer(v1, [1.0, 0.0])
+    k2 = np.outer(v2, [0.0, 1.0])
+    phi = left_right_matrix(k1.T, k1) + left_right_matrix(k2.T, k2)
+    sigma = FaithfulState((a * np.outer(v1, v1) + b * np.outer(v2, v2)) / (a + b))
+    kms = gram_superoperator("KMS", sigma).matrix
+    psi = np.linalg.solve(kms, phi.conj().T @ kms) @ phi
+    psi_tilde = np.linalg.solve(gram_superoperator("BKM", sigma).matrix, psi.conj().T @ kms)
+    pk1 = np.diag([np.sqrt(p), np.sqrt(1 - p)])
+    pk2 = np.array([[0.0, np.sqrt(p)], [np.sqrt(1 - p), 0.0]])
+    p_channel = left_right_matrix(pk1.T, pk1) + left_right_matrix(pk2.T, pk2)
+    return phi, psi, psi_tilde, p_channel
 
 
 def dense_kms_conjugated(st, m):

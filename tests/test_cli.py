@@ -269,6 +269,14 @@ class TestMalformedFields:
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "validation" and "dim" in err["message"]
 
+    @pytest.mark.parametrize("dim", ["0", "-2"])
+    def test_depolarizing_dim_below_one_rejected(self, workdir, capsys, dim):
+        assert main(["model", "new", "--template", "depolarizing", "--dim", dim,
+                     "-o", "depol.json"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and f"--dim must be at least 1, got {dim}" in err["message"]
+        assert not Path("depol.json").exists()
+
     def test_env_seed_rejected(self, scalar_model, capsys, monkeypatch):
         monkeypatch.setenv("QDEV_SEED", "abc")
         write_config("config.json", dt=1e-2, t_max=1.0, n_paths=5)
@@ -459,6 +467,44 @@ class TestConcentrateVerb:
         assert code == 1
         assert main(["concentrate", "--variant", "ti_gaussian", "--attest-hypothesis",
                      "--t", "1", "--r", "1", "-o", "conc.csv"]) == 0
+
+
+    @pytest.mark.parametrize("name,args", [
+        ("dim", ["--variant", "depolarizing", "--dim", "2", "--eigenvalue-spread", "1"]),
+        ("dim", ["--variant", "depolarizing", "--dim", "1", "--eigenvalue-spread", "1"]),
+        ("eigenvalue_spread", ["--variant", "depolarizing", "--dim", "4", "--eigenvalue-spread=-1"]),
+        ("gap", ["--variant", "poincare", "--gap", "0", "--sup-norm", "0"]),
+        ("gap", ["--variant", "poincare", "--gap=-1", "--sup-norm", "1"]),
+        ("sup_norm", ["--variant", "poincare", "--gap", "1", "--sup-norm=-1"]),
+        ("lsi_alpha2", ["--variant", "tensor", "--lsi-alpha2", "0", "--n-factors", "0", "--alpha-u", "0"]),
+        ("n_factors", ["--variant", "tensor", "--lsi-alpha2", "0.5", "--n-factors", "0", "--alpha-u", "1"]),
+        ("alpha_u", ["--variant", "tensor", "--lsi-alpha2", "0.5", "--n-factors", "2", "--alpha-u=-1"]),
+        ("ti_constant", ["--variant", "ti_lipschitz", "--ti-constant", "nan", "--lipschitz-value", "1"]),
+        ("ti_constant", ["--variant", "ti_lipschitz", "--ti-constant", "inf", "--lipschitz-value", "1"]),
+        ("lipschitz_value", ["--variant", "ti_lipschitz", "--ti-constant", "1", "--lipschitz-value=-1"]),
+        ("ti_constant", ["--variant", "gibbs", "--ti-constant=-5", "--lipschitz-value", "1",
+                         "--beta-h-norm", "1"]),
+        ("beta_h_norm", ["--variant", "gibbs", "--ti-constant", "1", "--lipschitz-value", "1",
+                         "--beta-h-norm=-1"]),
+        ("beta_h_norm", ["--variant", "gibbs", "--ti-constant", "1", "--lipschitz-value", "1",
+                         "--beta-h-norm", "1e4"]),
+        ("prefactor", ["--variant", "poincare", "--gap", "1", "--sup-norm", "1", "--prefactor", "0"]),
+        ("prefactor", ["--variant", "poincare", "--gap", "1", "--sup-norm", "1", "--prefactor", "nan"]),
+    ], ids=lambda a: a if isinstance(a, str) else "_".join(x.lstrip("-") for x in a[1:]))
+    def test_bad_constant_rejected(self, workdir, capsys, name, args):
+        code = main(["concentrate", *args, "--t", "1", "--r", "1", "-o", "conc.csv"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and name in err["message"]
+        assert not Path("conc.csv").exists()
+
+    def test_negative_time_rejected(self, workdir, capsys):
+        code = main(["concentrate", "--variant", "poincare", "--gap", "1", "--sup-norm", "1",
+                     "--t=-1e6", "--r", "1", "-o", "conc.csv"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "time" in err["message"]
+        assert not Path("conc.csv").exists()
 
 
 class TestDispatch:

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_kms_conjugated, random_faithful, random_hermitian, scalar_lindblad
+from conftest import dense_kms_conjugated, left_right_matrix, random_faithful, random_hermitian, scalar_lindblad
 from qdev import deviation
-from qdev.linalg import NumericalError, ValidationError, left_right_matrix, top_eigenpair, vec
+from qdev.linalg import NumericalError, ValidationError, top_eigenpair, vec
 from qdev.lindblad import Lindbladian, NotKmsSymmetricError, stationary_state
 from qdev.deviation import (
     MeasurementSetup,

@@ -6,6 +6,7 @@ from conftest import (
     aligned_thermal_qubit,
     dense_kms_conjugated,
     gram_superoperator,
+    left_right_matrix,
     random_faithful,
     random_hermitian,
     random_state,
@@ -17,15 +18,12 @@ from qdev.linalg import (
     SuperOperator,
     hermitian_part,
     inner_product,
-    left_right_matrix,
     left_right_sum_matrix,
     to_superoperator,
     unvec,
 )
 from qdev.lindblad import (
     Lindbladian,
-    apply_adjoint_generator,
-    apply_generator,
     bohr_frequencies,
     check_detailed_balance,
     dirichlet_form,
@@ -53,19 +51,19 @@ def lower_jump(d=2):
 class TestGeneratorAction:
     def test_unitality(self, rng):
         lind = random_lindblad(rng, 3, 2)
-        assert np.max(np.abs(apply_generator(lind, np.eye(3)))) < 1e-10
+        assert np.max(np.abs(lind.heisenberg_action(np.eye(3)))) < 1e-10
 
     def test_trace_preservation(self, rng):
         lind = random_lindblad(rng, 3, 2)
         rho = random_state(rng, 3)
-        assert abs(np.trace(apply_adjoint_generator(lind, rho))) < 1e-12
+        assert abs(np.trace(lind.schrodinger_action(rho))) < 1e-12
 
     def test_duality(self, rng):
         lind = random_lindblad(rng, 3, 2)
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho = random_state(rng, 3)
-        lhs = np.trace(rho @ apply_generator(lind, x))
-        rhs = np.trace(apply_adjoint_generator(lind, rho) @ x)
+        lhs = np.trace(rho @ lind.heisenberg_action(x))
+        rhs = np.trace(lind.schrodinger_action(rho) @ x)
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_single_jump_population_transfer(self):
@@ -76,14 +74,14 @@ class TestGeneratorAction:
         lind = Lindbladian(np.zeros((2, 2)), [jump])
         p0 = np.diag([1.0, 0.0]).astype(complex)
         p1 = np.diag([0.0, 1.0]).astype(complex)
-        assert np.allclose(apply_generator(lind, p0), p1, atol=1e-14)
-        assert np.allclose(apply_generator(lind, p1), -p1, atol=1e-14)
+        assert np.allclose(lind.heisenberg_action(p0), p1, atol=1e-14)
+        assert np.allclose(lind.heisenberg_action(p1), -p1, atol=1e-14)
 
     def test_superoperator_matches_action(self, rng):
         lind = random_lindblad(rng, 3, 2)
         s = lind.heisenberg_superoperator()
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.allclose(s.apply(x), apply_generator(lind, x), atol=1e-12)
+        assert np.allclose(s.apply(x), lind.heisenberg_action(x), atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     @pytest.mark.parametrize("k", ["none", "one", "d^2"])

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import random_faithful, random_hermitian, random_state
-from qdev.linalg import FaithfulState, ValidationError, inner_product, left_right_matrix, vec
+from conftest import kron_counterexample_channels, left_right_matrix, random_faithful, random_hermitian, random_state
+from qdev.linalg import FaithfulState, ValidationError, inner_product, vec
 from qdev.lindblad import (
     bohr_frequencies,
     check_detailed_balance,
@@ -214,6 +214,15 @@ def _unit_by_unit_heat_bath(h):
 
 
 class TestAppendixB:
+    @pytest.mark.parametrize("p", [0.1, 0.3])
+    def test_matches_kron_construction(self, p):
+        v1 = np.array([np.cos(0.3), np.sin(0.3)])
+        v2 = np.array([np.cos(1.2), np.sin(1.2)])
+        fx = appendix_b_fixtures(v1, v2, p)
+        ours = (fx.phi, fx.psi, fx.psi_tilde, fx.p_channel)
+        for channel, reference in zip(ours, kron_counterexample_channels(v1, v2, p)):
+            assert np.max(np.abs(channel.matrix - reference)) <= 1e-13
+
     def test_sigma_closed_form_is_invariant(self):
         fx = appendix_b_fixtures()
         phi_star = fx.phi.adjoint()
