@@ -2,10 +2,11 @@
 trajectory simulation, bound-vs-simulation comparison, inequality reports,
 and the fixture check suite.
 
-Exit codes: 0 success, 1 validation error, 2 numerical failure. Errors are
-emitted on stderr as one JSON object {code, message, context}. Every output
-file is accompanied by a run manifest recording input digests, the seed,
-and the parameters, so reruns are byte-identical.
+Exit codes: 0 success, 1 validation error (a file that cannot be read or
+written included), 2 numerical failure. Errors are emitted on stderr as one
+JSON object {code, message, context}. Every output file is accompanied by a
+run manifest recording input digests, the seed, and the parameters, so
+reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -161,33 +162,21 @@ def _cmd_model_new(args, argv) -> int:
     if template == "depolarizing":
         if args.sigma:
             dim = fileio.require_int(fileio.load_object(args.sigma), "dim", args.sigma)
-            rho = fileio.load_state(args.sigma, dim)
-            from .linalg import FaithfulState
-            lind = depolarizing(FaithfulState(rho))
+            lind = depolarizing(fileio.load_state(args.sigma, dim))
         else:
             if args.dim is None:
                 raise ValidationError("depolarizing template needs --dim or --sigma")
             if args.dim < 1:
                 raise ValidationError(f"--dim must be at least 1, got {args.dim}")
             lind = depolarizing(maximally_mixed(args.dim))
-        fileio.save_model(args.output, hamiltonian=lind.hamiltonian, jumps=lind.jumps,
-                          template="depolarizing")
     elif template == "classical":
         if not args.rates_file:
             raise ValidationError("classical template needs --rates-file")
         lind = classical_embedding(ClassicalChain(fileio.load_real_array(args.rates_file)))
-        fileio.save_model(args.output, hamiltonian=lind.hamiltonian, jumps=lind.jumps,
-                          template="classical")
     elif template == "tensor":
         if not args.factors:
             raise ValidationError("tensor template needs --factors")
-        factors = []
-        for f in args.factors:
-            model = fileio.load_model(f)
-            factors.append(model.context.require_jumps())
-        lind = tensor_product(factors)
-        fileio.save_model(args.output, hamiltonian=lind.hamiltonian, jumps=lind.jumps,
-                          template="tensor")
+        lind = tensor_product([fileio.load_model(f).context.require_jumps() for f in args.factors])
     elif template == "heat-bath":
         if not args.lattice_file:
             raise ValidationError("heat-bath template needs --lattice-file")
@@ -199,6 +188,8 @@ def _cmd_model_new(args, argv) -> int:
         fx = appendix_b_fixtures(p=args.p)
         which = {"psi": fx.psi, "psi-tilde": fx.psi_tilde, "p-channel": fx.p_channel}[args.which]
         fileio.save_model(args.output, channel=which.matrix, template=f"appendix-b:{args.which}")
+    if template in ("depolarizing", "classical", "tensor"):
+        fileio.save_model(args.output, hamiltonian=lind.hamiltonian, jumps=lind.jumps, template=template)
     fileio.write_manifest(args.output, argv, _existing_inputs(args), {"template": template})
     return 0
 
@@ -437,7 +428,7 @@ def main(argv=None) -> int:
         if args.verb == "model":
             return _cmd_model_new(args, argv)
         return HANDLERS[args.verb](args, argv)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:   # OSError: a path that cannot be read or written
         fileio.emit_error("validation", str(exc), {"argv": argv})
         return 1
     except NumericalError as exc:

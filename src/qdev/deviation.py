@@ -93,7 +93,8 @@ class MeasurementSetup:
     ``directions`` is an (ell, k) real array of orthonormal rows; the first
     ``q`` rows drive Brownian (homodyne) channels, the rest Poisson
     (counting) channels. Each row defines the monitored jump
-    L_u = sum_m u_m L_m.
+    L_u = sum_m u_m L_m; ``monitored`` is their (ell, d, d) stack, one
+    contraction of the directions with the jump stack.
     """
 
     def __init__(self, ctx: GeneratorContext, directions, q: int):
@@ -116,7 +117,7 @@ class MeasurementSetup:
         self.directions = u
         self.ell = ell
         self.q = q
-        self.monitored = [sum(u[j, m] * lind.jumps[m] for m in range(k)) for j in range(ell)]
+        self.monitored = np.tensordot(u, lind.jumps, axes=1)
 
     def is_brownian(self, j: int) -> bool:
         return j < self.q
@@ -203,7 +204,7 @@ class TiltedFamily:
         d = ctx.dim
         self.b0 = ctx.kms_hermitian_part(ctx.take_eigenbasis_generator())
         self._stacked = np.zeros((setup.ell, d * d, d * d), dtype=complex)
-        self.zero_channel = []
+        self.zero_channel = np.max(np.abs(setup.monitored), axis=(1, 2)) < 1e-15
         for j, l in enumerate(setup.monitored):
             le = st.to_eigenbasis(l)
             piece = self._stacked[j]
@@ -214,7 +215,6 @@ class TiltedFamily:
                 np.multiply(le.T[:, None, :, None], le.conj().T[None, :, None, :],
                             out=piece.reshape(d, d, d, d))
             ctx.kms_hermitian_part(piece)
-            self.zero_channel.append(bool(np.max(np.abs(l)) < 1e-15))
         self._brownian = np.arange(setup.ell) < setup.q
         self.dim2 = d * d
         g = np.random.default_rng(WARM_START_SEED).normal(size=(2, self.dim2))

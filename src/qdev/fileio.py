@@ -195,8 +195,14 @@ def _read_model(path) -> tuple[Lindbladian | SuperOperator, str | None]:
         jumps = _require(doc, "jumps", str(path))
         if not isinstance(jumps, list):
             raise ValidationError(f"{path}: jumps must be a list of matrices")
-        generator = Lindbladian(h, [decode_complex_matrix(j, f"{path}:jumps[{i}]")
-                                    for i, j in enumerate(jumps)])
+        # Each jump is decoded into its slice of the one stack the generator keeps.
+        stack = np.empty((len(jumps), dim, dim), dtype=complex)
+        for i, j in enumerate(jumps):
+            jump = decode_complex_matrix(j, f"{path}:jumps[{i}]")
+            if jump.shape != (dim, dim):
+                raise ValidationError(f"{path}: jumps[{i}] has shape {jump.shape}, declared dim {dim}")
+            stack[i] = jump
+        generator = Lindbladian(h, stack)
     elif kind == "channel_difference":
         ch = decode_complex_matrix(_require(doc, "channel", str(path)), f"{path}:channel")
         if ch.shape[0] != dim * dim:

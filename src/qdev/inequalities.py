@@ -24,6 +24,7 @@ from .linalg import (
     NumericalError,
     ValidationError,
     as_complex_matrix,
+    as_matrix_stack,
     hermitian_from_params,
     hermitian_part,
     hermitian_to_params,
@@ -34,6 +35,9 @@ from .linalg import (
 from .lindblad import GeneratorContext, check_detailed_balance, fisher_information
 
 GAP_ZERO_TOL = 1e-10
+# Largest concentrate constant, and the reciprocal of the smallest positive one:
+# within these no square, product or quotient of a display leaves the float range.
+CONSTANT_MAX = 1e100
 
 # BFGS of w1_lower_bound: Wolfe constants, trial steps per line search and
 # iterations. On 440 random states at d = 2 and 3, 20 or 30 trial steps
@@ -182,7 +186,8 @@ def ti_from_lsi(alpha2: float) -> float:
 # ---------------------------------------------------------------------------
 
 class LipschitzContext:
-    """A derivation set [L_j, .] with modular weights defining the metric.
+    """A derivation set [L_j, .] with modular weights defining the metric;
+    ``derivations`` is the (k, d, d) stack of the L_j.
 
     The commutator Lipschitz seminorm is
     ||X||_Lip = sqrt( sum_j (e^{-w_j/2} + e^{w_j/2}) ||[L_j, X]||_inf^2 ),
@@ -191,11 +196,11 @@ class LipschitzContext:
     frequencies present).
     """
 
-    def __init__(self, sigma: FaithfulState, derivations: list[np.ndarray], omegas: list[float]):
+    def __init__(self, sigma: FaithfulState, derivations, omegas: list[float]):
         if len(derivations) != len(omegas):
             raise ValidationError("need one modular frequency per derivation")
         self.sigma = sigma
-        self.derivations = [as_complex_matrix(l, "derivation") for l in derivations]
+        self.derivations = as_matrix_stack(derivations, sigma.dim, "derivation")
         self.omegas = [float(w) for w in omegas]
         self.weights = np.array([math.exp(-w / 2.0) + math.exp(w / 2.0) for w in self.omegas])
 
@@ -203,23 +208,19 @@ class LipschitzContext:
     def from_context(cls, ctx: GeneratorContext, normalize: bool = False) -> "LipschitzContext":
         """Derivations from the generator's own jumps.
 
-        ``normalize`` rescales each jump to unit Frobenius norm, the
-        convention under which the depolarizing metric is generated by bare
-        matrix units. Rescaling by positive constants leaves the Bohr
-        frequencies untouched.
+        ``normalize`` rescales each jump of Frobenius norm above 1e-15 to
+        unit norm, the convention under which the depolarizing metric is
+        generated by bare matrix units. Rescaling by positive constants
+        leaves the Bohr frequencies untouched.
         """
         st = ctx.require_faithful()
-        lind = ctx.require_jumps()
+        derivs = ctx.require_jumps().jumps
         omegas = ctx.bohr
         if omegas is None:
             raise ValidationError("jumps are not modular eigenvectors; no Lipschitz calculus")
-        derivs = []
-        for l in lind.jumps:
-            if normalize:
-                n = np.linalg.norm(l)
-                derivs.append(l / n if n > 1e-15 else l)
-            else:
-                derivs.append(l)
+        if normalize:
+            norms = np.linalg.norm(derivs, axis=(1, 2))
+            derivs = derivs / np.where(norms > 1e-15, norms, 1.0)[:, None, None]
         return cls(st, derivs, omegas)
 
 
@@ -241,8 +242,7 @@ def tilde_observable(ctx: GeneratorContext, u) -> np.ndarray:
     """
     st = ctx.require_faithful()
     lind = ctx.require_jumps()
-    u = np.asarray(u, dtype=float).reshape(lind.k)
-    l_u = sum(u[m] * lind.jumps[m] for m in range(lind.k))
+    l_u = np.tensordot(np.asarray(u, dtype=float).reshape(lind.k), lind.jumps, axes=1)
     out = spectral_transform("delta_power", st, l_u.conj().T, power=0.25)
     out += spectral_transform("delta_power", st, l_u, power=-0.25)
     return out
@@ -262,7 +262,7 @@ def w1_lower_bound(lip: LipschitzContext, rho1, rho2) -> float:
     d = delta.shape[0]
     if np.max(np.abs(delta)) < 1e-14:
         return 0.0
-    ls = np.asarray(lip.derivations).reshape(-1, d, d)
+    ls = lip.derivations
 
     def negative_ratio(params):
         x = hermitian_from_params(params, d)
@@ -392,8 +392,8 @@ def concentration_bound(variant: str, *, prefactor: float = 1.0,
     gibbs            exp(beta ||H|| / 2 - t r^2 / (2 (1 + C L_orn^2))) with
                      user-supplied C and Ornstein-Lipschitz value.
 
-    Every constant a display uses must be finite; the gap, the LSI
-    constant and the prefactor positive, the others nonnegative;
+    Every constant a display uses must be at most CONSTANT_MAX; the gap, the LSI
+    constant and the prefactor at least 1/CONSTANT_MAX, the others nonnegative;
     dim >= 3 and n_factors >= 1. Anything else raises ValidationError.
     """
     _need(prefactor, "prefactor", positive=True)
@@ -433,13 +433,13 @@ def concentration_bound(variant: str, *, prefactor: float = 1.0,
 
 
 def _need(value, name: str, minimum: float = 0.0, positive: bool = False):
-    """Require the constant ``name``: given, finite, at least ``minimum``,
-    and above zero when ``positive``."""
+    """Require the constant ``name``: given, at least ``minimum`` (at least
+    1/CONSTANT_MAX when ``positive``) and at most CONSTANT_MAX."""
     if value is None:
         raise ValidationError(f"variant requires {name}")
-    if not math.isfinite(value) or value < minimum or (positive and value <= 0):
-        bound = "positive" if positive else f"at least {minimum:g}"
-        raise ValidationError(f"{name} must be finite and {bound}, got {value!r}")
+    low = max(minimum, 1.0 / CONSTANT_MAX) if positive else minimum
+    if not low <= value <= CONSTANT_MAX:
+        raise ValidationError(f"{name} must be finite and in [{low:g}, {CONSTANT_MAX:g}], got {value!r}")
 
 
 def tensor_alpha_u(contexts: list[GeneratorContext], u: np.ndarray) -> float:

@@ -88,6 +88,19 @@ def as_complex_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
+def as_matrix_stack(mats, dim: int, name: str = "matrix") -> np.ndarray:
+    """The (k, dim, dim) complex stack of dim x dim matrices, k = 0 allowed:
+    a complex array of that shape as it is, any other sequence copied in."""
+    if isinstance(mats, np.ndarray) and mats.dtype == complex and mats.shape[1:] == (dim, dim):
+        return mats
+    stack = np.empty((len(mats), dim, dim), dtype=complex)
+    for i, m in enumerate(mats):
+        m = as_complex_matrix(m, f"{name} {i}")
+        require_same_dim(stack[i], m)
+        stack[i] = m
+    return stack
+
+
 def hermitian_part(a) -> np.ndarray:
     a = np.asarray(a, dtype=complex)
     return 0.5 * (a + a.conj().T)

@@ -4,6 +4,8 @@ forms.
 A generator is held either in jump-operator form (Hamiltonian H plus jumps
 L_1..L_k, Heisenberg action i[H,X] + sum_j L_j* X L_j - {L_j* L_j, X}/2) or
 as a raw Heisenberg superoperator for channel-difference generators Psi - id.
+The jumps are one (k, d, d) complex array, fixed at construction (k = 0
+allowed); every consumer works on that stack as it is.
 The GeneratorContext bundles the generator with its stationary state and the
 sigma-weighted calculus needed everywhere else: KMS symmetrization, duals
 with respect to the GNS/KMS/BKM inner products, Bohr frequencies, and the
@@ -28,6 +30,7 @@ from .linalg import (
     ValidationError,
     add_left_right_pair,
     as_complex_matrix,
+    as_matrix_stack,
     dual_in_eigenbasis,
     gram_weights,
     hermitian_part,
@@ -35,7 +38,6 @@ from .linalg import (
     inner_product,
     left_right_sum_matrix,
     require_hermitian,
-    require_same_dim,
     spectral_transform,
     superoperator_in_basis,
     unvec,
@@ -56,17 +58,17 @@ class NotKmsSymmetricError(ValidationError):
 
 
 class Lindbladian:
-    """Generator data: Hamiltonian plus jump operators."""
+    """Generator data: a Hamiltonian and the (k, d, d) stack ``jumps``, made
+    from any sequence of d x d matrices (a complex stack is kept, not copied)."""
 
     def __init__(self, hamiltonian, jumps):
         h = require_hermitian(hamiltonian, name="hamiltonian")
-        js = [as_complex_matrix(l, f"jump {i}") for i, l in enumerate(jumps)]
-        self.dim = require_same_dim(h, *js) if js else h.shape[0]
+        self.dim = h.shape[0]
         self.hamiltonian = h
-        self.jumps = js
-        self.k = len(js)
+        self.jumps = as_matrix_stack(jumps, self.dim, "jump")
+        self.k = len(self.jumps)
         # K = sum_j L_j* L_j enters both generator pictures.
-        self._kappa = sum((l.conj().T @ l for l in js), np.zeros((self.dim, self.dim), dtype=complex))
+        self._kappa = sum((l.conj().T @ l for l in self.jumps), np.zeros((self.dim, self.dim), dtype=complex))
         defect = np.max(np.abs(self.heisenberg_action(np.eye(self.dim))))
         if defect > UNITALITY_TOL:
             raise ValidationError(f"generator is not unital: |L(id)| = {defect:.3e}")
@@ -97,23 +99,19 @@ class Lindbladian:
         """The d^2 x d^2 Heisenberg matrix of the generator, the one
         generator-sized array this returns.
 
-        It starts as the jump sum, one left_right_sum_matrix GEMM, which
-        holds the stack of the jumps, its conjugate transpose, the product
-        and its reordering at once (four generator-sized arrays when there
-        are d^2 jumps). The Hamiltonian and K terms, X -> (iH - K/2) X +
-        X (-iH - K/2), are then added in place (add_left_right_pair). Each
-        entry is the same sum of the same terms as in the Kronecker form
+        It starts as the jump sum, one left_right_sum_matrix GEMM on the
+        stored jump stack (zero when k = 0), which holds the stack's
+        conjugate transpose, the product and its reordering at once (three
+        generator-sized arrays when there are d^2 jumps). The Hamiltonian
+        and K terms, X -> (iH - K/2) X + X (-iH - K/2), are then added in
+        place (add_left_right_pair). Each entry is the same sum of the same
+        terms as in the Kronecker form
         i (kron(I, H) - kron(H.T, I)) - (kron(I, K) + kron(K.T, I))/2 + S:
         entry (a, b), (a, b) of the diagonal gets
         i (H[b, b] - H[a, a]) - (K[b, b] + K[a, a])/2.
         """
-        d = self.dim
-        h, kappa = self.hamiltonian, self._kappa
-        if self.jumps:
-            js = np.asarray(self.jumps)
-            m = left_right_sum_matrix(np.conjugate(js.swapaxes(1, 2), order="C"), js)
-        else:
-            m = np.zeros((d * d, d * d), dtype=complex)
+        h, kappa, js = self.hamiltonian, self._kappa, self.jumps
+        m = left_right_sum_matrix(np.conjugate(js.swapaxes(1, 2), order="C"), js)
         hd, kd = h.diagonal(), kappa.diagonal()
         diagonal = 1j * (hd[None, :] - hd[:, None]) - 0.5 * (kd[None, :] + kd[:, None])
         add_left_right_pair(m, 1j * h - 0.5 * kappa, 1j * (-h) - 0.5 * kappa, diagonal)
@@ -392,15 +390,13 @@ def bohr_frequencies(ctx: GeneratorContext) -> list[float] | None:
     return ctx.bohr
 
 
-def _modular_frequencies(st: FaithfulState, jumps: list[np.ndarray]) -> list[float] | None:
-    """bohr_frequencies for all jumps at once in sigma's eigenbasis, where
-    Delta_sigma scales entry (i, j) by s_i / s_j. Jumps of squared norm
-    below 1e-28 get frequency 0."""
-    if not jumps:
-        return []
+def _modular_frequencies(st: FaithfulState, jumps: np.ndarray) -> list[float] | None:
+    """bohr_frequencies for the (k, d, d) jump stack at once in sigma's
+    eigenbasis, where Delta_sigma scales entry (i, j) by s_i / s_j. Jumps
+    of squared norm below 1e-28 get frequency 0."""
     u = st.eigenvectors
     s = st.eigenvalues
-    le = u.conj().T @ np.asarray(jumps) @ u
+    le = u.conj().T @ jumps @ u
     image = le * (s[:, None] / s[None, :])
     norm2 = np.sum(np.abs(le) ** 2, axis=(1, 2))
     live = norm2 >= 1e-28

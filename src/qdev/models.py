@@ -39,18 +39,18 @@ def depolarizing(sigma) -> Lindbladian:
     """Depolarizing generator X -> Tr[sigma X] id - X toward a faithful state.
 
     Jumps are sqrt(s_x) |x><y| over all ordered pairs in sigma's eigenbasis,
-    which reduces to d^(-1/2) |x><y| at the maximally mixed state. H = 0.
+    jump x d + y of one (d^2, d, d) stack, which reduces to d^(-1/2) |x><y|
+    at the maximally mixed state. H = 0. A state of dimension above
+    DIMENSION_GUARD is refused before any jump is built.
     """
     st = sigma if isinstance(sigma, FaithfulState) else FaithfulState(sigma)
     d = st.dim
+    if d > DIMENSION_GUARD:
+        raise ValidationError(f"depolarizing dimension {d} exceeds guard {DIMENSION_GUARD}")
     u = st.eigenvectors
-    jumps = []
-    for x in range(d):
-        ket_x = u[:, x:x + 1]
-        for y in range(d):
-            bra_y = u[:, y:y + 1].conj().T
-            jumps.append(np.sqrt(st.eigenvalues[x]) * (ket_x @ bra_y))
-    return Lindbladian(np.zeros((d, d)), jumps)
+    jumps = u.T[:, None, :, None] * u.conj().T[None, :, None, :]   # (x, y, a, b): u[a, x] conj(u[b, y])
+    jumps *= np.sqrt(st.eigenvalues)[:, None, None, None]
+    return Lindbladian(np.zeros((d, d)), jumps.reshape(d * d, d, d))
 
 
 def maximally_mixed(dim: int) -> FaithfulState:
@@ -119,19 +119,12 @@ def classical_embedding(chain: ClassicalChain) -> Lindbladian:
     """
     q = chain.rates
     n = chain.n
-    jumps = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and q[i, j] > 0:
-                e = np.zeros((n, n), dtype=complex)
-                e[j, i] = np.sqrt(q[i, j])
-                jumps.append(e)
-    gamma = chain.gap()
-    if gamma > 0:
-        for i in range(n):
-            e = np.zeros((n, n), dtype=complex)
-            e[i, i] = np.sqrt(gamma)
-            jumps.append(e)
+    # Edges (i, j) in row-major order, then the n dephasing jumps.
+    src, dst = np.nonzero((q > 0) & ~np.eye(n, dtype=bool))
+    edges, sites = np.arange(len(src)), np.arange(n)
+    jumps = np.zeros((len(src) + n, n, n), dtype=complex)
+    jumps[edges, dst, src] = np.sqrt(q[src, dst])
+    jumps[len(src) + sites, sites, sites] = np.sqrt(chain.gap())
     return Lindbladian(np.zeros((n, n)), jumps)
 
 
@@ -141,13 +134,15 @@ def classical_embedding(chain: ClassicalChain) -> Lindbladian:
 
 def _on_sites(op: np.ndarray, sites, dims: list[int]) -> np.ndarray:
     """op acting on the factors ``sites`` (in the order of op's legs) of a
-    tensor product with factor dimensions ``dims``, identity elsewhere."""
+    tensor product with factor dimensions ``dims``, identity elsewhere. A
+    (k, m, m) stack of ops gives the (k, D, D) stack of their placements."""
     n = len(dims)
     order = list(sites) + [k for k in range(n) if k not in sites]
     perm = list(np.argsort(order))
-    full = np.kron(op, np.eye(int(np.prod(dims)) // len(op)))
-    t = full.reshape([dims[k] for k in order] * 2).transpose(perm + [n + p for p in perm])
-    return t.reshape(full.shape)
+    lead = op.ndim - 2
+    full = np.kron(op, np.eye(int(np.prod(dims)) // op.shape[-1]))
+    t = full.reshape(*op.shape[:lead], *[dims[k] for k in order] * 2)
+    return t.transpose(*range(lead), *[lead + p for p in perm + [n + p for p in perm]]).reshape(full.shape)
 
 
 def tensor_product(lindbladians: list[Lindbladian]) -> Lindbladian:
@@ -158,7 +153,7 @@ def tensor_product(lindbladians: list[Lindbladian]) -> Lindbladian:
         raise ValidationError(f"product dimension {total} exceeds guard {DIMENSION_GUARD}")
     h = sum((_on_sites(l.hamiltonian, (k,), dims) for k, l in enumerate(lindbladians)),
             np.zeros((total, total), dtype=complex))
-    jumps = [_on_sites(j, (k,), dims) for k, l in enumerate(lindbladians) for j in l.jumps]
+    jumps = np.concatenate([_on_sites(l.jumps, (k,), dims) for k, l in enumerate(lindbladians)])
     return Lindbladian(h, jumps)
 
 
@@ -261,14 +256,13 @@ def heat_bath(h: CommutingHamiltonian) -> HeatBathModel:
     w, v = np.linalg.eigh(omega)
     sqrt_omega = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    kraus = []
+    kraus = np.empty((n, d * d, d ** n, d ** n), dtype=complex)
     for site in range(n):
         omega_vc = _partial_trace(omega, site, n, d)
         wc, vc = np.linalg.eigh(omega_vc)
         inv_sqrt_vc = (vc * (1.0 / np.sqrt(wc))) @ vc.conj().T
         left = sqrt_omega @ _on_sites(inv_sqrt_vc, [s for s in range(n) if s != site], dims)
-        kraus.append([left @ _on_sites(u, (site,), dims) for u in units])
-    kraus = np.asarray(kraus)
+        kraus[site] = left @ _on_sites(units, (site,), dims)
     stack = kraus.reshape(-1, *kraus.shape[2:])
     gen = left_right_sum_matrix(stack.conj().transpose(0, 2, 1), stack)
     gen[np.diag_indices_from(gen)] -= n

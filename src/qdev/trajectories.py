@@ -167,8 +167,7 @@ class _Engine:
         self.ell = setup.ell
         self.n_poisson = setup.ell - q
         dt = config.dt
-        monitored = np.array(setup.monitored, dtype=complex).reshape(self.ell, d, d)
-        jumps = np.array(lind.jumps, dtype=complex).reshape(lind.k, d, d)
+        monitored, jumps = setup.monitored, lind.jumps
         intensities = _dagger(monitored[q:]) @ monitored[q:]
         # Tr[O rho] is vec(rho) . vec(O^T): the Brownian means Tr[(L + L^dagger) rho]
         # and the counting intensities Tr[L^dagger L rho] as one (d^2, ell) product.
@@ -269,12 +268,13 @@ class _Engine:
         out *= (1.0 / np.where(invalid, 1.0, tr))[:, None, None]
         return out
 
-    def step_block(self, rho0: np.ndarray, idx, attempts, linear: bool, record_states: bool = False):
+    def step_block(self, rho0: np.ndarray, idx, attempts, linear: bool):
         """Step paths ``idx`` (with the streams of ``attempts``) together,
         by the filter or, if ``linear``, the linear equation.
 
         Returns, per path and checkpoint, the estimators (time-averaged
-        records), the Hermitian part of the state (or None) and its trace;
+        records), the Hermitian part of the filter state (None for the
+        linear equation) and the trace;
         per path, the invalid flag (a collapsed filter trace, or a linear
         trace Z <= 0 at a checkpoint) and the number of checkpoints whose
         filter state failed the positivity check."""
@@ -291,7 +291,7 @@ class _Engine:
         violations = np.zeros(b, dtype=np.int64)
         estimators = np.zeros((b, n_cp, self.ell))
         traces = np.zeros((b, n_cp))
-        states = np.zeros((n_cp, b, d, d), dtype=complex) if record_states else None
+        states = None if linear else np.zeros((n_cp, b, d, d), dtype=complex)
 
         gens = [[_stream(cfg.base_seed, int(p), int(a), c) for c in range(self.ell)]
                 for p, a in zip(idx, attempts)]
@@ -313,11 +313,9 @@ class _Engine:
                 if cp is not None:
                     estimators[:, cp] = record / (step * cfg.dt)
                     traces[:, cp] = np.einsum("nii->n", rho).real
-                    herm = 0.5 * (rho + _dagger(rho))
                     if not linear:
-                        violations += positivity_failures(herm, POSITIVITY_CLIP)
-                    if record_states:
-                        states[cp] = herm
+                        states[cp] = 0.5 * (rho + _dagger(rho))
+                        violations += positivity_failures(states[cp], POSITIVITY_CLIP)
         if linear:
             invalid = ~np.all(traces > 0.0, axis=1)
         return estimators, states, traces, invalid, violations
@@ -327,11 +325,11 @@ class _Engine:
         path alone with fresh streams, up to MAX_RESAMPLE_ATTEMPTS attempts in
         all. Returns per-path estimators, states, positivity-check failures
         and the attempt that produced each path."""
-        est, states, _, invalid, fails = self.step_block(rho0, idx, [0] * len(idx), False, True)
+        est, states, _, invalid, fails = self.step_block(rho0, idx, [0] * len(idx), False)
         attempts = np.zeros(len(idx), dtype=np.int64)
         for pos in np.nonzero(invalid)[0]:
             for attempt in range(1, MAX_RESAMPLE_ATTEMPTS):
-                e2, s2, _, inv2, f2 = self.step_block(rho0, [idx[pos]], [attempt], False, True)
+                e2, s2, _, inv2, f2 = self.step_block(rho0, [idx[pos]], [attempt], False)
                 if not inv2[0]:
                     est[pos] = e2[0]
                     states[:, pos] = s2[:, 0]

@@ -277,6 +277,35 @@ class TestMalformedFields:
         assert err["code"] == "validation" and f"--dim must be at least 1, got {dim}" in err["message"]
         assert not Path("depol.json").exists()
 
+    @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 3)], ids=["ragged-jumps", "jumps-vs-hamiltonian"])
+    def test_jump_size_mismatch_rejected(self, scalar_model, capsys, dims):
+        hdim, *jdims = dims
+        doc = {"kind": "lindblad", "dim": hdim,
+               "hamiltonian": fileio.encode_complex_matrix(np.zeros((hdim, hdim))),
+               "jumps": [fileio.encode_complex_matrix(np.eye(n)) for n in jdims]}
+        Path("scalar.json").write_text(json.dumps(doc))
+        code = main(["bound", "--model", "scalar.json", "--setup", "setup.json",
+                     "--r", "1", "--t", "1", "-o", "bound.csv"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        bad = jdims.index(3)
+        assert err["code"] == "validation" and f"jumps[{bad}]" in err["message"]
+        assert not Path("bound.csv").exists()
+
+    @pytest.mark.parametrize("source", ["dim", "sigma"])
+    def test_depolarizing_above_guard_rejected(self, workdir, capsys, source):
+        # d = 65: the state is 65 x 65; the d^2 jumps are never built.
+        if source == "dim":
+            args = ["--dim", "65"]
+        else:
+            Path("sigma.json").write_text(json.dumps(
+                {"dim": 65, "rho": fileio.encode_complex_matrix(np.eye(65) / 65)}))
+            args = ["--sigma", "sigma.json"]
+        assert main(["model", "new", "--template", "depolarizing", *args, "-o", "depol.json"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "exceeds guard 64" in err["message"]
+        assert not Path("depol.json").exists()
+
     def test_env_seed_rejected(self, scalar_model, capsys, monkeypatch):
         monkeypatch.setenv("QDEV_SEED", "abc")
         write_config("config.json", dt=1e-2, t_max=1.0, n_paths=5)
@@ -490,6 +519,11 @@ class TestConcentrateVerb:
                          "--beta-h-norm", "1e4"]),
         ("prefactor", ["--variant", "poincare", "--gap", "1", "--sup-norm", "1", "--prefactor", "0"]),
         ("prefactor", ["--variant", "poincare", "--gap", "1", "--sup-norm", "1", "--prefactor", "nan"]),
+        ("sup_norm", ["--variant", "poincare", "--gap", "1", "--sup-norm", "1e200"]),
+        ("lipschitz_value", ["--variant", "ti_lipschitz", "--ti-constant", "1", "--lipschitz-value", "1e200"]),
+        ("lipschitz_value", ["--variant", "gibbs", "--ti-constant", "1", "--lipschitz-value", "1e200",
+                             "--beta-h-norm", "1"]),
+        ("lsi_alpha2", ["--variant", "tensor", "--lsi-alpha2", "1e200", "--n-factors", "2", "--alpha-u", "1"]),
     ], ids=lambda a: a if isinstance(a, str) else "_".join(x.lstrip("-") for x in a[1:]))
     def test_bad_constant_rejected(self, workdir, capsys, name, args):
         code = main(["concentrate", *args, "--t", "1", "--r", "1", "-o", "conc.csv"])
@@ -508,6 +542,27 @@ class TestConcentrateVerb:
 
 
 class TestDispatch:
+    @pytest.mark.parametrize("verb", ["model-new", "bound", "simulate", "paths-dump", "inequalities"])
+    def test_unwritable_output_rejected(self, scalar_model, capsys, verb):
+        write_config("config.json", dt=0.1, t_max=1.0, n_paths=2, base_seed=1)
+        out = str(Path("no_such_dir") / "x.csv")
+        args = {
+            "model-new": ["model", "new", "--template", "depolarizing", "--dim", "2", "-o", out],
+            "bound": ["bound", "--model", "scalar.json", "--setup", "setup.json",
+                      "--r", "1", "--t", "1", "-o", out],
+            "simulate": ["simulate", "--model", "scalar.json", "--setup", "setup.json",
+                         "--config", "config.json", "--r", "1", "-o", out],
+            "paths-dump": ["simulate", "--model", "scalar.json", "--setup", "setup.json",
+                           "--config", "config.json", "--r", "1", "-o", "sim.csv",
+                           "--paths-dump", out],
+            "inequalities": ["inequalities", "--model", "scalar.json", "-o", out],
+        }[verb]
+        assert main(args) == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["code"] == "validation" and "no_such_dir" in err["message"]
+
     def test_unknown_verb(self, workdir, capsys):
         assert main(["transmogrify"]) == 1
         assert json.loads(capsys.readouterr().err.strip())["code"] == "validation"

@@ -79,6 +79,16 @@ class TestSetupValidation:
             MeasurementSetup(qubit_setup.ctx, [[1.0, 0, 0, 0]], q=2)
 
 
+    def test_monitored_is_the_direction_sum(self, generic_setup):
+        # one contraction against the per-channel Python sum it replaced
+        lind = generic_setup.ctx.lindbladian
+        u = generic_setup.directions
+        loop = [sum(u[j, m] * lind.jumps[m] for m in range(lind.k)) for j in range(generic_setup.ell)]
+        assert generic_setup.monitored.shape == (generic_setup.ell, 4, 4)
+        scale = np.max(np.abs(lind.jumps))
+        assert np.max(np.abs(generic_setup.monitored - np.array(loop))) <= 4 * np.finfo(float).eps * scale
+
+
 class TestMeanVector:
     def test_scalar_brownian(self):
         c = 0.4 - 0.7j

@@ -137,6 +137,13 @@ class TestLipschitz:
             value = lipschitz_norm(lip, np.diag(o).astype(complex))
             assert value == pytest.approx(math.sqrt(pair_sum), abs=1e-12)
 
+    def test_normalized_derivations_match_per_jump_loop(self):
+        lind = Lindbladian(np.zeros((2, 2)), [np.diag([2.0, 0.0]), np.zeros((2, 2)), 3.0 * SZ])
+        ctx = stationary_state(lind)
+        lip = LipschitzContext.from_context(ctx, normalize=True)
+        loop = [l / np.linalg.norm(l) if np.linalg.norm(l) > 1e-15 else l for l in lind.jumps]
+        assert np.array_equal(lip.derivations, np.array(loop))
+
     def test_zero_iff_commutes_with_all_jumps(self, qubit_depolarizing):
         lip = LipschitzContext.from_context(qubit_depolarizing)
         assert lipschitz_norm(lip, SZ) > 0.1

@@ -13,6 +13,7 @@ from conftest import (
 )
 from qdev import lindblad
 from qdev.linalg import (
+    DimensionMismatchError,
     FaithfulState,
     NotFaithfulError,
     SuperOperator,
@@ -77,6 +78,20 @@ class TestGeneratorAction:
         assert np.allclose(lind.heisenberg_action(p0), p1, atol=1e-14)
         assert np.allclose(lind.heisenberg_action(p1), -p1, atol=1e-14)
 
+    @pytest.mark.parametrize("jumps", [[np.eye(2), np.eye(3)], [np.eye(3)], [np.ones((2, 3))]],
+                             ids=["ragged", "wrong-dim", "not-square"])
+    def test_mismatched_jumps_rejected(self, jumps):
+        with pytest.raises(DimensionMismatchError):
+            Lindbladian(np.zeros((2, 2)), jumps)
+
+    def test_jumps_held_as_one_stack(self):
+        lind = Lindbladian(np.zeros((2, 2)), [lower_jump(), lower_jump().T])
+        assert lind.jumps.shape == (2, 2, 2) and lind.jumps.dtype == complex
+        assert np.array_equal(lind.jumps[1], lower_jump().T)
+        assert Lindbladian(np.eye(3), []).jumps.shape == (0, 3, 3)
+        stack = np.array([lower_jump(), lower_jump().T])
+        assert Lindbladian(np.zeros((2, 2)), stack).jumps is stack
+
     def test_superoperator_matches_action(self, rng):
         lind = random_lindblad(rng, 3, 2)
         s = lind.heisenberg_superoperator()
@@ -103,7 +118,7 @@ def kron_heisenberg_matrix(lind):
     h, kappa = lind.hamiltonian, sum((l.conj().T @ l for l in lind.jumps), np.zeros((d, d), complex))
     m = 1j * (left_right_matrix(h, eye) - left_right_matrix(eye, h))
     m -= 0.5 * (left_right_matrix(kappa, eye) + left_right_matrix(eye, kappa))
-    if lind.jumps:
+    if len(lind.jumps):
         m += left_right_sum_matrix([l.conj().T for l in lind.jumps], lind.jumps)
     return m
 

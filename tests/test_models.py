@@ -117,6 +117,47 @@ class TestTensorProduct:
             tensor_product([depolarizing(maximally_mixed(4))] * 4)
 
 
+class TestJumpStacks:
+    """The stacked constructors against the per-jump loops they replaced."""
+
+    EPS = np.finfo(float).eps
+
+    @pytest.mark.parametrize("d", [1, 2, 5])
+    def test_depolarizing_matches_outer_product_loop(self, d):
+        st = random_faithful(np.random.default_rng(40 + d), d)
+        u = st.eigenvectors
+        loop = [np.sqrt(st.eigenvalues[x]) * (u[:, x:x + 1] @ u[:, y:y + 1].conj().T)
+                for x in range(d) for y in range(d)]
+        assert depolarizing(st).jumps.shape == (d * d, d, d)
+        assert np.max(np.abs(depolarizing(st).jumps - np.array(loop))) <= 4 * self.EPS
+
+    def test_depolarizing_guard_precedes_jumps(self):
+        with pytest.raises(ValidationError, match="exceeds guard 64"):
+            depolarizing(maximally_mixed(65))
+
+    def test_classical_embedding_matches_edge_loop(self):
+        q = np.array([[-0.9, 0.6, 0.3], [0.0, -0.5, 0.5], [0.4, 0.1, -0.5]])
+        chain = ClassicalChain(q)
+        loop = []
+        for i in range(3):
+            for j in range(3):
+                if i != j and q[i, j] > 0:
+                    loop.append(np.zeros((3, 3), dtype=complex))
+                    loop[-1][j, i] = np.sqrt(q[i, j])
+        for i in range(3):
+            loop.append(np.zeros((3, 3), dtype=complex))
+            loop[-1][i, i] = np.sqrt(chain.gap())
+        assert np.array_equal(classical_embedding(chain).jumps, np.array(loop))
+
+    def test_tensor_product_matches_per_jump_placement(self):
+        rng = np.random.default_rng(44)
+        factors = [depolarizing(random_faithful(rng, 2)), classical_embedding(
+            ClassicalChain(np.array([[-1.0, 0.5, 0.5], [0.2, -0.2, 0.0], [0.3, 0.3, -0.6]])))]
+        dims = [2, 3]
+        loop = [_on_sites(j, (k,), dims) for k, l in enumerate(factors) for j in l.jumps]
+        assert np.array_equal(tensor_product(factors).jumps, np.array(loop))
+
+
 class TestHeatBath:
     def ising(self, beta):
         zz = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))

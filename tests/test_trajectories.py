@@ -70,8 +70,7 @@ class TestPositivityByConstruction:
                                checkpoints=tuple(np.arange(1, 11) * 0.2))
         engine = _Engine(qutrit_setup, cfg)
         rho0 = qutrit_setup.ctx.sigma.matrix
-        est, states, _, invalid, fails = engine.step_block(rho0, list(range(64)), [0] * 64,
-                                                           False, record_states=True)
+        est, states, _, invalid, fails = engine.step_block(rho0, list(range(64)), [0] * 64, False)
         assert not invalid.any() and not fails.any()
         assert est[:, -1, 1:].sum() > 0      # counts fired, so jumps were applied
         traces = np.einsum("cnii->cn", states).real
