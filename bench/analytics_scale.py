@@ -20,6 +20,7 @@ stages reuse what earlier ones cached on the context, as in
 - "stationary_s": `context_from_generator` on the assembled generator;
 - "detailed_balance_s": the GNS, KMS and BKM `check_detailed_balance`;
 - "spectral_gap_s": `spectral_gap`;
+- "bohr_s": the jumps' Bohr frequencies (what `ctx.bohr` computes and caches);
 - "tilted_family_s": building `TiltedFamily`;
 - "main_bound_s": `main_bound` (which builds its own family);
 - "<stage>_peak": the tracemalloc peak of what the stage's first call
@@ -49,9 +50,10 @@ from qdev import deviation, inequalities, lindblad, models
 
 MIX = 0.2
 R = 0.3
-# Generator-sized arrays (16 d^4 bytes) a d needs: peak RSS was 6.6 of
-# them at d = 48 (560 MB), rounded up for the interpreter and BLAS buffers.
-SIZE_FACTOR = 8
+# Generator-sized arrays (16 d^4 bytes) a d needs: peak RSS was 5.4 of
+# them at d = 48 (454 MB) and 5.0 at d = 64 (1.34 GB), rounded up for the
+# interpreter and BLAS buffers.
+SIZE_FACTOR = 6
 
 
 def model(d: int):
@@ -95,6 +97,7 @@ def one(d: int, repeats: int) -> dict:
                     lambda: [lindblad.check_detailed_balance(k, ctx) for k in ("GNS", "KMS", "BKM")],
                     repeats, unit)
     gap = stage(out, "spectral_gap", lambda: inequalities.spectral_gap(ctx), repeats, unit)
+    stage(out, "bohr", lambda: lindblad._modular_frequencies(ctx.faithful, lind.jumps), repeats, unit)
     setup = deviation.MeasurementSetup(ctx, direction[None, :], 1)
     # The family is released at once, so that main_bound's own is the only one alive.
     stage(out, "tilted_family", lambda: deviation.TiltedFamily(setup) and None, repeats, unit)

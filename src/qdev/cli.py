@@ -40,6 +40,7 @@ from .models import (
     depolarizing,
     heat_bath,
     maximally_mixed,
+    require_depolarizing_dim,
     tensor_product,
 )
 from .trajectories import run_ensemble
@@ -160,15 +161,17 @@ def build_parser() -> _Parser:
 def _cmd_model_new(args, argv) -> int:
     template = args.template
     if template == "depolarizing":
+        # The declared dimension is checked against the guard before any
+        # state of that size is loaded or built.
         if args.sigma:
             dim = fileio.require_int(fileio.load_object(args.sigma), "dim", args.sigma)
-            lind = depolarizing(fileio.load_state(args.sigma, dim))
+            lind = depolarizing(fileio.load_state(args.sigma, require_depolarizing_dim(dim)))
         else:
             if args.dim is None:
                 raise ValidationError("depolarizing template needs --dim or --sigma")
             if args.dim < 1:
                 raise ValidationError(f"--dim must be at least 1, got {args.dim}")
-            lind = depolarizing(maximally_mixed(args.dim))
+            lind = depolarizing(maximally_mixed(require_depolarizing_dim(args.dim)))
     elif template == "classical":
         if not args.rates_file:
             raise ValidationError("classical template needs --rates-file")

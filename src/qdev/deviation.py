@@ -181,20 +181,29 @@ def perturbed_generator(setup: MeasurementSetup, lam) -> SuperOperator:
 
 
 class TiltedFamily:
-    """Precomputed Hermitian pieces of the KMS-conjugated tilted generator.
+    """The KMS-conjugated tilted generator, as B0 and one d x d operator per
+    channel piece.
 
     B(lam) = B0 + sum_{j<=q} lam_j B_phi_j + |lam^B|^2/2 * I
                 + sum_{j>q} (exp(lam_j)-1) B_psi_j,
     and the scaled cumulant generating function is its top eigenvalue.
     Every piece is written in sigma's eigenbasis (GeneratorContext), which
-    leaves the spectrum of B(lam) unchanged; the channel pieces are built
-    there directly from the rotated jumps U^dagger L_u U.
+    leaves the spectrum of B(lam) unchanged. There, with h = diag(s^(1/4))
+    and the rotated jump L_e = U^dagger L_u U, each channel piece is a map
+    of one d x d operator A = h L_e^dagger h^(-1) (``operators``):
+    B_phi: X -> herm(A) X + X herm(A), and
+    B_psi: X -> (A X A^dagger + A^dagger X A)/2
+    (the KMS-conjugated L_e^dagger X + X L_e and L_e^dagger X L_e, made
+    Hermitian; herm(A) is held for a Brownian channel).
 
-    The family holds 1 + ell d^2 x d^2 arrays: B0, made in place from the
+    The family holds B0, one d^2 x d^2 array made in place from the
     generator in sigma's eigenbasis that it takes from the context (which
-    then keeps no copy of it), and the (ell, d^2, d^2) stack of the channel
-    pieces, each built and symmetrized in its own slice. matrix(lam) makes
-    one new d^2 x d^2 array, and one temporary per channel while it sums.
+    then keeps no copy of it). Below LANCZOS_MIN_SIZE it also holds the
+    dense (ell, d^2, d^2) stack of the pieces, built from the operators,
+    for the dense eigh of each iterate. From LANCZOS_MIN_SIZE on it holds
+    no more: value runs Lanczos on products B(lam) v (operator), at d^4
+    for B0 and d^3 per piece. matrix(lam) makes one new d^2 x d^2 array,
+    which the optimizer asks for only at lam* and when Lanczos fails.
     """
 
     def __init__(self, setup: MeasurementSetup):
@@ -203,52 +212,100 @@ class TiltedFamily:
         self.setup = setup
         d = ctx.dim
         self.b0 = ctx.kms_hermitian_part(ctx.take_eigenbasis_generator())
-        self._stacked = np.zeros((setup.ell, d * d, d * d), dtype=complex)
         self.zero_channel = np.max(np.abs(setup.monitored), axis=(1, 2)) < 1e-15
-        for j, l in enumerate(setup.monitored):
-            le = st.to_eigenbasis(l)
-            piece = self._stacked[j]
-            if setup.is_brownian(j):
-                add_left_right_pair(piece, le.conj().T, le)
-            else:
-                # kron(le.T, le^dagger), written into the piece.
-                np.multiply(le.T[:, None, :, None], le.conj().T[None, :, None, :],
-                            out=piece.reshape(d, d, d, d))
-            ctx.kms_hermitian_part(piece)
         self._brownian = np.arange(setup.ell) < setup.q
+        quarter = st.eigenvalues ** 0.25
+        a = (quarter[:, None] / quarter[None, :]) * st.to_eigenbasis(setup.monitored).conj().swapaxes(1, 2)
+        a[self._brownian] = 0.5 * (a[self._brownian] + a[self._brownian].conj().swapaxes(1, 2))
+        self.operators = a
         self.dim2 = d * d
+        self._stacked = None
+        if self.dim2 < LANCZOS_MIN_SIZE:
+            self._stacked = np.zeros((setup.ell, d * d, d * d), dtype=complex)
+            for j, piece in enumerate(self._stacked):
+                self._add_piece(piece, j, 1.0)
         g = np.random.default_rng(WARM_START_SEED).normal(size=(2, self.dim2))
         self._mix = WARM_START_MIX * (g[0] + 1j * g[1]) / np.linalg.norm(g)
         self._warm = np.zeros(self.dim2, dtype=complex)
 
-    def matrix(self, lam: np.ndarray) -> np.ndarray:
-        setup = self.setup
-        b = self.b0.copy()
-        shift = 0.0
-        for j in range(setup.ell):
-            if setup.is_brownian(j):
-                b += lam[j] * self._stacked[j]
+    def _weights(self, lam: np.ndarray) -> tuple[list, float]:
+        """The weight of each piece in B(lam), lam_j or exp(lam_j) - 1, and
+        the Brownian shift |lam^B|^2/2."""
+        weights, shift = [], 0.0
+        for j, brownian in enumerate(self._brownian):
+            if brownian:
+                weights.append(lam[j])
                 shift += 0.5 * lam[j] ** 2
             else:
-                b += np.expm1(lam[j]) * self._stacked[j]
+                weights.append(np.expm1(lam[j]))
+        return weights, shift
+
+    def _add_piece(self, m: np.ndarray, j: int, weight: float) -> None:
+        """Add weight times piece j to the d^2 x d^2 matrix m, in place:
+        add_left_right_pair for a Brownian piece, one (d, d, d) slab of the
+        (a, b, c, e) view at a time for a counting piece, whose entry is
+        (conj(A[a, c]) A[b, e] + A[c, a] conj(A[e, b]))/2."""
+        a = self.operators[j]
+        if self._brownian[j]:
+            add_left_right_pair(m, weight * a, weight * a)
+            return
+        d = a.shape[0]
+        half = 0.5 * weight
+        a_h = a.conj().T
+        for i, slab in enumerate(m.reshape(d, d, d, d)):
+            slab += half * (a[:, None, :] * a_h[None, :, i, None])
+            slab += half * (a_h[:, None, :] * a[None, :, i, None])
+
+    def _pieces_times(self, v: np.ndarray) -> np.ndarray:
+        """(ell, d^2): each piece applied to the vector v."""
+        if self._stacked is not None:
+            return self._stacked @ v
+        d = self.setup.ctx.dim
+        # vec(X) is X^T read row by row, so with Y = X^T the Brownian piece
+        # maps Y -> conj(A) Y + Y conj(A) and the counting piece
+        # Y -> (conj(A) Y A^T + A^T Y conj(A))/2.
+        y = v.reshape(d, d)
+        out = np.empty((self.setup.ell, d, d), dtype=complex)
+        for j, a in enumerate(self.operators):
+            ac = a.conj()
+            if self._brownian[j]:
+                np.add(ac @ y, y @ ac, out=out[j])
+            else:
+                np.add(ac @ y @ a.T, a.T @ y @ ac, out=out[j])
+                out[j] *= 0.5
+        return out.reshape(self.setup.ell, -1)
+
+    def matrix(self, lam: np.ndarray) -> np.ndarray:
+        """B(lam) as a new d^2 x d^2 array."""
+        weights, shift = self._weights(lam)
+        b = self.b0.copy()
+        for j, weight in enumerate(weights):
+            if self._stacked is not None:
+                b += weight * self._stacked[j]
+            else:
+                self._add_piece(b, j, weight)
         if shift:
             b.reshape(-1)[::self.dim2 + 1] += shift
         return b
 
+    def operator(self, lam: np.ndarray) -> "_TiltedOperator":
+        """B(lam) as a product v -> B(lam) v, without forming it."""
+        return _TiltedOperator(self, *self._weights(lam))
+
     def value(self, lam: np.ndarray) -> float:
-        """Top eigenvalue: eigvalsh below LANCZOS_MIN_SIZE, else Lanczos
-        warm-started from the previous top vector, or a dense eigh when
-        Lanczos does not converge. From LANCZOS_MIN_SIZE on, the top vector
-        is left in ``_warm``, where the tilt optimizer reads its gradient."""
-        b = self.matrix(lam)
+        """Top eigenvalue: eigvalsh below LANCZOS_MIN_SIZE, else Lanczos on
+        products with B(lam), warm-started from the previous top vector, or
+        a dense eigh when Lanczos does not converge. From LANCZOS_MIN_SIZE
+        on, the top vector is left in ``_warm``, where the tilt optimizer
+        reads its gradient."""
         if self.dim2 >= LANCZOS_MIN_SIZE:
-            value, self._warm, converged = top_eigenpair(b, self._warm + self._mix)
+            value, self._warm, converged = top_eigenpair(self.operator(lam), self._warm + self._mix)
             if converged:
                 return value
-            w, v = np.linalg.eigh(b)
+            w, v = np.linalg.eigh(self.matrix(lam))
             self._warm = v[:, -1]
             return float(w[-1])
-        return float(np.linalg.eigvalsh(b)[-1])
+        return float(np.linalg.eigvalsh(self.matrix(lam))[-1])
 
     def value_gap_vector(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Dense eigendecomposition (w ascending, eigenvector columns v) of
@@ -259,7 +316,7 @@ class TiltedFamily:
     def gradient_at(self, lam: np.ndarray, vtop: np.ndarray) -> np.ndarray:
         """Hellmann-Feynman gradient of the top eigenvalue, <v|dB/dlam_j|v>
         for its unit eigenvector v."""
-        return self._gradient(lam, ((self._stacked @ vtop) @ vtop.conj()).real)
+        return self._gradient(lam, (self._pieces_times(vtop) @ vtop.conj()).real)
 
     def derivatives_at(self, lam: np.ndarray, w: np.ndarray,
                        v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,7 +329,7 @@ class TiltedFamily:
         (w_top - w_n) with D_j = dB/dlam_j, leaving out levels within
         EIG_GAP_DEGENERATE of the top."""
         # <v_n|B_j|v_top> for every level n and piece j; the last row gives the gradient.
-        a = v.conj().T @ (self._stacked @ v[:, -1]).T
+        a = v.conj().T @ self._pieces_times(v[:, -1]).T
         grad = self._gradient(lam, a[-1].real)
         gaps = w[-1] - w[:-1]
         far = gaps >= EIG_GAP_DEGENERATE
@@ -290,6 +347,22 @@ class TiltedFamily:
         """Gradient from the expectations <v|B_j|v> of the pieces: the
         Brownian shift |lam^B|^2/2 adds lam_j."""
         return expect * self._slopes(lam) + np.where(self._brownian, lam, 0.0)
+
+
+class _TiltedOperator:
+    """B(lam) = B0 + sum_j w_j B_j + shift I as a product with a vector: all
+    top_eigenpair needs (shape and @)."""
+
+    def __init__(self, family: TiltedFamily, weights: list, shift: float):
+        self.shape = family.b0.shape
+        self.family, self.weights, self.shift = family, np.array(weights), shift
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        out = self.family.b0 @ v
+        out += self.weights @ self.family._pieces_times(v)
+        if self.shift:
+            out += self.shift * v
+        return out
 
 
 def scgf(setup: MeasurementSetup, lam) -> float:

@@ -27,12 +27,13 @@ reshaped and transposed to (a,b,c,e) (left_right_sum_matrix, the one
 builder; a single map X -> A X B is the case k = 1).
 
 Top eigenvalues of tilted generators come from top_eigenpair, a Lanczos
-iteration with full reorthogonalisation, once the matrix size reaches
-deviation.LANCZOS_MIN_SIZE, and from a dense eigh when Lanczos does not
-converge; below that size, from a dense eigh or eigvalsh. The value
-reported at the optimal tilt lam* is checked against a dense solve there:
-one eigvalsh in the Lanczos regime, the iterate's own eigh in the dense
-regime.
+iteration with full reorthogonalisation on products with the matrix (the
+tilted family forms it only for the dense check), once the matrix size
+reaches deviation.LANCZOS_MIN_SIZE, and from a dense eigh when Lanczos
+does not converge; below that size, from a dense eigh or eigvalsh. The
+value reported at the optimal tilt lam* is checked against a dense solve
+there: one eigvalsh in the Lanczos regime, the iterate's own eigh in the
+dense regime.
 """
 
 from __future__ import annotations
@@ -341,22 +342,39 @@ class SuperOperator:
         return SuperOperator(self.matrix.conj().T)
 
 
-def superoperator_in_basis(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """K^dagger M K for K = kron(conj(U), U) and a unitary U: the matrix of
-    the superoperator M acting on matrices written in the basis of U's
-    columns (X = U X_u U^dagger). superoperator_in_basis(., U^dagger) undoes it.
+def rotate_superoperator(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Overwrite the C-contiguous d^2 x d^2 matrix ``m`` with K^dagger M K,
+    for K = kron(conj(U), U) and a unitary U, and return ``m``: the matrix
+    of the superoperator M acting on matrices written in the basis of U's
+    columns (X = U X_u U^dagger). rotate_superoperator(., U^dagger) undoes it.
 
     Entry ((r,s),(t,v)) is sum U[p,r] conj(U[q,s]) M[(p,q),(m,n)]
-    conj(U[m,t]) U[n,v]. Each of the four contractions is one product of the
-    (d, d^3) leading-index view, transposed, with a d x d factor, and moves
-    the new index to the back: d^5 in all, against d^6 for the two dense
-    products with K.
+    conj(U[m,t]) U[n,v], contracted in the order p, q, m, n. In the
+    (p, q, m, n) view of m, p is contracted first, d^2 columns of the
+    (d, d^3) leading-index view at a time; then each (q, m, n) slab of d^3
+    entries, in which q, m and n in turn are the leading index, each
+    contraction one product of the (d, d^2) view, transposed, with a d x d
+    factor that moves the new index to the back. The scratch is two d^3
+    arrays and the cost d^5, against d^6 for the two dense products with K;
+    no array of the size of M is made.
     """
+    if not (m.flags.c_contiguous and m.flags.writeable):
+        raise ValidationError("rotate_superoperator overwrites a C-contiguous, writeable matrix")
     d = u.shape[0]
-    x = np.asarray(m, dtype=complex)
-    for factor in (u, u.conj(), u.conj(), u):
-        x = x.reshape(d, -1).T @ factor
-    return x.reshape(d * d, d * d)
+    n = d * d
+    uc = u.conj()
+    a = np.empty((n, d), dtype=complex)
+    b = np.empty((n, d), dtype=complex)
+    leading = m.reshape(d, n * d)
+    for c in range(0, n * d, n):
+        cols = leading[:, c:c + n]
+        np.matmul(u.T, cols, out=a.reshape(d, n))                  # r, (q, m, n)
+        cols[...] = a.reshape(d, n)
+    for slab in m.reshape(d, d, n):
+        np.matmul(slab.reshape(d, n).T, uc, out=a)                 # (m, n), s
+        np.matmul(a.reshape(d, n).T, uc, out=b)                    # (n, s), t
+        np.matmul(b.reshape(d, n).T, u, out=slab.reshape(n, d))    # (s, t), v
+    return m
 
 
 def to_superoperator(mapping, dim: int) -> SuperOperator:
@@ -502,6 +520,8 @@ def gamma_map(power: float, sigma, x) -> np.ndarray:
 def top_eigenpair(a: np.ndarray, start: np.ndarray) -> tuple[float, np.ndarray, bool]:
     """Largest eigenvalue of the Hermitian matrix ``a`` and a unit vector for
     it, by Lanczos with full reorthogonalisation started from ``start``.
+    Only ``a.shape`` and ``a @ v`` are used, so ``a`` may be an operator
+    that forms its products without the matrix.
 
     Returns (theta, y, converged). Converged means the Ritz residual
     |a y - theta y| = beta_j |s_j| fell to LANCZOS_RTOL * max(1, largest

@@ -38,8 +38,8 @@ from .linalg import (
     inner_product,
     left_right_sum_matrix,
     require_hermitian,
+    rotate_superoperator,
     spectral_transform,
-    superoperator_in_basis,
     unvec,
     vec,
 )
@@ -135,12 +135,14 @@ class GeneratorContext:
 
     The sigma-weighted calculus works in sigma's eigenbasis,
     sigma = U diag(s) U^dagger. A superoperator matrix M is rotated there as
-    M_e = K^dagger M K with the unitary K = kron(conj(U), U), at d^5
-    (to_eigenbasis; the generator's own M_e is computed once and kept).
-    There the Gram map of each inner product is diagonal (gram_weights:
-    s_j for GNS, sqrt(s_i s_j) for KMS, the divided differences for BKM),
-    so KMS conjugation, duals and the detailed-balance check are entrywise
-    scalings. The matrices kms_conjugated and kms_hermitian_part return
+    M_e = K^dagger M K with the unitary K = kron(conj(U), U), at d^5: by
+    to_eigenbasis, which rotates a copy of M in place (rotate_superoperator),
+    so that a rotation makes only the matrix it returns; the generator's
+    own M_e is computed once and kept. check_detailed_balance rotates its
+    difference back the same way. There the Gram map of each inner product
+    is diagonal (gram_weights: s_j for GNS, sqrt(s_i s_j) for KMS, the
+    divided differences for BKM), so KMS conjugation, duals and the
+    detailed-balance check are entrywise scalings. The matrices kms_conjugated and kms_hermitian_part return
     stay in the eigenbasis: they are unitarily similar to G^(1/2) M G^(-1/2)
     in the original basis and have its spectrum.
     """
@@ -172,6 +174,12 @@ class GeneratorContext:
         return self.lindbladian
 
     @cached_property
+    def scale(self) -> float:
+        """The generator scale (_generator_scale) that the detailed-balance
+        tolerance is relative to, computed on first use."""
+        return _generator_scale(self.heisenberg.matrix)
+
+    @cached_property
     def bohr(self) -> list[float] | None:
         """The jumps' Bohr frequencies (see bohr_frequencies), computed on
         first use; None without a faithful state or jump form."""
@@ -180,12 +188,9 @@ class GeneratorContext:
         return _modular_frequencies(self.faithful, self.lindbladian.jumps)
 
     def to_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
-        """K^dagger M K: the superoperator matrix M in sigma's eigenbasis."""
-        return superoperator_in_basis(matrix, self.require_faithful().eigenvectors)
-
-    def from_eigenbasis(self, matrix: np.ndarray) -> np.ndarray:
-        """K M K^dagger, the inverse of to_eigenbasis."""
-        return superoperator_in_basis(matrix, self.require_faithful().eigenvectors.conj().T)
+        """K^dagger M K: the superoperator matrix M in sigma's eigenbasis, as
+        a copy of M rotated in place (the one new d^2 x d^2 array)."""
+        return rotate_superoperator(np.array(matrix, dtype=complex), self.require_faithful().eigenvectors)
 
     @cached_property
     def eigenbasis_generator(self) -> np.ndarray:
@@ -223,6 +228,13 @@ class GeneratorContext:
         return hermitianize(self.kms_conjugated(eigenbasis_matrix))
 
 
+def _generator_scale(heis: np.ndarray) -> float:
+    """max(1, largest |entry|) of a Heisenberg matrix: the scale of the
+    kernel and symmetry tolerances, floored at one so that a numerically
+    zero generator is classified rather than its rounding dust amplified."""
+    return max(1.0, float(np.max(np.abs(heis))))
+
+
 def stationary_state(lind: Lindbladian) -> GeneratorContext:
     """Solve L*(sigma) = 0 for a jump-form generator and assemble its context."""
     return context_from_generator(lind.heisenberg_superoperator(), lindbladian=lind)
@@ -249,21 +261,31 @@ def _bordered_kernel(heis: np.ndarray, d: int, scale: float) -> np.ndarray | Non
     sigma_n(A) >= 1/|A^(-1)|_F, so the kernel is simple once that bound
     clears KERNEL_REL_TOL * scale; |M v| / |v| <= KERNEL_REL_TOL * scale
     then says that the last singular value is below it, as the SVD
-    classification requires. A and its inverse are the only d^2 x d^2
-    arrays made; |M v| is computed as |v^dagger H|.
+    classification requires.
+
+    With c and t real, A = conj(H_b^T) for the bordered H_b = H + c t t^T,
+    so A^(-1) is the conjugate of the inverse G of H_b^T (a Fortran-ordered
+    view, which LAPACK reads without a transposing copy): |A^(-1)|_F =
+    |G|_F and v = c conj(G t). So H is bordered in place and its d^2
+    bordered entries are restored bit for bit after the inversion, also
+    when it raises; G is the one d^2 x d^2 array made. |M v| is computed
+    as |v^dagger H|.
     """
     t = vec(np.eye(d))
     c = scale / d
-    diagonal = np.flatnonzero(t)
-    a = heis.conj().T
-    a[np.ix_(diagonal, diagonal)] += c
+    border = np.ix_(*(np.flatnonzero(t),) * 2)
+    bordered = heis if heis.flags.writeable else heis.copy()
+    saved = bordered[border]
+    bordered[border] += c
     try:
-        a_inv = np.linalg.inv(a)
+        g = np.linalg.inv(bordered.T)
     except np.linalg.LinAlgError:
         return None
-    if not 1.0 / np.linalg.norm(a_inv) > KERNEL_REL_TOL * scale:
+    finally:
+        bordered[border] = saved
+    if not 1.0 / np.linalg.norm(g) > KERNEL_REL_TOL * scale:
         return None
-    v = c * (a_inv @ t)
+    v = c * (g @ t).conj()
     if not np.linalg.norm(v.conj() @ heis) <= KERNEL_REL_TOL * scale * np.linalg.norm(v):
         return None
     return unvec(v, d)
@@ -295,7 +317,8 @@ def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None 
     """Context for a generator given as a Heisenberg superoperator.
 
     The kernel of the Schrodinger matrix M = H^dagger comes from one LU
-    inversion of the trace-bordered M + c t t^dagger, which also certifies
+    inversion of the trace-bordered H + c t t^T, the adjoint of the bordered
+    M + c t t^dagger, made in H's own storage; it also certifies
     that the kernel is simple (_bordered_kernel); M itself is formed only
     when that certificate fails, and then one SVD of it classifies the
     kernel (_svd_kernel):
@@ -309,7 +332,7 @@ def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None 
     if unitality > UNITALITY_TOL:
         raise ValidationError(f"generator is not unital: |L(id)| = {unitality:.3e}")
     h = heis.matrix
-    scale = max(1.0, float(np.max(np.abs(h))))
+    scale = _generator_scale(h)
     cand, mult = _bordered_kernel(h, d, scale), 1
     if cand is None:
         cand, mult = _svd_kernel(h.conj().T, d, scale)
@@ -350,8 +373,9 @@ def dual_superoperator(kind: str, ctx: GeneratorContext, superop: SuperOperator)
     Hilbert-Schmidt adjoint S^dagger, formed in sigma's eigenbasis, where G
     is diagonal, and rotated back.
     """
-    dual = dual_in_eigenbasis(kind, kind, ctx.require_faithful(), ctx.to_eigenbasis(superop.matrix))
-    return SuperOperator(ctx.from_eigenbasis(dual))
+    st = ctx.require_faithful()
+    dual = dual_in_eigenbasis(kind, kind, st, ctx.to_eigenbasis(superop.matrix))
+    return SuperOperator(rotate_superoperator(dual, st.eigenvectors.conj().T))
 
 
 @dataclass(frozen=True)
@@ -364,18 +388,18 @@ def check_detailed_balance(kind: str, ctx: GeneratorContext) -> SymmetryReport:
     """Deviation of the generator from self-adjointness in the given inner product.
 
     The difference of the generator and its dual is formed in sigma's
-    eigenbasis and rotated back, so ``deviation`` is its max-norm in the
-    original basis. ``symmetric`` compares that deviation against the
-    generator scale, floored at one so that numerically-zero generators
-    classify as symmetric rather than amplifying rounding dust.
+    eigenbasis (the one new d^2 x d^2 array, beside the context's cached
+    eigenbasis generator) and rotated back in place, so ``deviation`` is its
+    max-norm in the original basis. ``symmetric`` compares that deviation
+    against the generator scale (ctx.scale).
     """
+    st = ctx.require_faithful()
     m_e = ctx.eigenbasis_generator
-    difference = dual_in_eigenbasis(kind, kind, ctx.require_faithful(), m_e)
+    difference = dual_in_eigenbasis(kind, kind, st, m_e)
     np.subtract(m_e, difference, out=difference)
-    difference = ctx.from_eigenbasis(difference)
+    rotate_superoperator(difference, st.eigenvectors.conj().T)
     deviation = float(np.max(np.abs(difference)))
-    scale = float(np.max(np.abs(ctx.heisenberg.matrix)))
-    return SymmetryReport(deviation <= SYMMETRY_REL_TOL * max(scale, 1.0), deviation)
+    return SymmetryReport(deviation <= SYMMETRY_REL_TOL * ctx.scale, deviation)
 
 
 def bohr_frequencies(ctx: GeneratorContext) -> list[float] | None:
@@ -391,23 +415,26 @@ def bohr_frequencies(ctx: GeneratorContext) -> list[float] | None:
 
 
 def _modular_frequencies(st: FaithfulState, jumps: np.ndarray) -> list[float] | None:
-    """bohr_frequencies for the (k, d, d) jump stack at once in sigma's
-    eigenbasis, where Delta_sigma scales entry (i, j) by s_i / s_j. Jumps
-    of squared norm below 1e-28 get frequency 0."""
+    """bohr_frequencies for the (k, d, d) jump stack in sigma's eigenbasis,
+    where Delta_sigma scales entry (i, j) by s_i / s_j. Jumps of squared
+    norm below 1e-28 get frequency 0. The stack is worked through d jumps
+    at a time, so each temporary holds d^3 entries."""
     u = st.eigenvectors
     s = st.eigenvalues
-    le = u.conj().T @ jumps @ u
-    image = le * (s[:, None] / s[None, :])
-    norm2 = np.sum(np.abs(le) ** 2, axis=(1, 2))
-    live = norm2 >= 1e-28
-    le, image = le[live], image[live]
-    c = np.einsum("kij,kij->k", le.conj(), image) / norm2[live]
-    residual = (np.linalg.norm(image - c[:, None, None] * le, axis=(1, 2))
-                / np.linalg.norm(image, axis=(1, 2)))
-    if np.any((residual > BOHR_REL_TOL) | (c.real <= 0) | (np.abs(c.imag) > BOHR_REL_TOL * np.abs(c))):
-        return None
+    ratio = s[:, None] / s[None, :]
     omegas = np.zeros(len(jumps))
-    omegas[live] = -np.log(c.real)
+    for start in range(0, len(jumps), st.dim):
+        le = u.conj().T @ jumps[start:start + st.dim] @ u
+        image = le * ratio
+        norm2 = np.sum(np.abs(le) ** 2, axis=(1, 2))
+        live = norm2 >= 1e-28
+        le, image = le[live], image[live]
+        c = np.einsum("kij,kij->k", le.conj(), image) / norm2[live]
+        residual = (np.linalg.norm(image - c[:, None, None] * le, axis=(1, 2))
+                    / np.linalg.norm(image, axis=(1, 2)))
+        if np.any((residual > BOHR_REL_TOL) | (c.real <= 0) | (np.abs(c.imag) > BOHR_REL_TOL * np.abs(c))):
+            return None
+        omegas[start:start + st.dim][live] = -np.log(c.real)
     return [float(w) for w in omegas]
 
 

@@ -21,7 +21,7 @@ from .linalg import (
     hermitian_part,
     left_right_sum_matrix,
     require_hermitian,
-    superoperator_in_basis,
+    rotate_superoperator,
 )
 from .lindblad import GeneratorContext, Lindbladian, context_from_generator
 
@@ -44,13 +44,19 @@ def depolarizing(sigma) -> Lindbladian:
     DIMENSION_GUARD is refused before any jump is built.
     """
     st = sigma if isinstance(sigma, FaithfulState) else FaithfulState(sigma)
-    d = st.dim
-    if d > DIMENSION_GUARD:
-        raise ValidationError(f"depolarizing dimension {d} exceeds guard {DIMENSION_GUARD}")
+    d = require_depolarizing_dim(st.dim)
     u = st.eigenvectors
     jumps = u.T[:, None, :, None] * u.conj().T[None, :, None, :]   # (x, y, a, b): u[a, x] conj(u[b, y])
     jumps *= np.sqrt(st.eigenvalues)[:, None, None, None]
     return Lindbladian(np.zeros((d, d)), jumps.reshape(d * d, d, d))
+
+
+def require_depolarizing_dim(d: int) -> int:
+    """``d``, or ValidationError when it exceeds DIMENSION_GUARD; callers
+    check a declared dimension with it before they build a state of it."""
+    if d > DIMENSION_GUARD:
+        raise ValidationError(f"depolarizing dimension {d} exceeds guard {DIMENSION_GUARD}")
+    return d
 
 
 def maximally_mixed(dim: int) -> FaithfulState:
@@ -321,11 +327,11 @@ def counterexample_channels(v1, v2, p: float) -> CounterexampleChannels:
     # psi = phi^KMS phi and psi_tilde = G_BKM^(-1) psi^dagger G_KMS, formed
     # in sigma's eigenbasis, where both Gram maps are diagonal.
     u = sigma.eigenvectors
-    phi_e = superoperator_in_basis(phi.matrix, u)
+    phi_e = rotate_superoperator(phi.matrix.copy(), u)
     psi_e = dual_in_eigenbasis("KMS", "KMS", sigma, phi_e) @ phi_e
-    psi = SuperOperator(superoperator_in_basis(psi_e, u.conj().T))
-    psi_tilde = SuperOperator(superoperator_in_basis(dual_in_eigenbasis("BKM", "KMS", sigma, psi_e),
-                                                     u.conj().T))
+    psi_tilde = SuperOperator(rotate_superoperator(dual_in_eigenbasis("BKM", "KMS", sigma, psi_e),
+                                                   u.conj().T))
+    psi = SuperOperator(rotate_superoperator(psi_e, u.conj().T))
 
     if not 0.0 < p < 0.5:
         raise ValidationError("p must lie in (0, 1/2)")

@@ -174,7 +174,7 @@ class _Engine:
         observables = np.concatenate([monitored[:q] + _dagger(monitored[:q]), intensities])
         self.expectations = np.ascontiguousarray(observables.swapaxes(1, 2).reshape(self.ell, d * d).T)
         # M0 = I - G dt with G = iH + K/2
-        self._g = 1j * lind.hamiltonian + 0.5 * np.sum(_dagger(jumps) @ jumps, axis=0)
+        self._g = 1j * lind.hamiltonian + 0.5 * lind._kappa
         self._monitored = monitored
         self._kraus: dict[bool, np.ndarray] = {}
         self.pairs = [(i, j) for i in range(q) for j in range(i, q)]

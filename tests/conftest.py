@@ -31,6 +31,18 @@ def left_right_matrix(a, b):
     return np.kron(np.asarray(b, dtype=complex).T, np.asarray(a, dtype=complex))
 
 
+def superoperator_in_basis(m, u):
+    """K^dagger M K for K = kron(conj(U), U), out of place: four products of
+    the (d, d^3) leading-index view, transposed, with a d x d factor, each
+    moving the new index to the back. The reference for the library's
+    in-place rotate_superoperator."""
+    d = u.shape[0]
+    x = np.asarray(m, dtype=complex)
+    for factor in (u, u.conj(), u.conj(), u):
+        x = x.reshape(d, -1).T @ factor
+    return x.reshape(d * d, d * d)
+
+
 # Gauss-Legendre nodes for the BKM integral over [0, 1]. In sigma's
 # eigenbasis the integrand is s_j exp(t ln(s_i/s_j)); 30 nodes integrate it
 # to its rounding floor (about |ln(s_i/s_j)| eps) for |ln(s_i/s_j)| up to
@@ -81,6 +93,26 @@ def dense_kms_conjugated(st, m):
     basis: the reference for GeneratorContext.kms_conjugated."""
     return left_right_matrix(st.power(0.25), st.power(0.25)) @ m @ left_right_matrix(
         st.power(-0.25), st.power(-0.25))
+
+
+def modular_frequencies_one_shot(st, jumps):
+    """Bohr frequencies of a (k, d, d) jump stack from one pass over the
+    whole stack: the reference for the chunked lindblad._modular_frequencies."""
+    u = st.eigenvectors
+    s = st.eigenvalues
+    le = u.conj().T @ jumps @ u
+    image = le * (s[:, None] / s[None, :])
+    norm2 = np.sum(np.abs(le) ** 2, axis=(1, 2))
+    live = norm2 >= 1e-28
+    le, image = le[live], image[live]
+    c = np.einsum("kij,kij->k", le.conj(), image) / norm2[live]
+    residual = (np.linalg.norm(image - c[:, None, None] * le, axis=(1, 2))
+                / np.linalg.norm(image, axis=(1, 2)))
+    if np.any((residual > 1e-8) | (c.real <= 0) | (np.abs(c.imag) > 1e-8 * np.abs(c))):
+        return None
+    omegas = np.zeros(len(jumps))
+    omegas[live] = -np.log(c.real)
+    return [float(w) for w in omegas]
 
 
 def scalar_lindblad(c):

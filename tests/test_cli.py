@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qdev import fileio
+from qdev import cli, fileio
 from qdev.cli import main
 from qdev.linalg import ValidationError
 from qdev.models import heat_bath
@@ -275,6 +275,24 @@ class TestMalformedFields:
                      "-o", "depol.json"]) == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "validation" and f"--dim must be at least 1, got {dim}" in err["message"]
+        assert not Path("depol.json").exists()
+
+    @pytest.mark.parametrize("source", ["dim", "sigma"])
+    def test_depolarizing_guard_checked_before_any_state(self, workdir, capsys, monkeypatch, source):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state was built or loaded before the dimension guard")
+
+        monkeypatch.setattr(cli, "maximally_mixed", refuse)
+        monkeypatch.setattr(fileio, "load_state", refuse)
+        if source == "dim":
+            argv = ["--dim", "2000"]
+        else:
+            Path("sigma.json").write_text(json.dumps(
+                {"dim": 2000, "rho": fileio.encode_complex_matrix(np.eye(2) / 2)}))
+            argv = ["--sigma", "sigma.json"]
+        assert main(["model", "new", "--template", "depolarizing", *argv, "-o", "depol.json"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "dimension 2000 exceeds guard 64" in err["message"]
         assert not Path("depol.json").exists()
 
     @pytest.mark.parametrize("dims", [(2, 2, 3), (2, 3, 3)], ids=["ragged-jumps", "jumps-vs-hamiltonian"])

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import dense_kms_conjugated, left_right_matrix, random_faithful, random_hermitian, scalar_lindblad
+from conftest import (
+    dense_kms_conjugated,
+    left_right_matrix,
+    random_faithful,
+    random_hermitian,
+    scalar_lindblad,
+    superoperator_in_basis,
+)
 from qdev import deviation
 from qdev.linalg import NumericalError, ValidationError, top_eigenpair, vec
 from qdev.lindblad import Lindbladian, NotKmsSymmetricError, stationary_state
@@ -417,6 +424,58 @@ class TestTiltedFamilySpectrum:
             assert np.max(np.abs(ours - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
 
 
+def channel_setup(d: int) -> MeasurementSetup:
+    """A random Hamiltonian and three random jumps at dimension d, with one
+    Brownian and one counting channel along mixed directions."""
+    rng = np.random.default_rng(300 + d)
+    jumps = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d for _ in range(3)]
+    ctx = stationary_state(Lindbladian(random_hermitian(rng, d), jumps))
+    directions = np.linalg.qr(rng.normal(size=(3, 3)))[0][:2]
+    return MeasurementSetup(ctx, directions, q=1)
+
+
+class TestMatrixFreeFamily:
+    """B(lam) from the d x d channel operators: as products (operator), as a
+    matrix (matrix), and against the tilted generator built from scratch."""
+
+    @pytest.mark.parametrize("d", [2, 3, 13])
+    @pytest.mark.parametrize("lanczos", [False, True], ids=["dense", "lanczos"])
+    def test_operator_matches_matrix(self, d, lanczos, monkeypatch):
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0 if lanczos else 10**9)
+        family = TiltedFamily(channel_setup(d))
+        rng = np.random.default_rng(d)
+        for lam in TILTS:
+            b = family.matrix(lam)
+            v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+            scale = np.max(np.abs(b)) * np.linalg.norm(v)
+            assert np.max(np.abs(family.operator(lam) @ v - b @ v)) <= 1e-13 * d * scale
+
+    @pytest.mark.parametrize("d", [2, 3, 13])
+    @pytest.mark.parametrize("lanczos", [False, True], ids=["dense", "lanczos"])
+    def test_matrix_is_rotated_symmetrized_tilted_generator(self, d, lanczos, monkeypatch):
+        """B(lam) is the Hermitian part of G^(1/2) L_lam G^(-1/2), rotated to
+        sigma's eigenbasis, entry for entry."""
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0 if lanczos else 10**9)
+        setup = channel_setup(d)
+        family = TiltedFamily(setup)
+        st = setup.ctx.faithful
+        for lam in TILTS:
+            dense = dense_kms_conjugated(st, perturbed_generator(setup, lam).matrix)
+            reference = superoperator_in_basis(0.5 * (dense + dense.conj().T), st.eigenvectors)
+            assert np.max(np.abs(family.matrix(lam) - reference)) <= 1e-13 * d * np.max(np.abs(reference))
+
+    @pytest.mark.parametrize("d", [2, 3, 13])
+    def test_gradient_same_in_both_regimes(self, d, monkeypatch):
+        setup = channel_setup(d)
+        lam = TILTS[2]
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 10**9)
+        dense = TiltedFamily(setup)
+        v = np.linalg.eigh(dense.matrix(lam))[1][:, -1]
+        expected = dense.gradient_at(lam, v)
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0)
+        assert np.max(np.abs(TiltedFamily(setup).gradient_at(lam, v) - expected)) <= 1e-12 * d
+
+
 def record_convergence(monkeypatch) -> list:
     """Make TiltedFamily log whether each Lanczos solve converged."""
     flags = []
@@ -464,6 +523,8 @@ class TestTopEigenvalue:
         b = family.matrix(TILTS[1])
         w, v = np.linalg.eigh(b)
         b = b + (w[-1] - w[-2] - split) * np.outer(v[:, -2], v[:, -2].conj())
+        # Lanczos takes products with family.operator(lam), a dense fallback family.matrix(lam).
+        monkeypatch.setattr(family, "operator", lambda lam: b)
         monkeypatch.setattr(family, "matrix", lambda lam: b)
         for _ in range(2):  # a cold start, then warm from the first top vector
             assert_top(family.value(TILTS[1]), b)

@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from conftest import SX, SZ, gram_superoperator, left_right_matrix, random_faithful, random_hermitian
+from conftest import (
+    SX,
+    SZ,
+    gram_superoperator,
+    left_right_matrix,
+    random_faithful,
+    random_hermitian,
+    superoperator_in_basis,
+)
 from qdev import linalg
 from qdev.linalg import (
     DensityOperator,
@@ -22,8 +30,8 @@ from qdev.linalg import (
     hermitianize,
     inner_product,
     left_right_sum_matrix,
+    rotate_superoperator,
     spectral_transform,
-    superoperator_in_basis,
     to_superoperator,
     top_eigenpair,
     unvec,
@@ -134,9 +142,19 @@ class TestSuperoperatorInBasis:
         m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
         u = random_faithful(rng, d).eigenvectors
         k = np.kron(u.conj(), u)
-        rotated = superoperator_in_basis(m, u)
+        rotated = rotate_superoperator(m.copy(), u)
         assert np.max(np.abs(rotated - k.conj().T @ m @ k)) < 1e-13 * d * d
-        assert np.max(np.abs(superoperator_in_basis(rotated, u.conj().T) - m)) < 1e-13 * d * d
+        assert np.max(np.abs(rotate_superoperator(rotated.copy(), u.conj().T) - m)) < 1e-13 * d * d
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_in_place_matches_out_of_place_both_ways(self, d):
+        rng = np.random.default_rng(10 + d)
+        m = rng.normal(size=(d * d, d * d)) + 1j * rng.normal(size=(d * d, d * d))
+        u = random_faithful(rng, d).eigenvectors
+        for factor in (u, u.conj().T):
+            work = m.copy()
+            assert rotate_superoperator(work, factor) is work
+            assert np.max(np.abs(work - superoperator_in_basis(m, factor))) <= 1e-14 * d * d
 
     def test_acts_on_rotated_matrices(self):
         rng = np.random.default_rng(3)
@@ -145,7 +163,7 @@ class TestSuperoperatorInBasis:
         b = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         u = random_faithful(rng, d).eigenvectors
         x_u = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rotated = superoperator_in_basis(left_right_matrix(a, b), u)
+        rotated = rotate_superoperator(left_right_matrix(a, b), u)
         image = u.conj().T @ (a @ (u @ x_u @ u.conj().T) @ b) @ u
         assert np.max(np.abs(unvec(rotated @ vec(x_u)) - image)) < 1e-12
 

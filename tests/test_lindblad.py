@@ -7,6 +7,7 @@ from conftest import (
     dense_kms_conjugated,
     gram_superoperator,
     left_right_matrix,
+    modular_frequencies_one_shot,
     random_faithful,
     random_hermitian,
     random_state,
@@ -252,6 +253,44 @@ class TestStationarySolve:
         assert (mult, len(svd_calls)) == ((1, 0) if eps == 1e-6 else (2, 1))
 
 
+class TestBorderedKernel:
+    """_bordered_kernel borders the Heisenberg matrix it is given in place
+    and must hand it back bit for bit."""
+
+    @staticmethod
+    def generator(d):
+        """A Heisenberg matrix, its scale, and whether undoing the border by
+        subtraction would leave a trace (so the tests can tell)."""
+        h = random_lindblad(np.random.default_rng(40 + d), d, 2).heisenberg_superoperator().matrix
+        scale = max(1.0, float(np.max(np.abs(h))))
+        border = np.ix_(*(np.flatnonzero(np.eye(d).reshape(-1, order="F")),) * 2)
+        assert not np.array_equal((h[border] + scale / d) - scale / d, h[border])
+        return h, scale, border
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_generator_unchanged_after_success(self, d):
+        h, scale, _ = self.generator(d)
+        before = h.copy()
+        assert lindblad._bordered_kernel(h, d, scale) is not None
+        assert np.array_equal(h, before)
+
+    def test_generator_unchanged_after_failed_inversion(self, monkeypatch):
+        d = 3
+        h, scale, border = self.generator(d)
+        before = h.copy()
+        seen = []
+
+        def singular(a):
+            seen.append(a.copy())
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        assert lindblad._bordered_kernel(h, d, scale) is None
+        # What is inverted is the transpose of H, bordered in its own storage.
+        assert np.array_equal(seen[0].T[border], before[border] + scale / d)
+        assert np.array_equal(h, before)
+
+
 class TestEigenbasisCalculus:
     @pytest.fixture(params=[2, 3, 5])
     def ctx(self, request):
@@ -373,6 +412,33 @@ class TestBohrFrequencies:
         ctx = stationary_state(depolarizing(FaithfulState(sigma)))
         ctx2 = type(ctx)(heis, ctx.sigma, ctx.faithful, True, 1, lindbladian=lind)
         assert ctx2.bohr is None
+
+
+class TestModularFrequenciesChunked:
+    """The stack is worked through d jumps at a time; the result is that of
+    one pass over the whole stack."""
+
+    def test_depolarizing_matches_one_shot(self):
+        st = random_faithful(np.random.default_rng(12), 5)
+        jumps = depolarizing(st).jumps.copy()
+        jumps[7] = 0.0  # a dead jump, frequency 0
+        ours = lindblad._modular_frequencies(st, jumps)
+        reference = modular_frequencies_one_shot(st, jumps)
+        assert ours is not None and len(ours) == 25
+        assert ours == pytest.approx(reference, rel=1e-14, abs=1e-15)
+
+    @pytest.mark.parametrize("bad", [1, 23])
+    def test_non_eigenvector_in_any_chunk_gives_none(self, bad):
+        st = random_faithful(np.random.default_rng(13), 5)
+        jumps = depolarizing(st).jumps.copy()
+        jumps[bad] = jumps[bad] + jumps[bad].conj().T
+        assert modular_frequencies_one_shot(st, jumps) is None
+        assert lindblad._modular_frequencies(st, jumps) is None
+
+    def test_no_jumps(self):
+        st = random_faithful(np.random.default_rng(14), 3)
+        jumps = np.zeros((0, 3, 3), dtype=complex)
+        assert lindblad._modular_frequencies(st, jumps) == modular_frequencies_one_shot(st, jumps) == []
 
 
 class TestCanonicalHamiltonian:

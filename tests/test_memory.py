@@ -4,7 +4,12 @@ A unit is one d^2 x d^2 complex matrix, 16 d^4 bytes. Each budget is the
 tracemalloc peak of one call above what was allocated before it, on a
 seeded d = 16 depolarizing model with one Brownian channel (the model of
 bench/analytics_scale.py). Memory LAPACK allocates for itself is not
-traced, so these count the arrays qdev makes.
+traced, so these count the arrays qdev makes. The stationary solve holds
+only the inverse of the bordered generator; main_bound holds B0 and, at
+lam*, the one B(lam*) the dense check needs; check_detailed_balance holds
+the difference of the generator and its dual (beside the eigenbasis
+generator, when it computes that itself); the Bohr frequencies hold d^3-
+sized slices of the d^2 jumps.
 """
 
 import gc
@@ -72,7 +77,7 @@ def test_read_model_budget(model, tmp_path):
 
 def test_stationary_solve_budget(model):
     _, peak, _ = traced(lambda: fresh_context(model))
-    assert peak <= 2.1
+    assert peak <= 1.1
 
 
 def test_main_bound_budget_and_nothing_kept(model):
@@ -81,7 +86,7 @@ def test_main_bound_budget_and_nothing_kept(model):
     setup = deviation.MeasurementSetup(ctx, direction[None, :], 1)
     report, peak, retained = traced(lambda: deviation.main_bound(setup, sigma, [0.3]))
     assert report.status == "ok"
-    assert peak <= 4.1
+    assert peak <= 2.3
     assert retained < 0.5
 
 
@@ -90,3 +95,24 @@ def test_spectral_gap_budget(model):
     gap, peak, _ = traced(lambda: inequalities.spectral_gap(ctx))
     assert gap == pytest.approx(1.0, abs=1e-8)
     assert peak <= 2.2
+
+
+def detailed_balance(ctx):
+    return [lindblad.check_detailed_balance(kind, ctx) for kind in ("GNS", "KMS", "BKM")]
+
+
+@pytest.mark.parametrize("cached, budget", [(True, 1.8), (False, 2.8)], ids=["cached", "fresh"])
+def test_detailed_balance_budget(model, cached, budget):
+    ctx = fresh_context(model)
+    if cached:
+        ctx.eigenbasis_generator
+    reports, peak, _ = traced(lambda: detailed_balance(ctx))
+    assert all(r.symmetric for r in reports)
+    assert peak <= budget
+
+
+def test_bohr_budget(model):
+    ctx = fresh_context(model)
+    omegas, peak, _ = traced(lambda: ctx.bohr)
+    assert omegas is not None and len(omegas) == D * D
+    assert peak <= 0.5
