@@ -9,36 +9,25 @@ from .linalg import (
     FaithfulState,
     HermitianOperator,
     SuperOperator,
-    gamma_map,
     inner_product,
     spectral_transform,
-    to_superoperator,
 )
 from .lindblad import (
     GeneratorContext,
     Lindbladian,
-    bohr_frequencies,
     check_detailed_balance,
     context_from_channel,
     context_from_generator,
     dirichlet_form,
-    dual_superoperator,
-    fisher_information,
-    gauge_equivalence_check,
-    kms_canonical_hamiltonian,
     stationary_state,
 )
 from .deviation import (
     BoundReport,
     MeasurementSetup,
-    direct_variational_crosscheck,
-    f_statistics,
     main_bound,
-    mass_relative_entropy,
     mean_vector,
     perturbed_generator,
     rate_function,
-    scgf,
 )
 from .trajectories import (
     EmpiricalTail,
@@ -59,7 +48,6 @@ from .inequalities import (
     tensorization_lsi_bounds,
     ti_from_lsi,
     tilde_observable,
-    verify_poincare_ti,
     w1_lower_bound,
 )
 from .models import (

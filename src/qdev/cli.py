@@ -56,6 +56,8 @@ def _float_list(text: str) -> list[float]:
         values = [float(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise ValidationError(f"cannot parse float list {text!r}")
+    if not values:
+        raise ValidationError(f"float list {text!r} is empty")
     if not all(math.isfinite(x) for x in values):
         raise ValidationError(f"float list {text!r} has a value that is not finite")
     return values
@@ -243,10 +245,13 @@ def _cmd_rate(args, argv) -> int:
             ends = [float(lo), float(hi)]
             if not all(math.isfinite(x) for x in ends):
                 raise ValueError
-            grid = np.linspace(*ends, int(count))[:, None]
+            n = int(count)
         except ValueError:
             raise ValidationError(f"cannot parse grid spec {args.grid!r} "
                                   "(expected lo:hi:n with finite lo and hi)")
+        if n < 1:
+            raise ValidationError(f"grid spec {args.grid!r} has n = {n}; need at least one point")
+        grid = np.linspace(*ends, n)[:, None]
         if setup.ell != 1:
             raise ValidationError("--grid is for single-channel setups; use --grid-file")
     else:

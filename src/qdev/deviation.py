@@ -33,9 +33,6 @@ from .linalg import (
     ValidationError,
     add_left_right_pair,
     as_complex_matrix,
-    hermitian_from_params,
-    hermitian_to_params,
-    inner_product,
     left_right_sum_matrix,
     top_eigenpair,
 )
@@ -43,7 +40,6 @@ from .lindblad import (
     GeneratorContext,
     NotKmsSymmetricError,
     check_detailed_balance,
-    dirichlet_form,
 )
 
 POISSON_LAMBDA_CAP = 700.0   # exp overflow guard
@@ -83,8 +79,6 @@ WARM_START_SEED = 0x5EED
 # Largest admitted |iterative - dense| top eigenvalue at lam*, relative to
 # max(1, |e|).
 TOP_EIG_CHECK_RTOL = 1e-10
-# Largest dimension direct_variational_crosscheck accepts.
-CROSSCHECK_MAX_DIM = 3
 
 
 class MeasurementSetup:
@@ -144,26 +138,6 @@ def mean_vector(setup: MeasurementSetup) -> np.ndarray:
             out[j] = np.trace(st.matrix @ (l + l.conj().T)).real
         else:
             out[j] = np.trace(st.matrix @ (l.conj().T @ l)).real
-    return out
-
-
-def f_statistics(setup: MeasurementSetup, x) -> np.ndarray:
-    """KMS-symmetrized channel statistics of an observable.
-
-    Brownian channels use Phi_u(X) = L_u* X + X L_u, Poisson channels
-    Psi_u(X) = L_u* X L_u; each entry is Re <X, map(X)>_KMS, which equals
-    the half-sum with the KMS dual. Poisson entries are nonnegative on
-    positive semidefinite X.
-    """
-    st = setup.ctx.require_faithful()
-    x = as_complex_matrix(x, "X")
-    out = np.empty(setup.ell)
-    for j, l in enumerate(setup.monitored):
-        if setup.is_brownian(j):
-            image = l.conj().T @ x + x @ l
-        else:
-            image = l.conj().T @ x @ l
-        out[j] = inner_product("KMS", st, x, image).real
     return out
 
 
@@ -365,13 +339,6 @@ class _TiltedOperator:
         return out
 
 
-def scgf(setup: MeasurementSetup, lam) -> float:
-    """Scaled cumulant generating function e(lam): top eigenvalue of the
-    KMS-symmetrized tilted generator."""
-    lam = _as_tilt(lam, setup.ell, nonneg=False)
-    return TiltedFamily(setup).value(lam)
-
-
 # ---------------------------------------------------------------------------
 # Concave maximization of lam . target - e(lam)
 # ---------------------------------------------------------------------------
@@ -554,6 +521,8 @@ class BoundReport:
     def bound(self, t: float) -> float:
         if not math.isfinite(t):
             raise ValidationError(f"time must be finite, got {t!r}")
+        if t < 0.0:
+            raise ValidationError(f"time must be nonnegative, got {t!r}")
         if math.isinf(self.exponent):
             return 0.0
         return self.prefactor * math.exp(-t * self.exponent)
@@ -610,27 +579,6 @@ def _status(bounded: bool, residual: float, target: np.ndarray) -> str:
     return "ok"
 
 
-def mass_relative_entropy(p, q) -> float:
-    """Relative entropy between nonnegative mass vectors,
-    sum_l p_l ln(p_l/q_l) - p_l + q_l, with 0 ln 0 = 0 and support rule
-    q_l = 0 < p_l giving +inf."""
-    p = np.atleast_1d(np.asarray(p, dtype=float))
-    q = np.atleast_1d(np.asarray(q, dtype=float))
-    if p.shape != q.shape:
-        raise DimensionMismatchError("mass vectors must have equal length")
-    if np.min(p) < 0 or np.min(q) < 0:
-        raise ValidationError("mass vectors must be entrywise nonnegative")
-    total = 0.0
-    for pl, ql in zip(p, q):
-        if pl == 0.0:
-            total += ql
-        elif ql == 0.0:
-            return math.inf
-        else:
-            total += pl * math.log(pl / ql) - pl + ql
-    return total
-
-
 @dataclass(frozen=True, eq=False)
 class RatePoint:
     s: np.ndarray
@@ -662,67 +610,3 @@ def rate_function(setup: MeasurementSetup, s_grid) -> list[RatePoint]:
         out.append(RatePoint(s.copy(), value if bounded else math.inf, residual,
                              _status(bounded, residual, s)))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Direct variational cross-check (X-domain route)
-# ---------------------------------------------------------------------------
-
-def _one_sided_gaussian(p: float, f: float) -> float:
-    gap = p - f
-    return 0.5 * gap * gap if gap > 0 else 0.0
-
-
-def _one_sided_poisson(p: float, f: float) -> float:
-    f = max(f, 0.0)
-    if p <= f:
-        return 0.0
-    if f == 0.0:
-        return math.inf
-    return p * math.log(p / f) - p + f
-
-
-def direct_variational_crosscheck(setup: MeasurementSetup, r) -> float:
-    """Evaluate the bound exponent by direct minimization over observables.
-
-    Minimizes, over positive semidefinite X with unit KMS norm, the closed
-    form E(X) + sum_B [(m+r-f^B(X))_+]^2/2 + sum_P Dplus(m+r || f^P(X)),
-    where the per-channel terms are the exact lam >= 0 suprema for fixed X.
-    One L-BFGS-B run (finite-difference gradient) from the identity; the
-    lam-domain optimizer never runs here, so this is an independent oracle
-    for main_bound. Dimensions up to CROSSCHECK_MAX_DIM only.
-    """
-    ctx = setup.ctx
-    st = ctx.require_faithful()
-    d = ctx.dim
-    if d > CROSSCHECK_MAX_DIM:
-        raise ValidationError(f"dimension {d} exceeds the cross-check guard {CROSSCHECK_MAX_DIM}")
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    target = mean_vector(setup) + r
-
-    def objective(params: np.ndarray) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = hermitian_from_params(params, d)
-            x = y @ y
-            norm = np.sqrt(max(inner_product("KMS", st, x, x).real, 0.0))
-        if not np.isfinite(norm) or norm < 1e-12:
-            return 1e6
-        x = x / norm
-        total = dirichlet_form(ctx, x)
-        f = f_statistics(setup, x)
-        for j in range(setup.ell):
-            if setup.is_brownian(j):
-                total += _one_sided_gaussian(target[j], f[j])
-            else:
-                contrib = _one_sided_poisson(target[j], f[j])
-                if math.isinf(contrib):
-                    return 1e6
-                total += contrib
-        return total
-
-    import scipy.optimize  # here, so that importing qdev loads no scipy
-
-    # X = Y^2, and Y = I is the square root of the start X = I.
-    res = scipy.optimize.minimize(objective, hermitian_to_params(np.eye(d)), method="L-BFGS-B",
-                                  options={"ftol": 1e-15, "gtol": 1e-10})
-    return float(res.fun)

@@ -379,16 +379,5 @@ def write_manifest(output_path, command: list[str], input_paths: list, parameter
     return mpath
 
 
-def verify_manifest(path) -> bool:
-    """Recompute input digests recorded in a manifest; True when all match."""
-    doc = load_object(path)
-    for input_path, recorded in _require(doc, "inputs", str(path)).items():
-        if not Path(input_path).exists():
-            raise ValidationError(f"manifest input missing: {input_path}")
-        if _digest(input_path) != recorded:
-            return False
-    return True
-
-
 def emit_error(code: str, message: str, context: dict | None = None):
     sys.stderr.write(json.dumps({"code": code, "message": message, "context": context or {}}) + "\n")

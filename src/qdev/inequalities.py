@@ -32,9 +32,8 @@ from .linalg import (
     require_hermitian,
     spectral_transform,
 )
-from .lindblad import GeneratorContext, check_detailed_balance, fisher_information
+from .lindblad import GeneratorContext, check_detailed_balance
 
-GAP_ZERO_TOL = 1e-10
 # Largest concentrate constant, and the reciprocal of the smallest positive one:
 # within these no square, product or quotient of a display leaves the float range.
 CONSTANT_MAX = 1e100
@@ -243,8 +242,8 @@ def tilde_observable(ctx: GeneratorContext, u) -> np.ndarray:
     st = ctx.require_faithful()
     lind = ctx.require_jumps()
     l_u = np.tensordot(np.asarray(u, dtype=float).reshape(lind.k), lind.jumps, axes=1)
-    out = spectral_transform("delta_power", st, l_u.conj().T, power=0.25)
-    out += spectral_transform("delta_power", st, l_u, power=-0.25)
+    out = spectral_transform(st, l_u.conj().T, 0.25)
+    out += spectral_transform(st, l_u, -0.25)
     return out
 
 
@@ -334,19 +333,6 @@ def _bfgs_weak_wolfe(f, x: np.ndarray) -> float:
     return fx
 
 
-def verify_poincare_ti(ctx: GeneratorContext, rho) -> tuple[float, float, bool]:
-    """Check the trace-norm transportation-information bound
-    ||rho - sigma||_1^2 <= (4/gap) I(rho); returns (lhs, rhs, holds)."""
-    st = ctx.require_faithful()
-    rho = require_hermitian(rho, tol=1e-8, name="rho")
-    gap = spectral_gap(ctx)
-    if gap <= GAP_ZERO_TOL:
-        raise ValidationError("generator has no spectral gap")
-    lhs = float(np.sum(np.abs(np.linalg.eigvalsh(rho - st.matrix))) ** 2)
-    rhs = 4.0 / gap * fisher_information(ctx, rho)
-    return lhs, rhs, lhs <= rhs + 1e-9
-
-
 # ---------------------------------------------------------------------------
 # Concentration bounds
 # ---------------------------------------------------------------------------
@@ -365,6 +351,8 @@ class ConcentrationBound:
     def bound(self, t: float, r: float) -> float:
         if not t >= 0.0:
             raise ValidationError(f"time must be nonnegative, got {t!r}")
+        if not r >= 0.0:
+            raise ValidationError(f"threshold r must be nonnegative, got {r!r}")
         return self.prefactor * math.exp(-self.exponent(t, r))
 
 

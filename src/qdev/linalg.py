@@ -10,8 +10,8 @@ is built on three ingredients collected here:
   * the GNS / KMS / BKM inner products, defined once by their Gram maps,
     which are diagonal in sigma's eigenbasis (gram_weights); inner
     products and weighted duals are entrywise scalings there;
-  * spectral transforms f(Delta) of the modular operator
-    Delta: X -> sigma X sigma^{-1}, applied entrywise in the eigenbasis.
+  * powers Delta^p of the modular operator Delta: X -> sigma X sigma^{-1},
+    applied entrywise in the eigenbasis.
 
 Superoperators are stored as dim^2 x dim^2 matrices in the column-stacking
 convention: vec(X)[j*dim + i] = X[i, j], so the matrix unit |i><j| maps to
@@ -209,8 +209,8 @@ class FaithfulState:
     Faithful means the smallest eigenvalue exceeds FAITHFUL_EPS (1e-12);
     a state at or below it raises NotFaithfulError. Eigenvalues are stored
     in descending order together with the unitary of eigenvectors, so
-    fractional powers sigma^p and modular spectral transforms are a
-    diagonal rescaling away.
+    fractional powers sigma^p and modular powers Delta^p are a diagonal
+    rescaling away.
     """
 
     def __init__(self, rho):
@@ -377,22 +377,6 @@ def rotate_superoperator(m: np.ndarray, u: np.ndarray) -> np.ndarray:
     return m
 
 
-def to_superoperator(mapping, dim: int) -> SuperOperator:
-    """Build the matrix of a map given as a callable on dim x dim matrices.
-
-    Columns are the vectorized images of the matrix units, so the round trip
-    apply(to_superoperator(m), X) == m(X) holds on all matrix units.
-    """
-    m = np.zeros((dim * dim, dim * dim), dtype=complex)
-    unit = np.zeros((dim, dim), dtype=complex)
-    for j in range(dim):
-        for i in range(dim):
-            unit[i, j] = 1.0
-            m[:, j * dim + i] = vec(np.asarray(mapping(unit), dtype=complex))
-            unit[i, j] = 0.0
-    return SuperOperator(m)
-
-
 def hermitian_from_params(params: np.ndarray, dim: int) -> np.ndarray:
     """Hermitian matrix from dim**2 real parameters: the diagonal, then the
     real parts, then the imaginary parts of the strict upper triangle in
@@ -479,38 +463,15 @@ def dual_in_eigenbasis(left: str, right: str, st: FaithfulState, eigenbasis_matr
 # Modular spectral calculus
 # ---------------------------------------------------------------------------
 
-def _spectral_coefficients(kind: str, st: FaithfulState, power: float | None) -> np.ndarray:
+def spectral_transform(sigma, x, power: float) -> np.ndarray:
+    """Apply Delta_sigma^power to X, entrywise in sigma's eigenbasis:
+    element (i, j) is scaled by (s_i/s_j)^power."""
+    st = _as_state(sigma)
+    x = as_complex_matrix(x, "X")
+    require_same_dim(st.matrix, x)
     s = st.eigenvalues
-    if kind == "delta_power":
-        if power is None:
-            raise ValidationError("delta_power requires the exponent argument")
-        return (s[:, None] / s[None, :]) ** power
-    if kind == "tanh_log_quarter":
-        # Diagonal entries (s_i == s_j) map to tanh(0) = 0 by construction.
-        return np.tanh(0.25 * (np.log(s)[:, None] - np.log(s)[None, :]))
-    raise ValidationError(f"unknown spectral transform kind {kind!r}")
-
-
-def spectral_transform(kind: str, sigma, x, power: float | None = None) -> np.ndarray:
-    """Apply f(Delta_sigma) to X entrywise in sigma's eigenbasis.
-
-    Element (i, j) is scaled by f(s_i/s_j), with f = x**p for delta_power
-    and tanh(ln(x)/4) for tanh_log_quarter.
-    """
-    st = _as_state(sigma)
-    x = as_complex_matrix(x, "X")
-    require_same_dim(st.matrix, x)
-    coeff = _spectral_coefficients(kind, st, power)
+    coeff = (s[:, None] / s[None, :]) ** power
     return st.from_eigenbasis(coeff * st.to_eigenbasis(x))
-
-
-def gamma_map(power: float, sigma, x) -> np.ndarray:
-    """Sandwich map Gamma_sigma^power: X -> sigma^(power/2) X sigma^(power/2)."""
-    st = _as_state(sigma)
-    x = as_complex_matrix(x, "X")
-    require_same_dim(st.matrix, x)
-    half = st.power(power / 2.0)
-    return half @ x @ half
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ as a raw Heisenberg superoperator for channel-difference generators Psi - id.
 The jumps are one (k, d, d) complex array, fixed at construction (k = 0
 allowed); every consumer works on that stack as it is.
 The GeneratorContext bundles the generator with its stationary state and the
-sigma-weighted calculus needed everywhere else: KMS symmetrization, duals
-with respect to the GNS/KMS/BKM inner products, Bohr frequencies, and the
-Dirichlet form / Fisher information. That calculus runs in sigma's
+sigma-weighted calculus needed everywhere else: KMS symmetrization,
+detailed balance with respect to the GNS/KMS/BKM inner products, Bohr
+frequencies, and the Dirichlet form. That calculus runs in sigma's
 eigenbasis, where every sigma-weighted Gram map is diagonal.
 """
 
@@ -39,7 +39,6 @@ from .linalg import (
     left_right_sum_matrix,
     require_hermitian,
     rotate_superoperator,
-    spectral_transform,
     unvec,
     vec,
 )
@@ -49,8 +48,6 @@ STATIONARY_TOL = 1e-9
 KERNEL_REL_TOL = 1e-9
 SYMMETRY_REL_TOL = 1e-8
 BOHR_REL_TOL = 1e-8
-ALIGNMENT_TOL = 1e-8
-GAUGE_TOL = 1e-9   # max-norm of the Heisenberg-matrix difference of equivalent pairs
 
 
 class NotKmsSymmetricError(ValidationError):
@@ -82,17 +79,6 @@ class Lindbladian:
         out -= 0.5 * (self._kappa @ x + x @ self._kappa)
         for l in self.jumps:
             out += l.conj().T @ x @ l
-        return out
-
-    def schrodinger_action(self, rho: np.ndarray) -> np.ndarray:
-        rho = as_complex_matrix(rho, "rho")
-        if rho.shape[0] != self.dim:
-            raise DimensionMismatchError(f"operand dim {rho.shape[0]} != generator dim {self.dim}")
-        h = self.hamiltonian
-        out = -1j * (h @ rho - rho @ h)
-        out -= 0.5 * (self._kappa @ rho + rho @ self._kappa)
-        for l in self.jumps:
-            out += l @ rho @ l.conj().T
         return out
 
     def heisenberg_superoperator(self) -> SuperOperator:
@@ -181,8 +167,10 @@ class GeneratorContext:
 
     @cached_property
     def bohr(self) -> list[float] | None:
-        """The jumps' Bohr frequencies (see bohr_frequencies), computed on
-        first use; None without a faithful state or jump form."""
+        """Frequencies omega_j with Delta_sigma(L_j) = exp(-omega_j) L_j for
+        the jumps L_j, computed on first use. None when some jump is not an
+        eigenvector of the modular operator (relative residual above
+        BOHR_REL_TOL), and without a faithful state or jump form."""
         if self.faithful is None or self.lindbladian is None:
             return None
         return _modular_frequencies(self.faithful, self.lindbladian.jumps)
@@ -366,18 +354,6 @@ def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None 
 # Duals and detailed balance
 # ---------------------------------------------------------------------------
 
-def dual_superoperator(kind: str, ctx: GeneratorContext, superop: SuperOperator) -> SuperOperator:
-    """Adjoint of a superoperator with respect to the chosen inner product.
-
-    G^(-1) S^dagger G for the Gram map G of the inner product and the
-    Hilbert-Schmidt adjoint S^dagger, formed in sigma's eigenbasis, where G
-    is diagonal, and rotated back.
-    """
-    st = ctx.require_faithful()
-    dual = dual_in_eigenbasis(kind, kind, st, ctx.to_eigenbasis(superop.matrix))
-    return SuperOperator(rotate_superoperator(dual, st.eigenvectors.conj().T))
-
-
 @dataclass(frozen=True)
 class SymmetryReport:
     symmetric: bool
@@ -402,20 +378,8 @@ def check_detailed_balance(kind: str, ctx: GeneratorContext) -> SymmetryReport:
     return SymmetryReport(deviation <= SYMMETRY_REL_TOL * ctx.scale, deviation)
 
 
-def bohr_frequencies(ctx: GeneratorContext) -> list[float] | None:
-    """Frequencies omega_j with Delta_sigma(L_j) = exp(-omega_j) L_j, if they exist.
-
-    Returns None when some jump fails to be an eigenvector of the modular
-    operator (relative residual above BOHR_REL_TOL). The value is cached on
-    the context as ``ctx.bohr``.
-    """
-    ctx.require_faithful()
-    ctx.require_jumps()
-    return ctx.bohr
-
-
 def _modular_frequencies(st: FaithfulState, jumps: np.ndarray) -> list[float] | None:
-    """bohr_frequencies for the (k, d, d) jump stack in sigma's eigenbasis,
+    """GeneratorContext.bohr for the (k, d, d) jump stack, in sigma's eigenbasis,
     where Delta_sigma scales entry (i, j) by s_i / s_j. Jumps of squared
     norm below 1e-28 get frequency 0. The stack is worked through d jumps
     at a time, so each temporary holds d^3 entries."""
@@ -438,29 +402,8 @@ def _modular_frequencies(st: FaithfulState, jumps: np.ndarray) -> list[float] | 
     return [float(w) for w in omegas]
 
 
-def kms_canonical_hamiltonian(ctx: GeneratorContext) -> np.ndarray:
-    """Canonical Hamiltonian of a KMS-aligned jump family:
-    (i/2) int_0^inf exp(-t sigma^(1/2)) [sum L_j* L_j, sigma^(1/2)] exp(-t sigma^(1/2)) dt,
-    which acts spectrally as the entrywise multiplier -tanh(ln(s_i/s_j)/4).
-
-    Requires sigma^(1/2) L_j* sigma^(-1/2) = L_j per jump; checked before
-    evaluating. With this H the assembled generator is KMS-symmetric and
-    fixes sigma.
-    """
-    st = ctx.require_faithful()
-    lind = ctx.require_jumps()
-    for i, l in enumerate(lind.jumps):
-        aligned = spectral_transform("delta_power", st, l.conj().T, power=0.5)
-        scale = max(float(np.linalg.norm(l)), 1e-300)
-        if np.linalg.norm(aligned - l) / scale > ALIGNMENT_TOL:
-            raise ValidationError(f"jump {i} violates the KMS alignment condition")
-    kappa = lind._kappa
-    h = -0.5j * spectral_transform("tanh_log_quarter", st, kappa)
-    return require_hermitian(h, tol=1e-10, name="canonical Hamiltonian")
-
-
 # ---------------------------------------------------------------------------
-# Dirichlet form and Fisher information
+# Dirichlet form
 # ---------------------------------------------------------------------------
 
 def dirichlet_form(ctx: GeneratorContext, x) -> float:
@@ -469,31 +412,3 @@ def dirichlet_form(ctx: GeneratorContext, x) -> float:
     x = as_complex_matrix(x, "X")
     lx = ctx.heisenberg.apply(x)
     return float(-inner_product("KMS", st, x, lx).real)
-
-
-def fisher_information(ctx: GeneratorContext, rho) -> float:
-    """Dirichlet form at X = sigma^(-1/4) sqrt(rho) sigma^(-1/4).
-
-    rho is eigenvalue-clipped at zero before the square root; Monte Carlo
-    states carry -1e-14-ish eigenvalues.
-    """
-    st = ctx.require_faithful()
-    rho = require_hermitian(rho, tol=1e-8, name="rho")
-    w, v = np.linalg.eigh(rho)
-    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    inv_quarter = st.power(-0.25)
-    x = inv_quarter @ sqrt_rho @ inv_quarter
-    return dirichlet_form(ctx, x)
-
-
-def gauge_equivalence_check(l1: Lindbladian, l2: Lindbladian) -> bool:
-    """Whether two parametrizations define the same generator.
-
-    Decided at the superoperator level; the unitary/shift parametrization of
-    equivalent pairs is only used to construct positive test cases.
-    """
-    if l1.dim != l2.dim or l1.k != l2.k:
-        raise DimensionMismatchError("gauge comparison requires equal dimension and jump count")
-    m1 = l1.heisenberg_superoperator().matrix
-    m2 = l2.heisenberg_superoperator().matrix
-    return bool(np.max(np.abs(m1 - m2)) <= GAUGE_TOL)

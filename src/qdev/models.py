@@ -232,12 +232,6 @@ class HeatBathModel:
     kraus: np.ndarray
     context: GeneratorContext
 
-    @property
-    def site_channels(self) -> list[SuperOperator]:
-        """Heisenberg-picture Psi_v(X) = sum_K K^dagger X K per site, built on access."""
-        return [SuperOperator(left_right_sum_matrix(k.conj().transpose(0, 2, 1), k))
-                for k in self.kraus]
-
 
 def _partial_trace(rho: np.ndarray, site: int, n: int, d: int) -> np.ndarray:
     t = rho.reshape([d] * (2 * n))

@@ -1,8 +1,28 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.optimize
 
-from qdev.linalg import FaithfulState, SuperOperator, hermitian_part
-from qdev.lindblad import Lindbladian, stationary_state
+from qdev.deviation import mean_vector
+from qdev.inequalities import spectral_gap
+from qdev.linalg import (
+    FaithfulState,
+    SuperOperator,
+    ValidationError,
+    as_complex_matrix,
+    dual_in_eigenbasis,
+    hermitian_from_params,
+    hermitian_part,
+    hermitian_to_params,
+    inner_product,
+    left_right_sum_matrix,
+    require_hermitian,
+    rotate_superoperator,
+    spectral_transform,
+    vec,
+)
+from qdev.lindblad import Lindbladian, dirichlet_form, stationary_state
 from qdev.models import depolarizing, maximally_mixed
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -113,6 +133,194 @@ def modular_frequencies_one_shot(st, jumps):
     omegas = np.zeros(len(jumps))
     omegas[live] = -np.log(c.real)
     return [float(w) for w in omegas]
+
+
+# ---------------------------------------------------------------------------
+# References and fixture builders that no CLI verb reaches: the tests check
+# the library against them, or build their cases with them.
+# ---------------------------------------------------------------------------
+
+def schrodinger_action(lind, rho):
+    """L*(rho) = -i[H, rho] + sum_j L_j rho L_j* - {K, rho}/2, K = sum_j L_j* L_j,
+    from the jump form: the Schrodinger-picture reference."""
+    rho = as_complex_matrix(rho, "rho")
+    h = lind.hamiltonian
+    kappa = sum((l.conj().T @ l for l in lind.jumps), np.zeros((lind.dim, lind.dim), dtype=complex))
+    out = -1j * (h @ rho - rho @ h)
+    out -= 0.5 * (kappa @ rho + rho @ kappa)
+    for l in lind.jumps:
+        out += l @ rho @ l.conj().T
+    return out
+
+
+def to_superoperator(mapping, dim):
+    """Matrix of a map given as a callable on dim x dim matrices: column
+    j*dim + i is the vectorized image of the matrix unit |i><j|."""
+    m = np.zeros((dim * dim, dim * dim), dtype=complex)
+    unit = np.zeros((dim, dim), dtype=complex)
+    for j in range(dim):
+        for i in range(dim):
+            unit[i, j] = 1.0
+            m[:, j * dim + i] = vec(np.asarray(mapping(unit), dtype=complex))
+            unit[i, j] = 0.0
+    return SuperOperator(m)
+
+
+def dual_superoperator(kind, ctx, superop):
+    """Adjoint G^(-1) S^dagger G of a superoperator for the inner product
+    of the given kind, formed in sigma's eigenbasis and rotated back."""
+    st = ctx.require_faithful()
+    dual = dual_in_eigenbasis(kind, kind, st, ctx.to_eigenbasis(superop.matrix))
+    return SuperOperator(rotate_superoperator(dual, st.eigenvectors.conj().T))
+
+
+def site_channels(model):
+    """Heisenberg-picture Psi_v(X) = sum_K K^dagger X K of each site of a
+    heat-bath model, from its Kraus stacks."""
+    return [SuperOperator(left_right_sum_matrix(k.conj().transpose(0, 2, 1), k))
+            for k in model.kraus]
+
+
+def f_statistics(setup, x):
+    """KMS-symmetrized channel statistics of an observable X: Re <X, map(X)>_KMS
+    with Phi_u(X) = L_u* X + X L_u per Brownian channel and Psi_u(X) =
+    L_u* X L_u per Poisson channel (nonnegative on X >= 0)."""
+    st = setup.ctx.require_faithful()
+    x = as_complex_matrix(x, "X")
+    out = np.empty(setup.ell)
+    for j, l in enumerate(setup.monitored):
+        if setup.is_brownian(j):
+            image = l.conj().T @ x + x @ l
+        else:
+            image = l.conj().T @ x @ l
+        out[j] = inner_product("KMS", st, x, image).real
+    return out
+
+
+# Largest dimension direct_variational_crosscheck accepts.
+CROSSCHECK_MAX_DIM = 3
+
+
+def _one_sided_gaussian(p, f):
+    gap = p - f
+    return 0.5 * gap * gap if gap > 0 else 0.0
+
+
+def _one_sided_poisson(p, f):
+    f = max(f, 0.0)
+    if p <= f:
+        return 0.0
+    if f == 0.0:
+        return math.inf
+    return p * math.log(p / f) - p + f
+
+
+def direct_variational_crosscheck(setup, r):
+    """The bound exponent by direct minimization over observables: the
+    oracle for main_bound (acceptance criterion 3).
+
+    Minimizes, over positive semidefinite X with unit KMS norm, the closed
+    form E(X) + sum_B [(m+r-f^B(X))_+]^2/2 + sum_P Dplus(m+r || f^P(X)),
+    where the per-channel terms are the exact lam >= 0 suprema for fixed X.
+    One L-BFGS-B run (finite-difference gradient) from the identity; the
+    lam-domain optimizer never runs here. Dimensions up to
+    CROSSCHECK_MAX_DIM only.
+    """
+    ctx = setup.ctx
+    st = ctx.require_faithful()
+    d = ctx.dim
+    if d > CROSSCHECK_MAX_DIM:
+        raise ValidationError(f"dimension {d} exceeds the cross-check guard {CROSSCHECK_MAX_DIM}")
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    target = mean_vector(setup) + r
+
+    def objective(params):
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = hermitian_from_params(params, d)
+            x = y @ y
+            norm = np.sqrt(max(inner_product("KMS", st, x, x).real, 0.0))
+        if not np.isfinite(norm) or norm < 1e-12:
+            return 1e6
+        x = x / norm
+        total = dirichlet_form(ctx, x)
+        f = f_statistics(setup, x)
+        for j in range(setup.ell):
+            if setup.is_brownian(j):
+                total += _one_sided_gaussian(target[j], f[j])
+            else:
+                contrib = _one_sided_poisson(target[j], f[j])
+                if math.isinf(contrib):
+                    return 1e6
+                total += contrib
+        return total
+
+    # X = Y^2, and Y = I is the square root of the start X = I.
+    res = scipy.optimize.minimize(objective, hermitian_to_params(np.eye(d)), method="L-BFGS-B",
+                                  options={"ftol": 1e-15, "gtol": 1e-10})
+    return float(res.fun)
+
+
+ALIGNMENT_TOL = 1e-8
+
+
+def tanh_log_quarter(st, x):
+    """X with entry (i, j) in sigma's eigenbasis scaled by tanh(ln(s_i/s_j)/4);
+    diagonal entries (s_i == s_j) map to tanh(0) = 0."""
+    log_s = np.log(st.eigenvalues)
+    return st.from_eigenbasis(np.tanh(0.25 * (log_s[:, None] - log_s[None, :])) * st.to_eigenbasis(x))
+
+
+def kms_canonical_hamiltonian(ctx):
+    """Canonical Hamiltonian of a KMS-aligned jump family:
+    (i/2) int_0^inf exp(-t sigma^(1/2)) [sum L_j* L_j, sigma^(1/2)] exp(-t sigma^(1/2)) dt,
+    which acts spectrally as the entrywise multiplier -tanh(ln(s_i/s_j)/4).
+
+    Requires sigma^(1/2) L_j* sigma^(-1/2) = L_j per jump; checked before
+    evaluating. With this H the assembled generator is KMS-symmetric and
+    fixes sigma: the builder of the thermal positive case for
+    check_detailed_balance.
+    """
+    st = ctx.require_faithful()
+    lind = ctx.require_jumps()
+    for i, l in enumerate(lind.jumps):
+        aligned = spectral_transform(st, l.conj().T, 0.5)
+        scale = max(float(np.linalg.norm(l)), 1e-300)
+        if np.linalg.norm(aligned - l) / scale > ALIGNMENT_TOL:
+            raise ValidationError(f"jump {i} violates the KMS alignment condition")
+    kappa = sum((l.conj().T @ l for l in lind.jumps), np.zeros((lind.dim, lind.dim), dtype=complex))
+    h = -0.5j * tanh_log_quarter(st, kappa)
+    return require_hermitian(h, tol=1e-10, name="canonical Hamiltonian")
+
+
+def fisher_information(ctx, rho):
+    """Dirichlet form at X = sigma^(-1/4) sqrt(rho) sigma^(-1/4).
+
+    rho is eigenvalue-clipped at zero before the square root; Monte Carlo
+    states carry -1e-14-ish eigenvalues.
+    """
+    st = ctx.require_faithful()
+    rho = require_hermitian(rho, tol=1e-8, name="rho")
+    w, v = np.linalg.eigh(rho)
+    sqrt_rho = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    inv_quarter = st.power(-0.25)
+    x = inv_quarter @ sqrt_rho @ inv_quarter
+    return dirichlet_form(ctx, x)
+
+
+GAP_ZERO_TOL = 1e-10
+
+
+def verify_poincare_ti(ctx, rho):
+    """Check the trace-norm transportation-information bound
+    ||rho - sigma||_1^2 <= (4/gap) I(rho); returns (lhs, rhs, holds)."""
+    st = ctx.require_faithful()
+    rho = require_hermitian(rho, tol=1e-8, name="rho")
+    gap = spectral_gap(ctx)
+    if gap <= GAP_ZERO_TOL:
+        raise ValidationError("generator has no spectral gap")
+    lhs = float(np.sum(np.abs(np.linalg.eigvalsh(rho - st.matrix))) ** 2)
+    rhs = 4.0 / gap * fisher_information(ctx, rho)
+    return lhs, rhs, lhs <= rhs + 1e-9
 
 
 def scalar_lindblad(c):

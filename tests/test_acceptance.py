@@ -13,11 +13,18 @@ import numpy as np
 import scipy.linalg
 import scipy.stats
 
-from conftest import random_state, scalar_lindblad
+from conftest import (
+    direct_variational_crosscheck,
+    dual_superoperator,
+    fisher_information,
+    random_state,
+    scalar_lindblad,
+    site_channels,
+    verify_poincare_ti,
+)
 from qdev.cli import main as cli_main
 from qdev.deviation import (
     MeasurementSetup,
-    direct_variational_crosscheck,
     main_bound,
     mean_vector,
     rate_function,
@@ -35,7 +42,6 @@ from qdev.lindblad import (
     check_detailed_balance,
     context_from_channel,
     dirichlet_form,
-    fisher_information,
     stationary_state,
 )
 from qdev.models import (
@@ -54,7 +60,6 @@ from qdev.trajectories import (
     run_ensemble,
     run_linear_ensemble,
 )
-from qdev.inequalities import verify_poincare_ti
 from qdev.inequalities import w1_lower_bound
 
 
@@ -231,7 +236,6 @@ def test_criterion_8_counterexample_classification():
     bkm_t = check_detailed_balance("BKM", ctx_psit).deviation
     p_ok = (check_detailed_balance("KMS", ctx_p).symmetric
             and check_detailed_balance("BKM", ctx_p).symmetric)
-    from qdev.lindblad import dual_superoperator
     gns_dual = dual_superoperator("GNS", ctx_p, fx.p_channel)
     x = np.array([1.0, -1.0])
     witness = float(np.real(x @ gns_dual.apply(np.ones((2, 2), dtype=complex)) @ x))
@@ -269,7 +273,7 @@ def test_criterion_10_heat_bath_stationarity():
         model = heat_bath(ham)
         worst_residual = max(worst_residual,
                              float(np.max(np.abs(model.context.schrodinger.apply(model.gibbs)))))
-        for psi in model.site_channels:
+        for psi in site_channels(model):
             cp_ok &= np.max(np.abs(psi.apply(np.eye(4)) - np.eye(4))) < 1e-10
             choi = np.zeros((16, 16), dtype=complex)
             unit = np.zeros((4, 4), dtype=complex)

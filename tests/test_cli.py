@@ -29,6 +29,15 @@ ZZ = fileio.encode_complex_matrix(np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1
 LATTICE = {"n_sites": 2, "local_dim": 2, "beta": 0.5, "terms": [{"support": [0, 1], "matrix": ZZ}]}
 
 
+def verify_manifest(path) -> bool:
+    """Recompute the SHA-256 of every input a manifest records; True when
+    all match."""
+    for input_path, recorded in json.loads(Path(path).read_text())["inputs"].items():
+        if hashlib.sha256(Path(input_path).read_bytes()).hexdigest() != recorded:
+            return False
+    return True
+
+
 @pytest.fixture()
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -148,7 +157,7 @@ class TestBoundVerb:
         assert "r[0]" in err["message"]
 
     @pytest.mark.parametrize("flag, value", [("--r", "nan"), ("--r", "inf"), ("--t", "1,nan"),
-                                             ("--t", "-inf")])
+                                             ("--t", "-inf"), ("--t", "-1"), ("--t", ",")])
     def test_non_finite_input_rejected(self, scalar_model, capsys, flag, value):
         args = {"--r": "1.0", "--t": "1"}
         args[flag] = value
@@ -218,12 +227,12 @@ class TestRateVerb:
         assert err["code"] == "validation" and "grid.json" in err["message"]
         assert not Path("rate.csv").exists()
 
-    def test_header_only_for_empty_grid(self, scalar_model):
+    def test_empty_grid_rejected(self, scalar_model, capsys):
         code = main(["rate", "--model", "scalar.json", "--setup", "setup.json",
                      "--grid", "0:1:0", "-o", "rate.csv"])
-        assert code == 0
-        header, rows = fileio.read_csv("rate.csv")
-        assert header == ["s0", "rate", "residual", "status"] and rows == []
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip())["code"] == "validation"
+        assert not Path("rate.csv").exists()
 
 
 class TestNonObjectJson:
@@ -558,6 +567,17 @@ class TestConcentrateVerb:
         assert err["code"] == "validation" and "time" in err["message"]
         assert not Path("conc.csv").exists()
 
+    @pytest.mark.parametrize("flag, value, word", [("--r", "-0.5", "threshold"), ("--t", "", "empty")])
+    def test_negative_threshold_or_empty_list_rejected(self, workdir, capsys, flag, value, word):
+        args = {"--t": "4", "--r": "1"}
+        args[flag] = value
+        code = main(["concentrate", "--variant", "poincare", "--gap", "1", "--sup-norm", "1",
+                     f"--t={args['--t']}", f"--r={args['--r']}", "-o", "conc.csv"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and word in err["message"]
+        assert not Path("conc.csv").exists()
+
 
 class TestDispatch:
     @pytest.mark.parametrize("verb", ["model-new", "bound", "simulate", "paths-dump", "inequalities"])
@@ -588,9 +608,9 @@ class TestDispatch:
     def test_manifest_verification(self, scalar_model):
         main(["bound", "--model", "scalar.json", "--setup", "setup.json",
               "--r", "1.0", "--t", "1", "-o", "bound.csv"])
-        assert fileio.verify_manifest("bound.csv.manifest.json")
+        assert verify_manifest("bound.csv.manifest.json")
         Path("scalar.json").write_text(Path("scalar.json").read_text() + " ")
-        assert not fileio.verify_manifest("bound.csv.manifest.json")
+        assert not verify_manifest("bound.csv.manifest.json")
 
     def test_digest_of_file_larger_than_a_chunk(self, workdir):
         data = np.random.default_rng(3).bytes(2 * fileio.DIGEST_CHUNK + 12345)

@@ -5,6 +5,8 @@ import pytest
 
 from conftest import (
     dense_kms_conjugated,
+    direct_variational_crosscheck,
+    f_statistics,
     left_right_matrix,
     random_faithful,
     random_hermitian,
@@ -17,14 +19,10 @@ from qdev.lindblad import Lindbladian, NotKmsSymmetricError, stationary_state
 from qdev.deviation import (
     MeasurementSetup,
     TiltedFamily,
-    direct_variational_crosscheck,
-    f_statistics,
     main_bound,
-    mass_relative_entropy,
     mean_vector,
     perturbed_generator,
     rate_function,
-    scgf,
 )
 from qdev.models import ClassicalChain, classical_embedding, depolarizing, maximally_mixed
 
@@ -185,24 +183,27 @@ class TestPerturbedGenerator:
 
 
 class TestScgf:
+    """e(lam), the top eigenvalue of TiltedFamily."""
+
     def test_zero_at_origin(self, mixed_setup):
-        assert abs(scgf(mixed_setup, [0.0, 0.0])) <= 1e-10
+        assert abs(TiltedFamily(mixed_setup).value(np.zeros(2))) <= 1e-10
 
     def test_scalar_closed_forms(self):
         c = 0.5 - 0.1j
         ctx = stationary_state(scalar_lindblad(c))
-        brownian = MeasurementSetup(ctx, [[1.0]], q=1)
-        poisson = MeasurementSetup(ctx, [[1.0]], q=0)
+        brownian = TiltedFamily(MeasurementSetup(ctx, [[1.0]], q=1))
+        poisson = TiltedFamily(MeasurementSetup(ctx, [[1.0]], q=0))
         for lam in (0.2, 1.1, 3.0):
-            assert scgf(brownian, [lam]) == pytest.approx(lam * 2 * c.real + lam**2 / 2, abs=1e-12)
-            assert scgf(poisson, [lam]) == pytest.approx(math.expm1(lam) * abs(c) ** 2, abs=1e-12)
+            assert brownian.value(np.array([lam])) == pytest.approx(lam * 2 * c.real + lam**2 / 2, abs=1e-12)
+            assert poisson.value(np.array([lam])) == pytest.approx(math.expm1(lam) * abs(c) ** 2, abs=1e-12)
 
     def test_convexity_on_random_segments(self, rng, mixed_setup):
+        family = TiltedFamily(mixed_setup)
         for _ in range(25):
             a = rng.uniform(-1.5, 1.5, size=2)
             b = rng.uniform(-1.5, 1.5, size=2)
-            mid = scgf(mixed_setup, (a + b) / 2)
-            assert mid <= (scgf(mixed_setup, a) + scgf(mixed_setup, b)) / 2 + 1e-9
+            mid = family.value((a + b) / 2)
+            assert mid <= (family.value(a) + family.value(b)) / 2 + 1e-9
 
 
 class TestMainBound:
@@ -271,28 +272,6 @@ class TestMainBound:
                                       q=1 if j == 0 else 0)
             alone = main_bound(single, mixed_setup.ctx.sigma, [r[j]]).exponent
             assert joint >= alone - 1e-8
-
-
-class TestMassRelativeEntropy:
-    def test_identity(self):
-        assert mass_relative_entropy([0.3, 0.7], [0.3, 0.7]) == 0.0
-
-    def test_two_vs_one(self):
-        assert mass_relative_entropy([2.0], [1.0]) == pytest.approx(2 * math.log(2) - 1, abs=1e-14)
-
-    def test_support_rule(self):
-        assert mass_relative_entropy([1.0], [0.0]) == math.inf
-        assert mass_relative_entropy([0.0], [1.0]) == 1.0
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValidationError):
-            mass_relative_entropy([-0.1], [1.0])
-
-    def test_nonnegative(self, rng):
-        for _ in range(100):
-            p = rng.uniform(0, 2, size=3)
-            q = rng.uniform(0.01, 2, size=3)
-            assert mass_relative_entropy(p, q) >= -1e-12
 
 
 class TestRateFunction:

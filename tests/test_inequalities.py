@@ -3,9 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import SZ, aligned_thermal_qubit, random_hermitian, random_state
+from conftest import (
+    SZ,
+    aligned_thermal_qubit,
+    fisher_information,
+    random_hermitian,
+    random_state,
+    verify_poincare_ti,
+)
 from qdev.linalg import FaithfulState, NumericalError, ValidationError
-from qdev.lindblad import Lindbladian, dirichlet_form, fisher_information, stationary_state
+from qdev.lindblad import Lindbladian, dirichlet_form, stationary_state
 from qdev.inequalities import (
     FunctionalConstants,
     _bfgs_weak_wolfe,
@@ -20,7 +27,6 @@ from qdev.inequalities import (
     tensorization_lsi_bounds,
     ti_from_lsi,
     tilde_observable,
-    verify_poincare_ti,
     w1_lower_bound,
 )
 from qdev.models import (

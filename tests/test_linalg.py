@@ -10,6 +10,8 @@ from conftest import (
     random_faithful,
     random_hermitian,
     superoperator_in_basis,
+    tanh_log_quarter,
+    to_superoperator,
 )
 from qdev import linalg
 from qdev.linalg import (
@@ -22,7 +24,6 @@ from qdev.linalg import (
     SuperOperator,
     ValidationError,
     add_left_right_pair,
-    gamma_map,
     gram_weights,
     hermitian_from_params,
     hermitian_part,
@@ -32,7 +33,6 @@ from qdev.linalg import (
     left_right_sum_matrix,
     rotate_superoperator,
     spectral_transform,
-    to_superoperator,
     top_eigenpair,
     unvec,
     vec,
@@ -172,46 +172,19 @@ class TestSpectralTransforms:
     def test_delta_identity_on_commutant(self, rng):
         st = random_faithful(rng, 3)
         x = st.from_eigenbasis(np.diag(rng.normal(size=3)).astype(complex))
-        assert np.allclose(spectral_transform("delta_power", st, x, power=1.0), x, atol=1e-12)
+        assert np.allclose(spectral_transform(st, x, 1.0), x, atol=1e-12)
 
     def test_tanh_log_quarter_kills_diagonal(self, rng):
         st = FaithfulState(np.diag([0.6, 0.4]).astype(complex))
         x = np.diag([1.3, -0.2]).astype(complex)
-        assert np.max(np.abs(spectral_transform("tanh_log_quarter", st, x))) == 0.0
+        assert np.max(np.abs(tanh_log_quarter(st, x))) == 0.0
 
     def test_delta_powers_invert(self, rng):
         st = random_faithful(rng, 3)
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         for p in (0.5, 1.0, 2.0):
-            y = spectral_transform("delta_power", st,
-                                   spectral_transform("delta_power", st, x, power=p), power=-p)
+            y = spectral_transform(st, spectral_transform(st, x, p), -p)
             assert np.max(np.abs(y - x)) < 1e-10
-
-    def test_unknown_kind(self, rng):
-        with pytest.raises(ValidationError):
-            spectral_transform("nope", random_faithful(rng, 2), np.eye(2))
-
-
-class TestGammaMap:
-    def test_power_one_of_identity(self, rng):
-        st = random_faithful(rng, 3)
-        assert np.allclose(gamma_map(1.0, st, np.eye(3)), st.matrix, atol=1e-13)
-
-    def test_inverse_of_sigma(self, rng):
-        st = random_faithful(rng, 3)
-        assert np.allclose(gamma_map(-1.0, st, st.matrix), np.eye(3), atol=1e-11)
-
-    def test_half_composes_to_one(self, rng):
-        st = random_faithful(rng, 3)
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        twice = gamma_map(0.5, st, gamma_map(0.5, st, x))
-        assert np.max(np.abs(twice - gamma_map(1.0, st, x))) < 1e-12
-
-    def test_trace_pairs_with_kms(self, rng):
-        st = random_faithful(rng, 3)
-        x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.trace(gamma_map(1.0, st, x)) == pytest.approx(
-            inner_product("KMS", st, np.eye(3), x), abs=1e-12)
 
 
 class TestSuperOperators:
