@@ -1,16 +1,17 @@
-"""Where the warm-started Lanczos top eigenvalue beats a full eigvalsh.
+"""Where the warm-started Lanczos top eigenvalue beats a dense eigh.
 
     PYTHONPATH=src python3 bench/eig_crossover.py [--dims 3,6,8,10,16,24] [--repeats 3]
 
 For each dimension d and two model families, runs `main_bound` in the
-dense regime (LANCZOS_MIN_SIZE forced past d^2: a dense eigh per tilt
-iterate, with the analytic Hessian), and again in the Lanczos regime
-(LANCZOS_MIN_SIZE 0: TiltedFamily.value per iterate, BFGS curvature).
-Prints one JSON line per (family, d): the median `main_bound` wall time
-and the median time per TiltedFamily.value call of each (in the dense
-regime only the check at lam* calls it), and for Lanczos the
-matrix-vector products per solve and the share of solves that fell back
-to a dense solve.
+dense regime (LANCZOS_MIN_SIZE forced past d^2: TiltedFamily.value is a
+dense eigh per tilt iterate, with the perturbation-theory Hessian), and
+again in the Lanczos regime (LANCZOS_MIN_SIZE 0: warm-started Lanczos per
+iterate, BFGS curvature). Prints one JSON line per (family, d): the
+median `main_bound` wall time, the median time per TiltedFamily.value
+call and the calls per bound of each (value is the one eigensolve per
+iterate in both regimes; the eigvalsh check at lam* is not counted), and
+for Lanczos the matrix-vector products per solve and the share of solves
+that fell back to a dense solve.
 The families:
 
 - depolarizing: the depolarizing model toward a random faithful state, one
@@ -91,7 +92,8 @@ def timed_bound(setup, r, min_size: int, repeats: int) -> dict:
     finally:
         deviation.LANCZOS_MIN_SIZE, deviation.top_eigenpair, deviation.TiltedFamily.value = saved
     out = {"bound_s": round(statistics.median(walls), 4),
-           "solve_ms": round(1e3 * statistics.median(solves), 3)}
+           "solve_ms": round(1e3 * statistics.median(solves), 3),
+           "solves": len(solves) // repeats}
     if matvecs:
         out.update(matvecs_per_solve=round(float(np.mean(matvecs)), 1),
                    fallback_share=round(float(np.mean(fallbacks)), 3))

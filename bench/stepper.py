@@ -101,16 +101,16 @@ def split(setup, paths: int, steps: int, repeats: int, total_us: float) -> dict 
     if engine_cls is None or not hasattr(engine_cls, "step_block"):
         return None
     cfg = trajectories.TrajectoryConfig(dt=DT, t_max=steps * DT, n_paths=paths, base_seed=1)
-    engine = engine_cls(setup, cfg)
+    engine = engine_cls(setup, cfg, False)
     idx = list(range(paths))
-    states = engine.step_block(setup.ctx.sigma.matrix, idx, [0] * paths, False)[1]
+    states = engine.step_block(setup.ctx.sigma.matrix, idx, [0] * paths)[1]
     rho = np.ascontiguousarray(states[-1])
     rng = np.random.default_rng(0)
     dw = rng.standard_normal((paths, engine.q)) * math.sqrt(DT)
     # uniforms firing each counting channel on about 1 % of the paths
     u = np.where(rng.random((paths, engine.n_poisson)) < 0.01, 0.0, 1.0)
-    dy, intensity = engine.innovation(rho, dw, False)
-    out = engine.drift(rho, dy, False)
+    dy, intensity = engine.innovation(rho, dw)
+    out = engine.drift(rho, dy)
     invalid = np.zeros(paths, dtype=bool)
     loops = 200 if engine.d <= 8 else 5
 
@@ -118,8 +118,8 @@ def split(setup, paths: int, steps: int, repeats: int, total_us: float) -> dict 
         return 1e6 * median_time(lambda: [fn() for _ in range(loops)], repeats) / (loops * paths)
 
     parts = {
-        "innovation": timed(lambda: engine.innovation(rho, dw, False)),
-        "drift": timed(lambda: engine.drift(rho, dy, False)),
+        "innovation": timed(lambda: engine.innovation(rho, dw)),
+        "drift": timed(lambda: engine.drift(rho, dy)),
         "jumps": timed(lambda: engine.jumps(rho, out.copy(), u, intensity)),
         "normalization": timed(lambda: engine.normalize(out, invalid)),
     }

@@ -7,7 +7,6 @@ __version__ = "0.1.0"
 from .linalg import (
     DensityOperator,
     FaithfulState,
-    HermitianOperator,
     SuperOperator,
     inner_product,
     spectral_transform,

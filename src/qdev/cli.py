@@ -217,9 +217,6 @@ def _cmd_bound(args, argv) -> int:
     setup = fileio.load_setup(args.setup, model.context)
     r = np.asarray(_float_list(args.r))
     ts = _float_list(args.t)
-    bad = np.nonzero(r < 0)[0]
-    if bad.size:
-        raise ValidationError(f"r[{bad[0]}] = {r[bad[0]]} is negative")
     rho = (fileio.load_state(args.state, model.context.dim) if args.state
            else model.context.sigma.matrix)
     report = main_bound(setup, rho, r)

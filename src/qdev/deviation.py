@@ -15,7 +15,7 @@ into an ordinary Hermitian matrix whose top eigenvalue is e(lam), a concave
 maximization away from the bound.
 That maximization is a projected Newton ascent whose gradient
 (Hellmann-Feynman) and curvature come from the eigensolve each evaluation
-of e already makes.
+of e already makes (TiltedFamily.value, then TiltedFamily.derivatives).
 """
 
 from __future__ import annotations
@@ -63,10 +63,12 @@ OBJECTIVE_NOISE_RTOL = 1e-13
 ACTIVE_EPS = 1e-6
 # BFGS skips updates whose curvature s.y is below this times |s| |y|.
 CURVATURE_EPS = 1e-12
+# Step of the central differences that give a degenerate top eigenvalue
+# its gradient.
+FINITE_DIFFERENCE_STEP = 1e-6
 
 # Size d^2 of the tilted matrix from which TiltedFamily.value finds the top
-# eigenvalue by warm-started Lanczos instead of a full eigvalsh, and the
-# tilt optimizer iterates on it instead of on a dense eigh. Measured
+# eigenvalue by warm-started Lanczos instead of a dense eigh. Measured
 # (bench/eig_crossover.py, BENCH_3.json and BENCH_4.json): Lanczos wins
 # from n = 64 on depolarizing models (about 5 matvecs a solve); on generic
 # ones (about 25) it ties with the dense Newton ascent at n = 144 and wins
@@ -76,8 +78,8 @@ LANCZOS_MIN_SIZE = 144
 # vector, so that it is never orthogonal to the new top eigenvector.
 WARM_START_MIX = 1e-8
 WARM_START_SEED = 0x5EED
-# Largest admitted |iterative - dense| top eigenvalue at lam*, relative to
-# max(1, |e|).
+# Largest admitted |TiltedFamily.value - dense eigvalsh| top eigenvalue at
+# lam*, relative to max(1, |e|).
 TOP_EIG_CHECK_RTOL = 1e-10
 
 
@@ -88,7 +90,8 @@ class MeasurementSetup:
     ``q`` rows drive Brownian (homodyne) channels, the rest Poisson
     (counting) channels. Each row defines the monitored jump
     L_u = sum_m u_m L_m; ``monitored`` is their (ell, d, d) stack, one
-    contraction of the directions with the jump stack.
+    contraction of the directions with the jump stack, and ``brownian``
+    the (ell,) mask of the Brownian rows.
     """
 
     def __init__(self, ctx: GeneratorContext, directions, q: int):
@@ -111,20 +114,16 @@ class MeasurementSetup:
         self.directions = u
         self.ell = ell
         self.q = q
+        self.brownian = np.arange(ell) < q
         self.monitored = np.tensordot(u, lind.jumps, axes=1)
 
-    def is_brownian(self, j: int) -> bool:
-        return j < self.q
 
-
-def _as_tilt(lam, ell: int, nonneg: bool) -> np.ndarray:
+def _as_tilt(lam, ell: int) -> np.ndarray:
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     if lam.shape != (ell,):
         raise DimensionMismatchError(f"tilt vector must have shape ({ell},), got {lam.shape}")
     if not np.all(np.isfinite(lam)):
         raise ValidationError("tilt vector must be finite")
-    if nonneg and np.min(lam) < 0:
-        raise ValidationError("tilt vector must be entrywise nonnegative here")
     return lam
 
 
@@ -134,7 +133,7 @@ def mean_vector(setup: MeasurementSetup) -> np.ndarray:
     st = setup.ctx.require_faithful()
     out = np.empty(setup.ell)
     for j, l in enumerate(setup.monitored):
-        if setup.is_brownian(j):
+        if setup.brownian[j]:
             out[j] = np.trace(st.matrix @ (l + l.conj().T)).real
         else:
             out[j] = np.trace(st.matrix @ (l.conj().T @ l)).real
@@ -143,10 +142,10 @@ def mean_vector(setup: MeasurementSetup) -> np.ndarray:
 
 def perturbed_generator(setup: MeasurementSetup, lam) -> SuperOperator:
     """Superoperator of the tilted generator L_lam."""
-    lam = _as_tilt(lam, setup.ell, nonneg=False)
+    lam = _as_tilt(lam, setup.ell)
     m = setup.ctx.heisenberg.matrix.copy()
     for j, l in enumerate(setup.monitored):
-        if setup.is_brownian(j):
+        if setup.brownian[j]:
             add_left_right_pair(m, lam[j] * l.conj().T, lam[j] * l)
             m.reshape(-1)[::m.shape[0] + 1] += 0.5 * lam[j] ** 2
         else:
@@ -156,7 +155,7 @@ def perturbed_generator(setup: MeasurementSetup, lam) -> SuperOperator:
 
 class TiltedFamily:
     """The KMS-conjugated tilted generator, as B0 and one d x d operator per
-    channel piece.
+    channel piece, and the one eigensolve per tilt that the optimizer makes.
 
     B(lam) = B0 + sum_{j<=q} lam_j B_phi_j + |lam^B|^2/2 * I
                 + sum_{j>q} (exp(lam_j)-1) B_psi_j,
@@ -170,14 +169,17 @@ class TiltedFamily:
     (the KMS-conjugated L_e^dagger X + X L_e and L_e^dagger X L_e, made
     Hermitian; herm(A) is held for a Brownian channel).
 
-    The family holds B0, one d^2 x d^2 array made in place from the
-    generator in sigma's eigenbasis that it takes from the context (which
-    then keeps no copy of it). Below LANCZOS_MIN_SIZE it also holds the
-    dense (ell, d^2, d^2) stack of the pieces, built from the operators,
-    for the dense eigh of each iterate. From LANCZOS_MIN_SIZE on it holds
-    no more: value runs Lanczos on products B(lam) v (operator), at d^4
-    for B0 and d^3 per piece. matrix(lam) makes one new d^2 x d^2 array,
-    which the optimizer asks for only at lam* and when Lanczos fails.
+    The regime is decided here, once, by the size d^2 of B(lam). Below
+    LANCZOS_MIN_SIZE the family holds the dense (ell, d^2, d^2) stack of
+    the pieces, built from the operators; value(lam) is a dense eigh, whose
+    spectrum it keeps, and derivatives(lam) reads the gradient and the
+    perturbation-theory Hessian from it. From LANCZOS_MIN_SIZE on it holds
+    no more: value(lam) runs Lanczos on products B(lam) v (operator), at
+    d^4 for B0 and d^3 per piece, warm-started from the last top vector,
+    and derivatives(lam) reads the gradient from that vector and gives no
+    Hessian. B0 is one d^2 x d^2 array made in place from the generator in
+    sigma's eigenbasis that it takes from the context (which then keeps no
+    copy of it). matrix(lam) makes one new d^2 x d^2 array.
     """
 
     def __init__(self, setup: MeasurementSetup):
@@ -187,10 +189,10 @@ class TiltedFamily:
         d = ctx.dim
         self.b0 = ctx.kms_hermitian_part(ctx.take_eigenbasis_generator())
         self.zero_channel = np.max(np.abs(setup.monitored), axis=(1, 2)) < 1e-15
-        self._brownian = np.arange(setup.ell) < setup.q
+        brownian = setup.brownian
         quarter = st.eigenvalues ** 0.25
         a = (quarter[:, None] / quarter[None, :]) * st.to_eigenbasis(setup.monitored).conj().swapaxes(1, 2)
-        a[self._brownian] = 0.5 * (a[self._brownian] + a[self._brownian].conj().swapaxes(1, 2))
+        a[brownian] = 0.5 * (a[brownian] + a[brownian].conj().swapaxes(1, 2))
         self.operators = a
         self.dim2 = d * d
         self._stacked = None
@@ -201,12 +203,16 @@ class TiltedFamily:
         g = np.random.default_rng(WARM_START_SEED).normal(size=(2, self.dim2))
         self._mix = WARM_START_MIX * (g[0] + 1j * g[1]) / np.linalg.norm(g)
         self._warm = np.zeros(self.dim2, dtype=complex)
+        # The tilt of the last value call and, in the dense regime, the
+        # eigendecomposition (w ascending, eigenvector columns v) made there.
+        self._solved_at = None
+        self._spectrum = None
 
     def _weights(self, lam: np.ndarray) -> tuple[list, float]:
         """The weight of each piece in B(lam), lam_j or exp(lam_j) - 1, and
         the Brownian shift |lam^B|^2/2."""
         weights, shift = [], 0.0
-        for j, brownian in enumerate(self._brownian):
+        for j, brownian in enumerate(self.setup.brownian):
             if brownian:
                 weights.append(lam[j])
                 shift += 0.5 * lam[j] ** 2
@@ -220,7 +226,7 @@ class TiltedFamily:
         (a, b, c, e) view at a time for a counting piece, whose entry is
         (conj(A[a, c]) A[b, e] + A[c, a] conj(A[e, b]))/2."""
         a = self.operators[j]
-        if self._brownian[j]:
+        if self.setup.brownian[j]:
             add_left_right_pair(m, weight * a, weight * a)
             return
         d = a.shape[0]
@@ -242,7 +248,7 @@ class TiltedFamily:
         out = np.empty((self.setup.ell, d, d), dtype=complex)
         for j, a in enumerate(self.operators):
             ac = a.conj()
-            if self._brownian[j]:
+            if self.setup.brownian[j]:
                 np.add(ac @ y, y @ ac, out=out[j])
             else:
                 np.add(ac @ y @ a.T, a.T @ y @ ac, out=out[j])
@@ -267,41 +273,41 @@ class TiltedFamily:
         return _TiltedOperator(self, *self._weights(lam))
 
     def value(self, lam: np.ndarray) -> float:
-        """Top eigenvalue: eigvalsh below LANCZOS_MIN_SIZE, else Lanczos on
-        products with B(lam), warm-started from the previous top vector, or
-        a dense eigh when Lanczos does not converge. From LANCZOS_MIN_SIZE
-        on, the top vector is left in ``_warm``, where the tilt optimizer
-        reads its gradient."""
-        if self.dim2 >= LANCZOS_MIN_SIZE:
+        """Top eigenvalue of B(lam), by the family's one eigensolve per tilt:
+        below LANCZOS_MIN_SIZE a dense eigh, whose eigendecomposition is
+        kept; from there Lanczos on products with B(lam), warm-started from
+        the previous top vector, or a dense eigh when Lanczos does not
+        converge, and the top vector is kept."""
+        self._solved_at = np.array(lam, dtype=float)
+        if self._stacked is None:
             value, self._warm, converged = top_eigenpair(self.operator(lam), self._warm + self._mix)
             if converged:
                 return value
             w, v = np.linalg.eigh(self.matrix(lam))
             self._warm = v[:, -1]
             return float(w[-1])
-        return float(np.linalg.eigvalsh(self.matrix(lam))[-1])
+        self._spectrum = np.linalg.eigh(self.matrix(lam))
+        return float(self._spectrum[0][-1])
 
-    def value_gap_vector(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Dense eigendecomposition (w ascending, eigenvector columns v) of
-        B(lam): the value is w[-1], the gap w[-1] - w[-2], the top vector
-        v[:, -1]."""
-        return np.linalg.eigh(self.matrix(lam))
+    def derivatives(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Gradient and Hessian of the top eigenvalue at lam, read from the
+        eigensolve of value(lam) (which is made first if the last value call
+        was at another tilt).
 
-    def gradient_at(self, lam: np.ndarray, vtop: np.ndarray) -> np.ndarray:
-        """Hellmann-Feynman gradient of the top eigenvalue, <v|dB/dlam_j|v>
-        for its unit eigenvector v."""
-        return self._gradient(lam, (self._pieces_times(vtop) @ vtop.conj()).real)
-
-    def derivatives_at(self, lam: np.ndarray, w: np.ndarray,
-                       v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Gradient and Hessian of the top eigenvalue from the dense
-        eigendecomposition (w ascending, v columns) at lam.
-
-        The Hessian is second-order perturbation theory: <v|d2B/dlam_j^2|v>
-        on the diagonal (1 per Brownian channel, the gradient entry per
-        Poisson channel) plus 2 Re sum_{n != top} <v|D_j|v_n><v_n|D_k|v> /
-        (w_top - w_n) with D_j = dB/dlam_j, leaving out levels within
-        EIG_GAP_DEGENERATE of the top."""
+        The gradient is Hellmann-Feynman, <v|dB/dlam_j|v> for the unit top
+        eigenvector v. Below LANCZOS_MIN_SIZE the Hessian is second-order
+        perturbation theory: <v|d2B/dlam_j^2|v> on the diagonal (1 per
+        Brownian channel, the gradient entry per Poisson channel) plus
+        2 Re sum_{n != top} <v|D_j|v_n><v_n|D_k|v> / (w_top - w_n) with
+        D_j = dB/dlam_j, leaving out levels within EIG_GAP_DEGENERATE of the
+        top, and a degenerate top eigenvalue takes its gradient from central
+        differences of value. From LANCZOS_MIN_SIZE on the gradient is that
+        of the Ritz vector and the Hessian is None."""
+        if not np.array_equal(self._solved_at, lam):
+            self.value(lam)
+        if self._stacked is None:
+            return self.gradient_at(lam, self._warm), None
+        w, v = self._spectrum
         # <v_n|B_j|v_top> for every level n and piece j; the last row gives the gradient.
         a = v.conj().T @ self._pieces_times(v[:, -1]).T
         grad = self._gradient(lam, a[-1].real)
@@ -309,18 +315,26 @@ class TiltedFamily:
         far = gaps >= EIG_GAP_DEGENERATE
         c = a[:-1][far] * self._slopes(lam)
         h = 2.0 * (c.conj().T @ (c / gaps[far, None])).real
-        return grad, h + np.diag(np.where(self._brownian, 1.0, grad))
+        hess = h + np.diag(np.where(self.setup.brownian, 1.0, grad))
+        if _degenerate(w):
+            grad = _finite_difference_gradient(self, lam)
+        return grad, hess
+
+    def gradient_at(self, lam: np.ndarray, vtop: np.ndarray) -> np.ndarray:
+        """Hellmann-Feynman gradient of the top eigenvalue, <v|dB/dlam_j|v>
+        for its unit eigenvector v."""
+        return self._gradient(lam, (self._pieces_times(vtop) @ vtop.conj()).real)
 
     def _slopes(self, lam: np.ndarray) -> np.ndarray:
         """Weight of each piece in dB/dlam_j: 1 (Brownian), exp(lam_j) (Poisson)."""
         out = np.ones_like(lam)
-        out[~self._brownian] = np.exp(lam[~self._brownian])
+        out[~self.setup.brownian] = np.exp(lam[~self.setup.brownian])
         return out
 
     def _gradient(self, lam: np.ndarray, expect: np.ndarray) -> np.ndarray:
         """Gradient from the expectations <v|B_j|v> of the pieces: the
         Brownian shift |lam^B|^2/2 adds lam_j."""
-        return expect * self._slopes(lam) + np.where(self._brownian, lam, 0.0)
+        return expect * self._slopes(lam) + np.where(self.setup.brownian, lam, 0.0)
 
 
 class _TiltedOperator:
@@ -343,44 +357,28 @@ class _TiltedOperator:
 # Concave maximization of lam . target - e(lam)
 # ---------------------------------------------------------------------------
 
-def _coordinate_cap(setup: MeasurementSetup, j: int) -> float:
-    return BROWNIAN_LAMBDA_CAP if setup.is_brownian(j) else POISSON_LAMBDA_CAP
-
-
 def _degenerate(w: np.ndarray) -> bool:
     return len(w) > 1 and w[-1] - w[-2] < EIG_GAP_DEGENERATE
 
 
-def _solve(family: TiltedFamily, lam: np.ndarray, dense: bool):
-    """One eigensolve at lam: the top eigenvalue, and what its derivatives
-    are read from (the dense eigendecomposition, or the Ritz vector)."""
-    if dense:
-        w, v = family.value_gap_vector(lam)
-        return float(w[-1]), (w, v)
-    return family.value(lam), family._warm
+def _finite_difference_gradient(family: TiltedFamily, lam: np.ndarray) -> np.ndarray:
+    g = np.empty_like(lam)
+    for j in range(lam.size):
+        up = lam.copy()
+        dn = lam.copy()
+        up[j] += FINITE_DIFFERENCE_STEP
+        dn[j] -= FINITE_DIFFERENCE_STEP
+        g[j] = (family.value(up) - family.value(dn)) / (2 * FINITE_DIFFERENCE_STEP)
+    return g
 
 
-def _derivatives(family: TiltedFamily, lam: np.ndarray, solution, dense: bool,
-                 secant=None) -> tuple[np.ndarray, np.ndarray]:
-    """Gradient and Hessian (or its BFGS estimate) of e at lam.
-
-    ``secant`` is (step, previous gradient, previous Hessian estimate) for
-    the BFGS update of the Lanczos regime, None at the first iterate."""
-    if dense:
-        w, v = solution
-        grad, hess = family.derivatives_at(lam, w, v)
-        if _degenerate(w):
-            grad = _finite_difference_gradient(family, lam)
-        return grad, hess
-    grad = family.gradient_at(lam, solution)
-    if secant is None:
-        return grad, np.diag(np.where(family._brownian, 1.0, grad))
-    s, grad_prev, h = secant
-    y = grad - grad_prev
+def _bfgs(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """BFGS update of the Hessian estimate h by the step s and the change y
+    of the gradient, skipped when the curvature s.y is not positive enough."""
     hs = h @ s
     if s @ y > CURVATURE_EPS * np.linalg.norm(s) * np.linalg.norm(y) and s @ hs > 0:
         h = h + np.outer(y, y) / (s @ y) - np.outer(hs, hs) / (s @ hs)
-    return grad, h
+    return h
 
 
 def _stationarity(lam: np.ndarray, g: np.ndarray, lo: np.ndarray,
@@ -422,35 +420,36 @@ def _maximize_tilt(family: TiltedFamily, target: np.ndarray, allow_negative: boo
     """Projected Newton ascent for the concave map lam -> lam.target - e(lam).
 
     The box is |lam_j| <= the overflow guard of its channel, and lam >= 0
-    unless ``allow_negative``. Each iterate costs one eigensolve. Below
-    LANCZOS_MIN_SIZE it is a dense eigh, which gives the Hellmann-Feynman
-    gradient and the perturbation-theory Hessian; from there it is the
-    warm-started Lanczos of TiltedFamily.value, whose Ritz vector gives the
-    gradient, with a BFGS curvature from successive gradients (a dense eigh
-    per iterate costs more than the iterates it saves). A step is halved
-    until the objective rises by ARMIJO of the predicted rise, less the
-    rounding of the eigenvalue. The ascent stops once the projected
-    gradient is at most NEWTON_RTOL * max(1, |target|), or when a step
-    gains neither objective nor stationarity.
+    unless ``allow_negative``. Each iterate costs one eigensolve,
+    family.value, and family.derivatives reads the gradient and Hessian of
+    e from it. Where the family gives no Hessian (its Lanczos regime, where
+    a dense eigh per iterate costs more than the iterates it saves), the
+    curvature is a BFGS estimate from successive gradients, started from
+    the diagonal of d2B/dlam^2 at the top vector. A step is halved until
+    the objective rises by ARMIJO of the predicted rise, less the rounding
+    of the eigenvalue. The ascent stops once the projected gradient is at
+    most NEWTON_RTOL * max(1, |target|), or when a step gains neither
+    objective nor stationarity.
 
     Returns (lam*, value, residual, bounded): ``residual`` is the projected
     gradient at lam* and ``bounded`` is False when a coordinate sits at its
-    cap with the objective still increasing. A degenerate top eigenvalue
-    takes its gradient from central differences of TiltedFamily.value.
+    cap with the objective still increasing.
 
-    The returned value uses the dense top eigenvalue at lam*; it must agree
-    with TiltedFamily.value there to TOP_EIG_CHECK_RTOL, or NumericalError
-    is raised.
+    The top eigenvalue at lam* must agree with a dense eigvalsh of
+    family.matrix(lam*) to TOP_EIG_CHECK_RTOL, or NumericalError is raised.
+    Without a Hessian, value and gradient came from a Ritz pair: the value
+    reported is then that of the eigvalsh, and a degenerate top eigenvalue
+    takes its gradient from central differences of family.value.
     """
     setup = family.setup
-    caps = np.array([_coordinate_cap(setup, j) for j in range(setup.ell)])
+    caps = np.where(setup.brownian, BROWNIAN_LAMBDA_CAP, POISSON_LAMBDA_CAP)
     lo = -caps if allow_negative else np.zeros(setup.ell)
-    dense = family.dim2 < LANCZOS_MIN_SIZE
     tol = NEWTON_RTOL * max(1.0, float(np.max(np.abs(target))))
 
     lam = np.zeros(setup.ell)
-    e, solution = _solve(family, lam, dense)
-    grad, hess = _derivatives(family, lam, solution, dense)
+    e = family.value(lam)
+    grad, exact = family.derivatives(lam)
+    hess = np.diag(np.where(setup.brownian, 1.0, grad)) if exact is None else exact
     residual, _ = _stationarity(lam, target - grad, lo, caps)
     for _ in range(NEWTON_MAX_STEPS):
         if residual <= tol:
@@ -462,48 +461,30 @@ def _maximize_tilt(family: TiltedFamily, target: np.ndarray, allow_negative: boo
         t = 1.0
         for _ in range(MAX_HALVINGS):
             trial = lam + t * step
-            e_trial, solution_trial = _solve(family, trial, dense)
+            e_trial = family.value(trial)
             f_trial = float(trial @ target) - e_trial
             if f_trial >= f + ARMIJO * t * float(g @ step) - noise:
                 break
             t *= 0.5
         else:
             break
-        grad_trial, hess_trial = _derivatives(family, trial, solution_trial, dense,
-                                              (trial - lam, grad, hess))
+        grad_trial, exact = family.derivatives(trial)
+        hess_trial = _bfgs(hess, trial - lam, grad_trial - grad) if exact is None else exact
         residual_trial, _ = _stationarity(trial, target - grad_trial, lo, caps)
         if f_trial <= f and residual_trial >= residual:
             break
-        lam, e, solution, grad, hess, residual = (trial, e_trial, solution_trial, grad_trial,
-                                                  hess_trial, residual_trial)
+        lam, e, grad, hess, residual = trial, e_trial, grad_trial, hess_trial, residual_trial
 
-    if dense:
-        w, _ = solution
-        e_iterative = family.value(lam)
-    else:
-        # The check needs only the spectrum; grad is already that of the
-        # converged Ritz vector at lam.
-        e_iterative = e
-        w = np.linalg.eigvalsh(family.matrix(lam))
+    w = np.linalg.eigvalsh(family.matrix(lam))
+    if abs(e - w[-1]) > TOP_EIG_CHECK_RTOL * max(1.0, abs(w[-1])):
+        raise NumericalError(f"top eigenvalue at lam* is {e!r} by TiltedFamily.value "
+                             f"but {float(w[-1])!r} by a dense eigh")
+    if exact is None:
+        e = float(w[-1])
         if _degenerate(w):
             grad = _finite_difference_gradient(family, lam)
-    e_star = float(w[-1])
-    if abs(e_iterative - e_star) > TOP_EIG_CHECK_RTOL * max(1.0, abs(e_star)):
-        raise NumericalError(f"top eigenvalue at lam* is {e_iterative!r} by TiltedFamily.value "
-                             f"but {e_star!r} by a dense eigh")
     residual, bounded = _stationarity(lam, target - grad, lo, caps)
-    return lam, max(float(lam @ target) - e_star, 0.0), residual, bounded
-
-
-def _finite_difference_gradient(family: TiltedFamily, lam: np.ndarray, step: float = 1e-6) -> np.ndarray:
-    g = np.empty_like(lam)
-    for j in range(lam.size):
-        up = lam.copy()
-        dn = lam.copy()
-        up[j] += step
-        dn[j] -= step
-        g[j] = (family.value(up) - family.value(dn)) / (2 * step)
-    return g
+    return lam, max(float(lam @ target) - e, 0.0), residual, bounded
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,18 +535,18 @@ def main_bound(setup: MeasurementSetup, rho, r) -> BoundReport:
     bad = np.nonzero(~(r >= 0) | ~np.isfinite(r))[0]
     if bad.size:
         raise ValidationError(f"r must be finite and entrywise nonnegative; "
-                              f"entry {bad[0]} is {r[bad[0]]!r}")
+                              f"entry {bad[0]} is {float(r[bad[0]])!r}")
     mean = mean_vector(setup)
     prefactor = l2_sigma_prefactor(st, rho)
     family = TiltedFamily(setup)
     target = mean + r
-    for j in range(setup.ell):
-        if (not setup.is_brownian(j)) and family.zero_channel[j] and target[j] > 0:
-            # Dead counting channel with a positive threshold: the supremum
-            # diverges linearly and the bound collapses to zero.
-            lam = np.zeros(setup.ell)
-            lam[j] = np.inf
-            return BoundReport(r, mean, lam, np.inf, prefactor, 0.0, status="unbounded")
+    # A dead counting channel with a positive threshold: the supremum
+    # diverges linearly and the bound collapses to zero.
+    dead = np.flatnonzero(~setup.brownian & family.zero_channel & (target > 0))
+    if dead.size:
+        lam = np.zeros(setup.ell)
+        lam[dead[0]] = np.inf
+        return BoundReport(r, mean, lam, np.inf, prefactor, 0.0, status="unbounded")
     lam, value, residual, bounded = _maximize_tilt(family, target, allow_negative=False)
     status = _status(bounded, residual, target)
     return BoundReport(r, mean, lam, value if bounded else np.inf, prefactor, residual, status)

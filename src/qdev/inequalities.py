@@ -204,23 +204,13 @@ class LipschitzContext:
         self.weights = np.array([math.exp(-w / 2.0) + math.exp(w / 2.0) for w in self.omegas])
 
     @classmethod
-    def from_context(cls, ctx: GeneratorContext, normalize: bool = False) -> "LipschitzContext":
-        """Derivations from the generator's own jumps.
-
-        ``normalize`` rescales each jump of Frobenius norm above 1e-15 to
-        unit norm, the convention under which the depolarizing metric is
-        generated by bare matrix units. Rescaling by positive constants
-        leaves the Bohr frequencies untouched.
-        """
+    def from_context(cls, ctx: GeneratorContext) -> "LipschitzContext":
+        """Derivations from the generator's own jumps."""
         st = ctx.require_faithful()
-        derivs = ctx.require_jumps().jumps
         omegas = ctx.bohr
         if omegas is None:
             raise ValidationError("jumps are not modular eigenvectors; no Lipschitz calculus")
-        if normalize:
-            norms = np.linalg.norm(derivs, axis=(1, 2))
-            derivs = derivs / np.where(norms > 1e-15, norms, 1.0)[:, None, None]
-        return cls(st, derivs, omegas)
+        return cls(st, ctx.require_jumps().jumps, omegas)
 
 
 def lipschitz_norm(lip: LipschitzContext, x) -> float:

@@ -26,14 +26,13 @@ the (d^2 x k) stack of the B_j times the (k x d^2) stack of the A_j,
 reshaped and transposed to (a,b,c,e) (left_right_sum_matrix, the one
 builder; a single map X -> A X B is the case k = 1).
 
-Top eigenvalues of tilted generators come from top_eigenpair, a Lanczos
-iteration with full reorthogonalisation on products with the matrix (the
-tilted family forms it only for the dense check), once the matrix size
-reaches deviation.LANCZOS_MIN_SIZE, and from a dense eigh when Lanczos
-does not converge; below that size, from a dense eigh or eigvalsh. The
-value reported at the optimal tilt lam* is checked against a dense solve
-there: one eigvalsh in the Lanczos regime, the iterate's own eigh in the
-dense regime.
+Top eigenvalues of tilted generators come from one eigensolve per tilt,
+deviation.TiltedFamily.value: below deviation.LANCZOS_MIN_SIZE a dense
+eigh; from there top_eigenpair, a Lanczos iteration with full
+reorthogonalisation on products with the matrix, and a dense eigh when
+Lanczos does not converge. The tilted family forms the matrix only for
+those dense solves and for the check at the optimal tilt lam*, where the
+value is compared with one eigvalsh in either regime.
 """
 
 from __future__ import annotations
@@ -153,23 +152,6 @@ def require_same_dim(*mats) -> int:
     if len(dims) != 1:
         raise DimensionMismatchError(f"dimension mismatch: {sorted(dims)}")
     return dims.pop()
-
-
-@dataclass(frozen=True, eq=False)
-class HermitianOperator:
-    """A validated Hermitian matrix."""
-
-    entries: np.ndarray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        m = require_hermitian(self.entries, name="HermitianOperator")
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "dim", m.shape[0])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.entries
 
 
 @dataclass(frozen=True, eq=False)

@@ -22,7 +22,6 @@ import numpy as np
 
 from .linalg import (
     DensityOperator,
-    DimensionMismatchError,
     FaithfulState,
     NotFaithfulError,
     NumericalError,
@@ -43,6 +42,8 @@ from .linalg import (
     vec,
 )
 
+# |L(id)| and the stationary residual |L*(sigma)|, relative to the generator
+# scale (_generator_scale).
 UNITALITY_TOL = 1e-10
 STATIONARY_TOL = 1e-9
 KERNEL_REL_TOL = 1e-9
@@ -64,22 +65,9 @@ class Lindbladian:
         self.hamiltonian = h
         self.jumps = as_matrix_stack(jumps, self.dim, "jump")
         self.k = len(self.jumps)
-        # K = sum_j L_j* L_j enters both generator pictures.
+        # K = sum_j L_j* L_j enters both generator pictures. The jump form
+        # is unital for every H and every set of jumps.
         self._kappa = sum((l.conj().T @ l for l in self.jumps), np.zeros((self.dim, self.dim), dtype=complex))
-        defect = np.max(np.abs(self.heisenberg_action(np.eye(self.dim))))
-        if defect > UNITALITY_TOL:
-            raise ValidationError(f"generator is not unital: |L(id)| = {defect:.3e}")
-
-    def heisenberg_action(self, x: np.ndarray) -> np.ndarray:
-        x = as_complex_matrix(x, "X")
-        if x.shape[0] != self.dim:
-            raise DimensionMismatchError(f"operand dim {x.shape[0]} != generator dim {self.dim}")
-        h = self.hamiltonian
-        out = 1j * (h @ x - x @ h)
-        out -= 0.5 * (self._kappa @ x + x @ self._kappa)
-        for l in self.jumps:
-            out += l.conj().T @ x @ l
-        return out
 
     def heisenberg_superoperator(self) -> SuperOperator:
         """The d^2 x d^2 Heisenberg matrix of the generator, the one
@@ -113,9 +101,8 @@ class GeneratorContext:
     first use, read-only while cached, and kept until
     take_eigenbasis_generator hands it, writeable, to a caller that
     overwrites it (TiltedFamily, spectral_gap). Each further take on the
-    same context rotates the generator again, at d^5. kms_conjugated and
-    kms_hermitian_part make at most one new d^2 x d^2 matrix, none when
-    given one to overwrite.
+    same context rotates the generator again, at d^5. kms_hermitian_part
+    makes no new d^2 x d^2 matrix: it overwrites the one it is given.
     ``faithful`` is None when the stationary state is rank deficient; every
     sigma-weighted operation then refuses with NotFaithfulError.
 
@@ -128,9 +115,10 @@ class GeneratorContext:
     difference back the same way. There the Gram map of each inner product
     is diagonal (gram_weights: s_j for GNS, sqrt(s_i s_j) for KMS, the
     divided differences for BKM), so KMS conjugation, duals and the
-    detailed-balance check are entrywise scalings. The matrices kms_conjugated and kms_hermitian_part return
-    stay in the eigenbasis: they are unitarily similar to G^(1/2) M G^(-1/2)
-    in the original basis and have its spectrum.
+    detailed-balance check are entrywise scalings. The matrix
+    kms_hermitian_part returns stays in the eigenbasis: it is unitarily
+    similar to the Hermitian part of G^(1/2) M G^(-1/2) in the original
+    basis and has its spectrum.
     """
 
     def __init__(self, heisenberg: SuperOperator, sigma: DensityOperator,
@@ -199,27 +187,22 @@ class GeneratorContext:
         cached.flags.writeable = True
         return cached
 
-    def kms_conjugated(self, eigenbasis_matrix: np.ndarray | None = None) -> np.ndarray:
-        """D M D^(-1) with D the diagonal KMS half-Gram (s_i s_j)^(1/4), for a
-        superoperator M given in sigma's eigenbasis (default: the generator).
-        Hermitian iff M is KMS-self-adjoint. A given M is overwritten with
-        the result; the default leaves the cached generator alone."""
+    def kms_hermitian_part(self, eigenbasis_matrix: np.ndarray) -> np.ndarray:
+        """Hermitian matrix of the KMS symmetrization (M + M^KMS)/2 of a
+        superoperator M given in sigma's eigenbasis, conjugated: the
+        Hermitian part of D M D^(-1), with D the diagonal KMS half-Gram
+        (s_i s_j)^(1/4). M is overwritten with it."""
         half = np.sqrt(gram_weights("KMS", self.require_faithful()))
-        out = self.eigenbasis_generator.copy() if eigenbasis_matrix is None else eigenbasis_matrix
-        out *= half[:, None]
-        out /= half[None, :]
-        return out
-
-    def kms_hermitian_part(self, eigenbasis_matrix: np.ndarray | None = None) -> np.ndarray:
-        """Hermitian matrix of the KMS symmetrization (M + M^KMS)/2,
-        conjugated; a given M is overwritten with it, as in kms_conjugated."""
-        return hermitianize(self.kms_conjugated(eigenbasis_matrix))
+        eigenbasis_matrix *= half[:, None]
+        eigenbasis_matrix /= half[None, :]
+        return hermitianize(eigenbasis_matrix)
 
 
 def _generator_scale(heis: np.ndarray) -> float:
     """max(1, largest |entry|) of a Heisenberg matrix: the scale of the
-    kernel and symmetry tolerances, floored at one so that a numerically
-    zero generator is classified rather than its rounding dust amplified."""
+    unitality, stationarity, kernel and symmetry tolerances, floored at one
+    so that a numerically zero generator is classified rather than its
+    rounding dust amplified."""
     return max(1.0, float(np.max(np.abs(heis))))
 
 
@@ -316,11 +299,11 @@ def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None 
     Primitive means the kernel is simple and sigma has full rank.
     """
     d = heis.dim
-    unitality = np.max(np.abs(heis.apply(np.eye(d))))
-    if unitality > UNITALITY_TOL:
-        raise ValidationError(f"generator is not unital: |L(id)| = {unitality:.3e}")
     h = heis.matrix
     scale = _generator_scale(h)
+    unitality = np.max(np.abs(heis.apply(np.eye(d))))
+    if unitality > UNITALITY_TOL * scale:
+        raise ValidationError(f"generator is not unital: |L(id)| = {unitality:.3e}")
     cand, mult = _bordered_kernel(h, d, scale), 1
     if cand is None:
         cand, mult = _svd_kernel(h.conj().T, d, scale)
@@ -331,8 +314,8 @@ def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None 
     cand = cand / tr
     # |M vec(sigma)| entrywise, as |vec(sigma)^dagger H|.
     residual = np.max(np.abs(vec(cand).conj() @ h))
-    if residual > STATIONARY_TOL:
-        raise NumericalError(f"stationary residual {residual:.3e} exceeds {STATIONARY_TOL:.1e}")
+    if residual > STATIONARY_TOL * scale:
+        raise NumericalError(f"stationary residual {residual:.3e} exceeds {STATIONARY_TOL * scale:.1e}")
     w, v = np.linalg.eigh(cand)
     if w[0] < -1e-8:
         raise NumericalError(f"stationary candidate not positive (min eigenvalue {w[0]:.3e})")

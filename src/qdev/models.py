@@ -336,10 +336,6 @@ def counterexample_channels(v1, v2, p: float) -> CounterexampleChannels:
     return CounterexampleChannels(phi, psi, psi_tilde, sigma, p_channel, p_sigma)
 
 
-def appendix_b_fixtures(v1=None, v2=None, p: float = 0.3) -> CounterexampleChannels:
-    """Default instantiation of the counterexample family."""
-    if v1 is None:
-        v1 = np.array([np.cos(0.3), np.sin(0.3)])
-    if v2 is None:
-        v2 = np.array([np.cos(1.2), np.sin(1.2)])
-    return counterexample_channels(v1, v2, p)
+def appendix_b_fixtures(p: float = 0.3) -> CounterexampleChannels:
+    """The counterexample family at v1 = (cos 0.3, sin 0.3), v2 = (cos 1.2, sin 1.2)."""
+    return counterexample_channels([np.cos(0.3), np.sin(0.3)], [np.cos(1.2), np.sin(1.2)], p)

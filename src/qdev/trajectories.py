@@ -49,6 +49,8 @@ COLLAPSED_TRACE = 1e-14
 # A checkpoint state counts as a positivity violation when rho + POSITIVITY_CLIP * I
 # fails a Cholesky factorization.
 POSITIVITY_CLIP = 1e-10
+# Confidence level of the Clopper-Pearson interval of an empirical tail.
+CONFIDENCE = 0.99
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ class PathRecord:
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalTail:
-    """Joint exceedance count with a Clopper-Pearson interval."""
+    """Joint exceedance count with a Clopper-Pearson interval at CONFIDENCE."""
 
     thresholds: np.ndarray
     count: int
@@ -116,13 +118,12 @@ class EmpiricalTail:
     estimate: float
     ci_low: float
     ci_high: float
-    confidence: float = 0.99
 
 
-def clopper_pearson(count: int, n: int, confidence: float = 0.99) -> tuple[float, float]:
+def clopper_pearson(count: int, n: int) -> tuple[float, float]:
     import scipy.special  # here, so that importing qdev loads no scipy
 
-    alpha = 1.0 - confidence
+    alpha = 1.0 - CONFIDENCE
     low = scipy.special.betaincinv(count, n - count + 1, alpha / 2.0) if count > 0 else 0.0
     high = scipy.special.betaincinv(count + 1, n - count, 1.0 - alpha / 2.0) if count < n else 1.0
     return float(low), float(high)
@@ -157,11 +158,13 @@ def positivity_failures(rho: np.ndarray, clip: float) -> np.ndarray:
 
 
 class _Engine:
-    """Precomputed operators for stepping a block of paths together."""
+    """Precomputed operators for stepping a block of paths together by the
+    filter or, if ``linear``, the linear equation."""
 
-    def __init__(self, setup: MeasurementSetup, config: TrajectoryConfig):
+    def __init__(self, setup: MeasurementSetup, config: TrajectoryConfig, linear: bool):
         lind = setup.ctx.require_jumps()
         self.config = config
+        self.linear = linear
         d = self.d = lind.dim
         q = self.q = setup.q
         self.ell = setup.ell
@@ -173,15 +176,27 @@ class _Engine:
         # and the counting intensities Tr[L^dagger L rho] as one (d^2, ell) product.
         observables = np.concatenate([monitored[:q] + _dagger(monitored[:q]), intensities])
         self.expectations = np.ascontiguousarray(observables.swapaxes(1, 2).reshape(self.ell, d * d).T)
-        # M0 = I - G dt with G = iH + K/2
-        self._g = 1j * lind.hamiltonian + 0.5 * lind._kappa
-        self._monitored = monitored
-        self._kraus: dict[bool, np.ndarray] = {}
         self.pairs = [(i, j) for i in range(q) for j in range(i, q)]
         # Jumps along an orthonormal complement of the monitored directions.
         complement = np.linalg.svd(setup.directions)[2][self.ell:]
         unmonitored = np.tensordot(complement, jumps, axes=1)
-        self._unmonitored = dt * _vec_map(unmonitored, _dagger(unmonitored))
+        # The no-count update M rho M^dagger + dt Phi_u(rho) as one
+        # (d^2, T d^2) matrix on vec rho. With M = M0 + sum_B dy_B L_B it
+        # expands exactly into blocks weighted 1, dy_B and dy_B dy_B'
+        # (B <= B'): M0 rho M0^dagger + dt Phi_u(rho), L_B rho M0^dagger +
+        # M0 rho L_B^dagger and L_B rho L_B'^dagger + L_B' rho L_B^dagger
+        # (once if B = B'). M0 = I - (iH + K/2) dt; the linear equation's M0
+        # adds the compensator n_P dt / 2.
+        eye = np.eye(d)
+        g = 1j * lind.hamiltonian + 0.5 * lind._kappa
+        m0 = eye - (g - (0.5 * self.n_poisson * eye if linear else 0.0)) * dt
+        lb = monitored[:q]
+        blocks = [_vec_map([m0], [_dagger(m0)]) + dt * _vec_map(unmonitored, _dagger(unmonitored))]
+        blocks += [_vec_map([l, m0], [_dagger(m0), _dagger(l)]) for l in lb]
+        for i, j in self.pairs:
+            ls = lb[[i]] if i == j else lb[[i, j]]
+            blocks.append(_vec_map(ls, _dagger(ls[::-1])))
+        self.kraus = np.ascontiguousarray(np.concatenate(blocks, axis=1))
         self.count = [np.ascontiguousarray(_vec_map([l], [_dagger(l)])) for l in monitored[q:]]
 
         max_rate = max((np.linalg.norm(m, 2) for m in intensities), default=0.0)
@@ -202,41 +217,20 @@ class _Engine:
         draws[:, :self.q] *= math.sqrt(self.config.dt)
         return draws
 
-    def innovation(self, rho, dw, linear):
+    def innovation(self, rho, dw):
         """Record increments dy_B of one step: dW_B under the reference law,
         plus Tr[(L_B + L_B^dagger) rho] dt for the filter; and, for the
         filter, the counting intensities."""
-        if linear:
+        if self.linear:
             return (dw if self.q else None), None
         ev = (rho.reshape(len(rho), -1) @ self.expectations).real
         return (dw + self.config.dt * ev[:, :self.q] if self.q else None), ev[:, self.q:]
 
-    def kraus(self, linear: bool) -> np.ndarray:
-        """The no-count update as one (d^2, T d^2) matrix on vec rho.
-
-        M rho M^dagger + dt Phi_u(rho) with M = M0 + sum_B dy_B L_B expands
-        exactly into blocks weighted 1, dy_B and dy_B dy_B' (B <= B'):
-        M0 rho M0^dagger + dt Phi_u(rho), L_B rho M0^dagger + M0 rho L_B^dagger
-        and L_B rho L_B'^dagger + L_B' rho L_B^dagger (once if B = B').
-        M0 = I - (iH + K/2) dt; the linear equation's M0 adds the compensator
-        n_P dt / 2."""
-        if linear not in self._kraus:
-            eye = np.eye(self.d)
-            m0 = eye - (self._g - (0.5 * self.n_poisson * eye if linear else 0.0)) * self.config.dt
-            lb = self._monitored[:self.q]
-            blocks = [_vec_map([m0], [_dagger(m0)]) + self._unmonitored]
-            blocks += [_vec_map([l, m0], [_dagger(m0), _dagger(l)]) for l in lb]
-            for i, j in self.pairs:
-                ls = lb[[i]] if i == j else lb[[i, j]]
-                blocks.append(_vec_map(ls, _dagger(ls[::-1])))
-            self._kraus[linear] = np.ascontiguousarray(np.concatenate(blocks, axis=1))
-        return self._kraus[linear]
-
-    def drift(self, rho, dy, linear):
+    def drift(self, rho, dy):
         """No-count update M rho M^dagger + dt Phi_u(rho): one GEMM on the
         stacked vec rho, then the blocks summed with their weights."""
         b, n = len(rho), self.d ** 2
-        p = rho.reshape(b, n) @ self.kraus(linear)
+        p = rho.reshape(b, n) @ self.kraus
         out = p[:, :n]
         if dy is not None:
             weights = [dy[:, i] for i in range(self.q)] + [dy[:, i] * dy[:, j] for i, j in self.pairs]
@@ -268,9 +262,8 @@ class _Engine:
         out *= (1.0 / np.where(invalid, 1.0, tr))[:, None, None]
         return out
 
-    def step_block(self, rho0: np.ndarray, idx, attempts, linear: bool):
-        """Step paths ``idx`` (with the streams of ``attempts``) together,
-        by the filter or, if ``linear``, the linear equation.
+    def step_block(self, rho0: np.ndarray, idx, attempts):
+        """Step paths ``idx`` (with the streams of ``attempts``) together.
 
         Returns, per path and checkpoint, the estimators (time-averaged
         records), the Hermitian part of the filter state (None for the
@@ -278,7 +271,7 @@ class _Engine:
         per path, the invalid flag (a collapsed filter trace, or a linear
         trace Z <= 0 at a checkpoint) and the number of checkpoints whose
         filter state failed the positivity check."""
-        cfg = self.config
+        cfg, linear = self.config, self.linear
         d, q = self.d, self.q
         b = len(idx)
         cp_steps = cfg.checkpoint_steps()
@@ -301,10 +294,10 @@ class _Engine:
             n_chunk = min(NOISE_CHUNK_STEPS, steps - step)
             draws = self._draw_chunk(gens, n_chunk)
             for s in range(n_chunk):
-                dy, intensity = self.innovation(rho, draws[:, :q, s], linear)
+                dy, intensity = self.innovation(rho, draws[:, :q, s])
                 if dy is not None:
                     record[:, :q] += dy
-                out = self.drift(rho, dy, linear)
+                out = self.drift(rho, dy)
                 if self.n_poisson:
                     record[:, q:] += self.jumps(rho, out, draws[:, q:, s], intensity)
                 rho = out if linear else self.normalize(out, invalid)
@@ -325,11 +318,11 @@ class _Engine:
         path alone with fresh streams, up to MAX_RESAMPLE_ATTEMPTS attempts in
         all. Returns per-path estimators, states, positivity-check failures
         and the attempt that produced each path."""
-        est, states, _, invalid, fails = self.step_block(rho0, idx, [0] * len(idx), False)
+        est, states, _, invalid, fails = self.step_block(rho0, idx, [0] * len(idx))
         attempts = np.zeros(len(idx), dtype=np.int64)
         for pos in np.nonzero(invalid)[0]:
             for attempt in range(1, MAX_RESAMPLE_ATTEMPTS):
-                e2, s2, _, inv2, f2 = self.step_block(rho0, [idx[pos]], [attempt], False)
+                e2, s2, _, inv2, f2 = self.step_block(rho0, [idx[pos]], [attempt])
                 if not inv2[0]:
                     est[pos] = e2[0]
                     states[:, pos] = s2[:, 0]
@@ -352,14 +345,16 @@ def _as_initial_state(rho0, dim: int) -> np.ndarray:
     return m
 
 
-def _run_blocks(setup: MeasurementSetup, rho0, config: TrajectoryConfig, n_threads: int, run_block):
+def _run_blocks(setup: MeasurementSetup, rho0, config: TrajectoryConfig, n_threads: int,
+                linear: bool, run_block):
     """The one ensemble scheduler: ``run_block(engine, rho0, idx)`` over fixed
-    BLOCK_PATHS blocks of path indices, on up to ``n_threads`` threads.
+    BLOCK_PATHS blocks of path indices, on up to ``n_threads`` threads, with
+    one engine for the filter or, if ``linear``, the linear equation.
 
     Returns the partial results in block order, so that combining them in
     order does not depend on the thread count.
     """
-    engine = _Engine(setup, config)
+    engine = _Engine(setup, config, linear)
     rho0m = _as_initial_state(rho0, engine.d)
     n = config.n_paths
     blocks = [list(range(start, min(start + BLOCK_PATHS, n))) for start in range(0, n, BLOCK_PATHS)]
@@ -381,7 +376,7 @@ def simulate_path(setup: MeasurementSetup, rho0, config: TrajectoryConfig, path_
     (deterministically derived from the attempt number), up to
     MAX_RESAMPLE_ATTEMPTS.
     """
-    engine = _Engine(setup, config)
+    engine = _Engine(setup, config, False)
     rho0 = _as_initial_state(rho0, engine.d)
     est, _, fails, attempts = engine.run_paths(rho0, [path_index])
     return PathRecord(config.checkpoint_times(), est[0], int(fails[0]), config.n_steps(), int(attempts[0]))
@@ -432,7 +427,7 @@ def run_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig, thresh
         est, states, fails, attempts = engine.run_paths(rho0m, idx)
         return est, states.sum(axis=1), (np.abs(states) ** 2).sum(axis=1), fails, attempts
 
-    partials = _run_blocks(setup, rho0, config, n_threads, run_block)
+    partials = _run_blocks(setup, rho0, config, n_threads, False, run_block)
     blocks, state_sums, state_sqs, fails, attempts = zip(*partials)
     # Per-block sums combined in block order keep the bytes independent of n_threads.
     n = config.n_paths
@@ -464,10 +459,10 @@ def run_linear_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig,
     """Ensemble of linear paths: per checkpoint mean of Z and its stderr."""
 
     def run_block(engine, rho0m, idx):
-        _, _, z, failed, _ = engine.step_block(rho0m, idx, [0] * len(idx), True)
+        _, _, z, failed, _ = engine.step_block(rho0m, idx, [0] * len(idx))
         return z.sum(axis=0), (z ** 2).sum(axis=0), int(failed.sum())
 
-    partials = _run_blocks(setup, rho0, config, n_threads, run_block)
+    partials = _run_blocks(setup, rho0, config, n_threads, True, run_block)
     z_sum = sum(p[0] for p in partials)
     z_sq = sum(p[1] for p in partials)
     failures = sum(p[2] for p in partials)

@@ -5,7 +5,7 @@ import pytest
 import scipy.optimize
 
 from qdev.deviation import mean_vector
-from qdev.inequalities import spectral_gap
+from qdev.inequalities import LipschitzContext, spectral_gap
 from qdev.linalg import (
     FaithfulState,
     SuperOperator,
@@ -110,7 +110,8 @@ def kron_counterexample_channels(v1, v2, p):
 
 def dense_kms_conjugated(st, m):
     """G^(1/2) M G^(-1/2) with the dense KMS half-Grams, in the original
-    basis: the reference for GeneratorContext.kms_conjugated."""
+    basis: its Hermitian part is the reference for
+    GeneratorContext.kms_hermitian_part."""
     return left_right_matrix(st.power(0.25), st.power(0.25)) @ m @ left_right_matrix(
         st.power(-0.25), st.power(-0.25))
 
@@ -139,6 +140,20 @@ def modular_frequencies_one_shot(st, jumps):
 # References and fixture builders that no CLI verb reaches: the tests check
 # the library against them, or build their cases with them.
 # ---------------------------------------------------------------------------
+
+def heisenberg_action(lind, x):
+    """L(X) = i[H, X] + sum_j L_j* X L_j - {K, X}/2, K = sum_j L_j* L_j, from
+    the jump form: the Heisenberg-picture reference for the assembled
+    generator."""
+    x = as_complex_matrix(x, "X")
+    h = lind.hamiltonian
+    kappa = sum((l.conj().T @ l for l in lind.jumps), np.zeros((lind.dim, lind.dim), dtype=complex))
+    out = 1j * (h @ x - x @ h)
+    out -= 0.5 * (kappa @ x + x @ kappa)
+    for l in lind.jumps:
+        out += l.conj().T @ x @ l
+    return out
+
 
 def schrodinger_action(lind, rho):
     """L*(rho) = -i[H, rho] + sum_j L_j rho L_j* - {K, rho}/2, K = sum_j L_j* L_j,
@@ -189,7 +204,7 @@ def f_statistics(setup, x):
     x = as_complex_matrix(x, "X")
     out = np.empty(setup.ell)
     for j, l in enumerate(setup.monitored):
-        if setup.is_brownian(j):
+        if setup.brownian[j]:
             image = l.conj().T @ x + x @ l
         else:
             image = l.conj().T @ x @ l
@@ -245,7 +260,7 @@ def direct_variational_crosscheck(setup, r):
         total = dirichlet_form(ctx, x)
         f = f_statistics(setup, x)
         for j in range(setup.ell):
-            if setup.is_brownian(j):
+            if setup.brownian[j]:
                 total += _one_sided_gaussian(target[j], f[j])
             else:
                 contrib = _one_sided_poisson(target[j], f[j])
@@ -321,6 +336,17 @@ def verify_poincare_ti(ctx, rho):
     lhs = float(np.sum(np.abs(np.linalg.eigvalsh(rho - st.matrix))) ** 2)
     rhs = 4.0 / gap * fisher_information(ctx, rho)
     return lhs, rhs, lhs <= rhs + 1e-9
+
+
+def unit_derivations(ctx):
+    """LipschitzContext of the generator's jumps, each of Frobenius norm above
+    1e-15 rescaled to unit norm: the convention under which the depolarizing
+    metric is generated by bare matrix units. Rescaling by positive
+    constants leaves the Bohr frequencies untouched."""
+    jumps = ctx.require_jumps().jumps
+    norms = np.linalg.norm(jumps, axis=(1, 2))
+    units = jumps / np.where(norms > 1e-15, norms, 1.0)[:, None, None]
+    return LipschitzContext(ctx.require_faithful(), units, ctx.bohr)
 
 
 def scalar_lindblad(c):

@@ -20,6 +20,7 @@ from conftest import (
     random_state,
     scalar_lindblad,
     site_channels,
+    unit_derivations,
     verify_poincare_ti,
 )
 from qdev.cli import main as cli_main
@@ -165,7 +166,7 @@ def test_criterion_5_closed_form_constants():
     lip_err = 0.0
     for d in (3, 4):
         ctx = stationary_state(depolarizing(maximally_mixed(d)))
-        lip = LipschitzContext.from_context(ctx, normalize=True)
+        lip = unit_derivations(ctx)
         o = rng.normal(size=d)
         pair_sum = sum(2 * (o[x] - o[y]) ** 2 for x in range(d) for y in range(d))
         lip_err = max(lip_err, abs(lipschitz_norm(lip, np.diag(o).astype(complex))

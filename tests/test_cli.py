@@ -154,7 +154,7 @@ class TestBoundVerb:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "validation"
-        assert "r[0]" in err["message"]
+        assert "entry 0 is -0.5" in err["message"]
 
     @pytest.mark.parametrize("flag, value", [("--r", "nan"), ("--r", "inf"), ("--t", "1,nan"),
                                              ("--t", "-inf"), ("--t", "-1"), ("--t", ",")])

@@ -364,7 +364,7 @@ class TestDirectVariationalCrosscheck:
 
 def top_gradient(family: TiltedFamily, lam: np.ndarray) -> np.ndarray:
     """Hellmann-Feynman gradient at a tilt whose top eigenvalue is simple."""
-    w, v = family.value_gap_vector(lam)
+    w, v = np.linalg.eigh(family.matrix(lam))
     assert w[-1] - w[-2] > deviation.EIG_GAP_DEGENERATE
     return family.gradient_at(lam, v[:, -1])
 
@@ -516,20 +516,40 @@ class TestTopEigenvalue:
 
 
 def count_eigensolves(monkeypatch) -> dict:
-    """Count calls of the two TiltedFamily methods that solve an eigenproblem."""
+    """Count calls of TiltedFamily.value, the one eigensolve per tilt."""
     calls = {"n": 0}
-    for name in ("value", "value_gap_vector"):
-        solve = getattr(TiltedFamily, name)
+    solve = TiltedFamily.value
 
-        def counted(self, lam, solve=solve):
-            calls["n"] += 1
-            return solve(self, lam)
+    def counted(self, lam):
+        calls["n"] += 1
+        return solve(self, lam)
 
-        monkeypatch.setattr(TiltedFamily, name, counted)
+    monkeypatch.setattr(TiltedFamily, "value", counted)
     return calls
 
 
+class FamilySeam:
+    """A TiltedFamily seen only through setup, value, derivatives and matrix:
+    what another tilted family must offer the tilt optimizer."""
+
+    __slots__ = ("setup", "value", "derivatives", "matrix")
+
+    def __init__(self, family: TiltedFamily):
+        self.setup = family.setup
+        self.value, self.derivatives, self.matrix = family.value, family.derivatives, family.matrix
+
+
 class TestTiltOptimizer:
+    @pytest.mark.parametrize("lanczos", [False, True], ids=["dense", "lanczos"])
+    def test_optimizer_needs_only_the_family_seam(self, qutrit_setup, lanczos, monkeypatch):
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0 if lanczos else 10**9)
+        m = mean_vector(qutrit_setup)
+        for target, allow_negative in ((m + [0.3, 0.05, 0.02], False), (m + [-0.2, 0.01, 0.0], True)):
+            expected = deviation._maximize_tilt(TiltedFamily(qutrit_setup), target, allow_negative)
+            seam = deviation._maximize_tilt(FamilySeam(TiltedFamily(qutrit_setup)), target, allow_negative)
+            assert np.array_equal(seam[0], expected[0]) and seam[1:] == expected[1:]
+            assert expected[2] <= 1e-10 and expected[3]
+
     @pytest.mark.parametrize("name", ["mixed_setup", "qutrit_setup"])
     def test_hessian_matches_central_differences(self, name, request, rng):
         family = TiltedFamily(request.getfixturevalue(name))
@@ -537,8 +557,7 @@ class TestTiltOptimizer:
         for _ in range(5):
             lam = np.concatenate([rng.uniform(-1.0, 1.0, size=1),
                                   rng.uniform(-2.0, 1.0, size=family.setup.ell - 1)])
-            w, v = family.value_gap_vector(lam)
-            grad, hess = family.derivatives_at(lam, w, v)
+            grad, hess = family.derivatives(lam)
             assert np.allclose(grad, top_gradient(family, lam), atol=1e-13)
             fd = np.empty_like(hess)
             for j in range(lam.size):

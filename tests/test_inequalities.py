@@ -9,6 +9,7 @@ from conftest import (
     fisher_information,
     random_hermitian,
     random_state,
+    unit_derivations,
     verify_poincare_ti,
 )
 from qdev.linalg import FaithfulState, NumericalError, ValidationError
@@ -129,7 +130,7 @@ class TestLipschitz:
             assert lipschitz_norm(lip, c * x) == pytest.approx(c * lipschitz_norm(lip, x), abs=1e-12)
 
     def test_qubit_sigma_z_with_unit_derivations(self, qubit_depolarizing):
-        lip = LipschitzContext.from_context(qubit_depolarizing, normalize=True)
+        lip = unit_derivations(qubit_depolarizing)
         assert lipschitz_norm(lip, SZ) == pytest.approx(4.0, abs=1e-12)
 
     def test_diagonal_formula_against_pair_sum(self, rng):
@@ -137,7 +138,7 @@ class TestLipschitz:
         # the maximally mixed depolarizing model with matrix-unit derivations
         for d in (3, 4):
             ctx = stationary_state(depolarizing(maximally_mixed(d)))
-            lip = LipschitzContext.from_context(ctx, normalize=True)
+            lip = unit_derivations(ctx)
             o = rng.normal(size=d)
             pair_sum = sum(2 * (o[x] - o[y]) ** 2 for x in range(d) for y in range(d))
             value = lipschitz_norm(lip, np.diag(o).astype(complex))
@@ -146,7 +147,7 @@ class TestLipschitz:
     def test_normalized_derivations_match_per_jump_loop(self):
         lind = Lindbladian(np.zeros((2, 2)), [np.diag([2.0, 0.0]), np.zeros((2, 2)), 3.0 * SZ])
         ctx = stationary_state(lind)
-        lip = LipschitzContext.from_context(ctx, normalize=True)
+        lip = unit_derivations(ctx)
         loop = [l / np.linalg.norm(l) if np.linalg.norm(l) > 1e-15 else l for l in lind.jumps]
         assert np.array_equal(lip.derivations, np.array(loop))
 
@@ -245,7 +246,7 @@ class TestW1LowerBound:
         assert w1_lower_bound(lip, rho, rho) == 0.0
 
     def test_dominates_explicit_feasible_point(self, qubit_depolarizing):
-        lip = LipschitzContext.from_context(qubit_depolarizing, normalize=True)
+        lip = unit_derivations(qubit_depolarizing)
         rho1 = np.diag([1.0, 0.0]).astype(complex)
         rho2 = np.eye(2) / 2
         value = w1_lower_bound(lip, rho1, rho2)

@@ -1,9 +1,10 @@
 """The library is what the CLI verbs reach.
 
-Every public module-level function and every public method of a public
-class in src/qdev must be reached from cli.py, transitively and by name,
-or be named in ALLOWED with the caller it is kept for. References that only
-tests use belong in tests/conftest.py or in the test module that uses them.
+Every public module-level function and class, and every public method of
+a public class, in src/qdev must be reached from cli.py, transitively and
+by name, or be named in ALLOWED with the caller it is kept for. References
+that only tests use belong in tests/conftest.py or in the test module that
+uses them.
 
 Reachability is by name: a definition is reached when a reached body
 mentions its name (as a bare name or an attribute). A reached class brings
@@ -85,8 +86,8 @@ def test_every_public_function_is_reached_or_allowed():
     roots = [ast.parse((SRC / "cli.py").read_text())]
     roots += [node for name in ALLOWED for _, node, _ in defs.get(name, [])]
     reached = _reached(defs, roots)
-    unreached = sorted(qualified for entries in defs.values() for qualified, _, kind in entries
-                       if kind != "class" and _public(qualified) and qualified not in reached
+    unreached = sorted(qualified for entries in defs.values() for qualified, _, _ in entries
+                       if _public(qualified) and qualified not in reached
                        and qualified.rsplit(".", 1)[-1] not in ALLOWED)
     assert unreached == [], f"no verb reaches {unreached}: move them to tests/ or delete them"
 

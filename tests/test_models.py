@@ -3,6 +3,7 @@ import pytest
 
 from conftest import (
     dual_superoperator,
+    heisenberg_action,
     kron_counterexample_channels,
     left_right_matrix,
     random_faithful,
@@ -88,7 +89,7 @@ class TestClassicalChain:
         chain = ClassicalChain(q)
         lind = classical_embedding(chain)
         g = rng.normal(size=3)
-        out = lind.heisenberg_action(np.diag(g).astype(complex))
+        out = heisenberg_action(lind, np.diag(g).astype(complex))
         assert np.allclose(np.diag(out).real, q @ g, atol=1e-12)
         assert np.max(np.abs(out - np.diag(np.diag(out)))) < 1e-12
 
@@ -267,7 +268,7 @@ class TestAppendixB:
     def test_matches_kron_construction(self, p):
         v1 = np.array([np.cos(0.3), np.sin(0.3)])
         v2 = np.array([np.cos(1.2), np.sin(1.2)])
-        fx = appendix_b_fixtures(v1, v2, p)
+        fx = counterexample_channels(v1, v2, p)
         ours = (fx.phi, fx.psi, fx.psi_tilde, fx.p_channel)
         for channel, reference in zip(ours, kron_counterexample_channels(v1, v2, p)):
             assert np.max(np.abs(channel.matrix - reference)) <= 1e-13
@@ -334,7 +335,7 @@ class TestConstructorContracts:
         ]
         for lind in fixtures:
             eye = np.eye(lind.dim)
-            assert np.max(np.abs(lind.heisenberg_action(eye))) < 1e-10
+            assert np.max(np.abs(heisenberg_action(lind, eye))) < 1e-10
             rho = random_state(rng, lind.dim)
             assert abs(np.trace(schrodinger_action(lind, rho))) < 1e-12
             ctx = stationary_state(lind)

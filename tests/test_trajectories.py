@@ -12,6 +12,7 @@ from qdev.lindblad import stationary_state
 from qdev.deviation import MeasurementSetup, main_bound
 from qdev.models import depolarizing, maximally_mixed
 from qdev.trajectories import (
+    CONFIDENCE,
     TrajectoryConfig,
     _Engine,
     clopper_pearson,
@@ -68,9 +69,9 @@ class TestPositivityByConstruction:
     def test_qutrit_states_stay_unit_trace_psd(self, qutrit_setup):
         cfg = TrajectoryConfig(dt=1e-3, t_max=2.0, n_paths=64, base_seed=4,
                                checkpoints=tuple(np.arange(1, 11) * 0.2))
-        engine = _Engine(qutrit_setup, cfg)
+        engine = _Engine(qutrit_setup, cfg, False)
         rho0 = qutrit_setup.ctx.sigma.matrix
-        est, states, _, invalid, fails = engine.step_block(rho0, list(range(64)), [0] * 64, False)
+        est, states, _, invalid, fails = engine.step_block(rho0, list(range(64)), [0] * 64)
         assert not invalid.any() and not fails.any()
         assert est[:, -1, 1:].sum() > 0      # counts fired, so jumps were applied
         traces = np.einsum("cnii->cn", states).real
@@ -87,7 +88,7 @@ class TestPositivityByConstruction:
         # stepper, and each path's one checkpoint is counted
         cfg = TrajectoryConfig(dt=1e-3, t_max=1e-3, n_paths=3, base_seed=0)
         bad = np.diag([1.2, -0.2]).astype(complex)
-        _, _, _, invalid, fails = _Engine(qubit_setup, cfg).step_block(bad, [0, 1, 2], [0] * 3, False)
+        _, _, _, invalid, fails = _Engine(qubit_setup, cfg, False).step_block(bad, [0, 1, 2], [0] * 3)
         assert not invalid.any() and fails.tolist() == [1, 1, 1]
 
     @pytest.mark.parametrize("c, q", [(0.0, 1), (1.0, 0)])
@@ -98,10 +99,9 @@ class TestPositivityByConstruction:
         ctx = stationary_state(scalar_lindblad(c))
         setup = MeasurementSetup(ctx, [[1.0]], q=q)
         cfg = TrajectoryConfig(dt=1e-2, t_max=2.0, n_paths=50, base_seed=6, checkpoints=(1.0, 2.0))
-        engine = _Engine(setup, cfg)
         idx = list(range(50))
-        filt = engine.step_block(ctx.sigma.matrix, idx, [0] * 50, False)
-        lin = engine.step_block(ctx.sigma.matrix, idx, [0] * 50, True)
+        filt = _Engine(setup, cfg, False).step_block(ctx.sigma.matrix, idx, [0] * 50)
+        lin = _Engine(setup, cfg, True).step_block(ctx.sigma.matrix, idx, [0] * 50)
         assert np.array_equal(filt[0], lin[0])
         assert np.all(lin[2] == 1.0) and not lin[3].any()
 
@@ -113,11 +113,11 @@ class TestPositivityByConstruction:
         setup = MeasurementSetup(ctx, [[1.0]], q=q)
         n = 4000
         cfg = TrajectoryConfig(dt=1e-3, t_max=1.0, n_paths=n, base_seed=12)
-        engine = _Engine(setup, cfg)
-        est, _, z, _, _ = engine.step_block(ctx.sigma.matrix, list(range(n)), [0] * n, True)
+        est, _, z, _, _ = _Engine(setup, cfg, True).step_block(ctx.sigma.matrix, list(range(n)), [0] * n)
         weighted = z[:, 0] * est[:, 0, 0]
         exact = 2 * c if q else c * c
-        filt = engine.step_block(ctx.sigma.matrix, list(range(n, 2 * n)), [0] * n, False)[0][:, 0, 0]
+        filt = _Engine(setup, cfg, False).step_block(ctx.sigma.matrix, list(range(n, 2 * n)),
+                                                     [0] * n)[0][:, 0, 0]
         se = math.hypot(weighted.std() / math.sqrt(n), filt.std() / math.sqrt(n))
         assert abs(weighted.mean() - filt.mean()) <= 4 * se
         assert abs(filt.mean() - exact) <= 4 * filt.std() / math.sqrt(n) + exact * cfg.dt
@@ -285,14 +285,14 @@ class TestClopperPearson:
             low, high = clopper_pearson(k, n)
             assert low <= k / n <= high
 
-    @pytest.mark.parametrize("confidence", [0.99, 0.95])
+    @pytest.mark.parametrize("confidence", [CONFIDENCE])
     def test_equals_beta_quantiles(self, confidence):
         alpha = 1.0 - confidence
         for n in (1, 2, 7, 50, 333, 1000, 4000):
             for k in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
                 low = scipy.stats.beta.ppf(alpha / 2, k, n - k + 1) if k > 0 else 0.0
                 high = scipy.stats.beta.ppf(1 - alpha / 2, k + 1, n - k) if k < n else 1.0
-                assert clopper_pearson(k, n, confidence) == (float(low), float(high))
+                assert clopper_pearson(k, n) == (float(low), float(high))
 
 
 class TestCompareWithBound:
