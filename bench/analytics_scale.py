@@ -103,7 +103,7 @@ def one(d: int, repeats: int) -> dict:
     stage(out, "tilted_family", lambda: deviation.TiltedFamily(setup) and None, repeats, unit)
     report = stage(out, "main_bound", lambda: deviation.main_bound(setup, sigma, [R]), repeats, unit)
     out["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    out["sigma_err"] = float(np.max(np.abs(ctx.sigma.matrix - sigma)))
+    out["sigma_err"] = float(np.max(np.abs(ctx.sigma - sigma)))
     out["gap_err"] = abs(gap - 1.0)
     out["symmetric"] = [r.symmetric for r in reports]
     out["status"] = report.status

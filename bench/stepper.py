@@ -103,7 +103,7 @@ def split(setup, paths: int, steps: int, repeats: int, total_us: float) -> dict 
     cfg = trajectories.TrajectoryConfig(dt=DT, t_max=steps * DT, n_paths=paths, base_seed=1)
     engine = engine_cls(setup, cfg, False)
     idx = list(range(paths))
-    states = engine.step_block(setup.ctx.sigma.matrix, idx, [0] * paths)[1]
+    states = engine.step_block(setup.ctx.sigma, idx, [0] * paths)[1]
     rho = np.ascontiguousarray(states[-1])
     rng = np.random.default_rng(0)
     dw = rng.standard_normal((paths, engine.q)) * math.sqrt(DT)

@@ -5,9 +5,8 @@ validation."""
 __version__ = "0.1.0"
 
 from .linalg import (
-    DensityOperator,
     FaithfulState,
-    SuperOperator,
+    density_matrix,
     inner_product,
     spectral_transform,
 )

@@ -14,7 +14,8 @@ import numpy as np
 
 from .deviation import MeasurementSetup, main_bound, rate_function
 from .inequalities import lsi_depolarizing, spectral_gap, tensorization_lsi_bounds, ti_from_lsi
-from .lindblad import Lindbladian, check_detailed_balance, context_from_channel, dirichlet_form, stationary_state
+from .lindblad import (Lindbladian, check_detailed_balance, context_from_channel, dirichlet_form,
+                       stationary_residual, stationary_state)
 from .models import (
     ClassicalChain,
     CommutingHamiltonian,
@@ -105,7 +106,7 @@ def run_paper_fixtures() -> list[Result]:
     # Heat-bath stationarity at beta = 0.5 for the two-qubit Ising chain.
     ham = CommutingHamiltonian(2, 2, [((0, 1), np.diag([1.0, -1.0, -1.0, 1.0]))], beta=0.5)
     model = heat_bath(ham)
-    residual = float(np.max(np.abs(model.context.schrodinger.apply(model.gibbs))))
+    residual = stationary_residual(model.context.heisenberg, model.gibbs)
     results.append(("heat-bath stationarity", residual <= 1e-9, f"residual {residual:.2e}"))
 
     # Tensorization bracket for two qutrit depolarizing factors.

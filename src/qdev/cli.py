@@ -187,12 +187,12 @@ def _cmd_model_new(args, argv) -> int:
             raise ValidationError("heat-bath template needs --lattice-file")
         model = heat_bath(fileio.load_lattice(args.lattice_file))
         # The unital channel whose difference with the identity is the generator.
-        channel = model.context.heisenberg.matrix + np.eye(model.context.dim ** 2)
+        channel = model.context.heisenberg + np.eye(model.context.dim ** 2)
         fileio.save_model(args.output, channel=channel, template="heat-bath")
     elif template == "appendix-b":
         fx = appendix_b_fixtures(p=args.p)
         which = {"psi": fx.psi, "psi-tilde": fx.psi_tilde, "p-channel": fx.p_channel}[args.which]
-        fileio.save_model(args.output, channel=which.matrix, template=f"appendix-b:{args.which}")
+        fileio.save_model(args.output, channel=which, template=f"appendix-b:{args.which}")
     if template in ("depolarizing", "classical", "tensor"):
         fileio.save_model(args.output, hamiltonian=lind.hamiltonian, jumps=lind.jumps, template=template)
     fileio.write_manifest(args.output, argv, _existing_inputs(args), {"template": template})
@@ -218,7 +218,7 @@ def _cmd_bound(args, argv) -> int:
     r = np.asarray(_float_list(args.r))
     ts = _float_list(args.t)
     rho = (fileio.load_state(args.state, model.context.dim) if args.state
-           else model.context.sigma.matrix)
+           else model.context.sigma)
     report = main_bound(setup, rho, r)
     header = (["t"] + [f"r{i}" for i in range(setup.ell)]
               + ["exponent", "prefactor", "bound", "residual", "status"])
@@ -268,8 +268,8 @@ def _cmd_simulate(args, argv) -> int:
     config = fileio.load_config(args.config, seed_override=_resolve_seed(args))
     r = np.asarray(_float_list(args.r))
     rho = (fileio.load_state(args.state, model.context.dim) if args.state
-           else model.context.sigma.matrix)
-    result = run_ensemble(setup, rho, config, r, n_threads=max(1, args.threads))
+           else model.context.sigma)
+    result = run_ensemble(setup, rho, config, r, n_threads=args.threads)
     header = (["t"] + [f"r{i}" for i in range(setup.ell)]
               + [f"estimator_mean{i}" for i in range(setup.ell)]
               + [f"estimator_stderr{i}" for i in range(setup.ell)]
@@ -336,7 +336,7 @@ def _cmd_inequalities(args, argv) -> int:
     report: dict = {
         "dim": ctx.dim,
         "primitive": ctx.primitive,
-        "stationary_state": fileio.encode_complex_matrix(ctx.sigma.matrix),
+        "stationary_state": fileio.encode_complex_matrix(ctx.sigma),
     }
     symmetry = {}
     for kind in ("GNS", "KMS", "BKM"):
@@ -430,6 +430,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.threads < 1:
+            raise ValidationError(f"--threads must be at least 1, got {args.threads}")
         if args.verb == "model":
             return _cmd_model_new(args, argv)
         return HANDLERS[args.verb](args, argv)

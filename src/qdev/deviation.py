@@ -26,14 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DensityOperator,
     DimensionMismatchError,
     NumericalError,
-    SuperOperator,
     ValidationError,
     add_left_right_pair,
-    as_complex_matrix,
+    density_matrix,
     left_right_sum_matrix,
+    require_same_dim,
     top_eigenpair,
 )
 from .lindblad import (
@@ -140,17 +139,17 @@ def mean_vector(setup: MeasurementSetup) -> np.ndarray:
     return out
 
 
-def perturbed_generator(setup: MeasurementSetup, lam) -> SuperOperator:
-    """Superoperator of the tilted generator L_lam."""
+def perturbed_generator(setup: MeasurementSetup, lam) -> np.ndarray:
+    """The tilted generator L_lam as a new d^2 x d^2 Heisenberg matrix."""
     lam = _as_tilt(lam, setup.ell)
-    m = setup.ctx.heisenberg.matrix.copy()
+    m = setup.ctx.heisenberg.copy()
     for j, l in enumerate(setup.monitored):
         if setup.brownian[j]:
             add_left_right_pair(m, lam[j] * l.conj().T, lam[j] * l)
             m.reshape(-1)[::m.shape[0] + 1] += 0.5 * lam[j] ** 2
         else:
             m += left_right_sum_matrix([np.expm1(lam[j]) * l.conj().T], [l])
-    return SuperOperator(m)
+    return m
 
 
 class TiltedFamily:
@@ -509,10 +508,11 @@ class BoundReport:
         return self.prefactor * math.exp(-t * self.exponent)
 
 
-def l2_sigma_prefactor(sigma, rho) -> float:
-    """||Gamma_sigma^{-1}(rho)||_{L2(sigma)} = sqrt(Tr[rho s^{-1/2} rho s^{-1/2}])."""
-    st = sigma
-    rho = rho.matrix if isinstance(rho, DensityOperator) else as_complex_matrix(rho, "rho")
+def l2_sigma_prefactor(st, rho) -> float:
+    """||Gamma_sigma^{-1}(rho)||_{L2(sigma)} = sqrt(Tr[rho s^{-1/2} rho s^{-1/2}]),
+    a valid prefactor only for a state: rho is validated (density_matrix)."""
+    rho = density_matrix(rho, "rho")
+    require_same_dim(st.matrix, rho)
     inv_half = st.power(-0.5)
     return float(np.sqrt(np.trace(rho @ inv_half @ rho @ inv_half).real))
 
@@ -522,7 +522,8 @@ def main_bound(setup: MeasurementSetup, rho, r) -> BoundReport:
 
     exponent = sup_{lam >= 0} [lam.(m + r) - e(lam)], a concave maximization
     solved by projected Newton ascent (see _maximize_tilt); prefactor =
-    ||Gamma^{-1}(rho)||_{L2(sigma)}. The status is "unbounded" when the
+    ||Gamma^{-1}(rho)||_{L2(sigma)} (l2_sigma_prefactor, which refuses a
+    rho that is not a state). The status is "unbounded" when the
     supremum escapes the overflow guard, and "unconverged" when the
     stationarity residual exceeds RESIDUAL_RTOL * max(1, |m + r|).
     """

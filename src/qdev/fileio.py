@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .linalg import SuperOperator, ValidationError
+from .linalg import ValidationError
 from .lindblad import GeneratorContext, Lindbladian, context_from_channel, stationary_state
 
 
@@ -94,11 +94,20 @@ def _require(data: dict, field: str, where: str):
 
 
 def require_int(data: dict, field: str, where: str) -> int:
-    """A mandatory field converted to int; exit-1 validation error if it is not one."""
-    try:
-        return int(_require(data, field, where))
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"{where}: field '{field}' must be an integer") from None
+    """A mandatory integer field: an integer or an integral float (3 and 3.0
+    load as 3); a boolean or anything else is an exit-1 validation error."""
+    value = _require(data, field, where)
+    if type(value) is not int and not (type(value) is float and value.is_integer()):
+        raise ValidationError(f"{where}: field '{field}' must be an integer, got {value!r}")
+    return int(value)
+
+
+def _matrix_field(data: dict, field: str, where: str) -> np.ndarray:
+    """A mandatory square complex matrix in either spelling; errors name where:field."""
+    m = decode_complex_matrix(_require(data, field, where), f"{where}:{field}")
+    if m.shape[0] != m.shape[1]:
+        raise ValidationError(f"{where}:{field}: expected shape (n, n, 2), got {(*m.shape, 2)}")
+    return m
 
 
 def load_json(path):
@@ -182,14 +191,14 @@ def load_model(path) -> LoadedModel:
     return LoadedModel(ctx, template, str(path))
 
 
-def _read_model(path) -> tuple[Lindbladian | SuperOperator, str | None]:
-    """The generator data of a model file (a Lindbladian, or the channel of
-    a channel-difference model) and its template."""
+def _read_model(path) -> tuple[Lindbladian | np.ndarray, str | None]:
+    """The generator data of a model file (a Lindbladian, or the d^2 x d^2
+    channel matrix of a channel-difference model) and its template."""
     doc = load_object(path)
     kind = doc.get("kind", "lindblad")
     dim = require_int(doc, "dim", str(path))
     if kind == "lindblad":
-        h = decode_complex_matrix(_require(doc, "hamiltonian", str(path)), f"{path}:hamiltonian")
+        h = _matrix_field(doc, "hamiltonian", str(path))
         if h.shape[0] != dim:
             raise ValidationError(f"{path}: hamiltonian dim {h.shape[0]} != declared dim {dim}")
         jumps = _require(doc, "jumps", str(path))
@@ -204,10 +213,9 @@ def _read_model(path) -> tuple[Lindbladian | SuperOperator, str | None]:
             stack[i] = jump
         generator = Lindbladian(h, stack)
     elif kind == "channel_difference":
-        ch = decode_complex_matrix(_require(doc, "channel", str(path)), f"{path}:channel")
-        if ch.shape[0] != dim * dim:
+        generator = _matrix_field(doc, "channel", str(path))
+        if generator.shape[0] != dim * dim:
             raise ValidationError(f"{path}: channel matrix must be dim^2 x dim^2")
-        generator = SuperOperator(ch)
     else:
         raise ValidationError(f"{path}: unknown model kind {kind!r}")
     return generator, doc.get("template")
@@ -228,8 +236,7 @@ def load_lattice(path):
         support = _require(term, "support", where)
         if not isinstance(support, list) or not all(type(s) is int for s in support):
             raise ValidationError(f"{where}: support must be a list of site indices")
-        decoded.append((tuple(support), decode_complex_matrix(_require(term, "matrix", where),
-                                                              f"{where}:matrix")))
+        decoded.append((tuple(support), _matrix_field(term, "matrix", where)))
     try:
         beta = float(_require(doc, "beta", str(path)))
     except (TypeError, ValueError, OverflowError) as exc:
@@ -251,7 +258,7 @@ def load_setup(path, ctx: GeneratorContext):
 
 def load_state(path, dim: int) -> np.ndarray:
     doc = load_object(path)
-    rho = decode_complex_matrix(_require(doc, "rho", str(path)), f"{path}:rho")
+    rho = _matrix_field(doc, "rho", str(path))
     if rho.shape[0] != dim:
         raise ValidationError(f"{path}: state dim {rho.shape[0]} != model dim {dim}")
     return rho
@@ -266,19 +273,17 @@ def load_config(path, seed_override: int | None = None):
     unknown = sorted(set(doc) - {f.name for f in fields(TrajectoryConfig)})
     if unknown:
         raise ValidationError(f"{path}: unknown config key {unknown[0]!r}")
-    base_seed = seed_override if seed_override is not None else doc.get("base_seed")
-    if base_seed is None:
+    if seed_override is None and doc.get("base_seed") is None:
         raise ValidationError(f"{path}: base_seed is mandatory (or pass --seed / QDEV_SEED)")
+    base_seed = seed_override if seed_override is not None else require_int(doc, "base_seed", str(path))
+    n_paths = require_int(doc, "n_paths", str(path))
     checkpoints = doc.get("checkpoints")
     try:
         dt = float(_require(doc, "dt", str(path)))
         t_max = float(_require(doc, "t_max", str(path)))
-        n_paths = int(_require(doc, "n_paths", str(path)))
-        base_seed = int(base_seed)
         checkpoints = tuple(float(t) for t in checkpoints) if checkpoints else None
     except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"{path}: dt, t_max and checkpoints must be numbers, "
-                              f"n_paths and base_seed integers ({exc})") from None
+        raise ValidationError(f"{path}: dt, t_max and checkpoints must be numbers ({exc})") from None
     return TrajectoryConfig(dt=dt, t_max=t_max, n_paths=n_paths, base_seed=base_seed,
                             checkpoints=checkpoints)
 

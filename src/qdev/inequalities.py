@@ -23,6 +23,7 @@ from .linalg import (
     FaithfulState,
     NumericalError,
     ValidationError,
+    _as_state,
     as_complex_matrix,
     as_matrix_stack,
     hermitian_from_params,
@@ -31,6 +32,8 @@ from .linalg import (
     inner_product,
     require_hermitian,
     spectral_transform,
+    unvec,
+    vec,
 )
 from .lindblad import GeneratorContext, check_detailed_balance
 
@@ -145,7 +148,8 @@ def entropy_functional(kind: str, ctx: GeneratorContext, argument) -> float:
     if kind == "entropy_production":
         rho = _as_psd_state(a)
         log_sigma = _clipped_log(st.matrix)
-        lstar_rho = ctx.schrodinger.apply(rho)
+        # L*(rho) = H^dagger vec(rho), the conjugate of vec(rho)^dagger H.
+        lstar_rho = unvec((vec(rho).conj() @ ctx.heisenberg).conj(), st.dim)
         return float(-np.trace(lstar_rho @ (_clipped_log(rho) - log_sigma)).real)
     raise ValidationError(f"unknown entropy functional kind {kind!r}")
 
@@ -166,8 +170,7 @@ def _as_psd_state(a: np.ndarray) -> np.ndarray:
 def lsi_depolarizing(sigma) -> float:
     """Log-Sobolev constant of the depolarizing semigroup toward sigma:
     (1 - 2 s_min) / ln(1/s_min - 1), with the analytic limit 1/2 at s_min = 1/2."""
-    st = sigma if isinstance(sigma, FaithfulState) else FaithfulState(sigma)
-    s_min = float(st.eigenvalues[-1])
+    s_min = float(_as_state(sigma).eigenvalues[-1])
     if abs(s_min - 0.5) < 1e-9:
         return 0.5
     return (1.0 - 2.0 * s_min) / math.log(1.0 / s_min - 1.0)

@@ -4,18 +4,19 @@ modular-operator spectral calculus.
 Everything downstream (generators, tilted spectra, functional inequalities)
 is built on three ingredients collected here:
 
-  * validated wrappers for Hermitian operators, density operators and
-    faithful (full-rank) states, the latter carrying a cached
-    eigendecomposition so that arbitrary fractional powers are cheap;
+  * validated states (density_matrix) and faithful (full-rank) states,
+    the latter carrying a cached eigendecomposition so that arbitrary
+    fractional powers are cheap;
   * the GNS / KMS / BKM inner products, defined once by their Gram maps,
     which are diagonal in sigma's eigenbasis (gram_weights); inner
     products and weighted duals are entrywise scalings there;
   * powers Delta^p of the modular operator Delta: X -> sigma X sigma^{-1},
     applied entrywise in the eigenbasis.
 
-Superoperators are stored as dim^2 x dim^2 matrices in the column-stacking
-convention: vec(X)[j*dim + i] = X[i, j], so the matrix unit |i><j| maps to
-basis index j*dim + i and the map X -> A X B has matrix kron(B.T, A).
+Generators, channels and other superoperators are plain dim^2 x dim^2
+complex arrays in the column-stacking convention: vec(X)[j*dim + i] =
+X[i, j], so the matrix unit |i><j| maps to basis index j*dim + i and the
+map X -> A X B has matrix kron(B.T, A).
 
 A sum of such maps over k pairs (the jump part sum_j L_j* X L_j of a
 generator) is one matrix product, not k Kronecker products:
@@ -38,7 +39,6 @@ value is compared with one eigvalsh in either regime.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -129,11 +129,6 @@ def hermitianize(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(a) -> float:
-    a = np.asarray(a, dtype=complex)
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-
-
 def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndarray:
     """Check hermiticity in max norm and return the symmetrized matrix.
 
@@ -141,7 +136,7 @@ def require_hermitian(a, tol: float = HERM_TOL, name: str = "matrix") -> np.ndar
     eigendecomposition.
     """
     a = as_complex_matrix(a, name)
-    defect = hermiticity_defect(a)
+    defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if defect > tol:
         raise NotHermitianError(f"{name} deviates from Hermitian by {defect:.3e} > {tol:.1e}")
     return hermitian_part(a)
@@ -154,35 +149,24 @@ def require_same_dim(*mats) -> int:
     return dims.pop()
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Positive semidefinite, trace-one matrix.
-
-    Eigenvalues in [-PSD_TOL, 0) are clipped to zero on construction and the
+def density_matrix(a, name: str) -> np.ndarray:
+    """The state ``a`` as a validated density matrix: Hermitian within
+    HERM_TOL (then symmetrized), trace one within TRACE_TOL and positive
+    semidefinite. Eigenvalues in [-PSD_TOL, 0) are clipped to zero and the
     trace is renormalized afterwards; anything more negative is an error.
-    """
-
-    entries: np.ndarray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        m = require_hermitian(self.entries, name="DensityOperator")
-        tr = np.trace(m).real
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValidationError(f"density operator trace {tr!r} differs from 1 by more than {TRACE_TOL:.1e}")
-        w, v = np.linalg.eigh(m)
-        if w[0] < -PSD_TOL:
-            raise ValidationError(f"density operator has eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}")
-        if w[0] < 0.0:
-            w = np.clip(w, 0.0, None)
-            m = (v * w) @ v.conj().T
-            m = hermitian_part(m / np.trace(m).real)
-        object.__setattr__(self, "entries", m)
-        object.__setattr__(self, "dim", m.shape[0])
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.entries
+    Every entry point that takes a state calls this once."""
+    m = require_hermitian(a, name=name)
+    tr = float(np.trace(m).real)
+    if abs(tr - 1.0) > TRACE_TOL:
+        raise ValidationError(f"{name}: density operator trace {tr!r} differs from 1 by more than {TRACE_TOL:.1e}")
+    w, v = np.linalg.eigh(m)
+    if w[0] < -PSD_TOL:
+        raise ValidationError(f"{name}: density operator has eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}")
+    if w[0] < 0.0:
+        w = np.clip(w, 0.0, None)
+        m = (v * w) @ v.conj().T
+        m = hermitian_part(m / np.trace(m).real)
+    return m
 
 
 class FaithfulState:
@@ -196,10 +180,7 @@ class FaithfulState:
     """
 
     def __init__(self, rho):
-        if isinstance(rho, DensityOperator):
-            m = rho.matrix
-        else:
-            m = DensityOperator(np.asarray(rho, dtype=complex)).matrix
+        m = density_matrix(rho, "sigma")
         w, v = np.linalg.eigh(m)
         order = np.argsort(w)[::-1]
         w, v = w[order], v[:, order]
@@ -294,34 +275,6 @@ def add_left_right_pair(m: np.ndarray, left: np.ndarray, right: np.ndarray,
     on_diagonal = np.einsum("abab->ab", m4)
     on_diagonal += diagonal
     return m
-
-
-@dataclass(frozen=True, eq=False)
-class SuperOperator:
-    """A linear map on dim x dim matrices, stored as a dim^2 x dim^2 matrix."""
-
-    matrix: np.ndarray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DimensionMismatchError(f"superoperator matrix must be square, got {m.shape}")
-        d = int(round(np.sqrt(m.shape[0])))
-        if d * d != m.shape[0]:
-            raise DimensionMismatchError(f"superoperator size {m.shape[0]} is not a perfect square")
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dim", d)
-
-    def apply(self, x) -> np.ndarray:
-        x = as_complex_matrix(x)
-        if x.shape[0] != self.dim:
-            raise DimensionMismatchError(f"operand dim {x.shape[0]} != superoperator dim {self.dim}")
-        return unvec(self.matrix @ vec(x), self.dim)
-
-    def adjoint(self) -> "SuperOperator":
-        """Hilbert-Schmidt adjoint."""
-        return SuperOperator(self.matrix.conj().T)
 
 
 def rotate_superoperator(m: np.ndarray, u: np.ndarray) -> np.ndarray:

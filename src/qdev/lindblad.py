@@ -3,7 +3,8 @@ forms.
 
 A generator is held either in jump-operator form (Hamiltonian H plus jumps
 L_1..L_k, Heisenberg action i[H,X] + sum_j L_j* X L_j - {L_j* L_j, X}/2) or
-as a raw Heisenberg superoperator for channel-difference generators Psi - id.
+as a raw d^2 x d^2 Heisenberg matrix for channel-difference generators
+Psi - id; a stationary state is a plain d x d density matrix.
 The jumps are one (k, d, d) complex array, fixed at construction (k = 0
 allowed); every consumer works on that stack as it is.
 The GeneratorContext bundles the generator with its stationary state and the
@@ -15,21 +16,22 @@ eigenbasis, where every sigma-weighted Gram map is diagonal.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
-    DensityOperator,
+    DimensionMismatchError,
     FaithfulState,
     NotFaithfulError,
     NumericalError,
-    SuperOperator,
     ValidationError,
     add_left_right_pair,
     as_complex_matrix,
     as_matrix_stack,
+    density_matrix,
     dual_in_eigenbasis,
     gram_weights,
     hermitian_part,
@@ -37,6 +39,7 @@ from .linalg import (
     inner_product,
     left_right_sum_matrix,
     require_hermitian,
+    require_same_dim,
     rotate_superoperator,
     unvec,
     vec,
@@ -69,7 +72,7 @@ class Lindbladian:
         # is unital for every H and every set of jumps.
         self._kappa = sum((l.conj().T @ l for l in self.jumps), np.zeros((self.dim, self.dim), dtype=complex))
 
-    def heisenberg_superoperator(self) -> SuperOperator:
+    def heisenberg_superoperator(self) -> np.ndarray:
         """The d^2 x d^2 Heisenberg matrix of the generator, the one
         generator-sized array this returns.
 
@@ -89,22 +92,23 @@ class Lindbladian:
         hd, kd = h.diagonal(), kappa.diagonal()
         diagonal = 1j * (hd[None, :] - hd[:, None]) - 0.5 * (kd[None, :] + kd[:, None])
         add_left_right_pair(m, 1j * h - 0.5 * kappa, 1j * (-h) - 0.5 * kappa, diagonal)
-        return SuperOperator(m)
+        return m
 
 
 class GeneratorContext:
     """A generator together with its stationary state and weighted calculus.
 
-    The generator is held once, as the Heisenberg matrix ``heisenberg``
-    (``schrodinger`` is its adjoint, formed on access). The only other
-    d^2 x d^2 matrix it may hold is ``eigenbasis_generator``: computed on
-    first use, read-only while cached, and kept until
-    take_eigenbasis_generator hands it, writeable, to a caller that
-    overwrites it (TiltedFamily, spectral_gap). Each further take on the
-    same context rotates the generator again, at d^5. kms_hermitian_part
-    makes no new d^2 x d^2 matrix: it overwrites the one it is given.
-    ``faithful`` is None when the stationary state is rank deficient; every
-    sigma-weighted operation then refuses with NotFaithfulError.
+    The generator is held once, as the d^2 x d^2 Heisenberg matrix
+    ``heisenberg`` (L* is never formed), beside the d x d stationary state
+    ``sigma``. The only other d^2 x d^2 matrix it may hold is
+    ``eigenbasis_generator``: computed on first use, read-only while cached,
+    and kept until take_eigenbasis_generator hands it, writeable, to a
+    caller that overwrites it (TiltedFamily, spectral_gap). Each further
+    take on the same context rotates the generator again, at d^5.
+    kms_hermitian_part makes no new d^2 x d^2 matrix: it overwrites the one
+    it is given. ``faithful`` is None when the stationary state is rank
+    deficient; every sigma-weighted operation then refuses with
+    NotFaithfulError.
 
     The sigma-weighted calculus works in sigma's eigenbasis,
     sigma = U diag(s) U^dagger. A superoperator matrix M is rotated there as
@@ -121,7 +125,7 @@ class GeneratorContext:
     basis and has its spectrum.
     """
 
-    def __init__(self, heisenberg: SuperOperator, sigma: DensityOperator,
+    def __init__(self, heisenberg: np.ndarray, sigma: np.ndarray,
                  faithful: FaithfulState | None, primitive: bool, kernel_dim: int,
                  lindbladian: Lindbladian | None = None):
         self.heisenberg = heisenberg
@@ -130,12 +134,7 @@ class GeneratorContext:
         self.primitive = primitive
         self.kernel_dim = kernel_dim
         self.lindbladian = lindbladian
-        self.dim = heisenberg.dim
-
-    @property
-    def schrodinger(self) -> SuperOperator:
-        """The Hilbert-Schmidt adjoint L*, formed anew on each access."""
-        return self.heisenberg.adjoint()
+        self.dim = sigma.shape[0]
 
     def require_faithful(self) -> FaithfulState:
         if self.faithful is None:
@@ -151,7 +150,7 @@ class GeneratorContext:
     def scale(self) -> float:
         """The generator scale (_generator_scale) that the detailed-balance
         tolerance is relative to, computed on first use."""
-        return _generator_scale(self.heisenberg.matrix)
+        return _generator_scale(self.heisenberg)
 
     @cached_property
     def bohr(self) -> list[float] | None:
@@ -173,7 +172,7 @@ class GeneratorContext:
         """The Heisenberg matrix of the generator in sigma's eigenbasis.
         Read-only, so that no caller writes into the cache. A reference kept
         across take_eigenbasis_generator sees the taker overwrite it."""
-        m_e = self.to_eigenbasis(self.heisenberg.matrix)
+        m_e = self.to_eigenbasis(self.heisenberg)
         m_e.flags.writeable = False
         return m_e
 
@@ -183,7 +182,7 @@ class GeneratorContext:
         context (it is recomputed on next use), or a fresh rotation."""
         cached = self.__dict__.pop("eigenbasis_generator", None)
         if cached is None:
-            return self.to_eigenbasis(self.heisenberg.matrix)
+            return self.to_eigenbasis(self.heisenberg)
         cached.flags.writeable = True
         return cached
 
@@ -211,14 +210,18 @@ def stationary_state(lind: Lindbladian) -> GeneratorContext:
     return context_from_generator(lind.heisenberg_superoperator(), lindbladian=lind)
 
 
-def context_from_channel(channel: SuperOperator) -> GeneratorContext:
-    """Context for the channel-difference generator L = Psi - id.
+def stationary_residual(heis: np.ndarray, rho: np.ndarray) -> float:
+    """max |L*(rho)| for the Heisenberg matrix H of L, as the entrywise
+    max of |vec(rho)^dagger H| = |H^dagger vec(rho)|, without forming L*."""
+    return float(np.max(np.abs(vec(rho).conj() @ heis)))
 
-    ``channel`` is the Heisenberg (unital) superoperator Psi.
-    """
-    generator = channel.matrix.copy()
+
+def context_from_channel(channel) -> GeneratorContext:
+    """Context for the channel-difference generator L = Psi - id, given
+    the d^2 x d^2 Heisenberg matrix of the unital channel Psi (not modified)."""
+    generator = np.array(as_complex_matrix(channel, "channel"))
     generator.reshape(-1)[::generator.shape[0] + 1] -= 1.0
-    return context_from_generator(SuperOperator(generator))
+    return context_from_generator(generator)
 
 
 def _bordered_kernel(heis: np.ndarray, d: int, scale: float) -> np.ndarray | None:
@@ -284,8 +287,10 @@ def _svd_kernel(m: np.ndarray, d: int, scale: float) -> tuple[np.ndarray, int]:
     return unvec(proj @ vec(np.eye(d) / d), d), mult
 
 
-def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None = None) -> GeneratorContext:
-    """Context for a generator given as a Heisenberg superoperator.
+def context_from_generator(heis, lindbladian: Lindbladian | None = None) -> GeneratorContext:
+    """Context for a generator given as its d^2 x d^2 Heisenberg matrix H
+    (square, of perfect-square size; a complex H is kept as the context's
+    generator, not copied).
 
     The kernel of the Schrodinger matrix M = H^dagger comes from one LU
     inversion of the trace-bordered H + c t t^T, the adjoint of the bordered
@@ -298,10 +303,12 @@ def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None 
     (NotFaithfulError).
     Primitive means the kernel is simple and sigma has full rank.
     """
-    d = heis.dim
-    h = heis.matrix
+    h = as_complex_matrix(heis, "superoperator matrix")
+    d = math.isqrt(h.shape[0])
+    if d * d != h.shape[0]:
+        raise DimensionMismatchError(f"superoperator size {h.shape[0]} is not a perfect square")
     scale = _generator_scale(h)
-    unitality = np.max(np.abs(heis.apply(np.eye(d))))
+    unitality = np.max(np.abs(h @ vec(np.eye(d))))
     if unitality > UNITALITY_TOL * scale:
         raise ValidationError(f"generator is not unital: |L(id)| = {unitality:.3e}")
     cand, mult = _bordered_kernel(h, d, scale), 1
@@ -312,8 +319,7 @@ def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None 
     if abs(tr) < 1e-14:
         raise NumericalError("stationary candidate has vanishing trace")
     cand = cand / tr
-    # |M vec(sigma)| entrywise, as |vec(sigma)^dagger H|.
-    residual = np.max(np.abs(vec(cand).conj() @ h))
+    residual = stationary_residual(h, cand)
     if residual > STATIONARY_TOL * scale:
         raise NumericalError(f"stationary residual {residual:.3e} exceeds {STATIONARY_TOL * scale:.1e}")
     w, v = np.linalg.eigh(cand)
@@ -322,7 +328,7 @@ def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None 
     if w[0] < 0.0:
         cand = (v * np.clip(w, 0.0, None)) @ v.conj().T
         cand = hermitian_part(cand / np.trace(cand).real)
-    sigma = DensityOperator(cand)
+    sigma = density_matrix(cand, "stationary state")
     try:
         faithful = FaithfulState(sigma)
     except NotFaithfulError:
@@ -330,7 +336,7 @@ def context_from_generator(heis: SuperOperator, lindbladian: Lindbladian | None 
             raise NotFaithfulError("no faithful stationary state")
         faithful = None
     primitive = (mult == 1) and faithful is not None
-    return GeneratorContext(heis, sigma, faithful, primitive, mult, lindbladian=lindbladian)
+    return GeneratorContext(h, sigma, faithful, primitive, mult, lindbladian=lindbladian)
 
 
 # ---------------------------------------------------------------------------
@@ -393,5 +399,6 @@ def dirichlet_form(ctx: GeneratorContext, x) -> float:
     """Symmetrized Dirichlet form -Re <X, L(X)>_KMS."""
     st = ctx.require_faithful()
     x = as_complex_matrix(x, "X")
-    lx = ctx.heisenberg.apply(x)
+    require_same_dim(st.matrix, x)
+    lx = unvec(ctx.heisenberg @ vec(x), ctx.dim)
     return float(-inner_product("KMS", st, x, lx).real)

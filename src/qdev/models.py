@@ -15,8 +15,8 @@ import numpy as np
 
 from .linalg import (
     FaithfulState,
-    SuperOperator,
     ValidationError,
+    _as_state,
     dual_in_eigenbasis,
     hermitian_part,
     left_right_sum_matrix,
@@ -43,7 +43,7 @@ def depolarizing(sigma) -> Lindbladian:
     at the maximally mixed state. H = 0. A state of dimension above
     DIMENSION_GUARD is refused before any jump is built.
     """
-    st = sigma if isinstance(sigma, FaithfulState) else FaithfulState(sigma)
+    st = _as_state(sigma)
     d = require_depolarizing_dim(st.dim)
     u = st.eigenvectors
     jumps = u.T[:, None, :, None] * u.conj().T[None, :, None, :]   # (x, y, a, b): u[a, x] conj(u[b, y])
@@ -266,7 +266,7 @@ def heat_bath(h: CommutingHamiltonian) -> HeatBathModel:
     stack = kraus.reshape(-1, *kraus.shape[2:])
     gen = left_right_sum_matrix(stack.conj().transpose(0, 2, 1), stack)
     gen[np.diag_indices_from(gen)] -= n
-    ctx = context_from_generator(SuperOperator(gen))
+    ctx = context_from_generator(gen)
     return HeatBathModel(h, omega, kraus, ctx)
 
 
@@ -278,17 +278,18 @@ def heat_bath(h: CommutingHamiltonian) -> HeatBathModel:
 class CounterexampleChannels:
     """Two-channel family separating the KMS/BKM/GNS symmetry notions.
 
-    ``phi`` is the base channel built from rank-one Kraus pieces, ``psi`` its
-    KMS-symmetrized square (KMS- but not BKM-symmetric), ``psi_tilde`` the
-    BKM-twisted version (BKM- but not KMS-symmetric); both fix ``sigma``.
+    Each channel is its 4 x 4 Heisenberg matrix. ``phi`` is the base
+    channel built from rank-one Kraus pieces, ``psi`` its KMS-symmetrized
+    square (KMS- but not BKM-symmetric), ``psi_tilde`` the BKM-twisted
+    version (BKM- but not KMS-symmetric); both fix ``sigma``.
     ``p_channel`` is KMS- and BKM- but not GNS-symmetric.
     """
 
-    phi: SuperOperator
-    psi: SuperOperator
-    psi_tilde: SuperOperator
+    phi: np.ndarray
+    psi: np.ndarray
+    psi_tilde: np.ndarray
     sigma: FaithfulState
-    p_channel: SuperOperator
+    p_channel: np.ndarray
     p_sigma: FaithfulState
 
 
@@ -313,7 +314,7 @@ def counterexample_channels(v1, v2, p: float) -> CounterexampleChannels:
     if a * b < 1e-14 or abs(a + b - 1.0) < 1e-9 or abs(a - b) < 1e-9:
         raise ValidationError("vectors violate the constraints a+b != 1, ab != 0, a != b")
     kraus = np.array([np.outer(v1, u1), np.outer(v2, u2)], dtype=complex)
-    phi = SuperOperator(left_right_sum_matrix(kraus.conj().transpose(0, 2, 1), kraus))
+    phi = left_right_sum_matrix(kraus.conj().transpose(0, 2, 1), kraus)
     sigma_mat = (a * np.outer(v1, v1) + b * np.outer(v2, v2)) / (a + b)
     sigma = FaithfulState(sigma_mat.astype(complex))
     if abs(sigma.eigenvalues[0] - 0.5) < 1e-9:
@@ -321,17 +322,16 @@ def counterexample_channels(v1, v2, p: float) -> CounterexampleChannels:
     # psi = phi^KMS phi and psi_tilde = G_BKM^(-1) psi^dagger G_KMS, formed
     # in sigma's eigenbasis, where both Gram maps are diagonal.
     u = sigma.eigenvectors
-    phi_e = rotate_superoperator(phi.matrix.copy(), u)
+    phi_e = rotate_superoperator(phi.copy(), u)
     psi_e = dual_in_eigenbasis("KMS", "KMS", sigma, phi_e) @ phi_e
-    psi_tilde = SuperOperator(rotate_superoperator(dual_in_eigenbasis("BKM", "KMS", sigma, psi_e),
-                                                   u.conj().T))
-    psi = SuperOperator(rotate_superoperator(psi_e, u.conj().T))
+    psi_tilde = rotate_superoperator(dual_in_eigenbasis("BKM", "KMS", sigma, psi_e), u.conj().T)
+    psi = rotate_superoperator(psi_e, u.conj().T)
 
     if not 0.0 < p < 0.5:
         raise ValidationError("p must lie in (0, 1/2)")
     p_kraus = np.array([[[np.sqrt(p), 0.0], [0.0, np.sqrt(1 - p)]],
                         [[0.0, np.sqrt(p)], [np.sqrt(1 - p), 0.0]]], dtype=complex)
-    p_channel = SuperOperator(left_right_sum_matrix(p_kraus.conj().transpose(0, 2, 1), p_kraus))
+    p_channel = left_right_sum_matrix(p_kraus.conj().transpose(0, 2, 1), p_kraus)
     p_sigma = FaithfulState(np.diag([p, 1 - p]).astype(complex))
     return CounterexampleChannels(phi, psi, psi_tilde, sigma, p_channel, p_sigma)
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deviation import MeasurementSetup, mean_vector
-from .linalg import DensityOperator, NumericalError, ValidationError, as_complex_matrix, left_right_sum_matrix
+from .linalg import NumericalError, ValidationError, density_matrix, left_right_sum_matrix
 
 BLOCK_PATHS = 1024
 # Noise is drawn NOISE_CHUNK_STEPS steps at a time: 2**17 draws per channel
@@ -336,10 +336,7 @@ class _Engine:
 
 
 def _as_initial_state(rho0, dim: int) -> np.ndarray:
-    if isinstance(rho0, DensityOperator):
-        m = rho0.matrix
-    else:
-        m = DensityOperator(as_complex_matrix(rho0, "rho0")).matrix
+    m = density_matrix(rho0, "rho0")
     if m.shape[0] != dim:
         raise ValidationError(f"initial state dim {m.shape[0]} != generator dim {dim}")
     return m

@@ -8,7 +8,6 @@ from qdev.deviation import mean_vector
 from qdev.inequalities import LipschitzContext, spectral_gap
 from qdev.linalg import (
     FaithfulState,
-    SuperOperator,
     ValidationError,
     as_complex_matrix,
     dual_in_eigenbasis,
@@ -20,6 +19,7 @@ from qdev.linalg import (
     require_hermitian,
     rotate_superoperator,
     spectral_transform,
+    unvec,
     vec,
 )
 from qdev.lindblad import Lindbladian, dirichlet_form, stationary_state
@@ -77,14 +77,13 @@ def gram_superoperator(kind, st):
     over t in [0, 1] of X -> sigma^t X sigma^(1-t), by Gauss-Legendre
     quadrature, so it does not read the divided differences it checks."""
     if kind == "GNS":
-        return SuperOperator(left_right_matrix(np.eye(st.dim), st.matrix))
+        return left_right_matrix(np.eye(st.dim), st.matrix)
     if kind == "KMS":
         r = st.power(0.5)
-        return SuperOperator(left_right_matrix(r, r))
+        return left_right_matrix(r, r)
     nodes, weights = np.polynomial.legendre.leggauss(BKM_QUADRATURE_NODES)
-    g = sum(0.5 * w * left_right_matrix(st.power(t), st.power(1.0 - t))
-            for t, w in zip(0.5 * (nodes + 1.0), weights))
-    return SuperOperator(g)
+    return sum(0.5 * w * left_right_matrix(st.power(t), st.power(1.0 - t))
+               for t, w in zip(0.5 * (nodes + 1.0), weights))
 
 
 def kron_counterexample_channels(v1, v2, p):
@@ -99,9 +98,9 @@ def kron_counterexample_channels(v1, v2, p):
     k2 = np.outer(v2, [0.0, 1.0])
     phi = left_right_matrix(k1.T, k1) + left_right_matrix(k2.T, k2)
     sigma = FaithfulState((a * np.outer(v1, v1) + b * np.outer(v2, v2)) / (a + b))
-    kms = gram_superoperator("KMS", sigma).matrix
+    kms = gram_superoperator("KMS", sigma)
     psi = np.linalg.solve(kms, phi.conj().T @ kms) @ phi
-    psi_tilde = np.linalg.solve(gram_superoperator("BKM", sigma).matrix, psi.conj().T @ kms)
+    psi_tilde = np.linalg.solve(gram_superoperator("BKM", sigma), psi.conj().T @ kms)
     pk1 = np.diag([np.sqrt(p), np.sqrt(1 - p)])
     pk2 = np.array([[0.0, np.sqrt(p)], [np.sqrt(1 - p), 0.0]])
     p_channel = left_right_matrix(pk1.T, pk1) + left_right_matrix(pk2.T, pk2)
@@ -168,6 +167,13 @@ def schrodinger_action(lind, rho):
     return out
 
 
+def apply_superoperator(m, x):
+    """The image of the dim x dim matrix X under the superoperator whose
+    dim^2 x dim^2 matrix is M: unvec(M vec(X))."""
+    x = as_complex_matrix(x, "X")
+    return unvec(m @ vec(x), x.shape[0])
+
+
 def to_superoperator(mapping, dim):
     """Matrix of a map given as a callable on dim x dim matrices: column
     j*dim + i is the vectorized image of the matrix unit |i><j|."""
@@ -178,22 +184,21 @@ def to_superoperator(mapping, dim):
             unit[i, j] = 1.0
             m[:, j * dim + i] = vec(np.asarray(mapping(unit), dtype=complex))
             unit[i, j] = 0.0
-    return SuperOperator(m)
+    return m
 
 
 def dual_superoperator(kind, ctx, superop):
     """Adjoint G^(-1) S^dagger G of a superoperator for the inner product
     of the given kind, formed in sigma's eigenbasis and rotated back."""
     st = ctx.require_faithful()
-    dual = dual_in_eigenbasis(kind, kind, st, ctx.to_eigenbasis(superop.matrix))
-    return SuperOperator(rotate_superoperator(dual, st.eigenvectors.conj().T))
+    dual = dual_in_eigenbasis(kind, kind, st, ctx.to_eigenbasis(superop))
+    return rotate_superoperator(dual, st.eigenvectors.conj().T)
 
 
 def site_channels(model):
     """Heisenberg-picture Psi_v(X) = sum_K K^dagger X K of each site of a
     heat-bath model, from its Kraus stacks."""
-    return [SuperOperator(left_right_sum_matrix(k.conj().transpose(0, 2, 1), k))
-            for k in model.kraus]
+    return [left_right_sum_matrix(k.conj().transpose(0, 2, 1), k) for k in model.kraus]
 
 
 def f_statistics(setup, x):

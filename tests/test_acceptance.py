@@ -14,6 +14,7 @@ import scipy.linalg
 import scipy.stats
 
 from conftest import (
+    apply_superoperator,
     direct_variational_crosscheck,
     dual_superoperator,
     fisher_information,
@@ -191,7 +192,7 @@ def test_criterion_6_inequality_chain():
         for _ in range(100):
             rho = random_state(rng, d)
             info = fisher_information(ctx, rho)
-            w1 = w1_lower_bound(lip, rho, ctx.sigma.matrix)
+            w1 = w1_lower_bound(lip, rho, ctx.sigma)
             if w1 > math.sqrt(2 * c * info) + 1e-8:
                 violations += 1
             lhs, rhs, holds = verify_poincare_ti(ctx, rho)
@@ -209,7 +210,7 @@ def test_criterion_7_trajectory_physics():
     cfg = TrajectoryConfig(dt=1e-3, t_max=1.0, n_paths=10_000, base_seed=7070,
                            checkpoints=checkpoints)
     res = run_ensemble(setup, rho0, cfg, [-math.inf])
-    schro = ctx.schrodinger.matrix
+    schro = ctx.heisenberg.conj().T
     mean_ok = True
     worst_ratio = 0.0
     for i, t in enumerate(res.checkpoint_times):
@@ -239,7 +240,7 @@ def test_criterion_8_counterexample_classification():
             and check_detailed_balance("BKM", ctx_p).symmetric)
     gns_dual = dual_superoperator("GNS", ctx_p, fx.p_channel)
     x = np.array([1.0, -1.0])
-    witness = float(np.real(x @ gns_dual.apply(np.ones((2, 2), dtype=complex)) @ x))
+    witness = float(np.real(x @ apply_superoperator(gns_dual, np.ones((2, 2), dtype=complex)) @ x))
     report(8, kms <= 1e-10 and bkm > 1e-6 and bkm_t <= 1e-10 and kms_t > 1e-6
            and p_ok and witness <= 0.0,
            f"psi: KMS {kms:.1e}, BKM {bkm:.1e}; psi~: BKM {bkm_t:.1e}, KMS {kms_t:.1e}; "
@@ -273,22 +274,23 @@ def test_criterion_10_heat_bath_stationarity():
         ham = CommutingHamiltonian(2, 2, [((0, 1), zz)], beta=beta)
         model = heat_bath(ham)
         worst_residual = max(worst_residual,
-                             float(np.max(np.abs(model.context.schrodinger.apply(model.gibbs)))))
+                             float(np.max(np.abs(apply_superoperator(model.context.heisenberg.conj().T,
+                                                                     model.gibbs)))))
         for psi in site_channels(model):
-            cp_ok &= np.max(np.abs(psi.apply(np.eye(4)) - np.eye(4))) < 1e-10
+            cp_ok &= np.max(np.abs(apply_superoperator(psi, np.eye(4)) - np.eye(4))) < 1e-10
             choi = np.zeros((16, 16), dtype=complex)
             unit = np.zeros((4, 4), dtype=complex)
             for i in range(4):
                 for j in range(4):
                     unit[i, j] = 1.0
-                    image = (psi.matrix @ vec(unit)).reshape(4, 4, order="F")
+                    image = (psi @ vec(unit)).reshape(4, 4, order="F")
                     choi += np.kron(unit, image)
                     unit[i, j] = 0.0
             cp_ok &= np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0] > -1e-10
     beta0 = heat_bath(CommutingHamiltonian(2, 2, [((0, 1), zz)], beta=0.0))
     tensor = tensor_product([depolarizing(maximally_mixed(2))] * 2)
-    beta0_diff = float(np.max(np.abs(beta0.context.heisenberg.matrix
-                                     - tensor.heisenberg_superoperator().matrix)))
+    beta0_diff = float(np.max(np.abs(beta0.context.heisenberg
+                                     - tensor.heisenberg_superoperator())))
     report(10, worst_residual <= 1e-9 and cp_ok and beta0_diff <= 1e-10,
            f"max stationarity residual {worst_residual:.1e}, CP-unital {cp_ok}, "
            f"beta=0 vs tensor depolarizing {beta0_diff:.1e}")

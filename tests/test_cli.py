@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import apply_superoperator
 from qdev import cli, fileio
 from qdev.cli import main
 from qdev.linalg import ValidationError
@@ -59,7 +60,7 @@ class TestModelNew:
         model = fileio.load_model("depol.json")
         assert model.template == "depolarizing"
         assert model.context.primitive
-        assert np.allclose(model.context.sigma.matrix, np.eye(3) / 3, atol=1e-9)
+        assert np.allclose(model.context.sigma, np.eye(3) / 3, atol=1e-9)
         assert Path("depol.json.manifest.json").exists()
 
     def test_classical_template(self, workdir):
@@ -67,24 +68,25 @@ class TestModelNew:
         assert main(["model", "new", "--template", "classical",
                      "--rates-file", "rates.json", "-o", "chain.json"]) == 0
         model = fileio.load_model("chain.json")
-        assert np.allclose(np.diag(model.context.sigma.matrix).real,
+        assert np.allclose(np.diag(model.context.sigma).real,
                            [1 / 3, 2 / 3], atol=1e-9)
 
     def test_appendix_b_template(self, workdir):
         assert main(["model", "new", "--template", "appendix-b", "--which", "p-channel",
                      "--p", "0.3", "-o", "pchan.json"]) == 0
         model = fileio.load_model("pchan.json")
-        assert np.allclose(model.context.sigma.matrix, np.diag([0.3, 0.7]), atol=1e-9)
+        assert np.allclose(model.context.sigma, np.diag([0.3, 0.7]), atol=1e-9)
 
     def test_heat_bath_template(self, workdir):
         Path("lattice.json").write_text(json.dumps(LATTICE))
         assert main(["model", "new", "--template", "heat-bath",
                      "--lattice-file", "lattice.json", "-o", "hb.json"]) == 0
         model = fileio.load_model("hb.json")
-        residual = np.max(np.abs(model.context.schrodinger.apply(model.context.sigma.matrix)))
+        residual = np.max(np.abs(apply_superoperator(model.context.heisenberg.conj().T,
+                                                     model.context.sigma)))
         assert residual < 1e-9
-        direct = heat_bath(fileio.load_lattice("lattice.json")).context.heisenberg.matrix
-        assert np.max(np.abs(model.context.heisenberg.matrix - direct)) <= 1e-12
+        direct = heat_bath(fileio.load_lattice("lattice.json")).context.heisenberg
+        assert np.max(np.abs(model.context.heisenberg - direct)) <= 1e-12
 
     @pytest.mark.parametrize("lattice", [
         {k: v for k, v in LATTICE.items() if k != "terms"},
@@ -98,9 +100,11 @@ class TestModelNew:
         {**LATTICE, "local_dim": "two"},
         {**LATTICE, "beta": math.nan},
         {**LATTICE, "n_sites": 40},
+        {**LATTICE, "n_sites": 2.5},
+        {**LATTICE, "local_dim": 2.5},
     ], ids=["no-terms", "no-n_sites", "terms-object", "no-support", "no-matrix",
             "support-string", "support-repeated", "matrix-size", "local_dim-string",
-            "beta-nan", "beyond-guard"])
+            "beta-nan", "beyond-guard", "n_sites-fraction", "local_dim-fraction"])
     def test_malformed_lattice_rejected(self, workdir, capsys, lattice):
         Path("lattice.json").write_text(json.dumps(lattice))
         assert main(["model", "new", "--template", "heat-bath",
@@ -181,6 +185,26 @@ class TestBoundVerb:
         assert err["code"] == "validation" and "jumps[0]" in err["message"]
         assert not Path("bound.csv").exists()
 
+    @pytest.mark.parametrize("rho, message", [
+        (2 * np.eye(3) / 3, "trace 2.0 differs from 1"),
+        (np.array([[0.4, 0.3, 0.0], [0.0, 0.3, 0.0], [0.0, 0.0, 0.3]]), "deviates from Hermitian"),
+        (np.diag([0.6, 0.5, -0.1]), "eigenvalue -1.000e-01"),
+    ], ids=["trace-2", "non-hermitian", "negative-eigenvalue"])
+    def test_state_that_is_not_a_state_rejected(self, workdir, capsys, rho, message):
+        # The prefactor ||Gamma^(-1)(rho)|| bounds the tail only for a state.
+        assert main(["model", "new", "--template", "depolarizing", "--dim", "3",
+                     "-o", "qutrit.json"]) == 0
+        capsys.readouterr()
+        write_setup("setup.json", [[0.0, 1.0] + [0.0] * 7], 1)
+        Path("state.json").write_text(json.dumps({"dim": 3, "rho": fileio.encode_complex_matrix(rho)}))
+        code = main(["bound", "--model", "qutrit.json", "--setup", "setup.json", "--state", "state.json",
+                     "--r", "0.3", "--t", "1", "-o", "bound.csv"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and message in err["message"]
+        assert "np.float64" not in err["message"]
+        assert not Path("bound.csv").exists()
+
     def test_missing_model_file(self, workdir, capsys):
         code = main(["bound", "--model", "nope.json", "--setup", "nope.json",
                      "--r", "1", "--t", "1", "-o", "out.csv"])
@@ -259,7 +283,8 @@ class TestNonObjectJson:
 class TestMalformedFields:
     @pytest.mark.parametrize("name, field, value", [
         ("scalar.json", "dim", "x"), ("scalar.json", "jumps", 3), ("setup.json", "q", "one"),
-        ("setup.json", "directions", {"a": 1})])
+        ("setup.json", "directions", {"a": 1}), ("scalar.json", "dim", 1.5), ("setup.json", "q", 1.6),
+        ("setup.json", "q", True)])
     def test_model_and_setup_fields_rejected(self, scalar_model, capsys, name, field, value):
         doc = fileio.load_json(name)
         doc[field] = value
@@ -269,6 +294,18 @@ class TestMalformedFields:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "validation" and name in err["message"] and field in err["message"]
+
+    def test_integral_numbers_load_as_integers(self, scalar_model):
+        write_config("config.json", dt=1e-2, t_max=1.0, n_paths=3.0, base_seed=1.0)
+        write_setup("setup.json", [[1.0]], 1.0)
+        doc = fileio.load_json("scalar.json")
+        doc["dim"] = 1.0
+        Path("scalar.json").write_text(json.dumps(doc))
+        assert main(["simulate", "--model", "scalar.json", "--setup", "setup.json",
+                     "--config", "config.json", "--r", "0.5", "-o", "sim.csv"]) == 0
+        config = fileio.load_config("config.json")
+        assert (config.n_paths, config.base_seed) == (3, 1)
+        assert type(config.n_paths) is int and type(config.base_seed) is int
 
     def test_sigma_dim_rejected(self, workdir, capsys):
         rho = fileio.encode_complex_matrix(np.eye(2) / 2)
@@ -375,6 +412,17 @@ class TestSimulateVerb:
         a = Path("a.csv").read_bytes()
         assert a == Path("b.csv").read_bytes() == Path("c.csv").read_bytes()
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_rejected(self, scalar_model, capsys, threads):
+        write_config("config.json", dt=1e-2, t_max=1.0, n_paths=3, base_seed=1)
+        code = main(["--threads", threads, "simulate", "--model", "scalar.json", "--setup",
+                     "setup.json", "--config", "config.json", "--r", "0.5", "-o", "sim.csv"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation"
+        assert f"--threads must be at least 1, got {threads}" in err["message"]
+        assert not Path("sim.csv").exists()
+
     def test_paths_dump(self, scalar_model, monkeypatch):
         # two-path blocks, so that --threads 4 really splits the ensemble
         monkeypatch.setattr("qdev.trajectories.BLOCK_PATHS", 2)
@@ -409,7 +457,8 @@ class TestSimulateVerb:
         assert not Path("sim.csv").exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("n_paths", math.nan), ("dt", "abc"), ("t_max", None), ("base_seed", "x")])
+        ("n_paths", math.nan), ("dt", "abc"), ("t_max", None), ("base_seed", "x"),
+        ("n_paths", 64.9), ("n_paths", True), ("base_seed", 7.5)])
     def test_unconvertible_config_rejected(self, scalar_model, capsys, field, value):
         config = {"dt": 1e-2, "t_max": 1.0, "n_paths": 3, "base_seed": 1, field: value}
         write_config("config.json", **config)
@@ -641,6 +690,16 @@ class TestComplexMatrixFormat:
     def test_shape_rejected(self):
         with pytest.raises(ValidationError):
             fileio.decode_complex_matrix([[1.0, 2.0]])
+
+    def test_non_square_channel_names_field(self, workdir, capsys):
+        channel = np.zeros((4, 5, 2)).tolist()
+        Path("ch.json").write_text(json.dumps({"kind": "channel_difference", "dim": 2,
+                                               "channel": channel}))
+        assert main(["inequalities", "--model", "ch.json", "-o", "report"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "ch.json:channel" in err["message"]
+        assert "(4, 5, 2)" in err["message"]
+        assert not Path("report.json").exists()
 
     @pytest.mark.parametrize("d", [1, 3])
     def test_model_file_compact_and_bit_exact(self, d, rng, workdir):

@@ -134,15 +134,15 @@ class TestFStatistics:
 
 class TestPerturbedGenerator:
     def test_zero_tilt_is_generator(self, mixed_setup):
-        m = perturbed_generator(mixed_setup, [0.0, 0.0]).matrix
-        assert np.max(np.abs(m - mixed_setup.ctx.heisenberg.matrix)) <= 1e-14
+        m = perturbed_generator(mixed_setup, [0.0, 0.0])
+        assert np.max(np.abs(m - mixed_setup.ctx.heisenberg)) <= 1e-14
 
     def test_scalar_brownian_form(self):
         c = 0.3 + 0.2j
         ctx = stationary_state(scalar_lindblad(c))
         setup = MeasurementSetup(ctx, [[1.0]], q=1)
         lam = 0.8
-        value = perturbed_generator(setup, [lam]).matrix[0, 0]
+        value = perturbed_generator(setup, [lam])[0, 0]
         assert value == pytest.approx(lam * 2 * c.real + lam**2 / 2, abs=1e-13)
 
     def test_scalar_poisson_form(self):
@@ -150,7 +150,7 @@ class TestPerturbedGenerator:
         ctx = stationary_state(scalar_lindblad(c))
         setup = MeasurementSetup(ctx, [[1.0]], q=0)
         lam = 0.8
-        value = perturbed_generator(setup, [lam]).matrix[0, 0]
+        value = perturbed_generator(setup, [lam])[0, 0]
         assert value == pytest.approx(math.expm1(lam) * abs(c) ** 2, abs=1e-13)
 
     def test_completely_positive_decomposition(self, mixed_setup):
@@ -169,7 +169,7 @@ class TestPerturbedGenerator:
         kappa = sum(l.conj().T @ l for l in lind.jumps)
         expected = (psi - 0.5 * lam[0] ** 2 * np.eye(d * d)
                     - 0.5 * (left_right_matrix(kappa, eye) + left_right_matrix(eye, kappa)))
-        assert np.max(np.abs(perturbed_generator(setup, lam).matrix - expected)) < 1e-12
+        assert np.max(np.abs(perturbed_generator(setup, lam) - expected)) < 1e-12
         # complete positivity of the CP piece: Choi eigenvalues >= ~0
         choi = np.zeros((d * d, d * d), dtype=complex)
         unit = np.zeros((d, d), dtype=complex)
@@ -397,7 +397,7 @@ class TestTiltedFamilySpectrum:
         st = setup.ctx.faithful
         for lam in ([0.0] * setup.ell, [0.4, -0.3, 0.2][:setup.ell], [-1.1, 0.8, -2.0][:setup.ell]):
             lam = np.array(lam)
-            dense = dense_kms_conjugated(st, perturbed_generator(setup, lam).matrix)
+            dense = dense_kms_conjugated(st, perturbed_generator(setup, lam))
             reference = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
             ours = np.linalg.eigvalsh(family.matrix(lam))
             assert np.max(np.abs(ours - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
@@ -439,7 +439,7 @@ class TestMatrixFreeFamily:
         family = TiltedFamily(setup)
         st = setup.ctx.faithful
         for lam in TILTS:
-            dense = dense_kms_conjugated(st, perturbed_generator(setup, lam).matrix)
+            dense = dense_kms_conjugated(st, perturbed_generator(setup, lam))
             reference = superoperator_in_basis(0.5 * (dense + dense.conj().T), st.eigenvectors)
             assert np.max(np.abs(family.matrix(lam) - reference)) <= 1e-13 * d * np.max(np.abs(reference))
 

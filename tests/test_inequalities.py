@@ -66,7 +66,7 @@ class TestEntropyFunctionals:
         assert entropy_functional("variance", qubit_depolarizing, np.eye(2)) == pytest.approx(0.0, abs=1e-12)
 
     def test_relative_entropy_at_sigma(self, qubit_depolarizing):
-        sigma = qubit_depolarizing.sigma.matrix
+        sigma = qubit_depolarizing.sigma
         assert entropy_functional("relative_entropy", qubit_depolarizing, sigma) == pytest.approx(0.0, abs=1e-10)
 
     def test_relative_entropy_pure_vs_mixed(self, qubit_depolarizing):
@@ -222,7 +222,7 @@ class TestConcentrationBounds:
 
 class TestPoincareTI:
     def test_stationary_state_trivial(self, qubit_depolarizing):
-        lhs, rhs, holds = verify_poincare_ti(qubit_depolarizing, qubit_depolarizing.sigma.matrix)
+        lhs, rhs, holds = verify_poincare_ti(qubit_depolarizing, qubit_depolarizing.sigma)
         assert holds and lhs <= 1e-10
 
     def test_pure_state_on_qubit(self, qubit_depolarizing):
@@ -289,7 +289,7 @@ class TestW1LowerBound:
             c = ti_from_lsi(lsi_depolarizing(maximally_mixed(d)))
             for _ in range(20):
                 rho = random_state(rng, d)
-                w1 = w1_lower_bound(lip, rho, ctx.sigma.matrix)
+                w1 = w1_lower_bound(lip, rho, ctx.sigma)
                 assert w1 <= math.sqrt(2 * c * fisher_information(ctx, rho)) + 1e-8
 
 

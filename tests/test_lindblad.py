@@ -4,6 +4,7 @@ import pytest
 from conftest import (
     SZ,
     aligned_thermal_qubit,
+    apply_superoperator,
     dense_kms_conjugated,
     dual_superoperator,
     fisher_information,
@@ -23,7 +24,6 @@ from qdev.linalg import (
     DimensionMismatchError,
     FaithfulState,
     NotFaithfulError,
-    SuperOperator,
     hermitian_part,
     inner_product,
     left_right_sum_matrix,
@@ -98,7 +98,7 @@ class TestGeneratorAction:
         lind = random_lindblad(rng, 3, 2)
         s = lind.heisenberg_superoperator()
         x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        assert np.allclose(s.apply(x), heisenberg_action(lind, x), atol=1e-12)
+        assert np.allclose(apply_superoperator(s, x), heisenberg_action(lind, x), atol=1e-12)
 
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     @pytest.mark.parametrize("k", ["none", "one", "d^2"])
@@ -108,8 +108,8 @@ class TestGeneratorAction:
         jumps = [(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) / d
                  for _ in range(n_jumps)]
         lind = Lindbladian(h, jumps)
-        reference = to_superoperator(lambda x: heisenberg_action(lind, x), d).matrix
-        assert np.max(np.abs(lind.heisenberg_superoperator().matrix - reference)) <= 1e-13
+        reference = to_superoperator(lambda x: heisenberg_action(lind, x), d)
+        assert np.max(np.abs(lind.heisenberg_superoperator() - reference)) <= 1e-13
 
 
 def kron_heisenberg_matrix(lind):
@@ -130,19 +130,19 @@ class TestInPlaceAssembly:
     @pytest.mark.parametrize("k", [0, 1, 3])
     def test_equals_kron_formula(self, d, k, rng):
         lind = random_lindblad(rng, d, k)
-        assert np.array_equal(lind.heisenberg_superoperator().matrix, kron_heisenberg_matrix(lind))
+        assert np.array_equal(lind.heisenberg_superoperator(), kron_heisenberg_matrix(lind))
 
     def test_equals_kron_formula_for_noncommuting_jumps(self):
         jumps = [lower_jump(3), lower_jump(3).T, np.diag([1.0, -1.0, 0.5]).astype(complex)]
         assert np.linalg.norm(jumps[0] @ jumps[1] - jumps[1] @ jumps[0]) > 0.5
         h = np.array([[0.3, 0.5 - 0.2j, 0.0], [0.5 + 0.2j, -1.2, 0.1j], [0.0, -0.1j, 2.0]])
         lind = Lindbladian(h, jumps)
-        assert np.array_equal(lind.heisenberg_superoperator().matrix, kron_heisenberg_matrix(lind))
+        assert np.array_equal(lind.heisenberg_superoperator(), kron_heisenberg_matrix(lind))
 
     def test_no_jumps_is_the_commutator(self, rng):
         h = random_hermitian(rng, 4)
         lind = Lindbladian(h, [])
-        m = lind.heisenberg_superoperator().matrix
+        m = lind.heisenberg_superoperator()
         assert np.array_equal(m, kron_heisenberg_matrix(lind))
         assert np.array_equal(m.diagonal(), (1j * (np.diag(h)[None, :] - np.diag(h)[:, None])).ravel())
 
@@ -151,14 +151,14 @@ class TestStationaryState:
     def test_depolarizing_recovers_target(self, rng):
         st = random_faithful(rng, 3)
         ctx = stationary_state(depolarizing(st))
-        assert np.max(np.abs(ctx.sigma.matrix - st.matrix)) < 1e-9
+        assert np.max(np.abs(ctx.sigma - st.matrix)) < 1e-9
         assert ctx.primitive
 
     def test_amplitude_damping_not_faithful(self):
         jump = np.zeros((2, 2), dtype=complex)
         jump[0, 1] = 1.0
         ctx = stationary_state(Lindbladian(np.zeros((2, 2)), [jump]))
-        assert np.allclose(ctx.sigma.matrix, np.diag([1.0, 0.0]), atol=1e-9)
+        assert np.allclose(ctx.sigma, np.diag([1.0, 0.0]), atol=1e-9)
         assert not ctx.primitive
         assert ctx.faithful is None
         with pytest.raises(NotFaithfulError):
@@ -171,18 +171,14 @@ class TestStationaryState:
         np.fill_diagonal(q, -q.sum(axis=1))
         chain = ClassicalChain(q)
         ctx = stationary_state(classical_embedding(chain))
-        assert np.max(np.abs(ctx.sigma.matrix - np.diag(chain.stationary))) < 1e-9
-
-    def test_schrodinger_is_heisenberg_adjoint(self, rng):
-        ctx = stationary_state(random_lindblad(rng, 3, 2))
-        assert np.array_equal(ctx.schrodinger.matrix, ctx.heisenberg.matrix.conj().T)
+        assert np.max(np.abs(ctx.sigma - np.diag(chain.stationary))) < 1e-9
 
     def test_dephasing_degenerate_kernel(self):
         # every diagonal state is stationary: the ergodic projection of the
         # maximally mixed state is itself, and the kernel is not simple
         ctx = stationary_state(Lindbladian(np.zeros((3, 3)), [np.diag([0.0, 1.0, 3.0])]))
         assert ctx.kernel_dim == 3
-        assert np.max(np.abs(ctx.sigma.matrix - np.eye(3) / 3)) < 1e-12
+        assert np.max(np.abs(ctx.sigma - np.eye(3) / 3)) < 1e-12
         assert ctx.faithful is not None
         assert not ctx.primitive
 
@@ -191,7 +187,7 @@ def svd_stationary(lind):
     """Kernel of the Schrodinger matrix by a full SVD: the last right
     singular vector normalized to trace one, and the number of singular
     values at or below KERNEL_REL_TOL * scale."""
-    m = lind.heisenberg_superoperator().matrix.conj().T
+    m = lind.heisenberg_superoperator().conj().T
     scale = max(1.0, float(np.max(np.abs(m))))
     _, s, vh = np.linalg.svd(m)
     sigma = hermitian_part(unvec(vh[-1].conj(), lind.dim))
@@ -223,7 +219,7 @@ class TestStationarySolve:
         reference, mult = svd_stationary(lind)
         ctx = stationary_state(lind)
         assert mult == 1 and ctx.kernel_dim == 1
-        assert np.max(np.abs(ctx.sigma.matrix - reference)) < 1e-12
+        assert np.max(np.abs(ctx.sigma - reference)) < 1e-12
 
     @pytest.fixture()
     def svd_calls(self, monkeypatch):
@@ -258,11 +254,11 @@ class TestStationarySolve:
         """sigma of s L is sigma of L: the unitality and stationarity checks
         are relative to the generator scale."""
         lind = random_lindblad(np.random.default_rng(41), 3, 3)
-        reference = stationary_state(lind).sigma.matrix
+        reference = stationary_state(lind).sigma
         scaled = stationary_state(Lindbladian(s * lind.hamiltonian, np.sqrt(s) * lind.jumps))
-        raw = context_from_generator(SuperOperator(s * lind.heisenberg_superoperator().matrix))
+        raw = context_from_generator(s * lind.heisenberg_superoperator())
         for ctx in (scaled, raw):
-            assert np.max(np.abs(ctx.sigma.matrix - reference)) <= 1e-9
+            assert np.max(np.abs(ctx.sigma - reference)) <= 1e-9
 
 
 class TestBorderedKernel:
@@ -273,7 +269,7 @@ class TestBorderedKernel:
     def generator(d):
         """A Heisenberg matrix, its scale, and whether undoing the border by
         subtraction would leave a trace (so the tests can tell)."""
-        h = random_lindblad(np.random.default_rng(40 + d), d, 2).heisenberg_superoperator().matrix
+        h = random_lindblad(np.random.default_rng(40 + d), d, 2).heisenberg_superoperator()
         scale = max(1.0, float(np.max(np.abs(h))))
         border = np.ix_(*(np.flatnonzero(np.eye(d).reshape(-1, order="F")),) * 2)
         assert not np.array_equal((h[border] + scale / d) - scale / d, h[border])
@@ -315,26 +311,26 @@ class TestEigenbasisCalculus:
         rng = np.random.default_rng(300 + ctx.dim)
         n = ctx.dim ** 2
         s = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        g = gram_superoperator(kind, ctx.faithful).matrix
+        g = gram_superoperator(kind, ctx.faithful)
         reference = np.linalg.solve(g, s.conj().T @ g)
-        dual = dual_superoperator(kind, ctx, SuperOperator(s)).matrix
+        dual = dual_superoperator(kind, ctx, s)
         assert np.max(np.abs(dual - reference)) < 1e-10 * max(1.0, np.max(np.abs(reference)))
 
     def test_kms_hermitian_part_spectrum_matches_dense(self, ctx):
         rng = np.random.default_rng(400 + ctx.dim)
         lind = random_lindblad(rng, ctx.dim, 2)
-        m = lind.heisenberg_superoperator().matrix
+        m = lind.heisenberg_superoperator()
         reference = np.linalg.eigvalsh(hermitian_part(dense_kms_conjugated(ctx.faithful, m)))
         ours = np.linalg.eigvalsh(ctx.kms_hermitian_part(ctx.to_eigenbasis(m)))
         assert np.max(np.abs(ours - reference)) < 1e-12 * max(1.0, np.max(np.abs(reference)))
         generator = np.linalg.eigvalsh(
-            hermitian_part(dense_kms_conjugated(ctx.faithful, ctx.heisenberg.matrix)))
+            hermitian_part(dense_kms_conjugated(ctx.faithful, ctx.heisenberg)))
         ours = np.linalg.eigvalsh(ctx.kms_hermitian_part(ctx.eigenbasis_generator.copy()))
         assert np.max(np.abs(ours - generator)) < 1e-12
 
     def test_cached_generator_is_read_only_until_taken(self, ctx):
         cached = ctx.eigenbasis_generator
-        reference = ctx.to_eigenbasis(ctx.heisenberg.matrix)
+        reference = ctx.to_eigenbasis(ctx.heisenberg)
         with pytest.raises(ValueError):
             cached *= 2.0
         with pytest.raises(ValueError):
@@ -351,38 +347,38 @@ class TestEigenbasisCalculus:
         rng = np.random.default_rng(500)
         lind = random_lindblad(rng, 3, 2)
         ctx = stationary_state(lind)
-        g = gram_superoperator(kind, ctx.faithful).matrix
-        m = ctx.heisenberg.matrix
+        g = gram_superoperator(kind, ctx.faithful)
+        m = ctx.heisenberg
         reference = np.max(np.abs(m - np.linalg.solve(g, m.conj().T @ g)))
         assert check_detailed_balance(kind, ctx).deviation == pytest.approx(reference, rel=1e-10)
 
 
 class TestDuals:
     def test_dual_of_identity(self, qubit_depolarizing):
-        eye = SuperOperator(np.eye(4, dtype=complex))
+        eye = np.eye(4, dtype=complex)
         for kind in ("GNS", "KMS", "BKM"):
             dual = dual_superoperator(kind, qubit_depolarizing, eye)
-            assert np.allclose(dual.matrix, np.eye(4), atol=1e-12)
+            assert np.allclose(dual, np.eye(4), atol=1e-12)
 
     def test_kms_dual_commuting_conjugation(self, rng):
         st = FaithfulState(np.diag([0.7, 0.3]).astype(complex))
         ctx = stationary_state(depolarizing(st))
         a = np.diag([1.4, -0.3]).astype(complex)   # Hermitian, commutes with sigma
-        s = SuperOperator(left_right_matrix(a, a.conj().T))
+        s = left_right_matrix(a, a.conj().T)
         dual = dual_superoperator("KMS", ctx, s)
-        assert np.max(np.abs(dual.matrix - s.matrix)) < 1e-11
+        assert np.max(np.abs(dual - s)) < 1e-11
 
     @pytest.mark.parametrize("kind", ["GNS", "KMS", "BKM"])
     def test_dual_pairing(self, kind, rng, qutrit_depolarizing):
         ctx = qutrit_depolarizing
         st = ctx.faithful
-        s = SuperOperator(rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+        s = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
         dual = dual_superoperator(kind, ctx, s)
         for _ in range(10):
             x = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
             y = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-            lhs = inner_product(kind, st, x, s.apply(y))
-            rhs = inner_product(kind, st, dual.apply(x), y)
+            lhs = inner_product(kind, st, x, apply_superoperator(s, y))
+            rhs = inner_product(kind, st, apply_superoperator(dual, x), y)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 
 
@@ -489,7 +485,7 @@ class TestCanonicalHamiltonian:
         # KMS-symmetric generator fixing sigma
         assembled = Lindbladian(h, [jump])
         ctx = stationary_state(assembled)
-        assert np.max(np.abs(ctx.sigma.matrix - sigma)) < 1e-9
+        assert np.max(np.abs(ctx.sigma - sigma)) < 1e-9
         assert check_detailed_balance("KMS", ctx).symmetric
 
     def test_alignment_violation_rejected(self, rng):
@@ -516,7 +512,7 @@ class TestDirichletAndFisher:
 
     def test_fisher_information_vanishes_at_sigma(self, qutrit_depolarizing):
         ctx = qutrit_depolarizing
-        assert fisher_information(ctx, ctx.sigma.matrix) == pytest.approx(0.0, abs=1e-10)
+        assert fisher_information(ctx, ctx.sigma) == pytest.approx(0.0, abs=1e-10)
 
     def test_nonnegative_for_kms_symmetric(self, rng, qubit_depolarizing):
         for _ in range(100):
@@ -539,8 +535,8 @@ class TestDirichletAndFisher:
 
 def heisenberg_difference(l1, l2):
     """Max-norm of the difference of two generators' Heisenberg matrices."""
-    m1 = l1.heisenberg_superoperator().matrix
-    return float(np.max(np.abs(m1 - l2.heisenberg_superoperator().matrix)))
+    m1 = l1.heisenberg_superoperator()
+    return float(np.max(np.abs(m1 - l2.heisenberg_superoperator())))
 
 
 class TestGaugeEquivalence:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    apply_superoperator,
     dual_superoperator,
     heisenberg_action,
     kron_counterexample_channels,
@@ -50,7 +51,7 @@ class TestDepolarizing:
     def test_closed_form_generator(self, rng):
         st = random_faithful(rng, 3)
         lind = depolarizing(st)
-        heis = lind.heisenberg_superoperator().matrix
+        heis = lind.heisenberg_superoperator()
         # X -> Tr[sigma X] id - X as a matrix: outer(vec(id), vec(sigma^T)) - I
         closed = np.outer(vec(np.eye(3)), vec(st.matrix.T)) - np.eye(9)
         assert np.max(np.abs(heis - closed)) < 1e-12
@@ -58,7 +59,7 @@ class TestDepolarizing:
     def test_general_sigma_stationary_and_gns(self, rng):
         st = random_faithful(rng, 2)
         ctx = stationary_state(depolarizing(st))
-        assert np.max(np.abs(ctx.sigma.matrix - st.matrix)) < 1e-9
+        assert np.max(np.abs(ctx.sigma - st.matrix)) < 1e-9
         assert check_detailed_balance("GNS", ctx).symmetric
 
     def test_dirichlet_is_variance(self, rng):
@@ -105,13 +106,13 @@ class TestTensorProduct:
     def test_two_qubit_depolarizing(self):
         lind = tensor_product([depolarizing(maximally_mixed(2))] * 2)
         ctx = stationary_state(lind)
-        assert np.max(np.abs(ctx.sigma.matrix - np.eye(4) / 4)) < 1e-9
+        assert np.max(np.abs(ctx.sigma - np.eye(4) / 4)) < 1e-9
 
     def test_single_factor_unchanged(self, rng):
         base = depolarizing(random_faithful(rng, 2))
         wrapped = tensor_product([base])
-        assert np.max(np.abs(base.heisenberg_superoperator().matrix
-                             - wrapped.heisenberg_superoperator().matrix)) < 1e-14
+        assert np.max(np.abs(base.heisenberg_superoperator()
+                             - wrapped.heisenberg_superoperator())) < 1e-14
 
     def test_bohr_frequencies_union(self):
         st = FaithfulState(np.diag([0.8, 0.2]).astype(complex))
@@ -176,31 +177,31 @@ class TestHeatBath:
         model = heat_bath(self.ising(0.0))
         assert np.max(np.abs(model.gibbs - np.eye(4) / 4)) < 1e-12
         rho = random_state(np.random.default_rng(0), 4)
-        out = site_channels(model)[0].adjoint().apply(rho)
+        out = apply_superoperator(site_channels(model)[0].conj().T, rho)
         expected = np.kron(np.eye(2) / 2, _ptrace_site0(rho))
         assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_beta_zero_matches_tensor_depolarizing(self):
         model = heat_bath(self.ising(0.0))
         tensor = tensor_product([depolarizing(maximally_mixed(2))] * 2)
-        diff = model.context.heisenberg.matrix - tensor.heisenberg_superoperator().matrix
+        diff = model.context.heisenberg - tensor.heisenberg_superoperator()
         assert np.max(np.abs(diff)) < 1e-10
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_stationarity_and_cp_unitality(self, beta):
         model = heat_bath(self.ising(beta))
-        residual = np.max(np.abs(model.context.schrodinger.apply(model.gibbs)))
+        residual = np.max(np.abs(apply_superoperator(model.context.heisenberg.conj().T, model.gibbs)))
         assert residual < 1e-9
         for psi in site_channels(model):
-            assert np.max(np.abs(psi.apply(np.eye(4)) - np.eye(4))) < 1e-10
-            choi = choi_matrix(psi.matrix, 4)
+            assert np.max(np.abs(apply_superoperator(psi, np.eye(4)) - np.eye(4))) < 1e-10
+            choi = choi_matrix(psi, 4)
             assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0] > -1e-10
 
     def test_single_site_reduces_to_depolarizing(self):
         h = CommutingHamiltonian(1, 2, [((0,), np.diag([1.0, -1.0]))], beta=0.7)
         model = heat_bath(h)
         target = depolarizing(FaithfulState(model.gibbs))
-        diff = model.context.heisenberg.matrix - target.heisenberg_superoperator().matrix
+        diff = model.context.heisenberg - target.heisenberg_superoperator()
         assert np.max(np.abs(diff)) < 1e-10
 
     def test_noncommuting_terms_rejected(self):
@@ -222,9 +223,9 @@ class TestHeatBath:
         model = heat_bath(h)
         reference = _unit_by_unit_heat_bath(h)
         for psi, ref in zip(site_channels(model), reference):
-            assert np.max(np.abs(psi.matrix - ref)) <= 1e-12
+            assert np.max(np.abs(psi - ref)) <= 1e-12
         eye = np.eye(4 ** n_sites)
-        assert np.max(np.abs(model.context.heisenberg.matrix - sum(ref - eye for ref in reference))) <= 1e-12
+        assert np.max(np.abs(model.context.heisenberg - sum(ref - eye for ref in reference))) <= 1e-12
 
 
 def _ptrace_site0(rho):
@@ -271,21 +272,21 @@ class TestAppendixB:
         fx = counterexample_channels(v1, v2, p)
         ours = (fx.phi, fx.psi, fx.psi_tilde, fx.p_channel)
         for channel, reference in zip(ours, kron_counterexample_channels(v1, v2, p)):
-            assert np.max(np.abs(channel.matrix - reference)) <= 1e-13
+            assert np.max(np.abs(channel - reference)) <= 1e-13
 
     def test_sigma_closed_form_is_invariant(self):
         fx = appendix_b_fixtures()
-        phi_star = fx.phi.adjoint()
-        assert np.max(np.abs(phi_star.apply(fx.sigma.matrix) - fx.sigma.matrix)) < 1e-12
+        phi_star = fx.phi.conj().T
+        assert np.max(np.abs(apply_superoperator(phi_star, fx.sigma.matrix) - fx.sigma.matrix)) < 1e-12
         # channel-difference generator finds the same state
         ctx = context_from_channel(fx.psi)
-        assert np.max(np.abs(ctx.sigma.matrix - fx.sigma.matrix)) < 1e-9
+        assert np.max(np.abs(ctx.sigma - fx.sigma.matrix)) < 1e-9
 
     def test_psi_unital_cp(self):
         fx = appendix_b_fixtures()
         for channel in (fx.psi, fx.psi_tilde):
-            assert np.max(np.abs(channel.apply(np.eye(2)) - np.eye(2))) < 1e-12
-            choi = choi_matrix(channel.matrix, 2)
+            assert np.max(np.abs(apply_superoperator(channel, np.eye(2)) - np.eye(2))) < 1e-12
+            choi = choi_matrix(channel, 2)
             assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0] > -1e-10
 
     def test_classification(self):
@@ -301,19 +302,19 @@ class TestAppendixB:
         fx = appendix_b_fixtures()
         for channel in (fx.psi, fx.psi_tilde):
             ctx = context_from_channel(channel)
-            assert np.max(np.abs(ctx.sigma.matrix - fx.sigma.matrix)) < 1e-9
+            assert np.max(np.abs(ctx.sigma - fx.sigma.matrix)) < 1e-9
 
     def test_p_channel_classification_and_gns_witness(self):
         fx = appendix_b_fixtures(p=0.3)
         ctx = context_from_channel(fx.p_channel)
-        assert np.allclose(ctx.sigma.matrix, np.diag([0.3, 0.7]), atol=1e-10)
+        assert np.allclose(ctx.sigma, np.diag([0.3, 0.7]), atol=1e-10)
         assert check_detailed_balance("KMS", ctx).symmetric
         assert check_detailed_balance("BKM", ctx).symmetric
         # GNS dual applied to the all-ones matrix fails positivity
         gns_dual = dual_superoperator("GNS", ctx, fx.p_channel)
         ones = np.ones((2, 2), dtype=complex)
         x = np.array([1.0, -1.0])
-        value = float(np.real(x @ gns_dual.apply(ones) @ x))
+        value = float(np.real(x @ apply_superoperator(gns_dual, ones) @ x))
         assert value <= 0.0
 
     def test_parameter_constraints(self):
@@ -339,4 +340,4 @@ class TestConstructorContracts:
             rho = random_state(rng, lind.dim)
             assert abs(np.trace(schrodinger_action(lind, rho))) < 1e-12
             ctx = stationary_state(lind)
-            assert np.max(np.abs(schrodinger_action(lind, ctx.sigma.matrix))) < 1e-9
+            assert np.max(np.abs(schrodinger_action(lind, ctx.sigma))) < 1e-9

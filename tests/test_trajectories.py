@@ -70,7 +70,7 @@ class TestPositivityByConstruction:
         cfg = TrajectoryConfig(dt=1e-3, t_max=2.0, n_paths=64, base_seed=4,
                                checkpoints=tuple(np.arange(1, 11) * 0.2))
         engine = _Engine(qutrit_setup, cfg, False)
-        rho0 = qutrit_setup.ctx.sigma.matrix
+        rho0 = qutrit_setup.ctx.sigma
         est, states, _, invalid, fails = engine.step_block(rho0, list(range(64)), [0] * 64)
         assert not invalid.any() and not fails.any()
         assert est[:, -1, 1:].sum() > 0      # counts fired, so jumps were applied
@@ -100,8 +100,8 @@ class TestPositivityByConstruction:
         setup = MeasurementSetup(ctx, [[1.0]], q=q)
         cfg = TrajectoryConfig(dt=1e-2, t_max=2.0, n_paths=50, base_seed=6, checkpoints=(1.0, 2.0))
         idx = list(range(50))
-        filt = _Engine(setup, cfg, False).step_block(ctx.sigma.matrix, idx, [0] * 50)
-        lin = _Engine(setup, cfg, True).step_block(ctx.sigma.matrix, idx, [0] * 50)
+        filt = _Engine(setup, cfg, False).step_block(ctx.sigma, idx, [0] * 50)
+        lin = _Engine(setup, cfg, True).step_block(ctx.sigma, idx, [0] * 50)
         assert np.array_equal(filt[0], lin[0])
         assert np.all(lin[2] == 1.0) and not lin[3].any()
 
@@ -113,10 +113,10 @@ class TestPositivityByConstruction:
         setup = MeasurementSetup(ctx, [[1.0]], q=q)
         n = 4000
         cfg = TrajectoryConfig(dt=1e-3, t_max=1.0, n_paths=n, base_seed=12)
-        est, _, z, _, _ = _Engine(setup, cfg, True).step_block(ctx.sigma.matrix, list(range(n)), [0] * n)
+        est, _, z, _, _ = _Engine(setup, cfg, True).step_block(ctx.sigma, list(range(n)), [0] * n)
         weighted = z[:, 0] * est[:, 0, 0]
         exact = 2 * c if q else c * c
-        filt = _Engine(setup, cfg, False).step_block(ctx.sigma.matrix, list(range(n, 2 * n)),
+        filt = _Engine(setup, cfg, False).step_block(ctx.sigma, list(range(n, 2 * n)),
                                                      [0] * n)[0][:, 0, 0]
         se = math.hypot(weighted.std() / math.sqrt(n), filt.std() / math.sqrt(n))
         assert abs(weighted.mean() - filt.mean()) <= 4 * se
@@ -244,7 +244,7 @@ class TestEnsemblePhysics:
         cfg = TrajectoryConfig(dt=1e-3, t_max=1.0, n_paths=3000, base_seed=77,
                                checkpoints=(0.25, 0.5, 1.0))
         res = run_ensemble(qubit_setup, rho0, cfg, [-math.inf])
-        schro = qubit_setup.ctx.schrodinger.matrix
+        schro = qubit_setup.ctx.heisenberg.conj().T
         for i, t in enumerate(res.checkpoint_times):
             target = (scipy.linalg.expm(t * schro) @ vec(rho0)).reshape(2, 2, order="F")
             diff = res.mean_states[i] - target
