@@ -11,11 +11,15 @@ exceeds the memory the system reports available.
 
 Printed, one JSON line per n, each value the median over --repeats runs:
 
-- "heat_bath_s": wall time of `models.heat_bath`, the context solve included;
+- "heat_bath_s": wall time of `stationary_state(models.heat_bath(h))`:
+  the jumps, the generator's assembly and the context solve;
 - "rss_rise_mb": how far that call raised the child's peak RSS
   (`resource.getrusage`), so imports and the lattice are left out;
 - "peak_rss_mb": the child's peak RSS;
-- "runs": every run's [heat_bath_s, rss_rise_mb, peak_rss_mb].
+- "model_file_mb": the size of the file `model new --template heat-bath`
+  writes for the lattice (`fileio.save_model` of the jump form), written
+  after the timed call to a temporary directory;
+- "runs": every run's [heat_bath_s, rss_rise_mb, peak_rss_mb, model_file_mb].
 """
 
 from __future__ import annotations
@@ -26,11 +30,13 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
-from qdev import models
+from qdev import fileio, lindblad, models
 
 BETA = 0.5
 SIZE_FACTOR = 12
@@ -49,10 +55,15 @@ def one(n: int) -> list[float]:
     ham = chain(n)
     before = peak_rss_mb()
     t0 = time.perf_counter()
-    models.heat_bath(ham)
+    lind = models.heat_bath(ham)
+    lindblad.stationary_state(lind)
     elapsed = time.perf_counter() - t0
     after = peak_rss_mb()
-    return [elapsed, after - before, after]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.json"
+        fileio.save_model(path, hamiltonian=lind.hamiltonian, jumps=lind.jumps, template="heat-bath")
+        size_mb = path.stat().st_size / 2**20
+    return [elapsed, after - before, after, size_mb]
 
 
 def main():
@@ -84,7 +95,7 @@ def main():
             runs.append(json.loads(done.stdout))
         else:
             out = {"n_sites": n, "D": d}
-            for i, key in enumerate(("heat_bath_s", "rss_rise_mb", "peak_rss_mb")):
+            for i, key in enumerate(("heat_bath_s", "rss_rise_mb", "peak_rss_mb", "model_file_mb")):
                 out[key] = statistics.median(run[i] for run in runs)
             out["runs"] = runs
             print(json.dumps(out), flush=True)

@@ -105,8 +105,7 @@ def run_paper_fixtures() -> list[Result]:
 
     # Heat-bath stationarity at beta = 0.5 for the two-qubit Ising chain.
     ham = CommutingHamiltonian(2, 2, [((0, 1), np.diag([1.0, -1.0, -1.0, 1.0]))], beta=0.5)
-    model = heat_bath(ham)
-    residual = stationary_residual(model.context.heisenberg, model.gibbs)
+    residual = stationary_residual(heat_bath(ham).heisenberg_superoperator(), ham.gibbs_state())
     results.append(("heat-bath stationarity", residual <= 1e-9, f"residual {residual:.2e}"))
 
     # Tensorization bracket for two qutrit depolarizing factors.

@@ -28,7 +28,6 @@ from .inequalities import (
     concentration_bound,
     functional_constants,
     lipschitz_norm,
-    lsi_depolarizing,
     tilde_observable,
 )
 from .linalg import NumericalError, QdevError, ValidationError
@@ -185,15 +184,12 @@ def _cmd_model_new(args, argv) -> int:
     elif template == "heat-bath":
         if not args.lattice_file:
             raise ValidationError("heat-bath template needs --lattice-file")
-        model = heat_bath(fileio.load_lattice(args.lattice_file))
-        # The unital channel whose difference with the identity is the generator.
-        channel = model.context.heisenberg + np.eye(model.context.dim ** 2)
-        fileio.save_model(args.output, channel=channel, template="heat-bath")
+        lind = heat_bath(fileio.load_lattice(args.lattice_file))
     elif template == "appendix-b":
         fx = appendix_b_fixtures(p=args.p)
         which = {"psi": fx.psi, "psi-tilde": fx.psi_tilde, "p-channel": fx.p_channel}[args.which]
         fileio.save_model(args.output, channel=which, template=f"appendix-b:{args.which}")
-    if template in ("depolarizing", "classical", "tensor"):
+    if template != "appendix-b":
         fileio.save_model(args.output, hamiltonian=lind.hamiltonian, jumps=lind.jumps, template=template)
     fileio.write_manifest(args.output, argv, _existing_inputs(args), {"template": template})
     return 0
@@ -343,8 +339,7 @@ def _cmd_inequalities(args, argv) -> int:
         sym = check_detailed_balance(kind, ctx)
         symmetry[kind] = {"symmetric": sym.symmetric, "deviation": sym.deviation}
     report["symmetry"] = symmetry
-    consts = (functional_constants(ctx, lsi_depolarizing(ctx.require_faithful()))
-              if model.template == "depolarizing" else functional_constants(ctx))
+    consts = functional_constants(ctx)
     report.update((k, v) for k, v in dataclasses.asdict(consts).items() if v is not None)
     if ctx.lindbladian is not None:
         report["bohr_frequencies"] = ctx.bohr

@@ -26,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .linalg import ValidationError
+from .linalg import ValidationError, density_matrix
 from .lindblad import GeneratorContext, Lindbladian, context_from_channel, stationary_state
 
 
@@ -175,7 +175,6 @@ def save_model(path, *, hamiltonian=None, jumps=None, channel=None, template: st
 class LoadedModel:
     context: GeneratorContext
     template: str | None
-    path: str
 
 
 def load_model(path) -> LoadedModel:
@@ -188,7 +187,7 @@ def load_model(path) -> LoadedModel:
         ctx = stationary_state(generator)
     else:
         ctx = context_from_channel(generator)
-    return LoadedModel(ctx, template, str(path))
+    return LoadedModel(ctx, template)
 
 
 def _read_model(path) -> tuple[Lindbladian | np.ndarray, str | None]:
@@ -257,11 +256,13 @@ def load_setup(path, ctx: GeneratorContext):
 
 
 def load_state(path, dim: int) -> np.ndarray:
+    """The state of a state file, validated as a density matrix; errors
+    name path:rho."""
     doc = load_object(path)
     rho = _matrix_field(doc, "rho", str(path))
     if rho.shape[0] != dim:
         raise ValidationError(f"{path}: state dim {rho.shape[0]} != model dim {dim}")
-    return rho
+    return density_matrix(rho, f"{path}:rho")
 
 
 def load_config(path, seed_override: int | None = None):

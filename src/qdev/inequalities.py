@@ -26,6 +26,7 @@ from .linalg import (
     _as_state,
     as_complex_matrix,
     as_matrix_stack,
+    density_matrix,
     hermitian_from_params,
     hermitian_part,
     hermitian_to_params,
@@ -35,7 +36,7 @@ from .linalg import (
     unvec,
     vec,
 )
-from .lindblad import GeneratorContext, check_detailed_balance
+from .lindblad import SYMMETRY_REL_TOL, GeneratorContext, check_detailed_balance
 
 # Largest concentrate constant, and the reciprocal of the smallest positive one:
 # within these no square, product or quotient of a display leaves the float range.
@@ -59,7 +60,8 @@ class FunctionalConstants:
     transportation-information constant ti_from_lsi(alpha_2).
 
     The gap is always computed; alpha_2 comes from a closed form
-    (lsi_depolarizing), as lsi_provenance and ti_provenance record.
+    (lsi_depolarizing, for depolarizing generators), as lsi_provenance and
+    ti_provenance record.
     """
 
     spectral_gap: float
@@ -99,9 +101,29 @@ def spectral_gap(ctx: GeneratorContext) -> float:
     return max(gap, 0.0)
 
 
-def functional_constants(ctx: GeneratorContext, lsi_alpha2: float | None = None) -> FunctionalConstants:
-    """Assemble constants for a context; the TI constant follows from alpha_2."""
-    return FunctionalConstants(spectral_gap(ctx), lsi_alpha2)
+def functional_constants(ctx: GeneratorContext) -> FunctionalConstants:
+    """The spectral gap of a context, with alpha_2 = lsi_depolarizing(sigma)
+    (and the TI constant that follows) exactly when the generator is the
+    depolarizing one toward its stationary state sigma (_is_depolarizing)."""
+    gap = spectral_gap(ctx)
+    return FunctionalConstants(gap, lsi_depolarizing(ctx.faithful) if _is_depolarizing(ctx) else None)
+
+
+def _is_depolarizing(ctx: GeneratorContext) -> bool:
+    """Whether d >= 2 and the generator is X -> Tr[sigma X] id - X: its
+    Heisenberg matrix H has H + 1 = vec(id) vec(sigma^T)^T within
+    SYMMETRY_REL_TOL * ctx.scale. Compared d rows at a time, so each
+    temporary holds d^3 entries."""
+    d = ctx.dim
+    if d < 2:
+        return False
+    ones, row = vec(np.eye(d)), vec(ctx.sigma.T)
+    for start in range(0, d * d, d):
+        block = ctx.heisenberg[start:start + d] - np.outer(ones[start:start + d], row)
+        block[np.arange(d), np.arange(start, start + d)] += 1.0
+        if np.max(np.abs(block)) > SYMMETRY_REL_TOL * ctx.scale:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +142,8 @@ def entropy_functional(kind: str, ctx: GeneratorContext, argument) -> float:
     """Variance, L2 entropy, relative entropy, or entropy production.
 
     variance/ent2 take an observable X (ent2 requires X >= 0); the entropy
-    kinds take a state rho. All values are real; sigma must be faithful so
-    the relative entropy is always finite.
+    kinds take a state rho, which density_matrix validates. All values are
+    real; sigma must be faithful so the relative entropy is always finite.
     """
     st = ctx.require_faithful()
     a = as_complex_matrix(argument, "argument")
@@ -142,25 +164,16 @@ def entropy_functional(kind: str, ctx: GeneratorContext, argument) -> float:
         value = np.trace(rho_like @ (log_rho - log_sigma)).real - norm2 * math.log(norm2)
         return float(value)
     if kind == "relative_entropy":
-        rho = _as_psd_state(a)
+        rho = density_matrix(a, "rho")
         log_sigma = _clipped_log(st.matrix)
         return float(np.trace(rho @ (_clipped_log(rho) - log_sigma)).real)
     if kind == "entropy_production":
-        rho = _as_psd_state(a)
+        rho = density_matrix(a, "rho")
         log_sigma = _clipped_log(st.matrix)
         # L*(rho) = H^dagger vec(rho), the conjugate of vec(rho)^dagger H.
         lstar_rho = unvec((vec(rho).conj() @ ctx.heisenberg).conj(), st.dim)
         return float(-np.trace(lstar_rho @ (_clipped_log(rho) - log_sigma)).real)
     raise ValidationError(f"unknown entropy functional kind {kind!r}")
-
-
-def _as_psd_state(a: np.ndarray) -> np.ndarray:
-    rho = require_hermitian(a, tol=1e-8, name="rho")
-    w, v = np.linalg.eigh(rho)
-    if w[0] < -1e-8:
-        raise ValidationError(f"state has eigenvalue {w[0]:.3e}")
-    rho = (v * np.clip(w, 0.0, None)) @ v.conj().T
-    return rho / np.trace(rho).real
 
 
 # ---------------------------------------------------------------------------

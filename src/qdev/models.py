@@ -3,8 +3,11 @@ semigroups, classical-chain embeddings, tensor products, heat-bath Gibbs
 samplers for commuting Hamiltonians, and the two-channel counterexample
 family distinguishing the detailed-balance notions.
 
-_on_sites places every operator on sites of a tensor product. A heat-bath
-sampler holds its Kraus operators and one d^2 x d^2 matrix, its generator.
+Every completely positive template (depolarizing, classical, tensor
+product, heat-bath) is a Lindbladian in jump form, so
+Lindbladian.heisenberg_superoperator is the one assembly of all of them;
+only the counterexample channels are d^2 x d^2 Heisenberg matrices.
+_on_sites places every operator on sites of a tensor product.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .linalg import (
     require_hermitian,
     rotate_superoperator,
 )
-from .lindblad import GeneratorContext, Lindbladian, context_from_generator
+from .lindblad import Lindbladian
 
 # Largest Hilbert-space dimension of a tensor product or heat-bath lattice.
 DIMENSION_GUARD = 64
@@ -219,36 +222,24 @@ class CommutingHamiltonian:
         return hermitian_part(omega / np.trace(omega).real)
 
 
-@dataclass(frozen=True, eq=False)
-class HeatBathModel:
-    """Channel-difference Gibbs sampler sum_v (Psi_v - id).
-
-    ``kraus[v]`` stacks site v's d^2 Kraus operators K, Psi_v*(rho) =
-    sum_K K rho K^dagger. The generator is held once, in ``context``.
-    """
-
-    hamiltonian: CommutingHamiltonian
-    gibbs: np.ndarray
-    kraus: np.ndarray
-    context: GeneratorContext
-
-
 def _partial_trace(rho: np.ndarray, site: int, n: int, d: int) -> np.ndarray:
     t = rho.reshape([d] * (2 * n))
     t = np.trace(t, axis1=site, axis2=n + site)
     return t.reshape(d ** (n - 1), d ** (n - 1))
 
 
-def heat_bath(h: CommutingHamiltonian) -> HeatBathModel:
-    """Heat-bath generator: per site, partial trace followed by the recovery map.
+def heat_bath(h: CommutingHamiltonian) -> Lindbladian:
+    """Heat-bath generator sum_v (Psi_v - id) in jump form, with H = 0.
 
-    Schrodinger action of each channel:
-    Psi_v*(rho) = omega^(1/2) omega_vc^(-1/2) (Tr_v[rho] (x) I_v) omega_vc^(-1/2) omega^(1/2),
-    with omega the Gibbs state; the generator is sum_v (Psi_v - id).
-    Tr_v[rho] (x) I_v = sum_ab E_ab rho E_ba over the matrix units E_ab at
-    site v, so the Kraus operators of Psi_v* are left_v E_ab with
-    left_v = omega^(1/2) (omega_vc^(-1/2) (x) I_v). The Heisenberg matrix of
-    sum_v Psi_v comes from one left_right_sum_matrix over all n d^2 of them.
+    Per site, Psi_v* is the partial trace followed by the recovery map:
+    Psi_v*(rho) = omega^(1/2) A_v (Tr_v[rho] (x) I_v) A_v omega^(1/2), with
+    omega the Gibbs state (h.gibbs_state()) and A_v = omega_vc^(-1/2) (x) I_v.
+    As Tr_v[rho] (x) I_v = sum_ab E_ab rho E_ba over the matrix units E_ab at
+    site v, its Kraus operators are K = omega^(1/2) A_v E_ab: the jumps, site
+    v's d^2 at rows v d^2 to (v + 1) d^2 - 1 of one (n d^2, D, D) stack. Per
+    site sum_K K^dagger K = sum_ab E_ba A_v omega A_v E_ab = Tr_v[A_v omega A_v] (x) I_v
+    = omega_vc^(-1/2) Tr_v[omega] omega_vc^(-1/2) (x) I_v = 1, so
+    sum_v Psi_v(X) - n X = sum_K K^dagger X K - {sum_K K^dagger K, X}/2.
     """
     n, d = h.n_sites, h.local_dim
     dims = [d] * n
@@ -256,18 +247,14 @@ def heat_bath(h: CommutingHamiltonian) -> HeatBathModel:
     w, v = np.linalg.eigh(omega)
     sqrt_omega = (v * np.sqrt(np.clip(w, 0, None))) @ v.conj().T
     units = np.eye(d * d, dtype=complex).reshape(d * d, d, d)
-    kraus = np.empty((n, d * d, d ** n, d ** n), dtype=complex)
+    jumps = np.empty((n, d * d, d ** n, d ** n), dtype=complex)
     for site in range(n):
         omega_vc = _partial_trace(omega, site, n, d)
         wc, vc = np.linalg.eigh(omega_vc)
         inv_sqrt_vc = (vc * (1.0 / np.sqrt(wc))) @ vc.conj().T
         left = sqrt_omega @ _on_sites(inv_sqrt_vc, [s for s in range(n) if s != site], dims)
-        kraus[site] = left @ _on_sites(units, (site,), dims)
-    stack = kraus.reshape(-1, *kraus.shape[2:])
-    gen = left_right_sum_matrix(stack.conj().transpose(0, 2, 1), stack)
-    gen[np.diag_indices_from(gen)] -= n
-    ctx = context_from_generator(gen)
-    return HeatBathModel(h, omega, kraus, ctx)
+        jumps[site] = left @ _on_sites(units, (site,), dims)
+    return Lindbladian(np.zeros((d ** n, d ** n)), jumps.reshape(-1, d ** n, d ** n))
 
 
 # ---------------------------------------------------------------------------

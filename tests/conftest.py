@@ -195,10 +195,11 @@ def dual_superoperator(kind, ctx, superop):
     return rotate_superoperator(dual, st.eigenvectors.conj().T)
 
 
-def site_channels(model):
-    """Heisenberg-picture Psi_v(X) = sum_K K^dagger X K of each site of a
-    heat-bath model, from its Kraus stacks."""
-    return [left_right_sum_matrix(k.conj().transpose(0, 2, 1), k) for k in model.kraus]
+def site_channels(lind, n_sites):
+    """Heisenberg-picture Psi_v(X) = sum_K K^dagger X K of each site of an
+    n_sites heat-bath generator, from its site-major jump stack."""
+    per_site = lind.jumps.reshape(n_sites, -1, lind.dim, lind.dim)
+    return [left_right_sum_matrix(k.conj().transpose(0, 2, 1), k) for k in per_site]
 
 
 def f_statistics(setup, x):

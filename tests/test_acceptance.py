@@ -272,11 +272,11 @@ def test_criterion_10_heat_bath_stationarity():
     cp_ok = True
     for beta in (0.0, 0.5, 1.0):
         ham = CommutingHamiltonian(2, 2, [((0, 1), zz)], beta=beta)
-        model = heat_bath(ham)
+        lind = heat_bath(ham)
         worst_residual = max(worst_residual,
-                             float(np.max(np.abs(apply_superoperator(model.context.heisenberg.conj().T,
-                                                                     model.gibbs)))))
-        for psi in site_channels(model):
+                             float(np.max(np.abs(apply_superoperator(stationary_state(lind).heisenberg.conj().T,
+                                                                     ham.gibbs_state())))))
+        for psi in site_channels(lind, 2):
             cp_ok &= np.max(np.abs(apply_superoperator(psi, np.eye(4)) - np.eye(4))) < 1e-10
             choi = np.zeros((16, 16), dtype=complex)
             unit = np.zeros((4, 4), dtype=complex)
@@ -287,9 +287,9 @@ def test_criterion_10_heat_bath_stationarity():
                     choi += np.kron(unit, image)
                     unit[i, j] = 0.0
             cp_ok &= np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0] > -1e-10
-    beta0 = heat_bath(CommutingHamiltonian(2, 2, [((0, 1), zz)], beta=0.0))
+    beta0 = stationary_state(heat_bath(CommutingHamiltonian(2, 2, [((0, 1), zz)], beta=0.0)))
     tensor = tensor_product([depolarizing(maximally_mixed(2))] * 2)
-    beta0_diff = float(np.max(np.abs(beta0.context.heisenberg
+    beta0_diff = float(np.max(np.abs(beta0.heisenberg
                                      - tensor.heisenberg_superoperator())))
     report(10, worst_residual <= 1e-9 and cp_ok and beta0_diff <= 1e-10,
            f"max stationarity residual {worst_residual:.1e}, CP-unital {cp_ok}, "

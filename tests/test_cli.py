@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import apply_superoperator
+from conftest import apply_superoperator, site_channels
 from qdev import cli, fileio
 from qdev.cli import main
 from qdev.linalg import ValidationError
@@ -85,8 +85,40 @@ class TestModelNew:
         residual = np.max(np.abs(apply_superoperator(model.context.heisenberg.conj().T,
                                                      model.context.sigma)))
         assert residual < 1e-9
-        direct = heat_bath(fileio.load_lattice("lattice.json")).context.heisenberg
+        direct = heat_bath(fileio.load_lattice("lattice.json")).heisenberg_superoperator()
         assert np.max(np.abs(model.context.heisenberg - direct)) <= 1e-12
+        assert fileio.load_json("hb.json")["kind"] == "lindblad"
+
+    def test_heat_bath_channel_difference_file_still_loads(self, workdir):
+        # The earlier spelling of a heat-bath model: the unital channel
+        # sum_v Psi_v - (n - 1) id, whose difference with id is the generator.
+        Path("lattice.json").write_text(json.dumps(LATTICE))
+        lind = heat_bath(fileio.load_lattice("lattice.json"))
+        channel = sum(site_channels(lind, 2)) - np.eye(16)
+        fileio.save_model("old.json", channel=channel, template="heat-bath")
+        old = fileio.load_model("old.json").context
+        assert np.max(np.abs(old.heisenberg - lind.heisenberg_superoperator())) <= 1e-12
+
+    def test_heat_bath_model_reaches_every_verb(self, workdir):
+        Path("lattice.json").write_text(json.dumps(LATTICE))
+        assert main(["model", "new", "--template", "heat-bath",
+                     "--lattice-file", "lattice.json", "-o", "hb.json"]) == 0
+        # Jump 1 of site 0 against jump 2, so the Brownian mean is zero.
+        direction = [0.0] * 8
+        direction[1] = direction[2] = 1.0 / math.sqrt(2.0)
+        write_setup("setup.json", [direction], 1)
+        write_config("config.json", dt=1e-2, t_max=0.5, n_paths=50, base_seed=3)
+        assert main(["bound", "--model", "hb.json", "--setup", "setup.json",
+                     "--r", "0.3", "--t", "1", "-o", "bound.csv"]) == 0
+        assert main(["rate", "--model", "hb.json", "--setup", "setup.json",
+                     "--grid=-0.5:0.5:3", "-o", "rate.csv"]) == 0
+        assert main(["simulate", "--model", "hb.json", "--setup", "setup.json",
+                     "--config", "config.json", "--r", "0.3", "-o", "sim.csv"]) == 0
+        for name in ("bound.csv", "rate.csv", "sim.csv"):
+            assert {row["status"] for row in fileio.read_csv(name)[1]} == {"ok"}
+        assert main(["model", "new", "--template", "tensor", "--factors", "hb.json", "hb.json",
+                     "-o", "pair.json"]) == 0
+        assert fileio.load_model("pair.json").context.dim == 16
 
     @pytest.mark.parametrize("lattice", [
         {k: v for k, v in LATTICE.items() if k != "terms"},
@@ -191,19 +223,23 @@ class TestBoundVerb:
         (np.diag([0.6, 0.5, -0.1]), "eigenvalue -1.000e-01"),
     ], ids=["trace-2", "non-hermitian", "negative-eigenvalue"])
     def test_state_that_is_not_a_state_rejected(self, workdir, capsys, rho, message):
-        # The prefactor ||Gamma^(-1)(rho)|| bounds the tail only for a state.
+        # The prefactor ||Gamma^(-1)(rho)|| bounds the tail only for a state,
+        # and a trajectory starts only from one; the error names the file.
         assert main(["model", "new", "--template", "depolarizing", "--dim", "3",
                      "-o", "qutrit.json"]) == 0
         capsys.readouterr()
         write_setup("setup.json", [[0.0, 1.0] + [0.0] * 7], 1)
+        write_config("config.json", dt=1e-2, t_max=0.1, n_paths=4, base_seed=1)
         Path("state.json").write_text(json.dumps({"dim": 3, "rho": fileio.encode_complex_matrix(rho)}))
-        code = main(["bound", "--model", "qutrit.json", "--setup", "setup.json", "--state", "state.json",
-                     "--r", "0.3", "--t", "1", "-o", "bound.csv"])
-        assert code == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert err["code"] == "validation" and message in err["message"]
-        assert "np.float64" not in err["message"]
-        assert not Path("bound.csv").exists()
+        common = ["--model", "qutrit.json", "--setup", "setup.json", "--state", "state.json", "--r", "0.3"]
+        for verb, extra in (("bound", ["--t", "1"]), ("simulate", ["--config", "config.json"])):
+            code = main([verb, *common, *extra, "-o", f"{verb}.csv"])
+            assert code == 1
+            err = json.loads(capsys.readouterr().err.strip())
+            assert err["code"] == "validation" and message in err["message"]
+            assert "state.json:rho" in err["message"]
+            assert "np.float64" not in err["message"]
+            assert not Path(f"{verb}.csv").exists()
 
     def test_missing_model_file(self, workdir, capsys):
         code = main(["bound", "--model", "nope.json", "--setup", "nope.json",
@@ -549,6 +585,38 @@ class TestInequalitiesVerb:
         header, rows = fileio.read_csv("report.csv")
         assert header == ["quantity", "value"]
         assert any(r["quantity"] == "ti_constant" for r in rows)
+
+    def test_closed_form_read_from_the_generator_not_the_tag(self, workdir):
+        Path("rates.json").write_text(json.dumps([[-1.0, 1.0], [3.0, -3.0]]))
+        assert main(["model", "new", "--template", "classical",
+                     "--rates-file", "rates.json", "-o", "chain.json"]) == 0
+        doc = fileio.load_json("chain.json")
+        doc["template"] = "depolarizing"
+        Path("chain.json").write_text(json.dumps(doc))
+        assert main(["inequalities", "--model", "chain.json", "-o", "report"]) == 0
+        report = json.loads(Path("report.json").read_text())
+        assert report["spectral_gap"] == pytest.approx(4.0, abs=1e-9)
+        assert "lsi_alpha2" not in report and "ti_constant" not in report
+
+    def test_one_dimensional_model_report(self, workdir):
+        assert main(["model", "new", "--template", "depolarizing", "--dim", "1", "-o", "one.json"]) == 0
+        assert main(["inequalities", "--model", "one.json", "-o", "report"]) == 0
+        report = json.loads(Path("report.json").read_text())
+        assert report["spectral_gap"] == 0.0
+        assert "lsi_alpha2" not in report
+
+    def test_heat_bath_report_has_no_bohr_frequencies(self, workdir, capsys):
+        Path("lattice.json").write_text(json.dumps(LATTICE))
+        assert main(["model", "new", "--template", "heat-bath",
+                     "--lattice-file", "lattice.json", "-o", "hb.json"]) == 0
+        assert main(["inequalities", "--model", "hb.json", "-o", "report"]) == 0
+        report = json.loads(Path("report.json").read_text())
+        assert report["bohr_frequencies"] is None
+        assert report["symmetry"]["KMS"]["symmetric"]
+        write_setup("setup.json", [[1.0] + [0.0] * 7], 1)
+        capsys.readouterr()
+        assert main(["inequalities", "--model", "hb.json", "--setup", "setup.json", "-o", "report"]) == 1
+        assert "jumps are not modular eigenvectors" in json.loads(capsys.readouterr().err.strip())["message"]
 
     def test_channel_difference_model_report(self, workdir):
         main(["model", "new", "--template", "appendix-b", "--which", "psi", "-o", "psi.json"])

@@ -74,6 +74,11 @@ class TestEntropyFunctionals:
         value = entropy_functional("relative_entropy", qubit_depolarizing, rho)
         assert value == pytest.approx(math.log(2), abs=1e-10)
 
+    @pytest.mark.parametrize("kind", ["relative_entropy", "entropy_production"])
+    def test_entropy_kinds_refuse_a_matrix_that_is_not_a_state(self, qubit_depolarizing, kind):
+        with pytest.raises(ValidationError, match="trace"):
+            entropy_functional(kind, qubit_depolarizing, np.diag([1.5, 0.5]))
+
     def test_entropy_production_nonnegative(self, rng, qutrit_depolarizing):
         for _ in range(25):
             rho = random_state(rng, 3)
@@ -112,7 +117,8 @@ class TestClosedFormConstants:
     def test_constants_container_checks_alpha_vs_gap(self, qubit_depolarizing):
         with pytest.raises(ValidationError):
             FunctionalConstants(spectral_gap=0.3, lsi_alpha2=0.5)
-        constants = functional_constants(qubit_depolarizing, lsi_alpha2=0.5)
+        constants = functional_constants(qubit_depolarizing)
+        assert constants.lsi_alpha2 == 0.5
         assert constants.lsi_provenance == "closed_form"
         assert constants.ti_constant == pytest.approx(0.5, abs=1e-12)
         assert constants.ti_provenance == "computed"

@@ -97,6 +97,15 @@ def test_spectral_gap_budget(model):
     assert peak <= 2.2
 
 
+def test_functional_constants_budget(model):
+    # The closed-form test reads the generator d rows at a time, so the
+    # spectral gap sets the peak.
+    ctx = fresh_context(model)
+    consts, peak, _ = traced(lambda: inequalities.functional_constants(ctx))
+    assert consts.lsi_alpha2 is not None
+    assert peak <= 2.2
+
+
 def detailed_balance(ctx):
     return [lindblad.check_detailed_balance(kind, ctx) for kind in ("GNS", "KMS", "BKM")]
 

@@ -174,34 +174,36 @@ class TestHeatBath:
         return CommutingHamiltonian(2, 2, [((0, 1), zz)], beta=beta)
 
     def test_infinite_temperature_is_site_replacement(self):
-        model = heat_bath(self.ising(0.0))
-        assert np.max(np.abs(model.gibbs - np.eye(4) / 4)) < 1e-12
+        ham = self.ising(0.0)
+        assert np.max(np.abs(ham.gibbs_state() - np.eye(4) / 4)) < 1e-12
         rho = random_state(np.random.default_rng(0), 4)
-        out = apply_superoperator(site_channels(model)[0].conj().T, rho)
+        out = apply_superoperator(site_channels(heat_bath(ham), 2)[0].conj().T, rho)
         expected = np.kron(np.eye(2) / 2, _ptrace_site0(rho))
         assert np.max(np.abs(out - expected)) < 1e-12
 
     def test_beta_zero_matches_tensor_depolarizing(self):
-        model = heat_bath(self.ising(0.0))
+        model = stationary_state(heat_bath(self.ising(0.0)))
         tensor = tensor_product([depolarizing(maximally_mixed(2))] * 2)
-        diff = model.context.heisenberg - tensor.heisenberg_superoperator()
+        diff = model.heisenberg - tensor.heisenberg_superoperator()
         assert np.max(np.abs(diff)) < 1e-10
 
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_stationarity_and_cp_unitality(self, beta):
-        model = heat_bath(self.ising(beta))
-        residual = np.max(np.abs(apply_superoperator(model.context.heisenberg.conj().T, model.gibbs)))
+        ham = self.ising(beta)
+        lind = heat_bath(ham)
+        heis = stationary_state(lind).heisenberg
+        residual = np.max(np.abs(apply_superoperator(heis.conj().T, ham.gibbs_state())))
         assert residual < 1e-9
-        for psi in site_channels(model):
+        for psi in site_channels(lind, 2):
             assert np.max(np.abs(apply_superoperator(psi, np.eye(4)) - np.eye(4))) < 1e-10
             choi = choi_matrix(psi, 4)
             assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0] > -1e-10
 
     def test_single_site_reduces_to_depolarizing(self):
         h = CommutingHamiltonian(1, 2, [((0,), np.diag([1.0, -1.0]))], beta=0.7)
-        model = heat_bath(h)
-        target = depolarizing(FaithfulState(model.gibbs))
-        diff = model.context.heisenberg - target.heisenberg_superoperator()
+        model = stationary_state(heat_bath(h))
+        target = depolarizing(FaithfulState(h.gibbs_state()))
+        diff = model.heisenberg - target.heisenberg_superoperator()
         assert np.max(np.abs(diff)) < 1e-10
 
     def test_noncommuting_terms_rejected(self):
@@ -220,12 +222,13 @@ class TestHeatBath:
         terms = [((i, i + 1), zz) for i in range(n_sites - 1)]
         terms.append(((0,), 0.5 * u @ np.diag([1.0, -1.0]) @ u.conj().T))
         h = CommutingHamiltonian(n_sites, 2, terms, beta=0.5)
-        model = heat_bath(h)
+        lind = heat_bath(h)
         reference = _unit_by_unit_heat_bath(h)
-        for psi, ref in zip(site_channels(model), reference):
+        for psi, ref in zip(site_channels(lind, n_sites), reference):
             assert np.max(np.abs(psi - ref)) <= 1e-12
         eye = np.eye(4 ** n_sites)
-        assert np.max(np.abs(model.context.heisenberg - sum(ref - eye for ref in reference))) <= 1e-12
+        heis = stationary_state(lind).heisenberg
+        assert np.max(np.abs(heis - sum(ref - eye for ref in reference))) <= 1e-12
 
 
 def _ptrace_site0(rho):
@@ -333,6 +336,7 @@ class TestConstructorContracts:
             depolarizing(random_faithful(rng, 3)),
             classical_embedding(chain),
             tensor_product([depolarizing(maximally_mixed(2))] * 2),
+            heat_bath(CommutingHamiltonian(2, 2, [((0, 1), np.diag([1.0, -1.0, -1.0, 1.0]))], beta=0.5)),
         ]
         for lind in fixtures:
             eye = np.eye(lind.dim)
