@@ -16,6 +16,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -46,6 +47,13 @@ from .trajectories import run_ensemble
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # A token that starts with "-" and a digit (--grid -0.5:0.5:3, --t -1,2)
+        # is a value: argparse's own rule takes only a plain negative number
+        # for one, and no qdev option starts with a digit.
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise ValidationError(message)
 

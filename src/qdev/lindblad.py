@@ -148,8 +148,8 @@ class GeneratorContext:
 
     @cached_property
     def scale(self) -> float:
-        """The generator scale (_generator_scale) that the detailed-balance
-        tolerance is relative to, computed on first use."""
+        """The generator scale (_generator_scale) that the depolarizing test
+        of the inequalities module is relative to, computed on first use."""
         return _generator_scale(self.heisenberg)
 
     @cached_property
@@ -352,19 +352,30 @@ class SymmetryReport:
 def check_detailed_balance(kind: str, ctx: GeneratorContext) -> SymmetryReport:
     """Deviation of the generator from self-adjointness in the given inner product.
 
-    The difference of the generator and its dual is formed in sigma's
-    eigenbasis (the one new d^2 x d^2 array, beside the context's cached
-    eigenbasis generator) and rotated back in place, so ``deviation`` is its
-    max-norm in the original basis. ``symmetric`` compares that deviation
-    against the generator scale (ctx.scale).
+    The difference Delta_e = M_e - G^(-1) M_e^dagger G of the generator and
+    its dual is formed in sigma's eigenbasis (the one new d^2 x d^2 array,
+    beside the context's cached eigenbasis generator). ``symmetric`` is
+    decided there, in the balanced form G Delta_e = G M_e - (G M_e)^dagger:
+    max|G Delta_e| <= SYMMETRY_REL_TOL max|G M_e|. That ratio does not
+    carry the Gram-weight ratios g_b/g_a of Delta_e's entries, which grow
+    with the condition number of sigma. The weighted
+    maxima are taken d rows at a time, so each temporary holds d^3 entries.
+    Delta_e is then rotated back in place, and ``deviation`` is its
+    max-norm in the original basis.
     """
     st = ctx.require_faithful()
     m_e = ctx.eigenbasis_generator
     difference = dual_in_eigenbasis(kind, kind, st, m_e)
     np.subtract(m_e, difference, out=difference)
+    g = gram_weights(kind, st)
+    unbalanced = balanced_scale = 0.0
+    for start in range(0, len(g), st.dim):
+        rows = slice(start, start + st.dim)
+        unbalanced = max(unbalanced, float(np.max(np.abs(g[rows, None] * difference[rows]))))
+        balanced_scale = max(balanced_scale, float(np.max(np.abs(g[rows, None] * m_e[rows]))))
     rotate_superoperator(difference, st.eigenvectors.conj().T)
     deviation = float(np.max(np.abs(difference)))
-    return SymmetryReport(deviation <= SYMMETRY_REL_TOL * ctx.scale, deviation)
+    return SymmetryReport(unbalanced <= SYMMETRY_REL_TOL * balanced_scale, deviation)
 
 
 def _modular_frequencies(st: FaithfulState, jumps: np.ndarray) -> list[float] | None:

@@ -120,13 +120,124 @@ class EmpiricalTail:
     ci_high: float
 
 
-def clopper_pearson(count: int, n: int) -> tuple[float, float]:
-    import scipy.special  # here, so that importing qdev loads no scipy
+# ln n! - ln(sqrt(2 pi n) (n/e)^n) for n = 0..15 (Loader 2000, Table 1; the
+# n = 0 entry is never read).
+_STIRLERR = (0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+             0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+             0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+             0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+             0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
 
-    alpha = 1.0 - CONFIDENCE
-    low = scipy.special.betaincinv(count, n - count + 1, alpha / 2.0) if count > 0 else 0.0
-    high = scipy.special.betaincinv(count + 1, n - count, 1.0 - alpha / 2.0) if count < n else 1.0
-    return float(low), float(high)
+
+def _stirlerr(n: int) -> float:
+    """ln n! - ln(sqrt(2 pi n) (n/e)^n): the table to 15, the Stirling
+    series to the n^-9 term beyond."""
+    if n < len(_STIRLERR):
+        return _STIRLERR[n]
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / nn) / nn) / nn) / nn) / n
+
+
+def _bd0(x: float, m: float) -> float:
+    """x ln(x/m) + m - x, by its series in v = (x - m)/(x + m) when x is
+    within 10 % of m, where the direct form cancels (Loader 2000)."""
+    if abs(x - m) >= 0.1 * (x + m):
+        return x * math.log(x / m) + m - x
+    v = (x - m) / (x + m)
+    s = (x - m) * v
+    term = 2.0 * x * v
+    v *= v
+    j = 3
+    while True:
+        term *= v
+        s_next = s + term / j
+        if s_next == s:
+            return s
+        s, j = s_next, j + 2
+
+
+def _binomial_pmf(k: int, n: int, p: float, q: float) -> float:
+    """P(Bin(n, p) = k) for 1 <= k <= n and q = 1 - p, in Loader's
+    saddle-point form, "Fast and accurate computation of binomial
+    probabilities" (2000): no difference of log-factorials is formed."""
+    if k == n:
+        return math.exp(n * (math.log(p) if p <= q else math.log1p(-q)))
+    lc = _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * p) - _bd0(n - k, n * q)
+    return math.exp(lc) * math.sqrt(n / (2.0 * math.pi * k * (n - k)))
+
+
+def _beta_fraction(a: int, b: int, x: float) -> float:
+    """The continued fraction of I_x(a, b) for x < (a+1)/(a+b+2), by the
+    modified Lentz method (Numerical Recipes, 3rd ed., section 6.4). For
+    integer b its numerator m (b - m) x / ... vanishes at m = b, so the
+    fraction ends there."""
+    tiny = 1e-300
+    c = 1.0
+    d = 1.0 / (1.0 - (a + b) * x / (a + 1))
+    h = d
+    for m in range(1, b):
+        for num in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                    -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 + num * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + num / c
+            c = c if abs(c) > tiny else tiny
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) <= 2.0 ** -52:
+            break
+    return h
+
+
+def _beta_tails(a: int, b: int, x: float) -> tuple[float, float]:
+    """(I_x(a, b), 1 - I_x(a, b)) for integers a, b >= 1 and 0 < x < 1. The
+    continued fraction gives the lower tail below x = (a+1)/(a+b+2) and the
+    upper one, as I_(1-x)(b, a), above; the other is one minus it. The
+    prefactor x^a (1-x)^b / (a B(a, b)) is (1-x) P(Bin(a+b-1, x) = a)."""
+    y = 1.0 - x
+    if x < (a + 1) / (a + b + 2):
+        lower = y * _binomial_pmf(a, a + b - 1, x, y) * _beta_fraction(a, b, x)
+        return lower, 1.0 - lower
+    upper = x * _binomial_pmf(b, a + b - 1, y, x) * _beta_fraction(b, a, y)
+    return 1.0 - upper, upper
+
+
+def _bisect(residual) -> float:
+    """The x in (0, 1) where the increasing ``residual`` changes sign, by
+    bisection down to adjacent floats: of the last two, the one with the
+    smaller |residual|."""
+    lo, hi = 0.0, 1.0
+    r_lo, r_hi = -math.inf, math.inf
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return lo if -r_lo < r_hi else hi
+        r = residual(mid)
+        if r < 0.0:
+            lo, r_lo = mid, r
+        else:
+            hi, r_hi = mid, r
+
+
+def clopper_pearson(count: int, n: int) -> tuple[float, float]:
+    """The Clopper-Pearson interval at CONFIDENCE of ``count`` successes in
+    ``n`` trials: the beta quantiles low with I_low(count, n - count + 1)
+    = alpha/2 and high with 1 - I_high(count + 1, n - count) = alpha/2,
+    in closed form at count = 0 and count = n."""
+    tail = (1.0 - CONFIDENCE) / 2.0
+    if count == 0:
+        low = 0.0
+    elif count == n:
+        low = math.exp(math.log(tail) / n)
+    else:
+        low = _bisect(lambda x: _beta_tails(count, n - count + 1, x)[0] - tail)
+    if count == n:
+        high = 1.0
+    elif count == 0:
+        high = -math.expm1(math.log(tail) / n)
+    else:
+        high = _bisect(lambda x: tail - _beta_tails(count + 1, n - count, x)[1])
+    return low, high
 
 
 def _stream(base_seed: int, path_index: int, attempt: int, channel: int) -> np.random.Generator:

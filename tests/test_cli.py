@@ -267,6 +267,12 @@ class TestRateVerb:
         grid = np.linspace(-1, 1, 5)
         assert np.allclose(values, grid**2 / 2, atol=1e-8)
 
+    def test_grid_with_negative_lower_end_as_separate_argument(self, scalar_model):
+        for grid, out in ((["--grid", "-0.5:0.5:3"], "spaced.csv"), (["--grid=-0.5:0.5:3"], "joined.csv")):
+            assert main(["rate", "--model", "scalar.json", "--setup", "setup.json", *grid,
+                         "-o", out]) == 0
+        assert fileio.read_csv("spaced.csv") == fileio.read_csv("joined.csv")
+
     def test_non_finite_grid_rejected(self, scalar_model, capsys):
         Path("grid.json").write_text("[[0.5], [NaN]]")
         for grid in (["--grid-file", "grid.json"], ["--grid=nan:1:5"], ["--grid=0:inf:5"]):
@@ -841,19 +847,25 @@ def test_cli_import_loads_no_scipy():
     assert scipy_modules_after("import qdev.cli") == []
 
 
-def test_bound_rate_compare_load_no_scipy(scalar_model):
+def test_every_verb_loads_no_scipy(scalar_model):
     write_config("config.json", dt=1e-2, t_max=1.0, n_paths=50, base_seed=3)
-    assert main(["simulate", "--model", "scalar.json", "--setup", "setup.json",
-                 "--config", "config.json", "--r", "0.5", "-o", "sim.csv"]) == 0
-    verbs = [["bound", "--model", "scalar.json", "--setup", "setup.json", "--r", "0.5",
+    verbs = [["model", "new", "--template", "depolarizing", "--dim", "2", "-o", "depol.json"],
+             ["bound", "--model", "scalar.json", "--setup", "setup.json", "--r", "0.5",
               "--t", "1", "-o", "bound.csv"],
              ["rate", "--model", "scalar.json", "--setup", "setup.json", "--grid=-1:1:5",
               "-o", "rate.csv"],
+             ["simulate", "--model", "scalar.json", "--setup", "setup.json",
+              "--config", "config.json", "--r", "0.5", "-o", "sim.csv"],
              ["compare", "--simulate-csv", "sim.csv", "--bound-csv", "bound.csv",
-              "-o", "verdict.csv"]]
+              "-o", "verdict.csv"],
+             ["inequalities", "--model", "depol.json", "-o", "report"],
+             ["concentrate", "--variant", "poincare", "--gap", "1.0", "--sup-norm", "1.0",
+              "--t", "6.0", "--r", "1.0", "-o", "conc.csv"],
+             ["check", "--suite", "paper-fixtures"]]
     code = "from qdev.cli import main\n" + "".join(f"assert main({v!r}) == 0\n" for v in verbs)
     assert scipy_modules_after(code, cwd=scalar_model) == []
-    assert Path("verdict.csv").exists()
+    for name in ("depol.json", "verdict.csv", "report.json", "conc.csv"):
+        assert Path(name).exists()
 
 
 class TestJsonReportFormat:

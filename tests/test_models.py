@@ -199,6 +199,17 @@ class TestHeatBath:
             choi = choi_matrix(psi, 4)
             assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0] > -1e-10
 
+    @pytest.mark.parametrize("n_sites, beta", [(2, 0.5), (3, 1.0), (3, 2.0), (3, 4.0), (4, 3.0)])
+    def test_kms_symmetric_across_beta(self, n_sites, beta):
+        # The max-norm deviation grows with the condition number of the Gibbs
+        # state (2.3e-7 at n = 3, beta = 4, where it is 8.9e6); the verdict
+        # must not.
+        zz = np.kron(np.diag([1.0, -1.0]), np.diag([1.0, -1.0]))
+        ham = CommutingHamiltonian(n_sites, 2, [((i, i + 1), zz) for i in range(n_sites - 1)], beta=beta)
+        ctx = stationary_state(heat_bath(ham))
+        assert check_detailed_balance("KMS", ctx).symmetric
+        assert not check_detailed_balance("GNS", ctx).symmetric
+
     def test_single_site_reduces_to_depolarizing(self):
         h = CommutingHamiltonian(1, 2, [((0,), np.diag([1.0, -1.0]))], beta=0.7)
         model = stationary_state(heat_bath(h))

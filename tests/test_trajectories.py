@@ -1,9 +1,11 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 import scipy.stats
 
 from conftest import random_faithful, scalar_lindblad
@@ -285,14 +287,59 @@ class TestClopperPearson:
             low, high = clopper_pearson(k, n)
             assert low <= k / n <= high
 
-    @pytest.mark.parametrize("confidence", [CONFIDENCE])
-    def test_equals_beta_quantiles(self, confidence):
-        alpha = 1.0 - confidence
-        for n in (1, 2, 7, 50, 333, 1000, 4000):
-            for k in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
-                low = scipy.stats.beta.ppf(alpha / 2, k, n - k + 1) if k > 0 else 0.0
-                high = scipy.stats.beta.ppf(1 - alpha / 2, k + 1, n - k) if k < n else 1.0
-                assert clopper_pearson(k, n) == (float(low), float(high))
+
+def scipy_interval(k, n):
+    alpha = 1.0 - CONFIDENCE
+    low = scipy.special.betaincinv(k, n - k + 1, alpha / 2) if k > 0 else 0.0
+    high = scipy.special.betaincinv(k + 1, n - k, 1 - alpha / 2) if k < n else 1.0
+    return float(low), float(high)
+
+
+def mpmath_quantile(a, b, tail, upper, start):
+    """The x with I_x(a, b) = tail (1 - I_x(a, b) = tail when ``upper``), to
+    40 digits: Newton's method from ``start``."""
+    with mpmath.workdps(40):
+        x = mpmath.mpf(start)
+        for _ in range(8):
+            cdf = mpmath.betainc(a, b, 0, x, regularized=True)
+            step = ((1 - cdf if upper else cdf) - tail) / (x ** (a - 1) * (1 - x) ** (b - 1) / mpmath.beta(a, b))
+            x = x + step if upper else x - step
+        return float(x)
+
+
+def interval_grid(sizes):
+    for n in sizes:
+        for k in sorted({0, 1, 2, n // 3, n // 2, n - 1, n} & set(range(n + 1))):
+            yield k, n
+
+
+def assert_relative(got, want, tol):
+    assert got == want if want in (0.0, 1.0) else abs(got - want) <= tol * want, (got, want)
+
+
+class TestClopperPearsonAccuracy:
+    """The interval is the pair of beta quantiles, computed without scipy:
+    pinned against scipy's betaincinv and a 40-digit mpmath root."""
+
+    def test_matches_scipy(self):
+        for k, n in interval_grid((1, 2, 7, 50, 333, 1000, 4000)):
+            for got, want in zip(clopper_pearson(k, n), scipy_interval(k, n)):
+                assert_relative(got, want, 1e-12)
+
+    def test_matches_40_digit_root(self):
+        tail = (1.0 - CONFIDENCE) / 2
+        for k, n in interval_grid((1, 2, 7, 50, 333, 1000)):
+            low, high = clopper_pearson(k, n)
+            ref_low, ref_high = scipy_interval(k, n)
+            if 0 < k:
+                assert_relative(low, mpmath_quantile(k, n - k + 1, tail, False, ref_low), 1e-13)
+            if k < n:
+                assert_relative(high, mpmath_quantile(k + 1, n - k, tail, True, ref_high), 1e-13)
+
+    def test_large_ensembles_match_scipy(self):
+        for k, n in interval_grid((10 ** 5, 10 ** 6)):
+            for got, want in zip(clopper_pearson(k, n), scipy_interval(k, n)):
+                assert_relative(got, want, 1e-10)
 
 
 class TestCompareWithBound:
