@@ -16,14 +16,14 @@ Printed, one JSON line each:
   between runs of 2S and S steps, divided by paths x S, so the one-off
   setup (operators, streams) drops out. This part uses only the public
   API, so it also runs on older versions of the package.
-- per d, when the package has the Kraus-form stepper, the same cost split
-  into its parts, each timed alone on the block's states: "innovation"
-  (records dy and counting intensities), "drift" (M rho M^dagger and the
-  unmonitored GEMM), "jumps" (thinning and L rho L^dagger on a
-  representative share of fired paths), "normalization" (the trace
-  division), "positivity" (one batched Cholesky, paid once per
-  checkpoint, shown per call) and "loop" (the rest of a step: noise draws,
-  records, Python).
+- per d, when the package has the real-coordinate stepper, the same cost
+  split into its parts, each timed alone on the block's states: "advance"
+  (the one real GEMM by the Kraus blocks and expectation functionals, the
+  records dy and the weighted block sum), "jumps" (thinning and
+  L rho L^dagger on a representative share of fired paths),
+  "normalization" (the trace division), "positivity" (one batched
+  Cholesky, paid once per checkpoint, shown per call) and "loop" (the rest
+  of a step: noise draws, records, Python).
 - per block size in --sweep, "us_per_path_step" of the filter at each of
   --sweep-dims with BLOCK_PATHS set to it and NOISE_CHUNK_STEPS set so
   that a chunk holds the same 2**17 draws per channel, on 2048 paths.
@@ -98,33 +98,35 @@ def per_path_step(setup, paths: int, steps: int, repeats: int, linear: bool) -> 
 def split(setup, paths: int, steps: int, repeats: int, total_us: float) -> dict | None:
     """The filter's per-path-step cost by part, each kernel timed alone."""
     engine_cls = getattr(trajectories, "_Engine", None)
-    if engine_cls is None or not hasattr(engine_cls, "step_block"):
+    if engine_cls is None or not hasattr(engine_cls, "advance"):
         return None
     cfg = trajectories.TrajectoryConfig(dt=DT, t_max=steps * DT, n_paths=paths, base_seed=1)
     engine = engine_cls(setup, cfg, False)
     idx = list(range(paths))
-    states = engine.step_block(setup.ctx.sigma, idx, [0] * paths)[1]
-    rho = np.ascontiguousarray(states[-1])
+    states = engine.step_block(setup.ctx.sigma, idx, [0] * paths)[1][-1]
+    x = np.stack([trajectories._coordinates(rho) for rho in states], axis=1)
     rng = np.random.default_rng(0)
-    dw = rng.standard_normal((paths, engine.q)) * math.sqrt(DT)
+    dw = rng.standard_normal((engine.q, paths)) * math.sqrt(DT)
     # uniforms firing each counting channel on about 1 % of the paths
-    u = np.where(rng.random((paths, engine.n_poisson)) < 0.01, 0.0, 1.0)
-    dy, intensity = engine.innovation(rho, dw)
-    out = engine.drift(rho, dy)
-    invalid = np.zeros(paths, dtype=bool)
+    u = np.where(rng.random((engine.n_poisson, paths)) < 0.01, 0.0, 1.0)
+    weights = np.ones((engine.n_blocks, paths))
+    out, _, threshold = engine.advance(x, dw, weights)
+    valid = np.ones(paths, dtype=bool)
     loops = 200 if engine.d <= 8 else 5
 
     def timed(fn):
-        return 1e6 * median_time(lambda: [fn() for _ in range(loops)], repeats) / (loops * paths)
+        def calls():
+            for _ in range(loops):
+                fn()
+        return 1e6 * median_time(calls, repeats) / (loops * paths)
 
     parts = {
-        "innovation": timed(lambda: engine.innovation(rho, dw)),
-        "drift": timed(lambda: engine.drift(rho, dy)),
-        "jumps": timed(lambda: engine.jumps(rho, out.copy(), u, intensity)),
-        "normalization": timed(lambda: engine.normalize(out, invalid)),
+        "advance": timed(lambda: engine.advance(x, dw, weights)),
+        "jumps": timed(lambda: engine.jumps(x, out.copy(), u, threshold)),
+        "normalization": timed(lambda: engine.normalize(out, valid)),
     }
     parts["loop"] = max(total_us - sum(parts.values()), 0.0)
-    parts["positivity_per_call"] = timed(lambda: trajectories.positivity_failures(rho, 1e-10))
+    parts["positivity_per_call"] = timed(lambda: trajectories.positivity_failures(states, 1e-10))
     return {k: round(v, 4) for k, v in parts.items()}
 
 

@@ -341,6 +341,9 @@ def _cmd_inequalities(args, argv) -> int:
         "dim": ctx.dim,
         "primitive": ctx.primitive,
         "stationary_state": fileio.encode_complex_matrix(ctx.sigma),
+        # kappa(sigma) = s_max / s_min, null when sigma is not faithful
+        "sigma_condition": (float(ctx.faithful.eigenvalues[0] / ctx.faithful.eigenvalues[-1])
+                            if ctx.faithful is not None else None),
     }
     symmetry = {}
     for kind in ("GNS", "KMS", "BKM"):

@@ -108,7 +108,8 @@ class GeneratorContext:
     kms_hermitian_part makes no new d^2 x d^2 matrix: it overwrites the one
     it is given. ``faithful`` is None when the stationary state is rank
     deficient; every sigma-weighted operation then refuses with
-    NotFaithfulError.
+    NotFaithfulError, whose message is the one FaithfulState gave
+    (``unfaithful``: the smallest eigenvalue and FAITHFUL_EPS).
 
     The sigma-weighted calculus works in sigma's eigenbasis,
     sigma = U diag(s) U^dagger. A superoperator matrix M is rotated there as
@@ -127,10 +128,11 @@ class GeneratorContext:
 
     def __init__(self, heisenberg: np.ndarray, sigma: np.ndarray,
                  faithful: FaithfulState | None, primitive: bool, kernel_dim: int,
-                 lindbladian: Lindbladian | None = None):
+                 lindbladian: Lindbladian | None = None, unfaithful: str = ""):
         self.heisenberg = heisenberg
         self.sigma = sigma
         self.faithful = faithful
+        self.unfaithful = unfaithful
         self.primitive = primitive
         self.kernel_dim = kernel_dim
         self.lindbladian = lindbladian
@@ -138,7 +140,8 @@ class GeneratorContext:
 
     def require_faithful(self) -> FaithfulState:
         if self.faithful is None:
-            raise NotFaithfulError("stationary state is not faithful; sigma-weighted calculus refused")
+            raise NotFaithfulError(f"stationary state is not faithful ({self.unfaithful}); "
+                                   "sigma-weighted calculus refused")
         return self.faithful
 
     def require_jumps(self) -> Lindbladian:
@@ -329,14 +332,16 @@ def context_from_generator(heis, lindbladian: Lindbladian | None = None) -> Gene
         cand = (v * np.clip(w, 0.0, None)) @ v.conj().T
         cand = hermitian_part(cand / np.trace(cand).real)
     sigma = density_matrix(cand, "stationary state")
+    unfaithful = ""
     try:
         faithful = FaithfulState(sigma)
-    except NotFaithfulError:
+    except NotFaithfulError as exc:
         if mult > 1:
-            raise NotFaithfulError("no faithful stationary state")
-        faithful = None
+            raise NotFaithfulError(f"no faithful stationary state ({exc})")
+        faithful, unfaithful = None, str(exc)
     primitive = (mult == 1) and faithful is not None
-    return GeneratorContext(h, sigma, faithful, primitive, mult, lindbladian=lindbladian)
+    return GeneratorContext(h, sigma, faithful, primitive, mult, lindbladian=lindbladian,
+                            unfaithful=unfaithful)
 
 
 # ---------------------------------------------------------------------------

@@ -7,29 +7,43 @@ quantum feedback control", PRA 91, 012118 (2015). In a step of length dt:
 - no count: rho <- M rho M^dagger + dt Phi_u(rho), where
   M = I - (iH + K/2) dt + sum_B L_B dy_B, K = sum_k L_k^dagger L_k, and
   Phi_u(rho) = sum_v L_v rho L_v^dagger over an orthonormal complement v
-  of the monitored directions; the whole update is one GEMM on the
-  stacked vec rho;
+  of the monitored directions;
 - a count on channel P: rho <- L_P rho L_P^dagger.
 
 Both maps are completely positive, so states stay positive semidefinite
-by construction; nothing is clipped. The filter (nonlinear equation)
-records dy_B = Tr[(L_B + L_B^dagger) rho] dt + dW_B, counts at intensity
-Tr[L_P^dagger L_P rho] and divides by the trace; ``_Engine.run_paths``
-reruns a path whose trace falls to COLLAPSED_TRACE with fresh streams.
-The linear equation under the reference law records dy_B = dW_B, counts
-at intensity 1, adds n_P dt / 2 to M and keeps the trace Z, the
-change-of-measure martingale (mean one). ``clip_violation_fraction`` is
-the share of path-checkpoints where rho + POSITIVITY_CLIP * I fails a
-Cholesky factorization.
+by construction; nothing is clipped. They are also Hermiticity-preserving,
+and the records read Hermitian observables, so the stepper works in real
+coordinates: a state is its d^2 coordinates x in the orthonormal Hermitian
+basis e_aa, (e_ab + e_ba)/sqrt(2), i(e_ab - e_ba)/sqrt(2) (a < b), whose
+trace is the sum of the first d. Every map becomes the real matrix
+V^T G conj(V) of its complex vec-map G (the dropped imaginary part is
+checked at construction), a block's states are the columns of a (d^2, b)
+array, and a step is one real GEMM by the stacked no-count blocks and
+expectation functionals, then one einsum that sums the blocks with their
+weights 1, dy_B and dy_B dy_B'. States return to complex d x d matrices
+only at checkpoints, for the positivity check and the reported states.
+
+The filter (nonlinear equation) records dy_B = Tr[(L_B + L_B^dagger) rho] dt
++ dW_B, counts at intensity Tr[L_P^dagger L_P rho] and divides by the
+trace; ``_Engine.run_paths`` reruns a path whose trace falls to
+COLLAPSED_TRACE with fresh streams. The linear equation under the
+reference law records dy_B = dW_B, counts at intensity 1, adds n_P dt / 2
+to M and keeps the trace Z, the change-of-measure martingale (mean one).
+``clip_violation_fraction`` is the share of path-checkpoints where
+rho + POSITIVITY_CLIP * I fails a Cholesky factorization.
 
 Every path owns Philox streams keyed by (base_seed, path_index, attempt,
-channel), and ``_run_blocks`` runs fixed BLOCK_PATHS blocks on a thread
-pool and combines them in index order, so ensembles are bit-identical for
-a given seed whatever the thread count.
+channel): Generator(Philox(SeedSequence(entropy=base_seed,
+spawn_key=(path_index, attempt, channel)))). The keys of a whole block are
+derived in one vectorised pass of SeedSequence's hash (_philox_keys), so
+the streams are exactly those. ``_run_blocks`` runs fixed BLOCK_PATHS
+blocks on a thread pool and combines them in index order, so ensembles
+are bit-identical for a given seed whatever the thread count.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -49,6 +63,16 @@ COLLAPSED_TRACE = 1e-14
 # A checkpoint state counts as a positivity violation when rho + POSITIVITY_CLIP * I
 # fails a Cholesky factorization.
 POSITIVITY_CLIP = 1e-10
+# A block in real coordinates whose dropped imaginary part exceeds this share
+# of its largest entry is not Hermiticity-preserving.
+HERMITICITY_TOL = 1e-10
+_R2 = math.sqrt(0.5)
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
+_POOL_WORDS = 4
+_WORD = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # Confidence level of the Clopper-Pearson interval of an empirical tail.
 CONFIDENCE = 0.99
 
@@ -240,9 +264,87 @@ def clopper_pearson(count: int, n: int) -> tuple[float, float]:
     return low, high
 
 
-def _stream(base_seed: int, path_index: int, attempt: int, channel: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=base_seed, spawn_key=(path_index, attempt, channel))
-    return np.random.Generator(np.random.Philox(seq))
+def _philox_keys(base_seed: int, spawn: np.ndarray) -> np.ndarray:
+    """The (m, 2) uint64 Philox keys that
+    SeedSequence(entropy=base_seed, spawn_key=row).generate_state(2, np.uint64)
+    gives for the rows of the (m, k) array ``spawn`` of words below 2**32:
+    numpy's SeedSequence hash (mix_entropy, then generate_state) run once
+    over all rows, in mod-2**32 arithmetic on uint64 arrays."""
+    m = len(spawn)
+    words, rest = [], base_seed
+    while True:
+        words.append(rest & _WORD)
+        rest >>= 32
+        if not rest:
+            break
+    # A spawn key follows the base words padded to the pool size.
+    words += [0] * (_POOL_WORDS - len(words))
+    entropy = [np.full(m, w, dtype=np.uint64) for w in words]
+    entropy += [np.ascontiguousarray(col, dtype=np.uint64) for col in spawn.T]
+    word, shift = np.uint64(_WORD), np.uint64(16)
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint64(hash_const)
+        hash_const = (hash_const * _MULT_A) & _WORD
+        value = (value * np.uint64(hash_const)) & word
+        return value ^ (value >> shift)
+
+    def mix(x, y):
+        result = (np.uint64(_MIX_L) * x - np.uint64(_MIX_R) * y) & word
+        return result ^ (result >> shift)
+
+    pool = [hashmix(entropy[i]) for i in range(_POOL_WORDS)]
+    for src in range(_POOL_WORDS):
+        for dst in range(_POOL_WORDS):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for value in entropy[_POOL_WORDS:]:
+        for dst in range(_POOL_WORDS):
+            pool[dst] = mix(pool[dst], hashmix(value))
+    hash_const, state = _INIT_B, []
+    for i in range(4):
+        value = pool[i % _POOL_WORDS] ^ np.uint64(hash_const)
+        hash_const = (hash_const * _MULT_B) & _WORD
+        value = (value * np.uint64(hash_const)) & word
+        state.append(value ^ (value >> shift))
+    return np.stack([state[0] | (state[1] << np.uint64(32)), state[2] | (state[3] << np.uint64(32))], axis=1)
+
+
+@functools.cache
+def _key_sequence():
+    """The seed-sequence class that hands Philox a precomputed key, defined
+    on first use so that importing this module loads no numpy.random."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class PhiloxKey(ISeedSequence):
+        def __init__(self, key):
+            self.key = key
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != 2 or np.dtype(dtype) != np.uint64:
+                raise NumericalError(f"a Philox key is 2 uint64 words, not {n_words} {np.dtype(dtype)}")
+            return self.key
+
+    return PhiloxKey
+
+
+def _streams(base_seed: int, idx, attempts, ell: int) -> list[list[np.random.Generator]]:
+    """Per path of ``idx`` (run with the streams of ``attempts``), the
+    Generator(Philox) of each channel, seeded as
+    SeedSequence(entropy=base_seed, spawn_key=(path, attempt, channel)) seeds
+    it. The keys come from one pass of _philox_keys, or, for a key word
+    that does not fit 32 bits or a negative seed, from SeedSequence itself."""
+    spawn = [(int(p), int(a), c) for p, a in zip(idx, attempts) for c in range(ell)]
+    words = (*idx, *attempts, ell - 1)
+    if base_seed >= 0 and min(words) >= 0 and max(words) <= _WORD:
+        key = _key_sequence()
+        seeds = [key(k) for k in _philox_keys(base_seed, np.array(spawn, dtype=np.uint64).reshape(-1, 3))]
+    else:
+        seeds = [np.random.SeedSequence(entropy=base_seed, spawn_key=row) for row in spawn]
+    gens = [np.random.Generator(np.random.Philox(s)) for s in seeds]
+    return [gens[i:i + ell] for i in range(0, len(gens), ell)]
 
 
 def _dagger(m: np.ndarray) -> np.ndarray:
@@ -250,9 +352,84 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 
 def _vec_map(lefts, rights) -> np.ndarray:
-    """G with vec(sum_j A_j rho B_j) = vec(rho) @ G, vec row-major, as
-    stacks of paths store it."""
+    """G with vec(sum_j A_j rho B_j) = vec(rho) @ G, vec row-major."""
     return left_right_sum_matrix(np.swapaxes(rights, -1, -2), np.swapaxes(lefts, -1, -2)).T
+
+
+def _rotate_rows(re: np.ndarray, im: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of B (re + i im) for the (d^2, m) arrays ``re``, ``im``,
+    with B = V^T (sign 1) or V^dagger (sign -1) for the basis matrix V of
+    the real coordinates, whose columns are the vec of the Hermitian basis
+    elements: e_aa, then (e_ab + e_ba)/sqrt(2) for a < b, then
+    i (e_ab - e_ba)/sqrt(2) for a < b (pairs in row-major order). Rows are
+    combined through strided views, one output pair is made."""
+    n = re.shape[0]
+    d = math.isqrt(n)
+    half = d * (d - 1) // 2
+    re4, im4 = re.reshape(d, d, -1), im.reshape(d, d, -1)
+    out_re, out_im = np.empty(re.shape), np.empty(re.shape)
+    diag = np.arange(d)
+    out_re[:d], out_im[:d] = re4[diag, diag], im4[diag, diag]
+    row = d
+    for a in range(d - 1):
+        sym, anti = slice(row, row + d - 1 - a), slice(row + half, row + half + d - 1 - a)
+        upper_re, lower_re = re4[a, a + 1:], re4[a + 1:, a]
+        upper_im, lower_im = im4[a, a + 1:], im4[a + 1:, a]
+        np.add(upper_re, lower_re, out=out_re[sym])
+        np.add(upper_im, lower_im, out=out_im[sym])
+        # i (u - l) for V^T, -i (u - l) for V^dagger
+        np.subtract(lower_im, upper_im, out=out_re[anti])
+        np.subtract(upper_re, lower_re, out=out_im[anti])
+        row += d - 1 - a
+    out_re[d:] *= _R2
+    out_im[d:] *= _R2
+    if sign < 0:
+        out_re[d + half:] *= -1.0
+        out_im[d + half:] *= -1.0
+    return out_re, out_im
+
+
+def _real_part(re: np.ndarray, im: np.ndarray, what: str) -> np.ndarray:
+    """``re``, once the imaginary part ``im`` is checked to be rounding:
+    max |im| <= HERMITICITY_TOL * max(|re|, |im|), else NumericalError."""
+    dropped = float(np.max(np.abs(im), initial=0.0))
+    if dropped > HERMITICITY_TOL * max(float(np.max(np.abs(re), initial=0.0)), dropped):
+        raise NumericalError(f"{what} is not Hermiticity-preserving: imaginary part {dropped:.3e} "
+                             f"in real coordinates")
+    return re
+
+
+def _real_block(g: np.ndarray, what: str) -> np.ndarray:
+    """R^T for R = V^T G conj(V), the real matrix of the Hermiticity-preserving
+    map with vec(Phi(rho)) = vec(rho) @ G, so that Phi acts on a column of
+    real coordinates x as R^T x. ``g`` is read through its real and
+    imaginary views and released after the first pass, so a temporary G is
+    freed before the second pass allocates."""
+    re, im = _rotate_rows(g.real, g.imag, 1)
+    del g
+    re, im = _rotate_rows(re.T, im.T, -1)
+    return _real_part(re, im, what)
+
+
+def _coordinates(rho: np.ndarray) -> np.ndarray:
+    """The (d^2,) real coordinates Re(V^dagger vec(rho)) of the d x d rho: those
+    of its Hermitian part."""
+    v = rho.reshape(-1, 1)
+    return _rotate_rows(v.real, v.imag, -1)[0][:, 0]
+
+
+def _states(x: np.ndarray, d: int) -> np.ndarray:
+    """The (b, d, d) states V x of the (d^2, b) coordinate columns, exactly
+    Hermitian."""
+    iu, ju = np.triu_indices(d, 1)
+    half = len(iu)
+    rho = np.empty((x.shape[1], d, d), dtype=complex)
+    diag = np.arange(d)
+    rho[:, diag, diag] = x[:d].T
+    upper = (x[d:d + half].T + 1j * x[d + half:].T) * _R2
+    rho[:, iu, ju] = upper
+    rho[:, ju, iu] = upper.conj()
+    return rho
 
 
 def positivity_failures(rho: np.ndarray, clip: float) -> np.ndarray:
@@ -269,116 +446,153 @@ def positivity_failures(rho: np.ndarray, clip: float) -> np.ndarray:
 
 
 class _Engine:
-    """Precomputed operators for stepping a block of paths together by the
-    filter or, if ``linear``, the linear equation."""
+    """Precomputed real operators for stepping a block of paths together by
+    the filter or, if ``linear``, the linear equation.
+
+    A block's states are the columns of a (d^2, b) array of real coordinates
+    (_rotate_rows). ``operators`` stacks, as rows, the transposed real blocks
+    of the no-count update, weighted 1, dy_B and dy_B dy_B' (B <= B'), then,
+    for the filter, dt times the expectation functionals of the Brownian
+    means and counting intensities; ``count`` holds the transposed real
+    count maps.
+    """
 
     def __init__(self, setup: MeasurementSetup, config: TrajectoryConfig, linear: bool):
         lind = setup.ctx.require_jumps()
         self.config = config
         self.linear = linear
         d = self.d = lind.dim
+        n = self.n = d * d
         q = self.q = setup.q
         self.ell = setup.ell
         self.n_poisson = setup.ell - q
         dt = config.dt
-        monitored, jumps = setup.monitored, lind.jumps
-        intensities = _dagger(monitored[q:]) @ monitored[q:]
-        # Tr[O rho] is vec(rho) . vec(O^T): the Brownian means Tr[(L + L^dagger) rho]
-        # and the counting intensities Tr[L^dagger L rho] as one (d^2, ell) product.
-        observables = np.concatenate([monitored[:q] + _dagger(monitored[:q]), intensities])
-        self.expectations = np.ascontiguousarray(observables.swapaxes(1, 2).reshape(self.ell, d * d).T)
-        self.pairs = [(i, j) for i in range(q) for j in range(i, q)]
-        # Jumps along an orthonormal complement of the monitored directions.
-        complement = np.linalg.svd(setup.directions)[2][self.ell:]
-        unmonitored = np.tensordot(complement, jumps, axes=1)
-        # The no-count update M rho M^dagger + dt Phi_u(rho) as one
-        # (d^2, T d^2) matrix on vec rho. With M = M0 + sum_B dy_B L_B it
-        # expands exactly into blocks weighted 1, dy_B and dy_B dy_B'
-        # (B <= B'): M0 rho M0^dagger + dt Phi_u(rho), L_B rho M0^dagger +
-        # M0 rho L_B^dagger and L_B rho L_B'^dagger + L_B' rho L_B^dagger
-        # (once if B = B'). M0 = I - (iH + K/2) dt; the linear equation's M0
-        # adds the compensator n_P dt / 2.
-        eye = np.eye(d)
-        g = 1j * lind.hamiltonian + 0.5 * lind._kappa
-        m0 = eye - (g - (0.5 * self.n_poisson * eye if linear else 0.0)) * dt
+        monitored = setup.monitored
         lb = monitored[:q]
-        blocks = [_vec_map([m0], [_dagger(m0)]) + dt * _vec_map(unmonitored, _dagger(unmonitored))]
-        blocks += [_vec_map([l, m0], [_dagger(m0), _dagger(l)]) for l in lb]
+        self.pairs = [(i, j) for i in range(q) for j in range(i, q)]
+        self.n_blocks = 1 + q + len(self.pairs)
+        intensities = _dagger(monitored[q:]) @ monitored[q:]
+        n_rows = self.n_blocks * n + (0 if linear else self.ell)
+        operators = self.operators = np.empty((n_rows, n))
+        # The no-count update M rho M^dagger + dt Phi_u(rho), with
+        # M = M0 + sum_B dy_B L_B, expands exactly into blocks weighted 1, dy_B
+        # and dy_B dy_B': M0 rho M0^dagger + dt Phi_u(rho), L_B rho M0^dagger +
+        # M0 rho L_B^dagger and L_B rho L_B'^dagger + L_B' rho L_B^dagger (once
+        # if B = B'). With M0 = I - g dt, g = iH + K/2 (minus n_P / 2 for the
+        # linear equation, its compensator) and the Schrodinger generator
+        # L(rho) = sum_k L_k rho L_k^dagger - g rho - rho g^dagger (the context's
+        # matrix, vec(L(rho)) = vec(rho) @ heisenberg), the first block is
+        # rho + dt (L - Phi_m)(rho) + dt^2 g rho g^dagger, plus n_P dt rho for the
+        # linear equation; Phi_m(rho) = sum over the orthonormal monitored
+        # jumps of L_u rho L_u^dagger, so L - Phi_m keeps the unmonitored jumps.
+        eye = np.eye(d)
+        g = 1j * lind.hamiltonian + 0.5 * lind._kappa - (0.5 * self.n_poisson * eye if linear else 0.0)
+        m0 = eye - g * dt
+        first = operators[:n]
+        first[:] = _real_block(setup.ctx.heisenberg, "generator")
+        first -= _real_block(_vec_map(monitored, _dagger(monitored)), "monitored jump map")
+        first *= dt
+        first += dt * dt * _real_block(_vec_map([g], [_dagger(g)]), "no-count map")
+        first.reshape(-1)[::n + 1] += 1.0 + (self.n_poisson * dt if linear else 0.0)
+        blocks = [([l, m0], [_dagger(m0), _dagger(l)]) for l in lb]
         for i, j in self.pairs:
             ls = lb[[i]] if i == j else lb[[i, j]]
-            blocks.append(_vec_map(ls, _dagger(ls[::-1])))
-        self.kraus = np.ascontiguousarray(np.concatenate(blocks, axis=1))
-        self.count = [np.ascontiguousarray(_vec_map([l], [_dagger(l)])) for l in monitored[q:]]
+            blocks.append((ls, _dagger(ls[::-1])))
+        for t, (lefts, rights) in enumerate(blocks, 1):
+            operators[t * n:(t + 1) * n] = _real_block(_vec_map(lefts, rights), "Brownian map")
+        if not linear:
+            # Tr[O rho] is vec(rho) . vec(O^T): the Brownian means
+            # Tr[(L + L^dagger) rho] and the counting intensities Tr[L^dagger L rho],
+            # times dt.
+            observables = np.concatenate([lb + _dagger(lb), intensities])
+            functionals = observables.swapaxes(1, 2).reshape(self.ell, n).T
+            operators[self.n_blocks * n:] = _real_part(
+                *_rotate_rows(functionals.real, functionals.imag, 1), "expectation").T
+            operators[self.n_blocks * n:] *= dt
+        self.count = [_real_block(_vec_map([l], [_dagger(l)]), "count map") for l in monitored[q:]]
 
         max_rate = max((np.linalg.norm(m, 2) for m in intensities), default=0.0)
         if max_rate * dt >= 0.1:
             warnings.warn(f"dt * max jump intensity = {max_rate * dt:.3f} >= 0.1; "
                           "thinning bias may be visible", RuntimeWarning)
 
-    def _draw_chunk(self, gens, n_steps):
-        """Draws (b, ell, n_steps): Wiener increments for the Brownian
-        channels, then uniforms for the counting channels."""
-        draws = np.empty((len(gens), self.ell, n_steps))
-        for row, out in zip(gens, draws):
-            for c, gen in enumerate(row):
-                if c < self.q:
-                    gen.standard_normal(out=out[c])
-                else:
-                    gen.random(out=out[c])
-        draws[:, :self.q] *= math.sqrt(self.config.dt)
-        return draws
+    def _noise(self, gens, steps: int):
+        """The draws (ell, b, n) of each chunk of NOISE_CHUNK_STEPS steps in
+        turn, from the streams ``gens`` of the block's paths: Wiener
+        increments for the Brownian channels, then uniforms for the counting
+        channels. One buffer is refilled, so a chunk is used before the next
+        is drawn."""
+        draws = np.empty((self.ell, len(gens), NOISE_CHUNK_STEPS))
+        fills = [(row[c].standard_normal if c < self.q else row[c].random, draws[c, p])
+                 for p, row in enumerate(gens) for c in range(self.ell)]
+        scale = math.sqrt(self.config.dt)
+        for start in range(0, steps, NOISE_CHUNK_STEPS):
+            n = min(NOISE_CHUNK_STEPS, steps - start)
+            if n < NOISE_CHUNK_STEPS:
+                draws = draws[:, :, :n]
+                fills = [(fill, out[:n]) for fill, out in fills]
+            for fill, out in fills:
+                fill(out=out)
+            draws[:self.q] *= scale
+            yield draws
 
-    def innovation(self, rho, dw):
-        """Record increments dy_B of one step: dW_B under the reference law,
-        plus Tr[(L_B + L_B^dagger) rho] dt for the filter; and, for the
-        filter, the counting intensities."""
+    def advance(self, x, dw, weights):
+        """One no-count step of the coordinate columns ``x``: one real GEMM
+        by ``self.operators`` (a broadcast product at d = 1), then the blocks
+        summed with their weights 1, dy_B and dy_B dy_B' in one einsum, the
+        (T, b) array ``weights`` (row 0 all ones) receiving them.
+
+        Returns the new columns, the record increments dy (dW_B under the
+        reference law, plus Tr[(L_B + L_B^dagger) rho] dt for the filter;
+        None without Brownian channels) and the counting thresholds: dt
+        times the intensities for the filter, dt (intensity 1) under the
+        reference law."""
+        n, q, rows = self.n, self.q, self.n_blocks * self.n
+        p = self.operators * x if n == 1 else self.operators @ x
+        threshold = self.config.dt if self.linear else p[rows + q:]
+        if not q:
+            return p[:n], None, threshold
+        dy = weights[1:q + 1]
         if self.linear:
-            return (dw if self.q else None), None
-        ev = (rho.reshape(len(rho), -1) @ self.expectations).real
-        return (dw + self.config.dt * ev[:, :self.q] if self.q else None), ev[:, self.q:]
+            dy[:] = dw
+        else:
+            np.add(p[rows:rows + q], dw, out=dy)
+        for t, (i, j) in enumerate(self.pairs, q + 1):
+            np.multiply(dy[i], dy[j], out=weights[t])
+        out = np.einsum("tb,tnb->nb", weights, p[:rows].reshape(self.n_blocks, n, -1))
+        return out, dy, threshold
 
-    def drift(self, rho, dy):
-        """No-count update M rho M^dagger + dt Phi_u(rho): one GEMM on the
-        stacked vec rho, then the blocks summed with their weights."""
-        b, n = len(rho), self.d ** 2
-        p = rho.reshape(b, n) @ self.kraus
-        out = p[:, :n]
-        if dy is not None:
-            weights = [dy[:, i] for i in range(self.q)] + [dy[:, i] * dy[:, j] for i, j in self.pairs]
-            for t, w in enumerate(weights, 1):
-                out = out + w[:, None] * p[:, t * n:(t + 1) * n]
-        return out.reshape(rho.shape)
-
-    def jumps(self, rho, out, u, intensity):
-        """Thinned counts: channel P fires where u < min(intensity * dt, 1)
-        (intensity 1 under the reference law). Where it fires, ``out`` becomes
-        L_P rho L_P^dagger (applied in channel order if several fire)."""
-        dt = self.config.dt
-        fired = u < (min(dt, 1.0) if intensity is None else np.minimum(intensity * dt, 1.0))
+    def jumps(self, x, out, u, threshold):
+        """Thinned counts: channel P fires where u < intensity * dt, the
+        ``threshold`` (u < 1, so a threshold above one always fires). Where it
+        fires, the column of ``out`` becomes that of L_P rho L_P^dagger
+        (applied in channel order if several fire)."""
+        fired = u < threshold
         if fired.any():
-            n = self.d ** 2
-            done = np.zeros(len(rho), dtype=bool)
-            for j in np.flatnonzero(fired.any(axis=0)):
-                rows = np.flatnonzero(fired[:, j])
-                src = np.where(done[rows, None, None], out[rows], rho[rows])
-                out[rows] = (src.reshape(len(rows), n) @ self.count[j]).reshape(src.shape)
-                done[rows] = True
+            done = None
+            for j in np.flatnonzero(fired.any(axis=1)):
+                cols = np.flatnonzero(fired[j])
+                src = x[:, cols] if done is None else np.where(done[cols], out[:, cols], x[:, cols])
+                out[:, cols] = self.count[j] @ src
+                if done is None:
+                    done = np.zeros(x.shape[1], dtype=bool)
+                done[cols] = True
         return fired
 
-    def normalize(self, out, invalid):
-        """Filter states divided by their trace, in place; a trace at or
-        below COLLAPSED_TRACE (or not finite) marks the path invalid."""
-        tr = np.einsum("nii->n", out).real
-        invalid |= ~(tr > COLLAPSED_TRACE)
-        out *= (1.0 / np.where(invalid, 1.0, tr))[:, None, None]
-        return out
+    def normalize(self, out, valid):
+        """Filter columns divided by their trace, the sum of the first d
+        coordinates, in place; a trace at or below COLLAPSED_TRACE (or not
+        finite) clears ``valid``, and such a column is left undivided."""
+        tr = out[0] if self.d == 1 else out[:self.d].sum(axis=0)
+        valid &= tr > COLLAPSED_TRACE
+        return np.divide(out, tr, out=out, where=valid)
 
     def step_block(self, rho0: np.ndarray, idx, attempts):
         """Step paths ``idx`` (with the streams of ``attempts``) together.
 
         Returns, per path and checkpoint, the estimators (time-averaged
-        records), the Hermitian part of the filter state (None for the
-        linear equation) and the trace;
+        records), the filter state (None for the linear equation) and the
+        trace;
         per path, the invalid flag (a collapsed filter trace, or a linear
         trace Z <= 0 at a checkpoint) and the number of checkpoints whose
         filter state failed the positivity check."""
@@ -389,39 +603,33 @@ class _Engine:
         cp_lookup = {s: i for i, s in enumerate(cp_steps)}
         n_cp = len(cp_steps)
 
-        rho = np.broadcast_to(rho0, (b, d, d)).astype(complex)
-        record = np.zeros((b, self.ell))
-        invalid = np.zeros(b, dtype=bool)
+        x = np.repeat(_coordinates(rho0)[:, None], b, axis=1)
+        record = np.zeros((self.ell, b))
+        valid = np.ones(b, dtype=bool)
+        weights = np.ones((self.n_blocks, b))
         violations = np.zeros(b, dtype=np.int64)
         estimators = np.zeros((b, n_cp, self.ell))
         traces = np.zeros((b, n_cp))
         states = None if linear else np.zeros((n_cp, b, d, d), dtype=complex)
 
-        gens = [[_stream(cfg.base_seed, int(p), int(a), c) for c in range(self.ell)]
-                for p, a in zip(idx, attempts)]
-        steps = cfg.n_steps()
         step = 0
-        while step < steps:
-            n_chunk = min(NOISE_CHUNK_STEPS, steps - step)
-            draws = self._draw_chunk(gens, n_chunk)
-            for s in range(n_chunk):
-                dy, intensity = self.innovation(rho, draws[:, :q, s])
-                if dy is not None:
-                    record[:, :q] += dy
-                out = self.drift(rho, dy)
+        for draws in self._noise(_streams(cfg.base_seed, idx, attempts, self.ell), cfg.n_steps()):
+            for s in range(draws.shape[2]):
+                out, dy, threshold = self.advance(x, draws[:q, :, s], weights)
+                if q:
+                    record[:q] += dy
                 if self.n_poisson:
-                    record[:, q:] += self.jumps(rho, out, draws[:, q:, s], intensity)
-                rho = out if linear else self.normalize(out, invalid)
+                    record[q:] += self.jumps(x, out, draws[q:, :, s], threshold)
+                x = out if linear else self.normalize(out, valid)
                 step += 1
                 cp = cp_lookup.get(step)
                 if cp is not None:
-                    estimators[:, cp] = record / (step * cfg.dt)
-                    traces[:, cp] = np.einsum("nii->n", rho).real
+                    estimators[:, cp] = (record / (step * cfg.dt)).T
+                    traces[:, cp] = x[:d].sum(axis=0)
                     if not linear:
-                        states[cp] = 0.5 * (rho + _dagger(rho))
+                        states[cp] = _states(x, d)
                         violations += positivity_failures(states[cp], POSITIVITY_CLIP)
-        if linear:
-            invalid = ~np.all(traces > 0.0, axis=1)
+        invalid = ~np.all(traces > 0.0, axis=1) if linear else ~valid
         return estimators, states, traces, invalid, violations
 
     def run_paths(self, rho0: np.ndarray, idx: list[int]):

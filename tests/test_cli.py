@@ -624,6 +624,27 @@ class TestInequalitiesVerb:
         assert main(["inequalities", "--model", "hb.json", "--setup", "setup.json", "-o", "report"]) == 1
         assert "jumps are not modular eigenvectors" in json.loads(capsys.readouterr().err.strip())["message"]
 
+    def test_sigma_condition_reported(self, workdir):
+        Path("sigma.json").write_text(json.dumps({"dim": 3, "rho": [[[0.6, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                                                                    [[0.0, 0.0], [0.3, 0.0], [0.0, 0.0]],
+                                                                    [[0.0, 0.0], [0.0, 0.0], [0.1, 0.0]]]}))
+        assert main(["model", "new", "--template", "depolarizing", "--sigma", "sigma.json",
+                     "-o", "depol.json"]) == 0
+        assert main(["inequalities", "--model", "depol.json", "-o", "report"]) == 0
+        report = json.loads(Path("report.json").read_text())
+        assert report["sigma_condition"] == pytest.approx(6.0, rel=1e-12)
+
+    def test_unfaithful_model_names_sigma_min(self, workdir, capsys):
+        # amplitude damping |0><1|: the stationary state |0><0| is not faithful
+        Path("damping.json").write_text(json.dumps({
+            "kind": "lindblad", "dim": 2, "hamiltonian": [[[0.0, 0.0]] * 2] * 2,
+            "jumps": [[[[0.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]]}))
+        assert main(["inequalities", "--model", "damping.json", "-o", "report"]) == 1
+        message = json.loads(capsys.readouterr().err.strip())["message"]
+        assert "not faithful" in message
+        assert "smallest eigenvalue" in message and "1.0e-12" in message
+        assert not Path("report.json").exists()
+
     def test_channel_difference_model_report(self, workdir):
         main(["model", "new", "--template", "appendix-b", "--which", "psi", "-o", "psi.json"])
         assert main(["inequalities", "--model", "psi.json", "-o", "psi_report"]) == 0
@@ -832,9 +853,11 @@ class TestComplexMatrixFormat:
             fileio.decode_complex_matrix(data)
 
 
-def scipy_modules_after(code: str, cwd=None) -> list[str]:
-    """Run ``code`` in a fresh interpreter; the scipy modules it loaded."""
-    code += "\nimport sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+def modules_after(code: str, package: str = "scipy", cwd=None) -> list[str]:
+    """Run ``code`` in a fresh interpreter; the modules of ``package`` (a
+    dotted name) it loaded."""
+    code += (f"\nimport sys; print(sorted(m for m in sys.modules "
+             f"if m == {package!r} or m.startswith({package + '.'!r})))")
     src = str(Path(fileio.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd, timeout=120,
@@ -844,7 +867,13 @@ def scipy_modules_after(code: str, cwd=None) -> list[str]:
 
 
 def test_cli_import_loads_no_scipy():
-    assert scipy_modules_after("import qdev.cli") == []
+    assert modules_after("import qdev.cli") == []
+
+
+def test_cli_import_loads_no_numpy_random():
+    # numpy.random costs about 18 ms to import; the trajectory streams load it
+    # when a verb first needs one.
+    assert modules_after("import qdev.cli", "numpy.random") == []
 
 
 def test_every_verb_loads_no_scipy(scalar_model):
@@ -863,7 +892,7 @@ def test_every_verb_loads_no_scipy(scalar_model):
               "--t", "6.0", "--r", "1.0", "-o", "conc.csv"],
              ["check", "--suite", "paper-fixtures"]]
     code = "from qdev.cli import main\n" + "".join(f"assert main({v!r}) == 0\n" for v in verbs)
-    assert scipy_modules_after(code, cwd=scalar_model) == []
+    assert modules_after(code, cwd=scalar_model) == []
     for name in ("depol.json", "verdict.csv", "report.json", "conc.csv"):
         assert Path(name).exists()
 

@@ -9,7 +9,8 @@ only the inverse of the bordered generator; main_bound holds B0 and, at
 lam*, the one B(lam*) the dense check needs; check_detailed_balance holds
 the difference of the generator and its dual (beside the eigenbasis
 generator, when it computes that itself); the Bohr frequencies hold d^3-
-sized slices of the d^2 jumps.
+sized slices of the d^2 jumps; the trajectory engine keeps its three real
+blocks (half a unit each) and makes each from one complex vec map.
 """
 
 import gc
@@ -18,7 +19,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qdev import deviation, fileio, inequalities, lindblad, models
+from qdev import deviation, fileio, inequalities, lindblad, models, trajectories
 
 D = 16
 UNIT = 16 * D ** 4
@@ -125,3 +126,14 @@ def test_bohr_budget(model):
     omegas, peak, _ = traced(lambda: ctx.bohr)
     assert omegas is not None and len(omegas) == D * D
     assert peak <= 0.5
+
+
+@pytest.mark.parametrize("linear", [False, True], ids=["filter", "linear"])
+def test_trajectory_engine_budget(model, linear):
+    _, _, _, direction = model
+    setup = deviation.MeasurementSetup(fresh_context(model), direction[None, :], 1)
+    cfg = trajectories.TrajectoryConfig(dt=1e-3, t_max=1.0, n_paths=1, base_seed=1)
+    engine, peak, retained = traced(lambda: trajectories._Engine(setup, cfg, linear))
+    assert engine.operators.shape[0] >= 3 * D * D
+    assert peak <= 3.8
+    assert retained <= 1.6

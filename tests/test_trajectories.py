@@ -8,15 +8,22 @@ import scipy.linalg
 import scipy.special
 import scipy.stats
 
-from conftest import random_faithful, scalar_lindblad
-from qdev.linalg import ValidationError, vec
-from qdev.lindblad import stationary_state
+from conftest import random_faithful, random_state, scalar_lindblad
+from qdev.linalg import NumericalError, ValidationError, vec
+from qdev.lindblad import Lindbladian, stationary_state
 from qdev.deviation import MeasurementSetup, main_bound
 from qdev.models import depolarizing, maximally_mixed
 from qdev.trajectories import (
     CONFIDENCE,
     TrajectoryConfig,
+    _coordinates,
+    _dagger,
     _Engine,
+    _philox_keys,
+    _real_block,
+    _states,
+    _streams,
+    _vec_map,
     clopper_pearson,
     compare_with_bound,
     positivity_failures,
@@ -38,6 +45,124 @@ def qubit_setup():
     u = np.zeros(4)
     u[1] = u[2] = 1 / math.sqrt(2)
     return MeasurementSetup(ctx, [u], q=1)
+
+
+def seed_sequence_stream(base_seed, path, attempt, channel):
+    return np.random.Generator(np.random.Philox(
+        np.random.SeedSequence(entropy=base_seed, spawn_key=(path, attempt, channel))))
+
+
+class TestStreamKeys:
+    @pytest.mark.parametrize("base_seed", [0, 1, 2**32 + 7, 2**64 - 1, 2**100 + 3])
+    def test_one_pass_keys_match_seed_sequence(self, base_seed):
+        rng = np.random.default_rng(base_seed % 2**32)
+        spawn = np.stack([rng.integers(0, 2**32, 1000), rng.integers(0, 8, 1000),
+                          rng.integers(0, 5, 1000)], axis=1).astype(np.uint64)
+        spawn[:3] = [[0, 0, 0], [2**32 - 1] * 3, [5, 2, 1]]
+        want = np.array([np.random.SeedSequence(entropy=base_seed, spawn_key=tuple(int(w) for w in row))
+                         .generate_state(2, np.uint64) for row in spawn])
+        assert np.array_equal(_philox_keys(base_seed, spawn), want)
+
+    def test_wide_words_fall_back_to_seed_sequence(self):
+        # a path index and an attempt of 33 bits take two spawn words each
+        idx, attempts = [2**32 + 5, 3], [0, 2**33]
+        for (p, a), row in zip(zip(idx, attempts), _streams(7, idx, attempts, 2)):
+            for c, gen in enumerate(row):
+                assert np.array_equal(gen.standard_normal(50),
+                                      seed_sequence_stream(7, p, a, c).standard_normal(50))
+
+    def test_engine_stream_is_the_seed_sequence_stream(self):
+        ctx = stationary_state(depolarizing(maximally_mixed(2)))
+        setup = MeasurementSetup(ctx, np.eye(4)[:2], q=2)
+        cfg = TrajectoryConfig(dt=1e-2, t_max=2.0, n_paths=1, base_seed=20240817)
+        engine = _Engine(setup, cfg, False)
+        # the chunks share one buffer, so each is copied before the next is drawn
+        chunks = [c.copy() for c in engine._noise(_streams(20240817, [5], [2], 2), 200)]
+        assert [c.shape for c in chunks] == [(2, 1, 128), (2, 1, 72)]
+        want = seed_sequence_stream(20240817, 5, 2, 1).standard_normal(200) * math.sqrt(1e-2)
+        assert np.array_equal(np.concatenate(chunks, axis=2)[1, 0], want)
+
+
+def random_setup(rng, d, q, n_poisson, k=5):
+    """A random jump-form model with k jumps and q Brownian plus n_poisson
+    counting channels along orthonormal random directions."""
+    h = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    jumps = rng.normal(size=(k, d, d)) + 1j * rng.normal(size=(k, d, d))
+    ctx = stationary_state(Lindbladian(h + h.conj().T, jumps / d))
+    directions = np.linalg.qr(rng.normal(size=(k, k)))[0][:q + n_poisson]
+    return MeasurementSetup(ctx, directions, q)
+
+
+def complex_blocks(setup, dt, linear):
+    """The no-count blocks as complex vec maps, built from the Kraus form:
+    M0 rho M0^dagger + dt Phi_u(rho), then the Brownian blocks."""
+    lind, q, monitored = setup.ctx.lindbladian, setup.q, setup.monitored
+    eye = np.eye(lind.dim)
+    g = 1j * lind.hamiltonian + 0.5 * lind._kappa - (0.5 * (setup.ell - q) * eye if linear else 0.0)
+    m0 = eye - g * dt
+    unmonitored = np.tensordot(np.linalg.svd(setup.directions)[2][setup.ell:], lind.jumps, axes=1)
+    blocks = [_vec_map([m0], [_dagger(m0)]) + dt * _vec_map(unmonitored, _dagger(unmonitored))]
+    blocks += [_vec_map([l, m0], [_dagger(m0), _dagger(l)]) for l in monitored[:q]]
+    for i in range(q):
+        for j in range(i, q):
+            ls = monitored[[i]] if i == j else monitored[[i, j]]
+            blocks.append(_vec_map(ls, _dagger(ls[::-1])))
+    return blocks
+
+
+def image(g, rho):
+    """Phi(rho) for the map with vec(Phi(rho)) = vec(rho) @ g, vec row-major."""
+    return (rho.reshape(-1) @ g).reshape(rho.shape)
+
+
+class TestRealCoordinates:
+    @pytest.mark.parametrize("linear", [False, True])
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_real_blocks_reproduce_complex_maps(self, d, linear):
+        rng = np.random.default_rng(d)
+        setup = random_setup(rng, d, q=2, n_poisson=1)
+        dt = 1e-3
+        engine = _Engine(setup, TrajectoryConfig(dt=dt, t_max=1.0, n_paths=1, base_seed=0), linear)
+        n = d * d
+        for _ in range(3):
+            rho = random_state(rng, d)
+            x = _coordinates(rho)
+            for t, g in enumerate(complex_blocks(setup, dt, linear)):
+                want = _coordinates(image(g, rho))
+                got = engine.operators[t * n:(t + 1) * n] @ x
+                assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+            for count, l in zip(engine.count, setup.monitored[setup.q:]):
+                want = _coordinates(l @ rho @ l.conj().T)
+                assert np.linalg.norm(count @ x - want) <= 1e-13 * np.linalg.norm(want)
+            if not linear:
+                lb, lp = setup.monitored[:setup.q], setup.monitored[setup.q:]
+                want = dt * np.array([np.trace((l + l.conj().T) @ rho).real for l in lb]
+                                     + [np.trace(l.conj().T @ l @ rho).real for l in lp])
+                got = engine.operators[engine.n_blocks * n:] @ x
+                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8])
+    def test_round_trip_is_exactly_hermitian(self, d):
+        rho = random_state(np.random.default_rng(d), d)
+        back = _states(_coordinates(rho)[:, None], d)[0]
+        assert np.array_equal(back, back.conj().T)
+        assert np.max(np.abs(back - rho)) <= 1e-15
+        # the coordinates are the Hilbert-Schmidt ones: the trace is the sum
+        # of the first d, the norm is the Frobenius norm
+        x = _coordinates(rho)
+        assert x[:d].sum() == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(rho), rel=1e-14)
+
+    def test_map_that_is_not_hermiticity_preserving_refused(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
+        with pytest.raises(NumericalError, match="Hermiticity"):
+            _real_block(_vec_map([a], [b]), "test map")
+        # an engine whose generator is i L is refused at construction
+        setup = random_setup(rng, 3, q=1, n_poisson=1)
+        setup.ctx.heisenberg = 1j * setup.ctx.heisenberg
+        with pytest.raises(NumericalError, match="generator is not Hermiticity-preserving"):
+            _Engine(setup, TrajectoryConfig(dt=1e-3, t_max=1.0, n_paths=1, base_seed=0), False)
 
 
 class TestConfig:
