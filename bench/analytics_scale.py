@@ -17,7 +17,8 @@ stages reuse what earlier ones cached on the context, as in
 `inequalities`):
 
 - "assembly_s": `Lindbladian.heisenberg_superoperator`;
-- "stationary_s": `context_from_generator` on the assembled generator;
+- "stationary_s": `lindblad._context`, the stationary solve, on the
+  assembled generator;
 - "detailed_balance_s": the GNS, KMS and BKM `check_detailed_balance`;
 - "spectral_gap_s": `spectral_gap`;
 - "bohr_s": the jumps' Bohr frequencies (what `ctx.bohr` computes and caches);
@@ -91,7 +92,7 @@ def one(d: int, repeats: int) -> dict:
     unit = 16 * d ** 4
     out = {"d": d}
     heis = stage(out, "assembly", lind.heisenberg_superoperator, repeats, unit)
-    ctx = stage(out, "stationary", lambda: lindblad.context_from_generator(heis, lindbladian=lind),
+    ctx = stage(out, "stationary", lambda: lindblad._context(heis, lind),
                 repeats, unit)
     reports = stage(out, "detailed_balance",
                     lambda: [lindblad.check_detailed_balance(k, ctx) for k in ("GNS", "KMS", "BKM")],

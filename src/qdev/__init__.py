@@ -14,9 +14,8 @@ from .lindblad import (
     GeneratorContext,
     Lindbladian,
     check_detailed_balance,
-    context_from_channel,
-    context_from_generator,
     dirichlet_form,
+    lindbladian_from_channel,
     stationary_state,
 )
 from .deviation import (
@@ -24,7 +23,6 @@ from .deviation import (
     MeasurementSetup,
     main_bound,
     mean_vector,
-    perturbed_generator,
     rate_function,
 )
 from .trajectories import (
@@ -39,7 +37,6 @@ from .inequalities import (
     FunctionalConstants,
     LipschitzContext,
     concentration_bound,
-    entropy_functional,
     lipschitz_norm,
     lsi_depolarizing,
     spectral_gap,

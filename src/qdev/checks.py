@@ -14,7 +14,7 @@ import numpy as np
 
 from .deviation import MeasurementSetup, main_bound, rate_function
 from .inequalities import lsi_depolarizing, spectral_gap, tensorization_lsi_bounds, ti_from_lsi
-from .lindblad import (Lindbladian, check_detailed_balance, context_from_channel, dirichlet_form,
+from .lindblad import (Lindbladian, check_detailed_balance, dirichlet_form, lindbladian_from_channel,
                        stationary_residual, stationary_state)
 from .models import (
     ClassicalChain,
@@ -89,9 +89,8 @@ def run_paper_fixtures() -> list[Result]:
 
     # Symmetry counterexamples.
     fx = appendix_b_fixtures()
-    ctx_psi = context_from_channel(fx.psi)
-    ctx_psit = context_from_channel(fx.psi_tilde)
-    ctx_pch = context_from_channel(fx.p_channel)
+    ctx_psi, ctx_psit, ctx_pch = (stationary_state(lindbladian_from_channel(channel))
+                                  for channel in (fx.psi, fx.psi_tilde, fx.p_channel))
     kms = check_detailed_balance("KMS", ctx_psi)
     bkm = check_detailed_balance("BKM", ctx_psi)
     kms_t = check_detailed_balance("KMS", ctx_psit)

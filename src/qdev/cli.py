@@ -32,7 +32,7 @@ from .inequalities import (
     tilde_observable,
 )
 from .linalg import NumericalError, QdevError, ValidationError
-from .lindblad import check_detailed_balance
+from .lindblad import check_detailed_balance, lindbladian_from_channel
 from .models import (
     ClassicalChain,
     appendix_b_fixtures,
@@ -188,7 +188,7 @@ def _cmd_model_new(args, argv) -> int:
     elif template == "tensor":
         if not args.factors:
             raise ValidationError("tensor template needs --factors")
-        lind = tensor_product([fileio.load_model(f).context.require_jumps() for f in args.factors])
+        lind = tensor_product([fileio.load_model(f).context.lindbladian for f in args.factors])
     elif template == "heat-bath":
         if not args.lattice_file:
             raise ValidationError("heat-bath template needs --lattice-file")
@@ -196,10 +196,10 @@ def _cmd_model_new(args, argv) -> int:
     elif template == "appendix-b":
         fx = appendix_b_fixtures(p=args.p)
         which = {"psi": fx.psi, "psi-tilde": fx.psi_tilde, "p-channel": fx.p_channel}[args.which]
-        fileio.save_model(args.output, channel=which, template=f"appendix-b:{args.which}")
-    if template != "appendix-b":
-        fileio.save_model(args.output, hamiltonian=lind.hamiltonian, jumps=lind.jumps, template=template)
-    fileio.write_manifest(args.output, argv, _existing_inputs(args), {"template": template})
+        lind = lindbladian_from_channel(which)
+        template = f"appendix-b:{args.which}"
+    fileio.save_model(args.output, hamiltonian=lind.hamiltonian, jumps=lind.jumps, template=template)
+    fileio.write_manifest(args.output, argv, _existing_inputs(args), {"template": args.template})
     return 0
 
 
@@ -352,10 +352,9 @@ def _cmd_inequalities(args, argv) -> int:
     report["symmetry"] = symmetry
     consts = functional_constants(ctx)
     report.update((k, v) for k, v in dataclasses.asdict(consts).items() if v is not None)
-    if ctx.lindbladian is not None:
-        report["bohr_frequencies"] = ctx.bohr
+    report["bohr_frequencies"] = ctx.bohr
     lipschitz_rows = []
-    if args.setup and ctx.lindbladian is not None:
+    if args.setup:
         setup = fileio.load_setup(args.setup, ctx)
         lip = LipschitzContext.from_context(ctx)
         for j in range(setup.ell):

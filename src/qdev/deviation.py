@@ -31,7 +31,6 @@ from .linalg import (
     ValidationError,
     add_left_right_pair,
     density_matrix,
-    left_right_sum_matrix,
     require_same_dim,
     top_eigenpair,
 )
@@ -94,7 +93,7 @@ class MeasurementSetup:
     """
 
     def __init__(self, ctx: GeneratorContext, directions, q: int):
-        lind = ctx.require_jumps()
+        lind = ctx.lindbladian
         u = np.atleast_2d(np.asarray(directions, dtype=float))
         ell, k = u.shape
         if k != lind.k:
@@ -117,15 +116,6 @@ class MeasurementSetup:
         self.monitored = np.tensordot(u, lind.jumps, axes=1)
 
 
-def _as_tilt(lam, ell: int) -> np.ndarray:
-    lam = np.atleast_1d(np.asarray(lam, dtype=float))
-    if lam.shape != (ell,):
-        raise DimensionMismatchError(f"tilt vector must have shape ({ell},), got {lam.shape}")
-    if not np.all(np.isfinite(lam)):
-        raise ValidationError("tilt vector must be finite")
-    return lam
-
-
 def mean_vector(setup: MeasurementSetup) -> np.ndarray:
     """Stationary means: Tr[sigma (L_u + L_u*)] per Brownian channel,
     Tr[sigma L_u* L_u] per Poisson channel."""
@@ -137,19 +127,6 @@ def mean_vector(setup: MeasurementSetup) -> np.ndarray:
         else:
             out[j] = np.trace(st.matrix @ (l.conj().T @ l)).real
     return out
-
-
-def perturbed_generator(setup: MeasurementSetup, lam) -> np.ndarray:
-    """The tilted generator L_lam as a new d^2 x d^2 Heisenberg matrix."""
-    lam = _as_tilt(lam, setup.ell)
-    m = setup.ctx.heisenberg.copy()
-    for j, l in enumerate(setup.monitored):
-        if setup.brownian[j]:
-            add_left_right_pair(m, lam[j] * l.conj().T, lam[j] * l)
-            m.reshape(-1)[::m.shape[0] + 1] += 0.5 * lam[j] ** 2
-        else:
-            m += left_right_sum_matrix([np.expm1(lam[j]) * l.conj().T], [l])
-    return m
 
 
 class TiltedFamily:

@@ -2,7 +2,7 @@
 the run manifest that makes every output reproducible.
 
 A complex matrix has two spellings. Model files written by `save_model`
-store each matrix (the hamiltonian, every jump, the channel) packed: one
+store each matrix (the hamiltonian and every jump) packed: one
 base64 string of its n*n little-endian complex128 entries, row-major, so
 the values round-trip bit for bit without float text. Everything else the
 tool writes (states, report.json) uses nested arrays of [re, im] pairs,
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .linalg import ValidationError, density_matrix
-from .lindblad import GeneratorContext, Lindbladian, context_from_channel, stationary_state
+from .lindblad import GeneratorContext, Lindbladian, lindbladian_from_channel, stationary_state
 
 
 PACKED_DTYPE = np.dtype("<c16")
@@ -149,23 +149,15 @@ def load_real_array(path) -> np.ndarray:
 # Model files
 # ---------------------------------------------------------------------------
 
-def save_model(path, *, hamiltonian=None, jumps=None, channel=None, template: str | None = None):
-    """Write a model file; either jump form (hamiltonian + jumps) or
-    channel-difference form (a unital channel whose generator is Psi - id)."""
-    if (hamiltonian is None) == (channel is None):
-        raise ValidationError("model is either jump-form or channel-difference, not both")
-    if hamiltonian is not None:
-        h = np.asarray(hamiltonian, dtype=complex)
-        doc = {
-            "kind": "lindblad",
-            "dim": int(h.shape[0]),
-            "hamiltonian": _pack_complex_matrix(h),
-            "jumps": [_pack_complex_matrix(l) for l in jumps],
-        }
-    else:
-        ch = np.asarray(channel, dtype=complex)
-        dim = int(round(np.sqrt(ch.shape[0])))
-        doc = {"kind": "channel_difference", "dim": dim, "channel": _pack_complex_matrix(ch)}
+def save_model(path, *, hamiltonian, jumps, template: str | None = None):
+    """Write a jump-form model file: the hamiltonian and the jumps."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    doc = {
+        "kind": "lindblad",
+        "dim": int(h.shape[0]),
+        "hamiltonian": _pack_complex_matrix(h),
+        "jumps": [_pack_complex_matrix(l) for l in jumps],
+    }
     if template:
         doc["template"] = template
     Path(path).write_text(json.dumps(doc))
@@ -182,17 +174,14 @@ def load_model(path) -> LoadedModel:
 
     The parsed document is gone before the solve starts, so its text never
     sits in memory beside the generator."""
-    generator, template = _read_model(path)
-    if isinstance(generator, Lindbladian):
-        ctx = stationary_state(generator)
-    else:
-        ctx = context_from_channel(generator)
-    return LoadedModel(ctx, template)
+    lind, template = _read_model(path)
+    return LoadedModel(stationary_state(lind), template)
 
 
-def _read_model(path) -> tuple[Lindbladian | np.ndarray, str | None]:
-    """The generator data of a model file (a Lindbladian, or the d^2 x d^2
-    channel matrix of a channel-difference model) and its template."""
+def _read_model(path) -> tuple[Lindbladian, str | None]:
+    """The generator of a model file and its template. A file of kind
+    channel_difference holds the d^2 x d^2 Heisenberg matrix of a unital
+    channel Psi, whose generator Psi - id is decoded to jump form."""
     doc = load_object(path)
     kind = doc.get("kind", "lindblad")
     dim = require_int(doc, "dim", str(path))
@@ -210,14 +199,15 @@ def _read_model(path) -> tuple[Lindbladian | np.ndarray, str | None]:
             if jump.shape != (dim, dim):
                 raise ValidationError(f"{path}: jumps[{i}] has shape {jump.shape}, declared dim {dim}")
             stack[i] = jump
-        generator = Lindbladian(h, stack)
+        lind = Lindbladian(h, stack)
     elif kind == "channel_difference":
-        generator = _matrix_field(doc, "channel", str(path))
-        if generator.shape[0] != dim * dim:
+        channel = _matrix_field(doc, "channel", str(path))
+        if channel.shape[0] != dim * dim:
             raise ValidationError(f"{path}: channel matrix must be dim^2 x dim^2")
+        lind = lindbladian_from_channel(channel, f"{path}:channel")
     else:
         raise ValidationError(f"{path}: unknown model kind {kind!r}")
-    return generator, doc.get("template")
+    return lind, doc.get("template")
 
 
 def load_lattice(path):

@@ -24,16 +24,12 @@ from .linalg import (
     NumericalError,
     ValidationError,
     _as_state,
-    as_complex_matrix,
     as_matrix_stack,
-    density_matrix,
     hermitian_from_params,
     hermitian_part,
     hermitian_to_params,
-    inner_product,
     require_hermitian,
     spectral_transform,
-    unvec,
     vec,
 )
 from .lindblad import SYMMETRY_REL_TOL, GeneratorContext, check_detailed_balance
@@ -127,56 +123,6 @@ def _is_depolarizing(ctx: GeneratorContext) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Entropy functionals
-# ---------------------------------------------------------------------------
-
-def _clipped_log(rho: np.ndarray) -> np.ndarray:
-    """Support-restricted matrix logarithm of a PSD matrix."""
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    logs = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), 0.0)
-    return (v * logs) @ v.conj().T
-
-
-def entropy_functional(kind: str, ctx: GeneratorContext, argument) -> float:
-    """Variance, L2 entropy, relative entropy, or entropy production.
-
-    variance/ent2 take an observable X (ent2 requires X >= 0); the entropy
-    kinds take a state rho, which density_matrix validates. All values are
-    real; sigma must be faithful so the relative entropy is always finite.
-    """
-    st = ctx.require_faithful()
-    a = as_complex_matrix(argument, "argument")
-    if kind == "variance":
-        mean = np.trace(st.matrix @ a)
-        shifted = a - mean * np.eye(st.dim)
-        return float(inner_product("KMS", st, shifted, shifted).real)
-    if kind == "ent2":
-        x = require_hermitian(a, tol=1e-8, name="X")
-        quarter = st.power(0.25)
-        gx = quarter @ x @ quarter
-        rho_like = gx @ gx
-        norm2 = float(np.trace(rho_like).real)
-        if norm2 <= 0:
-            return 0.0
-        log_rho = _clipped_log(rho_like)
-        log_sigma = _clipped_log(st.matrix)
-        value = np.trace(rho_like @ (log_rho - log_sigma)).real - norm2 * math.log(norm2)
-        return float(value)
-    if kind == "relative_entropy":
-        rho = density_matrix(a, "rho")
-        log_sigma = _clipped_log(st.matrix)
-        return float(np.trace(rho @ (_clipped_log(rho) - log_sigma)).real)
-    if kind == "entropy_production":
-        rho = density_matrix(a, "rho")
-        log_sigma = _clipped_log(st.matrix)
-        # L*(rho) = H^dagger vec(rho), the conjugate of vec(rho)^dagger H.
-        lstar_rho = unvec((vec(rho).conj() @ ctx.heisenberg).conj(), st.dim)
-        return float(-np.trace(lstar_rho @ (_clipped_log(rho) - log_sigma)).real)
-    raise ValidationError(f"unknown entropy functional kind {kind!r}")
-
-
-# ---------------------------------------------------------------------------
 # Closed-form constants
 # ---------------------------------------------------------------------------
 
@@ -226,7 +172,7 @@ class LipschitzContext:
         omegas = ctx.bohr
         if omegas is None:
             raise ValidationError("jumps are not modular eigenvectors; no Lipschitz calculus")
-        return cls(st, ctx.require_jumps().jumps, omegas)
+        return cls(st, ctx.lindbladian.jumps, omegas)
 
 
 def lipschitz_norm(lip: LipschitzContext, x) -> float:
@@ -246,7 +192,7 @@ def tilde_observable(ctx: GeneratorContext, u) -> np.ndarray:
     the raw observable L_u + L_u*.
     """
     st = ctx.require_faithful()
-    lind = ctx.require_jumps()
+    lind = ctx.lindbladian
     l_u = np.tensordot(np.asarray(u, dtype=float).reshape(lind.k), lind.jumps, axes=1)
     out = spectral_transform(st, l_u.conj().T, 0.25)
     out += spectral_transform(st, l_u, -0.25)
@@ -434,29 +380,6 @@ def _need(value, name: str, minimum: float = 0.0, positive: bool = False):
     low = max(minimum, 1.0 / CONSTANT_MAX) if positive else minimum
     if not low <= value <= CONSTANT_MAX:
         raise ValidationError(f"{name} must be finite and in [{low:g}, {CONSTANT_MAX:g}], got {value!r}")
-
-
-def tensor_alpha_u(contexts: list[GeneratorContext], u: np.ndarray) -> float:
-    """Coupling constant alpha(u) of the tensorized concentration bound:
-    2 |J| max_{k,j} e^{w_{k,j}/2} || sum_i u_{k,i} [L_{k,j}, O~_{k,i}] ||_inf^2
-    over factors k and local jumps j."""
-    n = len(contexts)
-    sizes = [ctx.require_jumps().k for ctx in contexts]
-    if len(set(sizes)) != 1:
-        raise ValidationError("factors must share the local jump count")
-    j_count = sizes[0]
-    u = np.asarray(u, dtype=float).reshape(n, j_count)
-    worst = 0.0
-    for k, ctx in enumerate(contexts):
-        omegas = ctx.bohr
-        if omegas is None:
-            raise ValidationError("tensor factors need Bohr frequencies")
-        smoothed = tilde_observable(ctx, u[k])
-        for j, l in enumerate(ctx.require_jumps().jumps):
-            comm = l @ smoothed - smoothed @ l
-            value = math.exp(omegas[j] / 2.0) * np.linalg.norm(comm, 2) ** 2
-            worst = max(worst, value)
-    return 2.0 * j_count * worst
 
 
 def tensorization_lsi_bounds(contexts: list[GeneratorContext]) -> tuple[float, float]:

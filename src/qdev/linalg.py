@@ -387,10 +387,15 @@ def dual_in_eigenbasis(left: str, right: str, st: FaithfulState, eigenbasis_matr
     """G_left^(-1) S^dagger G_right for a superoperator S given in sigma's
     eigenbasis, where the Gram maps G are the diagonal gram_weights: entry
     (a, b) is conj(S[b, a]) g_right[b] / g_left[a]. With left == right it
-    is the dual of S for that inner product, <X, S Y> = <S' X, Y>.
+    is the dual of S for that inner product, <X, S Y> = <S' X, Y>. The
+    weights g_right[b] / g_left[a] are made d rows at a time, so each
+    temporary holds d^3 entries.
     """
-    weights = np.outer(1.0 / gram_weights(left, st), gram_weights(right, st))
-    dual = np.multiply(eigenbasis_matrix.T, weights, order="C")
+    inverse_left, right_weights = 1.0 / gram_weights(left, st), gram_weights(right, st)
+    dual = np.empty(eigenbasis_matrix.shape, dtype=complex)
+    for start in range(0, len(dual), st.dim):
+        rows = slice(start, start + st.dim)
+        np.multiply(eigenbasis_matrix[:, rows].T, np.outer(inverse_left[rows], right_weights), out=dual[rows])
     return np.conjugate(dual, out=dual)
 
 

@@ -1,12 +1,12 @@
 """Lindblad generators, stationary states, detailed balance, and Dirichlet
 forms.
 
-A generator is held either in jump-operator form (Hamiltonian H plus jumps
-L_1..L_k, Heisenberg action i[H,X] + sum_j L_j* X L_j - {L_j* L_j, X}/2) or
-as a raw d^2 x d^2 Heisenberg matrix for channel-difference generators
-Psi - id; a stationary state is a plain d x d density matrix.
-The jumps are one (k, d, d) complex array, fixed at construction (k = 0
-allowed); every consumer works on that stack as it is.
+A generator is held in jump-operator form: a Hamiltonian H plus jumps
+L_1..L_k, Heisenberg action i[H,X] + sum_j L_j* X L_j - {L_j* L_j, X}/2.
+A channel-difference generator Psi - id is decoded to that form
+(lindbladian_from_channel). A stationary state is a plain d x d density
+matrix. The jumps are one (k, d, d) complex array, fixed at construction
+(k = 0 allowed); every consumer works on that stack as it is.
 The GeneratorContext bundles the generator with its stationary state and the
 sigma-weighted calculus needed everywhere else: KMS symmetrization,
 detailed balance with respect to the GNS/KMS/BKM inner products, Bohr
@@ -23,7 +23,6 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
-    DimensionMismatchError,
     FaithfulState,
     NotFaithfulError,
     NumericalError,
@@ -45,9 +44,10 @@ from .linalg import (
     vec,
 )
 
-# |L(id)| and the stationary residual |L*(sigma)|, relative to the generator
-# scale (_generator_scale).
-UNITALITY_TOL = 1e-10
+# Relative to the generator scale (_generator_scale): the negative part of
+# the compressed Choi matrix and the rebuild error that
+# lindbladian_from_channel accepts, and the stationary residual |L*(sigma)|.
+GKSL_TOL = 1e-10
 STATIONARY_TOL = 1e-9
 KERNEL_REL_TOL = 1e-9
 SYMMETRY_REL_TOL = 1e-8
@@ -99,8 +99,8 @@ class GeneratorContext:
     """A generator together with its stationary state and weighted calculus.
 
     The generator is held once, as the d^2 x d^2 Heisenberg matrix
-    ``heisenberg`` (L* is never formed), beside the d x d stationary state
-    ``sigma``. The only other d^2 x d^2 matrix it may hold is
+    ``heisenberg`` (L* is never formed) of the jump form ``lindbladian``,
+    beside the d x d stationary state ``sigma``. The only other d^2 x d^2 matrix it may hold is
     ``eigenbasis_generator``: computed on first use, read-only while cached,
     and kept until take_eigenbasis_generator hands it, writeable, to a
     caller that overwrites it (TiltedFamily, spectral_gap). Each further
@@ -127,8 +127,8 @@ class GeneratorContext:
     """
 
     def __init__(self, heisenberg: np.ndarray, sigma: np.ndarray,
-                 faithful: FaithfulState | None, primitive: bool, kernel_dim: int,
-                 lindbladian: Lindbladian | None = None, unfaithful: str = ""):
+                 faithful: FaithfulState | None, primitive: bool, kernel_dim: int, *,
+                 lindbladian: Lindbladian, unfaithful: str = ""):
         self.heisenberg = heisenberg
         self.sigma = sigma
         self.faithful = faithful
@@ -145,8 +145,6 @@ class GeneratorContext:
         return self.faithful
 
     def require_jumps(self) -> Lindbladian:
-        if self.lindbladian is None:
-            raise ValidationError("operation requires jump-operator form, context holds a raw superoperator")
         return self.lindbladian
 
     @cached_property
@@ -160,8 +158,8 @@ class GeneratorContext:
         """Frequencies omega_j with Delta_sigma(L_j) = exp(-omega_j) L_j for
         the jumps L_j, computed on first use. None when some jump is not an
         eigenvector of the modular operator (relative residual above
-        BOHR_REL_TOL), and without a faithful state or jump form."""
-        if self.faithful is None or self.lindbladian is None:
+        BOHR_REL_TOL), and without a faithful state."""
+        if self.faithful is None:
             return None
         return _modular_frequencies(self.faithful, self.lindbladian.jumps)
 
@@ -202,29 +200,62 @@ class GeneratorContext:
 
 def _generator_scale(heis: np.ndarray) -> float:
     """max(1, largest |entry|) of a Heisenberg matrix: the scale of the
-    unitality, stationarity, kernel and symmetry tolerances, floored at one
+    decoding, stationarity, kernel and symmetry tolerances, floored at one
     so that a numerically zero generator is classified rather than its
     rounding dust amplified."""
     return max(1.0, float(np.max(np.abs(heis))))
 
 
+def lindbladian_from_channel(channel, name: str = "channel") -> Lindbladian:
+    """The jump form of L = Psi - id for the unital channel Psi, given as
+    its d^2 x d^2 Heisenberg matrix (not modified): the GKSL construction
+    (Gorini, Kossakowski & Sudarshan, J. Math. Phys. 17, 821 (1976);
+    Lindblad, Commun. Math. Phys. 48, 119 (1976)).
+
+    Realigned as R[(c, a), (e, b)] = L[(a, b), (c, e)], the jump part of L
+    is sum_j l_j l_j^dagger (l_j the row-major entries of L_j, as in
+    left_right_sum_matrix) and X -> G* X + X G is |w><.| + |.><w|, w the
+    entries of id. R compressed to the complement of w (its Hermitian part)
+    must be positive semidefinite to -GKSL_TOL * scale (L conditionally
+    completely positive); its eigenpairs above rounding give the traceless
+    jumps sqrt(lambda) v, largest first. sum_a R[(a, a), (e, b)] / d is
+    then iH - K/2 up to a multiple of id. The jump form must rebuild L to
+    GKSL_TOL * scale, which refuses a map that is not unital or does not
+    preserve Hermiticity. Errors start with ``name``.
+    """
+    generator = np.array(as_complex_matrix(channel, name))
+    n, d = generator.shape[0], math.isqrt(generator.shape[0])
+    generator.reshape(-1)[::n + 1] -= 1.0
+    scale = _generator_scale(generator)
+    m4 = generator.reshape(d, d, d, d)
+    realigned = np.array(m4.transpose(2, 0, 3, 1)).reshape(n, n)
+    w = np.eye(d).reshape(-1) / math.sqrt(d)
+    r_w = realigned @ w
+    realigned -= np.outer(w, w @ realigned)
+    realigned -= np.outer(r_w - (w @ r_w) * w, w)
+    lam, vecs = np.linalg.eigh(hermitianize(realigned))
+    if lam[0] < -GKSL_TOL * scale:
+        raise ValidationError(f"{name}: Psi - id is not conditionally completely positive: its "
+                              f"compressed Choi matrix has eigenvalue {lam[0]:.3e}")
+    keep = np.flatnonzero(lam > n * np.finfo(float).eps * scale)[::-1]
+    jumps = (vecs[:, keep] * np.sqrt(lam[keep])).T.reshape(len(keep), d, d)
+    lind = Lindbladian(hermitian_part(-1j * np.einsum("abae->be", m4) / d), jumps)
+    error = float(np.max(np.abs(lind.heisenberg_superoperator() - generator)))
+    if error > GKSL_TOL * scale:
+        raise ValidationError(f"{name}: Psi - id is not a quantum Markov generator: its GKSL "
+                              f"form differs from it by {error:.3e}")
+    return lind
+
+
 def stationary_state(lind: Lindbladian) -> GeneratorContext:
     """Solve L*(sigma) = 0 for a jump-form generator and assemble its context."""
-    return context_from_generator(lind.heisenberg_superoperator(), lindbladian=lind)
+    return _context(lind.heisenberg_superoperator(), lind)
 
 
 def stationary_residual(heis: np.ndarray, rho: np.ndarray) -> float:
     """max |L*(rho)| for the Heisenberg matrix H of L, as the entrywise
     max of |vec(rho)^dagger H| = |H^dagger vec(rho)|, without forming L*."""
     return float(np.max(np.abs(vec(rho).conj() @ heis)))
-
-
-def context_from_channel(channel) -> GeneratorContext:
-    """Context for the channel-difference generator L = Psi - id, given
-    the d^2 x d^2 Heisenberg matrix of the unital channel Psi (not modified)."""
-    generator = np.array(as_complex_matrix(channel, "channel"))
-    generator.reshape(-1)[::generator.shape[0] + 1] -= 1.0
-    return context_from_generator(generator)
 
 
 def _bordered_kernel(heis: np.ndarray, d: int, scale: float) -> np.ndarray | None:
@@ -290,10 +321,9 @@ def _svd_kernel(m: np.ndarray, d: int, scale: float) -> tuple[np.ndarray, int]:
     return unvec(proj @ vec(np.eye(d) / d), d), mult
 
 
-def context_from_generator(heis, lindbladian: Lindbladian | None = None) -> GeneratorContext:
-    """Context for a generator given as its d^2 x d^2 Heisenberg matrix H
-    (square, of perfect-square size; a complex H is kept as the context's
-    generator, not copied).
+def _context(h: np.ndarray, lind: Lindbladian) -> GeneratorContext:
+    """Context for the generator ``lind`` given as its complex d^2 x d^2
+    Heisenberg matrix H, which is kept as the context's generator, not copied.
 
     The kernel of the Schrodinger matrix M = H^dagger comes from one LU
     inversion of the trace-bordered H + c t t^T, the adjoint of the bordered
@@ -306,14 +336,8 @@ def context_from_generator(heis, lindbladian: Lindbladian | None = None) -> Gene
     (NotFaithfulError).
     Primitive means the kernel is simple and sigma has full rank.
     """
-    h = as_complex_matrix(heis, "superoperator matrix")
-    d = math.isqrt(h.shape[0])
-    if d * d != h.shape[0]:
-        raise DimensionMismatchError(f"superoperator size {h.shape[0]} is not a perfect square")
+    d = lind.dim
     scale = _generator_scale(h)
-    unitality = np.max(np.abs(h @ vec(np.eye(d))))
-    if unitality > UNITALITY_TOL * scale:
-        raise ValidationError(f"generator is not unital: |L(id)| = {unitality:.3e}")
     cand, mult = _bordered_kernel(h, d, scale), 1
     if cand is None:
         cand, mult = _svd_kernel(h.conj().T, d, scale)
@@ -340,7 +364,7 @@ def context_from_generator(heis, lindbladian: Lindbladian | None = None) -> Gene
             raise NotFaithfulError(f"no faithful stationary state ({exc})")
         faithful, unfaithful = None, str(exc)
     primitive = (mult == 1) and faithful is not None
-    return GeneratorContext(h, sigma, faithful, primitive, mult, lindbladian=lindbladian,
+    return GeneratorContext(h, sigma, faithful, primitive, mult, lindbladian=lind,
                             unfaithful=unfaithful)
 
 

@@ -458,7 +458,7 @@ class _Engine:
     """
 
     def __init__(self, setup: MeasurementSetup, config: TrajectoryConfig, linear: bool):
-        lind = setup.ctx.require_jumps()
+        lind = setup.ctx.lindbladian
         self.config = config
         self.linear = linear
         d = self.d = lind.dim

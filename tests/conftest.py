@@ -1,15 +1,21 @@
+import base64
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.optimize
 
-from qdev.deviation import mean_vector
-from qdev.inequalities import LipschitzContext, spectral_gap
+from qdev.deviation import MeasurementSetup, mean_vector
+from qdev.inequalities import LipschitzContext, spectral_gap, tilde_observable
 from qdev.linalg import (
+    DimensionMismatchError,
     FaithfulState,
     ValidationError,
+    add_left_right_pair,
     as_complex_matrix,
+    density_matrix,
     dual_in_eigenbasis,
     hermitian_from_params,
     hermitian_part,
@@ -22,7 +28,7 @@ from qdev.linalg import (
     unvec,
     vec,
 )
-from qdev.lindblad import Lindbladian, dirichlet_form, stationary_state
+from qdev.lindblad import GeneratorContext, Lindbladian, dirichlet_form, stationary_state
 from qdev.models import depolarizing, maximally_mixed
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -195,6 +201,19 @@ def dual_superoperator(kind, ctx, superop):
     return rotate_superoperator(dual, st.eigenvectors.conj().T)
 
 
+def write_channel_model(path, channel, template=None):
+    """A model file of kind channel_difference for the unital channel Psi
+    (generator Psi - id), written as save_model wrote that kind before it
+    was decoded to jumps at load: the channel matrix packed as base64 of its
+    little-endian complex128 entries."""
+    ch = np.ascontiguousarray(channel, dtype="<c16")
+    doc = {"kind": "channel_difference", "dim": math.isqrt(ch.shape[0]),
+           "channel": base64.b64encode(ch.tobytes()).decode("ascii")}
+    if template:
+        doc["template"] = template
+    Path(path).write_text(json.dumps(doc))
+
+
 def site_channels(lind, n_sites):
     """Heisenberg-picture Psi_v(X) = sum_K K^dagger X K of each site of an
     n_sites heat-bath generator, from its site-major jump stack."""
@@ -302,7 +321,7 @@ def kms_canonical_hamiltonian(ctx):
     check_detailed_balance.
     """
     st = ctx.require_faithful()
-    lind = ctx.require_jumps()
+    lind = ctx.lindbladian
     for i, l in enumerate(lind.jumps):
         aligned = spectral_transform(st, l.conj().T, 0.5)
         scale = max(float(np.linalg.norm(l)), 1e-300)
@@ -349,7 +368,7 @@ def unit_derivations(ctx):
     1e-15 rescaled to unit norm: the convention under which the depolarizing
     metric is generated by bare matrix units. Rescaling by positive
     constants leaves the Bohr frequencies untouched."""
-    jumps = ctx.require_jumps().jumps
+    jumps = ctx.lindbladian.jumps
     norms = np.linalg.norm(jumps, axis=(1, 2))
     units = jumps / np.where(norms > 1e-15, norms, 1.0)[:, None, None]
     return LipschitzContext(ctx.require_faithful(), units, ctx.bohr)
@@ -370,6 +389,101 @@ def aligned_thermal_qubit(s0=0.7, gamma=0.6 + 0.3j, d0=0.4, d1=-0.2):
     l = np.array([[d0, gamma], [np.conj(gamma) * np.sqrt(s1 / s0), d1]], dtype=complex)
     sigma = np.diag([s0, s1]).astype(complex)
     return sigma, l
+
+
+# Held here until a verb needs them: the raw tilted generator (ROADMAP
+# items 1 and 2), the entropy functionals (item 4) and alpha(u) of
+# tensor-product models (items 10 and 13).
+
+def _as_tilt(lam, ell: int) -> np.ndarray:
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    if lam.shape != (ell,):
+        raise DimensionMismatchError(f"tilt vector must have shape ({ell},), got {lam.shape}")
+    if not np.all(np.isfinite(lam)):
+        raise ValidationError("tilt vector must be finite")
+    return lam
+
+
+def perturbed_generator(setup: MeasurementSetup, lam) -> np.ndarray:
+    """The tilted generator L_lam as a new d^2 x d^2 Heisenberg matrix."""
+    lam = _as_tilt(lam, setup.ell)
+    m = setup.ctx.heisenberg.copy()
+    for j, l in enumerate(setup.monitored):
+        if setup.brownian[j]:
+            add_left_right_pair(m, lam[j] * l.conj().T, lam[j] * l)
+            m.reshape(-1)[::m.shape[0] + 1] += 0.5 * lam[j] ** 2
+        else:
+            m += left_right_sum_matrix([np.expm1(lam[j]) * l.conj().T], [l])
+    return m
+
+
+def _clipped_log(rho: np.ndarray) -> np.ndarray:
+    """Support-restricted matrix logarithm of a PSD matrix."""
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, 0.0, None)
+    logs = np.where(w > 0, np.log(np.where(w > 0, w, 1.0)), 0.0)
+    return (v * logs) @ v.conj().T
+
+
+def entropy_functional(kind: str, ctx: GeneratorContext, argument) -> float:
+    """Variance, L2 entropy, relative entropy, or entropy production.
+
+    variance/ent2 take an observable X (ent2 requires X >= 0); the entropy
+    kinds take a state rho, which density_matrix validates. All values are
+    real; sigma must be faithful so the relative entropy is always finite.
+    """
+    st = ctx.require_faithful()
+    a = as_complex_matrix(argument, "argument")
+    if kind == "variance":
+        mean = np.trace(st.matrix @ a)
+        shifted = a - mean * np.eye(st.dim)
+        return float(inner_product("KMS", st, shifted, shifted).real)
+    if kind == "ent2":
+        x = require_hermitian(a, tol=1e-8, name="X")
+        quarter = st.power(0.25)
+        gx = quarter @ x @ quarter
+        rho_like = gx @ gx
+        norm2 = float(np.trace(rho_like).real)
+        if norm2 <= 0:
+            return 0.0
+        log_rho = _clipped_log(rho_like)
+        log_sigma = _clipped_log(st.matrix)
+        value = np.trace(rho_like @ (log_rho - log_sigma)).real - norm2 * math.log(norm2)
+        return float(value)
+    if kind == "relative_entropy":
+        rho = density_matrix(a, "rho")
+        log_sigma = _clipped_log(st.matrix)
+        return float(np.trace(rho @ (_clipped_log(rho) - log_sigma)).real)
+    if kind == "entropy_production":
+        rho = density_matrix(a, "rho")
+        log_sigma = _clipped_log(st.matrix)
+        # L*(rho) = H^dagger vec(rho), the conjugate of vec(rho)^dagger H.
+        lstar_rho = unvec((vec(rho).conj() @ ctx.heisenberg).conj(), st.dim)
+        return float(-np.trace(lstar_rho @ (_clipped_log(rho) - log_sigma)).real)
+    raise ValidationError(f"unknown entropy functional kind {kind!r}")
+
+
+def tensor_alpha_u(contexts: list[GeneratorContext], u: np.ndarray) -> float:
+    """Coupling constant alpha(u) of the tensorized concentration bound:
+    2 |J| max_{k,j} e^{w_{k,j}/2} || sum_i u_{k,i} [L_{k,j}, O~_{k,i}] ||_inf^2
+    over factors k and local jumps j."""
+    n = len(contexts)
+    sizes = [ctx.lindbladian.k for ctx in contexts]
+    if len(set(sizes)) != 1:
+        raise ValidationError("factors must share the local jump count")
+    j_count = sizes[0]
+    u = np.asarray(u, dtype=float).reshape(n, j_count)
+    worst = 0.0
+    for k, ctx in enumerate(contexts):
+        omegas = ctx.bohr
+        if omegas is None:
+            raise ValidationError("tensor factors need Bohr frequencies")
+        smoothed = tilde_observable(ctx, u[k])
+        for j, l in enumerate(ctx.lindbladian.jumps):
+            comm = l @ smoothed - smoothed @ l
+            value = math.exp(omegas[j] / 2.0) * np.linalg.norm(comm, 2) ** 2
+            worst = max(worst, value)
+    return 2.0 * j_count * worst
 
 
 @pytest.fixture()

@@ -42,8 +42,8 @@ from qdev.inequalities import (
 from qdev.linalg import vec
 from qdev.lindblad import (
     check_detailed_balance,
-    context_from_channel,
     dirichlet_form,
+    lindbladian_from_channel,
     stationary_state,
 )
 from qdev.models import (
@@ -229,9 +229,9 @@ def test_criterion_7_trajectory_physics():
 
 def test_criterion_8_counterexample_classification():
     fx = appendix_b_fixtures(p=0.3)
-    ctx_psi = context_from_channel(fx.psi)
-    ctx_psit = context_from_channel(fx.psi_tilde)
-    ctx_p = context_from_channel(fx.p_channel)
+    ctx_psi = stationary_state(lindbladian_from_channel(fx.psi))
+    ctx_psit = stationary_state(lindbladian_from_channel(fx.psi_tilde))
+    ctx_p = stationary_state(lindbladian_from_channel(fx.p_channel))
     kms = check_detailed_balance("KMS", ctx_psi).deviation
     bkm = check_detailed_balance("BKM", ctx_psi).deviation
     kms_t = check_detailed_balance("KMS", ctx_psit).deviation

@@ -11,11 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import apply_superoperator, site_channels
+from conftest import apply_superoperator, site_channels, write_channel_model
 from qdev import cli, fileio
 from qdev.cli import main
 from qdev.linalg import ValidationError
-from qdev.models import heat_bath
+from qdev.models import appendix_b_fixtures, heat_bath
 
 
 def write_setup(path, directions, q):
@@ -95,9 +95,12 @@ class TestModelNew:
         Path("lattice.json").write_text(json.dumps(LATTICE))
         lind = heat_bath(fileio.load_lattice("lattice.json"))
         channel = sum(site_channels(lind, 2)) - np.eye(16)
-        fileio.save_model("old.json", channel=channel, template="heat-bath")
+        write_channel_model("old.json", channel, template="heat-bath")
         old = fileio.load_model("old.json").context
         assert np.max(np.abs(old.heisenberg - lind.heisenberg_superoperator())) <= 1e-12
+        # That channel is not CP, but its difference with id is conditionally
+        # CP: it decodes to 7 traceless jumps.
+        assert old.lindbladian.k == 7
 
     def test_heat_bath_model_reaches_every_verb(self, workdir):
         Path("lattice.json").write_text(json.dumps(LATTICE))
@@ -170,6 +173,78 @@ class TestModelNew:
                      "one.json", "-o", "two.json"]) == 0
         model = fileio.load_model("two.json")
         assert model.context.dim == 4
+
+
+class TestAppendixBModels:
+    """The appendix-B channel-difference models, held as jumps, reach every
+    verb that needs a jump-form generator."""
+
+    JUMPS = {"psi": 3, "psi-tilde": 3, "p-channel": 2}
+
+    def model(self, which):
+        """m.json for the channel, and setup.json: one Brownian channel along jump 0."""
+        assert main(["model", "new", "--template", "appendix-b", "--which", which, "-o", "m.json"]) == 0
+        write_setup("setup.json", [[1.0] + [0.0] * (self.JUMPS[which] - 1)], 1)
+
+    @pytest.mark.parametrize("which", ["psi", "psi-tilde", "p-channel"])
+    def test_template_writes_jump_form(self, workdir, which):
+        self.model(which)
+        doc = fileio.load_json("m.json")
+        assert doc["kind"] == "lindblad" and doc["template"] == f"appendix-b:{which}"
+        assert len(doc["jumps"]) == self.JUMPS[which]
+        fx = appendix_b_fixtures()
+        channel = {"psi": fx.psi, "psi-tilde": fx.psi_tilde, "p-channel": fx.p_channel}[which]
+        heis = fileio.load_model("m.json").context.heisenberg
+        assert np.max(np.abs(heis - (channel - np.eye(4)))) <= 1e-12
+
+    @pytest.mark.parametrize("which", ["psi", "psi-tilde", "p-channel"])
+    def test_bound_and_simulate(self, workdir, which):
+        self.model(which)
+        write_config("config.json", dt=1e-2, t_max=0.5, n_paths=50, base_seed=3)
+        assert main(["bound", "--model", "m.json", "--setup", "setup.json",
+                     "--r", "0.3", "--t", "1", "-o", "bound.csv"]) == 0
+        assert main(["simulate", "--model", "m.json", "--setup", "setup.json",
+                     "--config", "config.json", "--r", "0.3", "-o", "sim.csv"]) == 0
+        for name in ("bound.csv", "sim.csv"):
+            assert {row["status"] for row in fileio.read_csv(name)[1]} == {"ok"}
+
+    @pytest.mark.parametrize("which", ["psi", "p-channel"])
+    def test_rate(self, workdir, which):
+        self.model(which)
+        assert main(["rate", "--model", "m.json", "--setup", "setup.json",
+                     "--grid=-0.5:0.5:3", "-o", "rate.csv"]) == 0
+        assert len(fileio.read_csv("rate.csv")[1]) == 3
+
+    def test_rate_refuses_psi_tilde(self, workdir, capsys):
+        # psi-tilde is BKM- but not KMS-symmetric
+        self.model("psi-tilde")
+        assert main(["rate", "--model", "m.json", "--setup", "setup.json",
+                     "--grid=-0.5:0.5:3", "-o", "rate.csv"]) == 1
+        assert "KMS-symmetric" in json.loads(capsys.readouterr().err.strip())["message"]
+
+    @pytest.mark.parametrize("which", ["psi", "psi-tilde", "p-channel"])
+    def test_inequalities_setup_is_not_ignored(self, workdir, capsys, which):
+        self.model(which)
+        assert main(["inequalities", "--model", "m.json", "-o", "report"]) == 0
+        assert "bohr_frequencies" in json.loads(Path("report.json").read_text())
+        capsys.readouterr()
+        code = main(["inequalities", "--model", "m.json", "--setup", "setup.json", "-o", "lip"])
+        if code == 0:
+            assert len(json.loads(Path("lip.json").read_text())["tilde_lipschitz"]) == 1
+        else:
+            assert code == 1
+            assert "jumps are not modular eigenvectors" in json.loads(capsys.readouterr().err.strip())["message"]
+
+    def test_non_cp_channel_file_refused(self, workdir, capsys):
+        # Psi(X) = 0.1 Tr(X) id + 0.8 X^T is unital, but Psi - id is not
+        # conditionally completely positive.
+        w = np.eye(2).reshape(-1)
+        write_channel_model("noncp.json", 0.1 * np.outer(w, w) + 0.8 * np.eye(4)[[0, 2, 1, 3]])
+        assert main(["inequalities", "--model", "noncp.json", "-o", "report"]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "noncp.json" in err["message"]
+        assert "not conditionally completely positive" in err["message"]
+        assert not Path("report.json").exists()
 
 
 class TestBoundVerb:
@@ -819,7 +894,7 @@ class TestComplexMatrixFormat:
             {"kind": "lindblad", "dim": d, "hamiltonian": pairs(h),
              "jumps": [pairs(l) for l in jumps], "template": "depolarizing"}, indent=1))
         for path in ("old.json", "m.json"):
-            lind = fileio.load_model(path).context.require_jumps()
+            lind = fileio.load_model(path).context.lindbladian
             assert [l.tobytes() for l in lind.jumps] == [l.tobytes() for l in jumps]
 
     @pytest.mark.parametrize("text", ["not base64!", "AAAA=AAA", "", "AAAA",

@@ -8,6 +8,7 @@ from conftest import (
     direct_variational_crosscheck,
     f_statistics,
     left_right_matrix,
+    perturbed_generator,
     random_faithful,
     random_hermitian,
     scalar_lindblad,
@@ -21,7 +22,6 @@ from qdev.deviation import (
     TiltedFamily,
     main_bound,
     mean_vector,
-    perturbed_generator,
     rate_function,
 )
 from qdev.models import ClassicalChain, classical_embedding, depolarizing, maximally_mixed

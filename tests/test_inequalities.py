@@ -6,9 +6,11 @@ import pytest
 from conftest import (
     SZ,
     aligned_thermal_qubit,
+    entropy_functional,
     fisher_information,
     random_hermitian,
     random_state,
+    tensor_alpha_u,
     unit_derivations,
     verify_poincare_ti,
 )
@@ -19,12 +21,10 @@ from qdev.inequalities import (
     _bfgs_weak_wolfe,
     LipschitzContext,
     concentration_bound,
-    entropy_functional,
     functional_constants,
     lipschitz_norm,
     lsi_depolarizing,
     spectral_gap,
-    tensor_alpha_u,
     tensorization_lsi_bounds,
     ti_from_lsi,
     tilde_observable,

@@ -18,11 +18,9 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src" / "qdev"
 
 ALLOWED = {
-    "perturbed_generator": "ROADMAP items 1 and 2: the raw tilted generator for exact tails and raw rates",
-    "entropy_functional": "ROADMAP item 4: Ent2 for the upper end of a computed log-Sobolev bracket",
-    "tensor_alpha_u": "ROADMAP item 10: alpha(u) of factorized tensor-product models",
     "w1_lower_bound": "acceptance criterion 6's W1 certificate; ROADMAP item 9 adds its upper end",
     "simulate_path": "timed by the trajectories.simulate_path probe of perfbench",
+    "require_jumps": "called by perfbench/traced.py",
 }
 
 

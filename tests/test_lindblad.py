@@ -24,6 +24,7 @@ from qdev.linalg import (
     DimensionMismatchError,
     FaithfulState,
     NotFaithfulError,
+    ValidationError,
     hermitian_part,
     inner_product,
     left_right_sum_matrix,
@@ -32,11 +33,10 @@ from qdev.linalg import (
 from qdev.lindblad import (
     Lindbladian,
     check_detailed_balance,
-    context_from_generator,
     dirichlet_form,
     stationary_state,
 )
-from qdev.models import ClassicalChain, classical_embedding, depolarizing
+from qdev.models import ClassicalChain, appendix_b_fixtures, classical_embedding, depolarizing
 
 
 def random_lindblad(rng, d, k):
@@ -255,8 +255,9 @@ class TestStationarySolve:
         are relative to the generator scale."""
         lind = random_lindblad(np.random.default_rng(41), 3, 3)
         reference = stationary_state(lind).sigma
-        scaled = stationary_state(Lindbladian(s * lind.hamiltonian, np.sqrt(s) * lind.jumps))
-        raw = context_from_generator(s * lind.heisenberg_superoperator())
+        scaled_lind = Lindbladian(s * lind.hamiltonian, np.sqrt(s) * lind.jumps)
+        scaled = stationary_state(scaled_lind)
+        raw = lindblad._context(s * lind.heisenberg_superoperator(), scaled_lind)
         for ctx in (scaled, raw):
             assert np.max(np.abs(ctx.sigma - reference)) <= 1e-9
 
@@ -566,3 +567,38 @@ class TestGaugeEquivalence:
         extra = Lindbladian(lind.hamiltonian,
                             [lind.jumps[0], lind.jumps[1] + 0.5 * SZ])
         assert heisenberg_difference(lind, extra) > 1e-9
+
+
+class TestLindbladianFromChannel:
+    """The GKSL decoding of a channel-difference generator Psi - id."""
+
+    @pytest.mark.parametrize("which, k", [("phi", 2), ("psi", 3), ("psi_tilde", 3), ("p_channel", 2)])
+    def test_appendix_b_channels(self, which, k):
+        channel = getattr(appendix_b_fixtures(), which)
+        before = channel.copy()
+        lind = lindblad.lindbladian_from_channel(channel)
+        assert np.array_equal(channel, before)
+        assert lind.k == k
+        assert np.max(np.abs(lind.heisenberg_superoperator() - (channel - np.eye(4)))) <= 1e-14
+        assert np.max(np.abs(np.trace(lind.jumps, axis1=1, axis2=2))) <= 1e-14
+
+    @pytest.mark.parametrize("d, k", [(1, 1), (2, 3), (3, 2), (5, 3)])
+    def test_random_generators_round_trip(self, rng, d, k):
+        heis = random_lindblad(rng, d, k).heisenberg_superoperator()
+        decoded = lindblad.lindbladian_from_channel(heis + np.eye(d * d))
+        scale = max(1.0, float(np.max(np.abs(heis))))
+        assert np.max(np.abs(decoded.heisenberg_superoperator() - heis)) <= 1e-13 * scale
+        assert decoded.k <= min(k, d * d - 1)
+
+    def test_not_conditionally_cp_refused(self):
+        # Psi(X) = 0.1 Tr(X) id + 0.8 X^T: unital and Hermiticity-preserving;
+        # its compressed Choi matrix has the eigenvalue -0.7.
+        w = np.eye(2).reshape(-1)
+        with pytest.raises(ValidationError, match=r"m\.json: .*not conditionally completely positive.*-7\.000e-01"):
+            lindblad.lindbladian_from_channel(0.1 * np.outer(w, w) + 0.8 * np.eye(4)[[0, 2, 1, 3]], "m.json")
+
+    @pytest.mark.parametrize("channel", [0.5 * np.eye(4), np.eye(4) + np.diag([0, 0.01j, 0.01j, 0])],
+                             ids=["not-unital", "not-hermiticity-preserving"])
+    def test_not_a_generator_refused(self, channel):
+        with pytest.raises(ValidationError, match="is not a quantum Markov generator"):
+            lindblad.lindbladian_from_channel(channel)

@@ -55,7 +55,7 @@ def model():
 
 def fresh_context(model):
     _, lind, heis, _ = model
-    return lindblad.context_from_generator(heis, lindbladian=lind)
+    return lindblad._context(heis, lind)
 
 
 def test_assembly_budget(model):
@@ -111,7 +111,7 @@ def detailed_balance(ctx):
     return [lindblad.check_detailed_balance(kind, ctx) for kind in ("GNS", "KMS", "BKM")]
 
 
-@pytest.mark.parametrize("cached, budget", [(True, 1.8), (False, 2.8)], ids=["cached", "fresh"])
+@pytest.mark.parametrize("cached, budget", [(True, 1.56), (False, 2.56)], ids=["cached", "fresh"])
 def test_detailed_balance_budget(model, cached, budget):
     ctx = fresh_context(model)
     if cached:

@@ -16,8 +16,8 @@ from conftest import (
 from qdev.linalg import FaithfulState, ValidationError, inner_product, vec
 from qdev.lindblad import (
     check_detailed_balance,
-    context_from_channel,
     dirichlet_form,
+    lindbladian_from_channel,
     stationary_state,
 )
 from qdev.models import (
@@ -293,7 +293,7 @@ class TestAppendixB:
         phi_star = fx.phi.conj().T
         assert np.max(np.abs(apply_superoperator(phi_star, fx.sigma.matrix) - fx.sigma.matrix)) < 1e-12
         # channel-difference generator finds the same state
-        ctx = context_from_channel(fx.psi)
+        ctx = stationary_state(lindbladian_from_channel(fx.psi))
         assert np.max(np.abs(ctx.sigma - fx.sigma.matrix)) < 1e-9
 
     def test_psi_unital_cp(self):
@@ -305,8 +305,8 @@ class TestAppendixB:
 
     def test_classification(self):
         fx = appendix_b_fixtures()
-        ctx_psi = context_from_channel(fx.psi)
-        ctx_psit = context_from_channel(fx.psi_tilde)
+        ctx_psi = stationary_state(lindbladian_from_channel(fx.psi))
+        ctx_psit = stationary_state(lindbladian_from_channel(fx.psi_tilde))
         assert check_detailed_balance("KMS", ctx_psi).deviation <= 1e-10
         assert check_detailed_balance("BKM", ctx_psi).deviation > 1e-6
         assert check_detailed_balance("BKM", ctx_psit).deviation <= 1e-10
@@ -315,12 +315,12 @@ class TestAppendixB:
     def test_shared_stationary_state(self):
         fx = appendix_b_fixtures()
         for channel in (fx.psi, fx.psi_tilde):
-            ctx = context_from_channel(channel)
+            ctx = stationary_state(lindbladian_from_channel(channel))
             assert np.max(np.abs(ctx.sigma - fx.sigma.matrix)) < 1e-9
 
     def test_p_channel_classification_and_gns_witness(self):
         fx = appendix_b_fixtures(p=0.3)
-        ctx = context_from_channel(fx.p_channel)
+        ctx = stationary_state(lindbladian_from_channel(fx.p_channel))
         assert np.allclose(ctx.sigma, np.diag([0.3, 0.7]), atol=1e-10)
         assert check_detailed_balance("KMS", ctx).symmetric
         assert check_detailed_balance("BKM", ctx).symmetric
