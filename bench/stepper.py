@@ -39,7 +39,7 @@ import time
 
 import numpy as np
 
-from qdev import deviation, lindblad, models, trajectories
+from qdev import deviation, linalg, lindblad, models, trajectories
 
 DT = 1e-3
 CHUNK_DRAWS = 2 ** 17
@@ -63,12 +63,15 @@ def setup_for(d: int) -> deviation.MeasurementSetup:
 
 
 def sizes(d: int) -> tuple[int, int]:
-    """Paths and the step count S of the shorter run at dimension d."""
+    """Paths and the step count S of the shorter run at dimension d. Each
+    run also builds its engine, whose time varies by about 0.1 s at d = 32
+    (0.47-0.58 s over 10 builds, 2-vCPU x86-64), so S makes the stepping
+    difference of the two runs about 1.6 s there."""
     if d <= 3:
         return 1024, 200
     if d <= 8:
         return 1024, 40
-    return (256, 8) if d <= 16 else (64, 4)
+    return (256, 8) if d <= 16 else (64, 256)
 
 
 def median_time(fn, repeats: int) -> float:
@@ -104,7 +107,7 @@ def split(setup, paths: int, steps: int, repeats: int, total_us: float) -> dict 
     engine = engine_cls(setup, cfg, False)
     idx = list(range(paths))
     states = engine.step_block(setup.ctx.sigma, idx, [0] * paths)[1][-1]
-    x = np.stack([trajectories._coordinates(rho) for rho in states], axis=1)
+    x = linalg.hermitian_coordinates(states).T
     rng = np.random.default_rng(0)
     dw = rng.standard_normal((engine.q, paths)) * math.sqrt(DT)
     # uniforms firing each counting channel on about 1 % of the paths
@@ -112,7 +115,7 @@ def split(setup, paths: int, steps: int, repeats: int, total_us: float) -> dict 
     weights = np.ones((engine.n_blocks, paths))
     out, _, threshold = engine.advance(x, dw, weights)
     valid = np.ones(paths, dtype=bool)
-    loops = 200 if engine.d <= 8 else 5
+    loops = 200 if engine.d <= 8 else 40
 
     def timed(fn):
         def calls():

@@ -287,15 +287,16 @@ def _cmd_simulate(args, argv) -> int:
                      *result.estimator_stderr[i].tolist(), tail.count, tail.n_paths,
                      tail.estimate, tail.ci_low, tail.ci_high,
                      result.clip_violation_fraction, result.n_resampled, status])
+    parameters = {"r": r.tolist(), "n_paths": config.n_paths, "dt": config.dt, "t_max": config.t_max}
     fileio.emit_report(args.output, header, rows, args.format, argv,
-                       _existing_inputs(args),
-                       {"r": r.tolist(), "n_paths": config.n_paths, "dt": config.dt,
-                        "t_max": config.t_max}, base_seed=config.base_seed)
+                       _existing_inputs(args), parameters, base_seed=config.base_seed)
     if args.paths_dump:
         header = ["path", "t"] + [f"estimator{i}" for i in range(setup.ell)]
         rows = [[p, t, *est[i].tolist()] for p, est in enumerate(result.path_estimators)
                 for i, t in enumerate(result.checkpoint_times)]
         fileio.write_csv(args.paths_dump, header, rows)
+        fileio.write_manifest(args.paths_dump, argv, _existing_inputs(args), parameters,
+                              base_seed=config.base_seed)
     return 0
 
 

@@ -89,7 +89,9 @@ class MeasurementSetup:
     (counting) channels. Each row defines the monitored jump
     L_u = sum_m u_m L_m; ``monitored`` is their (ell, d, d) stack, one
     contraction of the directions with the jump stack, and ``brownian``
-    the (ell,) mask of the Brownian rows.
+    the (ell,) mask of the Brownian rows. ``observables`` is the (ell, d, d)
+    stack of the Hermitian observables the channels record: L_u + L_u^dagger
+    for a Brownian channel, L_u^dagger L_u for a counting channel.
     """
 
     def __init__(self, ctx: GeneratorContext, directions, q: int):
@@ -114,19 +116,16 @@ class MeasurementSetup:
         self.q = q
         self.brownian = np.arange(ell) < q
         self.monitored = np.tensordot(u, lind.jumps, axes=1)
+        adjoints = self.monitored.conj().swapaxes(1, 2)
+        self.observables = np.concatenate([self.monitored[:q] + adjoints[:q],
+                                           adjoints[q:] @ self.monitored[q:]])
 
 
 def mean_vector(setup: MeasurementSetup) -> np.ndarray:
-    """Stationary means: Tr[sigma (L_u + L_u*)] per Brownian channel,
-    Tr[sigma L_u* L_u] per Poisson channel."""
+    """Stationary means Tr[sigma O_u] of the recorded observables O_u:
+    L_u + L_u* per Brownian channel, L_u* L_u per Poisson channel."""
     st = setup.ctx.require_faithful()
-    out = np.empty(setup.ell)
-    for j, l in enumerate(setup.monitored):
-        if setup.brownian[j]:
-            out[j] = np.trace(st.matrix @ (l + l.conj().T)).real
-        else:
-            out[j] = np.trace(st.matrix @ (l.conj().T @ l)).real
-    return out
+    return np.array([np.trace(st.matrix @ o).real for o in setup.observables])
 
 
 class TiltedFamily:

@@ -25,9 +25,9 @@ from .linalg import (
     ValidationError,
     _as_state,
     as_matrix_stack,
-    hermitian_from_params,
+    hermitian_coordinates,
+    hermitian_from_coordinates,
     hermitian_part,
-    hermitian_to_params,
     require_hermitian,
     spectral_transform,
     vec,
@@ -203,20 +203,20 @@ def w1_lower_bound(lip: LipschitzContext, rho1, rho2) -> float:
     """Certified lower bound on the order-1 Wasserstein distance.
 
     Maximizes Tr[(rho1 - rho2) X] / ||X||_Lip over Hermitian X by one BFGS
-    ascent from X = rho1 - rho2, with the closed-form gradient. The ratio
+    ascent from X = rho1 - rho2 in X's real coordinates, where the gradient
+    is the coordinates of the closed-form gradient matrix. The ratio
     is quasi-concave where the pairing is positive, so its local maximum is
     global; the value at any X is a valid lower bound.
     """
     rho1 = require_hermitian(rho1, tol=1e-8, name="rho1")
     rho2 = require_hermitian(rho2, tol=1e-8, name="rho2")
     delta = rho1 - rho2
-    d = delta.shape[0]
     if np.max(np.abs(delta)) < 1e-14:
         return 0.0
     ls = lip.derivations
 
-    def negative_ratio(params):
-        x = hermitian_from_params(params, d)
+    def negative_ratio(c):
+        x = hermitian_from_coordinates(c)
         pairing = float(np.trace(delta @ x).real)
         u, s, vh = np.linalg.svd(ls @ x - x @ ls)
         top = s[:, 0]
@@ -224,18 +224,15 @@ def w1_lower_bound(lip: LipschitzContext, rho1, rho2) -> float:
         if norm < 1e-12:
             if abs(pairing) > 1e-10:
                 raise NumericalError("unbounded direction: zero Lipschitz norm with nonzero pairing")
-            return 0.0, np.zeros_like(params)
+            return 0.0, np.zeros_like(c)
         # For C_j = [L_j, X] with top singular triple (s_j, u_j, v_j),
         # ds_j = tr(herm(v_j u_j^+ L_j - L_j v_j u_j^+) dX).
         vu = vh[:, 0, :, None].conj() * u[:, None, :, 0].conj()
         dsquare = hermitian_part(np.einsum("j,jab->ab", lip.weights * top, vu @ ls - ls @ vu))
         grad = math.copysign(1.0, pairing) * delta / norm - abs(pairing) / norm**3 * dsquare
-        # Off-diagonal parameters enter X twice, as X_ab and X_ba.
-        gparams = hermitian_to_params(grad)
-        gparams[d:] *= 2.0
-        return -abs(pairing) / norm, -gparams
+        return -abs(pairing) / norm, -hermitian_coordinates(grad)
 
-    return -_bfgs_weak_wolfe(negative_ratio, hermitian_to_params(delta))
+    return -_bfgs_weak_wolfe(negative_ratio, hermitian_coordinates(delta))
 
 
 def _bfgs_weak_wolfe(f, x: np.ndarray) -> float:

@@ -27,6 +27,10 @@ the (d^2 x k) stack of the B_j times the (k x d^2) stack of the A_j,
 reshaped and transposed to (a,b,c,e) (left_right_sum_matrix, the one
 builder; a single map X -> A X B is the case k = 1).
 
+Hermitian matrices have one real coordinate system (hermitian_coordinates),
+in which the trajectory stepper, the W1 certificate and the record
+functionals work.
+
 Top eigenvalues of tilted generators come from one eigensolve per tilt,
 deviation.TiltedFamily.value: below deviation.LANCZOS_MIN_SIZE a dense
 eigh; from there top_eigenpair, a Lanczos iteration with full
@@ -312,24 +316,97 @@ def rotate_superoperator(m: np.ndarray, u: np.ndarray) -> np.ndarray:
     return m
 
 
-def hermitian_from_params(params: np.ndarray, dim: int) -> np.ndarray:
-    """Hermitian matrix from dim**2 real parameters: the diagonal, then the
-    real parts, then the imaginary parts of the strict upper triangle in
-    row-major order."""
-    tri = np.triu_indices(dim, k=1)
-    x = np.zeros((dim, dim), dtype=complex)
-    x[np.diag_indices(dim)] = params[:dim]
-    re = params[dim:dim + tri[0].size]
-    im = params[dim + tri[0].size:]
-    x[tri] = re + 1j * im
-    x[(tri[1], tri[0])] = re - 1j * im
+# ---------------------------------------------------------------------------
+# Real coordinates of Hermitian matrices
+# ---------------------------------------------------------------------------
+#
+# The one map between d x d Hermitian matrices and real vectors: the d^2
+# coordinates c in the orthonormal basis of the columns of V, the vec
+# (row-major) of e_aa, then (e_ab + e_ba)/sqrt(2) for a < b, then
+# i (e_ab - e_ba)/sqrt(2) for a < b, pairs in row-major order. The basis is
+# orthonormal for the Hilbert-Schmidt product, so Tr[X Y] = c(X) . c(Y),
+# the Frobenius norm is |c| and the trace is the sum of the first d
+# coordinates.
+
+# A map in real coordinates whose dropped imaginary part exceeds this share
+# of its largest entry is not Hermiticity-preserving.
+HERMITICITY_TOL = 1e-10
+_R2 = math.sqrt(0.5)
+
+
+def _rotate_rows(re: np.ndarray, im: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """(Re, Im) of B (re + i im) for the (d^2, m) arrays ``re``, ``im``,
+    with B = V^T (sign 1) or V^dagger (sign -1). Rows are combined through
+    strided views, one output pair is made."""
+    n = re.shape[0]
+    d = math.isqrt(n)
+    half = d * (d - 1) // 2
+    re4, im4 = re.reshape(d, d, -1), im.reshape(d, d, -1)
+    out_re, out_im = np.empty(re.shape), np.empty(re.shape)
+    diag = np.arange(d)
+    out_re[:d], out_im[:d] = re4[diag, diag], im4[diag, diag]
+    row = d
+    for a in range(d - 1):
+        sym, anti = slice(row, row + d - 1 - a), slice(row + half, row + half + d - 1 - a)
+        upper_re, lower_re = re4[a, a + 1:], re4[a + 1:, a]
+        upper_im, lower_im = im4[a, a + 1:], im4[a + 1:, a]
+        np.add(upper_re, lower_re, out=out_re[sym])
+        np.add(upper_im, lower_im, out=out_im[sym])
+        # i (u - l) for V^T, -i (u - l) for V^dagger
+        np.subtract(lower_im, upper_im, out=out_re[anti])
+        np.subtract(upper_re, lower_re, out=out_im[anti])
+        row += d - 1 - a
+    out_re[d:] *= _R2
+    out_im[d:] *= _R2
+    if sign < 0:
+        out_re[d + half:] *= -1.0
+        out_im[d + half:] *= -1.0
+    return out_re, out_im
+
+
+def hermitian_coordinates(x) -> np.ndarray:
+    """The real coordinates Re(V^dagger vec(X)) of the d x d matrix X, those
+    of its Hermitian part: a (d^2,) array, or (k, d^2) for a (k, d, d)
+    stack."""
+    x = np.asarray(x, dtype=complex)
+    d = x.shape[-1]
+    cols = x.reshape(-1, d * d).T
+    coords = _rotate_rows(cols.real, cols.imag, -1)[0].T
+    return coords if x.ndim == 3 else coords[0]
+
+
+def hermitian_from_coordinates(c) -> np.ndarray:
+    """The d x d matrix V c of the real coordinates c, exactly Hermitian: one
+    matrix for a (d^2,) array, the (k, d, d) stack for (k, d^2)."""
+    c = np.asarray(c, dtype=float)
+    d = math.isqrt(c.shape[-1])
+    iu, ju = np.triu_indices(d, 1)
+    half = len(iu)
+    x = np.empty(c.shape[:-1] + (d, d), dtype=complex)
+    diag = np.arange(d)
+    x[..., diag, diag] = c[..., :d]
+    upper = (c[..., d:d + half] + 1j * c[..., d + half:]) * _R2
+    x[..., iu, ju] = upper
+    x[..., ju, iu] = upper.conj()
     return x
 
 
-def hermitian_to_params(x: np.ndarray) -> np.ndarray:
-    """Inverse of hermitian_from_params on Hermitian matrices."""
-    tri = np.triu_indices(x.shape[0], k=1)
-    return np.concatenate([np.diag(x).real, x[tri].real, x[tri].imag])
+def hermitian_map_matrix(g: np.ndarray, what: str) -> np.ndarray:
+    """The real d^2 x d^2 matrix R of a Hermiticity-preserving map Phi in
+    these coordinates, c(Phi(X)) = R c(X), for ``g`` with
+    vec(Phi(X)) = vec(X) @ g (vec row-major): R = (V^T g conj(V))^T. ``g``
+    is read through its real and imaginary views and released after the
+    first pass, so a temporary g is freed before the second pass allocates.
+    NumericalError if the dropped imaginary part exceeds HERMITICITY_TOL
+    times the largest entry: Phi does not preserve Hermiticity."""
+    re, im = _rotate_rows(g.real, g.imag, 1)
+    del g
+    re, im = _rotate_rows(re.T, im.T, -1)
+    dropped = float(np.max(np.abs(im), initial=0.0))
+    if dropped > HERMITICITY_TOL * max(float(np.max(np.abs(re), initial=0.0)), dropped):
+        raise NumericalError(f"{what} is not Hermiticity-preserving: imaginary part {dropped:.3e} "
+                             f"in real coordinates")
+    return re
 
 
 # ---------------------------------------------------------------------------

@@ -140,8 +140,9 @@ class GeneratorContext:
 
     def require_faithful(self) -> FaithfulState:
         if self.faithful is None:
-            raise NotFaithfulError(f"stationary state is not faithful ({self.unfaithful}); "
-                                   "sigma-weighted calculus refused")
+            raise NotFaithfulError(f"stationary state is not faithful ({self.unfaithful}): the "
+                                   "stationary solve does not resolve sigma's spectrum below that "
+                                   "threshold, so sigma-weighted calculus is refused")
         return self.faithful
 
     def require_jumps(self) -> Lindbladian:

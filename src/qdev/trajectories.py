@@ -12,16 +12,17 @@ quantum feedback control", PRA 91, 012118 (2015). In a step of length dt:
 
 Both maps are completely positive, so states stay positive semidefinite
 by construction; nothing is clipped. They are also Hermiticity-preserving,
-and the records read Hermitian observables, so the stepper works in real
-coordinates: a state is its d^2 coordinates x in the orthonormal Hermitian
-basis e_aa, (e_ab + e_ba)/sqrt(2), i(e_ab - e_ba)/sqrt(2) (a < b), whose
-trace is the sum of the first d. Every map becomes the real matrix
-V^T G conj(V) of its complex vec-map G (the dropped imaginary part is
-checked at construction), a block's states are the columns of a (d^2, b)
+and the records read Hermitian observables, so the stepper works in the
+real coordinates of linalg: a state is its d^2 coordinates x in the
+orthonormal Hermitian basis (hermitian_coordinates), whose trace is the
+sum of the first d. Every map becomes its real matrix there
+(hermitian_map_matrix, which checks the dropped imaginary part at
+construction), a recorded observable O its functional c(O), since
+Tr[O rho] = c(O) . x, a block's states are the columns of a (d^2, b)
 array, and a step is one real GEMM by the stacked no-count blocks and
-expectation functionals, then one einsum that sums the blocks with their
-weights 1, dy_B and dy_B dy_B'. States return to complex d x d matrices
-only at checkpoints, for the positivity check and the reported states.
+functionals, then one einsum that sums the blocks with their weights 1,
+dy_B and dy_B dy_B'. States return to complex d x d matrices only at
+checkpoints, for the positivity check and the reported states.
 
 The filter (nonlinear equation) records dy_B = Tr[(L_B + L_B^dagger) rho] dt
 + dW_B, counts at intensity Tr[L_P^dagger L_P rho] and divides by the
@@ -52,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deviation import MeasurementSetup, mean_vector
-from .linalg import NumericalError, ValidationError, density_matrix, left_right_sum_matrix
+from .linalg import (NumericalError, ValidationError, density_matrix, hermitian_coordinates,
+                     hermitian_from_coordinates, hermitian_map_matrix, left_right_sum_matrix)
 
 BLOCK_PATHS = 1024
 # Noise is drawn NOISE_CHUNK_STEPS steps at a time: 2**17 draws per channel
@@ -63,13 +65,11 @@ COLLAPSED_TRACE = 1e-14
 # A checkpoint state counts as a positivity violation when rho + POSITIVITY_CLIP * I
 # fails a Cholesky factorization.
 POSITIVITY_CLIP = 1e-10
-# A block in real coordinates whose dropped imaginary part exceeds this share
-# of its largest entry is not Hermiticity-preserving.
-HERMITICITY_TOL = 1e-10
-_R2 = math.sqrt(0.5)
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).
 _POOL_WORDS = 4
 _WORD = 0xFFFFFFFF
+# Path indices are spawn words, so they stay below 2**32.
+_SPAWN_LIMIT = _WORD + 1
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
@@ -82,7 +82,8 @@ class TrajectoryConfig:
     """Discretization and ensemble parameters.
 
     ``checkpoints`` default to (t_max,); times snap to the step grid and
-    must be positive (estimators divide by t).
+    must be positive (estimators divide by t). ``base_seed`` is nonnegative
+    and ``n_paths`` at most 2**32, so every path index is one spawn word.
     """
 
     dt: float
@@ -97,8 +98,10 @@ class TrajectoryConfig:
             raise ValidationError("dt, t_max and checkpoints must be finite")
         if self.dt <= 0 or self.t_max <= 0 or self.dt > self.t_max:
             raise ValidationError("need 0 < dt <= t_max")
-        if self.n_paths < 1:
-            raise ValidationError("n_paths must be positive")
+        if not 1 <= self.n_paths <= _SPAWN_LIMIT:
+            raise ValidationError(f"n_paths must be in [1, 2**32], got {self.n_paths}")
+        if self.base_seed < 0:
+            raise ValidationError(f"base_seed must be nonnegative, got {self.base_seed}")
 
     def n_steps(self) -> int:
         return max(1, int(round(self.t_max / self.dt)))
@@ -334,16 +337,12 @@ def _streams(base_seed: int, idx, attempts, ell: int) -> list[list[np.random.Gen
     """Per path of ``idx`` (run with the streams of ``attempts``), the
     Generator(Philox) of each channel, seeded as
     SeedSequence(entropy=base_seed, spawn_key=(path, attempt, channel)) seeds
-    it. The keys come from one pass of _philox_keys, or, for a key word
-    that does not fit 32 bits or a negative seed, from SeedSequence itself."""
+    it, the keys from one pass of _philox_keys. TrajectoryConfig and
+    simulate_path keep the seed nonnegative and every word below 2**32."""
     spawn = [(int(p), int(a), c) for p, a in zip(idx, attempts) for c in range(ell)]
-    words = (*idx, *attempts, ell - 1)
-    if base_seed >= 0 and min(words) >= 0 and max(words) <= _WORD:
-        key = _key_sequence()
-        seeds = [key(k) for k in _philox_keys(base_seed, np.array(spawn, dtype=np.uint64).reshape(-1, 3))]
-    else:
-        seeds = [np.random.SeedSequence(entropy=base_seed, spawn_key=row) for row in spawn]
-    gens = [np.random.Generator(np.random.Philox(s)) for s in seeds]
+    key = _key_sequence()
+    keys = _philox_keys(base_seed, np.array(spawn, dtype=np.uint64).reshape(-1, 3))
+    gens = [np.random.Generator(np.random.Philox(key(k))) for k in keys]
     return [gens[i:i + ell] for i in range(0, len(gens), ell)]
 
 
@@ -354,82 +353,6 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 def _vec_map(lefts, rights) -> np.ndarray:
     """G with vec(sum_j A_j rho B_j) = vec(rho) @ G, vec row-major."""
     return left_right_sum_matrix(np.swapaxes(rights, -1, -2), np.swapaxes(lefts, -1, -2)).T
-
-
-def _rotate_rows(re: np.ndarray, im: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """(Re, Im) of B (re + i im) for the (d^2, m) arrays ``re``, ``im``,
-    with B = V^T (sign 1) or V^dagger (sign -1) for the basis matrix V of
-    the real coordinates, whose columns are the vec of the Hermitian basis
-    elements: e_aa, then (e_ab + e_ba)/sqrt(2) for a < b, then
-    i (e_ab - e_ba)/sqrt(2) for a < b (pairs in row-major order). Rows are
-    combined through strided views, one output pair is made."""
-    n = re.shape[0]
-    d = math.isqrt(n)
-    half = d * (d - 1) // 2
-    re4, im4 = re.reshape(d, d, -1), im.reshape(d, d, -1)
-    out_re, out_im = np.empty(re.shape), np.empty(re.shape)
-    diag = np.arange(d)
-    out_re[:d], out_im[:d] = re4[diag, diag], im4[diag, diag]
-    row = d
-    for a in range(d - 1):
-        sym, anti = slice(row, row + d - 1 - a), slice(row + half, row + half + d - 1 - a)
-        upper_re, lower_re = re4[a, a + 1:], re4[a + 1:, a]
-        upper_im, lower_im = im4[a, a + 1:], im4[a + 1:, a]
-        np.add(upper_re, lower_re, out=out_re[sym])
-        np.add(upper_im, lower_im, out=out_im[sym])
-        # i (u - l) for V^T, -i (u - l) for V^dagger
-        np.subtract(lower_im, upper_im, out=out_re[anti])
-        np.subtract(upper_re, lower_re, out=out_im[anti])
-        row += d - 1 - a
-    out_re[d:] *= _R2
-    out_im[d:] *= _R2
-    if sign < 0:
-        out_re[d + half:] *= -1.0
-        out_im[d + half:] *= -1.0
-    return out_re, out_im
-
-
-def _real_part(re: np.ndarray, im: np.ndarray, what: str) -> np.ndarray:
-    """``re``, once the imaginary part ``im`` is checked to be rounding:
-    max |im| <= HERMITICITY_TOL * max(|re|, |im|), else NumericalError."""
-    dropped = float(np.max(np.abs(im), initial=0.0))
-    if dropped > HERMITICITY_TOL * max(float(np.max(np.abs(re), initial=0.0)), dropped):
-        raise NumericalError(f"{what} is not Hermiticity-preserving: imaginary part {dropped:.3e} "
-                             f"in real coordinates")
-    return re
-
-
-def _real_block(g: np.ndarray, what: str) -> np.ndarray:
-    """R^T for R = V^T G conj(V), the real matrix of the Hermiticity-preserving
-    map with vec(Phi(rho)) = vec(rho) @ G, so that Phi acts on a column of
-    real coordinates x as R^T x. ``g`` is read through its real and
-    imaginary views and released after the first pass, so a temporary G is
-    freed before the second pass allocates."""
-    re, im = _rotate_rows(g.real, g.imag, 1)
-    del g
-    re, im = _rotate_rows(re.T, im.T, -1)
-    return _real_part(re, im, what)
-
-
-def _coordinates(rho: np.ndarray) -> np.ndarray:
-    """The (d^2,) real coordinates Re(V^dagger vec(rho)) of the d x d rho: those
-    of its Hermitian part."""
-    v = rho.reshape(-1, 1)
-    return _rotate_rows(v.real, v.imag, -1)[0][:, 0]
-
-
-def _states(x: np.ndarray, d: int) -> np.ndarray:
-    """The (b, d, d) states V x of the (d^2, b) coordinate columns, exactly
-    Hermitian."""
-    iu, ju = np.triu_indices(d, 1)
-    half = len(iu)
-    rho = np.empty((x.shape[1], d, d), dtype=complex)
-    diag = np.arange(d)
-    rho[:, diag, diag] = x[:d].T
-    upper = (x[d:d + half].T + 1j * x[d + half:].T) * _R2
-    rho[:, iu, ju] = upper
-    rho[:, ju, iu] = upper.conj()
-    return rho
 
 
 def positivity_failures(rho: np.ndarray, clip: float) -> np.ndarray:
@@ -450,10 +373,11 @@ class _Engine:
     the filter or, if ``linear``, the linear equation.
 
     A block's states are the columns of a (d^2, b) array of real coordinates
-    (_rotate_rows). ``operators`` stacks, as rows, the transposed real blocks
-    of the no-count update, weighted 1, dy_B and dy_B dy_B' (B <= B'), then,
-    for the filter, dt times the expectation functionals of the Brownian
-    means and counting intensities; ``count`` holds the transposed real
+    (linalg.hermitian_coordinates). ``operators`` stacks, as rows, the real
+    matrices of the no-count blocks, weighted 1, dy_B and dy_B dy_B'
+    (B <= B'), then, for the filter, the functionals dt c(O_u) of the
+    recorded observables (setup.observables: the Brownian means and counting
+    intensities are Tr[O_u rho] dt = dt c(O_u) . x); ``count`` holds the real
     count maps.
     """
 
@@ -471,7 +395,6 @@ class _Engine:
         lb = monitored[:q]
         self.pairs = [(i, j) for i in range(q) for j in range(i, q)]
         self.n_blocks = 1 + q + len(self.pairs)
-        intensities = _dagger(monitored[q:]) @ monitored[q:]
         n_rows = self.n_blocks * n + (0 if linear else self.ell)
         operators = self.operators = np.empty((n_rows, n))
         # The no-count update M rho M^dagger + dt Phi_u(rho), with
@@ -489,29 +412,22 @@ class _Engine:
         g = 1j * lind.hamiltonian + 0.5 * lind._kappa - (0.5 * self.n_poisson * eye if linear else 0.0)
         m0 = eye - g * dt
         first = operators[:n]
-        first[:] = _real_block(setup.ctx.heisenberg, "generator")
-        first -= _real_block(_vec_map(monitored, _dagger(monitored)), "monitored jump map")
+        first[:] = hermitian_map_matrix(setup.ctx.heisenberg, "generator")
+        first -= hermitian_map_matrix(_vec_map(monitored, _dagger(monitored)), "monitored jump map")
         first *= dt
-        first += dt * dt * _real_block(_vec_map([g], [_dagger(g)]), "no-count map")
+        first += dt * dt * hermitian_map_matrix(_vec_map([g], [_dagger(g)]), "no-count map")
         first.reshape(-1)[::n + 1] += 1.0 + (self.n_poisson * dt if linear else 0.0)
         blocks = [([l, m0], [_dagger(m0), _dagger(l)]) for l in lb]
         for i, j in self.pairs:
             ls = lb[[i]] if i == j else lb[[i, j]]
             blocks.append((ls, _dagger(ls[::-1])))
         for t, (lefts, rights) in enumerate(blocks, 1):
-            operators[t * n:(t + 1) * n] = _real_block(_vec_map(lefts, rights), "Brownian map")
+            operators[t * n:(t + 1) * n] = hermitian_map_matrix(_vec_map(lefts, rights), "Brownian map")
         if not linear:
-            # Tr[O rho] is vec(rho) . vec(O^T): the Brownian means
-            # Tr[(L + L^dagger) rho] and the counting intensities Tr[L^dagger L rho],
-            # times dt.
-            observables = np.concatenate([lb + _dagger(lb), intensities])
-            functionals = observables.swapaxes(1, 2).reshape(self.ell, n).T
-            operators[self.n_blocks * n:] = _real_part(
-                *_rotate_rows(functionals.real, functionals.imag, 1), "expectation").T
-            operators[self.n_blocks * n:] *= dt
-        self.count = [_real_block(_vec_map([l], [_dagger(l)]), "count map") for l in monitored[q:]]
+            operators[self.n_blocks * n:] = dt * hermitian_coordinates(setup.observables)
+        self.count = [hermitian_map_matrix(_vec_map([l], [_dagger(l)]), "count map") for l in monitored[q:]]
 
-        max_rate = max((np.linalg.norm(m, 2) for m in intensities), default=0.0)
+        max_rate = max((np.linalg.norm(m, 2) for m in setup.observables[q:]), default=0.0)
         if max_rate * dt >= 0.1:
             warnings.warn(f"dt * max jump intensity = {max_rate * dt:.3f} >= 0.1; "
                           "thinning bias may be visible", RuntimeWarning)
@@ -603,7 +519,7 @@ class _Engine:
         cp_lookup = {s: i for i, s in enumerate(cp_steps)}
         n_cp = len(cp_steps)
 
-        x = np.repeat(_coordinates(rho0)[:, None], b, axis=1)
+        x = np.repeat(hermitian_coordinates(rho0)[:, None], b, axis=1)
         record = np.zeros((self.ell, b))
         valid = np.ones(b, dtype=bool)
         weights = np.ones((self.n_blocks, b))
@@ -627,7 +543,7 @@ class _Engine:
                     estimators[:, cp] = (record / (step * cfg.dt)).T
                     traces[:, cp] = x[:d].sum(axis=0)
                     if not linear:
-                        states[cp] = _states(x, d)
+                        states[cp] = hermitian_from_coordinates(x.T)
                         violations += positivity_failures(states[cp], POSITIVITY_CLIP)
         invalid = ~np.all(traces > 0.0, axis=1) if linear else ~valid
         return estimators, states, traces, invalid, violations
@@ -690,8 +606,10 @@ def simulate_path(setup: MeasurementSetup, rho0, config: TrajectoryConfig, path_
     A path whose state collapses (a count of near-zero intensity, a
     vanishing trace) is resampled with a fresh noise stream
     (deterministically derived from the attempt number), up to
-    MAX_RESAMPLE_ATTEMPTS.
+    MAX_RESAMPLE_ATTEMPTS. ``path_index`` lies in [0, 2**32).
     """
+    if not 0 <= path_index < _SPAWN_LIMIT:
+        raise ValidationError(f"path_index must be in [0, 2**32), got {path_index}")
     engine = _Engine(setup, config, False)
     rho0 = _as_initial_state(rho0, engine.d)
     est, _, fails, attempts = engine.run_paths(rho0, [path_index])

@@ -17,9 +17,9 @@ from qdev.linalg import (
     as_complex_matrix,
     density_matrix,
     dual_in_eigenbasis,
-    hermitian_from_params,
+    hermitian_coordinates,
+    hermitian_from_coordinates,
     hermitian_part,
-    hermitian_to_params,
     inner_product,
     left_right_sum_matrix,
     require_hermitian,
@@ -276,7 +276,7 @@ def direct_variational_crosscheck(setup, r):
 
     def objective(params):
         with np.errstate(over="ignore", invalid="ignore"):
-            y = hermitian_from_params(params, d)
+            y = hermitian_from_coordinates(params)
             x = y @ y
             norm = np.sqrt(max(inner_product("KMS", st, x, x).real, 0.0))
         if not np.isfinite(norm) or norm < 1e-12:
@@ -295,7 +295,7 @@ def direct_variational_crosscheck(setup, r):
         return total
 
     # X = Y^2, and Y = I is the square root of the start X = I.
-    res = scipy.optimize.minimize(objective, hermitian_to_params(np.eye(d)), method="L-BFGS-B",
+    res = scipy.optimize.minimize(objective, hermitian_coordinates(np.eye(d)), method="L-BFGS-B",
                                   options={"ftol": 1e-15, "gtol": 1e-10})
     return float(res.fun)
 

@@ -518,6 +518,22 @@ class TestSimulateVerb:
         manifest = json.loads(Path("flag.csv.manifest.json").read_text())
         assert manifest["base_seed"] == 123
 
+    @pytest.mark.parametrize("source", ["config", "flag", "env"])
+    def test_negative_seed_rejected(self, scalar_model, capsys, monkeypatch, source):
+        monkeypatch.delenv("QDEV_SEED", raising=False)
+        write_config("config.json", dt=1e-2, t_max=1.0, n_paths=5,
+                     **({"base_seed": -3} if source == "config" else {}))
+        args = ["simulate", "--model", "scalar.json", "--setup", "setup.json",
+                "--config", "config.json", "--r", "1.0", "-o", "sim.csv"]
+        if source == "flag":
+            args += ["--seed", "-5"]
+        elif source == "env":
+            monkeypatch.setenv("QDEV_SEED", "-7")
+        assert main(args) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "base_seed" in err["message"]
+        assert not Path("sim.csv").exists()
+
     def test_byte_identical_reruns_and_threads(self, scalar_model):
         write_config("config.json", dt=1e-2, t_max=2.0, n_paths=400, base_seed=7,
                      checkpoints=[1.0, 2.0])
@@ -550,6 +566,9 @@ class TestSimulateVerb:
         assert main(args + ["--paths-dump", "paths.csv"]) == 0
         assert main(["--threads", "4"] + args + ["--paths-dump", "paths4.csv"]) == 0
         assert Path("paths.csv").read_bytes() == Path("paths4.csv").read_bytes()
+        manifest = json.loads(Path("paths.csv.manifest.json").read_text())
+        assert manifest["base_seed"] == 1
+        assert verify_manifest("paths.csv.manifest.json")
         header, rows = fileio.read_csv("paths.csv")
         assert header == ["path", "t", "estimator0"]
         assert len(rows) == 6
@@ -719,6 +738,23 @@ class TestInequalitiesVerb:
         assert "not faithful" in message
         assert "smallest eigenvalue" in message and "1.0e-12" in message
         assert not Path("report.json").exists()
+
+    def test_gibbs_state_below_the_threshold_names_sigma_min(self, workdir, capsys):
+        # The ZZ heat-bath chain at n = 5, beta = 4 has a faithful Gibbs state
+        # whose smallest eigenvalue, about 6e-15, lies below FAITHFUL_EPS.
+        terms = [{"support": [i, i + 1], "matrix": ZZ} for i in range(4)]
+        Path("lattice.json").write_text(json.dumps(
+            {"n_sites": 5, "local_dim": 2, "beta": 4.0, "terms": terms}))
+        assert main(["model", "new", "--template", "heat-bath",
+                     "--lattice-file", "lattice.json", "-o", "hb.json"]) == 0
+        write_setup("setup.json", [[0.0, 1.0] + [0.0] * 18], 1)
+        capsys.readouterr()
+        for args in (["rate", "--setup", "setup.json", "--grid=-0.5:0.5:3", "-o", "rate.csv"],
+                     ["inequalities", "-o", "report"]):
+            assert main([args[0], "--model", "hb.json", *args[1:]]) == 1
+            message = json.loads(capsys.readouterr().err.strip())["message"]
+            assert "not faithful" in message and "smallest eigenvalue" in message
+            assert "1.0e-12" in message and "stationary solve" in message
 
     def test_channel_difference_model_report(self, workdir):
         main(["model", "new", "--template", "appendix-b", "--which", "psi", "-o", "psi.json"])

@@ -15,7 +15,7 @@ from conftest import (
     superoperator_in_basis,
 )
 from qdev import deviation
-from qdev.linalg import NumericalError, ValidationError, top_eigenpair, vec
+from qdev.linalg import NumericalError, ValidationError, hermitian_coordinates, top_eigenpair, vec
 from qdev.lindblad import Lindbladian, NotKmsSymmetricError, stationary_state
 from qdev.deviation import (
     MeasurementSetup,
@@ -93,6 +93,15 @@ class TestSetupValidation:
         scale = np.max(np.abs(lind.jumps))
         assert np.max(np.abs(generic_setup.monitored - np.array(loop))) <= 4 * np.finfo(float).eps * scale
 
+    def test_observables_are_the_recorded_ones(self, generic_setup):
+        # L_u + L_u^dagger per Brownian channel, L_u^dagger L_u per counting channel
+        setup = generic_setup
+        want = [l + l.conj().T if setup.brownian[j] else l.conj().T @ l
+                for j, l in enumerate(setup.monitored)]
+        assert setup.observables.shape == (setup.ell, 4, 4)
+        assert np.array_equal(setup.observables, np.array(want))
+        assert np.array_equal(setup.observables, setup.observables.conj().swapaxes(1, 2))
+
 
 class TestMeanVector:
     def test_scalar_brownian(self):
@@ -109,6 +118,14 @@ class TestMeanVector:
 
     def test_depolarizing_offdiagonal_direction(self, qubit_setup):
         assert mean_vector(qubit_setup)[0] == pytest.approx(0.0, abs=1e-14)
+
+    def test_trace_against_each_observable(self, generic_setup):
+        sigma = generic_setup.ctx.sigma
+        want = [np.trace(sigma @ o).real for o in generic_setup.observables]
+        assert np.array_equal(mean_vector(generic_setup), want)
+        # Tr[sigma O] is the dot product of the two coordinate vectors
+        dots = hermitian_coordinates(generic_setup.observables) @ hermitian_coordinates(sigma)
+        assert np.allclose(dots, want, rtol=1e-13, atol=1e-14)
 
 
 class TestFStatistics:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -24,9 +26,9 @@ from qdev.linalg import (
     add_left_right_pair,
     density_matrix,
     gram_weights,
-    hermitian_from_params,
+    hermitian_coordinates,
+    hermitian_from_coordinates,
     hermitian_part,
-    hermitian_to_params,
     hermitianize,
     inner_product,
     left_right_sum_matrix,
@@ -270,14 +272,45 @@ class TestTopEigenpair:
 class TestHermitianCodec:
     @pytest.mark.parametrize("d", [1, 2, 3, 5])
     def test_roundtrip(self, d, rng):
+        # off-diagonal entries are rounded through sqrt(1/2) twice
         x = random_hermitian(rng, d)
-        params = hermitian_to_params(x)
-        assert params.shape == (d * d,) and params.dtype == float
-        assert np.array_equal(hermitian_from_params(params, d), x)
+        c = hermitian_coordinates(x)
+        assert c.shape == (d * d,) and c.dtype == float
+        back = hermitian_from_coordinates(c)
+        assert np.array_equal(back, back.conj().T)
+        assert np.max(np.abs(back - x)) <= 1e-15 * max(1.0, np.max(np.abs(x)))
         p = rng.normal(size=d * d)
-        assert np.array_equal(hermitian_to_params(hermitian_from_params(p, d)), p)
+        again = hermitian_coordinates(hermitian_from_coordinates(p))
+        assert np.max(np.abs(again - p)) <= 1e-15 * max(1.0, np.max(np.abs(p)))
+
+    @pytest.mark.parametrize("d", [1, 3, 4])
+    def test_stacks_match_single_matrices(self, d, rng):
+        xs = np.array([random_hermitian(rng, d) for _ in range(4)])
+        c = hermitian_coordinates(xs)
+        assert c.shape == (4, d * d)
+        assert np.array_equal(c, np.array([hermitian_coordinates(x) for x in xs]))
+        back = hermitian_from_coordinates(c)
+        assert np.array_equal(back, np.array([hermitian_from_coordinates(row) for row in c]))
+        assert np.array_equal(back, back.conj().swapaxes(1, 2))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5])
+    def test_isometry(self, d, rng):
+        # Tr[X Y] = c(X) . c(Y): the basis is orthonormal
+        x, y = random_hermitian(rng, d), random_hermitian(rng, d)
+        cx, cy = hermitian_coordinates(x), hermitian_coordinates(y)
+        assert cx @ cy == pytest.approx(np.trace(x @ y).real, rel=1e-13, abs=1e-13)
+        assert np.linalg.norm(cx) == pytest.approx(np.linalg.norm(x), rel=1e-14)
+        assert cx[:d].sum() == pytest.approx(np.trace(x).real, rel=1e-14, abs=1e-14)
+        # a matrix that is not Hermitian has the coordinates of its Hermitian part
+        a = x + 1j * y + rng.normal(size=(d, d))
+        assert np.max(np.abs(hermitian_coordinates(a) - hermitian_coordinates(hermitian_part(a)))) <= 1e-14
 
     def test_layout(self):
-        # diagonal, then real parts, then imaginary parts of the upper triangle
-        x = hermitian_from_params(np.array([1.0, 2.0, 3.0, 4.0]), 2)
-        assert np.array_equal(x, np.array([[1.0, 3.0 + 4.0j], [3.0 - 4.0j, 2.0]]))
+        # e_aa, then (e_ab + e_ba)/sqrt(2), then i (e_ab - e_ba)/sqrt(2), a < b row-major
+        r = math.sqrt(0.5)
+        x = hermitian_from_coordinates(np.array([1.0, 2.0, 3.0, 4.0]))
+        assert np.allclose(x, [[1.0, (3.0 + 4.0j) * r], [(3.0 - 4.0j) * r, 2.0]], rtol=0, atol=1e-15)
+        c = np.arange(1.0, 10.0)
+        x = hermitian_from_coordinates(c)
+        assert np.array_equal(np.diag(x).real, [1.0, 2.0, 3.0])
+        assert np.allclose([x[0, 1], x[0, 2], x[1, 2]], (c[3:6] + 1j * c[6:]) * r, rtol=0, atol=1e-15)

@@ -9,19 +9,23 @@ import scipy.special
 import scipy.stats
 
 from conftest import random_faithful, random_state, scalar_lindblad
-from qdev.linalg import NumericalError, ValidationError, vec
+from qdev.linalg import (
+    NumericalError,
+    ValidationError,
+    hermitian_coordinates,
+    hermitian_from_coordinates,
+    hermitian_map_matrix,
+    vec,
+)
 from qdev.lindblad import Lindbladian, stationary_state
 from qdev.deviation import MeasurementSetup, main_bound
 from qdev.models import depolarizing, maximally_mixed
 from qdev.trajectories import (
     CONFIDENCE,
     TrajectoryConfig,
-    _coordinates,
     _dagger,
     _Engine,
     _philox_keys,
-    _real_block,
-    _states,
     _streams,
     _vec_map,
     clopper_pearson,
@@ -62,14 +66,6 @@ class TestStreamKeys:
         want = np.array([np.random.SeedSequence(entropy=base_seed, spawn_key=tuple(int(w) for w in row))
                          .generate_state(2, np.uint64) for row in spawn])
         assert np.array_equal(_philox_keys(base_seed, spawn), want)
-
-    def test_wide_words_fall_back_to_seed_sequence(self):
-        # a path index and an attempt of 33 bits take two spawn words each
-        idx, attempts = [2**32 + 5, 3], [0, 2**33]
-        for (p, a), row in zip(zip(idx, attempts), _streams(7, idx, attempts, 2)):
-            for c, gen in enumerate(row):
-                assert np.array_equal(gen.standard_normal(50),
-                                      seed_sequence_stream(7, p, a, c).standard_normal(50))
 
     def test_engine_stream_is_the_seed_sequence_stream(self):
         ctx = stationary_state(depolarizing(maximally_mixed(2)))
@@ -126,13 +122,13 @@ class TestRealCoordinates:
         n = d * d
         for _ in range(3):
             rho = random_state(rng, d)
-            x = _coordinates(rho)
+            x = hermitian_coordinates(rho)
             for t, g in enumerate(complex_blocks(setup, dt, linear)):
-                want = _coordinates(image(g, rho))
+                want = hermitian_coordinates(image(g, rho))
                 got = engine.operators[t * n:(t + 1) * n] @ x
                 assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
             for count, l in zip(engine.count, setup.monitored[setup.q:]):
-                want = _coordinates(l @ rho @ l.conj().T)
+                want = hermitian_coordinates(l @ rho @ l.conj().T)
                 assert np.linalg.norm(count @ x - want) <= 1e-13 * np.linalg.norm(want)
             if not linear:
                 lb, lp = setup.monitored[:setup.q], setup.monitored[setup.q:]
@@ -140,16 +136,20 @@ class TestRealCoordinates:
                                      + [np.trace(l.conj().T @ l @ rho).real for l in lp])
                 got = engine.operators[engine.n_blocks * n:] @ x
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        if not linear:
+            # the functionals are dt c(O_u) of the setup's recorded observables
+            assert np.array_equal(engine.operators[engine.n_blocks * n:],
+                                  dt * hermitian_coordinates(setup.observables))
 
     @pytest.mark.parametrize("d", [1, 2, 3, 8])
     def test_round_trip_is_exactly_hermitian(self, d):
         rho = random_state(np.random.default_rng(d), d)
-        back = _states(_coordinates(rho)[:, None], d)[0]
+        back = hermitian_from_coordinates(hermitian_coordinates(rho))
         assert np.array_equal(back, back.conj().T)
         assert np.max(np.abs(back - rho)) <= 1e-15
         # the coordinates are the Hilbert-Schmidt ones: the trace is the sum
         # of the first d, the norm is the Frobenius norm
-        x = _coordinates(rho)
+        x = hermitian_coordinates(rho)
         assert x[:d].sum() == pytest.approx(1.0, abs=1e-15)
         assert np.linalg.norm(x) == pytest.approx(np.linalg.norm(rho), rel=1e-14)
 
@@ -157,7 +157,7 @@ class TestRealCoordinates:
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
         with pytest.raises(NumericalError, match="Hermiticity"):
-            _real_block(_vec_map([a], [b]), "test map")
+            hermitian_map_matrix(_vec_map([a], [b]), "test map")
         # an engine whose generator is i L is refused at construction
         setup = random_setup(rng, 3, q=1, n_poisson=1)
         setup.ctx.heisenberg = 1j * setup.ctx.heisenberg
@@ -171,6 +171,21 @@ class TestConfig:
             TrajectoryConfig(dt=0.0, t_max=1.0, n_paths=1, base_seed=0)
         with pytest.raises(ValidationError):
             TrajectoryConfig(dt=2.0, t_max=1.0, n_paths=1, base_seed=0)
+
+    def test_seed_and_path_indices_fit_the_spawn_words(self):
+        # a path index is one 32-bit spawn word, and the seed is nonnegative
+        with pytest.raises(ValidationError, match="base_seed"):
+            TrajectoryConfig(dt=0.1, t_max=1.0, n_paths=1, base_seed=-3)
+        with pytest.raises(ValidationError, match="n_paths"):
+            TrajectoryConfig(dt=0.1, t_max=1.0, n_paths=2**32 + 1, base_seed=0)
+        TrajectoryConfig(dt=0.1, t_max=1.0, n_paths=2**32, base_seed=2**100)
+        ctx = stationary_state(scalar_lindblad(0.5))
+        setup = MeasurementSetup(ctx, [[1.0]], q=1)
+        cfg = TrajectoryConfig(dt=0.1, t_max=0.2, n_paths=1, base_seed=0)
+        for index in (-1, 2**32):
+            with pytest.raises(ValidationError, match="path_index"):
+                simulate_path(setup, ctx.sigma, cfg, index)
+        assert simulate_path(setup, ctx.sigma, cfg, 2**32 - 1).steps == 2
 
     def test_checkpoints_snap_to_grid(self):
         cfg = TrajectoryConfig(dt=0.1, t_max=1.0, n_paths=1, base_seed=0,
