@@ -21,9 +21,11 @@ Printed, one JSON line each:
   (the one real GEMM by the Kraus blocks and expectation functionals, the
   records dy and the weighted block sum), "jumps" (thinning and
   L rho L^dagger on a representative share of fired paths),
-  "normalization" (the trace division), "positivity" (one batched
-  Cholesky, paid once per checkpoint, shown per call) and "loop" (the rest
-  of a step: noise draws, records, Python).
+  "normalization" (the trace division) and "positivity" (one batched
+  Cholesky, paid once per checkpoint, shown per call). "loop" (the rest
+  of a step: noise draws, records, Python) is timed directly: `step_block`
+  runs of 2S and S steps, differenced, on engines whose advance, jumps and
+  normalization are stand-ins that return precomputed arrays.
 - per block size in --sweep, "us_per_path_step" of the filter at each of
   --sweep-dims with BLOCK_PATHS set to it and NOISE_CHUNK_STEPS set so
   that a chunk holds the same 2**17 draws per channel, on 2048 paths.
@@ -93,18 +95,28 @@ def per_path_step(setup, paths: int, steps: int, repeats: int, linear: bool) -> 
             return lambda: trajectories.run_linear_ensemble(setup, sigma, cfg)
         return lambda: trajectories.run_ensemble(setup, sigma, cfg, [-math.inf] * setup.ell)
 
-    long_run, short_run = run(2 * steps), run(steps)
+    return differenced(run(2 * steps), run(steps), paths * steps, repeats)
+
+
+def differenced(long_run, short_run, path_steps: int, repeats: int) -> float:
+    """µs per path-step of the difference between a run of 2S steps and one
+    of S: the median over repeats, divided by paths x S."""
     diffs = [median_time(long_run, 1) - median_time(short_run, 1) for _ in range(repeats)]
-    return 1e6 * statistics.median(diffs) / (paths * steps)
+    return 1e6 * statistics.median(diffs) / path_steps
 
 
-def split(setup, paths: int, steps: int, repeats: int, total_us: float) -> dict | None:
-    """The filter's per-path-step cost by part, each kernel timed alone."""
+def split(setup, paths: int, steps: int, repeats: int) -> dict | None:
+    """The filter's per-path-step cost by part: each kernel timed alone, and
+    the loop around them timed with the kernels replaced by stand-ins."""
     engine_cls = getattr(trajectories, "_Engine", None)
     if engine_cls is None or not hasattr(engine_cls, "advance"):
         return None
-    cfg = trajectories.TrajectoryConfig(dt=DT, t_max=steps * DT, n_paths=paths, base_seed=1)
-    engine = engine_cls(setup, cfg, False)
+
+    def engine_for(n_steps):
+        cfg = trajectories.TrajectoryConfig(dt=DT, t_max=n_steps * DT, n_paths=paths, base_seed=1)
+        return engine_cls(setup, cfg, False)
+
+    engine = engine_for(steps)
     idx = list(range(paths))
     states = engine.step_block(setup.ctx.sigma, idx, [0] * paths)[1][-1]
     x = linalg.hermitian_coordinates(states).T
@@ -128,8 +140,19 @@ def split(setup, paths: int, steps: int, repeats: int, total_us: float) -> dict 
         "jumps": timed(lambda: engine.jumps(x, out.copy(), u, threshold)),
         "normalization": timed(lambda: engine.normalize(out, valid)),
     }
-    parts["loop"] = max(total_us - sum(parts.values()), 0.0)
     parts["positivity_per_call"] = timed(lambda: trajectories.positivity_failures(states, 1e-10))
+    fired = engine.jumps(x, out.copy(), u, threshold)
+    normalized = engine.normalize(out.copy(), valid.copy())
+    dy = weights[1:engine.q + 1]
+
+    def with_stand_ins(e):
+        e.advance = lambda x, dw, weights: (out, dy, threshold)
+        e.jumps = lambda x, out, u, threshold: fired
+        e.normalize = lambda out, valid: normalized
+        return lambda: e.step_block(setup.ctx.sigma, idx, [0] * paths)
+
+    parts["loop"] = differenced(with_stand_ins(engine_for(2 * steps)), with_stand_ins(engine),
+                                paths * steps, repeats)
     return {k: round(v, 4) for k, v in parts.items()}
 
 
@@ -148,7 +171,7 @@ def main():
         print(json.dumps({"d": d, "paths": paths, "steps": steps,
                           "us_per_path_step": round(total, 4),
                           "linear_us_per_path_step": round(linear, 4),
-                          "split": split(setup, paths, steps, args.repeats, total)}), flush=True)
+                          "split": split(setup, paths, steps, args.repeats)}), flush=True)
     saved = trajectories.BLOCK_PATHS, trajectories.NOISE_CHUNK_STEPS
     try:
         for block in (int(x) for x in args.sweep.split(",") if x):

@@ -154,7 +154,8 @@ class TiltedFamily:
     and derivatives(lam) reads the gradient from that vector and gives no
     Hessian. B0 is one d^2 x d^2 array made in place from the generator in
     sigma's eigenbasis that it takes from the context (which then keeps no
-    copy of it). matrix(lam) makes one new d^2 x d^2 array.
+    copy of it). matrix(lam) makes one new d^2 x d^2 array, for the dense
+    solves and for checked_top, the check of the ascent's result at lam*.
     """
 
     def __init__(self, setup: MeasurementSetup):
@@ -163,7 +164,6 @@ class TiltedFamily:
         self.setup = setup
         d = ctx.dim
         self.b0 = ctx.kms_hermitian_part(ctx.take_eigenbasis_generator())
-        self.zero_channel = np.max(np.abs(setup.monitored), axis=(1, 2)) < 1e-15
         brownian = setup.brownian
         quarter = st.eigenvalues ** 0.25
         a = (quarter[:, None] / quarter[None, :]) * st.to_eigenbasis(setup.monitored).conj().swapaxes(1, 2)
@@ -295,6 +295,23 @@ class TiltedFamily:
             grad = _finite_difference_gradient(self, lam)
         return grad, hess
 
+    def checked_top(self, lam: np.ndarray, e: float, grad: np.ndarray) -> tuple[float, np.ndarray]:
+        """The top eigenvalue e and gradient grad that the ascent found at
+        lam*, checked: e must agree with a dense eigvalsh of matrix(lam) to
+        TOP_EIG_CHECK_RTOL, or NumericalError is raised. From
+        LANCZOS_MIN_SIZE on they came from a Ritz pair: the value returned
+        is then that of the eigvalsh, and a degenerate top eigenvalue takes
+        its gradient from central differences of value."""
+        w = np.linalg.eigvalsh(self.matrix(lam))
+        if abs(e - w[-1]) > TOP_EIG_CHECK_RTOL * max(1.0, abs(w[-1])):
+            raise NumericalError(f"top eigenvalue at lam* is {e!r} by TiltedFamily.value "
+                                 f"but {float(w[-1])!r} by a dense eigh")
+        if self._stacked is None:
+            e = float(w[-1])
+            if _degenerate(w):
+                grad = _finite_difference_gradient(self, lam)
+        return e, grad
+
     def gradient_at(self, lam: np.ndarray, vtop: np.ndarray) -> np.ndarray:
         """Hellmann-Feynman gradient of the top eigenvalue, <v|dB/dlam_j|v>
         for its unit eigenvector v."""
@@ -310,6 +327,21 @@ class TiltedFamily:
         """Gradient from the expectations <v|B_j|v> of the pieces: the
         Brownian shift |lam^B|^2/2 adds lam_j."""
         return expect * self._slopes(lam) + np.where(self.setup.brownian, lam, 0.0)
+
+
+def _degenerate(w: np.ndarray) -> bool:
+    return len(w) > 1 and w[-1] - w[-2] < EIG_GAP_DEGENERATE
+
+
+def _finite_difference_gradient(family: TiltedFamily, lam: np.ndarray) -> np.ndarray:
+    g = np.empty_like(lam)
+    for j in range(lam.size):
+        up = lam.copy()
+        dn = lam.copy()
+        up[j] += FINITE_DIFFERENCE_STEP
+        dn[j] -= FINITE_DIFFERENCE_STEP
+        g[j] = (family.value(up) - family.value(dn)) / (2 * FINITE_DIFFERENCE_STEP)
+    return g
 
 
 class _TiltedOperator:
@@ -331,21 +363,6 @@ class _TiltedOperator:
 # ---------------------------------------------------------------------------
 # Concave maximization of lam . target - e(lam)
 # ---------------------------------------------------------------------------
-
-def _degenerate(w: np.ndarray) -> bool:
-    return len(w) > 1 and w[-1] - w[-2] < EIG_GAP_DEGENERATE
-
-
-def _finite_difference_gradient(family: TiltedFamily, lam: np.ndarray) -> np.ndarray:
-    g = np.empty_like(lam)
-    for j in range(lam.size):
-        up = lam.copy()
-        dn = lam.copy()
-        up[j] += FINITE_DIFFERENCE_STEP
-        dn[j] -= FINITE_DIFFERENCE_STEP
-        g[j] = (family.value(up) - family.value(dn)) / (2 * FINITE_DIFFERENCE_STEP)
-    return g
-
 
 def _bfgs(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     """BFGS update of the Hessian estimate h by the step s and the change y
@@ -406,15 +423,10 @@ def _maximize_tilt(family: TiltedFamily, target: np.ndarray, allow_negative: boo
     most NEWTON_RTOL * max(1, |target|), or when a step gains neither
     objective nor stationarity.
 
-    Returns (lam*, value, residual, bounded): ``residual`` is the projected
-    gradient at lam* and ``bounded`` is False when a coordinate sits at its
-    cap with the objective still increasing.
-
-    The top eigenvalue at lam* must agree with a dense eigvalsh of
-    family.matrix(lam*) to TOP_EIG_CHECK_RTOL, or NumericalError is raised.
-    Without a Hessian, value and gradient came from a Ritz pair: the value
-    reported is then that of the eigvalsh, and a degenerate top eigenvalue
-    takes its gradient from central differences of family.value.
+    Returns (lam*, value, residual, bounded), from the top eigenvalue and
+    gradient that family.checked_top passes at lam*: ``residual`` is the
+    projected gradient at lam* and ``bounded`` is False when a coordinate
+    sits at its cap with the objective still increasing.
     """
     setup = family.setup
     caps = np.where(setup.brownian, BROWNIAN_LAMBDA_CAP, POISSON_LAMBDA_CAP)
@@ -450,14 +462,7 @@ def _maximize_tilt(family: TiltedFamily, target: np.ndarray, allow_negative: boo
             break
         lam, e, grad, hess, residual = trial, e_trial, grad_trial, hess_trial, residual_trial
 
-    w = np.linalg.eigvalsh(family.matrix(lam))
-    if abs(e - w[-1]) > TOP_EIG_CHECK_RTOL * max(1.0, abs(w[-1])):
-        raise NumericalError(f"top eigenvalue at lam* is {e!r} by TiltedFamily.value "
-                             f"but {float(w[-1])!r} by a dense eigh")
-    if exact is None:
-        e = float(w[-1])
-        if _degenerate(w):
-            grad = _finite_difference_gradient(family, lam)
+    e, grad = family.checked_top(lam, e, grad)
     residual, bounded = _stationarity(lam, target - grad, lo, caps)
     return lam, max(float(lam @ target) - e, 0.0), residual, bounded
 
@@ -517,13 +522,6 @@ def main_bound(setup: MeasurementSetup, rho, r) -> BoundReport:
     prefactor = l2_sigma_prefactor(st, rho)
     family = TiltedFamily(setup)
     target = mean + r
-    # A dead counting channel with a positive threshold: the supremum
-    # diverges linearly and the bound collapses to zero.
-    dead = np.flatnonzero(~setup.brownian & family.zero_channel & (target > 0))
-    if dead.size:
-        lam = np.zeros(setup.ell)
-        lam[dead[0]] = np.inf
-        return BoundReport(r, mean, lam, np.inf, prefactor, 0.0, status="unbounded")
     lam, value, residual, bounded = _maximize_tilt(family, target, allow_negative=False)
     status = _status(bounded, residual, target)
     return BoundReport(r, mean, lam, value if bounded else np.inf, prefactor, residual, status)

@@ -29,15 +29,10 @@ builder; a single map X -> A X B is the case k = 1).
 
 Hermitian matrices have one real coordinate system (hermitian_coordinates),
 in which the trajectory stepper, the W1 certificate and the record
-functionals work.
+functionals work; a map enters it by its Heisenberg matrix.
 
-Top eigenvalues of tilted generators come from one eigensolve per tilt,
-deviation.TiltedFamily.value: below deviation.LANCZOS_MIN_SIZE a dense
-eigh; from there top_eigenpair, a Lanczos iteration with full
-reorthogonalisation on products with the matrix, and a dense eigh when
-Lanczos does not converge. The tilted family forms the matrix only for
-those dense solves and for the check at the optimal tilt lam*, where the
-value is compared with one eigvalsh in either regime.
+top_eigenpair is a Lanczos iteration for the top eigenpair of a Hermitian
+product operator; when it is used is decided in deviation.
 """
 
 from __future__ import annotations
@@ -321,12 +316,14 @@ def rotate_superoperator(m: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 #
 # The one map between d x d Hermitian matrices and real vectors: the d^2
-# coordinates c in the orthonormal basis of the columns of V, the vec
-# (row-major) of e_aa, then (e_ab + e_ba)/sqrt(2) for a < b, then
-# i (e_ab - e_ba)/sqrt(2) for a < b, pairs in row-major order. The basis is
-# orthonormal for the Hilbert-Schmidt product, so Tr[X Y] = c(X) . c(Y),
-# the Frobenius norm is |c| and the trace is the sum of the first d
-# coordinates.
+# coordinates c_k = Tr[E_k X] in the Hermitian basis E: e_aa, then
+# (e_ab + e_ba)/sqrt(2) for a < b, then i (e_ab - e_ba)/sqrt(2) for a < b,
+# pairs in row-major order. W is the unitary whose columns are the vec(E_k),
+# so vec(X) = W c. The basis is orthonormal for the Hilbert-Schmidt
+# product, so Tr[X Y] = c(X) . c(Y), the Frobenius norm is |c| and the
+# trace is the sum of the first d coordinates. A map Phi enters by its
+# Heisenberg matrix H, that of its dual: vec(Phi*(Y)) = H vec(Y), the form
+# in which generators are held. In coordinates it is R = (W^dagger H W)^T.
 
 # A map in real coordinates whose dropped imaginary part exceeds this share
 # of its largest entry is not Hermiticity-preserving.
@@ -336,7 +333,7 @@ _R2 = math.sqrt(0.5)
 
 def _rotate_rows(re: np.ndarray, im: np.ndarray, sign: int) -> tuple[np.ndarray, np.ndarray]:
     """(Re, Im) of B (re + i im) for the (d^2, m) arrays ``re``, ``im``,
-    with B = V^T (sign 1) or V^dagger (sign -1). Rows are combined through
+    with B = W^dagger (sign 1) or W^T (sign -1). Rows are combined through
     strided views, one output pair is made."""
     n = re.shape[0]
     d = math.isqrt(n)
@@ -352,7 +349,7 @@ def _rotate_rows(re: np.ndarray, im: np.ndarray, sign: int) -> tuple[np.ndarray,
         upper_im, lower_im = im4[a, a + 1:], im4[a + 1:, a]
         np.add(upper_re, lower_re, out=out_re[sym])
         np.add(upper_im, lower_im, out=out_im[sym])
-        # i (u - l) for V^T, -i (u - l) for V^dagger
+        # i (u - l) for W^dagger, -i (u - l) for W^T
         np.subtract(lower_im, upper_im, out=out_re[anti])
         np.subtract(upper_re, lower_re, out=out_im[anti])
         row += d - 1 - a
@@ -365,19 +362,20 @@ def _rotate_rows(re: np.ndarray, im: np.ndarray, sign: int) -> tuple[np.ndarray,
 
 
 def hermitian_coordinates(x) -> np.ndarray:
-    """The real coordinates Re(V^dagger vec(X)) of the d x d matrix X, those
-    of its Hermitian part: a (d^2,) array, or (k, d^2) for a (k, d, d)
-    stack."""
+    """The real coordinates Re Tr[E_k X] of the d x d matrix X, those of its
+    Hermitian part: a (d^2,) array, or (k, d^2) for a (k, d, d) stack."""
     x = np.asarray(x, dtype=complex)
     d = x.shape[-1]
+    # X read row by row is vec(X^T), and W^T vec(X^T) is Tr[E_k X].
     cols = x.reshape(-1, d * d).T
     coords = _rotate_rows(cols.real, cols.imag, -1)[0].T
     return coords if x.ndim == 3 else coords[0]
 
 
 def hermitian_from_coordinates(c) -> np.ndarray:
-    """The d x d matrix V c of the real coordinates c, exactly Hermitian: one
-    matrix for a (d^2,) array, the (k, d, d) stack for (k, d^2)."""
+    """The d x d matrix sum_k c_k E_k of the real coordinates c, exactly
+    Hermitian: one matrix for a (d^2,) array, the (k, d, d) stack for
+    (k, d^2)."""
     c = np.asarray(c, dtype=float)
     d = math.isqrt(c.shape[-1])
     iu, ju = np.triu_indices(d, 1)
@@ -391,16 +389,16 @@ def hermitian_from_coordinates(c) -> np.ndarray:
     return x
 
 
-def hermitian_map_matrix(g: np.ndarray, what: str) -> np.ndarray:
+def hermitian_map_matrix(h: np.ndarray, what: str) -> np.ndarray:
     """The real d^2 x d^2 matrix R of a Hermiticity-preserving map Phi in
-    these coordinates, c(Phi(X)) = R c(X), for ``g`` with
-    vec(Phi(X)) = vec(X) @ g (vec row-major): R = (V^T g conj(V))^T. ``g``
-    is read through its real and imaginary views and released after the
-    first pass, so a temporary g is freed before the second pass allocates.
+    these coordinates, c(Phi(X)) = R c(X), from the Heisenberg matrix ``h``
+    of Phi, that of its dual: R = (W^dagger h W)^T. ``h`` is read through
+    its real and imaginary views and released after the first pass, so a
+    temporary h is freed before the second pass allocates.
     NumericalError if the dropped imaginary part exceeds HERMITICITY_TOL
     times the largest entry: Phi does not preserve Hermiticity."""
-    re, im = _rotate_rows(g.real, g.imag, 1)
-    del g
+    re, im = _rotate_rows(h.real, h.imag, 1)
+    del h
     re, im = _rotate_rows(re.T, im.T, -1)
     dropped = float(np.max(np.abs(im), initial=0.0))
     if dropped > HERMITICITY_TOL * max(float(np.max(np.abs(re), initial=0.0)), dropped):

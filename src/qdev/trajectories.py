@@ -15,14 +15,14 @@ by construction; nothing is clipped. They are also Hermiticity-preserving,
 and the records read Hermitian observables, so the stepper works in the
 real coordinates of linalg: a state is its d^2 coordinates x in the
 orthonormal Hermitian basis (hermitian_coordinates), whose trace is the
-sum of the first d. Every map becomes its real matrix there
-(hermitian_map_matrix, which checks the dropped imaginary part at
-construction), a recorded observable O its functional c(O), since
-Tr[O rho] = c(O) . x, a block's states are the columns of a (d^2, b)
-array, and a step is one real GEMM by the stacked no-count blocks and
-functionals, then one einsum that sums the blocks with their weights 1,
-dy_B and dy_B dy_B'. States return to complex d x d matrices only at
-checkpoints, for the positivity check and the reported states.
+sum of the first d. Every map becomes its real matrix there, made from
+its Heisenberg matrix (hermitian_map_matrix, which checks the dropped
+imaginary part at construction), a recorded observable O its functional
+c(O), since Tr[O rho] = c(O) . x, a block's states are the columns of a
+(d^2, b) array, and a step is one real GEMM by the stacked no-count
+blocks and functionals, then one einsum that sums the blocks with their
+weights 1, dy_B and dy_B dy_B'. States return to complex d x d matrices
+only at checkpoints, for the positivity check and the reported states.
 
 The filter (nonlinear equation) records dy_B = Tr[(L_B + L_B^dagger) rho] dt
 + dW_B, counts at intensity Tr[L_P^dagger L_P rho] and divides by the
@@ -350,11 +350,6 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-1, -2)
 
 
-def _vec_map(lefts, rights) -> np.ndarray:
-    """G with vec(sum_j A_j rho B_j) = vec(rho) @ G, vec row-major."""
-    return left_right_sum_matrix(np.swapaxes(rights, -1, -2), np.swapaxes(lefts, -1, -2)).T
-
-
 def positivity_failures(rho: np.ndarray, clip: float) -> np.ndarray:
     """Per state of the stack ``rho``: whether rho + clip * I fails a
     Cholesky factorization (one batched call when all pass)."""
@@ -403,29 +398,34 @@ class _Engine:
         # M0 rho L_B^dagger and L_B rho L_B'^dagger + L_B' rho L_B^dagger (once
         # if B = B'). With M0 = I - g dt, g = iH + K/2 (minus n_P / 2 for the
         # linear equation, its compensator) and the Schrodinger generator
-        # L(rho) = sum_k L_k rho L_k^dagger - g rho - rho g^dagger (the context's
-        # matrix, vec(L(rho)) = vec(rho) @ heisenberg), the first block is
-        # rho + dt (L - Phi_m)(rho) + dt^2 g rho g^dagger, plus n_P dt rho for the
-        # linear equation; Phi_m(rho) = sum over the orthonormal monitored
+        # L(rho) = sum_k L_k rho L_k^dagger - g rho - rho g^dagger, the first
+        # block is rho + dt (L - Phi_m)(rho) + dt^2 g rho g^dagger, plus n_P dt rho
+        # for the linear equation; Phi_m(rho) = sum over the orthonormal monitored
         # jumps of L_u rho L_u^dagger, so L - Phi_m keeps the unmonitored jumps.
+        # Each map enters as the Heisenberg matrix of its dual: the context's
+        # for L, and for rho -> sum_j A_j rho B_j, closed under the adjoint, that
+        # of X -> sum_j B_j X A_j, left_right_sum_matrix(rights, lefts).
         eye = np.eye(d)
         g = 1j * lind.hamiltonian + 0.5 * lind._kappa - (0.5 * self.n_poisson * eye if linear else 0.0)
         m0 = eye - g * dt
         first = operators[:n]
         first[:] = hermitian_map_matrix(setup.ctx.heisenberg, "generator")
-        first -= hermitian_map_matrix(_vec_map(monitored, _dagger(monitored)), "monitored jump map")
+        first -= hermitian_map_matrix(left_right_sum_matrix(_dagger(monitored), monitored),
+                                     "monitored jump map")
         first *= dt
-        first += dt * dt * hermitian_map_matrix(_vec_map([g], [_dagger(g)]), "no-count map")
+        first += dt * dt * hermitian_map_matrix(left_right_sum_matrix([_dagger(g)], [g]), "no-count map")
         first.reshape(-1)[::n + 1] += 1.0 + (self.n_poisson * dt if linear else 0.0)
         blocks = [([l, m0], [_dagger(m0), _dagger(l)]) for l in lb]
         for i, j in self.pairs:
             ls = lb[[i]] if i == j else lb[[i, j]]
             blocks.append((ls, _dagger(ls[::-1])))
         for t, (lefts, rights) in enumerate(blocks, 1):
-            operators[t * n:(t + 1) * n] = hermitian_map_matrix(_vec_map(lefts, rights), "Brownian map")
+            operators[t * n:(t + 1) * n] = hermitian_map_matrix(left_right_sum_matrix(rights, lefts),
+                                                                "Brownian map")
         if not linear:
             operators[self.n_blocks * n:] = dt * hermitian_coordinates(setup.observables)
-        self.count = [hermitian_map_matrix(_vec_map([l], [_dagger(l)]), "count map") for l in monitored[q:]]
+        self.count = [hermitian_map_matrix(left_right_sum_matrix([_dagger(l)], [l]), "count map")
+                      for l in monitored[q:]]
 
         max_rate = max((np.linalg.norm(m, 2) for m in setup.observables[q:]), default=0.0)
         if max_rate * dt >= 0.1:

@@ -281,6 +281,22 @@ class TestMainBound:
         assert rep.status == "unbounded"
         assert rep.bound(2.0) == 0.0
 
+    def test_dead_poisson_channel_beside_live_one_unbounded(self):
+        """A counting channel on a zero jump, beside a Brownian channel on
+        the pair jump of qubit depolarizing toward diag(0.7, 0.3): the
+        ascent walks the dead coordinate to its cap."""
+        lind = depolarizing(np.diag([0.7, 0.3]).astype(complex))
+        jumps = np.concatenate([lind.jumps, np.zeros((1, 2, 2))])
+        ctx = stationary_state(Lindbladian(lind.hamiltonian, jumps))
+        u = np.zeros((2, lind.k + 1))
+        u[0, [1, 2]] = 1 / math.sqrt(2)
+        u[1, -1] = 1.0
+        rep = main_bound(MeasurementSetup(ctx, u, q=1), ctx.sigma, [0.2, 0.1])
+        assert rep.status == "unbounded"
+        assert math.isinf(rep.exponent)
+        assert rep.bound(2.0) == 0.0
+        assert rep.lam_star[1] == deviation.POISSON_LAMBDA_CAP
+
     def test_joint_exponent_dominates_marginals(self, mixed_setup):
         r = np.array([0.4, 0.3])
         joint = main_bound(mixed_setup, mixed_setup.ctx.sigma, r).exponent
@@ -525,7 +541,9 @@ class TestTopEigenvalue:
         for _ in range(2):  # a cold start, then warm from the first top vector
             assert_top(family.value(TILTS[1]), b)
 
-    def test_wrong_iterative_value_fails_the_bound(self, mixed_setup, monkeypatch):
+    @pytest.mark.parametrize("lanczos", [False, True], ids=["dense", "lanczos"])
+    def test_wrong_iterative_value_fails_the_bound(self, mixed_setup, lanczos, monkeypatch):
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0 if lanczos else 10**9)
         exact = TiltedFamily.value
         monkeypatch.setattr(TiltedFamily, "value", lambda self, lam: exact(self, lam) + 1e-6)
         with pytest.raises(NumericalError, match="dense eigh"):
@@ -546,14 +564,15 @@ def count_eigensolves(monkeypatch) -> dict:
 
 
 class FamilySeam:
-    """A TiltedFamily seen only through setup, value, derivatives and matrix:
-    what another tilted family must offer the tilt optimizer."""
+    """A TiltedFamily seen only through setup, value, derivatives and
+    checked_top: what another tilted family must offer the tilt optimizer."""
 
-    __slots__ = ("setup", "value", "derivatives", "matrix")
+    __slots__ = ("setup", "value", "derivatives", "checked_top")
 
     def __init__(self, family: TiltedFamily):
         self.setup = family.setup
-        self.value, self.derivatives, self.matrix = family.value, family.derivatives, family.matrix
+        self.value, self.derivatives = family.value, family.derivatives
+        self.checked_top = family.checked_top
 
 
 class TestTiltOptimizer:

@@ -15,6 +15,8 @@ from qdev.linalg import (
     hermitian_coordinates,
     hermitian_from_coordinates,
     hermitian_map_matrix,
+    left_right_sum_matrix,
+    unvec,
     vec,
 )
 from qdev.lindblad import Lindbladian, stationary_state
@@ -27,7 +29,6 @@ from qdev.trajectories import (
     _Engine,
     _philox_keys,
     _streams,
-    _vec_map,
     clopper_pearson,
     compare_with_bound,
     positivity_failures,
@@ -90,25 +91,28 @@ def random_setup(rng, d, q, n_poisson, k=5):
 
 
 def complex_blocks(setup, dt, linear):
-    """The no-count blocks as complex vec maps, built from the Kraus form:
-    M0 rho M0^dagger + dt Phi_u(rho), then the Brownian blocks."""
+    """The Heisenberg matrices of the no-count blocks' duals, built from the
+    Kraus form: M0 rho M0^dagger + dt Phi_u(rho), then the Brownian blocks.
+    The dual of rho -> sum_j A_j rho B_j, closed under the adjoint, is
+    X -> sum_j B_j X A_j."""
     lind, q, monitored = setup.ctx.lindbladian, setup.q, setup.monitored
     eye = np.eye(lind.dim)
     g = 1j * lind.hamiltonian + 0.5 * lind._kappa - (0.5 * (setup.ell - q) * eye if linear else 0.0)
     m0 = eye - g * dt
     unmonitored = np.tensordot(np.linalg.svd(setup.directions)[2][setup.ell:], lind.jumps, axes=1)
-    blocks = [_vec_map([m0], [_dagger(m0)]) + dt * _vec_map(unmonitored, _dagger(unmonitored))]
-    blocks += [_vec_map([l, m0], [_dagger(m0), _dagger(l)]) for l in monitored[:q]]
+    blocks = [left_right_sum_matrix([_dagger(m0)], [m0])
+              + dt * left_right_sum_matrix(_dagger(unmonitored), unmonitored)]
+    blocks += [left_right_sum_matrix([_dagger(m0), _dagger(l)], [l, m0]) for l in monitored[:q]]
     for i in range(q):
         for j in range(i, q):
             ls = monitored[[i]] if i == j else monitored[[i, j]]
-            blocks.append(_vec_map(ls, _dagger(ls[::-1])))
+            blocks.append(left_right_sum_matrix(_dagger(ls[::-1]), ls))
     return blocks
 
 
-def image(g, rho):
-    """Phi(rho) for the map with vec(Phi(rho)) = vec(rho) @ g, vec row-major."""
-    return (rho.reshape(-1) @ g).reshape(rho.shape)
+def image(h, rho):
+    """Phi(rho) for the map whose dual has the Heisenberg matrix h."""
+    return unvec(h.conj().T @ vec(rho))
 
 
 class TestRealCoordinates:
@@ -157,7 +161,7 @@ class TestRealCoordinates:
         rng = np.random.default_rng(5)
         a, b = rng.normal(size=(2, 3, 3)) + 1j * rng.normal(size=(2, 3, 3))
         with pytest.raises(NumericalError, match="Hermiticity"):
-            hermitian_map_matrix(_vec_map([a], [b]), "test map")
+            hermitian_map_matrix(left_right_sum_matrix([b], [a]), "test map")
         # an engine whose generator is i L is refused at construction
         setup = random_setup(rng, 3, q=1, n_poisson=1)
         setup.ctx.heisenberg = 1j * setup.ctx.heisenberg
