@@ -4,6 +4,8 @@ validation."""
 
 __version__ = "0.1.0"
 
+import importlib
+
 from .linalg import (
     FaithfulState,
     density_matrix,
@@ -33,25 +35,26 @@ from .trajectories import (
     run_linear_ensemble,
     simulate_path,
 )
-from .inequalities import (
-    FunctionalConstants,
-    LipschitzContext,
-    concentration_bound,
-    lipschitz_norm,
-    lsi_depolarizing,
-    spectral_gap,
-    tensorization_lsi_bounds,
-    ti_from_lsi,
-    tilde_observable,
-    w1_lower_bound,
-)
-from .models import (
-    ClassicalChain,
-    CommutingHamiltonian,
-    appendix_b_fixtures,
-    classical_embedding,
-    depolarizing,
-    heat_bath,
-    maximally_mixed,
-    tensor_product,
-)
+# The names of inequalities and models resolve on first use (PEP 562), so
+# that importing the package, or a verb that needs neither, does not load
+# them.
+_LAZY = {
+    "inequalities": ("FunctionalConstants", "LipschitzContext", "concentration_bound",
+                     "lipschitz_norm", "lsi_depolarizing", "spectral_gap",
+                     "tensorization_lsi_bounds", "ti_from_lsi", "tilde_observable",
+                     "w1_lower_bound"),
+    "models": ("ClassicalChain", "CommutingHamiltonian", "appendix_b_fixtures",
+               "classical_embedding", "depolarizing", "heat_bath", "maximally_mixed",
+               "tensor_product"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _LAZY_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_LAZY_NAMES[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -35,7 +35,9 @@ def _scalar_lindblad(c: complex) -> Lindbladian:
     return Lindbladian(np.zeros((1, 1)), [np.array([[c]], dtype=complex)])
 
 
-def run_paper_fixtures() -> list[Result]:
+def run_paper_fixtures(n_workers: int = 1) -> list[Result]:
+    """Every fixture check, in order; the two ensembles run on up to
+    ``n_workers`` worker processes."""
     results: list[Result] = []
 
     # Gaussian scalar fixture: exponent r^2/2.
@@ -118,7 +120,7 @@ def run_paper_fixtures() -> list[Result]:
 
     # Small trajectory ensemble against the Gaussian tail and the bound.
     cfg = TrajectoryConfig(dt=1e-3, t_max=4.0, n_paths=2000, base_seed=20240817)
-    res = run_ensemble(setup, ctx.sigma, cfg, [1.0])
+    res = run_ensemble(setup, ctx.sigma, cfg, [1.0], n_workers=n_workers)
     tail = res.tails[0]
     exact = 0.5 * math.erfc(math.sqrt(2.0))  # P(N(0, 1) >= 2)
     cmp = compare_with_bound(tail, rep, 4.0)
@@ -129,7 +131,7 @@ def run_paper_fixtures() -> list[Result]:
     # Linear-equation martingale on the qubit depolarizing fixture.
     rho0 = np.array([[0.8, 0.1], [0.1, 0.2]], dtype=complex)
     cfgl = TrajectoryConfig(dt=1e-3, t_max=1.0, n_paths=2000, base_seed=5, checkpoints=(0.5, 1.0))
-    _, zmean, zse, failures = run_linear_ensemble(setup2, rho0, cfgl)
+    _, zmean, zse, failures = run_linear_ensemble(setup2, rho0, cfgl, n_workers=n_workers)
     ok = failures == 0 and bool(np.all(np.abs(zmean - 1.0) <= 3 * zse))
     results.append(("martingale mean", ok, f"Z means {np.round(zmean, 4).tolist()}"))
 

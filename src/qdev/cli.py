@@ -24,26 +24,13 @@ import numpy as np
 
 from . import fileio
 from .deviation import main_bound, rate_function
-from .inequalities import (
-    LipschitzContext,
-    concentration_bound,
-    functional_constants,
-    lipschitz_norm,
-    tilde_observable,
-)
 from .linalg import NumericalError, QdevError, ValidationError
 from .lindblad import check_detailed_balance, lindbladian_from_channel
-from .models import (
-    ClassicalChain,
-    appendix_b_fixtures,
-    classical_embedding,
-    depolarizing,
-    heat_bath,
-    maximally_mixed,
-    require_depolarizing_dim,
-    tensor_product,
-)
 from .trajectories import run_ensemble
+
+# models and inequalities are imported by the verbs that use them
+# (model new; inequalities and concentrate), so that the others do not pay
+# for their import.
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,9 +69,17 @@ def _resolve_seed(args) -> int | None:
         raise ValidationError(f"QDEV_SEED={env!r} is not an integer") from None
 
 
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="qdev", description=__doc__)
-    parser.add_argument("--threads", type=int, default=1, help="worker threads for ensemble runs")
+    parser.add_argument("--threads", type=int, default=_usable_cores(),
+                        help="worker processes for ensemble runs, each with one BLAS thread "
+                             "(default: the usable cores)")
     parser.add_argument("--format", default="csv", choices=["csv", "json"],
                         help="tabular output format; json embeds the run manifest")
     sub = parser.add_subparsers(dest="verb", required=True)
@@ -168,6 +163,9 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 def _cmd_model_new(args, argv) -> int:
+    from .models import (ClassicalChain, appendix_b_fixtures, classical_embedding, depolarizing,
+                         heat_bath, maximally_mixed, require_depolarizing_dim, tensor_product)
+
     template = args.template
     if template == "depolarizing":
         # The declared dimension is checked against the guard before any
@@ -273,7 +271,7 @@ def _cmd_simulate(args, argv) -> int:
     r = np.asarray(_float_list(args.r))
     rho = (fileio.load_state(args.state, model.context.dim) if args.state
            else model.context.sigma)
-    result = run_ensemble(setup, rho, config, r, n_threads=args.threads)
+    result = run_ensemble(setup, rho, config, r, n_workers=args.threads)
     header = (["t"] + [f"r{i}" for i in range(setup.ell)]
               + [f"estimator_mean{i}" for i in range(setup.ell)]
               + [f"estimator_stderr{i}" for i in range(setup.ell)]
@@ -336,6 +334,8 @@ def _cmd_compare(args, argv) -> int:
 
 
 def _cmd_inequalities(args, argv) -> int:
+    from .inequalities import LipschitzContext, functional_constants, lipschitz_norm, tilde_observable
+
     model = fileio.load_model(args.model)
     ctx = model.context
     report: dict = {
@@ -380,6 +380,8 @@ def _cmd_inequalities(args, argv) -> int:
 
 
 def _cmd_concentrate(args, argv) -> int:
+    from .inequalities import concentration_bound
+
     bound = concentration_bound(
         args.variant,
         prefactor=args.prefactor,
@@ -411,7 +413,7 @@ def _cmd_concentrate(args, argv) -> int:
 def _cmd_check(args, argv) -> int:
     from . import checks
 
-    results = checks.run_paper_fixtures()
+    results = checks.run_paper_fixtures(n_workers=args.threads)
     failed = 0
     for name, ok, detail in results:
         print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")

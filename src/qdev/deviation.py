@@ -15,7 +15,9 @@ into an ordinary Hermitian matrix whose top eigenvalue is e(lam), a concave
 maximization away from the bound.
 That maximization is a projected Newton ascent whose gradient
 (Hellmann-Feynman) and curvature come from the eigensolve each evaluation
-of e already makes (TiltedFamily.value, then TiltedFamily.derivatives).
+of e already makes (TiltedFamily.value, then TiltedFamily.derivatives); a
+rate grid runs it for all its points in lockstep, one stacked eigensolve
+per sweep.
 """
 
 from __future__ import annotations
@@ -79,6 +81,10 @@ WARM_START_SEED = 0x5EED
 # Largest admitted |TiltedFamily.value - dense eigvalsh| top eigenvalue at
 # lam*, relative to max(1, |e|).
 TOP_EIG_CHECK_RTOL = 1e-10
+# Bytes of the dense stacks of B(lam) and of its eigenvectors that one
+# lockstep sweep may hold: below LANCZOS_MIN_SIZE, rate_function ascends
+# its grid in batches of TiltedFamily.batch points (71 at d = 11).
+BATCH_STACK_BYTES = 2**25
 
 
 class MeasurementSetup:
@@ -144,18 +150,21 @@ class TiltedFamily:
     (the KMS-conjugated L_e^dagger X + X L_e and L_e^dagger X L_e, made
     Hermitian; herm(A) is held for a Brownian channel).
 
-    The regime is decided here, once, by the size d^2 of B(lam). Below
-    LANCZOS_MIN_SIZE the family holds the dense (ell, d^2, d^2) stack of
-    the pieces, built from the operators; value(lam) is a dense eigh, whose
-    spectrum it keeps, and derivatives(lam) reads the gradient and the
-    perturbation-theory Hessian from it. From LANCZOS_MIN_SIZE on it holds
-    no more: value(lam) runs Lanczos on products B(lam) v (operator), at
-    d^4 for B0 and d^3 per piece, warm-started from the last top vector,
-    and derivatives(lam) reads the gradient from that vector and gives no
-    Hessian. B0 is one d^2 x d^2 array made in place from the generator in
-    sigma's eigenbasis that it takes from the context (which then keeps no
-    copy of it). matrix(lam) makes one new d^2 x d^2 array, for the dense
-    solves and for checked_top, the check of the ascent's result at lam*.
+    Every evaluation takes an (m, ell) stack of tilts, one row per point,
+    so that the optimizer moves many points in one call. The regime is
+    decided here, once, by the size d^2 of B(lam). Below LANCZOS_MIN_SIZE
+    the family holds the dense (ell, d^2, d^2) stack of the pieces, built
+    from the operators; value is one stacked dense eigh, whose spectra it
+    keeps per point, and derivatives reads the gradients and the
+    perturbation-theory Hessians from them. From LANCZOS_MIN_SIZE on it
+    holds no more: value runs Lanczos on products B(lam) v (operator), at
+    d^4 for B0 and d^3 per piece, row by row, each warm-started from its
+    point's last top vector, and derivatives reads the gradient from that
+    vector and gives no Hessian. B0 is one d^2 x d^2 array made in place
+    from the generator in sigma's eigenbasis that it takes from the context
+    (which then keeps no copy of it). matrix makes one new d^2 x d^2 array
+    per row, for the dense solves and for checked_top, the check of the
+    ascent's result at lam*.
     """
 
     def __init__(self, setup: MeasurementSetup):
@@ -171,28 +180,30 @@ class TiltedFamily:
         self.operators = a
         self.dim2 = d * d
         self._stacked = None
+        # The most rows one value call should stack: unbounded from the
+        # Lanczos cut-over, where the rows are solved in turn.
+        self.batch = None
         if self.dim2 < LANCZOS_MIN_SIZE:
             self._stacked = np.zeros((setup.ell, d * d, d * d), dtype=complex)
             for j, piece in enumerate(self._stacked):
                 self._add_piece(piece, j, 1.0)
+            self.batch = max(1, BATCH_STACK_BYTES // (2 * self._stacked[0].nbytes))
         g = np.random.default_rng(WARM_START_SEED).normal(size=(2, self.dim2))
         self._mix = WARM_START_MIX * (g[0] + 1j * g[1]) / np.linalg.norm(g)
-        self._warm = np.zeros(self.dim2, dtype=complex)
-        # The tilt of the last value call and, in the dense regime, the
-        # eigendecomposition (w ascending, eigenvector columns v) made there.
-        self._solved_at = None
-        self._spectrum = None
+        # Per point: the tilt of its last value call and what that solve
+        # found, the eigendecomposition (w ascending, eigenvector columns v)
+        # in the dense regime, the top vector (also the next warm start)
+        # from LANCZOS_MIN_SIZE on.
+        self._solved: dict = {}
 
-    def _weights(self, lam: np.ndarray) -> tuple[list, float]:
-        """The weight of each piece in B(lam), lam_j or exp(lam_j) - 1, and
-        the Brownian shift |lam^B|^2/2."""
-        weights, shift = [], 0.0
-        for j, brownian in enumerate(self.setup.brownian):
-            if brownian:
-                weights.append(lam[j])
-                shift += 0.5 * lam[j] ** 2
-            else:
-                weights.append(np.expm1(lam[j]))
+    def _weights(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Per row of lams, the weight of each piece in B(lam), lam_j or
+        exp(lam_j) - 1, and the Brownian shift |lam^B|^2/2."""
+        brownian = self.setup.brownian
+        weights = np.where(brownian, lams, np.expm1(np.where(brownian, 0.0, lams)))
+        shift = np.zeros(len(lams))
+        for j in np.flatnonzero(brownian):
+            shift += 0.5 * lams[:, j] ** 2
         return weights, shift
 
     def _add_piece(self, m: np.ndarray, j: int, weight: float) -> None:
@@ -212,62 +223,77 @@ class TiltedFamily:
             slab += half * (a_h[:, None, :] * a[None, :, i, None])
 
     def _pieces_times(self, v: np.ndarray) -> np.ndarray:
-        """(ell, d^2): each piece applied to the vector v."""
+        """(m, ell, d^2): each piece applied to each row of the (m, d^2)
+        stack of vectors v."""
         if self._stacked is not None:
-            return self._stacked @ v
+            return (self._stacked @ v[:, None, :, None])[..., 0]
         d = self.setup.ctx.dim
         # vec(X) is X^T read row by row, so with Y = X^T the Brownian piece
         # maps Y -> conj(A) Y + Y conj(A) and the counting piece
         # Y -> (conj(A) Y A^T + A^T Y conj(A))/2.
-        y = v.reshape(d, d)
-        out = np.empty((self.setup.ell, d, d), dtype=complex)
+        y = v.reshape(-1, d, d)
+        out = np.empty((len(v), self.setup.ell, d, d), dtype=complex)
         for j, a in enumerate(self.operators):
             ac = a.conj()
             if self.setup.brownian[j]:
-                np.add(ac @ y, y @ ac, out=out[j])
+                np.add(ac @ y, y @ ac, out=out[:, j])
             else:
-                np.add(ac @ y @ a.T, a.T @ y @ ac, out=out[j])
-                out[j] *= 0.5
-        return out.reshape(self.setup.ell, -1)
+                np.add(ac @ y @ a.T, a.T @ y @ ac, out=out[:, j])
+                out[:, j] *= 0.5
+        return out.reshape(len(v), self.setup.ell, -1)
 
-    def matrix(self, lam: np.ndarray) -> np.ndarray:
-        """B(lam) as a new d^2 x d^2 array."""
-        weights, shift = self._weights(lam)
-        b = self.b0.copy()
-        for j, weight in enumerate(weights):
+    def matrix(self, lams: np.ndarray) -> np.ndarray:
+        """B(lam) for each row of the (m, ell) stack lams, as a new
+        (m, d^2, d^2) array."""
+        lams = np.asarray(lams, dtype=float)
+        weights, shift = self._weights(lams)
+        b = np.repeat(self.b0[None], len(lams), axis=0)
+        for j in range(self.setup.ell):
             if self._stacked is not None:
-                b += weight * self._stacked[j]
+                b += weights[:, j, None, None] * self._stacked[j]
             else:
-                self._add_piece(b, j, weight)
-        if shift:
-            b.reshape(-1)[::self.dim2 + 1] += shift
+                for bp, weight in zip(b, weights[:, j]):
+                    self._add_piece(bp, j, weight)
+        shifted = shift != 0.0
+        diagonal = b.reshape(len(b), -1)[:, ::self.dim2 + 1]
+        diagonal[shifted] += shift[shifted, None]
         return b
 
     def operator(self, lam: np.ndarray) -> "_TiltedOperator":
-        """B(lam) as a product v -> B(lam) v, without forming it."""
-        return _TiltedOperator(self, *self._weights(lam))
+        """B(lam) for one tilt as a product v -> B(lam) v, without forming it."""
+        weights, shift = self._weights(lam[None])
+        return _TiltedOperator(self, weights[0], shift[0])
 
-    def value(self, lam: np.ndarray) -> float:
-        """Top eigenvalue of B(lam), by the family's one eigensolve per tilt:
-        below LANCZOS_MIN_SIZE a dense eigh, whose eigendecomposition is
-        kept; from there Lanczos on products with B(lam), warm-started from
-        the previous top vector, or a dense eigh when Lanczos does not
-        converge, and the top vector is kept."""
-        self._solved_at = np.array(lam, dtype=float)
+    def value(self, lams: np.ndarray, points=None) -> np.ndarray:
+        """Top eigenvalue of B(lam) for each row of the (m, ell) stack lams,
+        by the family's one eigensolve per tilt. ``points`` names the point
+        each row belongs to (default: row i is point i); the family keeps
+        each point's last solve. Below LANCZOS_MIN_SIZE it is one stacked
+        dense eigh, whose eigendecompositions are kept; from there the rows
+        are solved in turn by Lanczos on products with B(lam), each
+        warm-started from its point's previous top vector, or by a dense
+        eigh when Lanczos does not converge, and the top vector is kept."""
+        lams = np.asarray(lams, dtype=float)
+        points = range(len(lams)) if points is None else points
         if self._stacked is None:
-            value, self._warm, converged = top_eigenpair(self.operator(lam), self._warm + self._mix)
-            if converged:
-                return value
-            w, v = np.linalg.eigh(self.matrix(lam))
-            self._warm = v[:, -1]
-            return float(w[-1])
-        self._spectrum = np.linalg.eigh(self.matrix(lam))
-        return float(self._spectrum[0][-1])
+            out = np.empty(len(lams))
+            for i, (lam, p) in enumerate(zip(lams, points)):
+                warm = self._solved[p][1] if p in self._solved else 0.0
+                out[i], top, converged = top_eigenpair(self.operator(lam), warm + self._mix)
+                if not converged:
+                    w, v = np.linalg.eigh(self.matrix(lam[None])[0])
+                    out[i], top = w[-1], v[:, -1]
+                self._solved[p] = (lam.copy(), top)
+            return out
+        w, v = np.linalg.eigh(self.matrix(lams))
+        for p, lam, wp, vp in zip(points, lams, w, v):
+            self._solved[p] = (lam, (wp, vp))
+        return w[:, -1].copy()
 
-    def derivatives(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """Gradient and Hessian of the top eigenvalue at lam, read from the
-        eigensolve of value(lam) (which is made first if the last value call
-        was at another tilt).
+    def derivatives(self, lams: np.ndarray, points=None) -> tuple[np.ndarray, np.ndarray | None]:
+        """Gradients (m, ell) and Hessians (m, ell, ell) of the top
+        eigenvalue at the rows of lams, read from each point's last value
+        solve (made first where that was at another tilt).
 
         The gradient is Hellmann-Feynman, <v|dB/dlam_j|v> for the unit top
         eigenvector v. Below LANCZOS_MIN_SIZE the Hessian is second-order
@@ -277,84 +303,104 @@ class TiltedFamily:
         D_j = dB/dlam_j, leaving out levels within EIG_GAP_DEGENERATE of the
         top, and a degenerate top eigenvalue takes its gradient from central
         differences of value. From LANCZOS_MIN_SIZE on the gradient is that
-        of the Ritz vector and the Hessian is None."""
-        if not np.array_equal(self._solved_at, lam):
-            self.value(lam)
+        of the Ritz vector and the Hessians are None."""
+        lams = np.asarray(lams, dtype=float)
+        points = list(range(len(lams)) if points is None else points)
+        stale = [i for i, (lam, p) in enumerate(zip(lams, points))
+                 if p not in self._solved or not np.array_equal(self._solved[p][0], lam)]
+        if stale:
+            self.value(lams[stale], [points[i] for i in stale])
+        solves = [self._solved[p][1] for p in points]
         if self._stacked is None:
-            return self.gradient_at(lam, self._warm), None
-        w, v = self._spectrum
+            return np.array([self.gradient_at(lam, top) for lam, top in zip(lams, solves)]), None
+        w = np.array([s[0] for s in solves])
+        v = np.array([s[1] for s in solves])
         # <v_n|B_j|v_top> for every level n and piece j; the last row gives the gradient.
-        a = v.conj().T @ self._pieces_times(v[:, -1]).T
-        grad = self._gradient(lam, a[-1].real)
-        gaps = w[-1] - w[:-1]
+        a = v.conj().swapaxes(1, 2) @ self._pieces_times(v[:, :, -1]).swapaxes(1, 2)
+        grad = self._gradient(lams, a[:, -1].real)
+        gaps = w[:, -1:] - w[:, :-1]
         far = gaps >= EIG_GAP_DEGENERATE
-        c = a[:-1][far] * self._slopes(lam)
-        h = 2.0 * (c.conj().T @ (c / gaps[far, None])).real
-        hess = h + np.diag(np.where(self.setup.brownian, 1.0, grad))
-        if _degenerate(w):
-            grad = _finite_difference_gradient(self, lam)
+        c = a[:, :-1] * self._slopes(lams)[:, None, :]
+        hess = np.empty((len(lams), self.setup.ell, self.setup.ell))
+        full = far.all(axis=1)
+        hess[full] = 2.0 * (c[full].conj().swapaxes(1, 2) @ (c[full] / gaps[full, :, None])).real
+        for i in np.flatnonzero(~full):
+            kept = c[i][far[i]]
+            hess[i] = 2.0 * (kept.conj().T @ (kept / gaps[i, far[i], None])).real
+        hess += _curvature_diagonal(self.setup.brownian, grad)
+        for i in np.flatnonzero(_degenerate(w)):
+            grad[i] = _finite_difference_gradient(self, lams[i], points[i])
         return grad, hess
 
-    def checked_top(self, lam: np.ndarray, e: float, grad: np.ndarray) -> tuple[float, np.ndarray]:
-        """The top eigenvalue e and gradient grad that the ascent found at
-        lam*, checked: e must agree with a dense eigvalsh of matrix(lam) to
-        TOP_EIG_CHECK_RTOL, or NumericalError is raised. From
-        LANCZOS_MIN_SIZE on they came from a Ritz pair: the value returned
-        is then that of the eigvalsh, and a degenerate top eigenvalue takes
-        its gradient from central differences of value."""
-        w = np.linalg.eigvalsh(self.matrix(lam))
-        if abs(e - w[-1]) > TOP_EIG_CHECK_RTOL * max(1.0, abs(w[-1])):
-            raise NumericalError(f"top eigenvalue at lam* is {e!r} by TiltedFamily.value "
-                                 f"but {float(w[-1])!r} by a dense eigh")
+    def checked_top(self, lams: np.ndarray, e: np.ndarray, grad: np.ndarray,
+                    points=None) -> tuple[np.ndarray, np.ndarray]:
+        """The top eigenvalues e and gradients grad that the ascent found at
+        the rows of lams (its lam*), checked: each e must agree with a dense
+        eigvalsh of matrix(lam) to TOP_EIG_CHECK_RTOL, or NumericalError is
+        raised for the first row that does not. From LANCZOS_MIN_SIZE on
+        they came from Ritz pairs: the values returned are then those of the
+        eigvalsh, and a degenerate top eigenvalue takes its gradient from
+        central differences of value."""
+        lams = np.asarray(lams, dtype=float)
+        points = list(range(len(lams)) if points is None else points)
+        w = np.linalg.eigvalsh(self.matrix(lams))
+        top = w[:, -1]
+        bad = np.flatnonzero(np.abs(e - top) > TOP_EIG_CHECK_RTOL * np.maximum(1.0, np.abs(top)))
+        if bad.size:
+            i = bad[0]
+            raise NumericalError(f"top eigenvalue at lam* is {float(e[i])!r} by TiltedFamily.value "
+                                 f"but {float(top[i])!r} by a dense eigh")
         if self._stacked is None:
-            e = float(w[-1])
-            if _degenerate(w):
-                grad = _finite_difference_gradient(self, lam)
+            e, grad = top.copy(), grad.copy()
+            for i in np.flatnonzero(_degenerate(w)):
+                grad[i] = _finite_difference_gradient(self, lams[i], points[i])
         return e, grad
 
     def gradient_at(self, lam: np.ndarray, vtop: np.ndarray) -> np.ndarray:
-        """Hellmann-Feynman gradient of the top eigenvalue, <v|dB/dlam_j|v>
-        for its unit eigenvector v."""
-        return self._gradient(lam, (self._pieces_times(vtop) @ vtop.conj()).real)
+        """Hellmann-Feynman gradient of the top eigenvalue at one tilt,
+        <v|dB/dlam_j|v> for its unit eigenvector v."""
+        return self._gradient(lam, (self._pieces_times(vtop[None])[0] @ vtop.conj()).real)
 
-    def _slopes(self, lam: np.ndarray) -> np.ndarray:
+    def _slopes(self, lams: np.ndarray) -> np.ndarray:
         """Weight of each piece in dB/dlam_j: 1 (Brownian), exp(lam_j) (Poisson)."""
-        out = np.ones_like(lam)
-        out[~self.setup.brownian] = np.exp(lam[~self.setup.brownian])
+        poisson = ~self.setup.brownian
+        out = np.ones_like(lams)
+        out[..., poisson] = np.exp(lams[..., poisson])
         return out
 
-    def _gradient(self, lam: np.ndarray, expect: np.ndarray) -> np.ndarray:
+    def _gradient(self, lams: np.ndarray, expect: np.ndarray) -> np.ndarray:
         """Gradient from the expectations <v|B_j|v> of the pieces: the
         Brownian shift |lam^B|^2/2 adds lam_j."""
-        return expect * self._slopes(lam) + np.where(self.setup.brownian, lam, 0.0)
+        return expect * self._slopes(lams) + np.where(self.setup.brownian, lams, 0.0)
 
 
-def _degenerate(w: np.ndarray) -> bool:
-    return len(w) > 1 and w[-1] - w[-2] < EIG_GAP_DEGENERATE
+def _degenerate(w: np.ndarray) -> np.ndarray:
+    """Per row of the (m, n) ascending spectra w: is the top eigenvalue degenerate?"""
+    if w.shape[1] < 2:
+        return np.zeros(len(w), dtype=bool)
+    return w[:, -1] - w[:, -2] < EIG_GAP_DEGENERATE
 
 
-def _finite_difference_gradient(family: TiltedFamily, lam: np.ndarray) -> np.ndarray:
-    g = np.empty_like(lam)
-    for j in range(lam.size):
-        up = lam.copy()
-        dn = lam.copy()
-        up[j] += FINITE_DIFFERENCE_STEP
-        dn[j] -= FINITE_DIFFERENCE_STEP
-        g[j] = (family.value(up) - family.value(dn)) / (2 * FINITE_DIFFERENCE_STEP)
-    return g
+def _finite_difference_gradient(family: TiltedFamily, lam: np.ndarray, point) -> np.ndarray:
+    """Central differences of the top eigenvalue at one tilt of ``point``:
+    one value call on the tilts lam +- FINITE_DIFFERENCE_STEP e_j, in the
+    order up_0, down_0, up_1, ..."""
+    shifts = np.repeat(np.eye(lam.size), 2, axis=0) * np.tile([1.0, -1.0], lam.size)[:, None]
+    e = family.value(lam + FINITE_DIFFERENCE_STEP * shifts, [point] * (2 * lam.size))
+    return (e[0::2] - e[1::2]) / (2 * FINITE_DIFFERENCE_STEP)
 
 
 class _TiltedOperator:
     """B(lam) = B0 + sum_j w_j B_j + shift I as a product with a vector: all
     top_eigenpair needs (shape and @)."""
 
-    def __init__(self, family: TiltedFamily, weights: list, shift: float):
+    def __init__(self, family: TiltedFamily, weights: np.ndarray, shift: float):
         self.shape = family.b0.shape
-        self.family, self.weights, self.shift = family, np.array(weights), shift
+        self.family, self.weights, self.shift = family, weights, shift
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         out = self.family.b0 @ v
-        out += self.weights @ self.family._pieces_times(v)
+        out += self.weights @ self.family._pieces_times(v[None])[0]
         if self.shift:
             out += self.shift * v
         return out
@@ -373,43 +419,76 @@ def _bfgs(h: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
     return h
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for each row, by the same dot product as for one row."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _curvature_diagonal(brownian: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """(m, ell, ell): diag(d2B/dlam_j^2 at the top vector) per row of grad,
+    1 per Brownian channel and the gradient entry per Poisson channel."""
+    out = np.zeros(grad.shape + grad.shape[-1:])
+    diagonal = np.arange(grad.shape[-1])
+    out[:, diagonal, diagonal] = np.where(brownian, 1.0, grad)
+    return out
+
+
 def _stationarity(lam: np.ndarray, g: np.ndarray, lo: np.ndarray,
-                  caps: np.ndarray) -> tuple[float, bool]:
-    """Projected-gradient residual of the ascent direction g at lam, and
-    whether lam is bounded: False when a coordinate sits at its cap with g
-    still pointing past it."""
+                  caps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of lam: the projected-gradient residual of the ascent
+    direction g, and whether lam is bounded: False when a coordinate sits
+    at its cap with g still pointing past it."""
     at_hi = caps - lam < 1e-6 * caps
     at_lo = lam + caps < 1e-6 * caps
-    bounded = not np.any((at_hi & (g > 1e-9)) | (at_lo & (g < -1e-9)))
+    bounded = ~np.any((at_hi & (g > 1e-9)) | (at_lo & (g < -1e-9)), axis=1)
     held = at_hi | at_lo | ((lam - lo < 1e-8) & (g < 0))
-    return float(np.max(np.abs(np.where(held, 0.0, g)), initial=0.0)), bounded
+    return np.max(np.abs(np.where(held, 0.0, g)), axis=1, initial=0.0), bounded
 
 
 def _newton_step(lam: np.ndarray, g: np.ndarray, hess: np.ndarray, lo: np.ndarray,
                  hi: np.ndarray) -> np.ndarray:
-    """Projected Newton step (Bertsekas 1982), clipped to the box.
+    """Projected Newton steps (Bertsekas 1982), one per row, clipped to the box.
 
     Coordinates within eps of a bound, with g pointing past it, move onto
     the bound; eps is the distance to the projected gradient point, at most
     ACTIVE_EPS. The rest take the Newton step of their block of the Hessian,
-    whose eigenvalues are floored at rounding level. When that is not an
-    ascent direction, the projected gradient step is taken instead."""
-    eps = min(ACTIVE_EPS, float(np.max(np.abs(np.clip(lam + g, lo, hi) - lam))))
+    whose eigenvalues are floored at rounding level; the rows that share a
+    block solve it in one stacked eigh. A coordinate that this step carries
+    past a bound that g points past is held on that bound too, and the rest
+    of its row solves again: a counting coordinate whose curvature exp(lam_j)
+    has fallen below the floor runs to its cap alone, instead of mixing a
+    step set by rounding into the others. When a row's step is not an ascent
+    direction, the projected gradient step is taken instead."""
+    eps = np.minimum(ACTIVE_EPS, np.max(np.abs(np.clip(lam + g, lo, hi) - lam), axis=1))[:, None]
     active = ((lam - lo <= eps) & (g < 0)) | ((hi - lam <= eps) & (g > 0))
-    step = np.where(g < 0, lo, hi) - lam
-    free = ~active
-    if free.any():
-        hw, hv = np.linalg.eigh(hess[np.ix_(free, free)])
-        hw = np.maximum(hw, np.finfo(float).eps * max(1.0, hw[-1]))
-        step[free] = hv @ ((hv.T @ g[free]) / hw)
+    bound = np.where(g < 0, lo, hi)
+    step = bound - lam
+    rows = np.arange(len(lam))
+    while rows.size:
+        patterns, group = np.unique(~active[rows], axis=0, return_inverse=True)
+        for k, free in enumerate(patterns):
+            members = rows[group.reshape(-1) == k]
+            if not free.any():
+                continue
+            hw, hv = np.linalg.eigh(hess[members][:, free][:, :, free])
+            hw = np.maximum(hw, np.finfo(float).eps * np.maximum(1.0, hw[:, -1:]))
+            gf = g[members][:, free, None]
+            step[np.ix_(members, free)] = (hv @ ((hv.swapaxes(1, 2) @ gf)[..., 0] / hw)[..., None])[..., 0]
+        end = lam[rows] + step[rows]
+        past = ~active[rows] & (((end < lo) & (g[rows] < 0)) | ((end > hi) & (g[rows] > 0)))
+        again = past.any(axis=1)
+        rows, past = rows[again], past[again]
+        active[rows] |= past
+        step[rows] = bound[rows] - lam[rows]
     step = np.clip(lam + step, lo, hi) - lam
-    if g @ step <= 0:
-        step = np.clip(lam + g, lo, hi) - lam
+    downhill = _rowdot(g, step) <= 0
+    step[downhill] = np.clip(lam + g, lo, hi)[downhill] - lam[downhill]
     return step
 
 
-def _maximize_tilt(family: TiltedFamily, target: np.ndarray, allow_negative: bool):
-    """Projected Newton ascent for the concave map lam -> lam.target - e(lam).
+def _maximize_tilt(family: TiltedFamily, targets: np.ndarray, allow_negative: bool):
+    """Projected Newton ascent for the concave maps lam -> lam.target - e(lam),
+    one per row of the (P, ell) stack ``targets``, run in lockstep.
 
     The box is |lam_j| <= the overflow guard of its channel, and lam >= 0
     unless ``allow_negative``. Each iterate costs one eigensolve,
@@ -419,52 +498,88 @@ def _maximize_tilt(family: TiltedFamily, target: np.ndarray, allow_negative: boo
     curvature is a BFGS estimate from successive gradients, started from
     the diagonal of d2B/dlam^2 at the top vector. A step is halved until
     the objective rises by ARMIJO of the predicted rise, less the rounding
-    of the eigenvalue. The ascent stops once the projected gradient is at
-    most NEWTON_RTOL * max(1, |target|), or when a step gains neither
+    of the eigenvalue. A point's ascent stops once its projected gradient is
+    at most NEWTON_RTOL * max(1, |target|), or when a step gains neither
     objective nor stationarity.
 
-    Returns (lam*, value, residual, bounded), from the top eigenvalue and
-    gradient that family.checked_top passes at lam*: ``residual`` is the
-    projected gradient at lam* and ``bounded`` is False when a coordinate
-    sits at its cap with the objective still increasing.
+    Each sweep evaluates every pending trial point, a new step or a halving,
+    in one family.value call, and the points it accepts in one
+    family.derivatives call; a point takes the same iterates as it would
+    alone. Returns per row (lam*, value, residual, bounded), from the top
+    eigenvalues and gradients that family.checked_top passes at lam*:
+    ``residual`` is the projected gradient at lam* and ``bounded`` is False
+    when a coordinate sits at its cap with the objective still increasing.
     """
     setup = family.setup
     caps = np.where(setup.brownian, BROWNIAN_LAMBDA_CAP, POISSON_LAMBDA_CAP)
     lo = -caps if allow_negative else np.zeros(setup.ell)
-    tol = NEWTON_RTOL * max(1.0, float(np.max(np.abs(target))))
+    targets = np.asarray(targets, dtype=float)
+    n = len(targets)
+    tol = NEWTON_RTOL * np.maximum(1.0, np.max(np.abs(targets), axis=1, initial=0.0))
+    every = np.arange(n)
 
-    lam = np.zeros(setup.ell)
-    e = family.value(lam)
-    grad, exact = family.derivatives(lam)
-    hess = np.diag(np.where(setup.brownian, 1.0, grad)) if exact is None else exact
-    residual, _ = _stationarity(lam, target - grad, lo, caps)
-    for _ in range(NEWTON_MAX_STEPS):
-        if residual <= tol:
+    lam = np.zeros_like(targets)
+    e = family.value(lam, every)
+    grad, hess = family.derivatives(lam, every)
+    quasi = hess is None
+    if quasi:
+        hess = _curvature_diagonal(setup.brownian, grad)
+    residual, _ = _stationarity(lam, targets - grad, lo, caps)
+    running = residual > tol
+    fresh = running.copy()          # points that start a new step this sweep
+    newton_steps = np.zeros(n, dtype=int)
+    g, step, f, noise = (np.zeros_like(lam), np.zeros_like(lam), np.zeros(n), np.zeros(n))
+    t, halvings = np.ones(n), np.zeros(n, dtype=int)
+    while True:
+        running[fresh & (newton_steps == NEWTON_MAX_STEPS)] = False
+        new = np.flatnonzero(fresh & running)
+        if new.size:
+            g[new] = targets[new] - grad[new]
+            step[new] = _newton_step(lam[new], g[new], hess[new], lo, caps)
+            f[new] = _rowdot(lam[new], targets[new]) - e[new]
+            noise[new] = OBJECTIVE_NOISE_RTOL * np.maximum(np.maximum(1.0, np.abs(e[new])),
+                                                           np.abs(f[new]))
+            t[new], halvings[new] = 1.0, 0
+            newton_steps[new] += 1
+        pending = np.flatnonzero(running)
+        if not pending.size:
             break
-        g = target - grad
-        step = _newton_step(lam, g, hess, lo, caps)
-        f = float(lam @ target) - e
-        noise = OBJECTIVE_NOISE_RTOL * max(1.0, abs(e), abs(f))
-        t = 1.0
-        for _ in range(MAX_HALVINGS):
-            trial = lam + t * step
-            e_trial = family.value(trial)
-            f_trial = float(trial @ target) - e_trial
-            if f_trial >= f + ARMIJO * t * float(g @ step) - noise:
-                break
-            t *= 0.5
+        trial = lam[pending] + t[pending, None] * step[pending]
+        e_trial = family.value(trial, pending)
+        f_trial = _rowdot(trial, targets[pending]) - e_trial
+        rise = ARMIJO * t[pending] * _rowdot(g[pending], step[pending])
+        passed = f_trial >= f[pending] + rise - noise[pending]
+        fresh[:] = False
+
+        halved = pending[~passed]
+        t[halved] *= 0.5
+        halvings[halved] += 1
+        running[halved[halvings[halved] == MAX_HALVINGS]] = False
+
+        taken = pending[passed]
+        if not taken.size:
+            continue
+        trial, e_trial, f_trial = trial[passed], e_trial[passed], f_trial[passed]
+        grad_trial, exact = family.derivatives(trial, taken)
+        if quasi:
+            hess_trial = np.array([_bfgs(hess[p], x - lam[p], y - grad[p])
+                                   for p, x, y in zip(taken, trial, grad_trial)])
         else:
-            break
-        grad_trial, exact = family.derivatives(trial)
-        hess_trial = _bfgs(hess, trial - lam, grad_trial - grad) if exact is None else exact
-        residual_trial, _ = _stationarity(trial, target - grad_trial, lo, caps)
-        if f_trial <= f and residual_trial >= residual:
-            break
-        lam, e, grad, hess, residual = trial, e_trial, grad_trial, hess_trial, residual_trial
+            hess_trial = exact
+        residual_trial, _ = _stationarity(trial, targets[taken] - grad_trial, lo, caps)
+        stalled = (f_trial <= f[taken]) & (residual_trial >= residual[taken])
+        running[taken[stalled]] = False
+        moved = ~stalled
+        keep = taken[moved]
+        lam[keep], e[keep], grad[keep] = trial[moved], e_trial[moved], grad_trial[moved]
+        hess[keep], residual[keep] = hess_trial[moved], residual_trial[moved]
+        running[keep] = residual[keep] > tol[keep]
+        fresh[keep] = True
 
-    e, grad = family.checked_top(lam, e, grad)
-    residual, bounded = _stationarity(lam, target - grad, lo, caps)
-    return lam, max(float(lam @ target) - e, 0.0), residual, bounded
+    e, grad = family.checked_top(lam, e, grad, every)
+    residual, bounded = _stationarity(lam, targets - grad, lo, caps)
+    value = _rowdot(lam, targets) - e
+    return lam, np.where(0.0 > value, 0.0, value), residual, bounded
 
 
 @dataclass(frozen=True, eq=False)
@@ -522,9 +637,10 @@ def main_bound(setup: MeasurementSetup, rho, r) -> BoundReport:
     prefactor = l2_sigma_prefactor(st, rho)
     family = TiltedFamily(setup)
     target = mean + r
-    lam, value, residual, bounded = _maximize_tilt(family, target, allow_negative=False)
-    status = _status(bounded, residual, target)
-    return BoundReport(r, mean, lam, value if bounded else np.inf, prefactor, residual, status)
+    lams, values, residuals, bounded = _maximize_tilt(family, target[None], allow_negative=False)
+    lam, value, residual = lams[0], float(values[0]), float(residuals[0])
+    status = _status(bounded[0], residual, target)
+    return BoundReport(r, mean, lam, value if bounded[0] else np.inf, prefactor, residual, status)
 
 
 def _status(bounded: bool, residual: float, target: np.ndarray) -> str:
@@ -560,9 +676,12 @@ def rate_function(setup: MeasurementSetup, s_grid) -> list[RatePoint]:
         raise DimensionMismatchError(f"grid points must have {setup.ell} components")
     if not np.all(np.isfinite(grid)):
         raise ValidationError("grid points must be finite")
+    size = family.batch or len(grid)
     out = []
-    for s in grid:
-        _, value, residual, bounded = _maximize_tilt(family, s, allow_negative=True)
-        out.append(RatePoint(s.copy(), value if bounded else math.inf, residual,
-                             _status(bounded, residual, s)))
+    for start in range(0, len(grid), size):
+        batch = grid[start:start + size]
+        _, values, residuals, bounded = _maximize_tilt(family, batch, allow_negative=True)
+        out += [RatePoint(s.copy(), float(value) if ok else math.inf, float(residual),
+                          _status(ok, residual, s))
+                for s, value, residual, ok in zip(batch, values, residuals, bounded)]
     return out

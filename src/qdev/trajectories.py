@@ -38,16 +38,20 @@ channel): Generator(Philox(SeedSequence(entropy=base_seed,
 spawn_key=(path_index, attempt, channel)))). The keys of a whole block are
 derived in one vectorised pass of SeedSequence's hash (_philox_keys), so
 the streams are exactly those. ``_run_blocks`` runs fixed BLOCK_PATHS
-blocks on a thread pool and combines them in index order, so ensembles
-are bit-identical for a given seed whatever the thread count.
+blocks, on forked worker processes when asked for more than one, and
+combines them in index order, so ensembles are bit-identical for a given
+seed whatever the worker count.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
+import signal
+import sys
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +79,8 @@ _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # Confidence level of the Clopper-Pearson interval of an empirical tail.
 CONFIDENCE = 0.99
+# prctl option: the signal a forked worker gets when its parent dies.
+_PR_SET_PDEATHSIG = 1
 
 
 @dataclass(frozen=True)
@@ -577,27 +583,146 @@ def _as_initial_state(rho0, dim: int) -> np.ndarray:
     return m
 
 
-def _run_blocks(setup: MeasurementSetup, rho0, config: TrajectoryConfig, n_threads: int,
+def _run_blocks(setup: MeasurementSetup, rho0, config: TrajectoryConfig, n_workers: int,
                 linear: bool, run_block):
     """The one ensemble scheduler: ``run_block(engine, rho0, idx)`` over fixed
-    BLOCK_PATHS blocks of path indices, on up to ``n_threads`` threads, with
-    one engine for the filter or, if ``linear``, the linear equation.
+    BLOCK_PATHS blocks of path indices, with one engine for the filter or,
+    if ``linear``, the linear equation, on up to ``n_workers`` forked worker
+    processes (_forked_blocks), or in this process where there is one
+    worker, one block, no os.fork or no OpenBLAS whose threads can be set.
 
     Returns the partial results in block order, so that combining them in
-    order does not depend on the thread count.
+    order does not depend on the worker count.
     """
     engine = _Engine(setup, config, linear)
     rho0m = _as_initial_state(rho0, engine.d)
     n = config.n_paths
     blocks = [list(range(start, min(start + BLOCK_PATHS, n))) for start in range(0, n, BLOCK_PATHS)]
 
-    def run_one(idx):
-        return run_block(engine, rho0m, idx)
+    def run_one(b):
+        return run_block(engine, rho0m, blocks[b])
 
-    if n_threads > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(run_one, blocks))
-    return [run_one(idx) for idx in blocks]
+    n_workers = min(n_workers, len(blocks))
+    if n_workers > 1 and hasattr(os, "fork") and _openblas_threads():
+        return _forked_blocks(run_one, len(blocks), n_workers)
+    return [run_one(b) for b in range(len(blocks))]
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(get_num_threads, set_num_threads) of each OpenBLAS library loaded
+    in this process, found by path in /proc/self/maps; empty where there is
+    no such file or no OpenBLAS."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for prefix, suffix in ((p, s) for p in ("scipy_openblas", "openblas") for s in ("64_", "")):
+            get, put = f"{prefix}_get_num_threads{suffix}", f"{prefix}_set_num_threads{suffix}"
+            if hasattr(lib, get) and hasattr(lib, put):
+                get, put = getattr(lib, get), getattr(lib, put)
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                found.append((get, put))
+                break
+    return tuple(found)
+
+
+def _forked_blocks(run_one, n_blocks: int, n_workers: int) -> list:
+    """``run_one(b)`` for every block b, worker w running blocks w,
+    w + n_workers, ... in a forked child (_worker) with one BLAS thread.
+
+    The parent does no block work. It reads every pipe to EOF, then reaps
+    that child, and re-raises the exception of the earliest block that
+    failed; a child that dies, or exits without results, raises
+    NumericalError naming its signal or status. On an exception of its own
+    the parent kills and reaps every child it has not reaped.
+    """
+    parent = os.getpid()
+    children = []   # (pid, pipe, blocks) of each worker not yet reaped
+    # One BLAS thread per worker, set here around the forks: a worker that
+    # set it itself, with the pool OpenBLAS stops at fork, would start a
+    # pool thread that spins for about 0.1 s of CPU beside the block work.
+    blas = [(put, get()) for get, put in _openblas_threads()]
+    for put, _ in blas:
+        put(1)
+    try:
+        for w in range(n_workers):
+            mine = range(w, n_blocks, n_workers)
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(parent, read, write, run_one, mine)   # never returns
+            children.append((pid, open(read, "rb"), mine))
+            os.close(write)
+        failures, results = [], {}
+        for child in list(children):
+            pid, pipe, mine = child
+            with pipe:
+                payload = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.remove(child)
+            if payload[:1] == b"=":
+                results.update(zip(mine, pickle.loads(payload[1:])))
+            elif payload[:1] == b"!":
+                failures.append(pickle.loads(payload[1:]))
+            elif os.WIFSIGNALED(status):
+                sig = os.WTERMSIG(status)
+                name = signal.Signals(sig).name if sig in set(signal.Signals) else f"signal {sig}"
+                failures.append((mine[0], NumericalError(f"ensemble worker {pid} died of {name}")))
+            else:
+                failures.append((mine[0], NumericalError(
+                    f"ensemble worker {pid} exited with status {os.waitstatus_to_exitcode(status)} "
+                    "and no results")))
+    except BaseException:
+        for pid, pipe, _ in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for put, threads in blas:
+            put(threads)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return [results[b] for b in range(n_blocks)]
+
+
+def _worker(parent: int, read: int, write: int, run_one, mine) -> None:
+    """The body of a forked worker, which ends by os._exit (no atexit hook,
+    no stdio flush): on Linux it dies with the parent (PR_SET_PDEATHSIG),
+    runs the blocks ``mine`` and writes b"=" + pickle(results), or
+    b"!" + pickle((block, exception)) at the first block that raises, to
+    the pipe ``write``."""
+    code = 1
+    try:
+        os.close(read)
+        if sys.platform.startswith("linux"):
+            import ctypes
+
+            ctypes.CDLL(None).prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
+            if os.getppid() != parent:
+                return
+        done = []
+        for b in mine:
+            try:
+                done.append(run_one(b))
+            except Exception as exc:   # sent to the parent, which raises it
+                payload = b"!" + pickle.dumps((b, exc))
+                break
+        else:
+            payload = b"=" + pickle.dumps(done, protocol=pickle.HIGHEST_PROTOCOL)
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def simulate_path(setup: MeasurementSetup, rho0, config: TrajectoryConfig, path_index: int) -> PathRecord:
@@ -644,13 +769,13 @@ class EnsembleResult:
 
 
 def run_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig, thresholds,
-                 n_threads: int = 1) -> EnsembleResult:
+                 n_workers: int = 1) -> EnsembleResult:
     """Simulate an ensemble and estimate the joint exceedance probability.
 
     The exceedance event at each checkpoint is the intersection over
     channels of {E_j - m_j >= r_j}; -inf thresholds disable channels.
     Aggregation is associative over fixed-size path blocks combined in
-    index order, so results do not depend on the thread count.
+    index order, so results do not depend on the worker count.
     """
     r = np.atleast_1d(np.asarray(thresholds, dtype=float))
     if r.shape != (setup.ell,):
@@ -661,9 +786,9 @@ def run_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig, thresh
         est, states, fails, attempts = engine.run_paths(rho0m, idx)
         return est, states.sum(axis=1), (np.abs(states) ** 2).sum(axis=1), fails, attempts
 
-    partials = _run_blocks(setup, rho0, config, n_threads, False, run_block)
+    partials = _run_blocks(setup, rho0, config, n_workers, False, run_block)
     blocks, state_sums, state_sqs, fails, attempts = zip(*partials)
-    # Per-block sums combined in block order keep the bytes independent of n_threads.
+    # Per-block sums combined in block order keep the bytes independent of n_workers.
     n = config.n_paths
     est_mean = sum(b.sum(axis=0) for b in blocks) / n
     est_var = np.clip(sum((b ** 2).sum(axis=0) for b in blocks) / n - est_mean ** 2, 0.0, None)
@@ -689,14 +814,14 @@ def run_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig, thresh
                           n * config.n_steps())
 
 
-def run_linear_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig, n_threads: int = 1):
+def run_linear_ensemble(setup: MeasurementSetup, rho0, config: TrajectoryConfig, n_workers: int = 1):
     """Ensemble of linear paths: per checkpoint mean of Z and its stderr."""
 
     def run_block(engine, rho0m, idx):
         _, _, z, failed, _ = engine.step_block(rho0m, idx, [0] * len(idx))
         return z.sum(axis=0), (z ** 2).sum(axis=0), int(failed.sum())
 
-    partials = _run_blocks(setup, rho0, config, n_threads, True, run_block)
+    partials = _run_blocks(setup, rho0, config, n_workers, True, run_block)
     z_sum = sum(p[0] for p in partials)
     z_sq = sum(p[1] for p in partials)
     failures = sum(p[2] for p in partials)

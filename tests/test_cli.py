@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from conftest import apply_superoperator, site_channels, write_channel_model
-from qdev import cli, fileio
+from qdev import cli, fileio, models, trajectories
 from qdev.cli import main
-from qdev.linalg import ValidationError
+from qdev.linalg import NumericalError, ValidationError
 from qdev.models import appendix_b_fixtures, heat_bath
 
 
@@ -445,7 +445,7 @@ class TestMalformedFields:
         def refuse(*args, **kwargs):
             raise AssertionError("a state was built or loaded before the dimension guard")
 
-        monkeypatch.setattr(cli, "maximally_mixed", refuse)
+        monkeypatch.setattr(models, "maximally_mixed", refuse)   # model new imports it when run
         monkeypatch.setattr(fileio, "load_state", refuse)
         if source == "dim":
             argv = ["--dim", "2000"]
@@ -555,6 +555,46 @@ class TestSimulateVerb:
         assert err["code"] == "validation"
         assert f"--threads must be at least 1, got {threads}" in err["message"]
         assert not Path("sim.csv").exists()
+
+    def test_outputs_identical_across_worker_counts(self, scalar_model, monkeypatch, capsys):
+        # two-path blocks for simulate, so that every worker count splits it
+        monkeypatch.setattr("qdev.trajectories.BLOCK_PATHS", 2)
+        write_config("config.json", dt=1e-2, t_max=1.0, n_paths=9, base_seed=4,
+                     checkpoints=[0.5, 1.0])
+        args = ["simulate", "--model", "scalar.json", "--setup", "setup.json",
+                "--config", "config.json", "--r", "0.5"]
+        for n in (1, 2, 4):
+            assert main(["--threads", str(n)] + args + ["-o", f"sim{n}.csv"]) == 0
+        assert Path("sim1.csv").read_bytes() == Path("sim2.csv").read_bytes() == Path("sim4.csv").read_bytes()
+        # 500-path blocks: each fixture ensemble of 2000 paths is four blocks
+        monkeypatch.setattr("qdev.trajectories.BLOCK_PATHS", 500)
+        printed = []
+        for n in (1, 2, 4):
+            assert main(["--threads", str(n), "check"]) == 0
+            printed.append(capsys.readouterr().out)
+        assert printed[0] == printed[1] == printed[2]
+        assert printed[0].endswith("10/10 fixture checks passed\n")
+
+    def test_failing_worker_exits_2_and_leaves_no_child(self, scalar_model, monkeypatch, capsys):
+        monkeypatch.setattr("qdev.trajectories.BLOCK_PATHS", 2)
+        parent = os.getpid()
+        step_block = trajectories._Engine.step_block
+
+        def fail_in_worker_1(self, rho0, idx, attempts):
+            if os.getpid() != parent and idx[0] == 2:   # block 1, the first block of worker 1
+                raise NumericalError("block 1 failed")
+            return step_block(self, rho0, idx, attempts)
+
+        monkeypatch.setattr(trajectories._Engine, "step_block", fail_in_worker_1)
+        write_config("config.json", dt=1e-2, t_max=0.5, n_paths=6, base_seed=4)
+        code = main(["--threads", "2", "simulate", "--model", "scalar.json", "--setup", "setup.json",
+                     "--config", "config.json", "--r", "0.5", "-o", "sim.csv"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "numerical" and err["message"] == "block 1 failed"
+        assert not Path("sim.csv").exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_paths_dump(self, scalar_model, monkeypatch):
         # two-path blocks, so that --threads 4 really splits the ensemble
@@ -985,6 +1025,17 @@ def test_cli_import_loads_no_numpy_random():
     # numpy.random costs about 18 ms to import; the trajectory streams load it
     # when a verb first needs one.
     assert modules_after("import qdev.cli", "numpy.random") == []
+
+
+def test_cli_import_loads_no_pool_and_no_analytics_layers():
+    # Ensembles fork their workers, so no executor is imported; models and
+    # inequalities load with the verbs that use them. The trajectory and
+    # deviation layers still load, and perfbench times their imports.
+    assert modules_after("import qdev.cli", "concurrent.futures") == []
+    assert modules_after("import qdev.cli", "logging") == []
+    loaded = modules_after("import qdev.cli", "qdev")
+    assert "qdev.inequalities" not in loaded and "qdev.models" not in loaded
+    assert {"qdev.trajectories", "qdev.deviation"} <= set(loaded)
 
 
 def test_every_verb_loads_no_scipy(scalar_model):

@@ -199,11 +199,16 @@ class TestPerturbedGenerator:
         assert np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))[0] > -1e-10
 
 
+def top(family: TiltedFamily, lam) -> float:
+    """The top eigenvalue at one tilt: family.value on a stack of one."""
+    return float(family.value(np.array([lam], dtype=float))[0])
+
+
 class TestScgf:
     """e(lam), the top eigenvalue of TiltedFamily."""
 
     def test_zero_at_origin(self, mixed_setup):
-        assert abs(TiltedFamily(mixed_setup).value(np.zeros(2))) <= 1e-10
+        assert abs(top(TiltedFamily(mixed_setup), np.zeros(2))) <= 1e-10
 
     def test_scalar_closed_forms(self):
         c = 0.5 - 0.1j
@@ -211,16 +216,16 @@ class TestScgf:
         brownian = TiltedFamily(MeasurementSetup(ctx, [[1.0]], q=1))
         poisson = TiltedFamily(MeasurementSetup(ctx, [[1.0]], q=0))
         for lam in (0.2, 1.1, 3.0):
-            assert brownian.value(np.array([lam])) == pytest.approx(lam * 2 * c.real + lam**2 / 2, abs=1e-12)
-            assert poisson.value(np.array([lam])) == pytest.approx(math.expm1(lam) * abs(c) ** 2, abs=1e-12)
+            assert top(brownian, [lam]) == pytest.approx(lam * 2 * c.real + lam**2 / 2, abs=1e-12)
+            assert top(poisson, [lam]) == pytest.approx(math.expm1(lam) * abs(c) ** 2, abs=1e-12)
 
     def test_convexity_on_random_segments(self, rng, mixed_setup):
         family = TiltedFamily(mixed_setup)
         for _ in range(25):
             a = rng.uniform(-1.5, 1.5, size=2)
             b = rng.uniform(-1.5, 1.5, size=2)
-            mid = family.value((a + b) / 2)
-            assert mid <= (family.value(a) + family.value(b)) / 2 + 1e-9
+            mid = top(family, (a + b) / 2)
+            assert mid <= (top(family, a) + top(family, b)) / 2 + 1e-9
 
 
 class TestMainBound:
@@ -397,7 +402,7 @@ class TestDirectVariationalCrosscheck:
 
 def top_gradient(family: TiltedFamily, lam: np.ndarray) -> np.ndarray:
     """Hellmann-Feynman gradient at a tilt whose top eigenvalue is simple."""
-    w, v = np.linalg.eigh(family.matrix(lam))
+    w, v = np.linalg.eigh(family.matrix([lam])[0])
     assert w[-1] - w[-2] > deviation.EIG_GAP_DEGENERATE
     return family.gradient_at(lam, v[:, -1])
 
@@ -413,7 +418,7 @@ class TestTiltedFamilyInternals:
             dn = lam.copy()
             up[j] += eps
             dn[j] -= eps
-            fd = (family.value(up) - family.value(dn)) / (2 * eps)
+            fd = (top(family, up) - top(family, dn)) / (2 * eps)
             assert grad[j] == pytest.approx(fd, abs=1e-6)
 
 
@@ -432,7 +437,7 @@ class TestTiltedFamilySpectrum:
             lam = np.array(lam)
             dense = dense_kms_conjugated(st, perturbed_generator(setup, lam))
             reference = np.linalg.eigvalsh(0.5 * (dense + dense.conj().T))
-            ours = np.linalg.eigvalsh(family.matrix(lam))
+            ours = np.linalg.eigvalsh(family.matrix([lam])[0])
             assert np.max(np.abs(ours - reference)) <= 1e-12 * max(1.0, np.max(np.abs(reference)))
 
 
@@ -457,7 +462,7 @@ class TestMatrixFreeFamily:
         family = TiltedFamily(channel_setup(d))
         rng = np.random.default_rng(d)
         for lam in TILTS:
-            b = family.matrix(lam)
+            b = family.matrix([lam])[0]
             v = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
             scale = np.max(np.abs(b)) * np.linalg.norm(v)
             assert np.max(np.abs(family.operator(lam) @ v - b @ v)) <= 1e-13 * d * scale
@@ -474,7 +479,7 @@ class TestMatrixFreeFamily:
         for lam in TILTS:
             dense = dense_kms_conjugated(st, perturbed_generator(setup, lam))
             reference = superoperator_in_basis(0.5 * (dense + dense.conj().T), st.eigenvectors)
-            assert np.max(np.abs(family.matrix(lam) - reference)) <= 1e-13 * d * np.max(np.abs(reference))
+            assert np.max(np.abs(family.matrix([lam])[0] - reference)) <= 1e-13 * d * np.max(np.abs(reference))
 
     @pytest.mark.parametrize("d", [2, 3, 13])
     def test_gradient_same_in_both_regimes(self, d, monkeypatch):
@@ -482,7 +487,7 @@ class TestMatrixFreeFamily:
         lam = TILTS[2]
         monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 10**9)
         dense = TiltedFamily(setup)
-        v = np.linalg.eigh(dense.matrix(lam))[1][:, -1]
+        v = np.linalg.eigh(dense.matrix([lam])[0])[1][:, -1]
         expected = dense.gradient_at(lam, v)
         monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0)
         assert np.max(np.abs(TiltedFamily(setup).gradient_at(lam, v) - expected)) <= 1e-12 * d
@@ -513,59 +518,63 @@ class TestTopEigenvalue:
         flags = record_convergence(monkeypatch)
         family = TiltedFamily(generic_setup)
         for lam in TILTS:
-            assert_top(family.value(lam), family.matrix(lam))
+            assert_top(top(family, lam), family.matrix([lam])[0])
         assert flags == ([True] * len(TILTS) if iterative else [])
 
     def test_warm_start_orthogonal_to_top(self, generic_setup, monkeypatch):
         monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0)
         flags = record_convergence(monkeypatch)
         family = TiltedFamily(generic_setup)
-        b = family.matrix(TILTS[1])
+        b = family.matrix([TILTS[1]])[0]
         w, v = np.linalg.eigh(b)
         # Started exactly on the second eigenvector, Lanczos stays there.
         assert abs(top_eigenpair(b, v[:, -2])[0] - w[-2]) <= 1e-10
-        family._warm = v[:, -2].copy()
-        assert_top(family.value(TILTS[1]), b)
+        family._solved[0] = (TILTS[0], v[:, -2].copy())  # point 0's warm start
+        assert_top(top(family, TILTS[1]), b)
         assert flags == [True]
 
     @pytest.mark.parametrize("split", [1e-9, 1e-6])
     def test_nearly_degenerate_top_pair(self, generic_setup, split, monkeypatch):
         monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0)
         family = TiltedFamily(generic_setup)
-        b = family.matrix(TILTS[1])
+        b = family.matrix([TILTS[1]])[0]
         w, v = np.linalg.eigh(b)
         b = b + (w[-1] - w[-2] - split) * np.outer(v[:, -2], v[:, -2].conj())
         # Lanczos takes products with family.operator(lam), a dense fallback family.matrix(lam).
         monkeypatch.setattr(family, "operator", lambda lam: b)
-        monkeypatch.setattr(family, "matrix", lambda lam: b)
+        monkeypatch.setattr(family, "matrix", lambda lams: b[None])
         for _ in range(2):  # a cold start, then warm from the first top vector
-            assert_top(family.value(TILTS[1]), b)
+            assert_top(top(family, TILTS[1]), b)
 
     @pytest.mark.parametrize("lanczos", [False, True], ids=["dense", "lanczos"])
     def test_wrong_iterative_value_fails_the_bound(self, mixed_setup, lanczos, monkeypatch):
         monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0 if lanczos else 10**9)
         exact = TiltedFamily.value
-        monkeypatch.setattr(TiltedFamily, "value", lambda self, lam: exact(self, lam) + 1e-6)
+        monkeypatch.setattr(TiltedFamily, "value",
+                            lambda self, lams, points=None: exact(self, lams, points) + 1e-6)
         with pytest.raises(NumericalError, match="dense eigh"):
             main_bound(mixed_setup, mixed_setup.ctx.sigma, [0.2, 0.1])
 
 
 def count_eigensolves(monkeypatch) -> dict:
-    """Count calls of TiltedFamily.value, the one eigensolve per tilt."""
-    calls = {"n": 0}
+    """Count calls of TiltedFamily.value, one stacked eigensolve per
+    sweep, and the tilts they solve."""
+    calls = {"n": 0, "tilts": 0}
     solve = TiltedFamily.value
 
-    def counted(self, lam):
+    def counted(self, lams, points=None):
         calls["n"] += 1
-        return solve(self, lam)
+        calls["tilts"] += len(lams)
+        return solve(self, lams, points)
 
     monkeypatch.setattr(TiltedFamily, "value", counted)
     return calls
 
 
 class FamilySeam:
-    """A TiltedFamily seen only through setup, value, derivatives and
-    checked_top: what another tilted family must offer the tilt optimizer."""
+    """A TiltedFamily seen only through setup and the stacked value,
+    derivatives and checked_top: what another tilted family must offer the
+    tilt optimizer."""
 
     __slots__ = ("setup", "value", "derivatives", "checked_top")
 
@@ -581,10 +590,11 @@ class TestTiltOptimizer:
         monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0 if lanczos else 10**9)
         m = mean_vector(qutrit_setup)
         for target, allow_negative in ((m + [0.3, 0.05, 0.02], False), (m + [-0.2, 0.01, 0.0], True)):
-            expected = deviation._maximize_tilt(TiltedFamily(qutrit_setup), target, allow_negative)
-            seam = deviation._maximize_tilt(FamilySeam(TiltedFamily(qutrit_setup)), target, allow_negative)
-            assert np.array_equal(seam[0], expected[0]) and seam[1:] == expected[1:]
-            assert expected[2] <= 1e-10 and expected[3]
+            targets = target[None]
+            expected = deviation._maximize_tilt(TiltedFamily(qutrit_setup), targets, allow_negative)
+            seam = deviation._maximize_tilt(FamilySeam(TiltedFamily(qutrit_setup)), targets, allow_negative)
+            assert all(np.array_equal(x, y) for x, y in zip(seam, expected))
+            assert expected[2][0] <= 1e-10 and expected[3][0]
 
     @pytest.mark.parametrize("name", ["mixed_setup", "qutrit_setup"])
     def test_hessian_matches_central_differences(self, name, request, rng):
@@ -593,7 +603,7 @@ class TestTiltOptimizer:
         for _ in range(5):
             lam = np.concatenate([rng.uniform(-1.0, 1.0, size=1),
                                   rng.uniform(-2.0, 1.0, size=family.setup.ell - 1)])
-            grad, hess = family.derivatives(lam)
+            (grad,), (hess,) = family.derivatives([lam])
             assert np.allclose(grad, top_gradient(family, lam), atol=1e-13)
             fd = np.empty_like(hess)
             for j in range(lam.size):
@@ -614,7 +624,28 @@ class TestTiltOptimizer:
         calls = count_eigensolves(monkeypatch)
         points = rate_function(qubit_setup, np.linspace(-1.0, 1.0, 41)[:, None])
         assert all(p.status == "ok" and p.residual <= 1e-10 for p in points)
-        assert calls["n"] <= 400
+        assert calls["tilts"] <= 400
+        # One stacked eigensolve per sweep: no more sweeps than one point's ascent may take.
+        assert calls["n"] <= 30
+
+    @pytest.mark.parametrize("lanczos", [False, True], ids=["dense", "lanczos"])
+    def test_grid_in_lockstep_matches_points_alone(self, qutrit_setup, lanczos, monkeypatch):
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0 if lanczos else 10**9)
+        m = mean_vector(qutrit_setup)
+        rng = np.random.default_rng(29)
+        grid = m * rng.uniform(0.3, 1.7, size=(12, 3)) + [[0.4, 0.0, 0.0]] * rng.uniform(-1, 1, (12, 1))
+        grid[[3, 8], [1, 2]] = [-0.05, -0.3]  # negative counts: unbounded
+        together = rate_function(qutrit_setup, grid)
+        alone = [rate_function(qutrit_setup, [s])[0] for s in grid]
+        # a dense stack budget of five points: the grid goes in batches of 5, 5 and 2
+        monkeypatch.setattr(deviation, "BATCH_STACK_BYTES", 5 * 2 * 81 * 16)
+        batched = rate_function(qutrit_setup, grid)
+        assert [p.status for p in together] == [p.status for p in alone] == [p.status for p in batched]
+        assert [p.status for p in together].count("unbounded") == 2
+        for a, b, c in zip(together, alone, batched):
+            for x in (a, c):
+                assert x.value == b.value or abs(x.value - b.value) <= 1e-13 * abs(b.value)
+            assert max(a.residual, b.residual, c.residual) <= 1e-10
 
     def test_negative_count_coordinate_unbounded(self, qutrit_setup):
         m = mean_vector(qutrit_setup)
@@ -633,6 +664,26 @@ class TestTiltOptimizer:
         assert iterative.status == "ok" and iterative.stationarity_residual <= 1e-10
         assert iterative.exponent == pytest.approx(dense.exponent, abs=1e-12)
         assert np.allclose(iterative.lam_star, dense.lam_star, atol=1e-8)
+
+    def test_step_past_cap_held_there(self):
+        """A counting coordinate whose curvature exp(lam_j) is below the
+        eigenvalue floor runs to its -700 cap; the others take the Newton
+        step of their own block, whatever rounding does to the dropped one."""
+        caps = np.array([deviation.BROWNIAN_LAMBDA_CAP, deviation.POISSON_LAMBDA_CAP,
+                         deviation.POISSON_LAMBDA_CAP])
+        lam = np.array([[-0.0826, -44.4283, -0.5008]])
+        g = np.array([[-0.11152048, -0.41706845, 0.00093094]])
+        hess = np.array([[1.64578063, 1.27177291e-21, 9.40370514e-04],
+                         [1.27177291e-21, 9.59830801e-21, -3.73652958e-23],
+                         [9.40370514e-04, -3.73652958e-23, 2.29857196e-02]])
+        kept = [0, 2]
+        expected = np.linalg.solve(hess[np.ix_(kept, kept)], g[0, kept])
+        rng = np.random.default_rng(7)
+        for _ in range(20):
+            noisy = hess * (1.0 + 1e-15 * rng.normal(size=hess.shape))
+            step = deviation._newton_step(lam, g, 0.5 * (noisy + noisy.T)[None], -caps, caps)[0]
+            assert step[1] == -caps[1] - lam[0, 1]
+            assert np.max(np.abs(step[kept] - expected)) <= 1e-12
 
     def test_unfinished_ascent_reported_unconverged(self, qutrit_setup, monkeypatch):
         monkeypatch.setattr(deviation, "NEWTON_MAX_STEPS", 1)

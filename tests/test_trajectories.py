@@ -1,5 +1,11 @@
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -21,6 +27,7 @@ from qdev.linalg import (
 )
 from qdev.lindblad import Lindbladian, stationary_state
 from qdev.deviation import MeasurementSetup, main_bound
+from qdev import trajectories
 from qdev.models import depolarizing, maximally_mixed
 from qdev.trajectories import (
     CONFIDENCE,
@@ -314,8 +321,8 @@ class TestDeterminism:
     def test_thread_count_invariance(self, qubit_setup):
         cfg = TrajectoryConfig(dt=1e-2, t_max=0.5, n_paths=600, base_seed=42)
         rho0 = np.diag([0.8, 0.2]).astype(complex)
-        a = run_ensemble(qubit_setup, rho0, cfg, [0.2], n_threads=1)
-        b = run_ensemble(qubit_setup, rho0, cfg, [0.2], n_threads=4)
+        a = run_ensemble(qubit_setup, rho0, cfg, [0.2], n_workers=1)
+        b = run_ensemble(qubit_setup, rho0, cfg, [0.2], n_workers=4)
         assert a.tails[0].count == b.tails[0].count
         assert np.array_equal(a.estimator_mean, b.estimator_mean)
         assert np.array_equal(a.mean_states, b.mean_states)
@@ -327,12 +334,12 @@ class TestDeterminism:
         monkeypatch.setattr(traj, "BLOCK_PATHS", 64)
         cfg = TrajectoryConfig(dt=1e-2, t_max=0.5, n_paths=600, base_seed=42, checkpoints=(0.25, 0.5))
         rho0 = np.diag([0.8, 0.2]).astype(complex)
-        one = run_ensemble(qubit_setup, rho0, cfg, [0.2], n_threads=1)
-        four = run_ensemble(qubit_setup, rho0, cfg, [0.2], n_threads=4)
+        one = run_ensemble(qubit_setup, rho0, cfg, [0.2], n_workers=1)
+        four = run_ensemble(qubit_setup, rho0, cfg, [0.2], n_workers=4)
         assert np.array_equal(one.path_estimators, four.path_estimators)
         assert np.array_equal(one.mean_states, four.mean_states)
-        _, z_one, se_one, _ = run_linear_ensemble(qubit_setup, rho0, cfg, n_threads=1)
-        _, z_four, se_four, _ = run_linear_ensemble(qubit_setup, rho0, cfg, n_threads=4)
+        _, z_one, se_one, _ = run_linear_ensemble(qubit_setup, rho0, cfg, n_workers=1)
+        _, z_four, se_four, _ = run_linear_ensemble(qubit_setup, rho0, cfg, n_workers=4)
         assert np.array_equal(z_one, z_four) and np.array_equal(se_one, se_four)
 
         monkeypatch.chdir(tmp_path)
@@ -357,6 +364,123 @@ class TestDeterminism:
         # from the same stream; rebuild the mean from individual paths
         singles = [simulate_path(qubit_setup, rho0, cfg, p).estimators for p in range(8)]
         assert np.allclose(np.mean(singles, axis=0), res.estimator_mean, atol=1e-13)
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def failing_blocks(monkeypatch, act):
+    """Make _Engine.step_block call ``act(first path index)`` in a forked
+    worker before stepping; in this process it only steps."""
+    parent = os.getpid()
+    step_block = _Engine.step_block
+
+    def patched(self, rho0, idx, attempts):
+        if os.getpid() != parent:
+            act(idx[0])
+        return step_block(self, rho0, idx, attempts)
+
+    monkeypatch.setattr(_Engine, "step_block", patched)
+
+
+class TestForkedWorkers:
+    """Ensembles split over forked workers: the exceptions, deaths and
+    interruptions that must reach the parent, and leave no child behind."""
+
+    CONFIG = TrajectoryConfig(dt=1e-2, t_max=0.2, n_paths=12, base_seed=3)
+
+    def test_earliest_failing_block_is_raised(self, qubit_setup, monkeypatch):
+        monkeypatch.setattr(trajectories, "BLOCK_PATHS", 2)
+
+        def act(first):
+            if first in (2, 4):   # blocks 1 (worker 1) and 2 (worker 0)
+                raise NumericalError(f"block from path {first} failed")
+
+        failing_blocks(monkeypatch, act)
+        with pytest.raises(NumericalError, match="block from path 2 failed"):
+            run_ensemble(qubit_setup, np.eye(2) / 2, self.CONFIG, [0.2], n_workers=2)
+        assert_no_children()
+
+    def test_killed_worker_raises(self, qubit_setup, monkeypatch):
+        monkeypatch.setattr(trajectories, "BLOCK_PATHS", 4)
+
+        def act(first):
+            if first == 4:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        failing_blocks(monkeypatch, act)
+        with pytest.raises(NumericalError, match="died of SIGKILL"):
+            run_linear_ensemble(qubit_setup, np.eye(2) / 2, self.CONFIG, n_workers=3)
+        assert_no_children()
+
+    def test_parent_interrupted_kills_its_workers(self, qubit_setup, monkeypatch):
+        monkeypatch.setattr(trajectories, "BLOCK_PATHS", 6)
+        parent = os.getpid()
+
+        def act(first):   # the last worker interrupts the parent, then both workers hang
+            if first == 6:
+                time.sleep(0.2)   # past the fork hooks, where a raised exception is dropped
+                os.kill(parent, signal.SIGUSR1)
+            time.sleep(60)
+
+        def interrupt(signum, frame):
+            raise RuntimeError("interrupted")
+
+        failing_blocks(monkeypatch, act)
+        previous = signal.signal(signal.SIGUSR1, interrupt)
+        start = time.monotonic()
+        try:
+            with pytest.raises(RuntimeError, match="interrupted"):
+                run_ensemble(qubit_setup, np.eye(2) / 2, self.CONFIG, [0.2], n_workers=2)
+        finally:
+            signal.signal(signal.SIGUSR1, previous)
+        assert time.monotonic() - start < 30
+        assert_no_children()
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux only")
+    def test_workers_die_with_a_killed_parent(self, tmp_path):
+        script = f"""
+import os, time, numpy as np
+from qdev import trajectories
+from qdev.deviation import MeasurementSetup
+from qdev.lindblad import stationary_state
+from conftest import scalar_lindblad
+trajectories.BLOCK_PATHS = 1
+def hang(self, rho0, idx):
+    open(os.path.join({str(tmp_path)!r}, str(os.getpid())), "w").close()
+    time.sleep(60)
+trajectories._Engine.run_paths = hang
+setup = MeasurementSetup(stationary_state(scalar_lindblad(0.0)), [[1.0]], q=1)
+cfg = trajectories.TrajectoryConfig(dt=1e-2, t_max=0.1, n_paths=2, base_seed=1)
+trajectories.run_ensemble(setup, np.eye(1), cfg, [0.0], n_workers=2)
+"""
+        tests = Path(__file__).resolve().parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env)
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            workers = [int(f.name) for f in tmp_path.iterdir()]
+            assert len(workers) == 2
+        finally:
+            proc.kill()
+            proc.wait(timeout=60)
+        deadline = time.monotonic() + 10
+        while any(running(pid) for pid in workers) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(running(pid) for pid in workers)
+
+
+def running(pid: int) -> bool:
+    """Is process pid alive (neither gone nor a zombie)?"""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
 
 
 class TestLinearPaths:
