@@ -81,9 +81,10 @@ WARM_START_SEED = 0x5EED
 # Largest admitted |TiltedFamily.value - dense eigvalsh| top eigenvalue at
 # lam*, relative to max(1, |e|).
 TOP_EIG_CHECK_RTOL = 1e-10
-# Bytes of the dense stacks of B(lam) and of its eigenvectors that one
-# lockstep sweep may hold: below LANCZOS_MIN_SIZE, rate_function ascends
-# its grid in batches of TiltedFamily.batch points (71 at d = 11).
+# Bytes of the dense stacks of B(lam) and of its eigenvectors (or of the
+# eigvalsh workspace) that one lockstep sweep may hold: rate_function
+# ascends its grid in batches of TiltedFamily.batch points (71 at d = 11,
+# 3 at d = 24, 1 from d = 32 on).
 BATCH_STACK_BYTES = 2**25
 
 
@@ -180,14 +181,14 @@ class TiltedFamily:
         self.operators = a
         self.dim2 = d * d
         self._stacked = None
-        # The most rows one value call should stack: unbounded from the
-        # Lanczos cut-over, where the rows are solved in turn.
-        self.batch = None
         if self.dim2 < LANCZOS_MIN_SIZE:
             self._stacked = np.zeros((setup.ell, d * d, d * d), dtype=complex)
             for j, piece in enumerate(self._stacked):
                 self._add_piece(piece, j, 1.0)
-            self.batch = max(1, BATCH_STACK_BYTES // (2 * self._stacked[0].nbytes))
+        # The most rows one call should be given, in both regimes: the dense
+        # solves, and checked_top from the Lanczos cut-over on, hold
+        # matrix(lams) and as much again (eigenvectors, eigvalsh workspace).
+        self.batch = max(1, BATCH_STACK_BYTES // (2 * self.b0.nbytes))
         g = np.random.default_rng(WARM_START_SEED).normal(size=(2, self.dim2))
         self._mix = WARM_START_MIX * (g[0] + 1j * g[1]) / np.linalg.norm(g)
         # Per point: the tilt of its last value call and what that solve
@@ -195,6 +196,11 @@ class TiltedFamily:
         # in the dense regime, the top vector (also the next warm start)
         # from LANCZOS_MIN_SIZE on.
         self._solved: dict = {}
+
+    def forget(self) -> None:
+        """Drop every point's last solve, so that the next points start
+        afresh: points are numbered within one ascent."""
+        self._solved.clear()
 
     def _weights(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of lams, the weight of each piece in B(lam), lam_j or
@@ -273,7 +279,7 @@ class TiltedFamily:
         are solved in turn by Lanczos on products with B(lam), each
         warm-started from its point's previous top vector, or by a dense
         eigh when Lanczos does not converge, and the top vector is kept."""
-        lams = np.asarray(lams, dtype=float)
+        lams = np.array(lams, dtype=float)    # a copy, whose rows are kept
         points = range(len(lams)) if points is None else points
         if self._stacked is None:
             out = np.empty(len(lams))
@@ -283,7 +289,7 @@ class TiltedFamily:
                 if not converged:
                     w, v = np.linalg.eigh(self.matrix(lam[None])[0])
                     out[i], top = w[-1], v[:, -1]
-                self._solved[p] = (lam.copy(), top)
+                self._solved[p] = (lam, top)
             return out
         w, v = np.linalg.eigh(self.matrix(lams))
         for p, lam, wp, vp in zip(points, lams, w, v):
@@ -502,11 +508,13 @@ def _maximize_tilt(family: TiltedFamily, targets: np.ndarray, allow_negative: bo
     at most NEWTON_RTOL * max(1, |target|), or when a step gains neither
     objective nor stationarity.
 
-    Each sweep evaluates every pending trial point, a new step or a halving,
-    in one family.value call, and the points it accepts in one
-    family.derivatives call; a point takes the same iterates as it would
-    alone. Returns per row (lam*, value, residual, bounded), from the top
-    eigenvalues and gradients that family.checked_top passes at lam*:
+    The family first forgets earlier solves, so that row i is point i of
+    this ascent alone. Each sweep evaluates every pending trial point, a
+    new step or a halving, in one family.value call, and the points it
+    accepts in one family.derivatives call; a point takes the same iterates
+    as it would alone. Returns per row (lam*, value, residual, bounded),
+    from the top eigenvalues and gradients that family.checked_top passes
+    at lam*:
     ``residual`` is the projected gradient at lam* and ``bounded`` is False
     when a coordinate sits at its cap with the objective still increasing.
     """
@@ -518,6 +526,7 @@ def _maximize_tilt(family: TiltedFamily, targets: np.ndarray, allow_negative: bo
     tol = NEWTON_RTOL * np.maximum(1.0, np.max(np.abs(targets), axis=1, initial=0.0))
     every = np.arange(n)
 
+    family.forget()
     lam = np.zeros_like(targets)
     e = family.value(lam, every)
     grad, hess = family.derivatives(lam, every)
@@ -676,10 +685,9 @@ def rate_function(setup: MeasurementSetup, s_grid) -> list[RatePoint]:
         raise DimensionMismatchError(f"grid points must have {setup.ell} components")
     if not np.all(np.isfinite(grid)):
         raise ValidationError("grid points must be finite")
-    size = family.batch or len(grid)
     out = []
-    for start in range(0, len(grid), size):
-        batch = grid[start:start + size]
+    for start in range(0, len(grid), family.batch):
+        batch = grid[start:start + family.batch]
         _, values, residuals, bounded = _maximize_tilt(family, batch, allow_negative=True)
         out += [RatePoint(s.copy(), float(value) if ok else math.inf, float(residual),
                           _status(ok, residual, s))

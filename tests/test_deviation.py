@@ -572,14 +572,14 @@ def count_eigensolves(monkeypatch) -> dict:
 
 
 class FamilySeam:
-    """A TiltedFamily seen only through setup and the stacked value,
-    derivatives and checked_top: what another tilted family must offer the
-    tilt optimizer."""
+    """A TiltedFamily seen only through setup, forget and the stacked
+    value, derivatives and checked_top: what another tilted family must
+    offer the tilt optimizer."""
 
-    __slots__ = ("setup", "value", "derivatives", "checked_top")
+    __slots__ = ("setup", "forget", "value", "derivatives", "checked_top")
 
     def __init__(self, family: TiltedFamily):
-        self.setup = family.setup
+        self.setup, self.forget = family.setup, family.forget
         self.value, self.derivatives = family.value, family.derivatives
         self.checked_top = family.checked_top
 
@@ -637,14 +637,26 @@ class TestTiltOptimizer:
         grid[[3, 8], [1, 2]] = [-0.05, -0.3]  # negative counts: unbounded
         together = rate_function(qutrit_setup, grid)
         alone = [rate_function(qutrit_setup, [s])[0] for s in grid]
-        # a dense stack budget of five points: the grid goes in batches of 5, 5 and 2
+        # a stack budget of five points: the grid goes in batches of 5, 5 and 2,
+        # and no call forms more than five matrices, in either regime
         monkeypatch.setattr(deviation, "BATCH_STACK_BYTES", 5 * 2 * 81 * 16)
+        stacked = []
+        matrix = TiltedFamily.matrix
+
+        def recorded(family, lams):
+            stacked.append(len(lams))
+            return matrix(family, lams)
+
+        monkeypatch.setattr(TiltedFamily, "matrix", recorded)
         batched = rate_function(qutrit_setup, grid)
+        assert stacked and max(stacked) <= 5
         assert [p.status for p in together] == [p.status for p in alone] == [p.status for p in batched]
         assert [p.status for p in together].count("unbounded") == 2
         for a, b, c in zip(together, alone, batched):
             for x in (a, c):
                 assert x.value == b.value or abs(x.value - b.value) <= 1e-13 * abs(b.value)
+            # each batch's points start afresh (no warm start from another batch)
+            assert c.value == a.value and c.residual == a.residual
             assert max(a.residual, b.residual, c.residual) <= 1e-10
 
     def test_negative_count_coordinate_unbounded(self, qutrit_setup):
