@@ -67,9 +67,9 @@ def timed_bound(setup, r, min_size: int, repeats: int) -> dict:
     value = deviation.TiltedFamily.value
     walls, solves, matvecs, fallbacks = [], [], [], []
 
-    def timed_value(family, lams, points=None):
+    def timed_value(family, lams, warm=None):
         start = time.perf_counter()
-        result = value(family, lams, points)
+        result = value(family, lams, warm)
         solves.append(time.perf_counter() - start)
         return result
 

@@ -103,7 +103,12 @@ class MeasurementSetup:
 
     def __init__(self, ctx: GeneratorContext, directions, q: int):
         lind = ctx.lindbladian
-        u = np.atleast_2d(np.asarray(directions, dtype=float))
+        u = np.asarray(directions, dtype=float)
+        if u.ndim > 2:
+            raise ValidationError(f"directions must be an (ell, k) array, got shape {u.shape}")
+        if not np.all(np.isfinite(u)):
+            raise ValidationError("directions must be finite")
+        u = np.atleast_2d(u)
         ell, k = u.shape
         if k != lind.k:
             raise DimensionMismatchError(f"directions have {k} components, generator has {lind.k} jumps")
@@ -152,16 +157,17 @@ class TiltedFamily:
     Hermitian; herm(A) is held for a Brownian channel).
 
     Every evaluation takes an (m, ell) stack of tilts, one row per point,
-    so that the optimizer moves many points in one call. The regime is
+    so that the optimizer moves many points in one call, and keeps nothing:
+    value returns its solves (w, v) for derivatives to read. The regime is
     decided here, once, by the size d^2 of B(lam). Below LANCZOS_MIN_SIZE
     the family holds the dense (ell, d^2, d^2) stack of the pieces, built
-    from the operators; value is one stacked dense eigh, whose spectra it
-    keeps per point, and derivatives reads the gradients and the
-    perturbation-theory Hessians from them. From LANCZOS_MIN_SIZE on it
-    holds no more: value runs Lanczos on products B(lam) v (operator), at
-    d^4 for B0 and d^3 per piece, row by row, each warm-started from its
-    point's last top vector, and derivatives reads the gradient from that
-    vector and gives no Hessian. B0 is one d^2 x d^2 array made in place
+    from the operators; value is one stacked dense eigh, whose solves are
+    whole spectra, from which derivatives reads the gradients and the
+    perturbation-theory Hessians. From LANCZOS_MIN_SIZE on it holds no
+    more: value runs Lanczos on products B(lam) v (operator), at d^4 for B0
+    and d^3 per piece, row by row, each warm-started from a vector the
+    caller passes, and its solves are top pairs, from which derivatives
+    reads the gradient alone. B0 is one d^2 x d^2 array made in place
     from the generator in sigma's eigenbasis that it takes from the context
     (which then keeps no copy of it). matrix makes one new d^2 x d^2 array
     per row, for the dense solves and for checked_top, the check of the
@@ -171,6 +177,10 @@ class TiltedFamily:
     def __init__(self, setup: MeasurementSetup):
         ctx = setup.ctx
         st = ctx.require_faithful()
+        # Without a unique stationary state e(lam) can have a kink at 0, and
+        # its Legendre transform is neither an exponent nor a rate function.
+        if not ctx.primitive:
+            raise ValidationError("the tilted family requires a primitive generator context")
         self.setup = setup
         d = ctx.dim
         self.b0 = ctx.kms_hermitian_part(ctx.take_eigenbasis_generator())
@@ -191,16 +201,6 @@ class TiltedFamily:
         self.batch = max(1, BATCH_STACK_BYTES // (2 * self.b0.nbytes))
         g = np.random.default_rng(WARM_START_SEED).normal(size=(2, self.dim2))
         self._mix = WARM_START_MIX * (g[0] + 1j * g[1]) / np.linalg.norm(g)
-        # Per point: the tilt of its last value call and what that solve
-        # found, the eigendecomposition (w ascending, eigenvector columns v)
-        # in the dense regime, the top vector (also the next warm start)
-        # from LANCZOS_MIN_SIZE on.
-        self._solved: dict = {}
-
-    def forget(self) -> None:
-        """Drop every point's last solve, so that the next points start
-        afresh: points are numbered within one ascent."""
-        self._solved.clear()
 
     def _weights(self, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per row of lams, the weight of each piece in B(lam), lam_j or
@@ -270,60 +270,49 @@ class TiltedFamily:
         weights, shift = self._weights(lam[None])
         return _TiltedOperator(self, weights[0], shift[0])
 
-    def value(self, lams: np.ndarray, points=None) -> np.ndarray:
-        """Top eigenvalue of B(lam) for each row of the (m, ell) stack lams,
-        by the family's one eigensolve per tilt. ``points`` names the point
-        each row belongs to (default: row i is point i); the family keeps
-        each point's last solve. Below LANCZOS_MIN_SIZE it is one stacked
-        dense eigh, whose eigendecompositions are kept; from there the rows
-        are solved in turn by Lanczos on products with B(lam), each
-        warm-started from its point's previous top vector, or by a dense
-        eigh when Lanczos does not converge, and the top vector is kept."""
-        lams = np.array(lams, dtype=float)    # a copy, whose rows are kept
-        points = range(len(lams)) if points is None else points
-        if self._stacked is None:
-            out = np.empty(len(lams))
-            for i, (lam, p) in enumerate(zip(lams, points)):
-                warm = self._solved[p][1] if p in self._solved else 0.0
-                out[i], top, converged = top_eigenpair(self.operator(lam), warm + self._mix)
+    def value(self, lams: np.ndarray, warm=None) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+        """Top eigenvalues e of B(lam) for the rows of the (m, ell) stack
+        lams, by the family's one eigensolve per tilt, and its solves
+        (w, v): ascending eigenvalues (m, k) and unit eigenvector columns
+        (m, d^2, k). Below LANCZOS_MIN_SIZE it is one stacked dense eigh,
+        k = d^2; from there the rows are solved in turn by Lanczos on
+        products with B(lam), row i warm-started from warm[i] (cold where
+        warm is None), or by a dense eigh where Lanczos does not converge,
+        and k = 1, the top pair."""
+        lams = np.asarray(lams, dtype=float)
+        if self._stacked is not None:
+            w, v = np.linalg.eigh(self.matrix(lams))
+        else:
+            w, v = np.empty((len(lams), 1)), np.empty((len(lams), self.dim2, 1), dtype=complex)
+            for i, lam in enumerate(lams):
+                start = self._mix if warm is None else warm[i] + self._mix
+                w[i, 0], v[i, :, 0], converged = top_eigenpair(self.operator(lam), start)
                 if not converged:
-                    w, v = np.linalg.eigh(self.matrix(lam[None])[0])
-                    out[i], top = w[-1], v[:, -1]
-                self._solved[p] = (lam, top)
-            return out
-        w, v = np.linalg.eigh(self.matrix(lams))
-        for p, lam, wp, vp in zip(points, lams, w, v):
-            self._solved[p] = (lam, (wp, vp))
-        return w[:, -1].copy()
+                    wd, vd = np.linalg.eigh(self.matrix(lam[None])[0])
+                    w[i, 0], v[i, :, 0] = wd[-1], vd[:, -1]
+        return w[:, -1].copy(), (w, v)
 
-    def derivatives(self, lams: np.ndarray, points=None) -> tuple[np.ndarray, np.ndarray | None]:
+    def derivatives(self, lams: np.ndarray, solves) -> tuple[np.ndarray, np.ndarray | None]:
         """Gradients (m, ell) and Hessians (m, ell, ell) of the top
-        eigenvalue at the rows of lams, read from each point's last value
-        solve (made first where that was at another tilt).
+        eigenvalue at the rows of lams, read from their value solves (w, v).
 
         The gradient is Hellmann-Feynman, <v|dB/dlam_j|v> for the unit top
-        eigenvector v. Below LANCZOS_MIN_SIZE the Hessian is second-order
-        perturbation theory: <v|d2B/dlam_j^2|v> on the diagonal (1 per
-        Brownian channel, the gradient entry per Poisson channel) plus
+        eigenvector v. Where the solves hold the whole spectrum (below
+        LANCZOS_MIN_SIZE) the Hessian is second-order perturbation theory:
+        <v|d2B/dlam_j^2|v> on the diagonal (1 per Brownian channel, the
+        gradient entry per Poisson channel) plus
         2 Re sum_{n != top} <v|D_j|v_n><v_n|D_k|v> / (w_top - w_n) with
         D_j = dB/dlam_j, leaving out levels within EIG_GAP_DEGENERATE of the
         top, and a degenerate top eigenvalue takes its gradient from central
-        differences of value. From LANCZOS_MIN_SIZE on the gradient is that
-        of the Ritz vector and the Hessians are None."""
+        differences of value. Where they hold the top pair alone the
+        gradient is that of the Ritz vector and the Hessians are None."""
         lams = np.asarray(lams, dtype=float)
-        points = list(range(len(lams)) if points is None else points)
-        stale = [i for i, (lam, p) in enumerate(zip(lams, points))
-                 if p not in self._solved or not np.array_equal(self._solved[p][0], lam)]
-        if stale:
-            self.value(lams[stale], [points[i] for i in stale])
-        solves = [self._solved[p][1] for p in points]
-        if self._stacked is None:
-            return np.array([self.gradient_at(lam, top) for lam, top in zip(lams, solves)]), None
-        w = np.array([s[0] for s in solves])
-        v = np.array([s[1] for s in solves])
-        # <v_n|B_j|v_top> for every level n and piece j; the last row gives the gradient.
+        w, v = solves
+        # <v_n|B_j|v_top> for every level n held and piece j; the last row gives the gradient.
         a = v.conj().swapaxes(1, 2) @ self._pieces_times(v[:, :, -1]).swapaxes(1, 2)
         grad = self._gradient(lams, a[:, -1].real)
+        if w.shape[1] < self.dim2:
+            return grad, None
         gaps = w[:, -1:] - w[:, :-1]
         far = gaps >= EIG_GAP_DEGENERATE
         c = a[:, :-1] * self._slopes(lams)[:, None, :]
@@ -335,20 +324,20 @@ class TiltedFamily:
             hess[i] = 2.0 * (kept.conj().T @ (kept / gaps[i, far[i], None])).real
         hess += _curvature_diagonal(self.setup.brownian, grad)
         for i in np.flatnonzero(_degenerate(w)):
-            grad[i] = _finite_difference_gradient(self, lams[i], points[i])
+            grad[i] = _finite_difference_gradient(self, lams[i], v[i, :, -1])
         return grad, hess
 
     def checked_top(self, lams: np.ndarray, e: np.ndarray, grad: np.ndarray,
-                    points=None) -> tuple[np.ndarray, np.ndarray]:
+                    warm: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The top eigenvalues e and gradients grad that the ascent found at
         the rows of lams (its lam*), checked: each e must agree with a dense
         eigvalsh of matrix(lam) to TOP_EIG_CHECK_RTOL, or NumericalError is
         raised for the first row that does not. From LANCZOS_MIN_SIZE on
         they came from Ritz pairs: the values returned are then those of the
         eigvalsh, and a degenerate top eigenvalue takes its gradient from
-        central differences of value."""
+        central differences of value, warm-started from the row's top
+        vector warm[i]."""
         lams = np.asarray(lams, dtype=float)
-        points = list(range(len(lams)) if points is None else points)
         w = np.linalg.eigvalsh(self.matrix(lams))
         top = w[:, -1]
         bad = np.flatnonzero(np.abs(e - top) > TOP_EIG_CHECK_RTOL * np.maximum(1.0, np.abs(top)))
@@ -359,13 +348,8 @@ class TiltedFamily:
         if self._stacked is None:
             e, grad = top.copy(), grad.copy()
             for i in np.flatnonzero(_degenerate(w)):
-                grad[i] = _finite_difference_gradient(self, lams[i], points[i])
+                grad[i] = _finite_difference_gradient(self, lams[i], warm[i])
         return e, grad
-
-    def gradient_at(self, lam: np.ndarray, vtop: np.ndarray) -> np.ndarray:
-        """Hellmann-Feynman gradient of the top eigenvalue at one tilt,
-        <v|dB/dlam_j|v> for its unit eigenvector v."""
-        return self._gradient(lam, (self._pieces_times(vtop[None])[0] @ vtop.conj()).real)
 
     def _slopes(self, lams: np.ndarray) -> np.ndarray:
         """Weight of each piece in dB/dlam_j: 1 (Brownian), exp(lam_j) (Poisson)."""
@@ -387,12 +371,13 @@ def _degenerate(w: np.ndarray) -> np.ndarray:
     return w[:, -1] - w[:, -2] < EIG_GAP_DEGENERATE
 
 
-def _finite_difference_gradient(family: TiltedFamily, lam: np.ndarray, point) -> np.ndarray:
-    """Central differences of the top eigenvalue at one tilt of ``point``:
-    one value call on the tilts lam +- FINITE_DIFFERENCE_STEP e_j, in the
-    order up_0, down_0, up_1, ..."""
+def _finite_difference_gradient(family: TiltedFamily, lam: np.ndarray, warm: np.ndarray) -> np.ndarray:
+    """Central differences of the top eigenvalue at one tilt: one value call
+    on the tilts lam +- FINITE_DIFFERENCE_STEP e_j, in the order up_0,
+    down_0, up_1, ..., each warm-started from the tilt's top vector warm."""
     shifts = np.repeat(np.eye(lam.size), 2, axis=0) * np.tile([1.0, -1.0], lam.size)[:, None]
-    e = family.value(lam + FINITE_DIFFERENCE_STEP * shifts, [point] * (2 * lam.size))
+    starts = np.broadcast_to(warm, (len(shifts), warm.size))
+    e, _ = family.value(lam + FINITE_DIFFERENCE_STEP * shifts, starts)
     return (e[0::2] - e[1::2]) / (2 * FINITE_DIFFERENCE_STEP)
 
 
@@ -508,13 +493,13 @@ def _maximize_tilt(family: TiltedFamily, targets: np.ndarray, allow_negative: bo
     at most NEWTON_RTOL * max(1, |target|), or when a step gains neither
     objective nor stationarity.
 
-    The family first forgets earlier solves, so that row i is point i of
-    this ascent alone. Each sweep evaluates every pending trial point, a
-    new step or a halving, in one family.value call, and the points it
-    accepts in one family.derivatives call; a point takes the same iterates
-    as it would alone. Returns per row (lam*, value, residual, bounded),
-    from the top eigenvalues and gradients that family.checked_top passes
-    at lam*:
+    The ascent holds the only state: besides the iterates, each point's
+    top vector from its last solve, the warm start of its next one. Each
+    sweep evaluates every pending trial point, a new step or a halving, in
+    one family.value call, and passes the solves of the points it accepts
+    to one family.derivatives call; a point takes the same iterates as it
+    would alone. Returns per row (lam*, value, residual, bounded), from the
+    top eigenvalues and gradients that family.checked_top passes at lam*:
     ``residual`` is the projected gradient at lam* and ``bounded`` is False
     when a coordinate sits at its cap with the objective still increasing.
     """
@@ -524,12 +509,11 @@ def _maximize_tilt(family: TiltedFamily, targets: np.ndarray, allow_negative: bo
     targets = np.asarray(targets, dtype=float)
     n = len(targets)
     tol = NEWTON_RTOL * np.maximum(1.0, np.max(np.abs(targets), axis=1, initial=0.0))
-    every = np.arange(n)
 
-    family.forget()
     lam = np.zeros_like(targets)
-    e = family.value(lam, every)
-    grad, hess = family.derivatives(lam, every)
+    e, solves = family.value(lam)
+    grad, hess = family.derivatives(lam, solves)
+    warm = solves[1][:, :, -1].copy()
     quasi = hess is None
     if quasi:
         hess = _curvature_diagonal(setup.brownian, grad)
@@ -554,7 +538,8 @@ def _maximize_tilt(family: TiltedFamily, targets: np.ndarray, allow_negative: bo
         if not pending.size:
             break
         trial = lam[pending] + t[pending, None] * step[pending]
-        e_trial = family.value(trial, pending)
+        e_trial, (w, v) = family.value(trial, warm[pending])
+        warm[pending] = v[:, :, -1]
         f_trial = _rowdot(trial, targets[pending]) - e_trial
         rise = ARMIJO * t[pending] * _rowdot(g[pending], step[pending])
         passed = f_trial >= f[pending] + rise - noise[pending]
@@ -569,7 +554,7 @@ def _maximize_tilt(family: TiltedFamily, targets: np.ndarray, allow_negative: bo
         if not taken.size:
             continue
         trial, e_trial, f_trial = trial[passed], e_trial[passed], f_trial[passed]
-        grad_trial, exact = family.derivatives(trial, taken)
+        grad_trial, exact = family.derivatives(trial, (w[passed], v[passed]))
         if quasi:
             hess_trial = np.array([_bfgs(hess[p], x - lam[p], y - grad[p])
                                    for p, x, y in zip(taken, trial, grad_trial)])
@@ -585,7 +570,7 @@ def _maximize_tilt(family: TiltedFamily, targets: np.ndarray, allow_negative: bo
         running[keep] = residual[keep] > tol[keep]
         fresh[keep] = True
 
-    e, grad = family.checked_top(lam, e, grad, every)
+    e, grad = family.checked_top(lam, e, grad, warm)
     residual, bounded = _stationarity(lam, targets - grad, lo, caps)
     value = _rowdot(lam, targets) - e
     return lam, np.where(0.0 > value, 0.0, value), residual, bounded
@@ -633,8 +618,6 @@ def main_bound(setup: MeasurementSetup, rho, r) -> BoundReport:
     stationarity residual exceeds RESIDUAL_RTOL * max(1, |m + r|).
     """
     st = setup.ctx.require_faithful()
-    if not setup.ctx.primitive:
-        raise ValidationError("main_bound requires a primitive generator context")
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if r.shape != (setup.ell,):
         raise DimensionMismatchError(f"r must have shape ({setup.ell},), got {r.shape}")

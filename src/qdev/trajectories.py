@@ -81,6 +81,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 CONFIDENCE = 0.99
 # prctl option: the signal a forked worker gets when its parent dies.
 _PR_SET_PDEATHSIG = 1
+# Signals held back around each fork of an ensemble worker.
+_INTERRUPTS = {signal.SIGINT, signal.SIGTERM}
 
 
 @dataclass(frozen=True)
@@ -656,10 +658,17 @@ def _forked_blocks(run_one, n_blocks: int, n_workers: int) -> list:
         for w in range(n_workers):
             mine = range(w, n_blocks, n_workers)
             read, write = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _worker(parent, read, write, run_one, mine)   # never returns
-            children.append((pid, open(read, "rb"), mine))
+            # An interrupt raised while os.fork runs its after-fork hooks is
+            # dropped, and one raised before the child is in children leaves
+            # it unreaped: both wait, blocked, until the child is recorded.
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, _INTERRUPTS)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _worker(parent, read, write, run_one, mine, mask)   # never returns
+                children.append((pid, open(read, "rb"), mine))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(write)
         failures, results = [], {}
         for child in list(children):
@@ -694,14 +703,16 @@ def _forked_blocks(run_one, n_blocks: int, n_workers: int) -> list:
     return [results[b] for b in range(n_blocks)]
 
 
-def _worker(parent: int, read: int, write: int, run_one, mine) -> None:
+def _worker(parent: int, read: int, write: int, run_one, mine, mask) -> None:
     """The body of a forked worker, which ends by os._exit (no atexit hook,
-    no stdio flush): on Linux it dies with the parent (PR_SET_PDEATHSIG),
+    no stdio flush): it restores ``mask``, the parent's signal mask before
+    the fork; on Linux it dies with the parent (PR_SET_PDEATHSIG); it
     runs the blocks ``mine`` and writes b"=" + pickle(results), or
     b"!" + pickle((block, exception)) at the first block that raises, to
     the pipe ``write``."""
     code = 1
     try:
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.close(read)
         if sys.platform.startswith("linux"):
             import ctypes

@@ -375,6 +375,20 @@ class TestRateVerb:
         assert json.loads(capsys.readouterr().err.strip())["code"] == "validation"
         assert not Path("rate.csv").exists()
 
+    @pytest.mark.parametrize("verb", ["bound", "rate"])
+    def test_non_primitive_generator_refused(self, workdir, capsys, verb):
+        # A dephasing qubit keeps every diagonal state: e(lam) has a kink at 0,
+        # so its Legendre transform is neither an exponent nor a rate.
+        fileio.save_model("dephasing.json", hamiltonian=np.zeros((2, 2)),
+                          jumps=[np.diag([1.0, -1.0]).astype(complex)])
+        write_setup("setup.json", [[1.0]], 1)
+        args = ["--r", "0.1", "--t", "1"] if verb == "bound" else ["--grid=-0.5:0.5:3"]
+        code = main([verb, "--model", "dephasing.json", "--setup", "setup.json", *args, "-o", "out.csv"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "primitive" in err["message"]
+        assert not Path("out.csv").exists()
+
 
 class TestNonObjectJson:
     @pytest.mark.parametrize("verb,name,doc", [
@@ -411,6 +425,15 @@ class TestMalformedFields:
         assert code == 1
         err = json.loads(capsys.readouterr().err.strip())
         assert err["code"] == "validation" and name in err["message"] and field in err["message"]
+
+    @pytest.mark.parametrize("directions", [[[math.nan]], [[[1.0]]]], ids=["nan", "three-dim"])
+    def test_bad_directions_rejected(self, scalar_model, capsys, directions):
+        write_setup("setup.json", directions, 1)
+        code = main(["bound", "--model", "scalar.json", "--setup", "setup.json",
+                     "--r", "1", "--t", "1", "-o", "bound.csv"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["code"] == "validation" and "directions" in err["message"]
 
     def test_integral_numbers_load_as_integers(self, scalar_model):
         write_config("config.json", dt=1e-2, t_max=1.0, n_paths=3.0, base_seed=1.0)

@@ -201,7 +201,7 @@ class TestPerturbedGenerator:
 
 def top(family: TiltedFamily, lam) -> float:
     """The top eigenvalue at one tilt: family.value on a stack of one."""
-    return float(family.value(np.array([lam], dtype=float))[0])
+    return float(family.value(np.array([lam], dtype=float))[0][0])
 
 
 class TestScgf:
@@ -400,11 +400,20 @@ class TestDirectVariationalCrosscheck:
             direct_variational_crosscheck(setup, [0.1])
 
 
+def top_pair(family: TiltedFamily, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The solve (w, v) of one tilt reduced to its top pair, from a dense eigh;
+    the top eigenvalue must be simple."""
+    w, v = np.linalg.eigh(family.matrix([lam]))
+    assert w[0, -1] - w[0, -2] > deviation.EIG_GAP_DEGENERATE
+    return w[:, -1:], v[:, :, -1:]
+
+
 def top_gradient(family: TiltedFamily, lam: np.ndarray) -> np.ndarray:
-    """Hellmann-Feynman gradient at a tilt whose top eigenvalue is simple."""
-    w, v = np.linalg.eigh(family.matrix([lam])[0])
-    assert w[-1] - w[-2] > deviation.EIG_GAP_DEGENERATE
-    return family.gradient_at(lam, v[:, -1])
+    """Hellmann-Feynman gradient at a tilt whose top eigenvalue is simple,
+    read by derivatives from the top pair alone."""
+    grad, hess = family.derivatives([lam], top_pair(family, lam))
+    assert hess is None
+    return grad[0]
 
 
 class TestTiltedFamilyInternals:
@@ -487,10 +496,11 @@ class TestMatrixFreeFamily:
         lam = TILTS[2]
         monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 10**9)
         dense = TiltedFamily(setup)
-        v = np.linalg.eigh(dense.matrix([lam])[0])[1][:, -1]
-        expected = dense.gradient_at(lam, v)
+        pair = top_pair(dense, lam)
+        expected, _ = dense.derivatives([lam], pair)
         monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0)
-        assert np.max(np.abs(TiltedFamily(setup).gradient_at(lam, v) - expected)) <= 1e-12 * d
+        grad, hess = TiltedFamily(setup).derivatives([lam], pair)
+        assert hess is None and np.max(np.abs(grad - expected)) <= 1e-12 * d
 
 
 def record_convergence(monkeypatch) -> list:
@@ -529,8 +539,8 @@ class TestTopEigenvalue:
         w, v = np.linalg.eigh(b)
         # Started exactly on the second eigenvector, Lanczos stays there.
         assert abs(top_eigenpair(b, v[:, -2])[0] - w[-2]) <= 1e-10
-        family._solved[0] = (TILTS[0], v[:, -2].copy())  # point 0's warm start
-        assert_top(top(family, TILTS[1]), b)
+        e, _ = family.value([TILTS[1]], warm=v[None, :, -2])
+        assert_top(e[0], b)
         assert flags == [True]
 
     @pytest.mark.parametrize("split", [1e-9, 1e-6])
@@ -543,17 +553,82 @@ class TestTopEigenvalue:
         # Lanczos takes products with family.operator(lam), a dense fallback family.matrix(lam).
         monkeypatch.setattr(family, "operator", lambda lam: b)
         monkeypatch.setattr(family, "matrix", lambda lams: b[None])
-        for _ in range(2):  # a cold start, then warm from the first top vector
-            assert_top(top(family, TILTS[1]), b)
+        e, (_, v) = family.value([TILTS[1]])   # a cold start
+        assert_top(e[0], b)
+        e, _ = family.value([TILTS[1]], warm=v[:, :, -1])   # warm from its top vector
+        assert_top(e[0], b)
 
     @pytest.mark.parametrize("lanczos", [False, True], ids=["dense", "lanczos"])
     def test_wrong_iterative_value_fails_the_bound(self, mixed_setup, lanczos, monkeypatch):
         monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0 if lanczos else 10**9)
         exact = TiltedFamily.value
-        monkeypatch.setattr(TiltedFamily, "value",
-                            lambda self, lams, points=None: exact(self, lams, points) + 1e-6)
+
+        def wrong(self, lams, warm=None):
+            e, solves = exact(self, lams, warm)
+            return e + 1e-6, solves
+
+        monkeypatch.setattr(TiltedFamily, "value", wrong)
         with pytest.raises(NumericalError, match="dense eigh"):
             main_bound(mixed_setup, mixed_setup.ctx.sigma, [0.2, 0.1])
+
+
+class TestStatelessFamily:
+    """TiltedFamily is a function of its arguments: the ascent holds the
+    only state, the warm starts included."""
+
+    @pytest.mark.parametrize("lanczos", [False, True], ids=["dense", "lanczos"])
+    def test_calls_leave_the_family_unchanged(self, qutrit_setup, lanczos, monkeypatch):
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0 if lanczos else 10**9)
+        family = TiltedFamily(qutrit_setup)
+        # each attribute and a copy of its contents
+        before = {k: (v, v.copy() if isinstance(v, (np.ndarray, dict, list)) else v)
+                  for k, v in vars(family).items()}
+        lams = np.array([[0.2, -0.1, 0.3], [-0.4, 0.5, -1.0]])
+        e, solves = family.value(lams)
+        grad, _ = family.derivatives(lams, solves)
+        family.checked_top(lams, e, grad, solves[1][:, :, -1])
+        m = mean_vector(qutrit_setup)
+        deviation._maximize_tilt(family, np.array([m + [0.3, 0.05, 0.02], m - 0.01]), True)
+        assert vars(family).keys() == before.keys()
+        for k, (attribute, contents) in before.items():
+            now = vars(family)[k]
+            assert now is attribute
+            assert np.array_equal(now, contents) if isinstance(now, np.ndarray) else now == contents
+
+    @pytest.mark.parametrize("lanczos", [False, True], ids=["dense", "lanczos"])
+    def test_rows_in_reversed_order(self, generic_setup, lanczos, monkeypatch):
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0 if lanczos else 10**9)
+        family = TiltedFamily(generic_setup)
+        lams = np.array(TILTS)
+        for warm in (None, family.value(lams)[1][1][:, :, -1]):
+            e, (w, v) = family.value(lams, warm)
+            back, (w_back, v_back) = family.value(lams[::-1], None if warm is None else warm[::-1])
+            assert np.array_equal(back, e[::-1])
+            assert np.array_equal(w_back, w[::-1]) and np.array_equal(v_back, v[::-1])
+
+    def test_checked_top_differences_start_warm(self, generic_setup, monkeypatch):
+        # From the Lanczos cut-over, a degenerate top at lam* takes central
+        # differences, each shifted row warm-started from the row's top vector.
+        monkeypatch.setattr(deviation, "LANCZOS_MIN_SIZE", 0)
+        family = TiltedFamily(generic_setup)
+        lams = np.array(TILTS[1:])
+        e, solves = family.value(lams)
+        grad, _ = family.derivatives(lams, solves)
+        monkeypatch.setattr(deviation, "_degenerate", lambda w: np.ones(len(w), dtype=bool))
+        starts = []
+        solve = TiltedFamily.value
+
+        def recorded(self, rows, warm=None):
+            starts.append(warm)
+            return solve(self, rows, warm)
+
+        monkeypatch.setattr(TiltedFamily, "value", recorded)
+        checked, differenced = family.checked_top(lams, e, grad, solves[1][:, :, -1])
+        assert len(starts) == len(lams)
+        for i, warm in enumerate(starts):
+            assert np.array_equal(warm, np.repeat(solves[1][i:i + 1, :, -1], 2 * lams.shape[1], axis=0))
+        assert np.max(np.abs(differenced - grad)) <= 1e-8
+        assert np.max(np.abs(checked - e)) <= 1e-12
 
 
 def count_eigensolves(monkeypatch) -> dict:
@@ -562,24 +637,24 @@ def count_eigensolves(monkeypatch) -> dict:
     calls = {"n": 0, "tilts": 0}
     solve = TiltedFamily.value
 
-    def counted(self, lams, points=None):
+    def counted(self, lams, warm=None):
         calls["n"] += 1
         calls["tilts"] += len(lams)
-        return solve(self, lams, points)
+        return solve(self, lams, warm)
 
     monkeypatch.setattr(TiltedFamily, "value", counted)
     return calls
 
 
 class FamilySeam:
-    """A TiltedFamily seen only through setup, forget and the stacked
-    value, derivatives and checked_top: what another tilted family must
-    offer the tilt optimizer."""
+    """A TiltedFamily seen only through setup and the stacked value,
+    derivatives and checked_top: what another tilted family must offer the
+    tilt optimizer."""
 
-    __slots__ = ("setup", "forget", "value", "derivatives", "checked_top")
+    __slots__ = ("setup", "value", "derivatives", "checked_top")
 
     def __init__(self, family: TiltedFamily):
-        self.setup, self.forget = family.setup, family.forget
+        self.setup = family.setup
         self.value, self.derivatives = family.value, family.derivatives
         self.checked_top = family.checked_top
 
@@ -603,7 +678,7 @@ class TestTiltOptimizer:
         for _ in range(5):
             lam = np.concatenate([rng.uniform(-1.0, 1.0, size=1),
                                   rng.uniform(-2.0, 1.0, size=family.setup.ell - 1)])
-            (grad,), (hess,) = family.derivatives([lam])
+            (grad,), (hess,) = family.derivatives([lam], family.value([lam])[1])
             assert np.allclose(grad, top_gradient(family, lam), atol=1e-13)
             fd = np.empty_like(hess)
             for j in range(lam.size):

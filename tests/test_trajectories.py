@@ -371,6 +371,20 @@ def assert_no_children():
         os.waitpid(-1, os.WNOHANG)
 
 
+# Armed (non-empty), the next fork interrupts its parent from an after-fork hook.
+INTERRUPT_NEXT_FORK = []
+
+
+def _interrupt_after_fork():
+    if INTERRUPT_NEXT_FORK:
+        INTERRUPT_NEXT_FORK.clear()
+        os.kill(os.getpid(), signal.SIGINT)
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_parent=_interrupt_after_fork)
+
+
 def failing_blocks(monkeypatch, act):
     """Make _Engine.step_block call ``act(first path index)`` in a forked
     worker before stepping; in this process it only steps."""
@@ -437,6 +451,17 @@ class TestForkedWorkers:
         finally:
             signal.signal(signal.SIGUSR1, previous)
         assert time.monotonic() - start < 30
+        assert_no_children()
+
+    def test_interrupt_during_fork_is_not_lost(self, qubit_setup, monkeypatch):
+        # an interrupt that lands while os.fork runs its after-fork hooks
+        monkeypatch.setattr(trajectories, "BLOCK_PATHS", 6)   # two blocks
+        INTERRUPT_NEXT_FORK.append(True)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_ensemble(qubit_setup, np.eye(2) / 2, self.CONFIG, [0.2], n_workers=2)
+        finally:
+            INTERRUPT_NEXT_FORK.clear()
         assert_no_children()
 
     @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="PR_SET_PDEATHSIG is Linux only")
